@@ -76,11 +76,14 @@ class IntegerLinearMap:
         )
 
     def quotient_determinant(self) -> int:
-        Q = self.quotient_matrix()
-        if not Q:
-            return 1
-        det = determinant([[Fraction(x) for x in row] for row in Q])
-        return int(det)
+        det = getattr(self, "_qdet_cache", None)
+        if det is None:
+            Q = self.quotient_matrix()
+            det = 1
+            if Q:
+                det = int(determinant([[Fraction(x) for x in row] for row in Q]))
+            object.__setattr__(self, "_qdet_cache", det)
+        return det
 
     @property
     def is_lattice_isomorphism(self) -> bool:
@@ -199,10 +202,15 @@ def cremona_check_detail(M: Matroid, b: Iterable[int]) -> tuple[CremonaData | No
 def enumerate_cremona_bases(M: Matroid, *, max_elements: int = 40) -> list[CremonaData]:
     """All Cremona bases in ascending order of their sorted element tuples.
 
-    Backtracking over independent sets: a branch dies as soon as a chosen
-    pair's closure remainder touches the partial basis or an earlier
-    F-set.  Guarded by a ground-set budget (explicit failure, never a
-    silent truncation).
+    The pair-remainder table rem[a][b], the bitmask of cl{a, b} \\ {a, b},
+    is computed once in n(n-1)/2 closures.  The search then backtracks
+    over increasing element tuples on int masks: a branch dies as soon as
+    a new pair's remainder touches the partial basis or an earlier F-set.
+    No rank query is needed on the way down.  Every F-set lies in cl(b),
+    so an r-element leaf whose F-sets cover E \\ b spans M and is
+    therefore a basis; dependent partial sets die later or never reach
+    full coverage.  Each leaf is re-verified by cremona_check.  Guarded by
+    a ground-set budget (explicit failure, never a silent truncation).
     """
     if M.size > max_elements:
         raise BudgetExceeded(
@@ -215,11 +223,18 @@ def enumerate_cremona_bases(M: Matroid, *, max_elements: int = 40) -> list[Cremo
     results: list[CremonaData] = []
     if r == 0:
         return results
+    n = M.size
+    full = (1 << n) - 1
+    rem = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        F = 0
+        for x in M.closure((a, b)).elements:
+            F |= 1 << x
+        rem[a][b] = rem[b][a] = F & ~(1 << a | 1 << b)
 
-    def extend(partial: list[int], covered: frozenset[int]):
-        depth = len(partial)
-        if depth == r:
-            if covered | set(partial) == set(range(M.size)):
+    def extend(partial: list[int], pmask: int, covered: int):
+        if len(partial) == r:
+            if covered | pmask == full:
                 data = cremona_check(M, tuple(partial))
                 if data is None:
                     raise InvariantError(
@@ -228,26 +243,20 @@ def enumerate_cremona_bases(M: Matroid, *, max_elements: int = 40) -> list[Cremo
                 results.append(data)
             return
         start = partial[-1] + 1 if partial else 0
-        for e in range(start, M.size):
-            if e in covered:
+        for e in range(start, n):
+            if covered >> e & 1:
                 continue
-            if M.rank(partial + [e]) != depth + 1:
-                continue
+            row = rem[e]
             new_cover = covered
-            ok = True
             for b_i in partial:
-                F = M.closure({b_i, e}).elements - {b_i, e}
-                if F & set(partial) or e in F:
-                    ok = False
+                F = row[b_i]
+                if F & (pmask | new_cover):
                     break
-                if F & new_cover:
-                    ok = False
-                    break
-                new_cover = new_cover | F
-            if ok:
-                extend(partial + [e], new_cover)
+                new_cover |= F
+            else:
+                extend(partial + [e], pmask | 1 << e, new_cover)
 
-    extend([], frozenset())
+    extend([], 0, 0)
     return results
 
 
@@ -529,7 +538,6 @@ class Realization:
     field: Field
     vectors: tuple[tuple, ...]
     matroid: Matroid
-    sigma: ElementBijection
     reindexed_basis: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     kappa: dict[int, object]
@@ -646,12 +654,10 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
             raise InvariantError(
                 f"realization disagrees with the matroid on rank-{k} flats"
             )
-    sigma = ElementBijection(tuple(range(M.size)))
     return Realization(
         field=field,
         vectors=tuple(vectors),
         matroid=realized,
-        sigma=sigma,
         reindexed_basis=tuple(ordered),
         classes=classes,
         kappa=kappa,

@@ -257,16 +257,33 @@ class FpElement:
         return str(self.value)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); larger moduli are refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test for n below ``_MR_LIMIT``."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -281,6 +298,11 @@ class Field:
         if kind not in ("Q", "Fp", "Qsqrt5"):
             raise FieldFormatError(f"unknown field kind {kind!r}")
         if kind == "Fp":
+            if p is not None and p >= _MR_LIMIT:
+                raise FieldFormatError(
+                    f"modulus {p} is too large: primality is certified only "
+                    f"below {_MR_LIMIT}"
+                )
             if p is None or not _is_prime(p):
                 raise FieldFormatError(f"modulus {p!r} is not prime")
         self.kind = kind
@@ -301,7 +323,7 @@ class Field:
             return cls("Fp", p)
         if spec.startswith("F") and spec[1:].isdigit():
             # convenience alias: "F2" means "Fp:2"
-            return cls("Fp", int(spec[1:]))
+            return cls.from_spec("Fp:" + spec[1:])
         raise FieldFormatError(f"bad field spec {spec!r}")
 
     @property

@@ -1,12 +1,9 @@
-"""Small shared helpers: deterministic worker pools and timing."""
+"""Small shared helpers: deterministic worker pools."""
 
 from __future__ import annotations
 
 import os
-import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InputError
@@ -44,14 +41,3 @@ def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, data))
 
-
-@contextmanager
-def stopwatch(label: str, *, stream=None):
-    """Time a block and report to stderr, keeping stdout deterministic."""
-    out = stream if stream is not None else sys.stderr
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        print(f"[time] {label}: {elapsed:.3f}s", file=out)

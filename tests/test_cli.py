@@ -7,6 +7,7 @@ proves the installed console script works.
 
 import json
 import subprocess
+import time
 
 import pytest
 
@@ -161,6 +162,35 @@ class TestCremona:
         )
         assert code == 2
         assert "cannot read" in err
+
+
+class TestHugeModulus:
+    """A huge F_p modulus is answered at once: accepted or exit 2."""
+
+    def _u23_file(self, tmp_path, p):
+        path = tmp_path / "u23.json"
+        path.write_text(json.dumps({
+            "schema": 1, "kind": "matroid", "elements": ["a", "b", "c"],
+            "backend": "vectors", "field": f"Fp:{p}",
+            "data": [["1", "0"], ["0", "1"], ["1", "1"]],
+        }))
+        return str(path)
+
+    def test_mersenne_61_is_accepted(self, tmp_path, capsys):
+        path = self._u23_file(tmp_path, 2 ** 61 - 1)
+        start = time.perf_counter()
+        doc, _ = run_json(capsys, "cremona", path, "--enumerate")
+        assert time.perf_counter() - start < 1.0
+        assert doc["payload"]["count"] == 3
+
+    def test_beyond_certified_range_is_input_error(self, tmp_path, capsys):
+        path = self._u23_file(tmp_path, 10 ** 30 + 57)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cremona", path, "--enumerate")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
 
 
 class TestFan:

@@ -1,6 +1,7 @@
 """Cremona bases: detection, lattice maps, support graphs, involutions, realizations."""
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -21,8 +22,15 @@ from cremfan.cremona import (
 from cremfan.errors import BudgetExceeded, InputError, InvariantError
 from cremfan.fan import TropicalPoint, in_bergman_fan, nested_rays
 from cremfan.field import Field
-from cremfan.generators import coxeter_matroid, dowling_rank3, uniform
+from cremfan.generators import (
+    complete_graph_matroid,
+    coxeter_matroid,
+    dowling_rank3,
+    fano,
+    uniform,
+)
 from cremfan.matroid import parallel_connection
+from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 from conftest import by_label
 
@@ -193,6 +201,71 @@ class TestEnumerate:
             enumerate_cremona_bases(contracted)
 
 
+def _a3_over_f3():
+    doc = matroid_to_dict(coxeter_matroid("A3"))
+    doc["field"] = "Fp:3"
+    return matroid_from_dict(doc)
+
+
+def _glued():
+    Q = dowling_rank3("z2xz2")
+    U = uniform(2, 3)
+    return parallel_connection(Q, Q.ground.index_of("p1"), U, 0)
+
+
+# one or more matroids per backend: vectors over Q, over Q(sqrt5), over
+# F_p; lines; circuits (a parallel connection and the uniform matroids)
+BRUTE_FORCE_CASES = {
+    "A3": lambda: coxeter_matroid("A3"),
+    "A4": lambda: coxeter_matroid("A4"),
+    "B3": lambda: coxeter_matroid("B3"),
+    "K5": lambda: complete_graph_matroid(5),
+    "H3": lambda: coxeter_matroid("H3"),
+    "A3/Fp:3": _a3_over_f3,
+    "fano": fano,
+    "dowling:Z3": lambda: dowling_rank3("Z3"),
+    "glued": _glued,
+    "U:2,5": lambda: uniform(2, 5),
+    "U:3,6": lambda: uniform(3, 6),
+}
+
+
+class TestEnumerateAgainstBruteForce:
+    @pytest.mark.parametrize("name", sorted(BRUTE_FORCE_CASES))
+    def test_matches_every_r_subset_check(self, name):
+        M = BRUTE_FORCE_CASES[name]()
+        r = M.full_rank()
+        expected = [
+            b for b in combinations(range(M.size), r)
+            if M.is_independent(b) and cremona_check(M, b) is not None
+        ]
+        assert [d.basis for d in enumerate_cremona_bases(M)] == expected
+
+    def test_search_issues_no_rank_queries(self):
+        # a freshly loaded K7 (21 elements, rank 6, seven star bases) with
+        # counting wrappers on its backend; deterministic work counters
+        M = matroid_from_dict(matroid_to_dict(complete_graph_matroid(7)))
+        calls = {"rank_subset": 0, "closure_fast": 0}
+
+        def counting(name):
+            fn = getattr(M.backend, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            setattr(M.backend, name, counting(name))
+        datas = enumerate_cremona_bases(M)
+        assert len(datas) == 7
+        # a search that tests each candidate's independence makes 46,742
+        assert calls["rank_subset"] < 100
+        # the pair table, the simplicity check, and each found basis's six
+        # corank-one flats in the leaf self-check
+        assert calls["closure_fast"] <= comb(21, 2) + 21 + 7 * 6
+
+
 class TestCremMap:
     def test_running_example_matrix(self, a3):
         lm = crem_map(cremona_check(a3, (0, 1, 5)))
@@ -325,9 +398,7 @@ class TestTwoBasisReport:
 
 @pytest.fixture(scope="module")
 def glued():
-    Q = dowling_rank3("z2xz2")
-    U = uniform(2, 3)
-    return parallel_connection(Q, Q.ground.index_of("p1"), U, 0)
+    return _glued()
 
 
 class TestDowlingGlue:

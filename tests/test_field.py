@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: Q, F_p, Q(sqrt5), and the matrix helpers."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,8 @@ class TestFieldSpec:
         assert Field.from_spec("Q").size is None
         assert Field.from_spec("Qsqrt5").size is None
 
-    @pytest.mark.parametrize("bad", ["", "R", "Fp:", "Fp:abc", "F", "Fx", "Fp:4", "Fp:1"])
+    @pytest.mark.parametrize("bad", ["", "R", "Fp:", "Fp:abc", "F", "Fx", "Fp:4", "Fp:1",
+                                     pytest.param("F" + "7" * 5000, id="F-5000-digits")])
     def test_bad_specs(self, bad):
         with pytest.raises(FieldFormatError):
             Field.from_spec(bad)
@@ -44,6 +46,49 @@ class TestFieldSpec:
     def test_spec_round_trip(self):
         for spec in ["Q", "Qsqrt5", "Fp:2", "Fp:13"]:
             assert Field.from_spec(spec).spec == spec
+
+
+class TestPrimality:
+    """F_p moduli are certified by deterministic Miller-Rabin, not trial division."""
+
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        for n in range(2, 3000):
+            if trial(n):
+                assert Field.from_spec(f"Fp:{n}").p == n
+            else:
+                with pytest.raises(FieldFormatError, match="not prime"):
+                    Field.from_spec(f"Fp:{n}")
+
+    @pytest.mark.parametrize("n", [
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # to bases 2, 3, 5, 7
+        3825123056546413051,  # to every prime base up to 23
+        318665857834031151167461,  # to every prime base up to 37
+    ])
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(FieldFormatError, match="not prime"):
+            Field.from_spec(f"Fp:{n}")
+
+    def test_mersenne_61_accepted_quickly(self):
+        start = time.perf_counter()
+        f = Field.from_spec("Fp:2305843009213693951")
+        assert time.perf_counter() - start < 0.5
+        assert f.p == 2 ** 61 - 1
+
+    def test_composite_neighbour_rejected_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(FieldFormatError, match="not prime"):
+            Field.from_spec(f"Fp:{2 ** 61 + 1}")
+        assert time.perf_counter() - start < 0.5
+
+    def test_modulus_beyond_certified_range_rejected(self):
+        start = time.perf_counter()
+        with pytest.raises(FieldFormatError, match="too large"):
+            Field.from_spec(f"Fp:{10 ** 30 + 57}")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestRationals:
