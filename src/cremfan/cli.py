@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     fan.add_argument("--dot", metavar="PATH",
                      help="also write the graph as DOT (with --graph/--s-graph)")
     fan.add_argument("--max-subsets", type=int, default=3_000_000,
-                     help="corank-one enumeration budget (default 3000000)")
+                     help="closure budget of the corank-one flat-lattice walk "
+                          "(default 3000000)")
     fan.set_defaults(func=cmd_fan)
     return parser
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
-from .matroid import Flat, Matroid, VectorBackend
-from .util import pmap, thread_count
+from .matroid import Flat, Matroid
+from .util import pmap
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,12 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
 def _pair_nested(M: Matroid, A: frozenset[int], B: frozenset[int]) -> bool:
     if A <= B or B <= A:
         return True
+    # Incomparable rays that meet are never nested. Two connected sets with a
+    # common element have a connected union, and in a loopless matroid every
+    # e in cl(X) \ X lies on a circuit with elements of X, so the closure of
+    # a connected set is connected: the join cl(A | B) is connected.
+    if A & B:
+        return False
     join = M.closure(A | B)
     return not M.is_connected(join.elements)
 
@@ -220,25 +226,28 @@ class RayGraph:
         """Length of a shortest cycle, None for forests."""
         adj = self.neighbors()
         best: int | None = None
-        for a, b in self.edges:
-            # shortest a-b path avoiding the edge (a, b) closes the
-            # shortest cycle through that edge
-            dist = {a: 0}
-            frontier = [a]
-            while frontier and b not in dist:
+        for s in range(len(adj)):
+            # BFS from s: a non-tree edge (u, v) closes a cycle of length at
+            # most d(u) + d(v) + 1, and exactly the girth when s lies on a
+            # shortest cycle; depth d cannot beat 2d + 1
+            dist = {s: 0}
+            parent = {s: None}
+            frontier = [s]
+            depth = 0
+            while frontier and (best is None or 2 * depth + 1 < best):
                 nxt = []
                 for u in frontier:
                     for v in adj[u]:
-                        if (u, v) in ((a, b), (b, a)):
-                            continue
                         if v not in dist:
-                            dist[v] = dist[u] + 1
+                            dist[v] = depth + 1
+                            parent[v] = u
                             nxt.append(v)
+                        elif v != parent[u]:
+                            cycle = depth + dist[v] + 1
+                            if best is None or cycle < best:
+                                best = cycle
                 frontier = nxt
-            if b in dist:
-                cycle = dist[b] + 1
-                if best is None or cycle < best:
-                    best = cycle
+                depth += 1
         return best
 
     def vertex_name(self, i: int) -> str:
@@ -317,74 +326,39 @@ def ray_permutation(graph: RayGraph, linear_map) -> list[int]:
 def rank_one_neighbor_count(M: Matroid, e: int) -> int:
     """Rank-one rays adjacent to {e}: elements f with cl{e,f} = {e,f}."""
     M._check_subset({e})
-    count = 0
-    for f in range(M.size):
-        if f != e and len(M.closure({e, f}).elements) == 2:
-            count += 1
-    return count
+    return len(_rank_one_neighbors(M, e))
+
+
+def _rank_one_neighbors(M: Matroid, e: int) -> list[int]:
+    # f != e with |cl{e,f}| = 2: the other element of a two-element cl{e},
+    # or else the new element of each two-element cover of cl{e}
+    C = M.closure({e})
+    if len(C) == 2:
+        return sorted(C.elements - {e})
+    return [min(G.elements - C.elements) for G in M.covers(C) if len(G) == 2]
 
 
 def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
                                max_subsets: int = 3_000_000) -> list[Flat]:
     """All connected corank-one flats, optionally only those through one element.
 
-    For vector-backed matroids this enumerates spans of (rank-1)-element
-    subsets and deduplicates by closure; otherwise it walks the flat
-    lattice level (budgeted by ground-set size).
+    The hyperplanes come from the flat-lattice walk; ``max_subsets`` caps
+    the closures that walk issues.
     """
     r = M.full_rank()
     if r < 1:
         return []
     if through is not None:
         M._check_subset({through})
-    backend = M.backend
-    if isinstance(backend, VectorBackend) and r >= 2:
-        others = [e for e in range(M.size) if e != through]
-        k = r - 1 if through is None else r - 2
-        total = math.comb(len(others), k)
-        if total > max_subsets:
-            raise BudgetExceeded(
-                f"corank-one enumeration needs {total} subsets, over the "
-                f"budget of {max_subsets}"
-            )
-        fixed = () if through is None else (through,)
-        combos = [fixed + c for c in itertools.combinations(others, k)]
-        chunks = _split(combos, max(1, thread_count()))
-
-        def scan(chunk):
-            local: dict[frozenset[int], None] = {}
-            closure_fast = backend.closure_fast
-            for sub in chunk:
-                rank, members = closure_fast(tuple(sorted(sub)))
-                if rank == r - 1:
-                    local[frozenset(members)] = None
-            return local
-
-        merged: dict[frozenset[int], None] = {}
-        for local in pmap(scan, chunks):
-            merged.update(local)
-        hyperplanes = sorted(merged, key=lambda F: sorted(F))
-    else:
-        if M.size > 36:
-            raise BudgetExceeded(
-                "full flat-lattice enumeration is limited to 36 elements"
-            )
-        hyperplanes = [
-            F.elements
-            for F in M.flats_of_rank(r - 1)
-            if through is None or through in F.elements
-        ]
+    hyperplanes = [
+        F.elements
+        for F in M.flats_of_rank(r - 1, max_closures=max_subsets)
+        if through is None or through in F.elements
+    ]
     flags = pmap(lambda F: M.is_connected(F), hyperplanes)
     return [
         Flat(F, r - 1, True) for F, ok in zip(hyperplanes, flags) if ok
     ]
-
-
-def _split(items: list, parts: int) -> list[list]:
-    if parts <= 1 or len(items) <= 1:
-        return [items]
-    step = (len(items) + parts - 1) // parts
-    return [items[i: i + step] for i in range(0, len(items), step)]
 
 
 @dataclass(frozen=True)
@@ -417,13 +391,10 @@ def graph_S(M: Matroid, *, rank_one_only: bool = False,
         raise InputError("graph S needs a simple matroid")
     labels = M.ground.labels
     m = M.size
-    singleton_counts = pmap(lambda e: rank_one_neighbor_count(M, e), range(m))
+    neighbors = [_rank_one_neighbors(M, e) for e in range(m)]
+    singleton_counts = [len(fs) for fs in neighbors]
     vertices: list[Flat] = [Flat(frozenset({e}), 1, True) for e in range(m)]
-    edges: list[tuple[int, int]] = []
-    for e in range(m):
-        for f in range(e + 1, m):
-            if len(M.closure({e, f}).elements) == 2:
-                edges.append((e, f))
+    edges = [(e, f) for e in range(m) for f in neighbors[e] if f > e]
     hyperplanes: list[Flat] = []
     if not rank_one_only and M.full_rank() >= 2:
         hyperplanes = corank_one_connected_flats(M, max_subsets=max_subsets)

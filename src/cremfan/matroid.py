@@ -351,34 +351,69 @@ class Matroid:
 
     # -- flats, level by level ----------------------------------------------
 
-    def flats_of_rank(self, k: int) -> list[Flat]:
-        """All rank-k flats, canonically ordered by sorted element tuple."""
+    def covers(self, flat: Flat | Iterable[int]) -> list[Flat]:
+        """The flats covering a flat F, ordered by their least element outside F."""
+        F = self._check_subset(flat)
+        if not self.is_flat(F):
+            raise InputError(f"{sorted(F)} is not a flat")
+        return list(self._covers(F))
+
+    def _covers(self, F: frozenset[int]):
+        # One closure per cover: for every e in G \ F, cl(F + e) is a flat of
+        # rank r(F) + 1 inside G = cl(F + e0), so it is G itself.
+        seen = set(F)
+        for e in range(self.size):
+            if e not in seen:
+                G = self.closure(F | {e})
+                seen.update(G.elements)
+                yield G
+
+    def flats_of_rank(self, k: int, *, max_closures: int | None = None) -> list[Flat]:
+        """All rank-k flats, canonically ordered by sorted element tuple.
+
+        Walks the lattice upward through the covers of each flat, from the
+        highest level already known; every level it completes is kept.
+        ``max_closures`` caps the closures this walk issues: past it the
+        walk raises BudgetExceeded with the rank level and the flats it
+        reached.
+        """
         if not 0 <= k <= self.full_rank():
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
         with self._lock:
-            hit = self._flats_cache.get(k)
-        if hit is not None:
-            return list(hit)
-        level = {self.closure(()).elements}
-        for j in range(1, k + 1):
-            nxt = set()
+            if not self._flats_cache:
+                self._flats_cache[0] = (self.closure(()),)
+            j = max(i for i in self._flats_cache if i <= k)
+            level = self._flats_cache[j]
+        issued = 0
+        below = sum(len(self._flats_cache[i]) for i in range(j + 1))
+        for rank in range(j + 1, k + 1):
+            found: dict[frozenset[int], Flat] = {}
             for F in level:
-                for e in range(self.size):
-                    if e not in F:
-                        nxt.add(self.closure(F | {e}).elements)
-            level = nxt
-        flats = [Flat(F, k) for F in sorted(level, key=lambda F: tuple(sorted(F)))]
-        with self._lock:
-            self._flats_cache[k] = tuple(flats)
-        return list(flats)
+                for G in self._covers(F.elements):
+                    issued += 1
+                    if max_closures is not None and issued > max_closures:
+                        raise BudgetExceeded(
+                            f"the flat-lattice walk to rank {k} needs more than "
+                            f"{max_closures} closures; it reached rank {rank} "
+                            f"and had found {below + len(found)} flats, "
+                            f"{len(found)} of them of rank {rank}"
+                        )
+                    found.setdefault(G.elements, G)
+            level = tuple(sorted(found.values(), key=lambda G: G.sorted()))
+            below += len(level)
+            with self._lock:
+                self._flats_cache[rank] = level
+        return list(level)
 
     # -- connectivity --------------------------------------------------------
 
     def is_connected(self, flat: Iterable[int]) -> bool:
         """Connectivity of the restriction to a flat.
 
-        Uses the exhaustive 2-partition criterion up to 12 elements and the
-        fundamental-circuit graph of a basis beyond that.
+        Uses the fundamental-circuit graph of a greedy basis B of F
+        (Krogdahl 1977): x in B is joined to the elements of its
+        fundamental cocircuit, the elements of F outside cl(B - x); the
+        restriction is connected iff that graph is.
         """
         F = self._check_subset(flat)
         if not self.is_flat(F):
@@ -399,26 +434,14 @@ class Matroid:
         if n == 1:
             return True
         rF = self.rank(F)
-        if n <= 12:
-            items = sorted(F)
-            first, rest = items[0], items[1:]
-            for bits in range(1 << len(rest)):
-                A = {first} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
-                if len(A) == n:
-                    continue
-                B = F - A
-                if self.rank(A) + self.rank(B) == rF:
-                    return False
-            return True
-        # fundamental-circuit graph of a greedy basis of F
         basis: list[int] = []
-        r = 0
+        span = self.closure(())
         for e in sorted(F):
-            if self.rank(basis + [e]) > r:
+            if e not in span.elements:
                 basis.append(e)
-                r += 1
-                if r == rF:
+                if len(basis) == rF:
                     break
+                span = self.closure(basis)
         parent = {e: e for e in F}
 
         def find(x):
@@ -432,12 +455,8 @@ class Matroid:
             if ra != rb:
                 parent[ra] = rb
 
-        bset = set(basis)
-        for e in F - bset:
-            circ = [e] + [
-                x for x in basis if self.rank((bset - {x}) | {e}) == rF
-            ]
-            for x in circ[1:]:
+        for x in basis:
+            for e in F - self.closure(set(basis) - {x}).elements:
                 union(e, x)
         root = find(next(iter(F)))
         return all(find(e) == root for e in F)

@@ -57,3 +57,37 @@ def by_label(M, *labels):
     """Resolve labels to a tuple of element indices."""
     lookup = {lab: i for i, lab in enumerate(M.ground.labels)}
     return tuple(lookup[lab] for lab in labels)
+
+
+def exhaustive_connected(M, F):
+    """Connectivity of M|F by the 2-partition criterion (test oracle).
+
+    F is disconnected iff some proper split F = A + B has
+    r(A) + r(B) = r(F); exponential in |F|, so only for small flats.
+    """
+    items = sorted(F)
+    if not items:
+        return False
+    rF = M.rank(items)
+    first, rest = items[0], items[1:]
+    for bits in range((1 << len(rest)) - 1):
+        A = {first} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
+        if M.rank(A) + M.rank(set(items) - A) == rF:
+            return False
+    return True
+
+
+def count_backend_calls(M, monkeypatch):
+    """Live counts of the backend rank and closure calls M makes from now on."""
+    counts = {"rank_subset": 0, "closure_fast": 0}
+    for name in counts:
+        method = getattr(M.backend, name, None)
+        if method is None:
+            continue
+
+        def counted(subset, name=name, method=method):
+            counts[name] += 1
+            return method(subset)
+
+        monkeypatch.setattr(M.backend, name, counted, raising=False)
+    return counts

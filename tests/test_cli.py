@@ -6,7 +6,9 @@ proves the installed console script works.
 """
 
 import json
+import os
 import subprocess
+import sys
 import time
 
 import pytest
@@ -268,6 +270,21 @@ class TestFan:
         assert code == 3
         assert "budget" in err
 
+    def test_s_graph_budget_names_the_level_reached(self, tmp_path, capsys):
+        path = str(tmp_path / "d4.json")
+        assert main(["gen", "D4", "--out", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "fan", path, "--s-graph", "--max-subsets", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert (
+            "error: budget exceeded: the flat-lattice walk to rank 3 needs "
+            "more than 1 closures; it reached rank 1 and had found 2 flats, "
+            "1 of them of rank 1\n"
+        ) in err
+
     def test_dot_needs_a_graph_mode(self, a3_file, tmp_path, capsys):
         code, _, err = run(
             capsys, "fan", a3_file, "--rays", "--dot", str(tmp_path / "x.dot")
@@ -305,6 +322,20 @@ class TestDeterminism:
 
 
 class TestConsoleScript:
+    def test_python_dash_m(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        out_path = tmp_path / "k4.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cremfan", "gen", "K4", "--out", str(out_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["matroid"]["rank"] == 3
+        assert out_path.exists()
+        assert proc.stderr.startswith("[time]")
+
     def test_installed_entry_point(self, tmp_path):
         out_path = tmp_path / "k4.json"
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Bergman fan membership, nested rays, ray graphs, and the graph S."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 
 from cremfan.errors import BudgetExceeded, InputError
 from cremfan.fan import (
+    RayGraph,
     TropicalPoint,
+    _pair_nested,
     corank_one_connected_flats,
     graph_S,
     in_bergman_fan,
@@ -18,9 +21,60 @@ from cremfan.fan import (
     ray_adjacency_graph,
     ray_permutation,
 )
-from cremfan.generators import coxeter_matroid, fano_selfduality, uniform
+from cremfan.generators import (
+    complete_graph_matroid,
+    coxeter_matroid,
+    fano_selfduality,
+    uniform,
+)
+from cremfan.matroid import Flat, LineBackend, Matroid
 
-from conftest import by_label
+from conftest import by_label, count_backend_calls, exhaustive_connected
+
+
+def per_edge_girth(graph):
+    """Girth by one BFS per edge, avoiding that edge (reference routine)."""
+    adj = graph.neighbors()
+    best = None
+    for a, b in graph.edges:
+        dist = {a: 0}
+        frontier = [a]
+        while frontier and b not in dist:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if (u, v) in ((a, b), (b, a)):
+                        continue
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if b in dist and (best is None or dist[b] + 1 < best):
+            best = dist[b] + 1
+    return best
+
+
+def random_graph(rng):
+    n = rng.randint(1, 14)
+    p = rng.choice((0.1, 0.2, 0.35, 0.6))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    vertices = tuple(Flat(frozenset({i}), 1) for i in range(n))
+    return RayGraph(None, vertices, tuple(edges))
+
+
+def sweep_corank_one(M, through=None):
+    """Connected hyperplanes from the spans of (r-1)-subsets (reference)."""
+    r = M.full_rank()
+    others = [e for e in range(M.size) if e != through]
+    fixed = () if through is None else (through,)
+    spans = {
+        M.closure(fixed + sub).elements
+        for sub in itertools.combinations(others, r - 1 - len(fixed))
+    }
+    return [
+        F for F in sorted(spans, key=sorted)
+        if M.rank(F) == r - 1 and exhaustive_connected(M, F)
+    ]
 
 
 class TestTropicalPoint:
@@ -176,12 +230,72 @@ class TestRayGraph:
         # applying twice gives the identity
         assert all(perm[perm[i]] == i for i in range(14))
 
+    def test_girth_matches_per_edge_bfs_on_random_graphs(self):
+        rng = random.Random(2024)
+        girths = set()
+        for _ in range(400):
+            g = random_graph(rng)
+            assert g.girth() == per_edge_girth(g), g.edges
+            girths.add(g.girth())
+        assert {None, 3, 4, 5} <= girths
+
+    @pytest.mark.parametrize("spec", ["D4", "B4", "F4"])
+    def test_girth_matches_per_edge_bfs_on_ray_graphs(self, spec):
+        g = ray_adjacency_graph(coxeter_matroid(spec))
+        assert g.girth() == per_edge_girth(g)
+
+    @pytest.mark.parametrize("spec", ["D4", "B4", "F4", "H3", "K5"])
+    def test_pair_nested_matches_join_connectivity(self, spec):
+        M = complete_graph_matroid(5) if spec == "K5" else coxeter_matroid(spec)
+        rays = [F.elements for F in nested_rays(M)]
+        meeting = 0
+        for A, B in itertools.combinations(rays, 2):
+            if A <= B or B <= A:
+                expected = True
+            else:
+                expected = not M.is_connected(M.closure(A | B).elements)
+                meeting += bool(A & B)
+            assert _pair_nested(M, A, B) == expected, (sorted(A), sorted(B))
+        assert meeting > 0
+
+    def test_ray_graph_rank_query_bound(self, monkeypatch):
+        d5 = coxeter_matroid("D5")
+        calls = count_backend_calls(d5, monkeypatch)
+        ray_adjacency_graph(d5)
+        # the 2-partition connectivity test made 27,927 rank queries and
+        # 10,206 closures here; the fundamental-circuit test makes none and
+        # 3,715 closures
+        assert calls["rank_subset"] <= 100
+        assert calls["closure_fast"] <= 4000
+
 
 class TestGraphS:
     def test_rank_one_neighbor_count(self):
         d4 = coxeter_matroid("D4")
         e = by_label(d4, "x1+x2")[0]
         assert rank_one_neighbor_count(d4, e) == 3
+
+    @pytest.mark.parametrize("minor", ["D4/0", "A3/0", "U:2,3/0"])
+    def test_rank_one_neighbor_count_on_non_simple(self, minor):
+        spec, contracted = minor.split("/")
+        base = uniform(2, 3) if spec == "U:2,3" else coxeter_matroid(spec)
+        M = base.contract(int(contracted))
+        assert not M.is_simple()
+        for e in range(M.size):
+            expected = sum(
+                1 for f in range(M.size)
+                if f != e and len(M.closure({e, f}).elements) == 2
+            )
+            assert rank_one_neighbor_count(M, e) == expected
+
+    @pytest.mark.parametrize("spec", ["D4", "D5", "B4", "F4"])
+    def test_corank_one_matches_subset_sweep(self, spec):
+        M, reference = coxeter_matroid(spec), coxeter_matroid(spec)
+        flats = corank_one_connected_flats(M)
+        assert [F.elements for F in flats] == sweep_corank_one(reference)
+        for e in (0, M.size - 1):
+            through = corank_one_connected_flats(M, through=e)
+            assert [F.elements for F in through] == sweep_corank_one(reference, e)
 
     def test_corank_one_census_d4(self):
         d4 = coxeter_matroid("D4")
@@ -212,6 +326,12 @@ class TestGraphS:
         d5 = coxeter_matroid("D5")
         with pytest.raises(BudgetExceeded):
             graph_S(d5, max_subsets=10)
+
+    def test_corank_one_past_36_elements_off_the_vector_backend(self):
+        # 37 points in the plane with one line of three: every other line
+        # is a disconnected pair; the walk has no ground-set cap
+        M = Matroid(LineBackend(37, [(0, 1, 2)]))
+        assert corank_one_connected_flats(M) == [Flat(frozenset({0, 1, 2}), 2, True)]
 
     def test_graph_s_validation(self, u23):
         with pytest.raises(InputError):

@@ -7,9 +7,11 @@ import pytest
 from cremfan.errors import BudgetExceeded, InputError
 from cremfan.field import Field
 from cremfan.generators import (
+    a3_arrangement,
     complete_graph_matroid,
     coxeter_matroid,
     dowling_rank3,
+    fano,
     uniform,
 )
 from cremfan.matroid import (
@@ -24,12 +26,62 @@ from cremfan.matroid import (
     parallel_connection,
 )
 
-from conftest import by_label
+from cremfan.serialize import matroid_from_dict, matroid_to_dict
+
+from conftest import by_label, count_backend_calls, exhaustive_connected
 
 
 def all_subsets(M):
     for k in range(M.size + 1):
         yield from itertools.combinations(range(M.size), k)
+
+
+def all_flats(M):
+    for k in range(M.full_rank() + 1):
+        yield from M.flats_of_rank(k)
+
+
+def _direct_sum_small():
+    q = Field.from_spec("Q")
+    vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
+    return Matroid(VectorBackend(q, vecs))
+
+
+def _direct_sum_large():
+    # B3 (9 elements) plus A3 (6 elements) on disjoint coordinates
+    q = Field.from_spec("Q")
+    left = [tuple(list(v) + [0, 0, 0]) for v in
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
+             (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]]
+    right = [tuple([0, 0, 0] + list(v)) for v in
+             [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
+              (0, 1, -1)]]
+    return Matroid(VectorBackend(q, left + right))
+
+
+def _over(spec, field):
+    doc = matroid_to_dict(coxeter_matroid(spec))
+    doc["field"] = field
+    return matroid_from_dict(doc)
+
+
+def _glued():
+    Q = dowling_rank3("z2xz2")
+    return parallel_connection(Q, Q.ground.index_of("p1"), uniform(2, 3), 0)
+
+
+def naive_flats(M, k):
+    """Rank-k flats by the closure of F + e for every flat F and every e."""
+    level = {M.closure(()).elements}
+    for _ in range(k):
+        level = {
+            M.closure(F | {e}).elements
+            for F in level
+            for e in range(M.size)
+            if e not in F
+        }
+    return sorted(level, key=sorted)
 
 
 class TestRankAxioms:
@@ -103,6 +155,89 @@ class TestClosureAndFlats:
         assert all(e in F for e in F.elements)
 
 
+# one or more matroids per backend: vectors over Q, Q(sqrt5) and F_3;
+# lines; circuits; minors, one of them not simple
+WALK_CASES = {
+    "A4": lambda: coxeter_matroid("A4"),
+    "B4": lambda: coxeter_matroid("B4"),
+    "H3": lambda: coxeter_matroid("H3"),
+    "B3/Fp:3": lambda: _over("B3", "Fp:3"),
+    "fano": fano,
+    "dowling:Z3": lambda: dowling_rank3("Z3"),
+    "U:3,6": lambda: uniform(3, 6),
+    "glued": _glued,
+    "D4/0": lambda: coxeter_matroid("D4").contract(0),
+    "B4|10": lambda: coxeter_matroid("B4").restrict(range(10)),
+}
+
+
+class TestLatticeWalk:
+    @pytest.mark.parametrize("name", sorted(WALK_CASES))
+    def test_flats_of_rank_matches_naive_walk(self, name):
+        M, reference = WALK_CASES[name](), WALK_CASES[name]()
+        for k in range(M.full_rank() + 1):
+            flats = M.flats_of_rank(k)
+            assert [F.elements for F in flats] == naive_flats(reference, k)
+            assert all(F.rank == k for F in flats)
+
+    def test_levels_in_any_order(self):
+        top_down, bottom_up = coxeter_matroid("B4"), coxeter_matroid("B4")
+        expected = [bottom_up.flats_of_rank(k) for k in range(5)]
+        for k in (3, 1, 4, 0, 2):
+            assert top_down.flats_of_rank(k) == expected[k]
+
+    @pytest.mark.parametrize("name", sorted(WALK_CASES))
+    def test_covers_partition_the_rest(self, name):
+        M = WALK_CASES[name]()
+        for F in all_flats(M):
+            covers = M.covers(F)
+            assert sorted(G.sorted() for G in covers) == sorted(
+                {M.closure(F.elements | {e}).sorted()
+                 for e in range(M.size) if e not in F}
+            )
+            outside = [G.elements - F.elements for G in covers]
+            assert sum(map(len, outside)) == M.size - len(F)
+            assert frozenset().union(*outside) == frozenset(range(M.size)) - F.elements
+
+    def test_covers_needs_a_flat(self, a3):
+        with pytest.raises(InputError):
+            a3.covers({0, 1})
+
+    def test_one_backend_closure_per_cover(self, monkeypatch):
+        d5 = coxeter_matroid("D5")
+        calls = count_backend_calls(d5, monkeypatch)
+        d5.flats_of_rank(4)
+        counted = calls["closure_fast"]
+        levels = [{F.elements for F in d5.flats_of_rank(k)} for k in range(5)]
+        covers = [
+            (F, G)
+            for k in range(1, 5)
+            for G in levels[k]
+            for F in levels[k - 1]
+            if F < G
+        ]
+        # at most one closure per cover relation, plus that of the empty
+        # set; the closure cache answers the rest, e.g. the seed {0} + 1 of
+        # a line through 0 is the seed {1} + 0 of the same line through 1
+        assert len(covers) == 1850
+        assert counted <= len(covers) + 1
+        assert counted == 1400
+
+    def test_budget_names_the_level_reached(self):
+        d4 = coxeter_matroid("D4")
+        with pytest.raises(BudgetExceeded) as info:
+            d4.flats_of_rank(3, max_closures=20)
+        # 12 closures make rank 1; the next 7 are the covers of {0} and the
+        # 8th, through {1}, meets one of them again
+        assert str(info.value) == (
+            "the flat-lattice walk to rank 3 needs more than 20 closures; it "
+            "reached rank 2 and had found 20 flats, 7 of them of rank 2"
+        )
+        # completed levels are kept, and the walk resumes from them
+        # from rank 1: 84 closures to rank 2, 120 more to rank 3
+        assert len(d4.flats_of_rank(3, max_closures=204)) == 24
+
+
 class TestBackends:
     def test_vector_backend_fields_agree_on_regular_matroid(self):
         # signed incidence columns of the 4-vertex complete graph are
@@ -151,25 +286,15 @@ class TestConnectivity:
         assert u23.is_connected(range(u23.size))
 
     def test_direct_sum_disconnected_small(self):
-        q = Field.from_spec("Q")
-        vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
-                (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
-        M = Matroid(VectorBackend(q, vecs))
+        M = _direct_sum_small()
         assert not M.is_connected(range(6))
         assert M.is_connected([0, 1, 2])
 
     def test_direct_sum_disconnected_large_route(self):
-        # 15 elements forces the circuit-graph route instead of the
-        # exhaustive 2-partition search
-        q = Field.from_spec("Q")
+        # a 15-element direct sum: the fundamental-circuit graph of a
+        # basis splits into the B3 and the A3 part
         b3 = coxeter_matroid("B3")
-        left = [tuple(list(v) + [0, 0, 0]) for v in
-                [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
-                 (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]]
-        right = [tuple([0, 0, 0] + list(v)) for v in
-                 [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
-                  (0, 1, -1)]]
-        M = Matroid(VectorBackend(q, left + right))
+        M = _direct_sum_large()
         assert M.size == 15
         assert not M.is_connected(range(15))
         assert M.is_connected(range(9))
@@ -188,6 +313,30 @@ class TestConnectivity:
     def test_every_line_of_three_is_connected(self, a3):
         for L in a3.flats_of_rank(2):
             assert a3.is_connected(L.elements) == (len(L) >= 3)
+
+    @pytest.mark.parametrize("name", [
+        "A3", "B3", "D4", "fano", "dowling:Z3", "U:3,6",
+        "parallel-connection", "direct-sum-6", "direct-sum-15",
+    ])
+    def test_matches_exhaustive_partition_oracle(self, name):
+        M = {
+            "A3": a3_arrangement,
+            "B3": lambda: coxeter_matroid("B3"),
+            "D4": lambda: coxeter_matroid("D4"),
+            "fano": fano,
+            "dowling:Z3": lambda: dowling_rank3("Z3"),
+            "U:3,6": lambda: uniform(3, 6),
+            "parallel-connection": lambda: parallel_connection(
+                dowling_rank3("z2"), 0, uniform(2, 3), 0),
+            "direct-sum-6": _direct_sum_small,
+            "direct-sum-15": _direct_sum_large,
+        }[name]()
+        verdicts = set()
+        for F in all_flats(M):
+            expected = exhaustive_connected(M, F.elements)
+            assert M.is_connected(F.elements) == expected, F.sorted()
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestMinors:
