@@ -5,6 +5,11 @@ shaped like the package's hot paths: rank queries over random subsets of
 root-system matrices and full pair-closure sweeps.  Prints one line per
 workload with both timings and the speedup.
 
+A second table times the covers of every low-rank flat of D5, H4 and B6
+over F7: one ``covers_*`` elimination per flat against one closure of
+F + e per cover (the active backend's ``closure_*``), as the flat-lattice
+walk would issue them.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -17,6 +22,7 @@ import time
 from cremfan import _kernels_py as pure
 from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
 from cremfan.generators import positive_roots
+from cremfan import kernels
 from cremfan.kernels import ACTIVE_BACKEND
 
 try:
@@ -43,20 +49,21 @@ def _mod_rows(p: int) -> list[tuple[int, ...]]:
     return [residue_vector(v) for v in coerced]
 
 
-def _bench(label: str, fn_fast, fn_pure, repeat: int) -> None:
-    def run(fn):
-        best = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
+def _best(fn, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
-    t_pure = run(fn_pure)
+
+def _bench(label: str, fn_fast, fn_pure, repeat: int) -> None:
+    t_pure = _best(fn_pure, repeat)
     if fn_fast is None:
         print(f"{label:<34} pure {t_pure * 1e3:8.2f} ms   (no compiled kernel)")
         return
-    t_fast = run(fn_fast)
+    t_fast = _best(fn_fast, repeat)
     ratio = t_pure / t_fast if t_fast > 0 else float("inf")
     print(
         f"{label:<34} pure {t_pure * 1e3:8.2f} ms   "
@@ -117,6 +124,47 @@ def main() -> None:
 
     _bench("B6 rank over F7, 2000 6-subsets",
            mod_sweep(fast) if fast else None, mod_sweep(pure), args.repeat)
+
+
+    print()
+    _bench_covers("D5 covers, flats of rank <= 3", _int_rows("D", 5),
+                  kernels.covers_int, kernels.closure_int, 3, args.repeat)
+    _bench_covers("H4 covers, flats of rank <= 2", h4,
+                  kernels.covers_quad, kernels.closure_quad, 2, args.repeat)
+    _bench_covers("B6 over F7 covers, flats of rank <= 2", b6,
+                  lambda rows, F: kernels.covers_mod(rows, 7, F),
+                  lambda rows, S: kernels.closure_mod(rows, 7, S), 2, args.repeat)
+
+
+def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int) -> None:
+    # the flats of rank <= max_rank, walked level by level (set-up, untimed)
+    flats, level = [], [[]]
+    for _ in range(max_rank + 1):
+        flats += level
+        nxt = {}
+        for F in level:
+            for group in covers(rows, F)[1]:
+                G = sorted(F + group)
+                nxt.setdefault(tuple(G), G)
+        level = list(nxt.values())
+
+    def one_elimination():
+        for F in flats:
+            covers(rows, F)
+
+    def closure_per_cover():
+        for F in flats:
+            seen = set(F)
+            for e in range(len(rows)):
+                if e not in seen:
+                    seen.update(closure(rows, F + [e])[1])
+
+    t_cov = _best(one_elimination, repeat)
+    t_cl = _best(closure_per_cover, repeat)
+    print(
+        f"{label:<38} {len(flats):5d} flats   covers {t_cov * 1e3:8.2f} ms   "
+        f"closure per cover {t_cl * 1e3:8.2f} ms   x{t_cl / t_cov:5.1f}"
+    )
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Pure-Python exact elimination kernels.
 
-The same six entry points exist in the compiled extension ``_kernels``; this
-module is the fallback twin, slower but with unbounded integers (it therefore
-never needs the overflow guard of the compiled path).
+The six ``rank_*`` / ``closure_*`` entry points also exist in the compiled
+extension ``_kernels``; this module is the fallback twin, slower but with
+unbounded integers (it therefore never needs the overflow guard of the
+compiled path). The three ``covers_*`` entry points exist only here.
 
 Conventions shared by both implementations:
 
@@ -12,14 +13,25 @@ Conventions shared by both implementations:
 * ``*_mod`` variants take residue rows and the prime modulus;
 * ``closure_*`` echelonizes the rows named by ``subset`` (index list) and
   returns ``(rank, members)`` with ``members`` the sorted indices of *all*
-  rows lying in the subset's span.
+  rows lying in the subset's span;
+* ``covers_*`` echelonizes the rows of a flat once and reduces every other
+  row modulo their span; rows whose reduced vectors are proportional span
+  the same cover of the flat. It returns ``(rank, groups)``: the flat's
+  rank and, per cover, the sorted indices of its rows outside the flat,
+  ordered by least index. Rows inside the span are skipped (a flat has
+  none outside it).
 
 Rank uses Bareiss two-step elimination: every intermediate value is a minor
 of the input, and the division by the previous pivot is exact over any
-integral domain, so Z and Z[sqrt5] rows need no field arithmetic.
+integral domain, so Z and Z[sqrt5] rows need no field arithmetic. Reducing
+a row against the pivots multiplies it by one scalar (the last pivot) and
+subtracts a vector of the span, so the reduction is linear and two reduced
+rows are proportional exactly when the rows span the same cover.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 BACKEND_NAME = "pure"
 
@@ -58,7 +70,7 @@ def _echelon_int(mat: list[list[int]], ncols: int):
     return r, pivots
 
 
-def _reduces_to_zero_int(vec, pivots, ncols: int) -> bool:
+def _reduce_int(vec, pivots, ncols: int) -> list[int]:
     v = list(vec)
     prev = 1
     for c, row, pivot in pivots:
@@ -66,7 +78,26 @@ def _reduces_to_zero_int(vec, pivots, ncols: int) -> bool:
         for j in range(ncols):
             v[j] = (pivot * v[j] - vc * row[j]) // prev
         prev = pivot
-    return not any(v)
+    return v
+
+
+def _primitive_key(v) -> tuple[int, ...]:
+    # divide by the gcd and make the first nonzero entry positive
+    g = gcd(*v)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple([x // g for x in v])
+
+
+def _group_covers(rows, flat, reduce, key) -> list[list[int]]:
+    inside = set(flat)
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        if i not in inside:
+            v = reduce(row)
+            if any(v):
+                groups.setdefault(key(v), []).append(i)
+    return list(groups.values())
 
 
 def rank_int(rows) -> int:
@@ -84,9 +115,18 @@ def closure_int(rows, subset) -> tuple[int, list[int]]:
     mat = [list(rows[i]) for i in subset]
     rank, pivots = _echelon_int(mat, ncols)
     members = [
-        i for i, row in enumerate(rows) if _reduces_to_zero_int(row, pivots, ncols)
+        i for i, row in enumerate(rows) if not any(_reduce_int(row, pivots, ncols))
     ]
     return rank, members
+
+
+def covers_int(rows, flat) -> tuple[int, list[list[int]]]:
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank, pivots = _echelon_int([list(rows[i]) for i in flat], ncols)
+    return rank, _group_covers(
+        rows, flat, lambda v: _reduce_int(v, pivots, ncols), _primitive_key
+    )
 
 
 # -- Z[sqrt5]: coordinates are (a, b) pairs at flat positions 2j, 2j+1 -------
@@ -131,7 +171,7 @@ def _echelon_quad(mat: list[list[int]], npairs: int):
     return r, pivots
 
 
-def _reduces_to_zero_quad(vec, pivots, npairs: int) -> bool:
+def _reduce_quad(vec, pivots, npairs: int) -> list[int]:
     v = list(vec)
     pa, pb = 1, 0
     for c, row, va, vb in pivots:
@@ -147,7 +187,20 @@ def _reduces_to_zero_quad(vec, pivots, npairs: int) -> bool:
             v[ja] = (ta * pa - 5 * tb * pb) // pn
             v[ja + 1] = (tb * pa - ta * pb) // pn
         pa, pb = va, vb
-    return not any(v)
+    return v
+
+
+def _quad_key(v) -> tuple[int, ...]:
+    # times the conjugate a - b*sqrt5 of the first nonzero coordinate, that
+    # coordinate becomes the rational a^2 - 5b^2; proportional vectors then
+    # differ by a rational factor, which the primitive form removes
+    k = next(j for j in range(0, len(v), 2) if v[j] or v[j + 1])
+    a, b = v[k], -v[k + 1]
+    scaled = []
+    for j in range(0, len(v), 2):
+        x, y = v[j], v[j + 1]
+        scaled += (a * x + 5 * b * y, a * y + b * x)
+    return _primitive_key(scaled)
 
 
 def rank_quad(rows) -> int:
@@ -165,9 +218,18 @@ def closure_quad(rows, subset) -> tuple[int, list[int]]:
     mat = [list(rows[i]) for i in subset]
     rank, pivots = _echelon_quad(mat, npairs)
     members = [
-        i for i, row in enumerate(rows) if _reduces_to_zero_quad(row, pivots, npairs)
+        i for i, row in enumerate(rows) if not any(_reduce_quad(row, pivots, npairs))
     ]
     return rank, members
+
+
+def covers_quad(rows, flat) -> tuple[int, list[list[int]]]:
+    rows = list(rows)
+    npairs = (len(rows[0]) // 2) if rows else 0
+    rank, pivots = _echelon_quad([list(rows[i]) for i in flat], npairs)
+    return rank, _group_covers(
+        rows, flat, lambda v: _reduce_quad(v, pivots, npairs), _quad_key
+    )
 
 
 # -- F_p ---------------------------------------------------------------------
@@ -201,13 +263,13 @@ def _echelon_mod(mat: list[list[int]], ncols: int, p: int):
     return r, pivots
 
 
-def _reduces_to_zero_mod(vec, pivots, ncols: int, p: int) -> bool:
+def _reduce_mod(vec, pivots, p: int) -> list[int]:
     v = [x % p for x in vec]
     for c, row in pivots:
         f = v[c]
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
-    return not any(v)
+    return v
 
 
 def rank_mod(rows, p: int) -> int:
@@ -225,6 +287,19 @@ def closure_mod(rows, p: int, subset) -> tuple[int, list[int]]:
     mat = [list(rows[i]) for i in subset]
     rank, pivots = _echelon_mod(mat, ncols, p)
     members = [
-        i for i, row in enumerate(rows) if _reduces_to_zero_mod(row, pivots, ncols, p)
+        i for i, row in enumerate(rows) if not any(_reduce_mod(row, pivots, p))
     ]
     return rank, members
+
+
+def covers_mod(rows, p: int, flat) -> tuple[int, list[list[int]]]:
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank, pivots = _echelon_mod([list(rows[i]) for i in flat], ncols, p)
+
+    def monic(v):
+        # scale the first nonzero entry to 1
+        inv = pow(next(filter(None, v)), -1, p)
+        return tuple([x * inv % p for x in v])
+
+    return rank, _group_covers(rows, flat, lambda v: _reduce_mod(v, pivots, p), monic)

@@ -8,8 +8,7 @@ Three subcommands tie the library into reproducible JSON reports:
 
 Every report is a schema-versioned JSON document on stdout with the
 command echo, the sha256 of the input file, and a matroid summary; wall
-times go to stderr so reports stay byte-identical across runs and thread
-counts.  Exit codes: 0 success, 2 invalid input, 3 budget exceeded,
+times go to stderr so reports stay byte-identical across runs.  Exit codes: 0 success, 2 invalid input, 3 budget exceeded,
 4 internal invariant violation.
 """
 
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     fan.add_argument("--dot", metavar="PATH",
                      help="also write the graph as DOT (with --graph/--s-graph)")
     fan.add_argument("--max-subsets", type=int, default=3_000_000,
-                     help="closure budget of the corank-one flat-lattice walk "
+                     help="cover budget of the corank-one flat-lattice walk "
                           "(default 3000000)")
     fan.set_defaults(func=cmd_fan)
     return parser

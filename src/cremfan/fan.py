@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
 from .matroid import Flat, Matroid
-from .util import pmap
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +122,10 @@ def nested_rays(M: Matroid) -> list[Flat]:
     """All proper nonempty connected flats, ordered by (rank, elements)."""
     rays: list[Flat] = []
     for k in range(1, M.full_rank()):
-        level = M.flats_of_rank(k)
-        flags = pmap(lambda F: M.is_connected(F.elements), level)
         rays.extend(
             Flat(F.elements, F.rank, True)
-            for F, ok in zip(level, flags)
-            if ok and len(F.elements) < M.size
+            for F in M.flats_of_rank(k)
+            if len(F.elements) < M.size and M.is_connected(F.elements)
         )
     return rays
 
@@ -178,17 +175,35 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
     return antichains(0, [])
 
 
-def _pair_nested(M: Matroid, A: frozenset[int], B: frozenset[int]) -> bool:
-    if A <= B or B <= A:
+def _flat_census(M: Matroid) -> list[set[frozenset[int]]]:
+    """The flats of M as sets, indexed by rank; rank r(M) holds E alone."""
+    levels = [{F.elements for F in M.flats_of_rank(k)} for k in range(M.full_rank())]
+    levels.append({frozenset(M.elements())})
+    return levels
+
+
+def _pair_nested(A: Flat, B: Flat, census: Sequence[set[frozenset[int]]]) -> bool:
+    """Whether two rays form a nested pair, read off the flat census."""
+    a, b = A.elements, B.elements
+    if a <= b or b <= a:
         return True
     # Incomparable rays that meet are never nested. Two connected sets with a
     # common element have a connected union, and in a loopless matroid every
     # e in cl(X) \ X lies on a circuit with elements of X, so the closure of
     # a connected set is connected: the join cl(A | B) is connected.
-    if A & B:
+    if a & b:
         return False
-    join = M.closure(A | B)
-    return not M.is_connected(join.elements)
+    # Disjoint rays are nested iff A | B is a flat of rank r(A) + r(B). If
+    # it is, M|(A | B) is the direct sum M|A + M|B, so the join A | B is
+    # disconnected. Conversely let the join J be disconnected. Each e in
+    # J \ (A | B) lies on a circuit inside A | B | {e}, and that circuit sits
+    # in one component of M|J. If A and B shared a component, every other
+    # component would consist of such elements, each then a loop; so they
+    # lie in different components, the circuit of e stays inside A + e or
+    # B + e, and e lies in the flat A or B. So J = A | B has the components
+    # A and B, and r(J) = r(A) + r(B).
+    k = A.rank + B.rank
+    return k < len(census) and a | b in census[k]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +299,12 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     if M.size and not M.is_connected(M.closure(range(M.size)).elements):
         raise InputError("ray adjacency graph needs a connected matroid")
     rays = nested_rays(M)
-    pairs = list(itertools.combinations(range(len(rays)), 2))
-    flags = pmap(
-        lambda ij: _pair_nested(M, rays[ij[0]].elements, rays[ij[1]].elements),
-        pairs,
+    census = _flat_census(M)
+    edges = tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(len(rays)), 2)
+        if _pair_nested(rays[i], rays[j], census)
     )
-    edges = tuple(ij for ij, ok in zip(pairs, flags) if ok)
     return RayGraph(M, tuple(rays), edges)
 
 
@@ -343,21 +358,17 @@ def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
     """All connected corank-one flats, optionally only those through one element.
 
     The hyperplanes come from the flat-lattice walk; ``max_subsets`` caps
-    the closures that walk issues.
+    the covers that walk issues.
     """
     r = M.full_rank()
     if r < 1:
         return []
     if through is not None:
         M._check_subset({through})
-    hyperplanes = [
-        F.elements
-        for F in M.flats_of_rank(r - 1, max_closures=max_subsets)
-        if through is None or through in F.elements
-    ]
-    flags = pmap(lambda F: M.is_connected(F), hyperplanes)
     return [
-        Flat(F, r - 1, True) for F, ok in zip(hyperplanes, flags) if ok
+        Flat(F.elements, r - 1, True)
+        for F in M.flats_of_rank(r - 1, max_covers=max_subsets)
+        if (through is None or through in F.elements) and M.is_connected(F.elements)
     ]
 
 

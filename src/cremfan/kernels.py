@@ -3,7 +3,8 @@
 Set ``CREMFAN_PURE=1`` to force the pure twin. The compiled kernels raise
 ``OverflowError`` for inputs whose minors might not fit in 64 bits; such
 calls are transparently retried on the pure twin, so callers never see the
-guard.
+guard. The ``covers_*`` kernels exist only in pure form and are served from
+it on every backend.
 """
 
 from __future__ import annotations
@@ -45,3 +46,6 @@ rank_quad = _dispatch("rank_quad")
 closure_quad = _dispatch("closure_quad")
 rank_mod = _dispatch("rank_mod")
 closure_mod = _dispatch("closure_mod")
+covers_int = _pure.covers_int
+covers_quad = _pure.covers_quad
+covers_mod = _pure.covers_mod

@@ -5,13 +5,12 @@ optional display labels next to the indices. Three primitive backends give
 the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. Rank, closure and connectivity queries are
-memoized per matroid and safe to issue from worker threads.
+memoized per matroid.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -131,15 +130,18 @@ class VectorBackend:
             self._rows = [primitive_int_vector(v) for v in self.vectors]
             self._rank = kernels.rank_int
             self._closure = kernels.closure_int
+            self._covers = kernels.covers_int
         elif field.kind == "Qsqrt5":
             self._rows = [primitive_quad_vector(v) for v in self.vectors]
             self._rank = kernels.rank_quad
             self._closure = kernels.closure_quad
+            self._covers = kernels.covers_quad
         else:
             p = field.p
             self._rows = [residue_vector(v) for v in self.vectors]
             self._rank = lambda rows: kernels.rank_mod(rows, p)
             self._closure = lambda rows, sub: kernels.closure_mod(rows, p, sub)
+            self._covers = lambda rows, flat: kernels.covers_mod(rows, p, flat)
 
     @property
     def size(self) -> int:
@@ -150,6 +152,10 @@ class VectorBackend:
 
     def closure_fast(self, subset: tuple[int, ...]):
         return self._closure(self._rows, list(subset))
+
+    def covers_fast(self, flat: tuple[int, ...]):
+        """(rank, groups): per cover of the flat, its elements outside it."""
+        return self._covers(self._rows, list(flat))
 
 
 class LineBackend:
@@ -275,7 +281,7 @@ class Matroid:
             raise InputError("backend size disagrees with ground set")
         self.ground = ground
         self.backend = backend
-        self._lock = threading.RLock()
+        self._full_rank: int | None = None
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], Flat] = {}
         self._connected_cache: dict[frozenset[int], bool] = {}
@@ -300,17 +306,17 @@ class Matroid:
 
     def rank(self, subset: Iterable[int]) -> int:
         S = self._check_subset(subset)
-        with self._lock:
-            hit = self._rank_cache.get(S)
+        hit = self._rank_cache.get(S)
         if hit is not None:
             return hit
         r = self.backend.rank_subset(tuple(sorted(S)))
-        with self._lock:
-            self._rank_cache[S] = r
+        self._rank_cache[S] = r
         return r
 
     def full_rank(self) -> int:
-        return self.rank(range(self.size))
+        if self._full_rank is None:
+            self._full_rank = self.rank(range(self.size))
+        return self._full_rank
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         S = self._check_subset(subset)
@@ -318,8 +324,7 @@ class Matroid:
 
     def closure(self, subset: Iterable[int]) -> Flat:
         S = self._check_subset(subset)
-        with self._lock:
-            hit = self._closure_cache.get(S)
+        hit = self._closure_cache.get(S)
         if hit is not None:
             return hit
         fast = getattr(self.backend, "closure_fast", None)
@@ -333,11 +338,10 @@ class Matroid:
                 if e not in S and self.rank(S | {e}) == r:
                     members.add(e)
             flat = Flat(frozenset(members), r)
-        with self._lock:
-            self._closure_cache[S] = flat
-            self._closure_cache.setdefault(flat.elements, flat)
-            self._rank_cache.setdefault(S, flat.rank)
-            self._rank_cache.setdefault(flat.elements, flat.rank)
+        self._closure_cache[S] = flat
+        self._closure_cache.setdefault(flat.elements, flat)
+        self._rank_cache.setdefault(S, flat.rank)
+        self._rank_cache.setdefault(flat.elements, flat.rank)
         return flat
 
     def is_flat(self, subset: Iterable[int]) -> bool:
@@ -359,6 +363,20 @@ class Matroid:
         return list(self._covers(F))
 
     def _covers(self, F: frozenset[int]):
+        fast = getattr(self.backend, "covers_fast", None)
+        if fast is not None:
+            # one elimination for all covers; each is cached under its own
+            # elements only, so the caches grow with the flats, not with the
+            # cover relations
+            r, groups = fast(tuple(sorted(F)))
+            for group in groups:
+                G = F.union(group)
+                flat = self._closure_cache.get(G)
+                if flat is None:
+                    flat = self._closure_cache[G] = Flat(G, r + 1)
+                    self._rank_cache[G] = r + 1
+                yield flat
+            return
         # One closure per cover: for every e in G \ F, cl(F + e) is a flat of
         # rank r(F) + 1 inside G = cl(F + e0), so it is G itself.
         seen = set(F)
@@ -368,22 +386,22 @@ class Matroid:
                 seen.update(G.elements)
                 yield G
 
-    def flats_of_rank(self, k: int, *, max_closures: int | None = None) -> list[Flat]:
+    def flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
         """All rank-k flats, canonically ordered by sorted element tuple.
 
         Walks the lattice upward through the covers of each flat, from the
         highest level already known; every level it completes is kept.
-        ``max_closures`` caps the closures this walk issues: past it the
-        walk raises BudgetExceeded with the rank level and the flats it
-        reached.
+        On a vector matroid the covers of a flat come from one elimination,
+        elsewhere from one closure per cover. ``max_covers`` caps the covers
+        this walk issues: past it the walk raises BudgetExceeded with the
+        rank level and the flats it reached.
         """
         if not 0 <= k <= self.full_rank():
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
-        with self._lock:
-            if not self._flats_cache:
-                self._flats_cache[0] = (self.closure(()),)
-            j = max(i for i in self._flats_cache if i <= k)
-            level = self._flats_cache[j]
+        if not self._flats_cache:
+            self._flats_cache[0] = (self.closure(()),)
+        j = max(i for i in self._flats_cache if i <= k)
+        level = self._flats_cache[j]
         issued = 0
         below = sum(len(self._flats_cache[i]) for i in range(j + 1))
         for rank in range(j + 1, k + 1):
@@ -391,18 +409,17 @@ class Matroid:
             for F in level:
                 for G in self._covers(F.elements):
                     issued += 1
-                    if max_closures is not None and issued > max_closures:
+                    if max_covers is not None and issued > max_covers:
                         raise BudgetExceeded(
                             f"the flat-lattice walk to rank {k} needs more than "
-                            f"{max_closures} closures; it reached rank {rank} "
+                            f"{max_covers} covers; it reached rank {rank} "
                             f"and had found {below + len(found)} flats, "
                             f"{len(found)} of them of rank {rank}"
                         )
                     found.setdefault(G.elements, G)
             level = tuple(sorted(found.values(), key=lambda G: G.sorted()))
             below += len(level)
-            with self._lock:
-                self._flats_cache[rank] = level
+            self._flats_cache[rank] = level
         return list(level)
 
     # -- connectivity --------------------------------------------------------
@@ -418,13 +435,11 @@ class Matroid:
         F = self._check_subset(flat)
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
-        with self._lock:
-            hit = self._connected_cache.get(F)
+        hit = self._connected_cache.get(F)
         if hit is not None:
             return hit
         result = self._connected(F)
-        with self._lock:
-            self._connected_cache[F] = result
+        self._connected_cache[F] = result
         return result
 
     def _connected(self, F: frozenset[int]) -> bool:
@@ -537,9 +552,8 @@ class Matroid:
     # -- rank-2 flat structure used by the isomorphism search -------------------
 
     def _lines(self):
-        with self._lock:
-            if self._lines_cache is not None:
-                return self._lines_cache
+        if self._lines_cache is not None:
+            return self._lines_cache
         line_ids: dict[frozenset[int], int] = {}
         pair_line: dict[tuple[int, int], int] = {}
         for a, b in itertools.combinations(range(self.size), 2):
@@ -553,10 +567,8 @@ class Matroid:
             for e in F:
                 through[e].append(lid)
         profiles = [tuple(sorted(sizes[lid] for lid in th)) for th in through]
-        data = (pair_line, sizes, profiles)
-        with self._lock:
-            self._lines_cache = data
-        return data
+        self._lines_cache = (pair_line, sizes, profiles)
+        return self._lines_cache
 
     def __repr__(self):
         return f"Matroid(size={self.size}, backend={self.backend.name})"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cremfan.field import Field
 from cremfan.generators import (
     a3_arrangement,
     complete_graph_matroid,
@@ -10,6 +11,7 @@ from cremfan.generators import (
     fano,
     uniform,
 )
+from cremfan.matroid import Matroid, VectorBackend
 
 
 @pytest.fixture(scope="session")
@@ -78,8 +80,8 @@ def exhaustive_connected(M, F):
 
 
 def count_backend_calls(M, monkeypatch):
-    """Live counts of the backend rank and closure calls M makes from now on."""
-    counts = {"rank_subset": 0, "closure_fast": 0}
+    """Live counts of the backend rank, closure and covers calls M makes from now on."""
+    counts = {"rank_subset": 0, "closure_fast": 0, "covers_fast": 0}
     for name in counts:
         method = getattr(M.backend, name, None)
         if method is None:
@@ -91,3 +93,25 @@ def count_backend_calls(M, monkeypatch):
 
         monkeypatch.setattr(M.backend, name, counted, raising=False)
     return counts
+
+
+def closure_per_cover(M, F):
+    """The covers of flat F by one closure of F + e per cover (reference)."""
+    seen, covers = set(F), []
+    for e in range(M.size):
+        if e not in seen:
+            G = M.closure(set(F) | {e})
+            seen |= G.elements
+            covers.append(G)
+    return covers
+
+
+def direct_sum(*matroids):
+    """The direct sum of vector matroids over Q, on block-diagonal rows."""
+    q = Field.from_spec("Q")
+    dims = [len(M.backend.vectors[0]) for M in matroids]
+    rows = []
+    for i, M in enumerate(matroids):
+        before, after = sum(dims[:i]), sum(dims[i + 1:])
+        rows += [[0] * before + list(v) + [0] * after for v in M.backend.vectors]
+    return Matroid(VectorBackend(q, rows))

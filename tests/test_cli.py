@@ -281,7 +281,7 @@ class TestFan:
         assert out == ""
         assert (
             "error: budget exceeded: the flat-lattice walk to rank 3 needs "
-            "more than 1 closures; it reached rank 1 and had found 2 flats, "
+            "more than 1 covers; it reached rank 1 and had found 2 flats, "
             "1 of them of rank 1\n"
         ) in err
 
@@ -294,21 +294,15 @@ class TestFan:
 
 
 class TestDeterminism:
-    def test_stdout_is_byte_identical_across_runs_and_threads(
-        self, a3_file, capsys, monkeypatch
-    ):
+    def test_stdout_is_byte_identical_across_runs(self, a3_file, capsys):
         argv = ["fan", a3_file, "--s-graph"]
         outputs = []
-        for threads in (None, "1", "3"):
-            if threads is None:
-                monkeypatch.delenv("CREMFAN_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("CREMFAN_THREADS", threads)
+        for _ in range(2):
             assert main(argv) == 0
             out, err = capsys.readouterr()
             assert "[time]" in err and "[time]" not in out
             outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_invariant_violation_maps_to_exit_4(self, a3_file, capsys, monkeypatch):
         import cremfan.fan as fan_mod

@@ -10,6 +10,7 @@ from cremfan.errors import BudgetExceeded, InputError
 from cremfan.fan import (
     RayGraph,
     TropicalPoint,
+    _flat_census,
     _pair_nested,
     corank_one_connected_flats,
     graph_S,
@@ -29,7 +30,7 @@ from cremfan.generators import (
 )
 from cremfan.matroid import Flat, LineBackend, Matroid
 
-from conftest import by_label, count_backend_calls, exhaustive_connected
+from conftest import by_label, count_backend_calls, direct_sum, exhaustive_connected
 
 
 def per_edge_girth(graph):
@@ -244,29 +245,42 @@ class TestRayGraph:
         g = ray_adjacency_graph(coxeter_matroid(spec))
         assert g.girth() == per_edge_girth(g)
 
-    @pytest.mark.parametrize("spec", ["D4", "B4", "F4", "H3", "K5"])
+    @pytest.mark.parametrize("spec", ["D4", "B4", "F4", "H3", "K5", "B3+A3"])
     def test_pair_nested_matches_join_connectivity(self, spec):
-        M = complete_graph_matroid(5) if spec == "K5" else coxeter_matroid(spec)
-        rays = [F.elements for F in nested_rays(M)]
-        meeting = 0
+        def build():
+            if spec == "K5":
+                return complete_graph_matroid(5)
+            if spec == "B3+A3":
+                return direct_sum(coxeter_matroid("B3"), coxeter_matroid("A3"))
+            return coxeter_matroid(spec)
+
+        M, reference = build(), build()
+        rays = nested_rays(M)
+        census = _flat_census(M)
+        meeting = top = 0
         for A, B in itertools.combinations(rays, 2):
-            if A <= B or B <= A:
+            a, b = A.elements, B.elements
+            if a <= b or b <= a:
                 expected = True
             else:
-                expected = not M.is_connected(M.closure(A | B).elements)
-                meeting += bool(A & B)
-            assert _pair_nested(M, A, B) == expected, (sorted(A), sorted(B))
+                expected = not reference.is_connected(reference.closure(a | b).elements)
+                meeting += bool(a & b)
+                top += not a & b and A.rank + B.rank >= M.full_rank()
+            assert _pair_nested(A, B, census) == expected, (sorted(a), sorted(b))
         assert meeting > 0
+        if spec == "B3+A3":
+            # the two components: disjoint, with ranks adding up to r(M)
+            assert top > 0
 
     def test_ray_graph_rank_query_bound(self, monkeypatch):
         d5 = coxeter_matroid("D5")
         calls = count_backend_calls(d5, monkeypatch)
         ray_adjacency_graph(d5)
         # the 2-partition connectivity test made 27,927 rank queries and
-        # 10,206 closures here; the fundamental-circuit test makes none and
-        # 3,715 closures
-        assert calls["rank_subset"] <= 100
-        assert calls["closure_fast"] <= 4000
+        # 10,206 closures here, and one closure per disjoint ray pair made
+        # 3,715; the pair test now reads the flat census
+        assert calls["rank_subset"] == 0
+        assert calls["closure_fast"] <= 200
 
 
 class TestGraphS:

@@ -12,6 +12,9 @@ from cremfan.kernels import (
     closure_int,
     closure_mod,
     closure_quad,
+    covers_int,
+    covers_mod,
+    covers_quad,
     rank_int,
     rank_mod,
     rank_quad,
@@ -94,6 +97,78 @@ matrices = st.lists(
     min_size=1,
     max_size=7,
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+
+
+def _rows_of_width(width):
+    row = st.lists(st.integers(min_value=-9, max_value=9), min_size=width, max_size=width)
+    return st.lists(row, min_size=1, max_size=7)
+
+
+# the width is drawn first, so no example is filtered away
+same_width = st.integers(min_value=1, max_value=5).flatmap(_rows_of_width)
+even_width = st.integers(min_value=1, max_value=2).flatmap(lambda n: _rows_of_width(2 * n))
+
+
+def covers_by_closure(closure, rows, flat):
+    """Cover groups of a flat by one closure of flat + e per cover (reference)."""
+    seen, groups = set(flat), []
+    for e in range(len(rows)):
+        if e not in seen:
+            _, members = closure(rows, list(flat) + [e])
+            group = sorted(set(members) - set(flat))
+            seen.update(group)
+            groups.append(group)
+    return groups
+
+
+class TestCoversKernel:
+    def test_covers_known(self):
+        # (0,1,1), (2,3,2) = (2,1,0) + 2(0,1,1) and (2,-1,-2) reduce modulo
+        # (2,1,0) to (0,2,2), (0,4,4) and (0,-4,-4): one cover once the gcd
+        # and the sign are divided out
+        rows = [(2, 1, 0), (0, 1, 1), (2, 3, 2), (2, -1, -2), (0, 0, 1), (1, 0, 0)]
+        assert covers_int(rows, [0]) == (1, [[1, 2, 3], [4], [5]])
+        assert covers_int(rows, []) == (0, [[0], [1], [2], [3], [4], [5]])
+
+    def test_covers_mod_scales_to_monic(self):
+        rows = [(1, 0, 0), (0, 1, 0), (0, 2, 1), (0, 1, 2), (1, 2, 0)]
+        # modulo (1,0,0): (0,1,2) = 2(0,2,1) mod 3 but not mod 5, and row 4
+        # reduces to (0,2,0), which scales to row 1
+        assert covers_mod(rows, 3, [0]) == (1, [[1, 4], [2, 3]])
+        assert covers_mod(rows, 5, [0]) == (1, [[1, 4], [2], [3]])
+
+    def test_covers_quad_divides_out_sqrt5(self):
+        # (w, 5, 0) = w * (1, w, 0) and (0, 0, 1 + w) = (1 + w) * (0, 0, 1)
+        rows = [(1, 0, 0, 1, 0, 0), (0, 1, 5, 0, 0, 0), (0, 0, 0, 0, 1, 1),
+                (0, 0, 0, 0, 1, 0)]
+        assert covers_quad(rows, []) == (0, [[0, 1], [2, 3]])
+        assert covers_quad(rows, [2, 3]) == (1, [[0, 1]])
+
+    @given(same_width)
+    @settings(max_examples=150, deadline=None)
+    def test_covers_int_matches_closures(self, rows):
+        rows = [tuple(r) for r in rows]
+        rank, flat = closure_int(rows, list(range(0, len(rows), 2)))
+        assert covers_int(rows, flat) == (
+            rank, covers_by_closure(closure_int, rows, flat)
+        )
+
+    @given(same_width, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=150, deadline=None)
+    def test_covers_mod_matches_closures(self, rows, p):
+        rows = [tuple(x % p for x in r) for r in rows]
+        rank, flat = closure_mod(rows, p, list(range(0, len(rows), 2)))
+        closure = lambda rows, sub: closure_mod(rows, p, sub)
+        assert covers_mod(rows, p, flat) == (rank, covers_by_closure(closure, rows, flat))
+
+    @given(even_width)
+    @settings(max_examples=150, deadline=None)
+    def test_covers_quad_matches_closures(self, rows):
+        rows = [tuple(r) for r in rows]
+        rank, flat = closure_quad(rows, list(range(0, len(rows), 2)))
+        assert covers_quad(rows, flat) == (
+            rank, covers_by_closure(closure_quad, rows, flat)
+        )
 
 
 @pytest.mark.skipif(fast is None, reason="compiled kernels unavailable")

@@ -28,7 +28,12 @@ from cremfan.matroid import (
 
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
-from conftest import by_label, count_backend_calls, exhaustive_connected
+from conftest import (
+    by_label,
+    closure_per_cover,
+    count_backend_calls,
+    exhaustive_connected,
+)
 
 
 def all_subsets(M):
@@ -170,6 +175,23 @@ WALK_CASES = {
     "B4|10": lambda: coxeter_matroid("B4").restrict(range(10)),
 }
 
+# vector matroids, whose covers come from one elimination per flat
+COVERS_CASES = {
+    "D4": lambda: coxeter_matroid("D4"),
+    "A4": lambda: coxeter_matroid("A4"),
+    "H3": lambda: coxeter_matroid("H3"),
+    "B3/Fp:3": lambda: _over("B3", "Fp:3"),
+    # a loop (1) and a parallel pair (0, 3)
+    "loop+parallel": lambda: Matroid(VectorBackend(Field.from_spec("Q"), [
+        (1, 0, 0), (0, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 0, 1),
+        (1, 1, 1),
+    ])),
+    # rows 2 and 3 are (2,1,0) + 2(0,1,1) and (2,1,0) - 2(0,1,1)
+    "scaled": lambda: Matroid(VectorBackend(Field.from_spec("Q"), [
+        (2, 1, 0), (0, 1, 1), (2, 3, 2), (2, -1, -2), (0, 0, 1), (1, 0, 0),
+    ])),
+}
+
 
 class TestLatticeWalk:
     @pytest.mark.parametrize("name", sorted(WALK_CASES))
@@ -203,8 +225,41 @@ class TestLatticeWalk:
         with pytest.raises(InputError):
             a3.covers({0, 1})
 
-    def test_one_backend_closure_per_cover(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(COVERS_CASES))
+    def test_covers_match_closure_per_cover(self, name):
+        M, reference = COVERS_CASES[name](), COVERS_CASES[name]()
+        assert M.backend.covers_fast
+        for F in all_flats(reference):
+            assert M.covers(F) == closure_per_cover(reference, F.elements)
+
+    def test_covers_of_a_non_simple_vector_matroid(self):
+        M = COVERS_CASES["loop+parallel"]()
+        assert M.closure(()).elements == {1}
+        assert [G.sorted() for G in M.flats_of_rank(1)] == [
+            (0, 1, 3), (1, 2), (1, 4), (1, 5), (1, 6)
+        ]
+
+    def test_covers_divide_out_a_common_factor(self):
+        # modulo row 0 the rows 1, 2, 3 reduce to (0,2,2), (0,4,4), (0,-4,-4)
+        M = COVERS_CASES["scaled"]()
+        assert [G.sorted() for G in M.covers(M.closure({0}))] == [
+            (0, 1, 2, 3), (0, 4), (0, 5)
+        ]
+
+    def test_one_elimination_per_flat(self, monkeypatch):
         d5 = coxeter_matroid("D5")
+        calls = count_backend_calls(d5, monkeypatch)
+        d5.flats_of_rank(4)
+        below = sum(len(d5.flats_of_rank(k)) for k in range(4))
+        # the closure of the empty set, then one covers call per flat of
+        # rank at most 3, and no rank query
+        assert below == 321
+        assert calls == {"rank_subset": 0, "closure_fast": 1, "covers_fast": 321}
+
+    def test_one_backend_closure_per_cover(self, monkeypatch):
+        # the closure-per-cover path of backends without covers_fast
+        d5 = coxeter_matroid("D5")
+        monkeypatch.setattr(d5.backend, "covers_fast", None)
         calls = count_backend_calls(d5, monkeypatch)
         d5.flats_of_rank(4)
         counted = calls["closure_fast"]
@@ -226,16 +281,16 @@ class TestLatticeWalk:
     def test_budget_names_the_level_reached(self):
         d4 = coxeter_matroid("D4")
         with pytest.raises(BudgetExceeded) as info:
-            d4.flats_of_rank(3, max_closures=20)
-        # 12 closures make rank 1; the next 7 are the covers of {0} and the
-        # 8th, through {1}, meets one of them again
+            d4.flats_of_rank(3, max_covers=20)
+        # 12 covers make rank 1; the next 7 are the covers of {0} and the
+        # 8th, of {1}, is one of them again
         assert str(info.value) == (
-            "the flat-lattice walk to rank 3 needs more than 20 closures; it "
+            "the flat-lattice walk to rank 3 needs more than 20 covers; it "
             "reached rank 2 and had found 20 flats, 7 of them of rank 2"
         )
         # completed levels are kept, and the walk resumes from them
-        # from rank 1: 84 closures to rank 2, 120 more to rank 3
-        assert len(d4.flats_of_rank(3, max_closures=204)) == 24
+        # from rank 1: 84 covers to rank 2, 120 more to rank 3
+        assert len(d4.flats_of_rank(3, max_covers=204)) == 24
 
 
 class TestBackends:
