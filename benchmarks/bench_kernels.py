@@ -1,14 +1,13 @@
-"""Compare the compiled elimination kernels against the pure-Python twins.
+"""Time the exact elimination kernels on the package's hot-path shapes.
 
 Runs the three kernel families (integer, mod-p, quadratic) on workloads
 shaped like the package's hot paths: rank queries over random subsets of
-root-system matrices and full pair-closure sweeps.  Prints one line per
-workload with both timings and the speedup.
+root-system matrices and a pair-closure sweep.  Prints one line per
+workload with its best time.
 
 A second table times the covers of every low-rank flat of D5, H4 and B6
 over F7: one ``covers_*`` elimination per flat against one closure of
-F + e per cover (the active backend's ``closure_*``), as the flat-lattice
-walk would issue them.
+F + e per cover, as the flat-lattice walk would issue them.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -19,16 +18,9 @@ import argparse
 import random
 import time
 
-from cremfan import _kernels_py as pure
+from cremfan import kernels
 from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
 from cremfan.generators import positive_roots
-from cremfan import kernels
-from cremfan.kernels import ACTIVE_BACKEND
-
-try:
-    from cremfan import _kernels as fast
-except ImportError:
-    fast = None
 
 
 def _int_rows(family: str, n: int) -> list[tuple[int, ...]]:
@@ -58,17 +50,8 @@ def _best(fn, repeat: int) -> float:
     return best
 
 
-def _bench(label: str, fn_fast, fn_pure, repeat: int) -> None:
-    t_pure = _best(fn_pure, repeat)
-    if fn_fast is None:
-        print(f"{label:<34} pure {t_pure * 1e3:8.2f} ms   (no compiled kernel)")
-        return
-    t_fast = _best(fn_fast, repeat)
-    ratio = t_pure / t_fast if t_fast > 0 else float("inf")
-    print(
-        f"{label:<34} pure {t_pure * 1e3:8.2f} ms   "
-        f"compiled {t_fast * 1e3:8.2f} ms   x{ratio:5.1f}"
-    )
+def _bench(label: str, fn, repeat: int) -> None:
+    print(f"{label:<38} {_best(fn, repeat) * 1e3:8.2f} ms")
 
 
 def main() -> None:
@@ -76,55 +59,41 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3,
                         help="repetitions per workload; best time wins")
     args = parser.parse_args()
-    print(f"active backend: {ACTIVE_BACKEND}")
 
     rng = random.Random(20260815)
     e8 = _int_rows("E", 8)
     subsets = [rng.sample(range(len(e8)), 9) for _ in range(2000)]
 
-    def rank_sweep(mod):
-        def go():
-            for s in subsets:
-                mod.rank_int([e8[i] for i in s])
-        return go
+    def rank_sweep():
+        for s in subsets:
+            kernels.rank_int([e8[i] for i in s])
 
-    def closure_sweep(mod):
-        pairs = [(i, j) for i in range(0, len(e8), 3) for j in range(i + 1, len(e8), 7)]
+    pairs = [(i, j) for i in range(0, len(e8), 3) for j in range(i + 1, len(e8), 7)]
 
-        def go():
-            for i, j in pairs:
-                mod.closure_int(e8, [i, j])
-        return go
+    def closure_sweep():
+        for i, j in pairs:
+            kernels.closure_int(e8, [i, j])
 
-    _bench("E8 rank, 2000 random 9-subsets",
-           rank_sweep(fast) if fast else None, rank_sweep(pure), args.repeat)
-    _bench("E8 pair closures (~680 spans)",
-           closure_sweep(fast) if fast else None, closure_sweep(pure), args.repeat)
+    _bench("E8 rank, 2000 random 9-subsets", rank_sweep, args.repeat)
+    _bench("E8 pair closures (~680 spans)", closure_sweep, args.repeat)
 
     h4 = _quad_rows()
     quad_subsets = [rng.sample(range(len(h4)), 4) for _ in range(2000)]
 
-    def quad_sweep(mod):
-        def go():
-            for s in quad_subsets:
-                mod.rank_quad([h4[i] for i in s])
-        return go
+    def quad_sweep():
+        for s in quad_subsets:
+            kernels.rank_quad([h4[i] for i in s])
 
-    _bench("H4 rank over Q(sqrt5), 2000 4-subsets",
-           quad_sweep(fast) if fast else None, quad_sweep(pure), args.repeat)
+    _bench("H4 rank over Q(sqrt5), 2000 4-subsets", quad_sweep, args.repeat)
 
     b6 = _mod_rows(7)
     mod_subsets = [rng.sample(range(len(b6)), 6) for _ in range(2000)]
 
-    def mod_sweep(mod):
-        def go():
-            for s in mod_subsets:
-                mod.rank_mod([b6[i] for i in s], 7)
-        return go
+    def mod_sweep():
+        for s in mod_subsets:
+            kernels.rank_mod([b6[i] for i in s], 7)
 
-    _bench("B6 rank over F7, 2000 6-subsets",
-           mod_sweep(fast) if fast else None, mod_sweep(pure), args.repeat)
-
+    _bench("B6 rank over F7, 2000 6-subsets", mod_sweep, args.repeat)
 
     print()
     _bench_covers("D5 covers, flats of rank <= 3", _int_rows("D", 5),

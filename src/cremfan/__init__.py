@@ -3,7 +3,7 @@
 Subpackage map:
 
 * :mod:`cremfan.field` — exact scalars (Q, Q(sqrt5), F_p) and matrix helpers
-* :mod:`cremfan.kernels` — fast exact elimination (compiled or pure twin)
+* :mod:`cremfan.kernels` — exact Bareiss and mod-p elimination kernels
 * :mod:`cremfan.matroid` — rank oracles, flats, minors, isomorphism search
 * :mod:`cremfan.generators` — Coxeter arrangements and named small matroids
 * :mod:`cremfan.fan` — Bergman fan membership, nested rays, the graph S

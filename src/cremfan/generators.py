@@ -17,9 +17,10 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
+from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field, QuadSqrt5, primitive_int_vector, primitive_quad_vector, sign
 from .matroid import (
     CircuitBackend,
@@ -623,27 +624,67 @@ def orbit(generators: Sequence, seed, *, max_size: int = 1_000_000) -> set:
 # CLI-facing spec strings
 
 
+# Largest matroid a spec string may ask for; past a cap from_spec_string
+# raises BudgetExceeded before it builds anything.  On a 2-CPU VM `gen` at
+# the caps takes under a second (K20, 190 elements: 0.5 s; U:3,20, 4,845
+# circuits: 0.9 s), while K40 (780 elements) takes 8.6 s.  The largest specs
+# in use are E8 (120 elements) and U:2,9 (84 circuits).
+MAX_SPEC_ELEMENTS = 200
+MAX_SPEC_CIRCUITS = 5_000
+
+
+def _check_spec_size(spec: str, elements: int, circuits: int = 0) -> None:
+    if elements > MAX_SPEC_ELEMENTS:
+        raise BudgetExceeded(
+            f"generator spec {spec!r} has {elements} elements, "
+            f"above the cap of {MAX_SPEC_ELEMENTS}"
+        )
+    if circuits > MAX_SPEC_CIRCUITS:
+        raise BudgetExceeded(
+            f"generator spec {spec!r} has {circuits} circuits, "
+            f"above the cap of {MAX_SPEC_CIRCUITS}"
+        )
+
+
 def from_spec_string(spec: str) -> Matroid:
     """Build a matroid from a generator spec string.
 
     Formats: "A3".."H4" (Coxeter types), "K5" (complete graph), "U:2,3"
     (uniform), "fano", "dowling:<group>(Z1, Z2, ..., Z2xZ2)", and
-    "a3-arrangement" (the bundled fixture).
+    "a3-arrangement" (the bundled fixture).  Raises BudgetExceeded when the
+    ground set or the circuit list would exceed MAX_SPEC_ELEMENTS or
+    MAX_SPEC_CIRCUITS.
     """
     s = spec.strip()
+    if len(s) > 64:  # also keeps int() below its 4,300-digit limit
+        raise InputError(f"generator spec of {len(s)} characters is too long")
     if s == "fano":
         return fano()
     if s == "a3-arrangement":
         return a3_arrangement()
     m = re.fullmatch(r"[Kk](\d+)", s)
     if m:
-        return complete_graph_matroid(int(m.group(1)))
+        n = int(m.group(1))
+        _check_spec_size(spec, n * (n - 1) // 2)
+        return complete_graph_matroid(n)
     m = re.fullmatch(r"[Uu]:(\d+),(\d+)", s)
     if m:
-        return uniform(int(m.group(1)), int(m.group(2)))
+        r, n = int(m.group(1)), int(m.group(2))
+        _check_spec_size(spec, n)
+        # n is capped now, so the circuit count is cheap to compute
+        _check_spec_size(spec, n, comb(n, r + 1))
+        return uniform(r, n)
     m = re.fullmatch(r"dowling:(.+)", s)
     if m:
+        cyclic = re.fullmatch(r"[Zz](\d+)", m.group(1).strip())
+        if cyclic:  # the other named groups have order 4
+            _check_spec_size(spec, 3 + 3 * int(cyclic.group(1)))
         return dowling_rank3(m.group(1))
-    if re.fullmatch(r"[ABDEFHabdefh]\d+", s):
+    m = re.fullmatch(r"([ABDEFHabdefh])(\d+)", s)
+    if m:
+        family, n = m.group(1).upper(), int(m.group(2))
+        lo, hi = _FAMILY_RANKS[family]
+        if n >= lo and (hi is None or n <= hi):  # else coxeter_matroid refuses it
+            _check_spec_size(spec, ROOT_COUNTS[family](n))
         return coxeter_matroid(s)
     raise InputError(f"unknown generator spec {spec!r}")

@@ -73,6 +73,22 @@ class TestGen:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec, size", [
+        ("K2000", "1999000 elements"),
+        ("A300", "45150 elements"),
+        ("U:10,24", "2496144 circuits"),
+        ("U:3,5000", "5000 elements"),
+        ("dowling:Z3000", "9003 elements"),
+    ])
+    def test_oversized_spec_is_budget_error(self, tmp_path, capsys, spec, size):
+        out_path = tmp_path / "x.json"
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "gen", spec, "--out", str(out_path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert f"has {size}" in err and "cap of" in err
+
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "B3", "--out", str(tmp_path / "missing" / "x.json")

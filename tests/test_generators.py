@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cremfan.errors import InputError, InvariantError
+from cremfan.errors import BudgetExceeded, InputError, InvariantError
 from cremfan.field import QuadSqrt5
 from cremfan.generators import (
     a3_arrangement,
@@ -261,3 +261,19 @@ class TestOrbitAndSpecStrings:
         assert from_spec_string("a3-arrangement").ground.labels[0] == "1"
         with pytest.raises(InputError):
             from_spec_string("wat")
+
+    def test_spec_caps(self):
+        # the largest specs the tests and the benchmark build stay under the
+        # caps; one past a cap is refused before anything is built
+        assert from_spec_string("E8").size == 120
+        assert from_spec_string("U:2,9").size == 9
+        assert from_spec_string("U:3,7").size == 7
+        assert from_spec_string("K20").size == 190
+        assert from_spec_string("U:3,20").size == 20  # 4,845 circuits
+        for spec in ("K21", "B15", "dowling:Z66", "U:0,201", "U:4,17"):
+            with pytest.raises(BudgetExceeded):
+                from_spec_string(spec)
+        # out-of-list, undefined and overlong specs are input errors
+        for spec in ("E9", "A0", "K0", "U:3,2", "dowling:Q8", "K" + "9" * 5000):
+            with pytest.raises(InputError):
+                from_spec_string(spec)

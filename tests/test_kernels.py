@@ -1,14 +1,9 @@
-"""Elimination kernels: compiled/pure agreement and correctness oracles."""
+"""Elimination kernels: worked examples and correctness oracles."""
 
-from fractions import Fraction
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremfan import _kernels_py as pure
 from cremfan.field import Field, QuadSqrt5, matrix_rank
 from cremfan.kernels import (
-    ACTIVE_BACKEND,
     closure_int,
     closure_mod,
     closure_quad,
@@ -19,19 +14,6 @@ from cremfan.kernels import (
     rank_mod,
     rank_quad,
 )
-
-try:
-    from cremfan import _kernels as fast
-except ImportError:
-    fast = None
-
-
-def test_active_backend_consistent():
-    assert ACTIVE_BACKEND in ("cython", "pure")
-    if fast is not None:
-        assert ACTIVE_BACKEND == "cython"
-    else:
-        assert ACTIVE_BACKEND == "pure"
 
 
 class TestIntKernel:
@@ -90,13 +72,6 @@ class TestQuadKernel:
         flat = [tuple(x for v in row for x in (v.a.numerator, v.b.numerator))
                 for row in vecs]
         assert rank_quad(flat) == matrix_rank(vecs) == 2
-
-
-matrices = st.lists(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5),
-    min_size=1,
-    max_size=7,
-).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
 def _rows_of_width(width):
@@ -171,50 +146,25 @@ class TestCoversKernel:
         )
 
 
-@pytest.mark.skipif(fast is None, reason="compiled kernels unavailable")
-class TestFastPureEquivalence:
-    @given(matrices)
-    @settings(max_examples=150, deadline=None)
-    def test_rank_int(self, rows):
-        rows = [tuple(r) for r in rows]
-        assert fast.rank_int(rows) == pure.rank_int(rows)
+class TestFieldOracle:
+    """Each kernel's rank against row reduction with exact field division."""
 
-    @given(matrices)
-    @settings(max_examples=150, deadline=None)
-    def test_closure_int(self, rows):
-        rows = [tuple(r) for r in rows]
-        subset = list(range(0, len(rows), 2))
-        assert fast.closure_int(rows, subset) == pure.closure_int(rows, subset)
-
-    @given(matrices, st.sampled_from([2, 3, 5, 7]))
-    @settings(max_examples=150, deadline=None)
-    def test_rank_mod(self, rows, p):
-        rows = [tuple(x % p for x in r) for r in rows]
-        assert fast.rank_mod(rows, p) == pure.rank_mod(rows, p)
-
-    @given(matrices, st.sampled_from([2, 3, 5, 7]))
-    @settings(max_examples=150, deadline=None)
-    def test_closure_mod(self, rows, p):
-        rows = [tuple(x % p for x in r) for r in rows]
-        subset = list(range(0, len(rows), 2))
-        assert fast.closure_mod(rows, p, subset) == pure.closure_mod(rows, p, subset)
-
-    @given(matrices.filter(lambda rows: len(rows[0]) % 2 == 0))
-    @settings(max_examples=150, deadline=None)
-    def test_rank_quad(self, rows):
-        rows = [tuple(r) for r in rows]
-        assert fast.rank_quad(rows) == pure.rank_quad(rows)
-
-    @given(matrices.filter(lambda rows: len(rows[0]) % 2 == 0))
-    @settings(max_examples=150, deadline=None)
-    def test_closure_quad(self, rows):
-        rows = [tuple(r) for r in rows]
-        subset = list(range(0, len(rows), 2))
-        assert fast.closure_quad(rows, subset) == pure.closure_quad(rows, subset)
-
-    @given(matrices)
+    @given(same_width)
     @settings(max_examples=100, deadline=None)
     def test_rank_int_matches_fraction_oracle(self, rows):
         q = Field.from_spec("Q")
         coerced = [[q.coerce(x) for x in r] for r in rows]
-        assert fast.rank_int([tuple(r) for r in rows]) == matrix_rank(coerced)
+        assert rank_int([tuple(r) for r in rows]) == matrix_rank(coerced)
+
+    @given(same_width, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_mod_matches_fp_oracle(self, rows, p):
+        f = Field.from_spec(f"Fp:{p}")
+        coerced = [[f.coerce(x) for x in r] for r in rows]
+        assert rank_mod([tuple(x % p for x in r) for r in rows], p) == matrix_rank(coerced)
+
+    @given(even_width)
+    @settings(max_examples=100, deadline=None)
+    def test_rank_quad_matches_qsqrt5_oracle(self, rows):
+        coerced = [[QuadSqrt5(r[j], r[j + 1]) for j in range(0, len(r), 2)] for r in rows]
+        assert rank_quad([tuple(r) for r in rows]) == matrix_rank(coerced)
