@@ -9,18 +9,25 @@ A second table times the covers of every low-rank flat of D5, H4 and B6
 over F7: one ``covers_*`` elimination per flat against one closure of
 F + e per cover, as the flat-lattice walk would issue them.
 
+Two more tables time the Cremona enumeration: the pair-remainder table
+cl{a, b} \\ {a, b} built by one closure per pair against reading it off
+the line census (B5, E6, H4, E7), and the nodes and seconds of the
+exact-cover search on D6, E6, H4 and E7 (line census already built).
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import time
 
 from cremfan import kernels
+from cremfan.cremona import _exact_cover_bases, _line_remainders
 from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
-from cremfan.generators import positive_roots
+from cremfan.generators import coxeter_matroid, positive_roots
 
 
 def _int_rows(family: str, n: int) -> list[tuple[int, ...]]:
@@ -104,6 +111,13 @@ def main() -> None:
                   lambda rows, F: kernels.covers_mod(rows, 7, F),
                   lambda rows, S: kernels.closure_mod(rows, 7, S), 2, args.repeat)
 
+    print()
+    for spec in ("B5", "E6", "H4", "E7"):
+        _bench_remainders(spec, args.repeat)
+    print()
+    for spec in ("D6", "E6", "H4", "E7"):
+        _bench_search(spec, args.repeat)
+
 
 def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int) -> None:
     # the flats of rank <= max_rank, walked level by level (set-up, untimed)
@@ -133,6 +147,50 @@ def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int)
     print(
         f"{label:<38} {len(flats):5d} flats   covers {t_cov * 1e3:8.2f} ms   "
         f"closure per cover {t_cl * 1e3:8.2f} ms   x{t_cl / t_cov:5.1f}"
+    )
+
+
+def _remainders_by_closures(M) -> list[list[int]]:
+    # the reference: one closure per pair of elements
+    n = M.size
+    rem = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        mask = sum(1 << x for x in M.closure((a, b)).elements)
+        rem[a][b] = rem[b][a] = mask & ~(1 << a | 1 << b)
+    return rem
+
+
+def _best_fresh(spec: str, fn, repeat: int) -> tuple[float, object]:
+    # each repetition on a freshly generated matroid, so no cache is warm
+    best, result = float("inf"), None
+    for _ in range(repeat):
+        M = coxeter_matroid(spec)
+        t0 = time.perf_counter()
+        result = fn(M)
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def _bench_remainders(spec: str, repeat: int) -> None:
+    t_cl, by_closures = _best_fresh(spec, _remainders_by_closures, repeat)
+    t_lines, (by_lines, _through) = _best_fresh(spec, _line_remainders, repeat)
+    assert by_lines == by_closures
+    n = len(by_lines)
+    print(
+        f"{spec} remainder table ({n} elements)".ljust(38)
+        + f" closure per pair {t_cl * 1e3:8.2f} ms   line census "
+        f"{t_lines * 1e3:8.2f} ms   x{t_cl / t_lines:5.1f}"
+    )
+
+
+def _bench_search(spec: str, repeat: int) -> None:
+    M = coxeter_matroid(spec)
+    M.flats_of_rank(2)  # the line census, untimed
+    bases, nodes = _exact_cover_bases(M, 10 ** 7)
+    t = _best(lambda: _exact_cover_bases(M, 10 ** 7), repeat)
+    print(
+        f"{spec} Cremona search".ljust(38)
+        + f" {nodes:7d} nodes   {len(bases)} bases   {t * 1e3:9.2f} ms"
     )
 
 

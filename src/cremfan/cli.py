@@ -134,7 +134,7 @@ def cmd_cremona(args: argparse.Namespace) -> int:
     echo = {"matroid": args.matroid}
     if args.enumerate:
         echo["enumerate"] = True
-        datas = cr.enumerate_cremona_bases(M, max_elements=args.max_elements)
+        datas = cr.enumerate_cremona_bases(M, max_nodes=args.max_nodes)
         payload = {
             "count": len(datas),
             "bases": [_basis_report(d) for d in datas],
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--realize", nargs=2, metavar=("B1", "B2"),
                       help="two Cremona bases sharing one element: realization")
     crem.add_argument("--field", help='field spec for --realize: Q, Fp:<p>, F<p>, Qsqrt5')
-    crem.add_argument("--max-elements", type=int, default=40,
-                      help="enumeration ground-set budget (default 40)")
+    crem.add_argument("--max-nodes", type=int, default=200_000,
+                      help="node budget of the --enumerate search (default 200000)")
     crem.set_defaults(func=cmd_cremona)
 
     fan = sub.add_parser("fan", help="Bergman fan rays, graphs, membership")

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
-from .field import Field, determinant
+from .field import Field
 from .fan import TropicalPoint
 from .matroid import ElementBijection, Matroid, VectorBackend
 
@@ -78,16 +77,41 @@ class IntegerLinearMap:
     def quotient_determinant(self) -> int:
         det = getattr(self, "_qdet_cache", None)
         if det is None:
-            Q = self.quotient_matrix()
-            det = 1
-            if Q:
-                det = int(determinant([[Fraction(x) for x in row] for row in Q]))
+            det = _det_int(self.quotient_matrix())
             object.__setattr__(self, "_qdet_cache", det)
         return det
 
     @property
     def is_lattice_isomorphism(self) -> bool:
         return abs(self.quotient_determinant()) == 1
+
+
+def _det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every intermediate entry is a minor of the input and each division by
+    the previous pivot is exact, so the elimination stays in the integers;
+    the last pivot is the determinant up to the sign of the row swaps.
+    """
+    mat = [list(row) for row in rows]
+    m = len(mat)
+    sign, prev = 1, 1
+    for c in range(m):
+        pr = next((i for i in range(c, m) if mat[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            sign = -sign
+        row_c = mat[c]
+        pivot = row_c[c]
+        for i in range(c + 1, m):
+            row_i = mat[i]
+            vc = row_i[c]
+            for j in range(c + 1, m):
+                row_i[j] = (pivot * row_i[j] - vc * row_c[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLinearMap:
@@ -199,65 +223,159 @@ def cremona_check_detail(M: Matroid, b: Iterable[int]) -> tuple[CremonaData | No
     return CremonaData(M, basis, partition, corank), None
 
 
-def enumerate_cremona_bases(M: Matroid, *, max_elements: int = 40) -> list[CremonaData]:
+def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[CremonaData]:
     """All Cremona bases in ascending order of their sorted element tuples.
 
-    The pair-remainder table rem[a][b], the bitmask of cl{a, b} \\ {a, b},
-    is computed once in n(n-1)/2 closures.  The search then backtracks
-    over increasing element tuples on int masks: a branch dies as soon as
-    a new pair's remainder touches the partial basis or an earlier F-set.
-    No rank query is needed on the way down.  Every F-set lies in cl(b),
-    so an r-element leaf whose F-sets cover E \\ b spans M and is
-    therefore a basis; dependent partial sets die later or never reach
-    full coverage.  Each leaf is re-verified by cremona_check.  Guarded by
-    a ground-set budget (explicit failure, never a silent truncation).
+    The pair remainders F = cl{a, b} \\ {a, b} come from the line census
+    (every pair of a simple matroid spans exactly one rank-2 flat), and the
+    bases from an exact-cover search over them (``_exact_cover_bases``).
+    Each basis it finds is re-verified by cremona_check; a mismatch is an
+    invariant violation.  The search is guarded by a budget of max_nodes
+    search nodes: past it, BudgetExceeded names the nodes visited and the
+    bases found so far (an explicit failure, never a silent truncation).
     """
-    if M.size > max_elements:
-        raise BudgetExceeded(
-            f"Cremona enumeration over {M.size} elements exceeds the budget "
-            f"of {max_elements}; raise max_elements to override"
-        )
-    if M.size and not M.is_simple():
+    # simple: no loops, and every point is a rank-1 flat (the level the
+    # line census walks up from, so this check costs no extra query)
+    if M.size and (M.closure(()).elements or len(M.flats_of_rank(1)) != M.size):
         raise InputError("Cremona bases are defined for simple matroids")
-    r = M.full_rank()
+    bases, _nodes = _exact_cover_bases(M, max_nodes)
     results: list[CremonaData] = []
-    if r == 0:
-        return results
-    n = M.size
-    full = (1 << n) - 1
-    rem = [[0] * n for _ in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
-        F = 0
-        for x in M.closure((a, b)).elements:
-            F |= 1 << x
-        rem[a][b] = rem[b][a] = F & ~(1 << a | 1 << b)
-
-    def extend(partial: list[int], pmask: int, covered: int):
-        if len(partial) == r:
-            if covered | pmask == full:
-                data = cremona_check(M, tuple(partial))
-                if data is None:
-                    raise InvariantError(
-                        "incremental pruning accepted a non-Cremona basis"
-                    )
-                results.append(data)
-            return
-        start = partial[-1] + 1 if partial else 0
-        for e in range(start, n):
-            if covered >> e & 1:
-                continue
-            row = rem[e]
-            new_cover = covered
-            for b_i in partial:
-                F = row[b_i]
-                if F & (pmask | new_cover):
-                    break
-                new_cover |= F
-            else:
-                extend(partial + [e], pmask | 1 << e, new_cover)
-
-    extend([], 0, 0)
+    for basis in sorted(bases):
+        data = cremona_check(M, basis)
+        if data is None:
+            raise InvariantError("the exact-cover search accepted a non-Cremona basis")
+        results.append(data)
     return results
+
+
+def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, list[int]]]]]:
+    """The pair remainders of a simple matroid, read off its lines.
+
+    Returns ``rem`` with ``rem[a][b]`` the bitmask of cl{a, b} \\ {a, b},
+    which is L - {a, b} for the one line L through a and b, and
+    ``through`` with ``through[u]`` the lines of three or more points
+    through u as (bitmask, the points other than u).  Two-point lines
+    leave a zero remainder.
+    """
+    n = M.size
+    rem = [[0] * n for _ in range(n)]
+    through: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for line in M.flats_of_rank(2) if M.full_rank() >= 2 else ():
+        points = line.sorted()
+        if len(points) < 3:
+            continue
+        mask = 0
+        for x in points:
+            mask |= 1 << x
+        for i, a in enumerate(points):
+            through[a].append((mask, [x for x in points if x != a]))
+            for b in points[i + 1:]:
+                rem[a][b] = rem[b][a] = mask & ~(1 << a | 1 << b)
+    return rem, through
+
+
+def _exact_cover_bases(M: Matroid, max_nodes: int) -> tuple[list[tuple[int, ...]], int]:
+    """The Cremona bases of a simple matroid in search order, and the nodes visited.
+
+    A Cremona basis b is an exact cover: every element lies in b or in the
+    remainder of exactly one pair of b.  A search node holds a partial b
+    and the union of its pairs' remainders.  It branches on the uncovered
+    element u with the fewest live options (Knuth's Algorithm X with
+    minimum remaining values): either u joins b, or the members missing
+    from b of one pair {f, g} with u in rem[f][g] join b.  An option that
+    would put a point of b or an already covered point into a new
+    remainder is dead, since no Cremona basis extends it.  In a Cremona
+    basis the pair whose remainder holds u is unique, so the branches are
+    disjoint and each basis is found once.
+
+    No rank query is needed.  Every remainder lies in cl(b), so an
+    r-element b covering everything spans M and is a basis.  The
+    remainders of a basis avoid it and are pairwise disjoint: two lines
+    through disjoint pairs of an independent 4-set meet in a flat of rank
+    at most 2 + 2 - 4 = 0, and two lines through one basis element meet
+    only there.  So every leaf is a Cremona basis.
+    """
+    n, r = M.size, M.full_rank()
+    if r == 0:
+        return [], 0
+    rem, through = _line_remainders(M)
+    full = (1 << n) - 1
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def visit(b: list[int], bmask: int, covered: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(
+                f"the Cremona search stopped after {max_nodes} nodes with "
+                f"{len(found)} bases found so far; raise max_nodes to override"
+            )
+        taken = bmask | covered
+        free = full & ~taken
+        if not free or len(b) == r:
+            if not free and len(b) == r:
+                found.append(tuple(sorted(b)))
+            return
+        # An element x of b blocks every other point of a line through x
+        # that already holds a point of b or of a remainder: joining b
+        # would put that point into the element's remainder with x.
+        blocked = taken
+        for x in b:
+            others = taken & ~(1 << x)
+            for line, _points in through[x]:
+                if line & others:
+                    blocked |= line
+        room = r - len(b)
+
+        def options(u: int) -> list[tuple[int, ...]]:
+            # the live ways to cover u
+            out = [(u,)] if not blocked >> u & 1 else []
+            for line, points in through[u]:
+                if line & covered:
+                    continue
+                open_points = [g for g in points if not blocked >> g & 1]
+                if line & bmask:
+                    # one member f of b is on the line; one more point joins
+                    out += [(g,) for g in open_points]
+                elif room >= 2:
+                    out += itertools.combinations(open_points, 2)
+            return out
+
+        # minimum remaining values: len(options(u)), counted on the masks
+        best, fewest = -1, n * n + 1  # above any element's option count
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            count = 0 if blocked & low else 1
+            for line, _points in through[low.bit_length() - 1]:
+                if count >= fewest:
+                    break
+                if line & covered:
+                    continue
+                k = (line & ~blocked & ~low).bit_count()
+                if line & bmask:
+                    count += k
+                elif room >= 2:
+                    count += k * (k - 1) // 2
+            if count < fewest:
+                best, fewest = low.bit_length() - 1, count
+                if count == 0:
+                    return
+        for joining in options(best):
+            nb, nmask, ncovered = list(b), bmask, covered
+            for g in joining:
+                # each new member brings its remainders with the earlier ones
+                row = rem[g]
+                for x in nb:
+                    ncovered |= row[x]
+                nb.append(g)
+                nmask |= 1 << g
+            visit(nb, nmask, ncovered)
+
+    visit([], 0, 0)
+    return found, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -453,3 +453,29 @@ def test_c10_property_suites():
                         assert M.rank(F.elements) == len(g.vertices) - 1
                         checked += 1
         assert checked > 0
+
+
+def test_c11_coxeter_cremona_census():
+    """The Cremona census of the Coxeter types at the default node budget:
+    A_n (n = 2..5) has n+1 bases, the stars of K_{n+1}, any two sharing
+    exactly one element; B_n (n = 3..5) has exactly one; D4-D6, E6, E7,
+    F4, H3 and H4 have none.  Budget: 60 s."""
+    with Budget(60):
+        for n in range(2, 6):
+            M = coxeter_matroid(f"A{n}")
+            datas = enumerate_cremona_bases(M)
+            assert len(datas) == n + 1
+            stars = {
+                frozenset(
+                    lab for lab in M.ground.labels
+                    if f"x{c}" in lab.split("-")
+                )
+                for c in range(1, n + 2)
+            }
+            assert {frozenset(M.ground.label(e) for e in d.basis) for d in datas} == stars
+            for d1, d2 in permutations(datas, 2):
+                assert len(d1.basis_set() & d2.basis_set()) == 1
+        for n in range(3, 6):
+            assert len(enumerate_cremona_bases(coxeter_matroid(f"B{n}"))) == 1
+        for spec in ("D4", "D5", "D6", "E6", "E7", "F4", "H3", "H4"):
+            assert enumerate_cremona_bases(coxeter_matroid(spec)) == [], spec

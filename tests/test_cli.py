@@ -182,6 +182,30 @@ class TestCremona:
         assert "cannot read" in err
 
 
+    def test_enumerate_node_budget(self, tmp_path, capsys):
+        path = str(tmp_path / "e6.json")
+        assert main(["gen", "E6", "--out", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "cremona", path, "--enumerate", "--max-nodes", "10"
+        )
+        assert code == 3
+        assert out == ""
+        assert (
+            "error: budget exceeded: the Cremona search stopped after 10 nodes "
+            "with 0 bases found so far; raise max_nodes to override\n"
+        ) in err
+
+    def test_enumerate_leaf_mismatch_is_exit_4(self, a3_file, capsys, monkeypatch):
+        import cremfan.cremona as cremona_mod
+
+        monkeypatch.setattr(cremona_mod, "cremona_check", lambda M, b: None)
+        code, out, err = run(capsys, "cremona", a3_file, "--enumerate")
+        assert code == 4
+        assert out == ""
+        assert "non-Cremona basis" in err
+
+
 class TestHugeModulus:
     """A huge F_p modulus is answered at once: accepted or exit 2."""
 

@@ -1,13 +1,17 @@
 """Cremona bases: detection, lattice maps, support graphs, involutions, realizations."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cremfan.cremona import (
     CremonaData,
     IntegerLinearMap,
+    _exact_cover_bases,
+    _line_remainders,
     build_involution,
     crem_map,
     cremona_check,
@@ -21,7 +25,7 @@ from cremfan.cremona import (
 )
 from cremfan.errors import BudgetExceeded, InputError, InvariantError
 from cremfan.fan import TropicalPoint, in_bergman_fan, nested_rays
-from cremfan.field import Field
+from cremfan.field import Field, determinant
 from cremfan.generators import (
     complete_graph_matroid,
     coxeter_matroid,
@@ -29,10 +33,10 @@ from cremfan.generators import (
     fano,
     uniform,
 )
-from cremfan.matroid import parallel_connection
+from cremfan.matroid import Matroid, VectorBackend, parallel_connection
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
-from conftest import by_label
+from conftest import by_label, count_backend_calls
 
 # The running example: the rank-3 arrangement fixture with basis {1, 2, 6}
 # (0-based (0, 1, 5)) and its partner {2, 3, 5} (0-based (1, 2, 4)).
@@ -81,6 +85,26 @@ class TestIntegerLinearMap:
         lm = IntegerLinearMap(((0, 1), (1, 0)))
         assert lm.column(0) == (0, 1)
         assert lm.apply_vector((1, 0)) == (0, 1)
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                min_size=m, max_size=m,
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_determinant_matches_fraction_oracle(self, rows, singular):
+        if singular and len(rows) > 1:
+            rows[0] = list(rows[-1])  # row 0 of the quotient matrix is zero
+        lm = IntegerLinearMap(tuple(tuple(row) for row in rows))
+        Q = lm.quotient_matrix()
+        expected = determinant([[Fraction(x) for x in row] for row in Q]) if Q else 1
+        assert lm.quotient_determinant() == expected
+        if singular and len(rows) > 1:
+            assert expected == 0
 
 
 class TestIndicatorMap:
@@ -193,7 +217,26 @@ class TestEnumerate:
     def test_budget(self):
         e6 = coxeter_matroid("E6")
         with pytest.raises(BudgetExceeded):
-            enumerate_cremona_bases(e6, max_elements=20)
+            enumerate_cremona_bases(e6, max_nodes=20)
+
+    def test_e6_node_count_is_pinned(self):
+        # the search visits exactly 2,046 nodes on E6; the budget admits
+        # exactly that many and refuses one fewer, naming the nodes and bases
+        assert enumerate_cremona_bases(coxeter_matroid("E6"), max_nodes=2046) == []
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_cremona_bases(coxeter_matroid("E6"), max_nodes=2045)
+        assert str(info.value) == (
+            "the Cremona search stopped after 2045 nodes with 0 bases found "
+            "so far; raise max_nodes to override"
+        )
+        assert _exact_cover_bases(coxeter_matroid("E6"), 2046) == ([], 2046)
+
+    def test_budget_message_counts_bases_found_so_far(self):
+        # K7 has seven bases in 289 nodes; at 200 nodes five are found
+        k7 = complete_graph_matroid(7)
+        assert len(_exact_cover_bases(k7, 289)[0]) == 7
+        with pytest.raises(BudgetExceeded, match="after 200 nodes with 5 bases found"):
+            enumerate_cremona_bases(k7, max_nodes=200)
 
     def test_requires_simple(self, k4):
         contracted = k4.contract([0])  # contraction creates parallel edges
@@ -213,6 +256,32 @@ def _glued():
     return parallel_connection(Q, Q.ground.index_of("p1"), U, 0)
 
 
+def _brute_force_bases(M):
+    r = M.full_rank()
+    return [
+        b for b in combinations(range(M.size), r)
+        if M.is_independent(b) and cremona_check(M, b) is not None
+    ]
+
+
+@st.composite
+def simple_vector_matroids(draw):
+    """A small simple vector matroid over F_p: one vector per projective point."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(2, 4))
+    drawn = draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=d, max_size=d), min_size=1, max_size=9,
+    ))
+    points = {}
+    for v in drawn:
+        lead = next((x for x in v if x), 0)
+        if lead:
+            inv = pow(lead, -1, p)
+            points.setdefault(tuple(x * inv % p for x in v), None)
+    assume(points)
+    return Matroid(VectorBackend(Field.from_spec(f"Fp:{p}"), list(points)))
+
+
 # one or more matroids per backend: vectors over Q, over Q(sqrt5), over
 # F_p; lines; circuits (a parallel connection and the uniform matroids)
 BRUTE_FORCE_CASES = {
@@ -227,6 +296,9 @@ BRUTE_FORCE_CASES = {
     "glued": _glued,
     "U:2,5": lambda: uniform(2, 5),
     "U:3,6": lambda: uniform(3, 6),
+    "K4": lambda: complete_graph_matroid(4),
+    "B4": lambda: coxeter_matroid("B4"),
+    "U:2,9": lambda: uniform(2, 9),
 }
 
 
@@ -234,12 +306,18 @@ class TestEnumerateAgainstBruteForce:
     @pytest.mark.parametrize("name", sorted(BRUTE_FORCE_CASES))
     def test_matches_every_r_subset_check(self, name):
         M = BRUTE_FORCE_CASES[name]()
-        r = M.full_rank()
-        expected = [
-            b for b in combinations(range(M.size), r)
-            if M.is_independent(b) and cremona_check(M, b) is not None
-        ]
+        expected = _brute_force_bases(M)
         assert [d.basis for d in enumerate_cremona_bases(M)] == expected
+        found, _nodes = _exact_cover_bases(M, 10 ** 6)
+        assert len(set(found)) == len(found)  # no basis twice before the sort
+
+    @given(simple_vector_matroids())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_drawn_vector_matroids(self, M):
+        expected = _brute_force_bases(M)
+        assert [d.basis for d in enumerate_cremona_bases(M)] == expected
+        found, _nodes = _exact_cover_bases(M, 10 ** 6)
+        assert len(set(found)) == len(found)
 
     def test_search_issues_no_rank_queries(self):
         # a freshly loaded K7 (21 elements, rank 6, seven star bases) with
@@ -264,6 +342,25 @@ class TestEnumerateAgainstBruteForce:
         # the pair table, the simplicity check, and each found basis's six
         # corank-one flats in the leaf self-check
         assert calls["closure_fast"] <= comb(21, 2) + 21 + 7 * 6
+        # with the table read off the line census: the empty flat, then per
+        # found basis the leaf self-check's 15 pair closures and six
+        # corank-one flats
+        assert calls["closure_fast"] <= 1 + 7 * (comb(6, 2) + 6)
+
+    @pytest.mark.parametrize("spec", ["K7", "B5"])
+    def test_remainder_table_from_line_census(self, spec, monkeypatch):
+        # n + 1 covers eliminations (the points, then the lines through
+        # each point) and no pair closure; a closure per pair makes C(n, 2)
+        source = complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec)
+        M = matroid_from_dict(matroid_to_dict(source))
+        counts = count_backend_calls(M, monkeypatch)
+        rem, _through = _line_remainders(M)
+        assert counts["covers_fast"] == M.size + 1
+        assert counts["closure_fast"] == 1  # the empty flat the walk starts from
+        monkeypatch.undo()
+        for a, b in combinations(range(M.size), 2):
+            F = M.closure({a, b}).elements - {a, b}
+            assert rem[a][b] == rem[b][a] == sum(1 << x for x in F)
 
 
 class TestCremMap:
