@@ -10,70 +10,56 @@ Subpackage map:
 * :mod:`cremfan.cremona` — Cremona bases, lattice maps, realizability
 * :mod:`cremfan.serialize` — the JSON matroid interchange format
 * :mod:`cremfan.cli` — the ``cremfan`` command line tool
+
+``import cremfan`` is lazy: it loads no submodule.  Each public name is
+imported from its home module on first use (PEP 562), so a CLI job loads
+only the modules its subcommand runs.
 """
 
 __version__ = "0.1.0"
 
-from .errors import BudgetExceeded, InputError, InvariantError
-from .field import Field, FieldFormatError
-from .matroid import (
-    CircuitBackend,
-    ElementBijection,
-    Flat,
-    LineBackend,
-    Matroid,
-    MinorBackend,
-    VectorBackend,
-    parallel_connection,
-)
-from .generators import (
-    a3_arrangement,
-    complete_graph_matroid,
-    coxeter_matroid,
-    dowling_rank3,
-    fano,
-    fano_selfduality,
-    from_spec_string,
-    graphic_matroid,
-    positive_roots,
-    uniform,
-)
-from .fan import (
-    TropicalPoint,
-    graph_S,
-    in_bergman_fan,
-    in_bergman_fan_circuits,
-    is_nested,
-    nested_rays,
-    ray_adjacency_graph,
-)
-from .cremona import (
-    CremonaData,
-    IntegerLinearMap,
-    build_involution,
-    crem_map,
-    cremona_check,
-    enumerate_cremona_bases,
-    indicator_map,
-    realize,
-    support_graph,
-    two_basis_report,
-)
-from .serialize import load_matroid, matroid_from_dict, matroid_to_dict, save_matroid
+# each public name -> the submodule that defines it
+_HOME = {
+    name: module
+    for module, names in {
+        "errors": ("BudgetExceeded", "InputError", "InvariantError"),
+        "field": ("Field", "FieldFormatError"),
+        "matroid": (
+            "Matroid", "VectorBackend", "LineBackend", "CircuitBackend", "MinorBackend",
+            "Flat", "ElementBijection", "parallel_connection",
+        ),
+        "generators": (
+            "a3_arrangement", "complete_graph_matroid", "coxeter_matroid",
+            "dowling_rank3", "fano", "fano_selfduality", "from_spec_string",
+            "graphic_matroid", "positive_roots", "uniform",
+        ),
+        "fan": (
+            "TropicalPoint", "graph_S", "in_bergman_fan", "in_bergman_fan_circuits",
+            "is_nested", "nested_rays", "ray_adjacency_graph",
+        ),
+        "cremona": (
+            "CremonaData", "IntegerLinearMap", "build_involution", "crem_map",
+            "cremona_check", "enumerate_cremona_bases", "indicator_map", "realize",
+            "support_graph", "two_basis_report",
+        ),
+        "serialize": ("load_matroid", "matroid_from_dict", "matroid_to_dict", "save_matroid"),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "__version__",
-    "BudgetExceeded", "InputError", "InvariantError",
-    "Field", "FieldFormatError",
-    "Matroid", "VectorBackend", "LineBackend", "CircuitBackend", "MinorBackend",
-    "Flat", "ElementBijection", "parallel_connection",
-    "a3_arrangement", "complete_graph_matroid", "coxeter_matroid",
-    "dowling_rank3", "fano", "fano_selfduality", "from_spec_string",
-    "graphic_matroid", "positive_roots", "uniform",
-    "TropicalPoint", "graph_S", "in_bergman_fan", "in_bergman_fan_circuits",
-    "is_nested", "nested_rays", "ray_adjacency_graph",
-    "CremonaData", "IntegerLinearMap", "build_involution", "crem_map",
-    "cremona_check", "enumerate_cremona_bases", "indicator_map", "realize",
-    "support_graph", "two_basis_report",
-    "load_matroid", "matroid_from_dict", "matroid_to_dict", "save_matroid",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

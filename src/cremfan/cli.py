@@ -15,7 +15,6 @@ times go to stderr so reports stay byte-identical across runs.  Exit codes: 0 su
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from fractions import Fraction
@@ -29,6 +28,8 @@ from .serialize import dumps, load_matroid, matroid_to_dict, save_matroid
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # maps OpenSSL: load it after the subcommand's modules
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:
@@ -289,6 +290,17 @@ def cmd_fan(args: argparse.Namespace) -> int:
 # parser and dispatch
 
 
+def _budget(text: str) -> int:
+    """A search budget from the command line: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cremfan",
@@ -317,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--realize", nargs=2, metavar=("B1", "B2"),
                       help="two Cremona bases sharing one element: realization")
     crem.add_argument("--field", help='field spec for --realize: Q, Fp:<p>, F<p>, Qsqrt5')
-    crem.add_argument("--max-nodes", type=int, default=200_000,
+    crem.add_argument("--max-nodes", type=_budget, default=200_000,
                       help="node budget of the --enumerate search (default 200000)")
     crem.set_defaults(func=cmd_cremona)
 
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the corank-one side of the s-graph report")
     fan.add_argument("--dot", metavar="PATH",
                      help="also write the graph as DOT (with --graph/--s-graph)")
-    fan.add_argument("--max-subsets", type=int, default=3_000_000,
+    fan.add_argument("--max-subsets", type=_budget, default=3_000_000,
                      help="cover budget of the corank-one flat-lattice walk "
                           "(default 3000000)")
     fan.set_defaults(func=cmd_fan)

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
-from .fan import TropicalPoint
 from .matroid import ElementBijection, Matroid, VectorBackend
+
+if TYPE_CHECKING:
+    from .fan import TropicalPoint
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,8 @@ class IntegerLinearMap:
         return tuple(sum(self.matrix[i][j] * w[j] for j in range(m)) for i in range(m))
 
     def apply(self, point: TropicalPoint | Sequence) -> TropicalPoint:
+        from .fan import TropicalPoint
+
         if not isinstance(point, TropicalPoint):
             point = TropicalPoint.of(point)
         return TropicalPoint.of(self.apply_vector(point.weights))
@@ -234,6 +238,8 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     search nodes: past it, BudgetExceeded names the nodes visited and the
     bases found so far (an explicit failure, never a silent truncation).
     """
+    if max_nodes < 0:
+        raise InputError(f"max_nodes must be non-negative, got {max_nodes}")
     # simple: no loops, and every point is a rank-1 flat (the level the
     # line census walks up from, so this check costs no extra query)
     if M.size and (M.closure(()).elements or len(M.flats_of_rank(1)) != M.size):

@@ -398,6 +398,8 @@ class Matroid:
         """
         if not 0 <= k <= self.full_rank():
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
+        if max_covers is not None and max_covers < 0:
+            raise InputError(f"max_covers must be non-negative, got {max_covers}")
         if not self._flats_cache:
             self._flats_cache[0] = (self.closure(()),)
         j = max(i for i in self._flats_cache if i <= k)

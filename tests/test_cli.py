@@ -196,6 +196,21 @@ class TestCremona:
             "with 0 bases found so far; raise max_nodes to override\n"
         ) in err
 
+    @pytest.mark.parametrize("value", ["-5", "-1"])
+    def test_negative_node_budget_is_a_usage_error(self, a3_file, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            main(["cremona", a3_file, "--enumerate", "--max-nodes", value])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --max-nodes: budget must be non-negative, got {value}" in err
+
+    def test_zero_node_budget_is_exceeded(self, a3_file, capsys):
+        code, out, err = run(capsys, "cremona", a3_file, "--enumerate", "--max-nodes", "0")
+        assert code == 3
+        assert out == ""
+        assert "the Cremona search stopped after 0 nodes" in err
+
     def test_enumerate_leaf_mismatch_is_exit_4(self, a3_file, capsys, monkeypatch):
         import cremfan.cremona as cremona_mod
 
@@ -324,6 +339,27 @@ class TestFan:
             "more than 1 covers; it reached rank 1 and had found 2 flats, "
             "1 of them of rank 1\n"
         ) in err
+
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_negative_cover_budget_is_a_usage_error(self, a3_file, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            main(["fan", a3_file, "--s-graph", "--max-subsets", value])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --max-subsets: budget must be non-negative, got {value}" in err
+
+    def test_zero_cover_budget_is_exceeded(self, a3_file, capsys):
+        code, out, err = run(capsys, "fan", a3_file, "--s-graph", "--max-subsets", "0")
+        assert code == 3
+        assert out == ""
+        assert "needs more than 0 covers" in err
+
+    def test_non_integer_budget_is_a_usage_error(self, a3_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fan", a3_file, "--s-graph", "--max-subsets", "many"])
+        assert info.value.code == 2
+        assert "argument --max-subsets: invalid int value: 'many'" in capsys.readouterr()[1]
 
     def test_dot_needs_a_graph_mode(self, a3_file, tmp_path, capsys):
         code, _, err = run(

@@ -231,6 +231,10 @@ class TestEnumerate:
         )
         assert _exact_cover_bases(coxeter_matroid("E6"), 2046) == ([], 2046)
 
+    def test_negative_budget_is_input_error(self):
+        with pytest.raises(InputError, match="max_nodes must be non-negative, got -5"):
+            enumerate_cremona_bases(coxeter_matroid("A3"), max_nodes=-5)
+
     def test_budget_message_counts_bases_found_so_far(self):
         # K7 has seven bases in 289 nodes; at 200 nodes five are found
         k7 = complete_graph_matroid(7)

@@ -292,6 +292,13 @@ class TestLatticeWalk:
         # from rank 1: 84 covers to rank 2, 120 more to rank 3
         assert len(d4.flats_of_rank(3, max_covers=204)) == 24
 
+    def test_negative_budget_is_input_error(self):
+        d4 = coxeter_matroid("D4")
+        for k in (1, 1):  # a fresh walk, then a level already cached
+            with pytest.raises(InputError, match="max_covers must be non-negative, got -1"):
+                d4.flats_of_rank(k, max_covers=-1)
+            d4.flats_of_rank(k)
+
 
 class TestBackends:
     def test_vector_backend_fields_agree_on_regular_matroid(self):

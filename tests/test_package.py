@@ -1,0 +1,106 @@
+"""The lazy package namespace and the modules each CLI job loads.
+
+``import cremfan`` loads no submodule; every public name is imported from
+its home module on first use.  The footprint tests run each job in a
+fresh interpreter, so they are deterministic, machine-independent guards
+on what a subcommand compiles at start-up.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cremfan
+from cremfan.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = {**os.environ, "PYTHONPATH": SRC}
+
+
+class TestNamespace:
+    def test_name_table_and_all_agree(self):
+        assert len(set(cremfan.__all__)) == len(cremfan.__all__)
+        assert set(cremfan.__all__) == {"__version__", *cremfan._HOME}
+
+    @pytest.mark.parametrize("name", sorted(cremfan._HOME))
+    def test_name_resolves_to_its_home_definition(self, name):
+        home = importlib.import_module(f"cremfan.{cremfan._HOME[name]}")
+        obj = getattr(cremfan, name)
+        assert obj is getattr(home, name)
+        assert obj.__module__ == home.__name__
+
+    def test_star_import_and_dir_list_every_public_name(self):
+        namespace: dict = {}
+        exec("from cremfan import *", namespace)
+        assert set(cremfan.__all__) <= set(namespace)
+        assert set(cremfan.__all__) <= set(dir(cremfan))
+        assert namespace["__version__"] == cremfan.__version__
+
+    def test_unknown_attribute_names_the_package(self):
+        with pytest.raises(AttributeError, match="module 'cremfan' has no attribute 'nope'"):
+            cremfan.nope
+        assert not hasattr(cremfan, "_nope")
+
+    def test_submodules_import_from_the_package(self):
+        from cremfan import cli, cremona, fan, kernels, matroid
+
+        for module in (cli, cremona, fan, kernels, matroid):
+            assert module is sys.modules[module.__name__]
+
+
+def _submodules_loaded(*argv: str) -> set[str]:
+    """The cremfan submodules one ``python -m cremfan.cli`` job imports.
+
+    ``-X importtime`` writes one stderr line per imported module; every
+    other stderr line must be the job's own ``[time]`` line, which also
+    rules out runpy's "found in sys.modules" warning.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cremfan.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    others = [line for line in lines if not line.startswith("import time:")]
+    assert len(others) == 1 and others[0].startswith("[time] "), others
+    names = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return {name for name in names if name.startswith("cremfan.")}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("footprint")
+    paths = {}
+    for spec in ("A3", "fano"):
+        paths[spec] = str(root / f"{spec}.json")
+        assert main(["gen", spec, "--out", paths[spec]]) == 0
+    return paths
+
+
+class TestImportFootprint:
+    def test_bare_import_loads_no_submodule(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cremfan; print(sorted(m for m in sys.modules if m.startswith('cremfan')))"],
+            capture_output=True, text=True, timeout=120, env=ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['cremfan']\n"
+
+    def test_fan_graph_skips_cremona_and_generators(self, inputs):
+        loaded = _submodules_loaded("fan", inputs["fano"], "--graph")
+        assert "cremfan.fan" in loaded
+        assert not loaded & {"cremfan.cremona", "cremfan.generators"}
+
+    def test_cremona_check_skips_fan_and_generators(self, inputs):
+        loaded = _submodules_loaded("cremona", inputs["A3"], "--check", "0,1,5")
+        assert "cremfan.cremona" in loaded
+        assert not loaded & {"cremfan.fan", "cremfan.generators"}
+
+    def test_gen_skips_fan_and_cremona(self, tmp_path):
+        loaded = _submodules_loaded("gen", "D4", "--out", str(tmp_path / "d4.json"))
+        assert "cremfan.generators" in loaded
+        assert not loaded & {"cremfan.fan", "cremfan.cremona"}
