@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
+from .kernels import det_int
 from .matroid import ElementBijection, Matroid, VectorBackend
 
 if TYPE_CHECKING:
@@ -81,41 +82,13 @@ class IntegerLinearMap:
     def quotient_determinant(self) -> int:
         det = getattr(self, "_qdet_cache", None)
         if det is None:
-            det = _det_int(self.quotient_matrix())
+            det = det_int(self.quotient_matrix())
             object.__setattr__(self, "_qdet_cache", det)
         return det
 
     @property
     def is_lattice_isomorphism(self) -> bool:
         return abs(self.quotient_determinant()) == 1
-
-
-def _det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Every intermediate entry is a minor of the input and each division by
-    the previous pivot is exact, so the elimination stays in the integers;
-    the last pivot is the determinant up to the sign of the row swaps.
-    """
-    mat = [list(row) for row in rows]
-    m = len(mat)
-    sign, prev = 1, 1
-    for c in range(m):
-        pr = next((i for i in range(c, m) if mat[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            sign = -sign
-        row_c = mat[c]
-        pivot = row_c[c]
-        for i in range(c + 1, m):
-            row_i = mat[i]
-            vc = row_i[c]
-            for j in range(c + 1, m):
-                row_i[j] = (pivot * row_i[j] - vc * row_c[j]) // prev
-        prev = pivot
-    return sign * prev
 
 
 def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLinearMap:
@@ -240,9 +213,7 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     """
     if max_nodes < 0:
         raise InputError(f"max_nodes must be non-negative, got {max_nodes}")
-    # simple: no loops, and every point is a rank-1 flat (the level the
-    # line census walks up from, so this check costs no extra query)
-    if M.size and (M.closure(()).elements or len(M.flats_of_rank(1)) != M.size):
+    if not M.is_simple():
         raise InputError("Cremona bases are defined for simple matroids")
     bases, _nodes = _exact_cover_bases(M, max_nodes)
     results: list[CremonaData] = []
@@ -676,7 +647,6 @@ def _nonzero_field_element(field: Field, t: int):
     if field.kind == "Fp":
         if t + 1 >= field.size:
             raise InputError("ran out of nonzero field elements")
-        return field.coerce(t + 1)
     return field.coerce(t + 1)
 
 

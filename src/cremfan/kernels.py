@@ -1,8 +1,11 @@
-"""Exact elimination kernels: rank, closure and covers over Z, Z[sqrt5], F_p.
+"""Exact elimination kernels: rank, closure, covers and determinant.
 
-Plain Python on unbounded integers, so no input can overflow. Every entry
-point runs one of the private ``_echelon_*`` eliminations and reduces rows
-through the matching ``_reduce_*``; none calls another entry point.
+Plain Python on unbounded integers, so no input can overflow. Each domain
+(Z, Z[sqrt5], F_p) has one elimination step, ``_reduce_*``: it reduces a
+row against a list of pivots. Every entry point spans rows with the one
+shared loop ``_pivots``, which reduces the rows in order, each against the
+pivots found so far, and keeps every nonzero result as a new pivot, led
+by its first nonzero coordinate.
 
 Conventions:
 
@@ -10,76 +13,74 @@ Conventions:
 * ``*_quad`` variants take Z[sqrt5] rows flattened pairwise as
   ``(a0, b0, a1, b1, ...)`` meaning ``a + b*sqrt5`` per coordinate;
 * ``*_mod`` variants take residue rows and the prime modulus;
-* ``closure_*`` echelonizes the rows named by ``subset`` (index list) and
+* ``closure_*`` spans the rows named by ``subset`` (index list) and
   returns ``(rank, members)`` with ``members`` the sorted indices of *all*
   rows lying in the subset's span;
-* ``covers_*`` echelonizes the rows of a flat once and reduces every other
-  row modulo their span; rows whose reduced vectors are proportional span
-  the same cover of the flat. It returns ``(rank, groups)``: the flat's
-  rank and, per cover, the sorted indices of its rows outside the flat,
-  ordered by least index. Rows inside the span are skipped (a flat has
-  none outside it).
+* ``covers_*`` spans the rows of a flat once and reduces every other row
+  modulo their span; rows whose reduced vectors are proportional span the
+  same cover of the flat. It returns ``(rank, groups)``: the flat's rank
+  and, per cover, the sorted indices of its rows outside the flat, ordered
+  by least index. Rows inside the span are skipped (a flat has none
+  outside it);
+* ``det_int`` is the determinant of a square integer matrix.
 
-Rank uses Bareiss fraction-free elimination: every intermediate value is a
-minor of the input, and the division by the previous pivot is exact over
-any integral domain, so Z and Z[sqrt5] rows need no field arithmetic.
-Reducing a row against the pivots multiplies it by one scalar (the last
-pivot) and subtracts a vector of the span, so the reduction is linear and
-two reduced rows are proportional exactly when the rows span the same
-cover.
+Over Z and Z[sqrt5] the step is Bareiss fraction-free elimination: every
+entry of a reduced row is a minor of the input (the pivot rows and the row,
+on the pivot columns and one more), so the division by the previous pivot
+is exact over any integral domain, in any order of pivot columns. Over F_p
+pivots are scaled to a leading 1. Reducing a row multiplies it by one
+nonzero scalar and subtracts a vector of the span, so the reduction is
+linear and two reduced rows are proportional exactly when the rows span
+the same cover.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 
 # the kernel implementation's name, recorded in every perfbench result
 ACTIVE_BACKEND = "pure"
 
 
-def _echelon_int(mat: list[list[int]], ncols: int):
-    """In-place Bareiss echelon. Returns (rank, pivots).
+def _pivots(rows, reduce, width: int) -> list[tuple[int, list[int]]]:
+    """Pivots spanning the rows, as (leading position, reduced row) pairs.
 
-    pivots is a list of (column, frozen pivot row, pivot value); divisor
-    chain for later reductions is 1, p1, p2, ...
+    Stops at ``width`` pivots, where the span is the whole space.
     """
     pivots = []
-    prev = 1
-    r = 0
-    nrows = len(mat)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pr = i
+    for row in rows:
+        v = reduce(row, pivots)
+        lead = next(filter(None, v), 0)
+        if lead:
+            pivots.append((v.index(lead), v))
+            if len(pivots) == width:
                 break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        row_r = mat[r]
-        pivot = row_r[c]
-        for i in range(r + 1, nrows):
-            row_i = mat[i]
-            vc = row_i[c]
-            for j in range(ncols):
-                row_i[j] = (pivot * row_i[j] - vc * row_r[j]) // prev
-        pivots.append((c, tuple(row_r), pivot))
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
+    return pivots
 
 
-def _reduce_int(vec, pivots, ncols: int) -> list[int]:
-    v = list(vec)
-    prev = 1
-    for c, row, pivot in pivots:
-        vc = v[c]
-        for j in range(ncols):
-            v[j] = (pivot * v[j] - vc * row[j]) // prev
-        prev = pivot
-    return v
+def _closure(rows, subset, reduce, width: int) -> tuple[int, list[int]]:
+    pivots = _pivots([rows[i] for i in subset], reduce, width)
+    inside = set(subset)
+    return len(pivots), [
+        i for i, row in enumerate(rows) if i in inside or not any(reduce(row, pivots))
+    ]
+
+
+def _covers(rows, flat, reduce, width: int, key) -> tuple[int, list[list[int]]]:
+    pivots = _pivots([rows[i] for i in flat], reduce, width)
+    inside = set(flat)
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        if i not in inside:
+            v = reduce(row, pivots)
+            if any(v):
+                groups.setdefault(key(v), []).append(i)
+    return len(pivots), list(groups.values())
+
+
+def _width(rows, step: int = 1) -> int:
+    return len(rows[0]) // step if rows else 0
 
 
 def _primitive_key(v) -> tuple[int, ...]:
@@ -90,99 +91,71 @@ def _primitive_key(v) -> tuple[int, ...]:
     return tuple([x // g for x in v])
 
 
-def _group_covers(rows, flat, reduce, key) -> list[list[int]]:
-    inside = set(flat)
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        if i not in inside:
-            v = reduce(row)
-            if any(v):
-                groups.setdefault(key(v), []).append(i)
-    return list(groups.values())
+# -- Z -----------------------------------------------------------------------
+
+
+def _reduce_int(vec, pivots) -> list[int]:
+    v = list(vec)
+    n = len(v)
+    prev = 1
+    for c, row in pivots:
+        pivot, vc = row[c], v[c]
+        for j in range(n):
+            v[j] = (pivot * v[j] - vc * row[j]) // prev
+        prev = pivot
+    return v
 
 
 def rank_int(rows) -> int:
     rows = list(rows)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r, _ = _echelon_int([list(r) for r in rows], ncols)
-    return r
+    return len(_pivots(rows, _reduce_int, _width(rows)))
 
 
 def closure_int(rows, subset) -> tuple[int, list[int]]:
     rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    mat = [list(rows[i]) for i in subset]
-    rank, pivots = _echelon_int(mat, ncols)
-    members = [
-        i for i, row in enumerate(rows) if not any(_reduce_int(row, pivots, ncols))
-    ]
-    return rank, members
+    return _closure(rows, subset, _reduce_int, _width(rows))
 
 
 def covers_int(rows, flat) -> tuple[int, list[list[int]]]:
     rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank, pivots = _echelon_int([list(rows[i]) for i in flat], ncols)
-    return rank, _group_covers(
-        rows, flat, lambda v: _reduce_int(v, pivots, ncols), _primitive_key
-    )
+    return _covers(rows, flat, _reduce_int, _width(rows), _primitive_key)
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix.
+
+    The last pivot is the minor on the pivot columns in the order they were
+    found, so the determinant is that pivot signed by the parity of the
+    column permutation; it is 0 when some row reduces to zero.
+    """
+    rows = list(rows)
+    pivots = _pivots(rows, _reduce_int, len(rows))
+    if len(pivots) < len(rows):
+        return 0
+    if not pivots:
+        return 1
+    cols = [c for c, _ in pivots]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+    c, last = pivots[-1]
+    return -last[c] if inversions % 2 else last[c]
 
 
 # -- Z[sqrt5]: coordinates are (a, b) pairs at flat positions 2j, 2j+1 -------
 
 
-def _echelon_quad(mat: list[list[int]], npairs: int):
-    pivots = []
-    pa, pb = 1, 0  # previous pivot, starts at 1
-    r = 0
-    nrows = len(mat)
-    for c in range(npairs):
-        ca = 2 * c
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][ca] or mat[i][ca + 1]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        row_r = mat[r]
-        va, vb = row_r[ca], row_r[ca + 1]
-        pn = pa * pa - 5 * pb * pb  # norm of previous pivot (divisor)
-        for i in range(r + 1, nrows):
-            row_i = mat[i]
-            ua, ub = row_i[ca], row_i[ca + 1]
-            for j in range(npairs):
-                ja = 2 * j
-                xa, xb = row_i[ja], row_i[ja + 1]
-                ya, yb = row_r[ja], row_r[ja + 1]
-                # pivot*x - u*y, then exact division by prev = (pa, pb)
-                ta = va * xa + 5 * vb * xb - (ua * ya + 5 * ub * yb)
-                tb = va * xb + vb * xa - (ua * yb + ub * ya)
-                # multiply by conjugate of prev and divide by its norm
-                row_i[ja] = (ta * pa - 5 * tb * pb) // pn
-                row_i[ja + 1] = (tb * pa - ta * pb) // pn
-        pivots.append((c, tuple(row_r), va, vb))
-        pa, pb = va, vb
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
-def _reduce_quad(vec, pivots, npairs: int) -> list[int]:
+def _reduce_quad(vec, pivots) -> list[int]:
     v = list(vec)
-    pa, pb = 1, 0
-    for c, row, va, vb in pivots:
-        ca = 2 * c
+    pa, pb = 1, 0  # previous pivot, starts at 1
+    for c, row in pivots:
+        ca = c - c % 2  # the pivot coordinate's a position
+        va, vb = row[ca], row[ca + 1]
         ua, ub = v[ca], v[ca + 1]
-        pn = pa * pa - 5 * pb * pb
-        for j in range(npairs):
-            ja = 2 * j
+        pn = pa * pa - 5 * pb * pb  # norm of the previous pivot (divisor)
+        for ja in range(0, len(v), 2):
             xa, xb = v[ja], v[ja + 1]
             ya, yb = row[ja], row[ja + 1]
+            # pivot*x - u*y, then exact division by prev = (pa, pb):
+            # multiply by its conjugate and divide by its norm
             ta = va * xa + 5 * vb * xb - (ua * ya + 5 * ub * yb)
             tb = va * xb + vb * xa - (ua * yb + ub * ya)
             v[ja] = (ta * pa - 5 * tb * pb) // pn
@@ -206,101 +179,46 @@ def _quad_key(v) -> tuple[int, ...]:
 
 def rank_quad(rows) -> int:
     rows = list(rows)
-    if not rows:
-        return 0
-    npairs = len(rows[0]) // 2
-    r, _ = _echelon_quad([list(r) for r in rows], npairs)
-    return r
+    return len(_pivots(rows, _reduce_quad, _width(rows, 2)))
 
 
 def closure_quad(rows, subset) -> tuple[int, list[int]]:
     rows = list(rows)
-    npairs = (len(rows[0]) // 2) if rows else 0
-    mat = [list(rows[i]) for i in subset]
-    rank, pivots = _echelon_quad(mat, npairs)
-    members = [
-        i for i, row in enumerate(rows) if not any(_reduce_quad(row, pivots, npairs))
-    ]
-    return rank, members
+    return _closure(rows, subset, _reduce_quad, _width(rows, 2))
 
 
 def covers_quad(rows, flat) -> tuple[int, list[list[int]]]:
     rows = list(rows)
-    npairs = (len(rows[0]) // 2) if rows else 0
-    rank, pivots = _echelon_quad([list(rows[i]) for i in flat], npairs)
-    return rank, _group_covers(
-        rows, flat, lambda v: _reduce_quad(v, pivots, npairs), _quad_key
-    )
+    return _covers(rows, flat, _reduce_quad, _width(rows, 2), _quad_key)
 
 
 # -- F_p ---------------------------------------------------------------------
 
 
-def _echelon_mod(mat: list[list[int]], ncols: int, p: int):
-    """Row-reduce mod p; pivot rows are normalized to leading 1."""
-    pivots = []
-    r = 0
-    nrows = len(mat)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        row_r = mat[r]
-        for i in range(r + 1, nrows):
-            f = mat[i][c] % p
-            if f:
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row_r)]
-        pivots.append((c, tuple(row_r)))
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
 def _reduce_mod(vec, pivots, p: int) -> list[int]:
+    """The reduced row, scaled to a leading 1 (so pivots are monic)."""
     v = [x % p for x in vec]
     for c, row in pivots:
         f = v[c]
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
+    lead = next(filter(None, v), 1)
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        v = [x * inv % p for x in v]
     return v
 
 
 def rank_mod(rows, p: int) -> int:
     rows = list(rows)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r, _ = _echelon_mod([list(r) for r in rows], ncols, p)
-    return r
+    return len(_pivots(rows, partial(_reduce_mod, p=p), _width(rows)))
 
 
 def closure_mod(rows, p: int, subset) -> tuple[int, list[int]]:
     rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    mat = [list(rows[i]) for i in subset]
-    rank, pivots = _echelon_mod(mat, ncols, p)
-    members = [
-        i for i, row in enumerate(rows) if not any(_reduce_mod(row, pivots, p))
-    ]
-    return rank, members
+    return _closure(rows, subset, partial(_reduce_mod, p=p), _width(rows))
 
 
 def covers_mod(rows, p: int, flat) -> tuple[int, list[list[int]]]:
     rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank, pivots = _echelon_mod([list(rows[i]) for i in flat], ncols, p)
-
-    def monic(v):
-        # scale the first nonzero entry to 1
-        inv = pow(next(filter(None, v)), -1, p)
-        return tuple([x * inv % p for x in v])
-
-    return rank, _group_covers(rows, flat, lambda v: _reduce_mod(v, pivots, p), monic)
+    return _covers(rows, flat, partial(_reduce_mod, p=p), _width(rows), tuple)

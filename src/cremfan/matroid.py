@@ -349,8 +349,9 @@ class Matroid:
         return self.closure(S).elements == S
 
     def is_simple(self) -> bool:
-        return all(
-            self.closure({e}).elements == frozenset({e}) for e in range(self.size)
+        """No loops, and every cover of the empty flat is one element."""
+        return not self.closure(()).elements and all(
+            len(G.elements) == 1 for G in self._covers(frozenset())
         )
 
     # -- flats, level by level ----------------------------------------------

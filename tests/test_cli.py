@@ -293,6 +293,17 @@ class TestFan:
         assert text.startswith("graph")
         assert text.count(" -- ") == 21
 
+    def test_graph_of_a_single_loop_is_refused(self, tmp_path, capsys):
+        # U:0,1 is one loop, so it is not simple (cremona --enumerate says
+        # the same)
+        path = str(tmp_path / "u01.json")
+        assert main(["gen", "U:0,1", "--out", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "fan", path, "--graph")
+        assert code == 2
+        assert out == ""
+        assert "ray adjacency graph needs a simple matroid" in err
+
     def test_s_graph_payload(self, tmp_path, capsys):
         path = str(tmp_path / "d4.json")
         assert main(["gen", "D4", "--out", path]) == 0

@@ -1,8 +1,10 @@
 """Elimination kernels: worked examples and correctness oracles."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from cremfan.field import Field, QuadSqrt5, matrix_rank
+from cremfan.field import Field, QuadSqrt5, determinant, matrix_rank
 from cremfan.kernels import (
     closure_int,
     closure_mod,
@@ -10,6 +12,7 @@ from cremfan.kernels import (
     covers_int,
     covers_mod,
     covers_quad,
+    det_int,
     rank_int,
     rank_mod,
     rank_quad,
@@ -168,3 +171,72 @@ class TestFieldOracle:
     def test_rank_quad_matches_qsqrt5_oracle(self, rows):
         coerced = [[QuadSqrt5(r[j], r[j + 1]) for j in range(0, len(r), 2)] for r in rows]
         assert rank_quad([tuple(r) for r in rows]) == matrix_rank(coerced)
+
+
+class TestPivotColumnsOutOfOrder:
+    """The first row's leading entry is not in column 0, so the pivot
+    columns are found out of order."""
+
+    def test_int(self):
+        # row 2 = 2 * row 0, row 3 = row 0 + row 1
+        rows = [(0, 2, 1), (3, 0, 0), (0, 4, 2), (3, 2, 1), (0, 0, 5)]
+        assert rank_int(rows[:4]) == 2
+        assert rank_int(rows) == 3
+        assert closure_int(rows, [0]) == (1, [0, 2])
+        assert closure_int(rows, [0, 1]) == (2, [0, 1, 2, 3])
+        assert covers_int(rows, [0, 2]) == (1, [[1, 3], [4]])
+
+    def test_quad(self):
+        # (0, 1, w), (0, w, 5) = w * row 0, (1, 0, 0), row 0 + row 2, (0, 0, 1)
+        rows = [(0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 5, 0), (1, 0, 0, 0, 0, 0),
+                (1, 0, 1, 0, 0, 1), (0, 0, 0, 0, 1, 0)]
+        assert rank_quad(rows[:4]) == 2
+        assert rank_quad(rows) == 3
+        assert closure_quad(rows, [0]) == (1, [0, 1])
+        assert closure_quad(rows, [0, 2]) == (2, [0, 1, 2, 3])
+        assert covers_quad(rows, [0, 1]) == (1, [[2, 3], [4]])
+
+    def test_mod(self):
+        # mod 3: row 2 = 2 * row 0, row 3 = row 0 + row 1
+        rows = [(0, 2, 1), (1, 0, 0), (0, 1, 2), (1, 2, 1), (0, 0, 1)]
+        assert rank_mod(rows[:4], 3) == 2
+        assert rank_mod(rows, 3) == 3
+        assert closure_mod(rows, 3, [0]) == (1, [0, 2])
+        assert closure_mod(rows, 3, [0, 1]) == (2, [0, 1, 2, 3])
+        assert covers_mod(rows, 3, [0, 2]) == (1, [[1, 3], [4]])
+
+
+def _square(n):
+    row = st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+class TestDeterminant:
+    def test_worked_examples(self):
+        assert det_int([]) == 1
+        assert det_int([(5,)]) == 5
+        assert det_int([(0, 1), (1, 0)]) == -1   # pivot columns 1, 0
+        assert det_int([(2, 1), (4, 2)]) == 0
+        assert det_int([(0, 0), (1, 2)]) == 0
+        # pivot columns 1, 0, 2: one inversion, last pivot 21
+        assert det_int([(0, 2, 1), (3, 0, 0), (1, 1, 4)]) == -21
+        # pivot columns 2, 1, 0: three inversions
+        assert det_int([(0, 0, 2), (0, 3, 1), (5, 1, 1)]) == -30
+
+    @given(st.integers(min_value=0, max_value=7).flatmap(_square), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle(self, rows, data):
+        n = len(rows)
+        singular = n and data.draw(st.booleans(), label="singular")
+        if singular:
+            # replace row k by a combination of the other rows
+            k = data.draw(st.integers(0, n - 1), label="k")
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            rows[k] = [
+                sum(c * row[col] for i, (c, row) in enumerate(zip(coeffs, rows)) if i != k)
+                for col in range(n)
+            ]
+        expected = determinant([[Fraction(x) for x in r] for r in rows])
+        assert det_int([tuple(r) for r in rows]) == expected
+        if singular:
+            assert expected == 0

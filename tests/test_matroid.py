@@ -428,6 +428,24 @@ class TestMinors:
         for e, img in enumerate(quotient):
             assert img is None or 0 <= img < S.size
 
+    @pytest.mark.parametrize("M, simple", [
+        (uniform(0, 1), False),   # a single loop: cl({e}) = {e}, yet e is a loop
+        (uniform(0, 3), False),
+        (uniform(1, 2), False),   # two parallel elements
+        (uniform(0, 0), True),
+        (uniform(1, 1), True),
+        (uniform(2, 4), True),
+    ], ids=["U:0,1", "U:0,3", "U:1,2", "U:0,0", "U:1,1", "U:2,4"])
+    def test_is_simple_on_uniform(self, M, simple):
+        assert M.is_simple() is simple
+
+    def test_is_simple_is_one_covers_elimination(self, monkeypatch):
+        d5 = coxeter_matroid("D5")
+        calls = count_backend_calls(d5, monkeypatch)
+        assert d5.is_simple()
+        assert calls == {"rank_subset": 0, "closure_fast": 1, "covers_fast": 1}
+        assert not d5._flats_cache  # the lattice walk still starts at rank 0
+
     def test_simplify_drops_loops(self, u23):
         C = u23.contract([0, 1])  # contracting a basis: the rest are loops
         S, quotient = C.simplify()
