@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
 from .kernels import det_int
-from .matroid import ElementBijection, Matroid, VectorBackend
+from .matroid import ElementBijection, Matroid, VectorBackend, census_mismatch
 
 if TYPE_CHECKING:
     from .fan import TropicalPoint
@@ -574,17 +574,6 @@ def two_basis_report(M: Matroid, d1: CremonaData, d2: CremonaData) -> TwoBasisRe
     return TwoBasisReport(d1.basis, d2.basis, tuple(sorted(inter)), tuple(reports))
 
 
-def _star_edge_label(data: CremonaData, other: CremonaData, c: int) -> int:
-    """The label of the unique support-graph edge at a non-center vertex c."""
-    graph = support_graph(data, other.basis_set())
-    labels = [lab for a, b, lab in graph.edges if c in (a, b)]
-    if len(labels) != 1:
-        raise InvariantError(
-            f"basis element {c} has {len(labels)} support edges, expected one"
-        )
-    return labels[0]
-
-
 def build_involution(M: Matroid, d1: CremonaData, d2: CremonaData) -> ElementBijection:
     """The involutive automorphism swapping two Cremona bases.
 
@@ -594,31 +583,27 @@ def build_involution(M: Matroid, d1: CremonaData, d2: CremonaData) -> ElementBij
     onto b* and (for ground sets of at most 15 elements) a matroid
     automorphism by the full flat census.
     """
-    two_basis_report(M, d1, d2)
-    two_basis_report(M, d2, d1)
-    b = d1.basis_set()
-    bstar = d2.basis_set()
     forward = list(range(M.size))
-    for c in sorted(b - bstar):
-        forward[c] = _star_edge_label(d1, d2, c)
-    for c in sorted(bstar - b):
-        forward[c] = _star_edge_label(d2, d1, c)
+    for report in (two_basis_report(M, d1, d2), two_basis_report(M, d2, d1)):
+        # each star edge joins the center to one leaf, which swaps with its label
+        for comp in report.components:
+            for a, bb, label in comp.edges:
+                forward[bb if a == comp.center else a] = label
     if sorted(forward) != list(range(M.size)):
         raise InvariantError("constructed map is not a permutation")
     phi = ElementBijection(tuple(forward))
     for e in range(M.size):
         if phi(phi(e)) != e:
             raise InvariantError(f"constructed map is not an involution at {e}")
-    if frozenset(phi(e) for e in b) != bstar:
+    if phi.image(d1.basis) != d2.basis_set():
         raise InvariantError("constructed map does not carry b onto b*")
     if M.size <= 15:
-        for k in range(1, M.full_rank()):
-            flats = {F.elements for F in M.flats_of_rank(k)}
-            mapped = {frozenset(phi(e) for e in F) for F in flats}
-            if mapped != flats:
-                raise InvariantError(
-                    f"constructed map does not preserve rank-{k} flats"
-                )
+        census = M.flat_census()
+        k = census_mismatch(census, census, phi.forward)
+        if k is not None:
+            raise InvariantError(
+                f"constructed map does not preserve rank-{k} flats"
+            )
     return phi
 
 
@@ -741,13 +726,11 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
     realized = Matroid(VectorBackend(field, vectors), list(M.ground.labels))
     if realized.full_rank() != M.full_rank():
         raise InvariantError("realization has the wrong rank")
-    for k in range(1, M.full_rank()):
-        ours = {F.elements for F in M.flats_of_rank(k)}
-        theirs = {F.elements for F in realized.flats_of_rank(k)}
-        if ours != theirs:
-            raise InvariantError(
-                f"realization disagrees with the matroid on rank-{k} flats"
-            )
+    k = census_mismatch(M.flat_census(), realized.flat_census())
+    if k is not None:
+        raise InvariantError(
+            f"realization disagrees with the matroid on rank-{k} flats"
+        )
     return Realization(
         field=field,
         vectors=tuple(vectors),

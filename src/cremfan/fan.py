@@ -175,13 +175,6 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
     return antichains(0, [])
 
 
-def _flat_census(M: Matroid) -> list[set[frozenset[int]]]:
-    """The flats of M as sets, indexed by rank; rank r(M) holds E alone."""
-    levels = [{F.elements for F in M.flats_of_rank(k)} for k in range(M.full_rank())]
-    levels.append({frozenset(M.elements())})
-    return levels
-
-
 def _pair_nested(A: Flat, B: Flat, census: Sequence[set[frozenset[int]]]) -> bool:
     """Whether two rays form a nested pair, read off the flat census."""
     a, b = A.elements, B.elements
@@ -299,7 +292,7 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     if M.size and not M.is_connected(M.closure(range(M.size)).elements):
         raise InputError("ray adjacency graph needs a connected matroid")
     rays = nested_rays(M)
-    census = _flat_census(M)
+    census = M.flat_census()
     edges = tuple(
         (i, j)
         for i, j in itertools.combinations(range(len(rays)), 2)
@@ -341,16 +334,20 @@ def ray_permutation(graph: RayGraph, linear_map) -> list[int]:
 def rank_one_neighbor_count(M: Matroid, e: int) -> int:
     """Rank-one rays adjacent to {e}: elements f with cl{e,f} = {e,f}."""
     M._check_subset({e})
-    return len(_rank_one_neighbors(M, e))
+    return len(_rank_one_neighbors(M)[e])
 
 
-def _rank_one_neighbors(M: Matroid, e: int) -> list[int]:
-    # f != e with |cl{e,f}| = 2: the other element of a two-element cl{e},
-    # or else the new element of each two-element cover of cl{e}
-    C = M.closure({e})
-    if len(C) == 2:
-        return sorted(C.elements - {e})
-    return [min(G.elements - C.elements) for G in M.covers(C) if len(G) == 2]
+def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
+    # f != e with |cl{e,f}| = 2 exactly when {e, f} is a flat, and a flat
+    # spanned by two elements has rank at most 2
+    neighbors: list[list[int]] = [[] for _ in range(M.size)]
+    for k in range(min(2, M.full_rank()) + 1):
+        for F in M.flats_of_rank(k):
+            if len(F) == 2:
+                e, f = F.sorted()
+                neighbors[e].append(f)
+                neighbors[f].append(e)
+    return [sorted(fs) for fs in neighbors]
 
 
 def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
@@ -402,18 +399,19 @@ def graph_S(M: Matroid, *, rank_one_only: bool = False,
         raise InputError("graph S needs a simple matroid")
     labels = M.ground.labels
     m = M.size
-    neighbors = [_rank_one_neighbors(M, e) for e in range(m)]
+    hyperplanes: list[Flat] = []
+    if not rank_one_only:
+        # the budgeted walk goes first, so it counts its covers from rank 0
+        hyperplanes = corank_one_connected_flats(M, max_subsets=max_subsets)
+    neighbors = _rank_one_neighbors(M)
     singleton_counts = [len(fs) for fs in neighbors]
     vertices: list[Flat] = [Flat(frozenset({e}), 1, True) for e in range(m)]
     edges = [(e, f) for e in range(m) for f in neighbors[e] if f > e]
-    hyperplanes: list[Flat] = []
-    if not rank_one_only and M.full_rank() >= 2:
-        hyperplanes = corank_one_connected_flats(M, max_subsets=max_subsets)
-        for h_idx, H in enumerate(hyperplanes):
-            hv = m + h_idx
-            vertices.append(H)
-            for e in sorted(H.elements):
-                edges.append((e, hv))
+    for h_idx, H in enumerate(hyperplanes):
+        hv = m + h_idx
+        vertices.append(H)
+        for e in sorted(H.elements):
+            edges.append((e, hv))
     graph = RayGraph(M, tuple(vertices), tuple(sorted(edges)), kind="s")
     deg = graph.degree_sequence()
     rank_one_degrees = {labels[e]: deg[e] for e in range(m)}

@@ -286,7 +286,6 @@ class Matroid:
         self._closure_cache: dict[frozenset[int], Flat] = {}
         self._connected_cache: dict[frozenset[int], bool] = {}
         self._flats_cache: dict[int, tuple[Flat, ...]] = {}
-        self._lines_cache = None
 
     # -- basics ------------------------------------------------------------
 
@@ -425,6 +424,12 @@ class Matroid:
             self._flats_cache[rank] = level
         return list(level)
 
+    def flat_census(self) -> list[set[frozenset[int]]]:
+        """The flats as element sets, indexed by rank; rank r(M) holds E alone."""
+        levels = [{F.elements for F in self.flats_of_rank(k)} for k in range(self.full_rank())]
+        levels.append({frozenset(self.elements())})
+        return levels
+
     # -- connectivity --------------------------------------------------------
 
     def is_connected(self, flat: Iterable[int]) -> bool:
@@ -538,40 +543,17 @@ class Matroid:
         Returns the simple quotient together with the explicit quotient map:
         old index -> new index, or None for deleted loops.
         """
-        loops = {e for e in range(self.size) if self.rank({e}) == 0}
-        reps: list[int] = []
+        # every rank-1 flat is one parallel class together with the loops
+        loops = self.closure(()).elements
+        classes = sorted(
+            sorted(F.elements - loops)
+            for F in (self.flats_of_rank(1) if self.full_rank() else ())
+        )
         quotient: list[int | None] = [None] * self.size
-        for e in range(self.size):
-            if e in loops:
-                continue
-            cls = min(self.closure({e}).elements - loops)
-            if cls == e:
-                quotient[e] = len(reps)
-                reps.append(e)
-            else:
-                quotient[e] = quotient[cls]
-        return self.restrict(reps), quotient
-
-    # -- rank-2 flat structure used by the isomorphism search -------------------
-
-    def _lines(self):
-        if self._lines_cache is not None:
-            return self._lines_cache
-        line_ids: dict[frozenset[int], int] = {}
-        pair_line: dict[tuple[int, int], int] = {}
-        for a, b in itertools.combinations(range(self.size), 2):
-            F = self.closure({a, b}).elements
-            lid = line_ids.setdefault(F, len(line_ids))
-            pair_line[(a, b)] = lid
-        sizes = [0] * len(line_ids)
-        through: list[list[int]] = [[] for _ in range(self.size)]
-        for F, lid in line_ids.items():
-            sizes[lid] = len(F)
-            for e in F:
-                through[e].append(lid)
-        profiles = [tuple(sorted(sizes[lid] for lid in th)) for th in through]
-        self._lines_cache = (pair_line, sizes, profiles)
-        return self._lines_cache
+        for i, cls in enumerate(classes):
+            for e in cls:
+                quotient[e] = i
+        return self.restrict([cls[0] for cls in classes]), quotient
 
     def __repr__(self):
         return f"Matroid(size={self.size}, backend={self.backend.name})"
@@ -626,12 +608,50 @@ def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
 # isomorphism and automorphism search
 
 
-def _census(M: Matroid) -> dict[int, set[frozenset[int]]]:
-    # ranks 0 and 1 matter for non-simple matroids (loops, parallel classes)
-    return {
-        k: {F.elements for F in M.flats_of_rank(k)}
-        for k in range(0, M.full_rank())
-    }
+def census_mismatch(census: Sequence[set[frozenset[int]]],
+                    other: Sequence[set[frozenset[int]]],
+                    forward: Sequence[int] | None = None) -> int | None:
+    """The least rank whose flats ``forward`` does not carry onto ``other``'s, or None.
+
+    Both censuses are lists of flat sets by rank (``Matroid.flat_census``),
+    and ``forward`` is an element bijection as its image sequence, the
+    identity when None. Censuses of different length first disagree at the
+    least rank that only one of them has.
+    """
+    common = min(len(census), len(other))
+    for k in range(common):
+        mapped = census[k] if forward is None else {
+            frozenset(forward[e] for e in F) for F in census[k]
+        }
+        if mapped != other[k]:
+            return k
+    return None if len(census) == len(other) else common
+
+
+def _line_table(census: Sequence[set[frozenset[int]]], n: int):
+    """The closures of all pairs, read off a flat census of an n-element matroid.
+
+    cl{a, b} is the first flat of rank at most 2 that holds a and b.
+    Returns the pair -> line id table, the size of each line, and per
+    element the sorted sizes of the lines through it (its line profile).
+    """
+    pair_line: dict[tuple[int, int], int] = {}
+    sizes: list[int] = []
+    through: list[list[int]] = [[] for _ in range(n)]
+    for level in census[:3]:
+        for F in level:
+            spanned = [
+                pair for pair in itertools.combinations(sorted(F), 2)
+                if pair not in pair_line
+            ]
+            if not spanned:
+                continue
+            for pair in spanned:
+                pair_line[pair] = len(sizes)
+            sizes.append(len(F))
+            for e in F:
+                through[e].append(len(F))
+    return pair_line, sizes, [tuple(sorted(th)) for th in through]
 
 
 def _search(m1: Matroid, m2: Matroid, *, find_all: bool, max_elements: int):
@@ -645,15 +665,12 @@ def _search(m1: Matroid, m2: Matroid, *, find_all: bool, max_elements: int):
         )
     if n == 0:
         return [ElementBijection(())]
-    pair1, sizes1, prof1 = m1._lines()
-    pair2, sizes2, prof2 = m2._lines()
+    census1, census2 = m1.flat_census(), m2.flat_census()
+    pair1, sizes1, prof1 = _line_table(census1, n)
+    pair2, sizes2, prof2 = _line_table(census2, n)
     if sorted(prof1) != sorted(prof2):
         return []
-    census2 = _census(m2)
-    census1 = _census(m1)
-    if {k: len(v) for k, v in census1.items()} != {
-        k: len(v) for k, v in census2.items()
-    }:
+    if [len(level) for level in census1] != [len(level) for level in census2]:
         return []
 
     # static order: scarce line profiles first, high incidence degree first
@@ -671,26 +688,15 @@ def _search(m1: Matroid, m2: Matroid, *, find_all: bool, max_elements: int):
     line_map_rev: dict[int, int] = {}
     results: list[ElementBijection] = []
 
-    def leaf_ok() -> bool:
-        forward = [0] * n
-        for a, x in assigned.items():
-            forward[a] = x
-        for k, flats in census1.items():
-            target = census2[k]
-            for F in flats:
-                if frozenset(forward[e] for e in F) not in target:
-                    return False
-        return True
-
     def extend(depth: int) -> bool:
         if depth == len(order):
-            if leaf_ok():
-                forward = [0] * n
-                for a, x in assigned.items():
-                    forward[a] = x
-                results.append(ElementBijection(tuple(forward)))
-                return not find_all
-            return False
+            forward = [0] * n
+            for a, x in assigned.items():
+                forward[a] = x
+            if census_mismatch(census1, census2, forward) is not None:
+                return False
+            results.append(ElementBijection(tuple(forward)))
+            return not find_all
         a = order[depth]
         for x in candidates[depth]:
             if used[x]:

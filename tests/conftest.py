@@ -1,6 +1,9 @@
 """Shared fixtures: small named matroids used across the test modules."""
 
+import itertools
+
 import pytest
+from hypothesis import strategies as st
 
 from cremfan.field import Field
 from cremfan.generators import (
@@ -115,3 +118,32 @@ def direct_sum(*matroids):
         before, after = sum(dims[:i]), sum(dims[i + 1:])
         rows += [[0] * before + list(v) + [0] * after for v in M.backend.vectors]
     return Matroid(VectorBackend(q, rows))
+
+
+# Matroids for the flat-census consumers: simple ones, contractions with
+# parallel classes, all loops (U:0,3), and one parallel class (U:1,3).
+CENSUS_CASES = {
+    "A3": lambda: coxeter_matroid("A3"),
+    "B3": lambda: coxeter_matroid("B3"),
+    "D4": lambda: coxeter_matroid("D4"),
+    "fano-lines": fano,
+    "K5": lambda: complete_graph_matroid(5),
+    "U:2,4": lambda: uniform(2, 4),
+    "D4/0": lambda: coxeter_matroid("D4").contract(0),
+    "A3/0": lambda: coxeter_matroid("A3").contract(0),
+    "U:0,3": lambda: uniform(0, 3),
+    "U:1,3": lambda: uniform(1, 3),
+}
+
+
+@st.composite
+def f3_vector_rows(draw):
+    """Rows over F_3 with a zero row and a repeated row among them."""
+    d = draw(st.integers(1, 3))
+    vectors = list(itertools.product(range(3), repeat=d))
+    rows = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=6))
+    return rows + [rows[0], (0,) * d]
+
+
+def f3_matroid(rows):
+    return Matroid(VectorBackend(Field.from_spec("Fp:3"), rows))

@@ -380,6 +380,60 @@ class TestFan:
         assert "--dot" in err
 
 
+def _doc(backend, data, labels=("a", "b", "c"), **extra):
+    doc = {"schema": 1, "kind": "matroid", "elements": list(labels),
+           "backend": backend, "data": data, **extra}
+    return json.dumps(doc)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("text, message", [
+        (_doc("vectors", [["1"], ["2"]], field="Q"),
+         "vector count does not match element count"),
+        (_doc("vectors", ["1", ["2"], ["3"]], field="Q"),
+         "each vector must be a list of entry strings"),
+        (_doc("vectors", [["1", "0"], ["2"], ["0", "1"]], field="Q"),
+         "vectors of mixed dimension"),
+        (_doc("lines", [[0, 1]]), "a listed line needs at least 3 points"),
+        (_doc("circuits", [[]]), "empty circuit"),
+        (_doc("circuits", [[0, 1], [0, 1, 2]]), "circuit list is not an antichain"),
+        (_doc("circuits", 5), "field 'data' must be a list"),
+        ("[1, 2, 3]", "matroid document must be a JSON object"),
+    ], ids=["vector-count", "vector-not-list", "mixed-dimension", "two-point-line",
+            "empty-circuit", "not-antichain", "data-not-list", "not-an-object"])
+    def test_bad_matroid_file_is_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "fan", str(path), "--rays")
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("basis, message", [
+        (",", "empty element list"),
+        ("99", "element index 99 out of range 0..5"),
+    ])
+    def test_bad_check_basis_is_exit_2(self, a3_file, capsys, basis, message):
+        code, out, err = run(capsys, "cremona", a3_file, "--check", basis)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+    def test_s_graph_writes_its_dot_file(self, tmp_path, capsys):
+        path = str(tmp_path / "d4.json")
+        assert main(["gen", "D4", "--out", path]) == 0
+        capsys.readouterr()
+        dot = tmp_path / "s.dot"
+        doc, _ = run_json(capsys, "fan", path, "--s-graph", "--dot", str(dot))
+        assert doc["args"]["dot"] == str(dot)
+        text = dot.read_text()
+        assert text.startswith("graph")
+        # D4: 12 points with 3 rank-one neighbours each, and 12 connected
+        # hyperplanes of 6 points each
+        assert text.count(" [label=") == 12 + 12
+        assert text.count(" -- ") == 12 * 3 // 2 + 12 * 6
+
+
 class TestDeterminism:
     def test_stdout_is_byte_identical_across_runs(self, a3_file, capsys):
         argv = ["fan", a3_file, "--s-graph"]

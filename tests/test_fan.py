@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from cremfan.errors import BudgetExceeded, InputError
 from cremfan.fan import (
     RayGraph,
     TropicalPoint,
-    _flat_census,
     _pair_nested,
     corank_one_connected_flats,
     graph_S,
@@ -30,7 +30,23 @@ from cremfan.generators import (
 )
 from cremfan.matroid import Flat, LineBackend, Matroid
 
-from conftest import by_label, count_backend_calls, direct_sum, exhaustive_connected
+from conftest import (
+    CENSUS_CASES,
+    by_label,
+    count_backend_calls,
+    direct_sum,
+    exhaustive_connected,
+    f3_matroid,
+    f3_vector_rows,
+)
+
+
+def rank_one_counts_by_definition(M):
+    """Per element e, the f != e with |cl{e, f}| = 2, by one closure per pair."""
+    return [
+        sum(1 for f in range(M.size) if f != e and len(M.closure({e, f}).elements) == 2)
+        for e in range(M.size)
+    ]
 
 
 def per_edge_girth(graph):
@@ -256,7 +272,7 @@ class TestRayGraph:
 
         M, reference = build(), build()
         rays = nested_rays(M)
-        census = _flat_census(M)
+        census = M.flat_census()
         meeting = top = 0
         for A, B in itertools.combinations(rays, 2):
             a, b = A.elements, B.elements
@@ -301,6 +317,27 @@ class TestGraphS:
                 if f != e and len(M.closure({e, f}).elements) == 2
             )
             assert rank_one_neighbor_count(M, e) == expected
+
+    @pytest.mark.parametrize("name", list(CENSUS_CASES))
+    def test_rank_one_neighbor_count_matches_its_definition(self, name):
+        M, reference = CENSUS_CASES[name](), CENSUS_CASES[name]()
+        counts = [rank_one_neighbor_count(M, e) for e in range(M.size)]
+        assert counts == rank_one_counts_by_definition(reference)
+
+    @given(f3_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_neighbor_count_on_f3_vectors(self, rows):
+        M = f3_matroid(rows)
+        counts = [rank_one_neighbor_count(M, e) for e in range(M.size)]
+        assert counts == rank_one_counts_by_definition(f3_matroid(rows))
+
+    def test_graph_s_covers_from_one_walk(self, monkeypatch):
+        d5 = coxeter_matroid("D5")
+        calls = count_backend_calls(d5, monkeypatch)
+        graph_S(d5)
+        # the rank-one edges come from the walk's two-element flats, with
+        # no covers elimination per point
+        assert calls["covers_fast"] == 322
 
     @pytest.mark.parametrize("spec", ["D4", "D5", "B4", "F4"])
     def test_corank_one_matches_subset_sweep(self, spec):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from cremfan.errors import BudgetExceeded, InputError
 from cremfan.field import Field
@@ -21,7 +22,9 @@ from cremfan.matroid import (
     LineBackend,
     Matroid,
     VectorBackend,
+    _line_table,
     automorphisms,
+    census_mismatch,
     find_isomorphism,
     parallel_connection,
 )
@@ -29,10 +32,13 @@ from cremfan.matroid import (
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 from conftest import (
+    CENSUS_CASES,
     by_label,
     closure_per_cover,
     count_backend_calls,
     exhaustive_connected,
+    f3_matroid,
+    f3_vector_rows,
 )
 
 
@@ -507,6 +513,71 @@ class TestIsomorphism:
         e6 = coxeter_matroid("E6")
         with pytest.raises(BudgetExceeded):
             automorphisms(e6)
+
+
+def closure_per_pair_lines(M):
+    """Each line cl{a, b} with the pairs it closes, by one closure per pair (reference)."""
+    pairs_of: dict[frozenset, set] = {}
+    for a, b in itertools.combinations(range(M.size), 2):
+        pairs_of.setdefault(M.closure({a, b}).elements, set()).add((a, b))
+    return {frozenset(pairs): len(F) for F, pairs in pairs_of.items()}, [
+        tuple(sorted(len(F) for F in pairs_of if e in F)) for e in range(M.size)
+    ]
+
+
+def census_lines(M):
+    pair_line, sizes, profiles = _line_table(M.flat_census(), M.size)
+    pairs_of: dict[int, set] = {}
+    for pair, lid in pair_line.items():
+        pairs_of.setdefault(lid, set()).add(pair)
+    assert len(pairs_of) == len(sizes)
+    return {frozenset(pairs): sizes[lid] for lid, pairs in pairs_of.items()}, profiles
+
+
+class TestFlatCensus:
+    def test_levels_are_the_flats_by_rank(self, a3):
+        census = a3.flat_census()
+        assert len(census) == a3.full_rank() + 1
+        for k in range(a3.full_rank()):
+            assert census[k] == {F.elements for F in a3.flats_of_rank(k)}
+        assert census[-1] == {frozenset(range(a3.size))}
+
+    @pytest.mark.parametrize("name", list(CENSUS_CASES))
+    def test_line_table_matches_closure_per_pair(self, name):
+        build = CENSUS_CASES[name]
+        assert census_lines(build()) == closure_per_pair_lines(build())
+
+    @given(f3_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_line_table_on_f3_vectors(self, rows):
+        assert census_lines(f3_matroid(rows)) == closure_per_pair_lines(f3_matroid(rows))
+
+    def test_mismatch_of_the_identity_and_an_automorphism(self, a3):
+        census = a3.flat_census()
+        assert census_mismatch(census, census) is None
+        for phi in automorphisms(a3):
+            assert census_mismatch(census, census, phi.forward) is None
+
+    def test_mismatch_names_the_least_bad_rank(self, a3):
+        # swapping two elements of A3 (two edges of K4) fixes every point but
+        # carries some line onto a set that is not a flat
+        census = a3.flat_census()
+        swap = (1, 0) + tuple(range(2, a3.size))
+        assert ElementBijection(swap) not in automorphisms(a3)
+        assert census_mismatch(census, census, swap) == 2
+
+    def test_mismatch_of_censuses_of_different_length(self, u23):
+        census = u23.flat_census()
+        assert census_mismatch(census, census[:-1]) == len(census) - 1
+        assert census_mismatch(census[:-1], census) == len(census) - 1
+        assert census_mismatch(census, uniform(3, 3).flat_census()) == 2
+
+    def test_automorphisms_read_the_census(self, monkeypatch):
+        a4 = coxeter_matroid("A4")
+        calls = count_backend_calls(a4, monkeypatch)
+        assert len(automorphisms(a4)) == 120
+        # one closure for cl(empty set), then covers only: no closure per pair
+        assert calls["closure_fast"] == 1
 
 
 class TestElementBijection:
