@@ -14,6 +14,12 @@ cl{a, b} \\ {a, b} built by one closure per pair against reading it off
 the line census (B5, E6, H4, E7), and the nodes and seconds of the
 exact-cover search on D6, E6, H4 and E7 (line census already built).
 
+The last table checks the connectivity of every flat of D5, B5 and E6
+twice, after the lattice walk (untimed): read off the walk
+(``Matroid.is_connected``) and by the greedy-basis oracle
+(``Matroid._connected``), with the seconds and the backend closures of
+each, and asserts that the two agree.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -117,6 +123,9 @@ def main() -> None:
     print()
     for spec in ("D6", "E6", "H4", "E7"):
         _bench_search(spec, args.repeat)
+    print()
+    for spec in ("D5", "B5", "E6"):
+        _bench_connectivity(spec, args.repeat)
 
 
 def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int) -> None:
@@ -191,6 +200,39 @@ def _bench_search(spec: str, repeat: int) -> None:
     print(
         f"{spec} Cremona search".ljust(38)
         + f" {nodes:7d} nodes   {len(bases)} bases   {t * 1e3:9.2f} ms"
+    )
+
+
+def _bench_connectivity(spec: str, repeat: int) -> None:
+    # each repetition on a fresh matroid with its whole lattice walked, so
+    # neither the components nor the oracle's closures are cached
+    runs = {}
+    for method in ("walk", "oracle"):
+        best = float("inf")
+        for _ in range(repeat):
+            M = coxeter_matroid(spec)
+            flats = [F.elements for k in range(M.full_rank() + 1)
+                     for F in M.flats_of_rank(k)]
+            closures = [0]
+            closure_fast = M.backend.closure_fast
+
+            def counted(subset, closure_fast=closure_fast, closures=closures):
+                closures[0] += 1
+                return closure_fast(subset)
+
+            M.backend.closure_fast = counted
+            test = M.is_connected if method == "walk" else M._connected
+            t0 = time.perf_counter()
+            verdicts = [test(F) for F in flats]
+            best = min(best, time.perf_counter() - t0)
+        runs[method] = (best, closures[0], verdicts)
+    assert runs["walk"][2] == runs["oracle"][2]
+    (t_walk, c_walk, verdicts), (t_oracle, c_oracle, _) = runs["walk"], runs["oracle"]
+    print(
+        f"{spec} connectivity of {len(verdicts)} flats".ljust(38)
+        + f" walk {t_walk * 1e3:8.2f} ms {c_walk:5d} closures   oracle "
+        f"{t_oracle * 1e3:8.2f} ms {c_oracle:5d} closures   x{t_oracle / t_walk:5.1f}"
+        f"   {sum(verdicts)} connected"
     )
 
 

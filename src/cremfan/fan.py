@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -273,8 +274,9 @@ class RayGraph:
             "girth": self.girth(),
         }
 
-    def to_dot(self, name: str = "rays") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        """The graph in DOT, named after its kind."""
+        lines = [f"graph {self.kind} {{"]
         for i, F in enumerate(self.vertices):
             lines.append(
                 f'  v{i} [label="{self.vertex_name(i)}", rank={F.rank}];'
@@ -337,7 +339,14 @@ def rank_one_neighbor_count(M: Matroid, e: int) -> int:
     return len(_rank_one_neighbors(M)[e])
 
 
+# the neighbour lists of each matroid, built once from its census
+_NEIGHBORS: "weakref.WeakKeyDictionary[Matroid, list[list[int]]]" = weakref.WeakKeyDictionary()
+
+
 def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
+    hit = _NEIGHBORS.get(M)
+    if hit is not None:
+        return hit
     # f != e with |cl{e,f}| = 2 exactly when {e, f} is a flat, and a flat
     # spanned by two elements has rank at most 2
     neighbors: list[list[int]] = [[] for _ in range(M.size)]
@@ -347,7 +356,8 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
                 e, f = F.sorted()
                 neighbors[e].append(f)
                 neighbors[f].append(e)
-    return [sorted(fs) for fs in neighbors]
+    _NEIGHBORS[M] = neighbors = [sorted(fs) for fs in neighbors]
+    return neighbors
 
 
 def corank_one_connected_flats(M: Matroid, *, through: int | None = None,

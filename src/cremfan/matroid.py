@@ -5,7 +5,10 @@ optional display labels next to the indices. Three primitive backends give
 the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. Rank, closure and connectivity queries are
-memoized per matroid.
+memoized per matroid. The lattice walk (``Matroid.flats_of_rank``) records
+the flat each new flat was first found from, and the connectivity of every
+flat it found is read off those records and its census, with no rank or
+closure query; other flats go through a greedy-basis oracle.
 """
 
 from __future__ import annotations
@@ -286,6 +289,10 @@ class Matroid:
         self._closure_cache: dict[frozenset[int], Flat] = {}
         self._connected_cache: dict[frozenset[int], bool] = {}
         self._flats_cache: dict[int, tuple[Flat, ...]] = {}
+        # per flat the walk found, the flat it covers that the walk found it from
+        self._found_from: dict[frozenset[int], Flat] = {}
+        self._census_levels: dict[int, set[frozenset[int]]] = {}
+        self._components_cache: dict[frozenset[int], tuple[tuple[frozenset[int], int], ...]] = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -348,10 +355,18 @@ class Matroid:
         return self.closure(S).elements == S
 
     def is_simple(self) -> bool:
-        """No loops, and every cover of the empty flat is one element."""
-        return not self.closure(()).elements and all(
-            len(G.elements) == 1 for G in self._covers(frozenset())
-        )
+        """No loops, and every rank-1 flat is one element.
+
+        Reads the points off the walk's rank-1 level once the walk has made
+        it; before that, one covers call on the empty flat, which leaves the
+        walk (and the covers a budgeted walk counts) to start at rank 0.
+        """
+        if self.closure(()).elements:
+            return False
+        points = self._flats_cache.get(1)
+        if points is None:
+            points = self._covers(frozenset())
+        return all(len(P.elements) == 1 for P in points)
 
     # -- flats, level by level ----------------------------------------------
 
@@ -394,7 +409,8 @@ class Matroid:
         On a vector matroid the covers of a flat come from one elimination,
         elsewhere from one closure per cover. ``max_covers`` caps the covers
         this walk issues: past it the walk raises BudgetExceeded with the
-        rank level and the flats it reached.
+        rank level and the flats it reached. Each new flat is recorded with
+        the flat it was first found from, for ``is_connected``.
         """
         if not 0 <= k <= self.full_rank():
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
@@ -418,24 +434,41 @@ class Matroid:
                             f"and had found {below + len(found)} flats, "
                             f"{len(found)} of them of rank {rank}"
                         )
-                    found.setdefault(G.elements, G)
+                    if G.elements not in found:
+                        found[G.elements] = G
+                        self._found_from[G.elements] = F
             level = tuple(sorted(found.values(), key=lambda G: G.sorted()))
             below += len(level)
             self._flats_cache[rank] = level
         return list(level)
 
     def flat_census(self) -> list[set[frozenset[int]]]:
-        """The flats as element sets, indexed by rank; rank r(M) holds E alone."""
-        levels = [{F.elements for F in self.flats_of_rank(k)} for k in range(self.full_rank())]
-        levels.append({frozenset(self.elements())})
-        return levels
+        """The flats as element sets, indexed by rank; rank r(M) holds E alone.
+
+        The sets below rank r(M) are the matroid's own lookup sets, built
+        once per level: read them, do not change them.
+        """
+        r = self.full_rank()
+        if r:
+            self.flats_of_rank(r - 1)
+        return [self._census_level(k) for k in range(r)] + [{frozenset(self.elements())}]
+
+    def _census_level(self, k: int) -> set[frozenset[int]]:
+        """The element sets of the rank-k flats, once the walk has completed rank k."""
+        level = self._census_levels.get(k)
+        if level is None:
+            level = self._census_levels[k] = {F.elements for F in self._flats_cache[k]}
+        return level
 
     # -- connectivity --------------------------------------------------------
 
     def is_connected(self, flat: Iterable[int]) -> bool:
         """Connectivity of the restriction to a flat.
 
-        Uses the fundamental-circuit graph of a greedy basis B of F
+        A flat the lattice walk found has its components read off the
+        walk (``_components``), with no rank or closure query. Any other
+        flat, such as E before the walk reaches it or the join of two
+        rays, uses the fundamental-circuit graph of a greedy basis B of F
         (Krogdahl 1977): x in B is joined to the elements of its
         fundamental cocircuit, the elements of F outside cl(B - x); the
         restriction is connected iff that graph is.
@@ -443,12 +476,52 @@ class Matroid:
         F = self._check_subset(flat)
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
+        if F in self._found_from:
+            return len(self._components(F)) == 1
         hit = self._connected_cache.get(F)
         if hit is not None:
             return hit
         result = self._connected(F)
         self._connected_cache[F] = result
         return result
+
+    def _components(self, G: frozenset[int]) -> tuple[tuple[frozenset[int], int], ...]:
+        """The components of M|G with their ranks, for a flat G the walk found.
+
+        Memoized, and computed only when asked for.
+        """
+        hit = self._components_cache.get(G)
+        if hit is not None:
+            return hit
+        F = self._found_from.get(G)
+        if F is None:
+            # the flat cl(empty set) the walk starts from: each loop alone
+            comps = tuple((frozenset((e,)), 0) for e in sorted(G))
+        else:
+            # G covers F. If M|G has the components C_i, then F is the union
+            # of the flats F & C_i of the C_i, and 1 = r(G) - r(F) is the sum
+            # of the r(C_i) - r(F & C_i); so all of G \ F lies in one
+            # component C, and every other component lies in F, where it is a
+            # connected separator of M|F: a component of F. A component K of
+            # F is a separator of M|G iff r(K) + r(G \ K) = r(G). A loop
+            # always is. Otherwise K holds no loop, so G \ K is then a flat
+            # (cl(G \ K) & K is the closure of the empty set in M|K), and
+            # conversely a flat G \ K of rank r(G) - r(K) makes K a
+            # separator. That rank is below r(G), and the walk completes each
+            # level before it starts the next, so the lookup sees every flat
+            # of it. The components of F that are not separators join G \ F.
+            r = F.rank + 1
+            kept = [
+                (K, rK) for K, rK in self._components(F.elements)
+                if rK == 0 or G - K in self._census_level(r - rK)
+            ]
+            if kept:
+                rest = G.difference(*(K for K, _ in kept))
+                comps = (*kept, (rest, r - sum(rK for _, rK in kept)))
+            else:
+                comps = ((G, r),)
+        self._components_cache[G] = comps
+        return comps
 
     def _connected(self, F: frozenset[int]) -> bool:
         n = len(F)

@@ -427,7 +427,8 @@ class TestBadInput:
         doc, _ = run_json(capsys, "fan", path, "--s-graph", "--dot", str(dot))
         assert doc["args"]["dot"] == str(dot)
         text = dot.read_text()
-        assert text.startswith("graph")
+        # the DOT graph is named after the graph's kind
+        assert text.splitlines()[0] == "graph s {"
         # D4: 12 points with 3 rank-one neighbours each, and 12 connected
         # hyperplanes of 6 points each
         assert text.count(" [label=") == 12 + 12

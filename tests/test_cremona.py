@@ -367,6 +367,16 @@ class TestEnumerateAgainstBruteForce:
             assert rem[a][b] == rem[b][a] == sum(1 << x for x in F)
 
 
+    def test_enumeration_eliminates_the_empty_flat_once(self, monkeypatch):
+        # the simplicity check and the line census share the walk's points:
+        # n + 1 covers eliminations, where eliminating the empty flat in
+        # each of them made n + 2
+        M = matroid_from_dict(matroid_to_dict(complete_graph_matroid(7)))
+        counts = count_backend_calls(M, monkeypatch)
+        assert len(enumerate_cremona_bases(M)) == 7
+        assert counts["covers_fast"] == M.size + 1
+
+
 class TestCremMap:
     def test_running_example_matrix(self, a3):
         lm = crem_map(cremona_check(a3, (0, 1, 5)))

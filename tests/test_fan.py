@@ -231,7 +231,7 @@ class TestRayGraph:
 
     def test_dot_export(self, a3):
         dot = ray_adjacency_graph(a3).to_dot()
-        assert dot.startswith("graph ")
+        assert dot.splitlines()[0] == "graph rays {"
         assert dot.count(" -- ") == 15
         assert 'rank=2' in dot
 
@@ -294,9 +294,12 @@ class TestRayGraph:
         ray_adjacency_graph(d5)
         # the 2-partition connectivity test made 27,927 rank queries and
         # 10,206 closures here, and one closure per disjoint ray pair made
-        # 3,715; the pair test now reads the flat census
+        # 3,715; the pair test now reads the flat census. A greedy-basis
+        # test per ray made 172 closures; the rays' connectivity now comes
+        # off the walk, and the closures are those of the empty flat, of E,
+        # and of the greedy-basis test of E itself
         assert calls["rank_subset"] == 0
-        assert calls["closure_fast"] <= 200
+        assert calls["closure_fast"] == 9
 
 
 class TestGraphS:
@@ -331,6 +334,21 @@ class TestGraphS:
         counts = [rank_one_neighbor_count(M, e) for e in range(M.size)]
         assert counts == rank_one_counts_by_definition(f3_matroid(rows))
 
+    def test_rank_one_neighbor_count_reads_the_census_once(self, monkeypatch):
+        # each call rebuilt every neighbour list from the flats of rank at
+        # most 2; 120 calls on E8 took 0.43 s
+        d5 = coxeter_matroid("D5")
+        walk, levels = d5.flats_of_rank, []
+
+        def counted(k, **kwargs):
+            levels.append(k)
+            return walk(k, **kwargs)
+
+        monkeypatch.setattr(d5, "flats_of_rank", counted)
+        # (n-2)(n-3)+1 = 7 orthogonal roots, none on a line of three
+        assert [rank_one_neighbor_count(d5, e) for e in range(d5.size)] == [7] * 20
+        assert levels == [0, 1, 2]
+
     def test_graph_s_covers_from_one_walk(self, monkeypatch):
         d5 = coxeter_matroid("D5")
         calls = count_backend_calls(d5, monkeypatch)
@@ -338,6 +356,9 @@ class TestGraphS:
         # the rank-one edges come from the walk's two-element flats, with
         # no covers elimination per point
         assert calls["covers_fast"] == 322
+        # the empty flat the walk starts from; the hyperplanes' connectivity
+        # comes off the walk (a greedy-basis test per hyperplane made 149)
+        assert calls["closure_fast"] == 1
 
     @pytest.mark.parametrize("spec", ["D4", "D5", "B4", "F4"])
     def test_corank_one_matches_subset_sweep(self, spec):

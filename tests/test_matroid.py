@@ -407,6 +407,64 @@ class TestConnectivity:
         assert verdicts == {True, False}
 
 
+# every backend, parallel classes (D4/0, A3/0), a zero vector (loop+parallel)
+# and disconnected flats up to E itself (the direct sums)
+CONNECTIVITY_CASES = {
+    **WALK_CASES,
+    "A3/0": lambda: coxeter_matroid("A3").contract(0),
+    "loop+parallel": COVERS_CASES["loop+parallel"],
+    "direct-sum-6": _direct_sum_small,
+    "direct-sum-15": _direct_sum_large,
+}
+
+
+def assert_walk_connectivity(M, reference, *, exhaustive_up_to=9):
+    """M.is_connected on every flat against the greedy-basis oracle of a fresh copy."""
+    for F in all_flats(reference):
+        expected = reference._connected(F.elements)
+        assert M.is_connected(F.elements) == expected, F.sorted()
+        if len(F) <= exhaustive_up_to:
+            assert exhaustive_connected(reference, F.elements) == expected
+
+
+class TestConnectivityFromTheWalk:
+    @pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+    def test_walked_flats_match_the_oracle(self, name):
+        M, reference = CONNECTIVITY_CASES[name](), CONNECTIVITY_CASES[name]()
+        list(all_flats(M))
+        assert_walk_connectivity(M, reference)
+
+    @pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+    def test_walked_flats_need_no_backend_call(self, name, monkeypatch):
+        M = CONNECTIVITY_CASES[name]()
+        flats = list(all_flats(M))
+        calls = count_backend_calls(M, monkeypatch)
+        verdicts = {M.is_connected(F.elements) for F in flats}
+        assert verdicts == {True, False}
+        assert calls == {"rank_subset": 0, "closure_fast": 0, "covers_fast": 0}
+
+    @given(f3_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_walked_flats_of_f3_vectors(self, rows):
+        M = f3_matroid(rows)
+        list(all_flats(M))
+        assert_walk_connectivity(M, f3_matroid(rows))
+
+    @pytest.mark.parametrize("name, budget", [
+        ("D4/0", 20), ("loop+parallel", 3), ("direct-sum-15", 30), ("H3", 40),
+    ])
+    def test_after_a_walk_stopped_mid_level(self, name, budget):
+        M, reference = CONNECTIVITY_CASES[name](), CONNECTIVITY_CASES[name]()
+        with pytest.raises(BudgetExceeded):
+            M.flats_of_rank(M.full_rank(), max_covers=budget)
+        # the flats of the level it stopped in, and the levels it never
+        # reached, next to the complete ones
+        assert_walk_connectivity(M, reference)
+        # then the walk resumes from its last complete level
+        list(all_flats(M))
+        assert_walk_connectivity(M, reference)
+
+
 class TestMinors:
     def test_restriction_rank_identity(self, a3):
         sub = [0, 2, 3, 5]
