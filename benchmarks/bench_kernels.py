@@ -14,11 +14,18 @@ cl{a, b} \\ {a, b} built by one closure per pair against reading it off
 the line census (B5, E6, H4, E7), and the nodes and seconds of the
 exact-cover search on D6, E6, H4 and E7 (line census already built).
 
-The last table checks the connectivity of every flat of D5, B5 and E6
+The next table checks the connectivity of every flat of D5, B5 and E6
 twice, after the lattice walk (untimed): read off the walk
 (``Matroid.is_connected``) and by the greedy-basis oracle
 (``Matroid._connected``), with the seconds and the backend closures of
 each, and asserts that the two agree.
+
+The last table walks the flat lattice of D5, B5, K7 and E6 to rank r - 1
+twice: with each flat's cover state eliminated from scratch, and stepped
+from the state of the flat it was found from (``Matroid._walk_state``).
+It gives the pivot steps and the ``_reduce_int`` calls of each (counted
+in a separate untimed run) and the seconds, and asserts that both walks
+find the same levels.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -33,7 +40,7 @@ import time
 from cremfan import kernels
 from cremfan.cremona import _exact_cover_bases, _line_remainders
 from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
-from cremfan.generators import coxeter_matroid, positive_roots
+from cremfan.generators import coxeter_matroid, from_spec_string, positive_roots
 
 
 def _int_rows(family: str, n: int) -> list[tuple[int, ...]]:
@@ -126,6 +133,9 @@ def main() -> None:
     print()
     for spec in ("D5", "B5", "E6"):
         _bench_connectivity(spec, args.repeat)
+    print()
+    for spec in ("D5", "B5", "K7", "E6"):
+        _bench_stepped_walk(spec, args.repeat)
 
 
 def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int) -> None:
@@ -135,7 +145,7 @@ def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int)
         flats += level
         nxt = {}
         for F in level:
-            for group in covers(rows, F)[1]:
+            for group in covers(rows, F).groups:
                 G = sorted(F + group)
                 nxt.setdefault(tuple(G), G)
         level = list(nxt.values())
@@ -233,6 +243,57 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
         + f" walk {t_walk * 1e3:8.2f} ms {c_walk:5d} closures   oracle "
         f"{t_oracle * 1e3:8.2f} ms {c_oracle:5d} closures   x{t_oracle / t_walk:5.1f}"
         f"   {sum(verdicts)} connected"
+    )
+
+
+def _walk_levels(spec: str, stepped: bool):
+    # a fresh matroid walked to rank r - 1; from scratch, each flat's cover
+    # state is its own covers elimination
+    M = from_spec_string(spec)
+    if not stepped:
+        M._walk_state = lambda F: M.backend.covers_fast(F.sorted())
+    r = M.full_rank()
+    t0 = time.perf_counter()
+    M.flats_of_rank(r - 1)
+    seconds = time.perf_counter() - t0
+    return seconds, [[F.sorted() for F in M.flats_of_rank(k)] for k in range(r)]
+
+
+def _counted_walk(spec: str, stepped: bool) -> tuple[int, int]:
+    # pivot steps and reductions of one walk, with _reduce_int wrapped
+    counts = [0, 0]
+    reduce = kernels._reduce_int
+
+    def counted(vec, pivots, start=0):
+        counts[0] += len(pivots) - start
+        counts[1] += 1
+        return reduce(vec, pivots, start)
+
+    kernels._reduce_int = counted
+    try:
+        _walk_levels(spec, stepped)
+    finally:
+        kernels._reduce_int = reduce
+    return counts[0], counts[1]
+
+
+def _bench_stepped_walk(spec: str, repeat: int) -> None:
+    runs = {}
+    for stepped in (False, True):
+        best, levels = float("inf"), None
+        for _ in range(repeat):
+            seconds, levels = _walk_levels(spec, stepped)
+            best = min(best, seconds)
+        runs[stepped] = (best, levels, *_counted_walk(spec, stepped))
+    assert runs[False][1] == runs[True][1]
+    (t_scratch, levels, s_scratch, r_scratch), (t_step, _, s_step, r_step) = (
+        runs[False], runs[True]
+    )
+    print(
+        f"{spec} walk to rank {len(levels) - 1} ({sum(map(len, levels))} flats)".ljust(38)
+        + f" scratch {s_scratch:7d} steps {r_scratch:6d} reductions "
+        f"{t_scratch * 1e3:8.2f} ms   stepped {s_step:7d} steps {r_step:6d} "
+        f"reductions {t_step * 1e3:8.2f} ms   x{t_scratch / t_step:5.1f}"
     )
 
 

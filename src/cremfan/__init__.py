@@ -5,6 +5,7 @@ Subpackage map:
 * :mod:`cremfan.field` — exact scalars (Q, Q(sqrt5), F_p) and matrix helpers
 * :mod:`cremfan.kernels` — exact Bareiss and mod-p elimination kernels
 * :mod:`cremfan.matroid` — rank oracles, flats, minors, isomorphism search
+* :mod:`cremfan.circuits` — the check that a circuit list is a matroid's
 * :mod:`cremfan.generators` — Coxeter arrangements and named small matroids
 * :mod:`cremfan.fan` — Bergman fan membership, nested rays, the graph S
 * :mod:`cremfan.cremona` — Cremona bases, lattice maps, realizability

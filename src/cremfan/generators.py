@@ -376,7 +376,7 @@ def uniform(r: int, m: int) -> Matroid:
     if r < 0 or m < 0 or r > m:
         raise InputError(f"uniform matroid U_{{{r},{m}}} is not defined")
     circuits = [] if r == m else list(itertools.combinations(range(m), r + 1))
-    M = Matroid(CircuitBackend(m, circuits))
+    M = Matroid(CircuitBackend(m, circuits, checked=True))
     M.name = f"U_{r}_{m}"
     return M
 
@@ -627,8 +627,9 @@ def orbit(generators: Sequence, seed, *, max_size: int = 1_000_000) -> set:
 # Largest matroid a spec string may ask for; past a cap from_spec_string
 # raises BudgetExceeded before it builds anything.  On a 2-CPU VM `gen` at
 # the caps takes under a second (K20, 190 elements: 0.5 s; U:3,20, 4,845
-# circuits: 0.9 s), while K40 (780 elements) takes 8.6 s.  The largest specs
-# in use are E8 (120 elements) and U:2,9 (84 circuits).
+# circuits: 0.1 s, as a generated circuit list is not re-checked), while K40
+# (780 elements) takes 8.6 s.  The largest specs in use are E8 (120
+# elements) and U:2,9 (84 circuits).
 MAX_SPEC_ELEMENTS = 200
 MAX_SPEC_CIRCUITS = 5_000
 

@@ -18,10 +18,21 @@ Conventions:
   rows lying in the subset's span;
 * ``covers_*`` spans the rows of a flat once and reduces every other row
   modulo their span; rows whose reduced vectors are proportional span the
-  same cover of the flat. It returns ``(rank, groups)``: the flat's rank
-  and, per cover, the sorted indices of its rows outside the flat, ordered
-  by least index. Rows inside the span are skipped (a flat has none
-  outside it);
+  same cover of the flat. It returns the flat's *cover state*
+  (:class:`CoverState`): its pivots and, per cover, the sorted indices of
+  the cover's rows outside the flat (``groups``, ordered by least index)
+  and the reduced row of the least of them (``reps``). Rows inside the
+  span are skipped (a flat has none outside it);
+* ``cover_step_*(state, g)`` is the cover state of the flat's ``g``-th
+  cover G, by one more elimination step from the flat's state: that
+  cover's row becomes the next pivot, one step reduces the row of every
+  other cover, and covers whose rows become proportional merge. One row per
+  cover is enough: a cover C of F other than G meets G in F, and for e in
+  C - F the closure of G + e contains C, so all of C - F lies in one
+  cover of G;
+* ``_reduce_*(v, pivots, start)`` continues a row already reduced by
+  ``pivots[:start]`` with the rest of the pivots; from ``start = 0`` it is
+  the full reduction;
 * ``det_int`` is the determinant of a square integer matrix.
 
 Over Z and Z[sqrt5] the step is Bareiss fraction-free elimination: every
@@ -31,7 +42,10 @@ is exact over any integral domain, in any order of pivot columns. Over F_p
 pivots are scaled to a leading 1. Reducing a row multiplies it by one
 nonzero scalar and subtracts a vector of the span, so the reduction is
 linear and two reduced rows are proportional exactly when the rows span
-the same cover.
+the same cover. A row carries no memory of where its reduction stopped:
+over Z the next step divides by the lead entry of pivot ``start - 1``, over
+Z[sqrt5] by that pivot's lead (a, b) pair, and over F_p nothing carries
+over, so a stepped row equals the row reduced in one go by the same pivots.
 """
 
 from __future__ import annotations
@@ -67,16 +81,59 @@ def _closure(rows, subset, reduce, width: int) -> tuple[int, list[int]]:
     ]
 
 
-def _covers(rows, flat, reduce, width: int, key) -> tuple[int, list[list[int]]]:
+class CoverState:
+    """A flat's pivots and, per cover, its rows outside the flat and the
+    reduced row of the least of them."""
+
+    __slots__ = ("pivots", "groups", "reps")
+
+    def __init__(self, pivots: list[tuple[int, list[int]]], groups: list[list[int]],
+                 reps: list[list[int]]):
+        self.pivots, self.groups, self.reps = pivots, groups, reps
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _covers(rows, flat, reduce, width: int, key) -> CoverState:
     pivots = _pivots([rows[i] for i in flat], reduce, width)
     inside = set(flat)
-    groups: dict[tuple, list[int]] = {}
+    covers: dict[tuple, tuple[list[int], list[int]]] = {}
     for i, row in enumerate(rows):
         if i not in inside:
             v = reduce(row, pivots)
             if any(v):
-                groups.setdefault(key(v), []).append(i)
-    return len(pivots), list(groups.values())
+                k = key(v)
+                if k in covers:
+                    covers[k][0].append(i)
+                else:
+                    covers[k] = ([i], v)
+    return CoverState(
+        pivots, [g for g, _ in covers.values()], [v for _, v in covers.values()]
+    )
+
+
+def _cover_step(state: CoverState, g: int, reduce, key) -> CoverState:
+    pivots, groups, reps = state.pivots, state.groups, state.reps
+    v = reps[g]
+    pivots = [*pivots, (v.index(next(filter(None, v))), v)]
+    start = len(pivots) - 1
+    at: dict[tuple, int] = {}
+    merged, kept = [], []
+    for group, rep in zip(groups[:g] + groups[g + 1:], reps[:g] + reps[g + 1:]):
+        w = reduce(rep, pivots, start)
+        k = key(w)
+        j = at.get(k)
+        if j is None:
+            at[k] = len(merged)
+            merged.append(group)
+            kept.append(w)
+        else:
+            # a new list: the parent state's lists are shared with its
+            # other covers; the merged cover keeps its least row
+            merged[j] = sorted(merged[j] + group)
+    return CoverState(pivots, merged, kept)
 
 
 def _width(rows, step: int = 1) -> int:
@@ -94,10 +151,14 @@ def _primitive_key(v) -> tuple[int, ...]:
 # -- Z -----------------------------------------------------------------------
 
 
-def _reduce_int(vec, pivots) -> list[int]:
+def _reduce_int(vec, pivots, start: int = 0) -> list[int]:
     v = list(vec)
     n = len(v)
     prev = 1
+    if start:
+        c, row = pivots[start - 1]
+        prev = row[c]
+        pivots = pivots[start:]
     for c, row in pivots:
         pivot, vc = row[c], v[c]
         for j in range(n):
@@ -116,9 +177,13 @@ def closure_int(rows, subset) -> tuple[int, list[int]]:
     return _closure(rows, subset, _reduce_int, _width(rows))
 
 
-def covers_int(rows, flat) -> tuple[int, list[list[int]]]:
+def covers_int(rows, flat) -> CoverState:
     rows = list(rows)
     return _covers(rows, flat, _reduce_int, _width(rows), _primitive_key)
+
+
+def cover_step_int(state: CoverState, g: int) -> CoverState:
+    return _cover_step(state, g, _reduce_int, _primitive_key)
 
 
 def det_int(rows) -> int:
@@ -143,9 +208,14 @@ def det_int(rows) -> int:
 # -- Z[sqrt5]: coordinates are (a, b) pairs at flat positions 2j, 2j+1 -------
 
 
-def _reduce_quad(vec, pivots) -> list[int]:
+def _reduce_quad(vec, pivots, start: int = 0) -> list[int]:
     v = list(vec)
     pa, pb = 1, 0  # previous pivot, starts at 1
+    if start:
+        c, row = pivots[start - 1]
+        ca = c - c % 2
+        pa, pb = row[ca], row[ca + 1]
+        pivots = pivots[start:]
     for c, row in pivots:
         ca = c - c % 2  # the pivot coordinate's a position
         va, vb = row[ca], row[ca + 1]
@@ -187,18 +257,22 @@ def closure_quad(rows, subset) -> tuple[int, list[int]]:
     return _closure(rows, subset, _reduce_quad, _width(rows, 2))
 
 
-def covers_quad(rows, flat) -> tuple[int, list[list[int]]]:
+def covers_quad(rows, flat) -> CoverState:
     rows = list(rows)
     return _covers(rows, flat, _reduce_quad, _width(rows, 2), _quad_key)
+
+
+def cover_step_quad(state: CoverState, g: int) -> CoverState:
+    return _cover_step(state, g, _reduce_quad, _quad_key)
 
 
 # -- F_p ---------------------------------------------------------------------
 
 
-def _reduce_mod(vec, pivots, p: int) -> list[int]:
+def _reduce_mod(vec, pivots, start: int = 0, *, p: int) -> list[int]:
     """The reduced row, scaled to a leading 1 (so pivots are monic)."""
     v = [x % p for x in vec]
-    for c, row in pivots:
+    for c, row in pivots[start:] if start else pivots:
         f = v[c]
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
@@ -219,6 +293,10 @@ def closure_mod(rows, p: int, subset) -> tuple[int, list[int]]:
     return _closure(rows, subset, partial(_reduce_mod, p=p), _width(rows))
 
 
-def covers_mod(rows, p: int, flat) -> tuple[int, list[list[int]]]:
+def covers_mod(rows, p: int, flat) -> CoverState:
     rows = list(rows)
     return _covers(rows, flat, partial(_reduce_mod, p=p), _width(rows), tuple)
+
+
+def cover_step_mod(state: CoverState, p: int, g: int) -> CoverState:
+    return _cover_step(state, g, partial(_reduce_mod, p=p), tuple)

@@ -6,14 +6,17 @@ the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. Rank, closure and connectivity queries are
 memoized per matroid. The lattice walk (``Matroid.flats_of_rank``) records
-the flat each new flat was first found from, and the connectivity of every
-flat it found is read off those records and its census, with no rank or
-closure query; other flats go through a greedy-basis oracle.
+the flat each new flat was first found from. On a vector matroid it steps
+each flat's cover state from that flat's, keeping one state per rank, and
+the connectivity of every flat it found is read off those records and its
+census, with no rank or closure query; other flats go through a
+greedy-basis oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -134,17 +137,20 @@ class VectorBackend:
             self._rank = kernels.rank_int
             self._closure = kernels.closure_int
             self._covers = kernels.covers_int
+            self._step = kernels.cover_step_int
         elif field.kind == "Qsqrt5":
             self._rows = [primitive_quad_vector(v) for v in self.vectors]
             self._rank = kernels.rank_quad
             self._closure = kernels.closure_quad
             self._covers = kernels.covers_quad
+            self._step = kernels.cover_step_quad
         else:
             p = field.p
             self._rows = [residue_vector(v) for v in self.vectors]
             self._rank = lambda rows: kernels.rank_mod(rows, p)
             self._closure = lambda rows, sub: kernels.closure_mod(rows, p, sub)
             self._covers = lambda rows, flat: kernels.covers_mod(rows, p, flat)
+            self._step = lambda state, g: kernels.cover_step_mod(state, p, g)
 
     @property
     def size(self) -> int:
@@ -156,9 +162,13 @@ class VectorBackend:
     def closure_fast(self, subset: tuple[int, ...]):
         return self._closure(self._rows, list(subset))
 
-    def covers_fast(self, flat: tuple[int, ...]):
-        """(rank, groups): per cover of the flat, its elements outside it."""
+    def covers_fast(self, flat: tuple[int, ...]) -> kernels.CoverState:
+        """The flat's cover state, from scratch: per cover, its elements outside it."""
         return self._covers(self._rows, list(flat))
+
+    def cover_step(self, state: kernels.CoverState, g: int) -> kernels.CoverState:
+        """The cover state of the g-th cover, by one step from the flat's."""
+        return self._step(state, g)
 
 
 class LineBackend:
@@ -214,11 +224,17 @@ class LineBackend:
 
 
 class CircuitBackend:
-    """Rank via greedy independence over an explicit circuit list."""
+    """Rank via greedy independence over an explicit circuit list.
+
+    The list must be the circuits of a matroid: an antichain that satisfies
+    circuit elimination. Both are checked unless ``checked`` says the
+    caller built the list from a matroid.
+    """
 
     name = "circuits"
 
-    def __init__(self, size: int, circuits: Iterable[Iterable[int]]):
+    def __init__(self, size: int, circuits: Iterable[Iterable[int]], *,
+                 checked: bool = False):
         self.size = size
         seen = set()
         self.circuit_list: list[frozenset[int]] = []
@@ -231,9 +247,11 @@ class CircuitBackend:
             if C not in seen:
                 seen.add(C)
                 self.circuit_list.append(C)
-        for C, D in itertools.combinations(self.circuit_list, 2):
-            if C < D or D < C:
-                raise InputError("circuit list is not an antichain")
+        if not checked:
+            # imported here: a job that checks no list does not compile it
+            from .circuits import check_circuit_axioms
+
+            check_circuit_axioms(size, self.circuit_list)
         self._by_element: list[list[frozenset[int]]] = [[] for _ in range(size)]
         for C in self.circuit_list:
             for e in C:
@@ -291,6 +309,8 @@ class Matroid:
         self._flats_cache: dict[int, tuple[Flat, ...]] = {}
         # per flat the walk found, the flat it covers that the walk found it from
         self._found_from: dict[frozenset[int], Flat] = {}
+        # per rank, the last walked flat whose cover state was derived, with it
+        self._walk_states: dict[int, tuple[Flat, kernels.CoverState]] = {}
         self._census_levels: dict[int, set[frozenset[int]]] = {}
         self._components_cache: dict[frozenset[int], tuple[tuple[frozenset[int], int], ...]] = {}
 
@@ -380,17 +400,7 @@ class Matroid:
     def _covers(self, F: frozenset[int]):
         fast = getattr(self.backend, "covers_fast", None)
         if fast is not None:
-            # one elimination for all covers; each is cached under its own
-            # elements only, so the caches grow with the flats, not with the
-            # cover relations
-            r, groups = fast(tuple(sorted(F)))
-            for group in groups:
-                G = F.union(group)
-                flat = self._closure_cache.get(G)
-                if flat is None:
-                    flat = self._closure_cache[G] = Flat(G, r + 1)
-                    self._rank_cache[G] = r + 1
-                yield flat
+            yield from self._cover_flats(F, fast(tuple(sorted(F))))
             return
         # One closure per cover: for every e in G \ F, cl(F + e) is a flat of
         # rank r(F) + 1 inside G = cl(F + e0), so it is G itself.
@@ -401,16 +411,64 @@ class Matroid:
                 seen.update(G.elements)
                 yield G
 
+    def _cover_flats(self, F: frozenset[int], state: kernels.CoverState):
+        # each cover is cached under its own elements only, so the caches
+        # grow with the flats, not with the cover relations
+        r = state.rank + 1
+        for group in state.groups:
+            G = F.union(group)
+            flat = self._closure_cache.get(G)
+            if flat is None:
+                flat = self._closure_cache[G] = Flat(G, r)
+                self._rank_cache[G] = r
+            yield flat
+
+    def _walk_state(self, F: Flat) -> kernels.CoverState:
+        """The cover state of a walked flat, stepped from its parent's.
+
+        Climbs the flats F was found from until one whose state is the one
+        kept at its rank (or the first flat of the walk, whose state is
+        made from scratch), then steps back down, keeping each state it
+        makes as the one of its rank. On every matroid measured (the
+        Coxeter types to rank 6, K7, random F_p rows) the flats found from
+        one parent come in one run of a sorted level, so each state is made
+        once per level; O(r) states are alive.
+        """
+        chain = []
+        while True:
+            kept = self._walk_states.get(F.rank)
+            if kept is not None and kept[0] is F:
+                state = kept[1]
+                break
+            parent = self._found_from.get(F.elements)
+            if parent is None:
+                state = self.backend.covers_fast(F.sorted())
+                self._walk_states[F.rank] = (F, state)
+                break
+            chain.append(F)
+            F = parent
+        for G in reversed(chain):
+            # the groups are ordered by least element, so [least] sorts
+            # just before (or equals) the one group that starts with it
+            g = bisect_left(state.groups, [min(G.elements - F.elements)])
+            state = self.backend.cover_step(state, g)
+            self._walk_states[G.rank] = (G, state)
+            F = G
+        return state
+
     def flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
         """All rank-k flats, canonically ordered by sorted element tuple.
 
         Walks the lattice upward through the covers of each flat, from the
         highest level already known; every level it completes is kept.
-        On a vector matroid the covers of a flat come from one elimination,
-        elsewhere from one closure per cover. ``max_covers`` caps the covers
-        this walk issues: past it the walk raises BudgetExceeded with the
-        rank level and the flats it reached. Each new flat is recorded with
-        the flat it was first found from, for ``is_connected``.
+        Each new flat is recorded with the flat it was first found from,
+        for ``is_connected``. On a vector matroid the covers of a flat come
+        from its cover state (``kernels.CoverState``), which one elimination
+        step derives from the state of the flat it was found from
+        (``_walk_state``); only the first flat of the walk is eliminated
+        from scratch. Elsewhere they come from one closure per cover.
+        ``max_covers`` caps the covers this walk issues: past it the walk
+        raises BudgetExceeded with the rank level and the flats it reached.
         """
         if not 0 <= k <= self.full_rank():
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
@@ -418,6 +476,7 @@ class Matroid:
             raise InputError(f"max_covers must be non-negative, got {max_covers}")
         if not self._flats_cache:
             self._flats_cache[0] = (self.closure(()),)
+        stepped = getattr(self.backend, "covers_fast", None) is not None
         j = max(i for i in self._flats_cache if i <= k)
         level = self._flats_cache[j]
         issued = 0
@@ -425,7 +484,11 @@ class Matroid:
         for rank in range(j + 1, k + 1):
             found: dict[frozenset[int], Flat] = {}
             for F in level:
-                for G in self._covers(F.elements):
+                if stepped:
+                    covers = self._cover_flats(F.elements, self._walk_state(F))
+                else:
+                    covers = self._covers(F.elements)
+                for G in covers:
                     issued += 1
                     if max_covers is not None and issued > max_covers:
                         raise BudgetExceeded(
@@ -674,7 +737,8 @@ def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
         if joint in C2
     ]
     size = len(left) + 1 + len(right)
-    return Matroid(CircuitBackend(size, c1 + c2 + mixed), labels)
+    # the circuits of a parallel connection, so the list needs no check
+    return Matroid(CircuitBackend(size, c1 + c2 + mixed, checked=True), labels)
 
 
 # ---------------------------------------------------------------------------

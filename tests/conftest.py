@@ -83,16 +83,17 @@ def exhaustive_connected(M, F):
 
 
 def count_backend_calls(M, monkeypatch):
-    """Live counts of the backend rank, closure and covers calls M makes from now on."""
-    counts = {"rank_subset": 0, "closure_fast": 0, "covers_fast": 0}
+    """Live counts of the backend rank, closure, covers and cover-step calls
+    M makes from now on."""
+    counts = {"rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0}
     for name in counts:
         method = getattr(M.backend, name, None)
         if method is None:
             continue
 
-        def counted(subset, name=name, method=method):
+        def counted(*args, name=name, method=method):
             counts[name] += 1
-            return method(subset)
+            return method(*args)
 
         monkeypatch.setattr(M.backend, name, counted, raising=False)
     return counts

@@ -14,8 +14,8 @@ import time
 import pytest
 
 from cremfan.cli import main
-from cremfan.generators import a3_arrangement, coxeter_matroid
-from cremfan.serialize import load_matroid
+from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
+from cremfan.serialize import load_matroid, matroid_to_dict
 
 
 def run(capsys, *argv):
@@ -397,10 +397,14 @@ class TestBadInput:
         (_doc("lines", [[0, 1]]), "a listed line needs at least 3 points"),
         (_doc("circuits", [[]]), "empty circuit"),
         (_doc("circuits", [[0, 1], [0, 1, 2]]), "circuit list is not an antichain"),
+        (_doc("circuits", [[0, 1], [1, 2]]),
+         "circuits [0, 1] and [1, 2] share 1, but no circuit through 0 lies in "
+         "their union without it: the list breaks circuit elimination"),
         (_doc("circuits", 5), "field 'data' must be a list"),
         ("[1, 2, 3]", "matroid document must be a JSON object"),
     ], ids=["vector-count", "vector-not-list", "mixed-dimension", "two-point-line",
-            "empty-circuit", "not-antichain", "data-not-list", "not-an-object"])
+            "empty-circuit", "not-antichain", "no-elimination", "data-not-list",
+            "not-an-object"])
     def test_bad_matroid_file_is_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -408,6 +412,17 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert f"error: {message}" in err
+
+    def test_circuit_list_past_the_check_budget_is_exit_3(self, tmp_path, capsys):
+        # U:3,20 has 4,845 circuits: 11.7 million pairs to compare
+        path = tmp_path / "u320.json"
+        path.write_text(json.dumps(matroid_to_dict(uniform(3, 20))))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "fan", str(path), "--rays")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert out == ""
+        assert "error: budget exceeded: checking the 4845 circuits" in err
 
     @pytest.mark.parametrize("basis, message", [
         (",", "empty element list"),

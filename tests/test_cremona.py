@@ -353,13 +353,15 @@ class TestEnumerateAgainstBruteForce:
 
     @pytest.mark.parametrize("spec", ["K7", "B5"])
     def test_remainder_table_from_line_census(self, spec, monkeypatch):
-        # n + 1 covers eliminations (the points, then the lines through
-        # each point) and no pair closure; a closure per pair makes C(n, 2)
+        # one covers elimination (the points), one step to the lines
+        # through each point, and no pair closure; a closure per pair
+        # makes C(n, 2)
         source = complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec)
         M = matroid_from_dict(matroid_to_dict(source))
         counts = count_backend_calls(M, monkeypatch)
         rem, _through = _line_remainders(M)
-        assert counts["covers_fast"] == M.size + 1
+        assert counts["covers_fast"] == 1
+        assert counts["cover_step"] == M.size
         assert counts["closure_fast"] == 1  # the empty flat the walk starts from
         monkeypatch.undo()
         for a, b in combinations(range(M.size), 2):
@@ -369,12 +371,13 @@ class TestEnumerateAgainstBruteForce:
 
     def test_enumeration_eliminates_the_empty_flat_once(self, monkeypatch):
         # the simplicity check and the line census share the walk's points:
-        # n + 1 covers eliminations, where eliminating the empty flat in
-        # each of them made n + 2
+        # one covers elimination and one step per point, where eliminating
+        # the empty flat in each of them made two
         M = matroid_from_dict(matroid_to_dict(complete_graph_matroid(7)))
         counts = count_backend_calls(M, monkeypatch)
         assert len(enumerate_cremona_bases(M)) == 7
-        assert counts["covers_fast"] == M.size + 1
+        assert counts["covers_fast"] == 1
+        assert counts["cover_step"] == M.size
 
 
 class TestCremMap:

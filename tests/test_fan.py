@@ -354,8 +354,10 @@ class TestGraphS:
         calls = count_backend_calls(d5, monkeypatch)
         graph_S(d5)
         # the rank-one edges come from the walk's two-element flats, with
-        # no covers elimination per point
-        assert calls["covers_fast"] == 322
+        # no covers elimination per point: the simplicity check's and the
+        # walk's eliminations of the empty flat, and the walk's steps
+        assert calls["covers_fast"] == 2
+        assert calls["cover_step"] == 427
         # the empty flat the walk starts from; the hyperplanes' connectivity
         # comes off the walk (a greedy-basis test per hyperplane made 149)
         assert calls["closure_fast"] == 1

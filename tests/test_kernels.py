@@ -1,11 +1,16 @@
 """Elimination kernels: worked examples and correctness oracles."""
 
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
 from cremfan.field import Field, QuadSqrt5, determinant, matrix_rank
 from cremfan.kernels import (
+    _pivots,
+    _reduce_int,
+    _reduce_mod,
+    _reduce_quad,
     closure_int,
     closure_mod,
     closure_quad,
@@ -85,6 +90,10 @@ def _rows_of_width(width):
 # the width is drawn first, so no example is filtered away
 same_width = st.integers(min_value=1, max_value=5).flatmap(_rows_of_width)
 even_width = st.integers(min_value=1, max_value=2).flatmap(lambda n: _rows_of_width(2 * n))
+# up to three Z[sqrt5] coordinates, so a row can stay nonzero past two pivots
+wider_even_width = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: _rows_of_width(2 * n)
+)
 
 
 def covers_by_closure(closure, rows, flat):
@@ -99,35 +108,40 @@ def covers_by_closure(closure, rows, flat):
     return groups
 
 
+def rank_groups(state):
+    """A cover state's rank and its covers' elements outside the flat."""
+    return state.rank, state.groups
+
+
 class TestCoversKernel:
     def test_covers_known(self):
         # (0,1,1), (2,3,2) = (2,1,0) + 2(0,1,1) and (2,-1,-2) reduce modulo
         # (2,1,0) to (0,2,2), (0,4,4) and (0,-4,-4): one cover once the gcd
         # and the sign are divided out
         rows = [(2, 1, 0), (0, 1, 1), (2, 3, 2), (2, -1, -2), (0, 0, 1), (1, 0, 0)]
-        assert covers_int(rows, [0]) == (1, [[1, 2, 3], [4], [5]])
-        assert covers_int(rows, []) == (0, [[0], [1], [2], [3], [4], [5]])
+        assert rank_groups(covers_int(rows, [0])) == (1, [[1, 2, 3], [4], [5]])
+        assert rank_groups(covers_int(rows, [])) == (0, [[0], [1], [2], [3], [4], [5]])
 
     def test_covers_mod_scales_to_monic(self):
         rows = [(1, 0, 0), (0, 1, 0), (0, 2, 1), (0, 1, 2), (1, 2, 0)]
         # modulo (1,0,0): (0,1,2) = 2(0,2,1) mod 3 but not mod 5, and row 4
         # reduces to (0,2,0), which scales to row 1
-        assert covers_mod(rows, 3, [0]) == (1, [[1, 4], [2, 3]])
-        assert covers_mod(rows, 5, [0]) == (1, [[1, 4], [2], [3]])
+        assert rank_groups(covers_mod(rows, 3, [0])) == (1, [[1, 4], [2, 3]])
+        assert rank_groups(covers_mod(rows, 5, [0])) == (1, [[1, 4], [2], [3]])
 
     def test_covers_quad_divides_out_sqrt5(self):
         # (w, 5, 0) = w * (1, w, 0) and (0, 0, 1 + w) = (1 + w) * (0, 0, 1)
         rows = [(1, 0, 0, 1, 0, 0), (0, 1, 5, 0, 0, 0), (0, 0, 0, 0, 1, 1),
                 (0, 0, 0, 0, 1, 0)]
-        assert covers_quad(rows, []) == (0, [[0, 1], [2, 3]])
-        assert covers_quad(rows, [2, 3]) == (1, [[0, 1]])
+        assert rank_groups(covers_quad(rows, [])) == (0, [[0, 1], [2, 3]])
+        assert rank_groups(covers_quad(rows, [2, 3])) == (1, [[0, 1]])
 
     @given(same_width)
     @settings(max_examples=150, deadline=None)
     def test_covers_int_matches_closures(self, rows):
         rows = [tuple(r) for r in rows]
         rank, flat = closure_int(rows, list(range(0, len(rows), 2)))
-        assert covers_int(rows, flat) == (
+        assert rank_groups(covers_int(rows, flat)) == (
             rank, covers_by_closure(closure_int, rows, flat)
         )
 
@@ -137,16 +151,45 @@ class TestCoversKernel:
         rows = [tuple(x % p for x in r) for r in rows]
         rank, flat = closure_mod(rows, p, list(range(0, len(rows), 2)))
         closure = lambda rows, sub: closure_mod(rows, p, sub)
-        assert covers_mod(rows, p, flat) == (rank, covers_by_closure(closure, rows, flat))
+        assert rank_groups(covers_mod(rows, p, flat)) == (
+            rank, covers_by_closure(closure, rows, flat)
+        )
 
     @given(even_width)
     @settings(max_examples=150, deadline=None)
     def test_covers_quad_matches_closures(self, rows):
         rows = [tuple(r) for r in rows]
         rank, flat = closure_quad(rows, list(range(0, len(rows), 2)))
-        assert covers_quad(rows, flat) == (
+        assert rank_groups(covers_quad(rows, flat)) == (
             rank, covers_by_closure(closure_quad, rows, flat)
         )
+
+
+class TestReduceFromStart:
+    """A row reduced by the first pivots, then by the rest from ``start``,
+    is the row reduced by all of them at once."""
+
+    @staticmethod
+    def _check(rows, reduce):
+        pivots = _pivots(rows[:-1], reduce, len(rows[0]))
+        v = rows[-1]
+        for start in range(len(pivots) + 1):
+            assert reduce(reduce(v, pivots[:start]), pivots, start) == reduce(v, pivots)
+
+    @given(same_width)
+    @settings(max_examples=100, deadline=None)
+    def test_int(self, rows):
+        self._check([tuple(r) for r in rows], _reduce_int)
+
+    @given(wider_even_width)
+    @settings(max_examples=100, deadline=None)
+    def test_quad(self, rows):
+        self._check([tuple(r) for r in rows], _reduce_quad)
+
+    @given(same_width, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_mod(self, rows, p):
+        self._check([tuple(x % p for x in r) for r in rows], partial(_reduce_mod, p=p))
 
 
 class TestFieldOracle:
@@ -184,7 +227,7 @@ class TestPivotColumnsOutOfOrder:
         assert rank_int(rows) == 3
         assert closure_int(rows, [0]) == (1, [0, 2])
         assert closure_int(rows, [0, 1]) == (2, [0, 1, 2, 3])
-        assert covers_int(rows, [0, 2]) == (1, [[1, 3], [4]])
+        assert rank_groups(covers_int(rows, [0, 2])) == (1, [[1, 3], [4]])
 
     def test_quad(self):
         # (0, 1, w), (0, w, 5) = w * row 0, (1, 0, 0), row 0 + row 2, (0, 0, 1)
@@ -194,7 +237,7 @@ class TestPivotColumnsOutOfOrder:
         assert rank_quad(rows) == 3
         assert closure_quad(rows, [0]) == (1, [0, 1])
         assert closure_quad(rows, [0, 2]) == (2, [0, 1, 2, 3])
-        assert covers_quad(rows, [0, 1]) == (1, [[2, 3], [4]])
+        assert rank_groups(covers_quad(rows, [0, 1])) == (1, [[2, 3], [4]])
 
     def test_mod(self):
         # mod 3: row 2 = 2 * row 0, row 3 = row 0 + row 1
@@ -203,7 +246,7 @@ class TestPivotColumnsOutOfOrder:
         assert rank_mod(rows, 3) == 3
         assert closure_mod(rows, 3, [0]) == (1, [0, 2])
         assert closure_mod(rows, 3, [0, 1]) == (2, [0, 1, 2, 3])
-        assert covers_mod(rows, 3, [0, 2]) == (1, [[1, 3], [4]])
+        assert rank_groups(covers_mod(rows, 3, [0, 2])) == (1, [[1, 3], [4]])
 
 
 def _square(n):

@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from cremfan import circuits as circuits_module
 from cremfan.errors import BudgetExceeded, InputError
 from cremfan.field import Field
 from cremfan.generators import (
@@ -257,10 +258,24 @@ class TestLatticeWalk:
         calls = count_backend_calls(d5, monkeypatch)
         d5.flats_of_rank(4)
         below = sum(len(d5.flats_of_rank(k)) for k in range(4))
-        # the closure of the empty set, then one covers call per flat of
-        # rank at most 3, and no rank query
         assert below == 321
-        assert calls == {"rank_subset": 0, "closure_fast": 1, "covers_fast": 321}
+        # walking level k steps to the state of each of its flats, and to
+        # that of each flat of rank 1 to k - 1 they were found from, once
+        ancestors = []
+        for k in range(1, 4):
+            found = set()
+            for F in d5.flats_of_rank(k):
+                P = d5._found_from[F.elements]
+                while P.rank:
+                    found.add(P.elements)
+                    P = d5._found_from[P.elements]
+            ancestors.append(len(found))
+        assert ancestors == [0, 18, 89]
+        # the closure of the empty set and its one covers elimination from
+        # scratch, 320 + 107 single steps, and no rank query
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": 427
+        }
 
     def test_one_backend_closure_per_cover(self, monkeypatch):
         # the closure-per-cover path of backends without covers_fast
@@ -306,6 +321,60 @@ class TestLatticeWalk:
             d4.flats_of_rank(k)
 
 
+def _k7_over_f101():
+    doc = matroid_to_dict(complete_graph_matroid(7))
+    doc["field"] = "Fp:101"
+    return matroid_from_dict(doc)
+
+
+# Vector matroids over each domain for the stepped cover states: loops and a
+# parallel pair, reduced rows with a common factor (Z), D4, H3 (Z[sqrt5]),
+# B3 over F_3, K7 over F_101 and a direct sum.
+STEPPED_CASES = {
+    "loop+parallel": COVERS_CASES["loop+parallel"],
+    "scaled": COVERS_CASES["scaled"],
+    "D4": COVERS_CASES["D4"],
+    "H3": COVERS_CASES["H3"],
+    "B3/Fp:3": COVERS_CASES["B3/Fp:3"],
+    "K7/Fp:101": _k7_over_f101,
+    "direct-sum": _direct_sum_small,
+}
+
+
+def assert_stepped_states(M):
+    """Every walked flat's stepped cover state has the from-scratch covers."""
+    r = M.full_rank()
+    M.flats_of_rank(r)
+    for k in range(r + 1):
+        for F in M.flats_of_rank(k):
+            stepped, scratch = M._walk_state(F), M.backend.covers_fast(F.sorted())
+            assert stepped.rank == scratch.rank == k
+            assert stepped.groups == scratch.groups
+
+
+class TestSteppedCovers:
+    @pytest.mark.parametrize("name", sorted(STEPPED_CASES))
+    def test_stepped_states_match_from_scratch(self, name):
+        assert_stepped_states(STEPPED_CASES[name]())
+
+    @given(f3_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_stepped_states_of_f3_vectors(self, rows):
+        assert_stepped_states(f3_matroid(rows))
+
+    def test_each_level_keeps_one_state_per_rank(self):
+        d5 = coxeter_matroid("D5")
+        d5.flats_of_rank(4)
+        # the last flat of rank 3, and the flats it was found from
+        assert sorted(d5._walk_states) == [0, 1, 2, 3]
+        G = d5.flats_of_rank(3)[-1]
+        for k in (3, 2, 1):
+            F, _state = d5._walk_states[k]
+            assert F is G
+            G = d5._found_from.get(G.elements)
+        assert d5._walk_states[0][0] is G is d5.flats_of_rank(0)[0]
+
+
 class TestBackends:
     def test_vector_backend_fields_agree_on_regular_matroid(self):
         # signed incidence columns of the 4-vertex complete graph are
@@ -330,6 +399,67 @@ class TestBackends:
     def test_line_backend_rejects_overlapping_lines(self):
         with pytest.raises(InputError):
             LineBackend(5, [(0, 1, 2), (0, 1, 3)])
+
+    def test_circuit_backend_refuses_a_non_matroid_list(self):
+        # {0, 1} and {1, 2} share 1 and no listed circuit lies in {0, 2}; as a
+        # rank oracle the list gave r{0} = r{1} = 1 and r{0, 2} = 2
+        with pytest.raises(InputError, match="circuit elimination"):
+            CircuitBackend(3, [{0, 1}, {1, 2}])
+        M = Matroid(CircuitBackend(3, [{0, 1}, {1, 2}, {0, 2}]))  # U_{1,3}
+        assert [M.rank({e}) for e in range(3)] == [1, 1, 1]
+        assert M.rank({0, 2}) == 1
+
+    @pytest.mark.parametrize("name", ["fano-lines", "K5", "U:2,4", "U:0,3", "U:1,3"])
+    def test_circuit_backend_accepts_matroid_circuits(self, name):
+        M = CENSUS_CASES[name]()
+        N = Matroid(CircuitBackend(M.size, M.circuits()))
+        assert all(N.rank(S) == M.rank(S) for S in all_subsets(M))
+
+    @pytest.mark.parametrize("glue", [
+        lambda: parallel_connection(uniform(2, 4), 0, uniform(1, 3), 0),
+        lambda: parallel_connection(fano(), 0, complete_graph_matroid(4), 0),
+    ], ids=["U24+U13", "fano+K4"])
+    def test_parallel_connection_passes_the_check(self, glue):
+        # parallel_connection builds its list unchecked; the check accepts it
+        glued = glue()
+        checked = Matroid(CircuitBackend(glued.size, glued.circuits()))
+        assert all(checked.rank(S) == glued.rank(S) for S in all_subsets(glued))
+
+    @given(st.lists(st.frozensets(st.integers(0, 4), min_size=1), max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_circuit_check_is_circuit_elimination(self, sets):
+        antichain = list({C for C in sets if not any(D < C for D in sets)})
+        eliminates = all(
+            any(K <= (C | D) - {e} for K in antichain)
+            for C, D in itertools.combinations(antichain, 2)
+            for e in C & D
+        )
+        try:
+            backend = CircuitBackend(5, antichain)
+        except InputError as exc:
+            assert not eliminates and "circuit elimination" in str(exc)
+            return
+        assert eliminates
+        # the minimal dependent sets of the rank oracle are the list itself
+        rank = Matroid(backend).rank
+        dependent = [
+            frozenset(S) for k in range(6) for S in itertools.combinations(range(5), k)
+            if rank(S) < len(S)
+        ]
+        minimal = {C for C in dependent if not any(D < C for D in dependent)}
+        assert minimal == set(antichain)
+
+    def test_circuit_check_budget(self, monkeypatch):
+        circuits = uniform(2, 9).circuits()  # 84 circuits, 3,486 pairs
+        monkeypatch.setattr(circuits_module, "MAX_CIRCUIT_CHECKS", 3_485)
+        with pytest.raises(BudgetExceeded, match="84 circuits"):
+            CircuitBackend(9, circuits)
+        # past the pairs, the budget also counts the elimination tests
+        monkeypatch.setattr(circuits_module, "MAX_CIRCUIT_CHECKS", 3_486)
+        with pytest.raises(BudgetExceeded, match="84 circuits"):
+            CircuitBackend(9, circuits)
+        monkeypatch.setattr(circuits_module, "MAX_CIRCUIT_CHECKS", 10 ** 6)
+        assert Matroid(CircuitBackend(9, circuits)).full_rank() == 2
 
     def test_circuit_backend_uniform(self, u23):
         assert u23.rank([0, 1]) == 2
@@ -441,7 +571,9 @@ class TestConnectivityFromTheWalk:
         calls = count_backend_calls(M, monkeypatch)
         verdicts = {M.is_connected(F.elements) for F in flats}
         assert verdicts == {True, False}
-        assert calls == {"rank_subset": 0, "closure_fast": 0, "covers_fast": 0}
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0
+        }
 
     @given(f3_vector_rows())
     @settings(max_examples=60, deadline=None)
@@ -507,7 +639,9 @@ class TestMinors:
         d5 = coxeter_matroid("D5")
         calls = count_backend_calls(d5, monkeypatch)
         assert d5.is_simple()
-        assert calls == {"rank_subset": 0, "closure_fast": 1, "covers_fast": 1}
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": 0
+        }
         assert not d5._flats_cache  # the lattice walk still starts at rank 0
 
     def test_simplify_drops_loops(self, u23):

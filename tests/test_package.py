@@ -93,12 +93,12 @@ class TestImportFootprint:
     def test_fan_graph_skips_cremona_and_generators(self, inputs):
         loaded = _submodules_loaded("fan", inputs["fano"], "--graph")
         assert "cremfan.fan" in loaded
-        assert not loaded & {"cremfan.cremona", "cremfan.generators"}
+        assert not loaded & {"cremfan.cremona", "cremfan.generators", "cremfan.circuits"}
 
     def test_cremona_check_skips_fan_and_generators(self, inputs):
         loaded = _submodules_loaded("cremona", inputs["A3"], "--check", "0,1,5")
         assert "cremfan.cremona" in loaded
-        assert not loaded & {"cremfan.fan", "cremfan.generators"}
+        assert not loaded & {"cremfan.fan", "cremfan.generators", "cremfan.circuits"}
 
     def test_gen_skips_fan_and_cremona(self, tmp_path):
         loaded = _submodules_loaded("gen", "D4", "--out", str(tmp_path / "d4.json"))
