@@ -25,7 +25,9 @@ twice: with each flat's cover state eliminated from scratch, and stepped
 from the state of the flat it was found from (``Matroid._walk_state``).
 It gives the pivot steps and the ``_reduce_int`` calls of each (counted
 in a separate untimed run) and the seconds, and asserts that both walks
-find the same levels.
+find the same levels.  After the stepped walk it lists the entries of each
+per-matroid store: the flats in the levels, ``_found_from``,
+``_rank_cache``, ``_closure_cache`` and ``_components_cache``.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -256,7 +258,19 @@ def _walk_levels(spec: str, stepped: bool):
     t0 = time.perf_counter()
     M.flats_of_rank(r - 1)
     seconds = time.perf_counter() - t0
-    return seconds, [[F.sorted() for F in M.flats_of_rank(k)] for k in range(r)]
+    return seconds, [[F.sorted() for F in M.flats_of_rank(k)] for k in range(r)], M
+
+
+def _store_sizes(M) -> str:
+    # the entries each per-matroid store holds
+    stores = {
+        "levels": sum(map(len, M._flats_cache.values())),
+        "found_from": len(M._found_from),
+        "rank": len(M._rank_cache),
+        "closure": len(M._closure_cache),
+        "components": len(M._components_cache),
+    }
+    return "   ".join(f"{name} {n}" for name, n in stores.items())
 
 
 def _counted_walk(spec: str, stepped: bool) -> tuple[int, int]:
@@ -282,7 +296,7 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
     for stepped in (False, True):
         best, levels = float("inf"), None
         for _ in range(repeat):
-            seconds, levels = _walk_levels(spec, stepped)
+            seconds, levels, M = _walk_levels(spec, stepped)
             best = min(best, seconds)
         runs[stepped] = (best, levels, *_counted_walk(spec, stepped))
     assert runs[False][1] == runs[True][1]
@@ -295,6 +309,7 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
         f"{t_scratch * 1e3:8.2f} ms   stepped {s_step:7d} steps {r_step:6d} "
         f"reductions {t_step * 1e3:8.2f} ms   x{t_scratch / t_step:5.1f}"
     )
+    print(f"{'':38} stores after the walk: {_store_sizes(M)}")
 
 
 if __name__ == "__main__":

@@ -213,10 +213,6 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     """
     if max_nodes < 0:
         raise InputError(f"max_nodes must be non-negative, got {max_nodes}")
-    if M.full_rank():
-        # the points, walked once: the simplicity check reads them, and the
-        # line census of _line_remainders walks on from them
-        M.flats_of_rank(1)
     if not M.is_simple():
         raise InputError("Cremona bases are defined for simple matroids")
     bases, _nodes = _exact_cover_bases(M, max_nodes)

@@ -16,7 +16,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
 from .matroid import Flat, Matroid
@@ -124,8 +124,7 @@ def nested_rays(M: Matroid) -> list[Flat]:
     rays: list[Flat] = []
     for k in range(1, M.full_rank()):
         rays.extend(
-            Flat(F.elements, F.rank, True)
-            for F in M.flats_of_rank(k)
+            F for F in M.flats_of_rank(k)
             if len(F.elements) < M.size and M.is_connected(F.elements)
         )
     return rays
@@ -176,7 +175,7 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
     return antichains(0, [])
 
 
-def _pair_nested(A: Flat, B: Flat, census: Sequence[set[frozenset[int]]]) -> bool:
+def _pair_nested(A: Flat, B: Flat, census: Sequence[AbstractSet[frozenset[int]]]) -> bool:
     """Whether two rays form a nested pair, read off the flat census."""
     a, b = A.elements, B.elements
     if a <= b or b <= a:
@@ -373,8 +372,7 @@ def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
     if through is not None:
         M._check_subset({through})
     return [
-        Flat(F.elements, r - 1, True)
-        for F in M.flats_of_rank(r - 1, max_covers=max_subsets)
+        F for F in M.flats_of_rank(r - 1, max_covers=max_subsets)
         if (through is None or through in F.elements) and M.is_connected(F.elements)
     ]
 
@@ -415,7 +413,8 @@ def graph_S(M: Matroid, *, rank_one_only: bool = False,
         hyperplanes = corank_one_connected_flats(M, max_subsets=max_subsets)
     neighbors = _rank_one_neighbors(M)
     singleton_counts = [len(fs) for fs in neighbors]
-    vertices: list[Flat] = [Flat(frozenset({e}), 1, True) for e in range(m)]
+    # the points of a simple matroid, in element order
+    vertices = M.flats_of_rank(1)
     edges = [(e, f) for e in range(m) for f in neighbors[e] if f > e]
     for h_idx, H in enumerate(hyperplanes):
         hv = m + h_idx

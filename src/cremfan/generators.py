@@ -624,26 +624,20 @@ def orbit(generators: Sequence, seed, *, max_size: int = 1_000_000) -> set:
 # CLI-facing spec strings
 
 
-# Largest matroid a spec string may ask for; past a cap from_spec_string
+# Largest matroid a spec string may ask for; past it from_spec_string
 # raises BudgetExceeded before it builds anything.  On a 2-CPU VM `gen` at
-# the caps takes under a second (K20, 190 elements: 0.5 s; U:3,20, 4,845
-# circuits: 0.1 s, as a generated circuit list is not re-checked), while K40
-# (780 elements) takes 8.6 s.  The largest specs in use are E8 (120
-# elements) and U:2,9 (84 circuits).
+# the cap takes 0.5 s (K20, 190 elements), while K40 (780 elements) takes
+# 8.6 s.  The largest spec in use is E8 (120 elements).  A `U:` circuit
+# list is held to the budget that loading it will check it against
+# (``circuits.MAX_CIRCUIT_CHECKS``): its pairs first, then the check itself.
 MAX_SPEC_ELEMENTS = 200
-MAX_SPEC_CIRCUITS = 5_000
 
 
-def _check_spec_size(spec: str, elements: int, circuits: int = 0) -> None:
+def _check_spec_size(spec: str, elements: int) -> None:
     if elements > MAX_SPEC_ELEMENTS:
         raise BudgetExceeded(
             f"generator spec {spec!r} has {elements} elements, "
             f"above the cap of {MAX_SPEC_ELEMENTS}"
-        )
-    if circuits > MAX_SPEC_CIRCUITS:
-        raise BudgetExceeded(
-            f"generator spec {spec!r} has {circuits} circuits, "
-            f"above the cap of {MAX_SPEC_CIRCUITS}"
         )
 
 
@@ -653,8 +647,8 @@ def from_spec_string(spec: str) -> Matroid:
     Formats: "A3".."H4" (Coxeter types), "K5" (complete graph), "U:2,3"
     (uniform), "fano", "dowling:<group>(Z1, Z2, ..., Z2xZ2)", and
     "a3-arrangement" (the bundled fixture).  Raises BudgetExceeded when the
-    ground set or the circuit list would exceed MAX_SPEC_ELEMENTS or
-    MAX_SPEC_CIRCUITS.
+    ground set would exceed MAX_SPEC_ELEMENTS, or a uniform matroid's
+    circuit list would fail the budget of the check that loading it runs.
     """
     s = spec.strip()
     if len(s) > 64:  # also keeps int() below its 4,300-digit limit
@@ -672,9 +666,21 @@ def from_spec_string(spec: str) -> Matroid:
     if m:
         r, n = int(m.group(1)), int(m.group(2))
         _check_spec_size(spec, n)
+        # imported here: only a U: spec checks a circuit list
+        from .circuits import MAX_CIRCUIT_CHECKS, check_circuit_axioms
+
         # n is capped now, so the circuit count is cheap to compute
-        _check_spec_size(spec, n, comb(n, r + 1))
-        return uniform(r, n)
+        circuits = comb(n, r + 1)
+        pairs = comb(circuits, 2)
+        if pairs > MAX_CIRCUIT_CHECKS:
+            raise BudgetExceeded(
+                f"generator spec {spec!r} has {circuits} circuits, whose "
+                f"{pairs} pairs are above the cap of {MAX_CIRCUIT_CHECKS} "
+                "that loading a circuit list checks"
+            )
+        M = uniform(r, n)
+        check_circuit_axioms(n, M.backend.circuit_list)
+        return M
     m = re.fullmatch(r"dowling:(.+)", s)
     if m:
         cyclic = re.fullmatch(r"[Zz](\d+)", m.group(1).strip())

@@ -4,13 +4,15 @@ Elements are dense integer indices ``0..m-1``; a :class:`GroundSet` carries
 optional display labels next to the indices. Three primitive backends give
 the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
-against their parent oracle. Rank, closure and connectivity queries are
-memoized per matroid. The lattice walk (``Matroid.flats_of_rank``) records
-the flat each new flat was first found from. On a vector matroid it steps
-each flat's cover state from that flat's, keeping one state per rank, and
-the connectivity of every flat it found is read off those records and its
-census, with no rank or closure query; other flats go through a
-greedy-basis oracle.
+against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
+keeps each completed rank as one dict, element set -> ``Flat``, and that
+level is the only store of the flats it found; it also records the flat
+each new flat was first found from. On a vector matroid it steps each
+flat's cover state from that flat's, keeping one state per rank. Rank and
+closure queries are memoized per matroid and answer a walked flat off its
+level. The connectivity of every flat the walk found is read off its
+records and its levels, with no rank or closure query; other flats go
+through a greedy-basis oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError
@@ -71,11 +73,10 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class Flat:
-    """A flat with its rank; connectivity is filled in when known."""
+    """A flat with its rank."""
 
     elements: frozenset[int]
     rank: int
-    connected: bool | None = None
 
     def __contains__(self, e: int) -> bool:
         return e in self.elements
@@ -303,15 +304,15 @@ class Matroid:
         self.ground = ground
         self.backend = backend
         self._full_rank: int | None = None
+        # the answers of the oracle's own rank and closure queries
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], Flat] = {}
-        self._connected_cache: dict[frozenset[int], bool] = {}
-        self._flats_cache: dict[int, tuple[Flat, ...]] = {}
+        # per completed rank, its flats by element set in canonical order
+        self._flats_cache: dict[int, dict[frozenset[int], Flat]] = {}
         # per flat the walk found, the flat it covers that the walk found it from
         self._found_from: dict[frozenset[int], Flat] = {}
         # per rank, the last walked flat whose cover state was derived, with it
         self._walk_states: dict[int, tuple[Flat, kernels.CoverState]] = {}
-        self._census_levels: dict[int, set[frozenset[int]]] = {}
         self._components_cache: dict[frozenset[int], tuple[tuple[frozenset[int], int], ...]] = {}
 
     # -- basics ------------------------------------------------------------
@@ -335,8 +336,10 @@ class Matroid:
         hit = self._rank_cache.get(S)
         if hit is not None:
             return hit
-        r = self.backend.rank_subset(tuple(sorted(S)))
-        self._rank_cache[S] = r
+        walked = self._walked(S)
+        if walked is not None:
+            return walked.rank
+        r = self._rank_cache[S] = self.backend.rank_subset(tuple(sorted(S)))
         return r
 
     def full_rank(self) -> int:
@@ -351,6 +354,8 @@ class Matroid:
     def closure(self, subset: Iterable[int]) -> Flat:
         S = self._check_subset(subset)
         hit = self._closure_cache.get(S)
+        if hit is None:
+            hit = self._walked(S)
         if hit is not None:
             return hit
         fast = getattr(self.backend, "closure_fast", None)
@@ -374,19 +379,29 @@ class Matroid:
         S = self._check_subset(subset)
         return self.closure(S).elements == S
 
+    def _walked(self, S: frozenset[int]) -> Flat | None:
+        """The flat with elements S from the walk's completed levels, or None."""
+        for level in self._flats_cache.values():
+            flat = level.get(S)
+            if flat is not None:
+                return flat
+        return None
+
     def is_simple(self) -> bool:
         """No loops, and every rank-1 flat is one element.
 
         Reads the points off the walk's rank-1 level once the walk has made
-        it; before that, one covers call on the empty flat, which leaves the
-        walk (and the covers a budgeted walk counts) to start at rank 0.
+        it; before that, off the covers of the flat the walk starts from,
+        whose cover state the walk keeps (``_walk_state``). The walk, and
+        the covers a budgeted walk counts, still start at rank 0.
         """
-        if self.closure(()).elements:
+        root = self._root()
+        if root.elements:
             return False
         points = self._flats_cache.get(1)
-        if points is None:
-            points = self._covers(frozenset())
-        return all(len(P.elements) == 1 for P in points)
+        return all(len(P) == 1 for P in (
+            self._walk_covers(root) if points is None else points
+        ))
 
     # -- flats, level by level ----------------------------------------------
 
@@ -400,7 +415,9 @@ class Matroid:
     def _covers(self, F: frozenset[int]):
         fast = getattr(self.backend, "covers_fast", None)
         if fast is not None:
-            yield from self._cover_flats(F, fast(tuple(sorted(F))))
+            state = fast(tuple(sorted(F)))
+            for group in state.groups:
+                yield Flat(F.union(group), state.rank + 1)
             return
         # One closure per cover: for every e in G \ F, cl(F + e) is a flat of
         # rank r(F) + 1 inside G = cl(F + e0), so it is G itself.
@@ -411,17 +428,19 @@ class Matroid:
                 seen.update(G.elements)
                 yield G
 
-    def _cover_flats(self, F: frozenset[int], state: kernels.CoverState):
-        # each cover is cached under its own elements only, so the caches
-        # grow with the flats, not with the cover relations
-        r = state.rank + 1
-        for group in state.groups:
-            G = F.union(group)
-            flat = self._closure_cache.get(G)
-            if flat is None:
-                flat = self._closure_cache[G] = Flat(G, r)
-                self._rank_cache[G] = r
-            yield flat
+    def _walk_covers(self, F: Flat) -> Iterable[frozenset[int]]:
+        """The element sets of the covers of a walked flat: off its stepped
+        cover state on a vector matroid, else one closure per cover."""
+        if getattr(self.backend, "covers_fast", None) is not None:
+            return map(F.elements.union, self._walk_state(F).groups)
+        return (G.elements for G in self._covers(F.elements))
+
+    def _root(self) -> Flat:
+        """The flat the walk starts from, the closure of the empty set."""
+        if not self._flats_cache:
+            F = self.closure(())
+            self._flats_cache[0] = {F.elements: F}
+        return next(iter(self._flats_cache[0].values()))
 
     def _walk_state(self, F: Flat) -> kernels.CoverState:
         """The cover state of a walked flat, stepped from its parent's.
@@ -460,13 +479,14 @@ class Matroid:
         """All rank-k flats, canonically ordered by sorted element tuple.
 
         Walks the lattice upward through the covers of each flat, from the
-        highest level already known; every level it completes is kept.
-        Each new flat is recorded with the flat it was first found from,
-        for ``is_connected``. On a vector matroid the covers of a flat come
-        from its cover state (``kernels.CoverState``), which one elimination
-        step derives from the state of the flat it was found from
-        (``_walk_state``); only the first flat of the walk is eliminated
-        from scratch. Elsewhere they come from one closure per cover.
+        highest level already known; every level it completes is kept, as
+        the one store of its flats. Each new flat is recorded with the flat
+        it was first found from, for ``is_connected``. On a vector matroid
+        the covers of a flat come from its cover state
+        (``kernels.CoverState``), which one elimination step derives from
+        the state of the flat it was found from (``_walk_state``); only the
+        first flat of the walk is eliminated from scratch. Elsewhere they
+        come from one closure per cover.
         ``max_covers`` caps the covers this walk issues: past it the walk
         raises BudgetExceeded with the rank level and the flats it reached.
         """
@@ -474,21 +494,15 @@ class Matroid:
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
         if max_covers is not None and max_covers < 0:
             raise InputError(f"max_covers must be non-negative, got {max_covers}")
-        if not self._flats_cache:
-            self._flats_cache[0] = (self.closure(()),)
-        stepped = getattr(self.backend, "covers_fast", None) is not None
+        self._root()
         j = max(i for i in self._flats_cache if i <= k)
         level = self._flats_cache[j]
         issued = 0
         below = sum(len(self._flats_cache[i]) for i in range(j + 1))
         for rank in range(j + 1, k + 1):
             found: dict[frozenset[int], Flat] = {}
-            for F in level:
-                if stepped:
-                    covers = self._cover_flats(F.elements, self._walk_state(F))
-                else:
-                    covers = self._covers(F.elements)
-                for G in covers:
+            for F in level.values():
+                for G in self._walk_covers(F):
                     issued += 1
                     if max_covers is not None and issued > max_covers:
                         raise BudgetExceeded(
@@ -497,31 +511,24 @@ class Matroid:
                             f"and had found {below + len(found)} flats, "
                             f"{len(found)} of them of rank {rank}"
                         )
-                    if G.elements not in found:
-                        found[G.elements] = G
-                        self._found_from[G.elements] = F
-            level = tuple(sorted(found.values(), key=lambda G: G.sorted()))
+                    if G not in found:
+                        found[G] = Flat(G, rank)
+                        self._found_from[G] = F
+            level = self._flats_cache[rank] = {G: found[G] for G in sorted(found, key=sorted)}
             below += len(level)
-            self._flats_cache[rank] = level
-        return list(level)
+        return list(level.values())
 
-    def flat_census(self) -> list[set[frozenset[int]]]:
+    def flat_census(self) -> list[AbstractSet[frozenset[int]]]:
         """The flats as element sets, indexed by rank; rank r(M) holds E alone.
 
-        The sets below rank r(M) are the matroid's own lookup sets, built
-        once per level: read them, do not change them.
+        Each level below rank r(M) is the read-only key view of the walk's
+        level, not a copy.
         """
         r = self.full_rank()
         if r:
             self.flats_of_rank(r - 1)
-        return [self._census_level(k) for k in range(r)] + [{frozenset(self.elements())}]
-
-    def _census_level(self, k: int) -> set[frozenset[int]]:
-        """The element sets of the rank-k flats, once the walk has completed rank k."""
-        level = self._census_levels.get(k)
-        if level is None:
-            level = self._census_levels[k] = {F.elements for F in self._flats_cache[k]}
-        return level
+        top = frozenset((frozenset(self.elements()),))
+        return [self._flats_cache[k].keys() for k in range(r)] + [top]
 
     # -- connectivity --------------------------------------------------------
 
@@ -529,24 +536,19 @@ class Matroid:
         """Connectivity of the restriction to a flat.
 
         A flat the lattice walk found has its components read off the
-        walk (``_components``), with no rank or closure query. Any other
-        flat, such as E before the walk reaches it or the join of two
-        rays, uses the fundamental-circuit graph of a greedy basis B of F
+        walk (``_components``), with no flatness, rank or closure query.
+        Any other flat, such as E before the walk reaches it or the join of
+        two rays, uses the fundamental-circuit graph of a greedy basis B of F
         (Krogdahl 1977): x in B is joined to the elements of its
         fundamental cocircuit, the elements of F outside cl(B - x); the
         restriction is connected iff that graph is.
         """
         F = self._check_subset(flat)
-        if not self.is_flat(F):
-            raise InputError("connectivity is defined here only for flats")
         if F in self._found_from:
             return len(self._components(F)) == 1
-        hit = self._connected_cache.get(F)
-        if hit is not None:
-            return hit
-        result = self._connected(F)
-        self._connected_cache[F] = result
-        return result
+        if not self.is_flat(F):
+            raise InputError("connectivity is defined here only for flats")
+        return self._connected(F)
 
     def _components(self, G: frozenset[int]) -> tuple[tuple[frozenset[int], int], ...]:
         """The components of M|G with their ranks, for a flat G the walk found.
@@ -576,7 +578,7 @@ class Matroid:
             r = F.rank + 1
             kept = [
                 (K, rK) for K, rK in self._components(F.elements)
-                if rK == 0 or G - K in self._census_level(r - rK)
+                if rK == 0 or G - K in self._flats_cache[r - rK]
             ]
             if kept:
                 rest = G.difference(*(K for K, _ in kept))
@@ -619,14 +621,6 @@ class Matroid:
                 union(e, x)
         root = find(next(iter(F)))
         return all(find(e) == root for e in F)
-
-    def connected_flat(self, flat: Flat | Iterable[int]) -> Flat:
-        """The same flat with its connectivity field filled in."""
-        if not isinstance(flat, Flat):
-            flat = self.closure(flat)
-        if flat.connected is not None:
-            return flat
-        return Flat(flat.elements, flat.rank, self.is_connected(flat.elements))
 
     # -- circuits -------------------------------------------------------------
 
@@ -745,8 +739,8 @@ def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
 # isomorphism and automorphism search
 
 
-def census_mismatch(census: Sequence[set[frozenset[int]]],
-                    other: Sequence[set[frozenset[int]]],
+def census_mismatch(census: Sequence[AbstractSet[frozenset[int]]],
+                    other: Sequence[AbstractSet[frozenset[int]]],
                     forward: Sequence[int] | None = None) -> int | None:
     """The least rank whose flats ``forward`` does not carry onto ``other``'s, or None.
 
@@ -765,7 +759,7 @@ def census_mismatch(census: Sequence[set[frozenset[int]]],
     return None if len(census) == len(other) else common
 
 
-def _line_table(census: Sequence[set[frozenset[int]]], n: int):
+def _line_table(census: Sequence[AbstractSet[frozenset[int]]], n: int):
     """The closures of all pairs, read off a flat census of an n-element matroid.
 
     cl{a, b} is the first flat of rank at most 2 that holds a and b.

@@ -77,6 +77,7 @@ class TestGen:
         ("K2000", "1999000 elements"),
         ("A300", "45150 elements"),
         ("U:10,24", "2496144 circuits"),
+        ("U:3,20", "4845 circuits"),
         ("U:3,5000", "5000 elements"),
         ("dowling:Z3000", "9003 elements"),
     ])
@@ -88,6 +89,22 @@ class TestGen:
         assert code == 3
         assert out == "" and not out_path.exists()
         assert f"has {size}" in err and "cap of" in err
+
+    def test_generated_circuit_list_loads(self, tmp_path, capsys):
+        # 792 circuits: the list `gen` writes passes the check loading runs
+        path = str(tmp_path / "u412.json")
+        assert main(["gen", "U:4,12", "--out", path]) == 0
+        capsys.readouterr()
+        M = load_matroid(path)
+        assert len(M.circuits()) == 792 and M.full_rank() == 4
+
+    def test_circuit_list_loading_would_refuse_is_not_written(self, tmp_path, capsys):
+        # 1,287 circuits: few enough pairs, but past the check's budget
+        out_path = tmp_path / "u413.json"
+        code, out, err = run(capsys, "gen", "U:4,13", "--out", str(out_path))
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert "error: budget exceeded: checking the 1287 circuits" in err
 
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -297,9 +297,13 @@ class TestRayGraph:
         # 3,715; the pair test now reads the flat census. A greedy-basis
         # test per ray made 172 closures; the rays' connectivity now comes
         # off the walk, and the closures are those of the empty flat, of E,
-        # and of the greedy-basis test of E itself
+        # and of the greedy-basis test of E itself. That test runs before the
+        # walk has made rank 1, so it closes its first point too: the
+        # simplicity check sees the points only as walk state
         assert calls["rank_subset"] == 0
-        assert calls["closure_fast"] == 9
+        assert calls["closure_fast"] == 10
+        # the simplicity check's state of the empty flat is the walk's
+        assert calls["covers_fast"] == 1
 
 
 class TestGraphS:
@@ -354,9 +358,9 @@ class TestGraphS:
         calls = count_backend_calls(d5, monkeypatch)
         graph_S(d5)
         # the rank-one edges come from the walk's two-element flats, with
-        # no covers elimination per point: the simplicity check's and the
-        # walk's eliminations of the empty flat, and the walk's steps
-        assert calls["covers_fast"] == 2
+        # no covers elimination per point: the walk starts from the state of
+        # the empty flat that the simplicity check eliminated, and steps
+        assert calls["covers_fast"] == 1
         assert calls["cover_step"] == 427
         # the empty flat the walk starts from; the hyperplanes' connectivity
         # comes off the walk (a greedy-basis test per hyperplane made 149)
@@ -405,7 +409,7 @@ class TestGraphS:
         # 37 points in the plane with one line of three: every other line
         # is a disconnected pair; the walk has no ground-set cap
         M = Matroid(LineBackend(37, [(0, 1, 2)]))
-        assert corank_one_connected_flats(M) == [Flat(frozenset({0, 1, 2}), 2, True)]
+        assert corank_one_connected_flats(M) == [Flat(frozenset({0, 1, 2}), 2)]
 
     def test_graph_s_validation(self, u23):
         with pytest.raises(InputError):

@@ -269,8 +269,11 @@ class TestOrbitAndSpecStrings:
         assert from_spec_string("U:2,9").size == 9
         assert from_spec_string("U:3,7").size == 7
         assert from_spec_string("K20").size == 190
-        assert from_spec_string("U:3,20").size == 20  # 4,845 circuits
-        for spec in ("K21", "B15", "dowling:Z66", "U:0,201", "U:4,17"):
+        assert from_spec_string("U:4,12").size == 12  # 792 circuits
+        # U:3,20 (4,845 circuits) has more pairs than loading its list may
+        # check, and U:4,13 (1,287 circuits) fails that check's budget itself
+        for spec in ("K21", "B15", "dowling:Z66", "U:0,201", "U:4,17",
+                     "U:3,20", "U:4,13"):
             with pytest.raises(BudgetExceeded):
                 from_spec_string(spec)
         # out-of-list, undefined and overlong specs are input errors

@@ -19,7 +19,6 @@ from cremfan.generators import (
 from cremfan.matroid import (
     CircuitBackend,
     ElementBijection,
-    Flat,
     LineBackend,
     Matroid,
     VectorBackend,
@@ -498,16 +497,6 @@ class TestConnectivity:
         assert M.is_connected(range(9))
         assert b3.is_connected(range(9))
 
-    def test_connected_flat_promotion(self, a3):
-        F = a3.connected_flat([0, 1])
-        assert F.elements == a3.closure([0, 1]).elements
-        assert isinstance(F, Flat)
-        assert F.connected is True
-        # cl{0,2} is a trivial 2-point line: annotated as disconnected
-        G = a3.connected_flat([0, 2])
-        assert G.elements == frozenset({0, 2})
-        assert G.connected is False
-
     def test_every_line_of_three_is_connected(self, a3):
         for L in a3.flats_of_rank(2):
             assert a3.is_connected(L.elements) == (len(L) >= 3)
@@ -597,6 +586,67 @@ class TestConnectivityFromTheWalk:
         assert_walk_connectivity(M, reference)
 
 
+def assert_walk_matches_a_fresh_twin(M, twin):
+    """Every walked flat answers rank, closure, is_flat and is_connected as
+    a twin that has not walked does."""
+    flats = list(all_flats(M))
+    assert not twin._flats_cache
+    for F in flats:
+        S = F.elements
+        assert M.rank(S) == twin.rank(S) == F.rank, F.sorted()
+        assert M.closure(S) == twin.closure(S) == F
+        assert M.is_flat(S) and twin.is_flat(S)
+        assert M.is_connected(S) == twin.is_connected(S), F.sorted()
+    assert not twin._flats_cache
+
+
+class TestOneStorePerFlat:
+    @pytest.mark.parametrize("name", list(CENSUS_CASES))
+    def test_walk_and_oracle_agree(self, name):
+        assert_walk_matches_a_fresh_twin(CENSUS_CASES[name](), CENSUS_CASES[name]())
+
+    @given(f3_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_and_oracle_agree_on_f3_vectors(self, rows):
+        assert_walk_matches_a_fresh_twin(f3_matroid(rows), f3_matroid(rows))
+
+    @pytest.mark.parametrize("name", list(CENSUS_CASES))
+    def test_census_levels_are_read_only(self, name):
+        census = CENSUS_CASES[name]().flat_census()
+        for level in census:
+            with pytest.raises(AttributeError):
+                level.add(frozenset())
+            with pytest.raises(AttributeError):
+                level.clear()
+
+    def test_walked_flats_live_in_their_levels(self, monkeypatch):
+        d5 = coxeter_matroid("D5")
+        d5.flats_of_rank(4)
+        levels = d5._flats_cache
+        walked = {S for level in levels.values() for S in level}
+        assert len(walked) == 402
+        # the oracle was asked for r(E), E of rank 5, and for cl(empty set),
+        # the one flat of level 0; no other walked flat is cached
+        root = d5.flats_of_rank(0)[0]
+        assert set(d5._rank_cache) == {frozenset(), frozenset(range(20))}
+        assert d5._closure_cache == {frozenset(): root}
+        assert d5._closure_cache[frozenset()] is levels[0][frozenset()]
+        # the walk's records point at the level's own flats, not copies
+        for S, F in d5._found_from.items():
+            assert levels[F.rank][F.elements] is F
+            assert S in levels[F.rank + 1]
+        # a walked flat is answered off its level: no backend call, no entry
+        calls = count_backend_calls(d5, monkeypatch)
+        for k, level in levels.items():
+            for S, F in level.items():
+                assert d5.rank(S) == k
+                assert d5.closure(S) is F
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0
+        }
+        assert len(d5._rank_cache) == 2 and len(d5._closure_cache) == 1
+
+
 class TestMinors:
     def test_restriction_rank_identity(self, a3):
         sub = [0, 2, 3, 5]
@@ -642,7 +692,10 @@ class TestMinors:
         assert calls == {
             "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": 0
         }
-        assert not d5._flats_cache  # the lattice walk still starts at rank 0
+        assert list(d5._flats_cache) == [0]  # the lattice walk starts at rank 0
+        # from the state of the empty flat that the check eliminated
+        assert len(d5.flats_of_rank(2)) == 110
+        assert calls["covers_fast"] == 1
 
     def test_simplify_drops_loops(self, u23):
         C = u23.contract([0, 1])  # contracting a basis: the rest are loops
