@@ -131,6 +131,8 @@ def _basis_report(data) -> dict:
 def cmd_cremona(args: argparse.Namespace) -> int:
     from . import cremona as cr
 
+    if args.field is not None and args.realize is None:
+        raise InputError("--field applies to --realize")
     M = load_matroid(args.matroid)
     echo = {"matroid": args.matroid}
     if args.enumerate:
@@ -227,6 +229,10 @@ def _parse_weights(csv: str) -> list[Fraction]:
 def cmd_fan(args: argparse.Namespace) -> int:
     from . import fan as fn
 
+    if args.rank_one_only and not args.s_graph:
+        raise InputError("--rank-one-only applies to --s-graph")
+    if args.dot and not (args.graph or args.s_graph):
+        raise InputError("--dot applies to --graph and --s-graph")
     M = load_matroid(args.matroid)
     echo = {"matroid": args.matroid}
     dot_text = None
@@ -274,8 +280,6 @@ def cmd_fan(args: argparse.Namespace) -> int:
     else:
         raise InputError("fan needs one of --rays, --graph, --member, --s-graph")
     if args.dot:
-        if dot_text is None:
-            raise InputError("--dot applies to --graph and --s-graph")
         echo["dot"] = args.dot
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:

@@ -147,6 +147,11 @@ class CremonaData:
         return frozenset(self.basis)
 
 
+def _require_simple(M: Matroid) -> None:
+    if not M.is_simple():
+        raise InputError("Cremona bases are defined for simple matroids")
+
+
 def _check_basis(M: Matroid, b: Iterable[int]) -> tuple[int, ...]:
     basis = tuple(sorted(M._check_subset(b)))
     r = M.full_rank()
@@ -169,8 +174,11 @@ def cremona_check_detail(M: Matroid, b: Iterable[int]) -> tuple[CremonaData | No
     """Cremona check with a human-readable failure reason.
 
     Fails fast: the first overlapping pair of F-sets or the final coverage
-    gap is reported without computing the rest.
+    gap is reported without computing the rest.  A non-simple M is an
+    InputError: its bases can pass the test with maps that move the
+    all-ones line.
     """
+    _require_simple(M)
     basis = _check_basis(M, b)
     bset = frozenset(basis)
     partition: dict[tuple[int, int], frozenset[int]] = {}
@@ -213,8 +221,7 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     """
     if max_nodes < 0:
         raise InputError(f"max_nodes must be non-negative, got {max_nodes}")
-    if not M.is_simple():
-        raise InputError("Cremona bases are defined for simple matroids")
+    _require_simple(M)
     bases, _nodes = _exact_cover_bases(M, max_nodes)
     results: list[CremonaData] = []
     for basis in sorted(bases):
@@ -256,14 +263,22 @@ def _exact_cover_bases(M: Matroid, max_nodes: int) -> tuple[list[tuple[int, ...]
 
     A Cremona basis b is an exact cover: every element lies in b or in the
     remainder of exactly one pair of b.  A search node holds a partial b
-    and the union of its pairs' remainders.  It branches on the uncovered
-    element u with the fewest live options (Knuth's Algorithm X with
-    minimum remaining values): either u joins b, or the members missing
-    from b of one pair {f, g} with u in rem[f][g] join b.  An option that
-    would put a point of b or an already covered point into a new
-    remainder is dead, since no Cremona basis extends it.  In a Cremona
-    basis the pair whose remainder holds u is unique, so the branches are
-    disjoint and each basis is found once.
+    and the union of its pairs' remainders.  It branches on the least
+    uncovered element u (Knuth's Algorithm X): either u joins b, or the
+    members missing from b of one pair {f, g} with u in rem[f][g] join b.
+    An option that would put a point of b or an already covered point
+    into a new remainder is dead, since no Cremona basis extends it.  The
+    branches are complete and disjoint for any uncovered u: a Cremona
+    basis extending the node covers u either by itself or through the one
+    pair whose remainder holds u.  So each basis is found once.
+
+    A node with k members is pruned by counting.  With l the most points
+    on any line, a remainder holds at most l - 2 points.  The remainders of
+    pairs inside the partial basis are already covered, so a Cremona basis
+    extending the node covers its free elements with the r - k new members
+    and the remainders of the C(r, 2) - C(k, 2) pairs with a new member: at
+    most (r - k) + (C(r, 2) - C(k, 2))(l - 2) elements.  (E8: 120 > 8 + 28
+    at the root.  At k = r the bound is 0, so a full b must leave none.)
 
     No rank query is needed.  Every remainder lies in cl(b), so an
     r-element b covering everything spans M and is a basis.  The
@@ -277,6 +292,8 @@ def _exact_cover_bases(M: Matroid, max_nodes: int) -> tuple[list[tuple[int, ...]
         return [], 0
     rem, through = _line_remainders(M)
     full = (1 << n) - 1
+    # l - 2, the most points one remainder can hold
+    spare = max((len(points) - 1 for lines in through for _line, points in lines), default=0)
     found: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -290,9 +307,12 @@ def _exact_cover_bases(M: Matroid, max_nodes: int) -> tuple[list[tuple[int, ...]
             )
         taken = bmask | covered
         free = full & ~taken
-        if not free or len(b) == r:
-            if not free and len(b) == r:
+        k = len(b)
+        if not free:
+            if k == r:
                 found.append(tuple(sorted(b)))
+            return
+        if free.bit_count() > r - k + (r * (r - 1) - k * (k - 1)) // 2 * spare:
             return
         # An element x of b blocks every other point of a line through x
         # that already holds a point of b or of a remainder: joining b
@@ -303,44 +323,19 @@ def _exact_cover_bases(M: Matroid, max_nodes: int) -> tuple[list[tuple[int, ...]
             for line, _points in through[x]:
                 if line & others:
                     blocked |= line
-        room = r - len(b)
-
-        def options(u: int) -> list[tuple[int, ...]]:
-            # the live ways to cover u
-            out = [(u,)] if not blocked >> u & 1 else []
-            for line, points in through[u]:
-                if line & covered:
-                    continue
-                open_points = [g for g in points if not blocked >> g & 1]
-                if line & bmask:
-                    # one member f of b is on the line; one more point joins
-                    out += [(g,) for g in open_points]
-                elif room >= 2:
-                    out += itertools.combinations(open_points, 2)
-            return out
-
-        # minimum remaining values: len(options(u)), counted on the masks
-        best, fewest = -1, n * n + 1  # above any element's option count
-        rest = free
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            count = 0 if blocked & low else 1
-            for line, _points in through[low.bit_length() - 1]:
-                if count >= fewest:
-                    break
-                if line & covered:
-                    continue
-                k = (line & ~blocked & ~low).bit_count()
-                if line & bmask:
-                    count += k
-                elif room >= 2:
-                    count += k * (k - 1) // 2
-            if count < fewest:
-                best, fewest = low.bit_length() - 1, count
-                if count == 0:
-                    return
-        for joining in options(best):
+        # the live ways to cover the least free element u
+        u = (free & -free).bit_length() - 1
+        options: list[tuple[int, ...]] = [] if blocked >> u & 1 else [(u,)]
+        for line, points in through[u]:
+            if line & covered:
+                continue
+            open_points = [g for g in points if not blocked >> g & 1]
+            if line & bmask:
+                # one member f of b is on the line; one more point joins
+                options += [(g,) for g in open_points]
+            elif r - k >= 2:
+                options += itertools.combinations(open_points, 2)
+        for joining in options:
             nb, nmask, ncovered = list(b), bmask, covered
             for g in joining:
                 # each new member brings its remainders with the earlier ones

@@ -459,7 +459,7 @@ def test_c11_coxeter_cremona_census():
     """The Cremona census of the Coxeter types at the default node budget:
     A_n (n = 2..5) has n+1 bases, the stars of K_{n+1}, any two sharing
     exactly one element; B_n (n = 3..5) has exactly one; D4-D6, E6, E7,
-    F4, H3 and H4 have none.  Budget: 60 s."""
+    E8, F4, H3 and H4 have none.  Budget: 60 s."""
     with Budget(60):
         for n in range(2, 6):
             M = coxeter_matroid(f"A{n}")
@@ -477,5 +477,5 @@ def test_c11_coxeter_cremona_census():
                 assert len(d1.basis_set() & d2.basis_set()) == 1
         for n in range(3, 6):
             assert len(enumerate_cremona_bases(coxeter_matroid(f"B{n}"))) == 1
-        for spec in ("D4", "D5", "D6", "E6", "E7", "F4", "H3", "H4"):
+        for spec in ("D4", "D5", "D6", "E6", "E7", "E8", "F4", "H3", "H4"):
             assert enumerate_cremona_bases(coxeter_matroid(spec)) == [], spec

@@ -183,6 +183,17 @@ class TestCremona:
         assert code == 2
         assert "--field" in err
 
+    def test_field_off_realize_is_refused(self, a3_file, tmp_path, capsys):
+        code, out, err = run(capsys, "cremona", a3_file, "--enumerate", "--field", "Q")
+        assert code == 2
+        assert out == ""
+        assert "error: --field applies to --realize" in err
+        # refused before the matroid file is read
+        missing = str(tmp_path / "nope.json")
+        code, _, err = run(capsys, "cremona", missing, "--check", "0,1", "--field", "Q")
+        assert code == 2
+        assert "error: --field applies to --realize" in err
+
     def test_realize_field_too_small(self, u25_file, capsys):
         code, _, err = run(
             capsys, "cremona", u25_file, "--realize", "0,1", "1,2",
@@ -200,8 +211,8 @@ class TestCremona:
 
 
     def test_enumerate_node_budget(self, tmp_path, capsys):
-        path = str(tmp_path / "e6.json")
-        assert main(["gen", "E6", "--out", path]) == 0
+        path = str(tmp_path / "k7.json")
+        assert main(["gen", "K7", "--out", path]) == 0
         capsys.readouterr()
         code, out, err = run(
             capsys, "cremona", path, "--enumerate", "--max-nodes", "10"
@@ -210,7 +221,7 @@ class TestCremona:
         assert out == ""
         assert (
             "error: budget exceeded: the Cremona search stopped after 10 nodes "
-            "with 0 bases found so far; raise max_nodes to override\n"
+            "with 1 bases found so far; raise max_nodes to override\n"
         ) in err
 
     @pytest.mark.parametrize("value", ["-5", "-1"])
@@ -396,6 +407,17 @@ class TestFan:
         assert code == 2
         assert "--dot" in err
 
+    def test_rank_one_only_off_s_graph_is_refused(self, a3_file, tmp_path, capsys):
+        code, out, err = run(capsys, "fan", a3_file, "--rays", "--rank-one-only")
+        assert code == 2
+        assert out == ""
+        assert "error: --rank-one-only applies to --s-graph" in err
+        # refused before the matroid file is read
+        missing = str(tmp_path / "nope.json")
+        code, _, err = run(capsys, "fan", missing, "--graph", "--rank-one-only")
+        assert code == 2
+        assert "error: --rank-one-only applies to --s-graph" in err
+
 
 def _doc(backend, data, labels=("a", "b", "c"), **extra):
     doc = {"schema": 1, "kind": "matroid", "elements": list(labels),
@@ -450,6 +472,20 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("mode", [
+        ["--check", "a,c"],
+        ["--pair", "a,c", "b,c"],
+        ["--realize", "a,c", "b,c", "--field", "Q"],
+    ], ids=["check", "pair", "realize"])
+    def test_non_simple_cremona_input_is_exit_2(self, tmp_path, capsys, mode):
+        # a and b are parallel
+        path = tmp_path / "par.json"
+        path.write_text(_doc("vectors", [["1", "0"], ["2", "0"], ["0", "1"]], field="Q"))
+        code, out, err = run(capsys, "cremona", str(path), *mode)
+        assert code == 2
+        assert out == ""
+        assert "error: Cremona bases are defined for simple matroids" in err
 
     def test_s_graph_writes_its_dot_file(self, tmp_path, capsys):
         path = str(tmp_path / "d4.json")

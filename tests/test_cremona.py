@@ -179,6 +179,17 @@ class TestCremonaCheck:
         with pytest.raises(InputError):
             cremona_check(a3, (0, 1, 4))  # dependent: 4 is on the line of 0, 1
 
+    def test_requires_simple(self, k4):
+        # contracting an edge of K4 makes parallel edges: every basis of the
+        # contraction passes the partition test, but none is a Cremona basis
+        contracted = k4.contract([0])
+        bases = [b for b in combinations(range(contracted.size), 2)
+                 if contracted.rank(b) == 2]
+        assert bases
+        for b in bases:
+            with pytest.raises(InputError, match="defined for simple matroids"):
+                cremona_check_detail(contracted, b)
+
 
 class TestEnumerate:
     def test_fixture_has_four(self, a3):
@@ -215,32 +226,33 @@ class TestEnumerate:
                 assert len(bases[i] & bases[j]) == 1
 
     def test_budget(self):
-        e6 = coxeter_matroid("E6")
+        k7 = complete_graph_matroid(7)
         with pytest.raises(BudgetExceeded):
-            enumerate_cremona_bases(e6, max_nodes=20)
+            enumerate_cremona_bases(k7, max_nodes=20)
 
     def test_e6_node_count_is_pinned(self):
-        # the search visits exactly 2,046 nodes on E6; the budget admits
-        # exactly that many and refuses one fewer, naming the nodes and bases
-        assert enumerate_cremona_bases(coxeter_matroid("E6"), max_nodes=2046) == []
+        # the counting bound refutes E6 at the root (36 > 6 + 15): the search
+        # visits exactly 1 node; the budget admits exactly that many and
+        # refuses one fewer, naming the nodes and bases
+        assert enumerate_cremona_bases(coxeter_matroid("E6"), max_nodes=1) == []
         with pytest.raises(BudgetExceeded) as info:
-            enumerate_cremona_bases(coxeter_matroid("E6"), max_nodes=2045)
+            enumerate_cremona_bases(coxeter_matroid("E6"), max_nodes=0)
         assert str(info.value) == (
-            "the Cremona search stopped after 2045 nodes with 0 bases found "
+            "the Cremona search stopped after 0 nodes with 0 bases found "
             "so far; raise max_nodes to override"
         )
-        assert _exact_cover_bases(coxeter_matroid("E6"), 2046) == ([], 2046)
+        assert _exact_cover_bases(coxeter_matroid("E6"), 1) == ([], 1)
 
     def test_negative_budget_is_input_error(self):
         with pytest.raises(InputError, match="max_nodes must be non-negative, got -5"):
             enumerate_cremona_bases(coxeter_matroid("A3"), max_nodes=-5)
 
     def test_budget_message_counts_bases_found_so_far(self):
-        # K7 has seven bases in 289 nodes; at 200 nodes five are found
+        # K7 has seven bases in 121 nodes; at 100 nodes five are found
         k7 = complete_graph_matroid(7)
-        assert len(_exact_cover_bases(k7, 289)[0]) == 7
-        with pytest.raises(BudgetExceeded, match="after 200 nodes with 5 bases found"):
-            enumerate_cremona_bases(k7, max_nodes=200)
+        assert len(_exact_cover_bases(k7, 121)[0]) == 7
+        with pytest.raises(BudgetExceeded, match="after 100 nodes with 5 bases found"):
+            enumerate_cremona_bases(k7, max_nodes=100)
 
     def test_requires_simple(self, k4):
         contracted = k4.contract([0])  # contraction creates parallel edges
