@@ -22,12 +22,14 @@ twice, after the lattice walk (untimed): read off the walk
 (``Matroid._connected``), with the seconds and the backend closures of
 each, and asserts that the two agree.
 
-The last table walks the flat lattice of D5, B5, K7 and E6 to rank r - 1
-twice: with each flat's cover state eliminated from scratch, and stepped
-from the state of the flat it was found from (``Matroid._walk_state``).
-It gives the pivot steps and the ``_reduce_int`` calls of each (counted
-in a separate untimed run) and the seconds, and asserts that both walks
-find the same levels.  After the stepped walk it lists the entries of each
+The last table walks the flat lattice of D5, E6 and K7 over F_101 to
+rank r - 1 twice: with each flat's cover state eliminated from scratch,
+and stepped from the state of the flat it was found from
+(``Matroid._walk_state``).  It gives the cover steps and the coordinates
+eliminated by each (counted in a separate untimed run: one per pivot a
+row is reduced by in ``_reduce_*``, one per other cover's direction in a
+cover step) and the seconds, and asserts that both walks find the same
+levels.  After the stepped walk it lists the entries of each
 per-matroid store: the flats in the levels, ``_found_from``,
 ``_rank_cache``, ``_closure_cache`` and ``_components_cache``.
 
@@ -45,6 +47,7 @@ from cremfan import kernels
 from cremfan.cremona import _exact_cover_bases, _line_remainders
 from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
 from cremfan.generators import coxeter_matroid, from_spec_string, positive_roots
+from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 
 def _int_rows(family: str, n: int) -> list[tuple[int, ...]]:
@@ -139,7 +142,7 @@ def main() -> None:
     for spec in ("D5", "B5", "E6"):
         _bench_connectivity(spec, args.repeat)
     print()
-    for spec in ("D5", "B5", "K7", "E6"):
+    for spec in ("D5", "E6", "K7/Fp:101"):
         _bench_stepped_walk(spec, args.repeat)
 
 
@@ -260,8 +263,11 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
 
 def _walk_levels(spec: str, stepped: bool):
     # a fresh matroid walked to rank r - 1; from scratch, each flat's cover
-    # state is its own covers elimination
-    M = from_spec_string(spec)
+    # state is its own covers elimination.  "K7/Fp:101" is K7 over F_101.
+    name, _, field = spec.partition("/")
+    M = from_spec_string(name)
+    if field:
+        M = matroid_from_dict({**matroid_to_dict(M), "field": field})
     if not stepped:
         M._walk_state = lambda F: M.backend.covers_fast(F.sorted())
     r = M.full_rank()
@@ -284,20 +290,30 @@ def _store_sizes(M) -> str:
 
 
 def _counted_walk(spec: str, stepped: bool) -> tuple[int, int]:
-    # pivot steps and reductions of one walk, with _reduce_int wrapped
+    # cover steps and coordinates eliminated in one walk, with the steps
+    # and the Z and F_p reductions wrapped
     counts = [0, 0]
-    reduce = kernels._reduce_int
+    originals = {name: getattr(kernels, name)
+                 for name in ("_cover_step", "_reduce_int", "_reduce_mod")}
 
-    def counted(vec, pivots, start=0):
-        counts[0] += len(pivots) - start
-        counts[1] += 1
-        return reduce(vec, pivots, start)
+    def step(state, g, quotient):
+        counts[0] += 1
+        counts[1] += len(state.reps) - 1
+        return originals["_cover_step"](state, g, quotient)
 
-    kernels._reduce_int = counted
+    def reducer(name):
+        def reduce(vec, pivots, **p):
+            counts[1] += len(pivots)
+            return originals[name](vec, pivots, **p)
+        return reduce
+
+    kernels._cover_step = step
+    kernels._reduce_int, kernels._reduce_mod = reducer("_reduce_int"), reducer("_reduce_mod")
     try:
         _walk_levels(spec, stepped)
     finally:
-        kernels._reduce_int = reduce
+        for name, original in originals.items():
+            setattr(kernels, name, original)
     return counts[0], counts[1]
 
 
@@ -310,14 +326,12 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
             best = min(best, seconds)
         runs[stepped] = (best, levels, *_counted_walk(spec, stepped))
     assert runs[False][1] == runs[True][1]
-    (t_scratch, levels, s_scratch, r_scratch), (t_step, _, s_step, r_step) = (
-        runs[False], runs[True]
-    )
+    (t_scratch, levels, _, e_scratch), (t_step, _, steps, e_step) = runs[False], runs[True]
     print(
         f"{spec} walk to rank {len(levels) - 1} ({sum(map(len, levels))} flats)".ljust(38)
-        + f" scratch {s_scratch:7d} steps {r_scratch:6d} reductions "
-        f"{t_scratch * 1e3:8.2f} ms   stepped {s_step:7d} steps {r_step:6d} "
-        f"reductions {t_step * 1e3:8.2f} ms   x{t_scratch / t_step:5.1f}"
+        + f" scratch {e_scratch:7d} coordinates {t_scratch * 1e3:8.2f} ms   "
+        f"stepped {steps:5d} steps {e_step:6d} coordinates {t_step * 1e3:8.2f} ms"
+        f"   x{t_scratch / t_step:5.1f}"
     )
     print(f"{'':38} stores after the walk: {_store_sizes(M)}")
 

@@ -74,6 +74,12 @@ def _resolve_set(M: Matroid, csv: str) -> tuple[int, ...]:
     return tuple(_resolve_element(M, t) for t in tokens)
 
 
+def _given(**options) -> dict:
+    """The options given on the command line; the library's defaults stand
+    for the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _emit(report: dict) -> None:
     sys.stdout.write(dumps(report))
 
@@ -133,11 +139,13 @@ def cmd_cremona(args: argparse.Namespace) -> int:
 
     if args.field is not None and args.realize is None:
         raise InputError("--field applies to --realize")
+    if args.max_nodes is not None and not args.enumerate:
+        raise InputError("--max-nodes applies to --enumerate")
     M = load_matroid(args.matroid)
     echo = {"matroid": args.matroid}
     if args.enumerate:
         echo["enumerate"] = True
-        datas = cr.enumerate_cremona_bases(M, max_nodes=args.max_nodes)
+        datas = cr.enumerate_cremona_bases(M, **_given(max_nodes=args.max_nodes))
         payload = {
             "count": len(datas),
             "bases": [_basis_report(d) for d in datas],
@@ -231,6 +239,8 @@ def cmd_fan(args: argparse.Namespace) -> int:
 
     if args.rank_one_only and not args.s_graph:
         raise InputError("--rank-one-only applies to --s-graph")
+    if args.max_subsets is not None and (not args.s_graph or args.rank_one_only):
+        raise InputError("--max-subsets applies to --s-graph without --rank-one-only")
     if args.dot and not (args.graph or args.s_graph):
         raise InputError("--dot applies to --graph and --s-graph")
     M = load_matroid(args.matroid)
@@ -272,7 +282,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         echo["s-graph"] = True
         echo["rank-one-only"] = bool(args.rank_one_only)
         result = fn.graph_S(
-            M, rank_one_only=args.rank_one_only, max_subsets=args.max_subsets
+            M, rank_one_only=args.rank_one_only, **_given(max_subsets=args.max_subsets)
         )
         payload = dict(result.report)
         if args.dot:
@@ -333,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--realize", nargs=2, metavar=("B1", "B2"),
                       help="two Cremona bases sharing one element: realization")
     crem.add_argument("--field", help='field spec for --realize: Q, Fp:<p>, F<p>, Qsqrt5')
-    crem.add_argument("--max-nodes", type=_budget, default=200_000,
+    crem.add_argument("--max-nodes", type=_budget,
                       help="node budget of the --enumerate search (default 200000)")
     crem.set_defaults(func=cmd_cremona)
 
@@ -351,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the corank-one side of the s-graph report")
     fan.add_argument("--dot", metavar="PATH",
                      help="also write the graph as DOT (with --graph/--s-graph)")
-    fan.add_argument("--max-subsets", type=_budget, default=3_000_000,
-                     help="cover budget of the corank-one flat-lattice walk "
+    fan.add_argument("--max-subsets", type=_budget,
+                     help="cover budget of the --s-graph corank-one flat-lattice walk "
                           "(default 3000000)")
     fan.set_defaults(func=cmd_fan)
     return parser

@@ -16,23 +16,23 @@ Conventions:
 * ``closure_*`` spans the rows named by ``subset`` (index list) and
   returns ``(rank, members)`` with ``members`` the sorted indices of *all*
   rows lying in the subset's span;
-* ``covers_*`` spans the rows of a flat once and reduces every other row
-  modulo their span; rows whose reduced vectors are proportional span the
-  same cover of the flat. It returns the flat's *cover state*
-  (:class:`CoverState`): its pivots and, per cover, the sorted indices of
-  the cover's rows outside the flat (``groups``, ordered by least index)
-  and the reduced row of the least of them (``reps``). Rows inside the
-  span are skipped (a flat has none outside it);
-* ``cover_step_*(state, g)`` is the cover state of the flat's ``g``-th
-  cover G, by one more elimination step from the flat's state: that
-  cover's row becomes the next pivot, one step reduces the row of every
-  other cover, and covers whose rows become proportional merge. One row per
-  cover is enough: a cover C of F other than G meets G in F, and for e in
-  C - F the closure of G + e contains C, so all of C - F lies in one
-  cover of G;
-* ``_reduce_*(v, pivots, start)`` continues a row already reduced by
-  ``pivots[:start]`` with the rest of the pivots; from ``start = 0`` it is
-  the full reduction;
+* ``covers_*`` spans the rows of a flat F of rank k once and reduces every
+  other row modulo their span. A reduced row is 0 on the pivot coordinates;
+  the other n - k coordinates are the row's direction in the quotient
+  V/span(F), and rows of proportional directions span the same cover. It
+  returns F's *cover state* (:class:`CoverState`): k and, per cover, the
+  sorted indices of its rows outside F (``groups``, ordered by least
+  index) and its direction in canonical projective form (``reps``, also
+  the key that groups rows): primitive over Z with a positive lead,
+  ``_quad_key`` over Z[sqrt5], monic over F_p;
+* ``cover_step_*(state, g)`` is the cover state of F's ``g``-th cover G, by
+  one pass over the quotient coordinates: with u the rep of G and c its
+  first nonzero coordinate, every other rep w becomes u[c]*w - w[c]*u
+  without coordinate c (w without c when w[c] = 0), in canonical form, and
+  covers whose reps agree merge. The map is linear, kills u and is onto,
+  so it writes V/span(G) in n - k - 1 coordinates. One rep per cover is
+  enough: a cover C of F other than G meets G in F, and for e in C - F the
+  closure of G + e contains C, so all of C - F lies in one cover of G;
 * ``det_int`` is the determinant of a square integer matrix.
 
 Over Z and Z[sqrt5] the step is Bareiss fraction-free elimination: every
@@ -40,16 +40,14 @@ entry of a reduced row is a minor of the input (the pivot rows and the row,
 on the pivot columns and one more), so the division by the previous pivot
 is exact over any integral domain, in any order of pivot columns. Over F_p
 pivots are scaled to a leading 1. Reducing a row multiplies it by one
-nonzero scalar and subtracts a vector of the span, so the reduction is
-linear and two reduced rows are proportional exactly when the rows span
-the same cover. A row carries no memory of where its reduction stopped:
-over Z the next step divides by the lead entry of pivot ``start - 1``, over
-Z[sqrt5] by that pivot's lead (a, b) pair, and over F_p nothing carries
-over, so a stepped row equals the row reduced in one go by the same pivots.
+nonzero scalar and subtracts a vector of the span, so it is 0 exactly on
+the span and two reduced rows are proportional exactly when the rows span
+the same cover.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from math import gcd
 
@@ -57,12 +55,13 @@ from math import gcd
 ACTIVE_BACKEND = "pure"
 
 
-def _pivots(rows, reduce, width: int) -> list[tuple[int, list[int]]]:
+def _pivots(rows, reduce, step: int = 1) -> list[tuple[int, list[int]]]:
     """Pivots spanning the rows, as (leading position, reduced row) pairs.
 
-    Stops at ``width`` pivots, where the span is the whole space.
+    Stops at one pivot per coordinate (of ``step`` positions), where the
+    span is the whole space.
     """
-    pivots = []
+    pivots, width = [], _width(rows, step)
     for row in rows:
         v = reduce(row, pivots)
         lead = next(filter(None, v), 0)
@@ -73,67 +72,44 @@ def _pivots(rows, reduce, width: int) -> list[tuple[int, list[int]]]:
     return pivots
 
 
-def _closure(rows, subset, reduce, width: int) -> tuple[int, list[int]]:
-    pivots = _pivots([rows[i] for i in subset], reduce, width)
+def _closure(rows, subset, reduce, step: int = 1) -> tuple[int, list[int]]:
+    pivots = _pivots([rows[i] for i in subset], reduce, step)
     inside = set(subset)
     return len(pivots), [
         i for i, row in enumerate(rows) if i in inside or not any(reduce(row, pivots))
     ]
 
 
-class CoverState:
-    """A flat's pivots and, per cover, its rows outside the flat and the
-    reduced row of the least of them."""
-
-    __slots__ = ("pivots", "groups", "reps")
-
-    def __init__(self, pivots: list[tuple[int, list[int]]], groups: list[list[int]],
-                 reps: list[list[int]]):
-        self.pivots, self.groups, self.reps = pivots, groups, reps
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+# a flat's rank and, per cover, its rows outside the flat and its quotient direction
+CoverState = namedtuple("CoverState", "rank groups reps")
 
 
-def _covers(rows, flat, reduce, width: int, key) -> CoverState:
-    pivots = _pivots([rows[i] for i in flat], reduce, width)
+def _covers(rows, flat, reduce, key, step: int = 1) -> CoverState:
+    pivots = _pivots([rows[i] for i in flat], reduce, step)
+    # every reduced row is 0 on the pivot coordinates; the rest are the quotient's
+    pivot_coords = {c - c % step + j for c, _ in pivots for j in range(step)}
+    free = [j for j in range(_width(rows)) if j not in pivot_coords]
     inside = set(flat)
-    covers: dict[tuple, tuple[list[int], list[int]]] = {}
+    covers: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
         if i not in inside:
             v = reduce(row, pivots)
             if any(v):
-                k = key(v)
-                if k in covers:
-                    covers[k][0].append(i)
-                else:
-                    covers[k] = ([i], v)
-    return CoverState(
-        pivots, [g for g, _ in covers.values()], [v for _, v in covers.values()]
-    )
+                covers.setdefault(key([v[j] for j in free]), []).append(i)
+    return CoverState(len(pivots), list(covers.values()), list(covers))
 
 
-def _cover_step(state: CoverState, g: int, reduce, key) -> CoverState:
-    pivots, groups, reps = state.pivots, state.groups, state.reps
-    v = reps[g]
-    pivots = [*pivots, (v.index(next(filter(None, v))), v)]
-    start = len(pivots) - 1
-    at: dict[tuple, int] = {}
-    merged, kept = [], []
-    for group, rep in zip(groups[:g] + groups[g + 1:], reps[:g] + reps[g + 1:]):
-        w = reduce(rep, pivots, start)
-        k = key(w)
-        j = at.get(k)
-        if j is None:
-            at[k] = len(merged)
-            merged.append(group)
-            kept.append(w)
-        else:
-            # a new list: the parent state's lists are shared with its
-            # other covers; the merged cover keeps its least row
-            merged[j] = sorted(merged[j] + group)
-    return CoverState(pivots, merged, kept)
+def _cover_step(state: CoverState, g: int, quotient) -> CoverState:
+    groups, reps = state.groups, state.reps
+    u = reps[g]
+    c = u.index(next(filter(None, u)))
+    covers: dict[tuple, list[int]] = {}
+    for group, w in zip(groups[:g] + groups[g + 1:], reps[:g] + reps[g + 1:]):
+        k = quotient(u, c, w)
+        # a merged cover gets a new list (the parent state's lists are
+        # shared with its other covers) and keeps its least row first
+        covers[k] = sorted(covers[k] + group) if k in covers else group
+    return CoverState(state.rank + 1, list(covers.values()), list(covers))
 
 
 def _width(rows, step: int = 1) -> int:
@@ -151,14 +127,10 @@ def _primitive_key(v) -> tuple[int, ...]:
 # -- Z -----------------------------------------------------------------------
 
 
-def _reduce_int(vec, pivots, start: int = 0) -> list[int]:
+def _reduce_int(vec, pivots) -> list[int]:
     v = list(vec)
     n = len(v)
     prev = 1
-    if start:
-        c, row = pivots[start - 1]
-        prev = row[c]
-        pivots = pivots[start:]
     for c, row in pivots:
         pivot, vc = row[c], v[c]
         for j in range(n):
@@ -168,22 +140,29 @@ def _reduce_int(vec, pivots, start: int = 0) -> list[int]:
 
 
 def rank_int(rows) -> int:
-    rows = list(rows)
-    return len(_pivots(rows, _reduce_int, _width(rows)))
+    return len(_pivots(list(rows), _reduce_int))
 
 
 def closure_int(rows, subset) -> tuple[int, list[int]]:
-    rows = list(rows)
-    return _closure(rows, subset, _reduce_int, _width(rows))
+    return _closure(list(rows), subset, _reduce_int)
+
+
+def _quotient_int(u, c, w) -> tuple[int, ...]:
+    b = w[c]
+    if not b:
+        return w[:c] + w[c + 1:]
+    a = u[c]
+    v = [a * x - b * y for x, y in zip(w, u)]
+    del v[c]
+    return _primitive_key(v)
 
 
 def covers_int(rows, flat) -> CoverState:
-    rows = list(rows)
-    return _covers(rows, flat, _reduce_int, _width(rows), _primitive_key)
+    return _covers(list(rows), flat, _reduce_int, _primitive_key)
 
 
 def cover_step_int(state: CoverState, g: int) -> CoverState:
-    return _cover_step(state, g, _reduce_int, _primitive_key)
+    return _cover_step(state, g, _quotient_int)
 
 
 def det_int(rows) -> int:
@@ -194,7 +173,7 @@ def det_int(rows) -> int:
     column permutation; it is 0 when some row reduces to zero.
     """
     rows = list(rows)
-    pivots = _pivots(rows, _reduce_int, len(rows))
+    pivots = _pivots(rows, _reduce_int)
     if len(pivots) < len(rows):
         return 0
     if not pivots:
@@ -208,14 +187,9 @@ def det_int(rows) -> int:
 # -- Z[sqrt5]: coordinates are (a, b) pairs at flat positions 2j, 2j+1 -------
 
 
-def _reduce_quad(vec, pivots, start: int = 0) -> list[int]:
+def _reduce_quad(vec, pivots) -> list[int]:
     v = list(vec)
     pa, pb = 1, 0  # previous pivot, starts at 1
-    if start:
-        c, row = pivots[start - 1]
-        ca = c - c % 2
-        pa, pb = row[ca], row[ca + 1]
-        pivots = pivots[start:]
     for c, row in pivots:
         ca = c - c % 2  # the pivot coordinate's a position
         va, vb = row[ca], row[ca + 1]
@@ -248,34 +222,38 @@ def _quad_key(v) -> tuple[int, ...]:
 
 
 def rank_quad(rows) -> int:
-    rows = list(rows)
-    return len(_pivots(rows, _reduce_quad, _width(rows, 2)))
+    return len(_pivots(list(rows), _reduce_quad, 2))
 
 
 def closure_quad(rows, subset) -> tuple[int, list[int]]:
-    rows = list(rows)
-    return _closure(rows, subset, _reduce_quad, _width(rows, 2))
+    return _closure(list(rows), subset, _reduce_quad, 2)
+
+
+def _quotient_quad(u, c, w) -> tuple[int, ...]:
+    # u's coordinate c is a rational a (the _quad_key form), w's is p + q*sqrt5
+    p, q = w[c], w[c + 1]
+    if not (p or q):
+        return w[:c] + w[c + 2:]
+    a, v = u[c], []
+    for j in range(0, len(w), 2):
+        ya, yb = u[j], u[j + 1]
+        v += (a * w[j] - p * ya - 5 * q * yb, a * w[j + 1] - p * yb - q * ya)
+    del v[c:c + 2]
+    return _quad_key(v)
 
 
 def covers_quad(rows, flat) -> CoverState:
-    rows = list(rows)
-    return _covers(rows, flat, _reduce_quad, _width(rows, 2), _quad_key)
+    return _covers(list(rows), flat, _reduce_quad, _quad_key, 2)
 
 
 def cover_step_quad(state: CoverState, g: int) -> CoverState:
-    return _cover_step(state, g, _reduce_quad, _quad_key)
+    return _cover_step(state, g, _quotient_quad)
 
 
 # -- F_p ---------------------------------------------------------------------
 
 
-def _reduce_mod(vec, pivots, start: int = 0, *, p: int) -> list[int]:
-    """The reduced row, scaled to a leading 1 (so pivots are monic)."""
-    v = [x % p for x in vec]
-    for c, row in pivots[start:] if start else pivots:
-        f = v[c]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
+def _monic(v, p: int) -> list[int]:
     lead = next(filter(None, v), 1)
     if lead != 1:
         inv = pow(lead, -1, p)
@@ -283,20 +261,36 @@ def _reduce_mod(vec, pivots, start: int = 0, *, p: int) -> list[int]:
     return v
 
 
+def _reduce_mod(vec, pivots, *, p: int) -> list[int]:
+    """The reduced row, scaled to a leading 1 (so pivots are monic)."""
+    v = [x % p for x in vec]
+    for c, row in pivots:
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return _monic(v, p)
+
+
+def _quotient_mod(u, c, w, *, p: int) -> tuple[int, ...]:
+    b = w[c]
+    if not b:
+        return w[:c] + w[c + 1:]
+    v = [(x - b * y) % p for x, y in zip(w, u)]  # u[c] is 1
+    del v[c]
+    return tuple(_monic(v, p))
+
+
 def rank_mod(rows, p: int) -> int:
-    rows = list(rows)
-    return len(_pivots(rows, partial(_reduce_mod, p=p), _width(rows)))
+    return len(_pivots(list(rows), partial(_reduce_mod, p=p)))
 
 
 def closure_mod(rows, p: int, subset) -> tuple[int, list[int]]:
-    rows = list(rows)
-    return _closure(rows, subset, partial(_reduce_mod, p=p), _width(rows))
+    return _closure(list(rows), subset, partial(_reduce_mod, p=p))
 
 
 def covers_mod(rows, p: int, flat) -> CoverState:
-    rows = list(rows)
-    return _covers(rows, flat, partial(_reduce_mod, p=p), _width(rows), tuple)
+    return _covers(list(rows), flat, partial(_reduce_mod, p=p), tuple)
 
 
 def cover_step_mod(state: CoverState, p: int, g: int) -> CoverState:
-    return _cover_step(state, g, partial(_reduce_mod, p=p), tuple)
+    return _cover_step(state, g, partial(_quotient_mod, p=p))

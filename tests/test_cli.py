@@ -194,6 +194,21 @@ class TestCremona:
         assert code == 2
         assert "error: --field applies to --realize" in err
 
+    def test_node_budget_off_enumerate_is_refused(self, a3_file, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "cremona", a3_file, "--check", "0,1,5", "--max-nodes", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: --max-nodes applies to --enumerate" in err
+        # refused before the matroid file is read
+        missing = str(tmp_path / "nope.json")
+        code, _, err = run(
+            capsys, "cremona", missing, "--pair", "0,1,5", "0,1,5", "--max-nodes", "9"
+        )
+        assert code == 2
+        assert "error: --max-nodes applies to --enumerate" in err
+
     def test_realize_field_too_small(self, u25_file, capsys):
         code, _, err = run(
             capsys, "cremona", u25_file, "--realize", "0,1", "1,2",
@@ -406,6 +421,20 @@ class TestFan:
         )
         assert code == 2
         assert "--dot" in err
+
+    @pytest.mark.parametrize("mode", [["--rays"], ["--graph"], ["--member", "1,0,0,0,0,0"],
+                                      ["--s-graph", "--rank-one-only"]])
+    def test_cover_budget_off_the_corank_one_walk_is_refused(self, a3_file, tmp_path,
+                                                             capsys, mode):
+        code, out, err = run(capsys, "fan", a3_file, *mode, "--max-subsets", "0")
+        assert code == 2
+        assert out == ""
+        assert "error: --max-subsets applies to --s-graph without --rank-one-only" in err
+        # refused before the matroid file is read
+        missing = str(tmp_path / "nope.json")
+        code, _, err = run(capsys, "fan", missing, *mode, "--max-subsets", "5")
+        assert code == 2
+        assert "error: --max-subsets applies to --s-graph without --rank-one-only" in err
 
     def test_rank_one_only_off_s_graph_is_refused(self, a3_file, tmp_path, capsys):
         code, out, err = run(capsys, "fan", a3_file, "--rays", "--rank-one-only")

@@ -1,19 +1,18 @@
 """Elimination kernels: worked examples and correctness oracles."""
 
 from fractions import Fraction
-from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
-from cremfan.field import Field, QuadSqrt5, determinant, matrix_rank
+from cremfan.field import Field, QuadSqrt5, determinant, matrix_rank, primitive_quad_vector
+from cremfan.generators import positive_roots
 from cremfan.kernels import (
-    _pivots,
-    _reduce_int,
-    _reduce_mod,
-    _reduce_quad,
     closure_int,
     closure_mod,
     closure_quad,
+    cover_step_int,
+    cover_step_mod,
+    cover_step_quad,
     covers_int,
     covers_mod,
     covers_quad,
@@ -22,6 +21,8 @@ from cremfan.kernels import (
     rank_mod,
     rank_quad,
 )
+
+from conftest import f3_vector_rows
 
 
 class TestIntKernel:
@@ -90,10 +91,41 @@ def _rows_of_width(width):
 # the width is drawn first, so no example is filtered away
 same_width = st.integers(min_value=1, max_value=5).flatmap(_rows_of_width)
 even_width = st.integers(min_value=1, max_value=2).flatmap(lambda n: _rows_of_width(2 * n))
-# up to three Z[sqrt5] coordinates, so a row can stay nonzero past two pivots
-wider_even_width = st.integers(min_value=1, max_value=3).flatmap(
-    lambda n: _rows_of_width(2 * n)
+# up to four Z[sqrt5] coordinates (as many as H4 has), half of them 0: a
+# row's first nonzero coordinate then often lies before another row's,
+# where that row's coordinate need not be rational
+_quad_coordinate = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 )
+sparse_quad_rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(_quad_coordinate, min_size=n, max_size=n).map(
+            lambda row: [x for pair in row for x in pair]
+        ),
+        min_size=1, max_size=7,
+    )
+)
+
+
+def _quad_scale(x, row):
+    """x * row, for x = (a, b) meaning a + b*sqrt5 and a row flattened pairwise."""
+    a, b = x
+    return [t for j in range(0, len(row), 2)
+            for t in (a * row[j] + 5 * b * row[j + 1], a * row[j + 1] + b * row[j])]
+
+
+@st.composite
+def quad_lines(draw):
+    """Rows over Z[sqrt5] and one to three combinations x*r + y*s of two of
+    them with x, y in Z[sqrt5], so lines of three or more points appear
+    whose coefficients are not rational."""
+    rows = draw(sparse_quad_rows)
+    unit = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        r, s = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+        x, y = draw(unit), draw(unit)
+        rows.append([p + q for p, q in zip(_quad_scale(x, r), _quad_scale(y, s))])
+    return rows
 
 
 def covers_by_closure(closure, rows, flat):
@@ -165,31 +197,62 @@ class TestCoversKernel:
         )
 
 
-class TestReduceFromStart:
-    """A row reduced by the first pivots, then by the rest from ``start``,
-    is the row reduced by all of them at once."""
+class TestCoverStep:
+    """Along a random chain of flats from the least one up to full rank,
+    each flat's cover state stepped to its g-th cover G has the covers that
+    eliminating G from scratch finds, for every g; a rank-k state's reps
+    have width - k coordinates."""
 
     @staticmethod
-    def _check(rows, reduce):
-        pivots = _pivots(rows[:-1], reduce, len(rows[0]))
-        v = rows[-1]
-        for start in range(len(pivots) + 1):
-            assert reduce(reduce(v, pivots[:start]), pivots, start) == reduce(v, pivots)
+    def _check(rows, closure, covers, cover_step, step, data):
+        rank, flat = closure(rows, [])
+        state = covers(rows, flat)
+        while True:
+            assert state.rank == rank
+            assert all(len(rep) == len(rows[0]) - step * rank for rep in state.reps)
+            if not state.groups:
+                break
+            for g, group in enumerate(state.groups):
+                scratch = covers(rows, sorted(flat + group))
+                assert rank_groups(cover_step(state, g)) == rank_groups(scratch)
+            g = data.draw(st.integers(0, len(state.groups) - 1), label="g")
+            flat, state, rank = sorted(flat + state.groups[g]), cover_step(state, g), rank + 1
+        assert flat == list(range(len(rows)))
 
-    @given(same_width)
-    @settings(max_examples=100, deadline=None)
-    def test_int(self, rows):
-        self._check([tuple(r) for r in rows], _reduce_int)
+    @given(same_width, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_int(self, rows, data):
+        self._check([tuple(r) for r in rows], closure_int, covers_int, cover_step_int, 1, data)
 
-    @given(wider_even_width)
-    @settings(max_examples=100, deadline=None)
-    def test_quad(self, rows):
-        self._check([tuple(r) for r in rows], _reduce_quad)
+    @given(quad_lines(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quad(self, rows, data):
+        self._check([tuple(r) for r in rows], closure_quad, covers_quad, cover_step_quad, 2,
+                    data)
 
-    @given(same_width, st.sampled_from([2, 3, 5, 7]))
-    @settings(max_examples=100, deadline=None)
-    def test_mod(self, rows, p):
-        self._check([tuple(x % p for x in r) for r in rows], partial(_reduce_mod, p=p))
+    @given(same_width, st.sampled_from([2, 3, 5, 7]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mod(self, rows, p, data):
+        self._check_mod([tuple(x % p for x in r) for r in rows], p, data)
+
+    @given(f3_vector_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_f3_with_zero_and_parallel_rows(self, rows, data):
+        self._check_mod(rows, 3, data)
+
+    def test_h4_points(self):
+        # H4's roots have leading zero coordinates where other roots have
+        # irrational ones
+        _field, vectors, _labels = positive_roots("H", 4)
+        rows = [primitive_quad_vector(v) for v in vectors]
+        state = covers_quad(rows, [])
+        for g, group in enumerate(state.groups):
+            assert rank_groups(cover_step_quad(state, g)) == rank_groups(covers_quad(rows, group))
+
+    def _check_mod(self, rows, p, data):
+        self._check(rows, lambda rows, sub: closure_mod(rows, p, sub),
+                    lambda rows, flat: covers_mod(rows, p, flat),
+                    lambda state, g: cover_step_mod(state, p, g), 1, data)
 
 
 class TestFieldOracle:
