@@ -23,15 +23,15 @@ twice, after the lattice walk (untimed): read off the walk
 each, and asserts that the two agree.
 
 The last table walks the flat lattice of D5, E6 and K7 over F_101 to
-rank r - 1 twice: with each flat's cover state eliminated from scratch,
-and stepped from the state of the flat it was found from
-(``Matroid._walk_state``).  It gives the cover steps and the coordinates
-eliminated by each (counted in a separate untimed run: one per pivot a
-row is reduced by in ``_reduce_*``, one per other cover's direction in a
-cover step) and the seconds, and asserts that both walks find the same
-levels.  After the stepped walk it lists the entries of each
-per-matroid store: the flats in the levels, ``_found_from``,
-``_rank_cache``, ``_closure_cache`` and ``_components_cache``.
+rank r - 1, depth-first with each flat's cover state stepped from the
+state of the flat it was found from (``Matroid.flats_of_rank``).  It gives
+the cover steps, asserted equal to the flats the walk expands (those of
+rank 1 to r - 2), the coordinates eliminated (counted in a separate
+untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
+other cover's direction in a cover step) and the seconds.  After the walk
+it lists the entries of each per-matroid store: the flats in the levels,
+``_found_from``, ``_rank_cache``, ``_closure_cache`` and
+``_components_cache``.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -261,20 +261,16 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
     )
 
 
-def _walk_levels(spec: str, stepped: bool):
-    # a fresh matroid walked to rank r - 1; from scratch, each flat's cover
-    # state is its own covers elimination.  "K7/Fp:101" is K7 over F_101.
+def _walk_levels(spec: str):
+    # a fresh matroid walked to rank r - 1.  "K7/Fp:101" is K7 over F_101.
     name, _, field = spec.partition("/")
     M = from_spec_string(name)
     if field:
         M = matroid_from_dict({**matroid_to_dict(M), "field": field})
-    if not stepped:
-        M._walk_state = lambda F: M.backend.covers_fast(F.sorted())
     r = M.full_rank()
     t0 = time.perf_counter()
     M.flats_of_rank(r - 1)
-    seconds = time.perf_counter() - t0
-    return seconds, [[F.sorted() for F in M.flats_of_rank(k)] for k in range(r)], M
+    return time.perf_counter() - t0, M
 
 
 def _store_sizes(M) -> str:
@@ -289,7 +285,7 @@ def _store_sizes(M) -> str:
     return "   ".join(f"{name} {n}" for name, n in stores.items())
 
 
-def _counted_walk(spec: str, stepped: bool) -> tuple[int, int]:
+def _counted_walk(spec: str):
     # cover steps and coordinates eliminated in one walk, with the steps
     # and the Z and F_p reductions wrapped
     counts = [0, 0]
@@ -310,28 +306,24 @@ def _counted_walk(spec: str, stepped: bool) -> tuple[int, int]:
     kernels._cover_step = step
     kernels._reduce_int, kernels._reduce_mod = reducer("_reduce_int"), reducer("_reduce_mod")
     try:
-        _walk_levels(spec, stepped)
+        _seconds, M = _walk_levels(spec)
     finally:
         for name, original in originals.items():
             setattr(kernels, name, original)
-    return counts[0], counts[1]
+    return counts[0], counts[1], M
 
 
 def _bench_stepped_walk(spec: str, repeat: int) -> None:
-    runs = {}
-    for stepped in (False, True):
-        best, levels = float("inf"), None
-        for _ in range(repeat):
-            seconds, levels, M = _walk_levels(spec, stepped)
-            best = min(best, seconds)
-        runs[stepped] = (best, levels, *_counted_walk(spec, stepped))
-    assert runs[False][1] == runs[True][1]
-    (t_scratch, levels, _, e_scratch), (t_step, _, steps, e_step) = runs[False], runs[True]
+    best = min(_walk_levels(spec)[0] for _ in range(repeat))
+    steps, coordinates, M = _counted_walk(spec)
+    r = M.full_rank()
+    levels = [len(M.flats_of_rank(k)) for k in range(r)]
+    expanded = sum(levels[1:r - 1])
+    assert steps == expanded, f"{steps} cover steps for {expanded} flats expanded"
     print(
-        f"{spec} walk to rank {len(levels) - 1} ({sum(map(len, levels))} flats)".ljust(38)
-        + f" scratch {e_scratch:7d} coordinates {t_scratch * 1e3:8.2f} ms   "
-        f"stepped {steps:5d} steps {e_step:6d} coordinates {t_step * 1e3:8.2f} ms"
-        f"   x{t_scratch / t_step:5.1f}"
+        f"{spec} walk to rank {r - 1} ({sum(levels)} flats)".ljust(38)
+        + f" {steps:5d} steps = flats expanded   {coordinates:6d} coordinates"
+        f"   {best * 1e3:8.2f} ms"
     )
     print(f"{'':38} stores after the walk: {_store_sizes(M)}")
 

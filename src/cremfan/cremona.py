@@ -150,6 +150,12 @@ class CremonaData:
 def _require_simple(M: Matroid) -> None:
     if not M.is_simple():
         raise InputError("Cremona bases are defined for simple matroids")
+    # in rank 1 the one-point basis maps v_b to the indicator of cl(empty set) = 0
+    if M.full_rank() < 2:
+        raise InputError(
+            "Cremona bases are defined for matroids of rank at least 2, "
+            f"got rank {M.full_rank()}"
+        )
 
 
 def _check_basis(M: Matroid, b: Iterable[int]) -> tuple[int, ...]:
@@ -233,7 +239,7 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
 
 
 def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, list[int]]]]]:
-    """The pair remainders of a simple matroid, read off its lines.
+    """The pair remainders of a simple matroid of rank at least 2, read off its lines.
 
     Returns ``rem`` with ``rem[a][b]`` the bitmask of cl{a, b} \\ {a, b},
     which is L - {a, b} for the one line L through a and b, and
@@ -244,7 +250,7 @@ def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, 
     n = M.size
     rem = [[0] * n for _ in range(n)]
     through: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for line in M.flats_of_rank(2) if M.full_rank() >= 2 else ():
+    for line in M.flats_of_rank(2):
         points = line.sorted()
         if len(points) < 3:
             continue
@@ -288,8 +294,6 @@ def _exact_cover_bases(M: Matroid, max_nodes: int) -> tuple[list[tuple[int, ...]
     only there.  So every leaf is a Cremona basis.
     """
     n, r = M.size, M.full_rank()
-    if r == 0:
-        return [], 0
     rem, through = _line_remainders(M)
     full = (1 << n) - 1
     # l - 2, the most points one remainder can hold

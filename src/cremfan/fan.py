@@ -121,13 +121,12 @@ def _point_weights(M: Matroid, point) -> tuple:
 
 def nested_rays(M: Matroid) -> list[Flat]:
     """All proper nonempty connected flats, ordered by (rank, elements)."""
-    rays: list[Flat] = []
-    for k in range(1, M.full_rank()):
-        rays.extend(
-            F for F in M.flats_of_rank(k)
-            if len(F.elements) < M.size and M.is_connected(F.elements)
-        )
-    return rays
+    # the deepest level first: its walk stores every level below it
+    levels = [M.flats_of_rank(k) for k in reversed(range(1, M.full_rank()))]
+    return [
+        F for level in reversed(levels) for F in level
+        if len(F.elements) < M.size and M.is_connected(F.elements)
+    ]
 
 
 def _validate_ray(M: Matroid, flat) -> frozenset[int]:
@@ -349,7 +348,8 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
     # f != e with |cl{e,f}| = 2 exactly when {e, f} is a flat, and a flat
     # spanned by two elements has rank at most 2
     neighbors: list[list[int]] = [[] for _ in range(M.size)]
-    for k in range(min(2, M.full_rank()) + 1):
+    # the deepest level first: its walk stores the two below it
+    for k in reversed(range(min(2, M.full_rank()) + 1)):
         for F in M.flats_of_rank(k):
             if len(F) == 2:
                 e, f = F.sorted()
@@ -409,7 +409,6 @@ def graph_S(M: Matroid, *, rank_one_only: bool = False,
     m = M.size
     hyperplanes: list[Flat] = []
     if not rank_one_only:
-        # the budgeted walk goes first, so it counts its covers from rank 0
         hyperplanes = corank_one_connected_flats(M, max_subsets=max_subsets)
     neighbors = _rank_one_neighbors(M)
     singleton_counts = [len(fs) for fs in neighbors]

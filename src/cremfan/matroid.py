@@ -5,10 +5,11 @@ optional display labels next to the indices. Three primitive backends give
 the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
-keeps each completed rank as one dict, element set -> ``Flat``, and that
-level is the only store of the flats it found; it also records the flat
-each new flat was first found from. On a vector matroid it steps each
-flat's cover state from that flat's, keeping one state per rank. Rank and
+goes depth-first from cl(empty set) to the rank asked for and then stores
+each rank as one dict, element set -> ``Flat``, the only store of the
+flats it found; it also records the flat each new flat was first found
+from. On a vector matroid each flat's cover state is stepped from that
+flat's, and only the states on the walk's path are alive. Rank and
 closure queries are memoized per matroid and answer a walked flat off its
 level. The connectivity of every flat the walk found is read off its
 records and its levels, with no rank or closure query; other flats go
@@ -18,7 +19,6 @@ through a greedy-basis oracle.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -307,12 +307,12 @@ class Matroid:
         # the answers of the oracle's own rank and closure queries
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], Flat] = {}
-        # per completed rank, its flats by element set in canonical order
+        # per rank up to the deepest walk, its flats by element set in canonical order
         self._flats_cache: dict[int, dict[frozenset[int], Flat]] = {}
         # per flat the walk found, the flat it covers that the walk found it from
         self._found_from: dict[frozenset[int], Flat] = {}
-        # per rank, the last walked flat whose cover state was derived, with it
-        self._walk_states: dict[int, tuple[Flat, kernels.CoverState]] = {}
+        # the cover state of cl(empty set), which every walk starts from
+        self._root_state: kernels.CoverState | None = None
         self._components_cache: dict[frozenset[int], tuple[tuple[frozenset[int], int], ...]] = {}
 
     # -- basics ------------------------------------------------------------
@@ -380,7 +380,7 @@ class Matroid:
         return self.closure(S).elements == S
 
     def _walked(self, S: frozenset[int]) -> Flat | None:
-        """The flat with elements S from the walk's completed levels, or None."""
+        """The flat with elements S from the walk's stored levels, or None."""
         for level in self._flats_cache.values():
             flat = level.get(S)
             if flat is not None:
@@ -390,18 +390,14 @@ class Matroid:
     def is_simple(self) -> bool:
         """No loops, and every rank-1 flat is one element.
 
-        Reads the points off the walk's rank-1 level once the walk has made
-        it; before that, off the covers of the flat the walk starts from,
-        whose cover state the walk keeps (``_walk_state``). The walk, and
-        the covers a budgeted walk counts, still start at rank 0.
+        Reads the points off the walk's rank-1 level: a walk to rank 1 is
+        the one covers elimination of the empty flat, whose state deeper
+        walks start from.
         """
-        root = self._root()
-        if root.elements:
+        if self.closure(()).elements:
             return False
-        points = self._flats_cache.get(1)
-        return all(len(P) == 1 for P in (
-            self._walk_covers(root) if points is None else points
-        ))
+        # without loops, a nonempty ground set has rank at least 1
+        return not self.size or all(len(P) == 1 for P in self.flats_of_rank(1))
 
     # -- flats, level by level ----------------------------------------------
 
@@ -428,95 +424,81 @@ class Matroid:
                 seen.update(G.elements)
                 yield G
 
-    def _walk_covers(self, F: Flat) -> Iterable[frozenset[int]]:
-        """The element sets of the covers of a walked flat: off its stepped
-        cover state on a vector matroid, else one closure per cover."""
-        if getattr(self.backend, "covers_fast", None) is not None:
-            return map(F.elements.union, self._walk_state(F).groups)
-        return (G.elements for G in self._covers(F.elements))
-
-    def _root(self) -> Flat:
-        """The flat the walk starts from, the closure of the empty set."""
-        if not self._flats_cache:
-            F = self.closure(())
-            self._flats_cache[0] = {F.elements: F}
-        return next(iter(self._flats_cache[0].values()))
-
-    def _walk_state(self, F: Flat) -> kernels.CoverState:
-        """The cover state of a walked flat, stepped from its parent's.
-
-        Climbs the flats F was found from until one whose state is the one
-        kept at its rank (or the first flat of the walk, whose state is
-        made from scratch), then steps back down, keeping each state it
-        makes as the one of its rank. On every matroid measured (the
-        Coxeter types to rank 6, K7, random F_p rows) the flats found from
-        one parent come in one run of a sorted level, so each state is made
-        once per level; O(r) states are alive.
-        """
-        chain = []
-        while True:
-            kept = self._walk_states.get(F.rank)
-            if kept is not None and kept[0] is F:
-                state = kept[1]
-                break
-            parent = self._found_from.get(F.elements)
-            if parent is None:
-                state = self.backend.covers_fast(F.sorted())
-                self._walk_states[F.rank] = (F, state)
-                break
-            chain.append(F)
-            F = parent
-        for G in reversed(chain):
-            # the groups are ordered by least element, so [least] sorts
-            # just before (or equals) the one group that starts with it
-            g = bisect_left(state.groups, [min(G.elements - F.elements)])
-            state = self.backend.cover_step(state, g)
-            self._walk_states[G.rank] = (G, state)
-            F = G
-        return state
-
     def flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
         """All rank-k flats, canonically ordered by sorted element tuple.
 
-        Walks the lattice upward through the covers of each flat, from the
-        highest level already known; every level it completes is kept, as
-        the one store of its flats. Each new flat is recorded with the flat
-        it was first found from, for ``is_connected``. On a vector matroid
-        the covers of a flat come from its cover state
-        (``kernels.CoverState``), which one elimination step derives from
-        the state of the flat it was found from (``_walk_state``); only the
-        first flat of the walk is eliminated from scratch. Elsewhere they
-        come from one closure per cover.
-        ``max_covers`` caps the covers this walk issues: past it the walk
-        raises BudgetExceeded with the rank level and the flats it reached.
+        Read off the stored levels when a walk has reached rank k; else one
+        depth-first walk from cl(empty set) to rank k (``_walk``) replaces
+        them with levels 0 to k. So a caller that reads several levels asks
+        for the deepest first. ``max_covers`` caps the covers that walk
+        issues, counted from cl(empty set): past it the walk raises
+        BudgetExceeded with the flats it found per rank, and stores nothing.
         """
         if not 0 <= k <= self.full_rank():
             raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
         if max_covers is not None and max_covers < 0:
             raise InputError(f"max_covers must be non-negative, got {max_covers}")
-        self._root()
-        j = max(i for i in self._flats_cache if i <= k)
-        level = self._flats_cache[j]
+        if k not in self._flats_cache:
+            self._walk(k, max_covers)
+        return list(self._flats_cache[k].values())
+
+    def _walk(self, k: int, max_covers: int | None) -> None:
+        """Walk the lattice of flats depth-first from cl(empty set) to rank k.
+
+        The path is an explicit stack of flats, each with its cover state
+        and the covers not yet issued. A cover not seen before is recorded
+        in its level with the flat it was found from (for ``is_connected``)
+        and, below rank k, pushed at once. On a vector matroid its cover
+        state is one ``cover_step`` from the state of the flat it was found
+        from: one step per flat below rank k, at most k states alive, and
+        the empty flat eliminated from scratch once per matroid. Elsewhere
+        the covers come from one closure per cover. The levels are stored,
+        in canonical order, only when the walk completes.
+        """
+        root = self.closure(())
+        if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
+            self._root_state = self.backend.covers_fast(root.sorted())
+        levels = [{root.elements: root}] + [{} for _ in range(k)]
+        found_from: dict[frozenset[int], Flat] = {}
         issued = 0
-        below = sum(len(self._flats_cache[i]) for i in range(j + 1))
-        for rank in range(j + 1, k + 1):
-            found: dict[frozenset[int], Flat] = {}
-            for F in level.values():
-                for G in self._walk_covers(F):
-                    issued += 1
-                    if max_covers is not None and issued > max_covers:
-                        raise BudgetExceeded(
-                            f"the flat-lattice walk to rank {k} needs more than "
-                            f"{max_covers} covers; it reached rank {rank} "
-                            f"and had found {below + len(found)} flats, "
-                            f"{len(found)} of them of rank {rank}"
-                        )
-                    if G not in found:
-                        found[G] = Flat(G, rank)
-                        self._found_from[G] = F
-            level = self._flats_cache[rank] = {G: found[G] for G in sorted(found, key=sorted)}
-            below += len(level)
-        return list(level.values())
+        path = [self._on_path(root, self._root_state)] if k else []
+        while path:
+            F, state, covers = path[-1]
+            level = levels[F.rank + 1]
+            for g, G in covers:
+                issued += 1
+                if max_covers is not None and issued > max_covers:
+                    counts = [len(found) for found in levels[1:]]
+                    raise BudgetExceeded(
+                        f"the flat-lattice walk to rank {k} needs more than "
+                        f"{max_covers} covers; it had found {sum(counts)} flats, "
+                        f"by rank from 1 to {k}: {', '.join(map(str, counts))}"
+                    )
+                if G in level:
+                    continue
+                flat = level[G] = Flat(G, F.rank + 1)
+                found_from[G] = F
+                if flat.rank < k:
+                    step = None if state is None else self.backend.cover_step(state, g)
+                    path.append(self._on_path(flat, step))
+                    break
+            else:
+                path.pop()
+        self._flats_cache = {
+            j: {G: level[G] for G in sorted(level, key=sorted)}
+            for j, level in enumerate(levels)
+        }
+        self._found_from = found_from
+
+    def _on_path(self, F: Flat, state: kernels.CoverState | None):
+        """F as the walk's path holds it: with its cover state (None off a
+        vector matroid) and its covers' element sets, numbered as
+        ``cover_step`` numbers them."""
+        if state is None:
+            covers = (G.elements for G in self._covers(F.elements))
+        else:
+            covers = map(F.elements.union, state.groups)
+        return F, state, enumerate(covers)
 
     def flat_census(self) -> list[AbstractSet[frozenset[int]]]:
         """The flats as element sets, indexed by rank; rank r(M) holds E alone.
@@ -572,9 +554,9 @@ class Matroid:
             # always is. Otherwise K holds no loop, so G \ K is then a flat
             # (cl(G \ K) & K is the closure of the empty set in M|K), and
             # conversely a flat G \ K of rank r(G) - r(K) makes K a
-            # separator. That rank is below r(G), and the walk completes each
-            # level before it starts the next, so the lookup sees every flat
-            # of it. The components of F that are not separators join G \ F.
+            # separator. That rank is below r(G), and the walk stores every
+            # level up to r(G) at once, so the lookup sees every flat of it.
+            # The components of F that are not separators join G \ F.
             r = F.rank + 1
             kept = [
                 (K, rK) for K, rK in self._components(F.elements)

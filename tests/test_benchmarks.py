@@ -1,7 +1,8 @@
 """The scripts under benchmarks/ import cleanly against the current package.
 
 They are run by hand, so nothing else imports them; ``bench_kernels.py``
-reaches into private names that a refactor can delete.
+reaches into private names that a refactor can delete, so its walk table
+also runs here, on D4.
 """
 
 import importlib.util
@@ -12,11 +13,25 @@ import pytest
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 
 
-@pytest.mark.parametrize("script", ["bench_kernels.py", "bench_startup.py"])
-def test_script_imports_without_running(script):
+def _load(script):
     spec = importlib.util.spec_from_file_location(
         script.removesuffix(".py"), os.path.join(BENCHMARKS, script)
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # not __main__, so main() does not run
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("script", ["bench_kernels.py", "bench_startup.py"])
+def test_script_imports_without_running(script):
+    assert callable(_load(script).main)
+
+
+def test_walk_table_on_d4(capsys):
+    # the table asserts one cover step per flat the walk expands: the 12
+    # points and the 34 lines of D4 on the way to its 24 planes
+    _load("bench_kernels.py")._bench_stepped_walk("D4", 1)
+    row, stores = capsys.readouterr().out.splitlines()
+    assert row.startswith("D4 walk to rank 3 (71 flats)")
+    assert "   46 steps = flats expanded" in row
+    assert "levels 71   found_from 70" in stores

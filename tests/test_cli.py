@@ -379,7 +379,7 @@ class TestFan:
         assert code == 3
         assert "budget" in err
 
-    def test_s_graph_budget_names_the_level_reached(self, tmp_path, capsys):
+    def test_s_graph_budget_names_the_flats_found(self, tmp_path, capsys):
         path = str(tmp_path / "d4.json")
         assert main(["gen", "D4", "--out", path]) == 0
         capsys.readouterr()
@@ -390,8 +390,8 @@ class TestFan:
         assert out == ""
         assert (
             "error: budget exceeded: the flat-lattice walk to rank 3 needs "
-            "more than 1 covers; it reached rank 1 and had found 2 flats, "
-            "1 of them of rank 1\n"
+            "more than 1 covers; it had found 1 flats, by rank from 1 to 3: "
+            "1, 0, 0\n"
         ) in err
 
     @pytest.mark.parametrize("value", ["-1", "-7"])
@@ -515,6 +515,19 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "error: Cremona bases are defined for simple matroids" in err
+
+    @pytest.mark.parametrize("spec", ["K2", "U:1,1"])
+    @pytest.mark.parametrize("mode", [["--enumerate"], ["--check", "0"]],
+                             ids=["enumerate", "check"])
+    def test_rank_one_cremona_input_is_exit_2(self, tmp_path, capsys, spec, mode):
+        # the one point is a basis with no pairs; its map sent v_b to 0
+        path = str(tmp_path / "m.json")
+        assert main(["gen", spec, "--out", path]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "cremona", path, *mode)
+        assert code == 2
+        assert out == ""
+        assert "error: Cremona bases are defined for matroids of rank at least 2, got rank 1" in err
 
     def test_s_graph_writes_its_dot_file(self, tmp_path, capsys):
         path = str(tmp_path / "d4.json")

@@ -259,6 +259,19 @@ class TestEnumerate:
         with pytest.raises(InputError):
             enumerate_cremona_bases(contracted)
 
+    @pytest.mark.parametrize("M", [
+        complete_graph_matroid(2), uniform(1, 1), uniform(1, 1).restrict(()),
+    ], ids=["K2", "U:1,1", "U:0,0"])
+    def test_requires_rank_two(self, M):
+        # in rank 1 the basis is one point and the map sends v_b to the
+        # indicator of cl(empty set), which is 0: no line is preserved
+        assert M.is_simple()
+        with pytest.raises(InputError, match="rank at least 2, got rank"):
+            enumerate_cremona_bases(M)
+        for b in combinations(range(M.size), M.full_rank()):
+            with pytest.raises(InputError, match="rank at least 2, got rank"):
+                cremona_check_detail(M, b)
+
 
 def _a3_over_f3():
     doc = matroid_to_dict(coxeter_matroid("A3"))
@@ -330,6 +343,10 @@ class TestEnumerateAgainstBruteForce:
     @given(simple_vector_matroids())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_on_drawn_vector_matroids(self, M):
+        if M.full_rank() < 2:  # one point: refused, see test_requires_rank_two
+            with pytest.raises(InputError, match="rank at least 2"):
+                enumerate_cremona_bases(M)
+            return
         expected = _brute_force_bases(M)
         assert [d.basis for d in enumerate_cremona_bases(M)] == expected
         found, _nodes = _exact_cover_bases(M, 10 ** 6)

@@ -297,11 +297,11 @@ class TestRayGraph:
         # 3,715; the pair test now reads the flat census. A greedy-basis
         # test per ray made 172 closures; the rays' connectivity now comes
         # off the walk, and the closures are those of the empty flat, of E,
-        # and of the greedy-basis test of E itself. That test runs before the
-        # walk has made rank 1, so it closes its first point too: the
-        # simplicity check sees the points only as walk state
+        # and of the greedy-basis test of E itself. That test runs after the
+        # simplicity check's walk to the points, so its first point is
+        # answered off the walk's rank-1 level
         assert calls["rank_subset"] == 0
-        assert calls["closure_fast"] == 10
+        assert calls["closure_fast"] == 9
         # the simplicity check's state of the empty flat is the walk's
         assert calls["covers_fast"] == 1
 
@@ -351,7 +351,7 @@ class TestGraphS:
         monkeypatch.setattr(d5, "flats_of_rank", counted)
         # (n-2)(n-3)+1 = 7 orthogonal roots, none on a line of three
         assert [rank_one_neighbor_count(d5, e) for e in range(d5.size)] == [7] * 20
-        assert levels == [0, 1, 2]
+        assert levels == [2, 1, 0]  # the deepest first, so one walk
 
     def test_graph_s_covers_from_one_walk(self, monkeypatch):
         d5 = coxeter_matroid("D5")
@@ -360,8 +360,9 @@ class TestGraphS:
         # the rank-one edges come from the walk's two-element flats, with
         # no covers elimination per point: the walk starts from the state of
         # the empty flat that the simplicity check eliminated, and steps
+        # once to each of the 20 + 110 + 190 flats of rank 1 to 3
         assert calls["covers_fast"] == 1
-        assert calls["cover_step"] == 427
+        assert calls["cover_step"] == 320
         # the empty flat the walk starts from; the hyperplanes' connectivity
         # comes off the walk (a greedy-basis test per hyperplane made 149)
         assert calls["closure_fast"] == 1

@@ -1,6 +1,7 @@
 """Rank oracles, flats, connectivity, minors, and isomorphism search."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,14 @@ from conftest import (
 def all_subsets(M):
     for k in range(M.size + 1):
         yield from itertools.combinations(range(M.size), k)
+
+
+def _stack_depth():
+    """The frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def all_flats(M):
@@ -252,28 +261,20 @@ class TestLatticeWalk:
             (0, 1, 2, 3), (0, 4), (0, 5)
         ]
 
-    def test_one_elimination_per_flat(self, monkeypatch):
-        d5 = coxeter_matroid("D5")
-        calls = count_backend_calls(d5, monkeypatch)
-        d5.flats_of_rank(4)
-        below = sum(len(d5.flats_of_rank(k)) for k in range(4))
-        assert below == 321
-        # walking level k steps to the state of each of its flats, and to
-        # that of each flat of rank 1 to k - 1 they were found from, once
-        ancestors = []
-        for k in range(1, 4):
-            found = set()
-            for F in d5.flats_of_rank(k):
-                P = d5._found_from[F.elements]
-                while P.rank:
-                    found.add(P.elements)
-                    P = d5._found_from[P.elements]
-            ancestors.append(len(found))
-        assert ancestors == [0, 18, 89]
-        # the closure of the empty set and its one covers elimination from
-        # scratch, 320 + 107 single steps, and no rank query
+    @pytest.mark.parametrize("spec, expanded", [
+        ("D5", 320), ("B5", 525), ("F4", 146), ("H4", 782), ("K7", 812),
+    ])
+    def test_one_elimination_per_flat(self, spec, expanded, monkeypatch):
+        M = complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec)
+        r = M.full_rank()
+        calls = count_backend_calls(M, monkeypatch)
+        M.flats_of_rank(r - 1)
+        # the walk to rank r - 1 expands each flat of rank 1 to r - 2 once,
+        # by one step from the state of the flat it was found from; only
+        # the empty flat is eliminated from scratch, and no rank query
+        assert sum(len(M.flats_of_rank(j)) for j in range(1, r - 1)) == expanded
         assert calls == {
-            "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": 427
+            "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": expanded
         }
 
     def test_one_backend_closure_per_cover(self, monkeypatch):
@@ -298,19 +299,45 @@ class TestLatticeWalk:
         assert counted <= len(covers) + 1
         assert counted == 1400
 
-    def test_budget_names_the_level_reached(self):
+    def test_budget_names_the_flats_found_per_rank(self):
         d4 = coxeter_matroid("D4")
         with pytest.raises(BudgetExceeded) as info:
             d4.flats_of_rank(3, max_covers=20)
-        # 12 covers make rank 1; the next 7 are the covers of {0} and the
-        # 8th, of {1}, is one of them again
+        # depth first: the first point, the lines through it found so far
+        # and the planes through those
         assert str(info.value) == (
             "the flat-lattice walk to rank 3 needs more than 20 covers; it "
-            "reached rank 2 and had found 20 flats, 7 of them of rank 2"
+            "had found 14 flats, by rank from 1 to 3: 1, 5, 8"
         )
-        # completed levels are kept, and the walk resumes from them
-        # from rank 1: 84 covers to rank 2, 120 more to rank 3
-        assert len(d4.flats_of_rank(3, max_covers=204)) == 24
+        assert d4._flats_cache == {}  # a stopped walk stores nothing
+
+    @pytest.mark.parametrize("walked", [None, 2], ids=["fresh", "after-rank-2"])
+    def test_budget_counts_every_cover_from_the_empty_flat(self, walked):
+        # 12 covers of the empty flat, 84 of the points, 120 of the lines:
+        # what a walk to rank 3 issues, whatever was walked before
+        d4 = coxeter_matroid("D4")
+        if walked is not None:
+            d4.flats_of_rank(walked)
+        stored = {k: dict(level) for k, level in d4._flats_cache.items()}
+        with pytest.raises(BudgetExceeded, match="more than 215 covers"):
+            d4.flats_of_rank(3, max_covers=215)
+        assert d4._flats_cache == stored
+        assert len(d4.flats_of_rank(3, max_covers=216)) == 24
+        assert sorted(d4._flats_cache) == [0, 1, 2, 3]
+
+    def test_deep_input_ends_in_the_budget_not_the_stack(self):
+        # the Boolean lattice of 40 unit vectors: the walk's path reaches
+        # rank 38 long before its budget, with the stack a few frames deep
+        q = Field.from_spec("Q")
+        M = Matroid(VectorBackend(q, [[int(i == j) for j in range(40)] for i in range(40)]))
+        assert M.full_rank() == 40
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 25)
+        try:
+            with pytest.raises(BudgetExceeded, match="more than 5000 covers"):
+                M.flats_of_rank(39, max_covers=5000)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_negative_budget_is_input_error(self):
         d4 = coxeter_matroid("D4")
@@ -341,14 +368,22 @@ STEPPED_CASES = {
 
 
 def assert_stepped_states(M):
-    """Every walked flat's stepped cover state has the from-scratch covers."""
+    """Every flat the walk expands has the from-scratch covers as its stepped
+    cover state."""
+    on_path, expanded = M._on_path, []
+
+    def checked(F, stepped):
+        scratch = M.backend.covers_fast(F.sorted())
+        assert stepped.rank == scratch.rank == F.rank
+        assert stepped.groups == scratch.groups
+        expanded.append(F)
+        return on_path(F, stepped)
+
+    M._on_path = checked
     r = M.full_rank()
     M.flats_of_rank(r)
-    for k in range(r + 1):
-        for F in M.flats_of_rank(k):
-            stepped, scratch = M._walk_state(F), M.backend.covers_fast(F.sorted())
-            assert stepped.rank == scratch.rank == k
-            assert stepped.groups == scratch.groups
+    # a walk to rank r expands every flat of lower rank
+    assert len(expanded) == sum(len(M.flats_of_rank(k)) for k in range(r))
 
 
 class TestSteppedCovers:
@@ -361,17 +396,20 @@ class TestSteppedCovers:
     def test_stepped_states_of_f3_vectors(self, rows):
         assert_stepped_states(f3_matroid(rows))
 
-    def test_each_level_keeps_one_state_per_rank(self):
+    def test_the_path_holds_one_flat_per_rank(self):
         d5 = coxeter_matroid("D5")
+        on_path, pushed = d5._on_path, []
+        d5._on_path = lambda F, state: pushed.append(F) or on_path(F, state)
         d5.flats_of_rank(4)
-        # the last flat of rank 3, and the flats it was found from
-        assert sorted(d5._walk_states) == [0, 1, 2, 3]
-        G = d5.flats_of_rank(3)[-1]
-        for k in (3, 2, 1):
-            F, _state = d5._walk_states[k]
-            assert F is G
-            G = d5._found_from.get(G.elements)
-        assert d5._walk_states[0][0] is G is d5.flats_of_rank(0)[0]
+        # each flat is expanded from the one flat of the rank below it on
+        # the path, the last one pushed there, so at most 4 states are alive
+        last = {}
+        for F in pushed:
+            if F.rank:
+                assert d5._found_from[F.elements] is last[F.rank - 1]
+            last[F.rank] = F
+        assert sorted(last) == [0, 1, 2, 3]
+        assert len(pushed) == 1 + 320
 
 
 class TestBackends:
@@ -578,10 +616,10 @@ class TestConnectivityFromTheWalk:
         M, reference = CONNECTIVITY_CASES[name](), CONNECTIVITY_CASES[name]()
         with pytest.raises(BudgetExceeded):
             M.flats_of_rank(M.full_rank(), max_covers=budget)
-        # the flats of the level it stopped in, and the levels it never
-        # reached, next to the complete ones
+        # a stopped walk stores nothing: every flat goes to the oracle
+        assert M._flats_cache == {}
         assert_walk_connectivity(M, reference)
-        # then the walk resumes from its last complete level
+        # then the walks start over from the empty flat
         list(all_flats(M))
         assert_walk_connectivity(M, reference)
 
@@ -692,7 +730,7 @@ class TestMinors:
         assert calls == {
             "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": 0
         }
-        assert list(d5._flats_cache) == [0]  # the lattice walk starts at rank 0
+        assert list(d5._flats_cache) == [0, 1]  # the check's walk to the points
         # from the state of the empty flat that the check eliminated
         assert len(d5.flats_of_rank(2)) == 110
         assert calls["covers_fast"] == 1
