@@ -7,6 +7,45 @@ with its degree report.
 
 Points live in R^E modulo the all-ones vector; every point is
 canonicalized so its minimum weight is zero.
+
+The rays are the connected flats, and on a reflection arrangement from
+rank 3 up they come from the connected walk
+(``Matroid.connected_flats_of_rank``): from the points, it records and
+expands a cover G of a flat F only when |G - F| >= 2. Two facts make it
+exact.
+
+Lemma (no connectivity query). Let M be simple, F a connected flat and G
+a flat covering F. Then M|G is connected iff |G - F| >= 2. If G - F is one
+element e, then r(G) = r(F) + r({e}) and {e} is a separator. Conversely,
+let M|G split. F is connected, so it lies in one component K, and every
+other component has positive rank (no loops), so r(F) <= r(K) <=
+r(G) - 1 = r(F). Then K lies in cl(F) = F, so K = F, and G - F is a
+separator of rank 1: one parallel class, hence one element.
+
+Precondition (nothing missed). Let the vectors be real (over Q or
+Q(sqrt5)), nonzero, pairwise non-proportional and closed up to scale
+under their own reflections (``VectorBackend.reflection_closed``). The
+reflections generate a finite orthogonal group W: it permutes the
+finitely many lines, and a map of W that fixes each line is determined by a
+sign per line of a basis (W is the identity off their span). The unit
+vectors on the lines form a root system of W, and every reflection of W
+is a root's (Humphreys, Reflection Groups and Coxeter Groups, 1.14). A
+flat X is the set of roots in its span S. A reflection s_a fixes the
+orthogonal complement of S pointwise iff a lies in S, and by Steinberg
+(1964) the pointwise stabilizer of that complement is generated by the
+reflections in it, so X is the root system of a parabolic subgroup of W
+(Barcelo-Ihrig 1999). X is connected iff that root system is
+irreducible. An orthogonal split of the roots splits M|X. Conversely,
+if M|X splits into A + B, then for a in A and b in B the root
+s_a(b) = b - c a lies in span(A) or in span(B), which forces c = 0, so A
+and B are orthogonal. An irreducible X of rank k >= 2 has a base with a
+connected Coxeter graph; dropping a leaf of a spanning tree of that graph
+leaves a base of a connected flat X' of rank k - 1 (the roots in its span
+are the root system of the base's parabolic subgroup), and X covers X'.
+By induction from the points, the walk records X', expands it and finds
+X, with |X - X'| >= 2 by the lemma. Without the precondition the walk
+can miss flats: in U(3,4), E is connected, but every flat it covers is a
+disconnected pair.
 """
 
 from __future__ import annotations
@@ -122,11 +161,8 @@ def _point_weights(M: Matroid, point) -> tuple:
 def nested_rays(M: Matroid) -> list[Flat]:
     """All proper nonempty connected flats, ordered by (rank, elements)."""
     # the deepest level first: its walk stores every level below it
-    levels = [M.flats_of_rank(k) for k in reversed(range(1, M.full_rank()))]
-    return [
-        F for level in reversed(levels) for F in level
-        if len(F.elements) < M.size and M.is_connected(F.elements)
-    ]
+    levels = [M.connected_flats_of_rank(k) for k in reversed(range(1, M.full_rank()))]
+    return [F for level in reversed(levels) for F in level]
 
 
 def _validate_ray(M: Matroid, flat) -> frozenset[int]:
@@ -291,8 +327,10 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
         raise InputError("ray adjacency graph needs a simple matroid")
     if M.size and not M.is_connected(M.closure(range(M.size)).elements):
         raise InputError("ray adjacency graph needs a connected matroid")
-    rays = nested_rays(M)
+    # the full walk first: the rays are then read off its levels, with no
+    # second walk, and the pair test needs its disconnected flats A | B
     census = M.flat_census()
+    rays = nested_rays(M)
     edges = tuple(
         (i, j)
         for i, j in itertools.combinations(range(len(rays)), 2)
@@ -348,13 +386,23 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
     # f != e with |cl{e,f}| = 2 exactly when {e, f} is a flat, and a flat
     # spanned by two elements has rank at most 2
     neighbors: list[list[int]] = [[] for _ in range(M.size)]
-    # the deepest level first: its walk stores the two below it
-    for k in reversed(range(min(2, M.full_rank()) + 1)):
-        for F in M.flats_of_rank(k):
-            if len(F) == 2:
-                e, f = F.sorted()
-                neighbors[e].append(f)
-                neighbors[f].append(e)
+    if 2 in M._connected_cache:
+        # the connected walk ran, so M is simple, and it stored the lines of
+        # three or more points, the connected rank-2 flats: {e, f} is a flat
+        # iff no such line holds both. So no full walk to rank 2 is needed.
+        on_lines = [{e} for e in range(M.size)]
+        for L in M.connected_flats_of_rank(2):
+            for e in L.elements:
+                on_lines[e] |= L.elements
+        neighbors = [[f for f in range(M.size) if f not in on] for on in on_lines]
+    else:
+        # the deepest level first: its walk stores the two below it
+        for k in reversed(range(min(2, M.full_rank()) + 1)):
+            for F in M.flats_of_rank(k):
+                if len(F) == 2:
+                    e, f = F.sorted()
+                    neighbors[e].append(f)
+                    neighbors[f].append(e)
     _NEIGHBORS[M] = neighbors = [sorted(fs) for fs in neighbors]
     return neighbors
 
@@ -363,8 +411,8 @@ def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
                                max_subsets: int = 3_000_000) -> list[Flat]:
     """All connected corank-one flats, optionally only those through one element.
 
-    The hyperplanes come from the flat-lattice walk; ``max_subsets`` caps
-    the covers that walk issues.
+    The hyperplanes come from ``Matroid.connected_flats_of_rank``;
+    ``max_subsets`` caps the covers of the walk it runs.
     """
     r = M.full_rank()
     if r < 1:
@@ -372,8 +420,8 @@ def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
     if through is not None:
         M._check_subset({through})
     return [
-        F for F in M.flats_of_rank(r - 1, max_covers=max_subsets)
-        if (through is None or through in F.elements) and M.is_connected(F.elements)
+        F for F in M.connected_flats_of_rank(r - 1, max_covers=max_subsets)
+        if through is None or through in F.elements
     ]
 
 

@@ -33,6 +33,11 @@ Conventions:
   so it writes V/span(G) in n - k - 1 coordinates. One rep per cover is
   enough: a cover C of F other than G meets G in F, and for e in C - F the
   closure of G + e contains C, so all of C - F lies in one cover of G;
+* ``reflection_closed_*`` says whether the rows are nonzero, pairwise
+  non-proportional and closed up to sign and scale under the reflections
+  s_r(v) = v - 2 <r, v> / <r, r> r in their own hyperplanes (standard
+  inner product, Z[sqrt5] taken in the reals): each <r, r> s_r(v) must have
+  the canonical projective form of a row;
 * ``det_int`` is the determinant of a square integer matrix.
 
 Over Z and Z[sqrt5] the step is Bareiss fraction-free elimination: every
@@ -50,6 +55,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import partial
 from math import gcd
+from operator import mul
 
 # the kernel implementation's name, recorded in every perfbench result
 ACTIVE_BACKEND = "pure"
@@ -116,6 +122,16 @@ def _width(rows, step: int = 1) -> int:
     return len(rows[0]) // step if rows else 0
 
 
+def _reflection_closed(rows, key, images) -> bool:
+    # simple: no zero row, and no two rows on one line
+    if not all(map(any, rows)):
+        return False
+    keys = set(map(key, rows))
+    return len(keys) == len(rows) and all(
+        key(w) in keys for r in rows for w in images(r, rows)
+    )
+
+
 def _primitive_key(v) -> tuple[int, ...]:
     # divide by the gcd and make the first nonzero entry positive
     g = gcd(*v)
@@ -163,6 +179,22 @@ def covers_int(rows, flat) -> CoverState:
 
 def cover_step_int(state: CoverState, g: int) -> CoverState:
     return _cover_step(state, g, _quotient_int)
+
+
+def _reflections_int(r, rows):
+    # <r, r> s_r(v) = <r, r> v - 2 <r, v> r for each v not orthogonal to r
+    rr = sum(map(mul, r, r))
+    for v in rows:
+        rv = sum(map(mul, r, v))
+        if rv:
+            yield [rr * x - 2 * rv * y for x, y in zip(v, r)]
+
+
+def reflection_closed_int(rows) -> bool:
+    """Whether the rows are nonzero, pairwise non-proportional and closed,
+    up to sign and scale, under the reflections in their own hyperplanes
+    (standard inner product)."""
+    return _reflection_closed(list(rows), _primitive_key, _reflections_int)
 
 
 def det_int(rows) -> int:
@@ -248,6 +280,34 @@ def covers_quad(rows, flat) -> CoverState:
 
 def cover_step_quad(state: CoverState, g: int) -> CoverState:
     return _cover_step(state, g, _quotient_quad)
+
+
+def _dot_quad(u, v) -> tuple[int, int]:
+    a = b = 0
+    for j in range(0, len(u), 2):
+        ua, ub, va, vb = u[j], u[j + 1], v[j], v[j + 1]
+        a += ua * va + 5 * ub * vb
+        b += ua * vb + ub * va
+    return a, b
+
+
+def _reflections_quad(r, rows):
+    # as _reflections_int, with the products taken in Z[sqrt5]
+    p, q = _dot_quad(r, r)
+    for v in rows:
+        s, t = _dot_quad(r, v)
+        if s or t:
+            w = []
+            for j in range(0, len(v), 2):
+                xa, xb, ya, yb = v[j], v[j + 1], r[j], r[j + 1]
+                w += (p * xa + 5 * q * xb - 2 * (s * ya + 5 * t * yb),
+                      p * xb + q * xa - 2 * (s * yb + t * ya))
+            yield w
+
+
+def reflection_closed_quad(rows) -> bool:
+    """``reflection_closed_int`` over Z[sqrt5], embedded in the reals."""
+    return _reflection_closed(list(rows), _quad_key, _reflections_quad)
 
 
 # -- F_p ---------------------------------------------------------------------

@@ -13,13 +13,17 @@ flat's, and only the states on the walk's path are alive. Rank and
 closure queries are memoized per matroid and answer a walked flat off its
 level. The connectivity of every flat the walk found is read off its
 records and its levels, with no rank or closure query; other flats go
-through a greedy-basis oracle.
+through a greedy-basis oracle. On a reflection arrangement the connected
+flats of rank 3 or more come from the connected walk, the same walk with
+a filter that keeps only the connected covers (``connected_flats_of_rank``),
+whose levels are stored apart.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Iterable, Sequence
 
 from . import kernels
@@ -171,6 +175,16 @@ class VectorBackend:
         """The cover state of the g-th cover, by one step from the flat's."""
         return self._step(state, g)
 
+    @cached_property
+    def reflection_closed(self) -> bool:
+        """Whether the vectors are a simple reflection arrangement: nonzero,
+        pairwise non-proportional, and closed up to sign and scale under
+        their own reflections. False over F_p, which has no inner product
+        to reflect in."""
+        if self.field.kind == "Q":
+            return kernels.reflection_closed_int(self._rows)
+        return self.field.kind == "Qsqrt5" and kernels.reflection_closed_quad(self._rows)
+
 
 class LineBackend:
     """A simple rank-3 matroid presented by its lines of three or more points.
@@ -311,6 +325,8 @@ class Matroid:
         self._flats_cache: dict[int, dict[frozenset[int], Flat]] = {}
         # per flat the walk found, the flat it covers that the walk found it from
         self._found_from: dict[frozenset[int], Flat] = {}
+        # per rank up to the deepest connected walk, its connected flats, as above
+        self._connected_cache: dict[int, dict[frozenset[int], Flat]] = {}
         # the cover state of cl(empty set), which every walk starts from
         self._root_state: kernels.CoverState | None = None
         self._components_cache: dict[frozenset[int], tuple[tuple[frozenset[int], int], ...]] = {}
@@ -434,15 +450,41 @@ class Matroid:
         issues, counted from cl(empty set): past it the walk raises
         BudgetExceeded with the flats it found per rank, and stores nothing.
         """
-        if not 0 <= k <= self.full_rank():
-            raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
-        if max_covers is not None and max_covers < 0:
-            raise InputError(f"max_covers must be non-negative, got {max_covers}")
+        self._check_walk(k, max_covers)
         if k not in self._flats_cache:
             self._walk(k, max_covers)
         return list(self._flats_cache[k].values())
 
-    def _walk(self, k: int, max_covers: int | None) -> None:
+    def connected_flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
+        """All connected rank-k flats, canonically ordered by sorted element tuple.
+
+        From rank 3 up, on a simple reflection arrangement
+        (``VectorBackend.reflection_closed``), one connected walk to rank k
+        (``_walk``) stores the connected levels 1 to k, apart from the full
+        walk's. Elsewhere, and wherever a walk has already stored rank k,
+        the flats are read off the stored levels, the full walk's filtered
+        by ``is_connected``: up to rank 2 both walks expand the points
+        alone, so the full walk costs no more and needs no check.
+        ``max_covers`` caps the covers of the walk that runs, as in
+        ``flats_of_rank``.
+        """
+        self._check_walk(k, max_covers)
+        if k not in self._connected_cache:
+            if k < 3 or k in self._flats_cache or not getattr(
+                self.backend, "reflection_closed", False
+            ):
+                level = self.flats_of_rank(k, max_covers=max_covers)
+                return [F for F in level if self.is_connected(F.elements)]
+            self._walk(k, max_covers, connected=True)
+        return list(self._connected_cache[k].values())
+
+    def _check_walk(self, k: int, max_covers: int | None) -> None:
+        if not 0 <= k <= self.full_rank():
+            raise InputError(f"no flats of rank {k} (matroid rank {self.full_rank()})")
+        if max_covers is not None and max_covers < 0:
+            raise InputError(f"max_covers must be non-negative, got {max_covers}")
+
+    def _walk(self, k: int, max_covers: int | None, connected: bool = False) -> None:
         """Walk the lattice of flats depth-first from cl(empty set) to rank k.
 
         The path is an explicit stack of flats, each with its cover state
@@ -454,11 +496,20 @@ class Matroid:
         the empty flat eliminated from scratch once per matroid. Elsewhere
         the covers come from one closure per cover. The levels are stored,
         in canonical order, only when the walk completes.
+
+        The connected walk (``connected``) records and pushes a cover G of
+        a flat F of rank 1 or more only when G has two or more elements
+        outside F. Run from the points of a simple matroid, it records
+        connected flats alone (``fan``'s module docstring has the proof, and
+        the proof that on a reflection arrangement it records them all).
+        Its levels go to ``_connected_cache``, with no record of the flat
+        each was found from, and its budget counts every cover it issues.
         """
         root = self.closure(())
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
             self._root_state = self.backend.covers_fast(root.sorted())
-        levels = [{root.elements: root}] + [{} for _ in range(k)]
+        # cl(empty set) has no element, so it is not connected
+        levels = [{} if connected else {root.elements: root}] + [{} for _ in range(k)]
         found_from: dict[frozenset[int], Flat] = {}
         issued = 0
         path = [self._on_path(root, self._root_state)] if k else []
@@ -469,26 +520,32 @@ class Matroid:
                 issued += 1
                 if max_covers is not None and issued > max_covers:
                     counts = [len(found) for found in levels[1:]]
+                    walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
                     raise BudgetExceeded(
-                        f"the flat-lattice walk to rank {k} needs more than "
-                        f"{max_covers} covers; it had found {sum(counts)} flats, "
-                        f"by rank from 1 to {k}: {', '.join(map(str, counts))}"
+                        f"the {walk} walk to rank {k} needs more than {max_covers} "
+                        f"covers; it had found {sum(counts)} {kind}flats, by rank "
+                        f"from 1 to {k}: {', '.join(map(str, counts))}"
                     )
-                if G in level:
+                if connected and F.rank and len(G) - len(F.elements) < 2 or G in level:
                     continue
                 flat = level[G] = Flat(G, F.rank + 1)
-                found_from[G] = F
+                if not connected:
+                    found_from[G] = F
                 if flat.rank < k:
                     step = None if state is None else self.backend.cover_step(state, g)
                     path.append(self._on_path(flat, step))
                     break
             else:
                 path.pop()
-        self._flats_cache = {
+        stored = {
             j: {G: level[G] for G in sorted(level, key=sorted)}
             for j, level in enumerate(levels)
         }
-        self._found_from = found_from
+        if connected:
+            self._connected_cache = stored
+        else:
+            self._flats_cache = stored
+            self._found_from = found_from
 
     def _on_path(self, F: Flat, state: kernels.CoverState | None):
         """F as the walk's path holds it: with its cover state (None off a

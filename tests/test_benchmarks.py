@@ -2,7 +2,7 @@
 
 They are run by hand, so nothing else imports them; ``bench_kernels.py``
 reaches into private names that a refactor can delete, so its walk table
-also runs here, on D4.
+also runs here, on D4, and so does ``bench_coxeter.py``'s row of D5.
 """
 
 import importlib.util
@@ -22,7 +22,7 @@ def _load(script):
     return module
 
 
-@pytest.mark.parametrize("script", ["bench_kernels.py", "bench_startup.py"])
+@pytest.mark.parametrize("script", ["bench_coxeter.py", "bench_kernels.py", "bench_startup.py"])
 def test_script_imports_without_running(script):
     assert callable(_load(script).main)
 
@@ -35,3 +35,13 @@ def test_walk_table_on_d4(capsys):
     assert row.startswith("D4 walk to rank 3 (71 flats)")
     assert "   46 steps = flats expanded" in row
     assert "levels 71   found_from 70" in stores
+
+
+def test_coxeter_row_of_d5():
+    bench = _load("bench_coxeter.py")
+    row = bench.coxeter_row("D5")
+    assert bench.mismatches("D5", row) == []
+    # the connected walk's 110 steps, then the Cremona search's walk to the
+    # lines, 20 more; the counting bound refutes D5 at the root
+    assert row["cover_steps"] == 130
+    assert row["search_nodes"] == 1

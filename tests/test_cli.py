@@ -13,9 +13,12 @@ import time
 
 import pytest
 
+from cremfan import cli
 from cremfan.cli import main
 from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
 from cremfan.serialize import load_matroid, matroid_to_dict
+
+from conftest import count_backend_calls
 
 
 def run(capsys, *argv):
@@ -388,10 +391,12 @@ class TestFan:
         )
         assert code == 3
         assert out == ""
+        # D4 is a reflection arrangement: its hyperplanes come from the
+        # connected walk, whose first cover is the point 0
         assert (
-            "error: budget exceeded: the flat-lattice walk to rank 3 needs "
-            "more than 1 covers; it had found 1 flats, by rank from 1 to 3: "
-            "1, 0, 0\n"
+            "error: budget exceeded: the connected-flat walk to rank 3 needs "
+            "more than 1 covers; it had found 1 connected flats, by rank from "
+            "1 to 3: 1, 0, 0\n"
         ) in err
 
     @pytest.mark.parametrize("value", ["-1", "-7"])
@@ -414,6 +419,43 @@ class TestFan:
             main(["fan", a3_file, "--s-graph", "--max-subsets", "many"])
         assert info.value.code == 2
         assert "argument --max-subsets: invalid int value: 'many'" in capsys.readouterr()[1]
+
+    @pytest.mark.parametrize("spec", ["B3", "B4"])
+    def test_rays_query_no_rank(self, spec, tmp_path, capsys, monkeypatch):
+        # each ray carries its rank from the walk that found it; B4's rays
+        # come from the connected walk, whose levels the rank oracle does
+        # not read, so a rank query per ray would reach the backend
+        path = str(tmp_path / f"{spec}.json")
+        assert main(["gen", spec, "--out", path]) == 0
+        capsys.readouterr()
+        M = load_matroid(path)
+        calls = count_backend_calls(M, monkeypatch)
+        monkeypatch.setattr(cli, "load_matroid", lambda _path: M)
+        doc, _ = run_json(capsys, "fan", path, "--rays")
+        assert doc["payload"]["count"] == {"B3": 16, "B4": 50}[spec]
+        # the one rank query is r(E), for the matroid summary
+        assert calls["rank_subset"] == 1
+
+    def test_rays_of_non_simple_vectors_come_from_the_full_walk(self, tmp_path, capsys):
+        # B4 and a second vector on the line of its first root
+        b4 = matroid_to_dict(coxeter_matroid("B4"))
+        b4["elements"].append("twin")
+        b4["data"].append([str(2 * int(x)) for x in b4["data"][0]])
+        path = tmp_path / "b4-twin.json"
+        path.write_text(json.dumps(b4))
+        doc, _ = run_json(capsys, "fan", str(path), "--rays")
+        reference = load_matroid(str(path))
+        expected = [
+            F for k in range(1, 4) for F in reference.flats_of_rank(k)
+            if reference.is_connected(F.elements)
+        ]
+        labels = reference.ground.labels
+        assert doc["payload"]["rays"] == [
+            {"elements": [labels[e] for e in F.sorted()], "rank": F.rank}
+            for F in expected
+        ]
+        # the parallel pair {x1, twin} is a connected rank-1 ray
+        assert doc["payload"]["count"] == len(expected) == 50
 
     def test_dot_needs_a_graph_mode(self, a3_file, tmp_path, capsys):
         code, _, err = run(

@@ -306,6 +306,16 @@ class TestRayGraph:
         assert calls["covers_fast"] == 1
 
 
+def test_ray_graph_runs_the_full_walk_alone():
+    # the pair test reads disjoint unions A | B, disconnected flats, off the
+    # full census, and the rays are then read off the same levels
+    d5, reference = coxeter_matroid("D5"), coxeter_matroid("D5")
+    graph = ray_adjacency_graph(d5)
+    assert d5._connected_cache == {}
+    assert list(graph.vertices) == nested_rays(reference)
+    assert reference._connected_cache != {}  # nested_rays alone walks connected
+
+
 class TestGraphS:
     def test_rank_one_neighbor_count(self):
         d4 = coxeter_matroid("D4")
@@ -357,12 +367,15 @@ class TestGraphS:
         d5 = coxeter_matroid("D5")
         calls = count_backend_calls(d5, monkeypatch)
         graph_S(d5)
-        # the rank-one edges come from the walk's two-element flats, with
-        # no covers elimination per point: the walk starts from the state of
+        # D5 is a reflection arrangement, so the hyperplanes come from the
+        # connected walk, and the rank-one edges from its lines, with no
+        # covers elimination per point: the walk starts from the state of
         # the empty flat that the simplicity check eliminated, and steps
-        # once to each of the 20 + 110 + 190 flats of rank 1 to 3
+        # once to each of the 20 + 40 + 50 connected flats of rank 1 to 3
+        # (the full walk stepped to all 20 + 110 + 190 flats: 320 steps)
         assert calls["covers_fast"] == 1
-        assert calls["cover_step"] == 320
+        assert calls["cover_step"] == 110
+        assert [len(d5.connected_flats_of_rank(k)) for k in (1, 2, 3)] == [20, 40, 50]
         # the empty flat the walk starts from; the hyperplanes' connectivity
         # comes off the walk (a greedy-basis test per hyperplane made 149)
         assert calls["closure_fast"] == 1

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cremfan.field import Field, QuadSqrt5, determinant, matrix_rank, primitive_quad_vector
+from cremfan.field import (
+    Field,
+    QuadSqrt5,
+    determinant,
+    matrix_rank,
+    primitive_int_vector,
+    primitive_quad_vector,
+)
 from cremfan.generators import positive_roots
 from cremfan.kernels import (
     closure_int,
@@ -20,6 +27,8 @@ from cremfan.kernels import (
     rank_int,
     rank_mod,
     rank_quad,
+    reflection_closed_int,
+    reflection_closed_quad,
 )
 
 from conftest import f3_vector_rows
@@ -253,6 +262,43 @@ class TestCoverStep:
         self._check(rows, lambda rows, sub: closure_mod(rows, p, sub),
                     lambda rows, flat: covers_mod(rows, p, flat),
                     lambda state, g: cover_step_mod(state, p, g), 1, data)
+
+
+def _int_roots(family, n):
+    return [primitive_int_vector(v) for v in positive_roots(family, n)[1]]
+
+
+class TestReflectionClosed:
+    def test_root_systems_over_z(self):
+        for family, n in (("A", 1), ("A", 4), ("B", 3), ("D", 5), ("F", 4), ("E", 6)):
+            rows = _int_roots(family, n)
+            assert reflection_closed_int(rows), (family, n)
+            # up to sign and scale: negate one root and double another
+            rows[0] = tuple(-x for x in rows[0])
+            rows[-1] = tuple(2 * x for x in rows[-1])
+            assert reflection_closed_int(rows), (family, n)
+
+    def test_open_or_not_simple_over_z(self):
+        b3 = _int_roots("B", 3)
+        assert not reflection_closed_int(b3[1:])  # a root missing
+        assert not reflection_closed_int(b3 + [tuple(-x for x in b3[0])])  # parallel
+        assert not reflection_closed_int(b3 + [(0, 0, 0)])  # a loop
+        assert not reflection_closed_int([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        # A2 and B2 on orthogonal coordinates: reducible, still closed
+        a2, b2 = _int_roots("A", 2), _int_roots("B", 2)
+        assert reflection_closed_int(
+            [r + (0, 0) for r in a2] + [(0, 0, 0) + r for r in b2]
+        )
+
+    def test_root_systems_over_z_sqrt5(self):
+        for n in (3, 4):
+            rows = [primitive_quad_vector(v) for v in positive_roots("H", n)[1]]
+            assert reflection_closed_quad(rows), n
+            assert not reflection_closed_quad(rows[1:]), n
+            # scaled by the non-rational 1 + sqrt5 and by -1
+            rows[0] = _quad_scale((1, 1), rows[0])
+            rows[1] = _quad_scale((-1, 0), rows[1])
+            assert reflection_closed_quad(rows), n
 
 
 class TestFieldOracle:

@@ -20,6 +20,7 @@ from cremfan.generators import (
 from cremfan.matroid import (
     CircuitBackend,
     ElementBijection,
+    Flat,
     LineBackend,
     Matroid,
     VectorBackend,
@@ -37,6 +38,7 @@ from conftest import (
     by_label,
     closure_per_cover,
     count_backend_calls,
+    direct_sum,
     exhaustive_connected,
     f3_matroid,
     f3_vector_rows,
@@ -384,6 +386,143 @@ def assert_stepped_states(M):
     M.flats_of_rank(r)
     # a walk to rank r expands every flat of lower rank
     assert len(expanded) == sum(len(M.flats_of_rank(k)) for k in range(r))
+
+
+# Every Coxeter type of rank at most 6, and a reducible root system
+COXETER_UP_TO_6 = (
+    [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+    + [f"D{n}" for n in range(3, 7)] + ["E6", "F4", "H3", "H4"]
+)
+REFLECTION_CASES = {spec: (lambda spec=spec: coxeter_matroid(spec)) for spec in COXETER_UP_TO_6}
+REFLECTION_CASES["A2+B2"] = lambda: direct_sum(coxeter_matroid("A2"), coxeter_matroid("B2"))
+
+
+def connected_levels(M, k):
+    """The full walk's levels 1 to k, filtered by is_connected (reference)."""
+    return [
+        [F for F in M.flats_of_rank(j) if M.is_connected(F.elements)]
+        for j in range(1, k + 1)
+    ]
+
+
+def _drop_one_root(spec):
+    rows = coxeter_matroid(spec).backend.vectors[1:]
+    return Matroid(VectorBackend(Field.from_spec("Q"), rows))
+
+
+def _fano_over_f2():
+    rows = [v for v in itertools.product(range(2), repeat=3) if any(v)]
+    return Matroid(VectorBackend(Field.from_spec("Fp:2"), rows))
+
+
+def _u34_over_q():
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    return Matroid(VectorBackend(Field.from_spec("Q"), rows))
+
+
+def _b4_with_a_parallel_pair():
+    rows = coxeter_matroid("B4").backend.vectors
+    return Matroid(VectorBackend(Field.from_spec("Q"), rows + [[2 * x for x in rows[0]]]))
+
+
+# inputs the connected walk does not apply to, each with a rank-3 flat or more
+FULL_WALK_CASES = {
+    "U:3,4 over Q": _u34_over_q,
+    "B3 minus a root": lambda: _drop_one_root("B3"),
+    "D4 minus a root": lambda: _drop_one_root("D4"),
+    "fano over F2": _fano_over_f2,
+    "fano lines": fano,
+    "B4 with a parallel pair": _b4_with_a_parallel_pair,
+    "D4/0": lambda: coxeter_matroid("D4").contract(0),
+    "K5 circuits": lambda: Matroid(
+        CircuitBackend(10, complete_graph_matroid(5).circuits(), checked=True)
+    ),
+}
+
+
+class TestConnectedWalk:
+    @pytest.mark.parametrize("name", list(REFLECTION_CASES))
+    def test_levels_are_the_connected_flats(self, name):
+        M, reference = REFLECTION_CASES[name](), REFLECTION_CASES[name]()
+        assert M.backend.reflection_closed
+        r = M.full_rank()
+        # the walk to full rank, also on the types of rank 1 and 2, which
+        # connected_flats_of_rank leaves to the full walk
+        M._walk(r, None, connected=True)
+        assert sorted(M._connected_cache) == list(range(r + 1))
+        assert M._flats_cache == {}
+        walked = [M.connected_flats_of_rank(k) for k in range(1, r + 1)]
+        assert walked == connected_levels(reference, r)
+        # E is connected exactly when the root system is irreducible
+        assert len(walked[-1]) == (0 if name == "A2+B2" else 1)
+
+    @pytest.mark.parametrize("spec", ["D4", "D5", "B4", "F4", "H4", "E6"])
+    def test_runs_from_rank_3_on_a_reflection_arrangement(self, spec, monkeypatch):
+        M, reference = coxeter_matroid(spec), coxeter_matroid(spec)
+        r = M.full_rank()
+        calls = count_backend_calls(M, monkeypatch)
+        hyperplanes = M.connected_flats_of_rank(r - 1)
+        assert sorted(M._connected_cache) == list(range(r))
+        assert list(M._flats_cache) == []  # no full walk, not even to the points
+        # one elimination of the empty flat, one step per connected flat of
+        # rank 1 to r - 2, and no rank or closure query but cl(empty set)
+        assert calls["covers_fast"] == 1
+        assert calls["cover_step"] == sum(
+            len(M.connected_flats_of_rank(k)) for k in range(1, r - 1)
+        )
+        assert calls["rank_subset"] == 0 and calls["closure_fast"] == 1
+        assert hyperplanes == connected_levels(reference, r - 1)[-1]
+
+    def test_ranks_1_and_2_read_the_full_walk(self):
+        d5 = coxeter_matroid("D5")
+        lines = d5.connected_flats_of_rank(2)
+        assert d5._connected_cache == {} and sorted(d5._flats_cache) == [0, 1, 2]
+        assert [len(L) for L in lines] == [3] * 40
+
+    def test_a_full_walk_already_stored_is_read(self):
+        d5 = coxeter_matroid("D5")
+        d5.flats_of_rank(4)
+        assert len(d5.connected_flats_of_rank(4)) == 21
+        assert d5._connected_cache == {}
+
+    @pytest.mark.parametrize("name", list(FULL_WALK_CASES))
+    def test_the_full_walk_runs_when_the_precondition_fails(self, name):
+        M, reference = FULL_WALK_CASES[name](), FULL_WALK_CASES[name]()
+        assert not getattr(M.backend, "reflection_closed", False)
+        r = M.full_rank()
+        assert [M.connected_flats_of_rank(k) for k in range(1, r + 1)] == (
+            connected_levels(reference, r)
+        )
+        assert M._connected_cache == {}
+
+    def test_u34_shows_why_the_precondition_is_needed(self):
+        # E is connected, but every flat it covers is a disconnected pair, so
+        # a connected walk forced onto U(3,4) never reaches it
+        M = _u34_over_q()
+        assert M.connected_flats_of_rank(3) == [Flat(frozenset(range(4)), 3)]
+        M._walk(3, None, connected=True)
+        assert M._connected_cache[2] == {} and M._connected_cache[3] == {}
+
+    def test_budget_names_the_connected_flats_found(self):
+        d4 = coxeter_matroid("D4")
+        with pytest.raises(BudgetExceeded) as info:
+            d4.connected_flats_of_rank(3, max_covers=12)
+        # depth first: the point 0 and the connected flats found below it
+        # before the 13th cover; the pairs it skips count as covers too
+        assert str(info.value) == (
+            "the connected-flat walk to rank 3 needs more than 12 covers; it "
+            "had found 10 connected flats, by rank from 1 to 3: 1, 3, 6"
+        )
+        assert d4._connected_cache == {}
+        with pytest.raises(InputError):
+            d4.connected_flats_of_rank(4 + 1)
+        with pytest.raises(InputError):
+            d4.connected_flats_of_rank(3, max_covers=-1)
+
+    def test_e8_connected_flats_to_rank_4(self):
+        e8 = coxeter_matroid("E8")
+        counts = [len(e8.connected_flats_of_rank(k)) for k in (4, 3, 2, 1)]
+        assert counts == [27_342, 7_560, 1_120, 120]
 
 
 class TestSteppedCovers:
