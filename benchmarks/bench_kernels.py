@@ -22,16 +22,19 @@ twice, after the lattice walk (untimed): read off the walk
 (``Matroid._connected``), with the seconds and the backend closures of
 each, and asserts that the two agree.
 
-The last table walks the flat lattice of D5, E6 and K7 over F_101 to
+The last table walks the flat lattice of D5, E6, K7 over F_101 and E7 to
 rank r - 1, depth-first with each flat's cover state stepped from the
 state of the flat it was found from (``Matroid.flats_of_rank``).  It gives
 the cover steps, asserted equal to the flats the walk expands (those of
 rank 1 to r - 2), the coordinates eliminated (counted in a separate
 untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
-other cover's direction in a cover step) and the seconds.  After the walk
-it lists the entries of each per-matroid store: the flats in the levels,
-``_found_from``, ``_rank_cache``, ``_closure_cache`` and
-``_components_cache``.
+other cover's direction in a cover step) and the seconds (E7: one run).
+After the walk it lists the entries and the bytes of each per-matroid
+store: the flats in the levels, ``_found_from``, ``_rank_cache``,
+``_closure_cache`` and ``_components_cache``.  The bytes are a deep
+``sys.getsizeof`` that counts each object once, in the store that reaches
+it first, in that order.  Last it prints the process's peak RSS, which the
+E7 walk sets.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -41,12 +44,15 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+import resource
+import sys
 import time
 
 from cremfan import kernels
 from cremfan.cremona import _exact_cover_bases, _line_remainders
 from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
 from cremfan.generators import coxeter_matroid, from_spec_string, positive_roots
+from cremfan.matroid import _members
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 
@@ -144,6 +150,9 @@ def main() -> None:
     print()
     for spec in ("D5", "E6", "K7/Fp:101"):
         _bench_stepped_walk(spec, args.repeat)
+    _bench_stepped_walk("E7", 1)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{'':38} peak RSS of the process {peak:.1f} MB")
 
 
 def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int) -> None:
@@ -154,7 +163,7 @@ def _bench_covers(label: str, rows, covers, closure, max_rank: int, repeat: int)
         nxt = {}
         for F in level:
             for group in covers(rows, F).groups:
-                G = sorted(F + group)
+                G = sorted(F + _members(group))
                 nxt.setdefault(tuple(G), G)
         level = list(nxt.values())
 
@@ -182,7 +191,7 @@ def _remainders_by_closures(M) -> list[list[int]]:
     n = M.size
     rem = [[0] * n for _ in range(n)]
     for a, b in itertools.combinations(range(n), 2):
-        mask = sum(1 << x for x in M.closure((a, b)).elements)
+        mask = M.closure((a, b)).mask
         rem[a][b] = rem[b][a] = mask & ~(1 << a | 1 << b)
     return rem
 
@@ -273,16 +282,38 @@ def _walk_levels(spec: str):
     return time.perf_counter() - t0, M
 
 
+def _deep_size(obj, seen: set) -> int:
+    # the bytes of obj and of the objects it reaches that seen has not
+    # counted yet: containers, their items, and the attributes of flats
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        items = [x for item in obj.items() for x in item]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    else:
+        items = [getattr(obj, slot, None) for slot in getattr(type(obj), "__slots__", ())]
+        if hasattr(obj, "__dict__"):
+            items.append(vars(obj))
+    return size + sum(_deep_size(x, seen) for x in items)
+
+
 def _store_sizes(M) -> str:
-    # the entries each per-matroid store holds
+    # the entries each per-matroid store holds, and its bytes
     stores = {
-        "levels": sum(map(len, M._flats_cache.values())),
-        "found_from": len(M._found_from),
-        "rank": len(M._rank_cache),
-        "closure": len(M._closure_cache),
-        "components": len(M._components_cache),
+        "levels": (sum(map(len, M._flats_cache.values())), M._flats_cache),
+        "found_from": (len(M._found_from), M._found_from),
+        "rank": (len(M._rank_cache), M._rank_cache),
+        "closure": (len(M._closure_cache), M._closure_cache),
+        "components": (len(M._components_cache), M._components_cache),
     }
-    return "   ".join(f"{name} {n}" for name, n in stores.items())
+    seen: set = set()
+    return "   ".join(
+        f"{name} {n} ({_deep_size(store, seen) / 1024:.1f} KB)"
+        for name, (n, store) in stores.items()
+    )
 
 
 def _counted_walk(spec: str):

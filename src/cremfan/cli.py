@@ -252,7 +252,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         payload = {
             "count": len(rays),
             "rays": [
-                {"elements": _labels(M, F.elements), "rank": F.rank}
+                {"elements": _labels(M, F.sorted()), "rank": F.rank}
                 for F in rays
             ],
         }

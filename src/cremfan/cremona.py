@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
 from .kernels import det_int
-from .matroid import ElementBijection, Matroid, VectorBackend, census_mismatch
+from .matroid import ElementBijection, Flat, Matroid, VectorBackend, census_mismatch
 
 if TYPE_CHECKING:
     from .fan import TropicalPoint
@@ -227,6 +227,10 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     """
     if max_nodes < 0:
         raise InputError(f"max_nodes must be non-negative, got {max_nodes}")
+    if M.full_rank() >= 2:
+        # the lines first: their walk stores the points, which the
+        # simplicity check then reads with no second walk
+        _long_lines(M)
     _require_simple(M)
     bases, _nodes = _exact_cover_bases(M, max_nodes)
     results: list[CremonaData] = []
@@ -236,6 +240,18 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
             raise InvariantError("the exact-cover search accepted a non-Cremona basis")
         results.append(data)
     return results
+
+
+def _long_lines(M: Matroid) -> list[Flat]:
+    """The lines of three or more points of a simple matroid of rank at least 2.
+
+    They are its connected lines, so a connected walk that has stored rank 2
+    (``fan.graph_S`` on a reflection arrangement) answers them; else they
+    are read off the full walk's lines.
+    """
+    if 2 in M._connected_cache:
+        return M.connected_flats_of_rank(2)
+    return [line for line in M.flats_of_rank(2) if len(line) >= 3]
 
 
 def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, list[int]]]]]:
@@ -250,13 +266,8 @@ def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, 
     n = M.size
     rem = [[0] * n for _ in range(n)]
     through: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for line in M.flats_of_rank(2):
-        points = line.sorted()
-        if len(points) < 3:
-            continue
-        mask = 0
-        for x in points:
-            mask |= 1 << x
+    for line in _long_lines(M):
+        points, mask = line.sorted(), line.mask
         for i, a in enumerate(points):
             through[a].append((mask, [x for x in points if x != a]))
             for b in points[i + 1:]:

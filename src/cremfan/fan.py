@@ -58,7 +58,7 @@ from fractions import Fraction
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
-from .matroid import Flat, Matroid
+from .matroid import Flat, Matroid, _members
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +210,17 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
     return antichains(0, [])
 
 
-def _pair_nested(A: Flat, B: Flat, census: Sequence[AbstractSet[frozenset[int]]]) -> bool:
-    """Whether two rays form a nested pair, read off the flat census."""
-    a, b = A.elements, B.elements
-    if a <= b or b <= a:
+def _pair_nested(A: Flat, B: Flat, census: Sequence[AbstractSet[int]]) -> bool:
+    """Whether two rays form a nested pair, read off the flat census (bitmasks)."""
+    a, b = A.mask, B.mask
+    meet = a & b
+    if meet == a or meet == b:
         return True
     # Incomparable rays that meet are never nested. Two connected sets with a
     # common element have a connected union, and in a loopless matroid every
     # e in cl(X) \ X lies on a circuit with elements of X, so the closure of
     # a connected set is connected: the join cl(A | B) is connected.
-    if a & b:
+    if meet:
         return False
     # Disjoint rays are nested iff A | B is a flat of rank r(A) + r(B). If
     # it is, M|(A | B) is the direct sum M|A + M|B, so the join A | B is
@@ -390,11 +391,12 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
         # the connected walk ran, so M is simple, and it stored the lines of
         # three or more points, the connected rank-2 flats: {e, f} is a flat
         # iff no such line holds both. So no full walk to rank 2 is needed.
-        on_lines = [{e} for e in range(M.size)]
+        on_lines = [1 << e for e in range(M.size)]
         for L in M.connected_flats_of_rank(2):
-            for e in L.elements:
-                on_lines[e] |= L.elements
-        neighbors = [[f for f in range(M.size) if f not in on] for on in on_lines]
+            for e in L.sorted():
+                on_lines[e] |= L.mask
+        full = (1 << M.size) - 1
+        neighbors = [_members(full & ~on) for on in on_lines]
     else:
         # the deepest level first: its walk stores the two below it
         for k in reversed(range(min(2, M.full_rank()) + 1)):
@@ -421,7 +423,7 @@ def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
         M._check_subset({through})
     return [
         F for F in M.connected_flats_of_rank(r - 1, max_covers=max_subsets)
-        if through is None or through in F.elements
+        if through is None or F.mask >> through & 1
     ]
 
 
@@ -466,7 +468,7 @@ def graph_S(M: Matroid, *, rank_one_only: bool = False,
     for h_idx, H in enumerate(hyperplanes):
         hv = m + h_idx
         vertices.append(H)
-        for e in sorted(H.elements):
+        for e in H.sorted():
             edges.append((e, hv))
     graph = RayGraph(M, tuple(vertices), tuple(sorted(edges)), kind="s")
     deg = graph.degree_sequence()

@@ -21,16 +21,17 @@ Conventions:
   the other n - k coordinates are the row's direction in the quotient
   V/span(F), and rows of proportional directions span the same cover. It
   returns F's *cover state* (:class:`CoverState`): k and, per cover, the
-  sorted indices of its rows outside F (``groups``, ordered by least
-  index) and its direction in canonical projective form (``reps``, also
-  the key that groups rows): primitive over Z with a positive lead,
+  bitmask of its rows outside F (``groups``: bit i set for row i, ordered
+  by least row) and its direction in canonical projective form (``reps``,
+  also the key that groups rows): primitive over Z with a positive lead,
   ``_quad_key`` over Z[sqrt5], monic over F_p;
 * ``cover_step_*(state, g)`` is the cover state of F's ``g``-th cover G, by
   one pass over the quotient coordinates: with u the rep of G and c its
   first nonzero coordinate, every other rep w becomes u[c]*w - w[c]*u
   without coordinate c (w without c when w[c] = 0), in canonical form, and
-  covers whose reps agree merge. The map is linear, kills u and is onto,
-  so it writes V/span(G) in n - k - 1 coordinates. One rep per cover is
+  covers whose reps agree merge into the union of their masks. The map is
+  linear, kills u and is onto, so it writes V/span(G) in n - k - 1
+  coordinates. One rep per cover is
   enough: a cover C of F other than G meets G in F, and for e in C - F the
   closure of G + e contains C, so all of C - F lies in one cover of G;
 * ``reflection_closed_*`` says whether the rows are nonzero, pairwise
@@ -86,7 +87,8 @@ def _closure(rows, subset, reduce, step: int = 1) -> tuple[int, list[int]]:
     ]
 
 
-# a flat's rank and, per cover, its rows outside the flat and its quotient direction
+# a flat's rank and, per cover, the bitmask of its rows outside the flat and
+# its quotient direction
 CoverState = namedtuple("CoverState", "rank groups reps")
 
 
@@ -96,12 +98,13 @@ def _covers(rows, flat, reduce, key, step: int = 1) -> CoverState:
     pivot_coords = {c - c % step + j for c, _ in pivots for j in range(step)}
     free = [j for j in range(_width(rows)) if j not in pivot_coords]
     inside = set(flat)
-    covers: dict[tuple, list[int]] = {}
+    covers: dict[tuple, int] = {}
     for i, row in enumerate(rows):
         if i not in inside:
             v = reduce(row, pivots)
             if any(v):
-                covers.setdefault(key([v[j] for j in free]), []).append(i)
+                k = key([v[j] for j in free])
+                covers[k] = covers.get(k, 0) | 1 << i
     return CoverState(len(pivots), list(covers.values()), list(covers))
 
 
@@ -109,12 +112,10 @@ def _cover_step(state: CoverState, g: int, quotient) -> CoverState:
     groups, reps = state.groups, state.reps
     u = reps[g]
     c = u.index(next(filter(None, u)))
-    covers: dict[tuple, list[int]] = {}
+    covers: dict[tuple, int] = {}
     for group, w in zip(groups[:g] + groups[g + 1:], reps[:g] + reps[g + 1:]):
         k = quotient(u, c, w)
-        # a merged cover gets a new list (the parent state's lists are
-        # shared with its other covers) and keeps its least row first
-        covers[k] = sorted(covers[k] + group) if k in covers else group
+        covers[k] = covers.get(k, 0) | group
     return CoverState(state.rank + 1, list(covers.values()), list(covers))
 
 

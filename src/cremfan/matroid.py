@@ -6,17 +6,19 @@ the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
 goes depth-first from cl(empty set) to the rank asked for and then stores
-each rank as one dict, element set -> ``Flat``, the only store of the
-flats it found; it also records the flat each new flat was first found
-from. On a vector matroid each flat's cover state is stepped from that
-flat's, and only the states on the walk's path are alive. Rank and
-closure queries are memoized per matroid and answer a walked flat off its
-level. The connectivity of every flat the walk found is read off its
-records and its levels, with no rank or closure query; other flats go
-through a greedy-basis oracle. On a reflection arrangement the connected
-flats of rank 3 or more come from the connected walk, the same walk with
-a filter that keeps only the connected covers (``connected_flats_of_rank``),
-whose levels are stored apart.
+each rank as one dict, bitmask -> ``Flat``, the only store of the flats it
+found; it also records the flat each new flat was first found from. A
+flat's set is its bitmask (bit e for element e) from the kernel's cover
+groups to the stored levels and the flat census; ``Flat.elements`` makes
+the frozenset on first use. On a vector matroid each flat's cover state is
+stepped from that flat's, and only the states on the walk's path are
+alive. Rank and closure queries are memoized per matroid and answer a
+walked flat off its level. The connectivity of every flat the walk found
+is read off its records and its levels, with no rank or closure query;
+other flats go through a greedy-basis oracle. On a reflection arrangement
+the connected flats of rank 3 or more come from the connected walk, the
+same walk with a filter that keeps only the connected covers
+(``connected_flats_of_rank``), whose levels are stored apart.
 """
 
 from __future__ import annotations
@@ -75,24 +77,83 @@ class GroundSet:
         return f"GroundSet({self.size})"
 
 
-@dataclass(frozen=True)
-class Flat:
-    """A flat with its rank."""
+def _mask(elements: Iterable[int]) -> int:
+    """The bitmask of a set of elements: bit e for element e."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
 
-    elements: frozenset[int]
-    rank: int
+
+def _members(mask: int) -> list[int]:
+    """The elements of a bitmask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+_MEMBER_FIRST = str.maketrans("01", "10")
+
+
+def _canonical_key(mask: int) -> str:
+    """A sort key that orders nonempty bitmasks as their sorted element tuples.
+
+    Character e is "0" for a member, "1" for a non-member, up to the greatest
+    member: at the least element two sets differ in, the set holding it comes
+    first, unless the other set ends before it, as its tuple does."""
+    return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
+
+
+class Flat:
+    """A flat with its rank, held as the bitmask of its elements (``mask``).
+
+    ``elements`` is a frozenset, made on first use for a flat made from its
+    mask (``Flat.of_mask``); flats with equal masks and ranks are equal."""
+
+    __slots__ = ("mask", "rank", "_elements")
+
+    def __init__(self, elements: Iterable[int], rank: int):
+        self._elements = frozenset(elements)
+        self.mask = _mask(self._elements)
+        self.rank = rank
+
+    @classmethod
+    def of_mask(cls, mask: int, rank: int) -> "Flat":
+        flat = cls.__new__(cls)
+        flat.mask, flat.rank, flat._elements = mask, rank, None
+        return flat
+
+    @property
+    def elements(self) -> frozenset[int]:
+        if self._elements is None:
+            self._elements = frozenset(_members(self.mask))
+        return self._elements
+
+    def __eq__(self, other):
+        if not isinstance(other, Flat):
+            return NotImplemented
+        return self.mask == other.mask and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.mask, self.rank))
+
+    def __repr__(self):
+        return f"Flat(elements={self.elements!r}, rank={self.rank!r})"
 
     def __contains__(self, e: int) -> bool:
         return e in self.elements
 
     def __len__(self):
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def __iter__(self):
         return iter(self.elements)
 
     def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(_members(self.mask))
 
 
 @dataclass(frozen=True)
@@ -321,15 +382,16 @@ class Matroid:
         # the answers of the oracle's own rank and closure queries
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], Flat] = {}
-        # per rank up to the deepest walk, its flats by element set in canonical order
-        self._flats_cache: dict[int, dict[frozenset[int], Flat]] = {}
-        # per flat the walk found, the flat it covers that the walk found it from
-        self._found_from: dict[frozenset[int], Flat] = {}
+        # per rank up to the deepest walk, its flats by bitmask in canonical order
+        self._flats_cache: dict[int, dict[int, Flat]] = {}
+        # per flat the walk found, by bitmask, the flat it covers that the walk found it from
+        self._found_from: dict[int, Flat] = {}
         # per rank up to the deepest connected walk, its connected flats, as above
-        self._connected_cache: dict[int, dict[frozenset[int], Flat]] = {}
+        self._connected_cache: dict[int, dict[int, Flat]] = {}
         # the cover state of cl(empty set), which every walk starts from
         self._root_state: kernels.CoverState | None = None
-        self._components_cache: dict[frozenset[int], tuple[tuple[frozenset[int], int], ...]] = {}
+        # per walked flat's bitmask, its components' bitmasks and ranks
+        self._components_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -393,12 +455,13 @@ class Matroid:
 
     def is_flat(self, subset: Iterable[int]) -> bool:
         S = self._check_subset(subset)
-        return self.closure(S).elements == S
+        return self.closure(S).mask == _mask(S)
 
     def _walked(self, S: frozenset[int]) -> Flat | None:
         """The flat with elements S from the walk's stored levels, or None."""
+        mask = _mask(S)
         for level in self._flats_cache.values():
-            flat = level.get(S)
+            flat = level.get(mask)
             if flat is not None:
                 return flat
         return None
@@ -427,9 +490,9 @@ class Matroid:
     def _covers(self, F: frozenset[int]):
         fast = getattr(self.backend, "covers_fast", None)
         if fast is not None:
-            state = fast(tuple(sorted(F)))
+            state, mask = fast(tuple(sorted(F))), _mask(F)
             for group in state.groups:
-                yield Flat(F.union(group), state.rank + 1)
+                yield Flat.of_mask(mask | group, state.rank + 1)
             return
         # One closure per cover: for every e in G \ F, cl(F + e) is a flat of
         # rank r(F) + 1 inside G = cl(F + e0), so it is G itself.
@@ -474,7 +537,7 @@ class Matroid:
                 self.backend, "reflection_closed", False
             ):
                 level = self.flats_of_rank(k, max_covers=max_covers)
-                return [F for F in level if self.is_connected(F.elements)]
+                return [F for F in level if len(self._components(F.mask)) == 1]
             self._walk(k, max_covers, connected=True)
         return list(self._connected_cache[k].values())
 
@@ -488,9 +551,11 @@ class Matroid:
         """Walk the lattice of flats depth-first from cl(empty set) to rank k.
 
         The path is an explicit stack of flats, each with its cover state
-        and the covers not yet issued. A cover not seen before is recorded
-        in its level with the flat it was found from (for ``is_connected``)
-        and, below rank k, pushed at once. On a vector matroid its cover
+        and the bitmasks of the covers not yet issued: F | g for each group
+        g of the state, one int per cover. A cover not seen before (an int
+        lookup in its level) is recorded in its level with the flat it was
+        found from (for ``is_connected``) and, below rank k, pushed at once,
+        as a ``Flat`` made from its mask. On a vector matroid its cover
         state is one ``cover_step`` from the state of the flat it was found
         from: one step per flat below rank k, at most k states alive, and
         the empty flat eliminated from scratch once per matroid. Elsewhere
@@ -499,9 +564,10 @@ class Matroid:
 
         The connected walk (``connected``) records and pushes a cover G of
         a flat F of rank 1 or more only when G has two or more elements
-        outside F. Run from the points of a simple matroid, it records
-        connected flats alone (``fan``'s module docstring has the proof, and
-        the proof that on a reflection arrangement it records them all).
+        outside F: ``(G & ~F).bit_count() >= 2``. Run from the points of a
+        simple matroid, it records connected flats alone (``fan``'s module
+        docstring has the proof, and the proof that on a reflection
+        arrangement it records them all).
         Its levels go to ``_connected_cache``, with no record of the flat
         each was found from, and its budget counts every cover it issues.
         """
@@ -509,8 +575,8 @@ class Matroid:
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
             self._root_state = self.backend.covers_fast(root.sorted())
         # cl(empty set) has no element, so it is not connected
-        levels = [{} if connected else {root.elements: root}] + [{} for _ in range(k)]
-        found_from: dict[frozenset[int], Flat] = {}
+        levels = [{} if connected else {root.mask: root}] + [{} for _ in range(k)]
+        found_from: dict[int, Flat] = {}
         issued = 0
         path = [self._on_path(root, self._root_state)] if k else []
         while path:
@@ -526,9 +592,9 @@ class Matroid:
                         f"covers; it had found {sum(counts)} {kind}flats, by rank "
                         f"from 1 to {k}: {', '.join(map(str, counts))}"
                     )
-                if connected and F.rank and len(G) - len(F.elements) < 2 or G in level:
+                if connected and F.rank and (G & ~F.mask).bit_count() < 2 or G in level:
                     continue
-                flat = level[G] = Flat(G, F.rank + 1)
+                flat = level[G] = Flat.of_mask(G, F.rank + 1)
                 if not connected:
                     found_from[G] = F
                 if flat.rank < k:
@@ -538,7 +604,7 @@ class Matroid:
             else:
                 path.pop()
         stored = {
-            j: {G: level[G] for G in sorted(level, key=sorted)}
+            j: {G: level[G] for G in sorted(level, key=_canonical_key)}
             for j, level in enumerate(levels)
         }
         if connected:
@@ -549,16 +615,16 @@ class Matroid:
 
     def _on_path(self, F: Flat, state: kernels.CoverState | None):
         """F as the walk's path holds it: with its cover state (None off a
-        vector matroid) and its covers' element sets, numbered as
-        ``cover_step`` numbers them."""
+        vector matroid) and its covers' bitmasks, numbered as ``cover_step``
+        numbers them."""
         if state is None:
-            covers = (G.elements for G in self._covers(F.elements))
+            covers = (G.mask for G in self._covers(F.elements))
         else:
-            covers = map(F.elements.union, state.groups)
+            covers = map(F.mask.__or__, state.groups)
         return F, state, enumerate(covers)
 
-    def flat_census(self) -> list[AbstractSet[frozenset[int]]]:
-        """The flats as element sets, indexed by rank; rank r(M) holds E alone.
+    def flat_census(self) -> list[AbstractSet[int]]:
+        """The flats as bitmasks, indexed by rank; rank r(M) holds E alone.
 
         Each level below rank r(M) is the read-only key view of the walk's
         level, not a copy.
@@ -566,7 +632,7 @@ class Matroid:
         r = self.full_rank()
         if r:
             self.flats_of_rank(r - 1)
-        top = frozenset((frozenset(self.elements()),))
+        top = frozenset(((1 << self.size) - 1,))
         return [self._flats_cache[k].keys() for k in range(r)] + [top]
 
     # -- connectivity --------------------------------------------------------
@@ -583,14 +649,16 @@ class Matroid:
         restriction is connected iff that graph is.
         """
         F = self._check_subset(flat)
-        if F in self._found_from:
-            return len(self._components(F)) == 1
+        mask = _mask(F)
+        if mask in self._found_from:
+            return len(self._components(mask)) == 1
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
         return self._connected(F)
 
-    def _components(self, G: frozenset[int]) -> tuple[tuple[frozenset[int], int], ...]:
-        """The components of M|G with their ranks, for a flat G the walk found.
+    def _components(self, G: int) -> tuple[tuple[int, int], ...]:
+        """The components of M|G as bitmasks with their ranks, for a flat G
+        (a bitmask) that the walk found.
 
         Memoized, and computed only when asked for.
         """
@@ -600,7 +668,7 @@ class Matroid:
         F = self._found_from.get(G)
         if F is None:
             # the flat cl(empty set) the walk starts from: each loop alone
-            comps = tuple((frozenset((e,)), 0) for e in sorted(G))
+            comps = tuple((1 << e, 0) for e in _members(G))
         else:
             # G covers F. If M|G has the components C_i, then F is the union
             # of the flats F & C_i of the C_i, and 1 = r(G) - r(F) is the sum
@@ -616,11 +684,13 @@ class Matroid:
             # The components of F that are not separators join G \ F.
             r = F.rank + 1
             kept = [
-                (K, rK) for K, rK in self._components(F.elements)
-                if rK == 0 or G - K in self._flats_cache[r - rK]
+                (K, rK) for K, rK in self._components(F.mask)
+                if rK == 0 or G & ~K in self._flats_cache[r - rK]
             ]
             if kept:
-                rest = G.difference(*(K for K, _ in kept))
+                rest = G
+                for K, _ in kept:
+                    rest &= ~K
                 comps = (*kept, (rest, r - sum(rK for _, rK in kept)))
             else:
                 comps = ((G, r),)
@@ -778,12 +848,12 @@ def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
 # isomorphism and automorphism search
 
 
-def census_mismatch(census: Sequence[AbstractSet[frozenset[int]]],
-                    other: Sequence[AbstractSet[frozenset[int]]],
+def census_mismatch(census: Sequence[AbstractSet[int]],
+                    other: Sequence[AbstractSet[int]],
                     forward: Sequence[int] | None = None) -> int | None:
     """The least rank whose flats ``forward`` does not carry onto ``other``'s, or None.
 
-    Both censuses are lists of flat sets by rank (``Matroid.flat_census``),
+    Both censuses are lists of flat bitmasks by rank (``Matroid.flat_census``),
     and ``forward`` is an element bijection as its image sequence, the
     identity when None. Censuses of different length first disagree at the
     least rank that only one of them has.
@@ -791,14 +861,14 @@ def census_mismatch(census: Sequence[AbstractSet[frozenset[int]]],
     common = min(len(census), len(other))
     for k in range(common):
         mapped = census[k] if forward is None else {
-            frozenset(forward[e] for e in F) for F in census[k]
+            _mask(forward[e] for e in _members(F)) for F in census[k]
         }
         if mapped != other[k]:
             return k
     return None if len(census) == len(other) else common
 
 
-def _line_table(census: Sequence[AbstractSet[frozenset[int]]], n: int):
+def _line_table(census: Sequence[AbstractSet[int]], n: int):
     """The closures of all pairs, read off a flat census of an n-element matroid.
 
     cl{a, b} is the first flat of rank at most 2 that holds a and b.
@@ -810,17 +880,18 @@ def _line_table(census: Sequence[AbstractSet[frozenset[int]]], n: int):
     through: list[list[int]] = [[] for _ in range(n)]
     for level in census[:3]:
         for F in level:
+            points = _members(F)
             spanned = [
-                pair for pair in itertools.combinations(sorted(F), 2)
+                pair for pair in itertools.combinations(points, 2)
                 if pair not in pair_line
             ]
             if not spanned:
                 continue
             for pair in spanned:
                 pair_line[pair] = len(sizes)
-            sizes.append(len(F))
-            for e in F:
-                through[e].append(len(F))
+            sizes.append(len(points))
+            for e in points:
+                through[e].append(len(points))
     return pair_line, sizes, [tuple(sorted(th)) for th in through]
 
 

@@ -16,6 +16,7 @@ import pytest
 from cremfan import cli
 from cremfan.cli import main
 from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
+from cremfan.matroid import Matroid
 from cremfan.serialize import load_matroid, matroid_to_dict
 
 from conftest import count_backend_calls
@@ -256,6 +257,23 @@ class TestCremona:
         assert code == 3
         assert out == ""
         assert "the Cremona search stopped after 0 nodes" in err
+
+    def test_enumerate_walks_the_lattice_once(self, tmp_path, capsys, monkeypatch):
+        # the walk to the lines stores the points, so the simplicity check
+        # reads them and does not walk from the empty flat again
+        path = str(tmp_path / "d5.json")
+        assert main(["gen", "D5", "--out", path]) == 0
+        capsys.readouterr()
+        walk, walks = Matroid._walk, []
+
+        def counted(M, k, *args, **kwargs):
+            walks.append(k)
+            return walk(M, k, *args, **kwargs)
+
+        monkeypatch.setattr(Matroid, "_walk", counted)
+        doc, _ = run_json(capsys, "cremona", path, "--enumerate")
+        assert doc["payload"]["count"] == 0
+        assert walks == [2]
 
     def test_enumerate_leaf_mismatch_is_exit_4(self, a3_file, capsys, monkeypatch):
         import cremfan.cremona as cremona_mod
@@ -545,10 +563,11 @@ class TestBadInput:
         assert f"error: {message}" in err
 
     @pytest.mark.parametrize("mode", [
+        ["--enumerate"],
         ["--check", "a,c"],
         ["--pair", "a,c", "b,c"],
         ["--realize", "a,c", "b,c", "--field", "Q"],
-    ], ids=["check", "pair", "realize"])
+    ], ids=["enumerate", "check", "pair", "realize"])
     def test_non_simple_cremona_input_is_exit_2(self, tmp_path, capsys, mode):
         # a and b are parallel
         path = tmp_path / "par.json"

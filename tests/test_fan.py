@@ -283,6 +283,7 @@ class TestRayGraph:
                 meeting += bool(a & b)
                 top += not a & b and A.rank + B.rank >= M.full_rank()
             assert _pair_nested(A, B, census) == expected, (sorted(a), sorted(b))
+            assert _pair_nested(B, A, census) == expected, (sorted(b), sorted(a))
         assert meeting > 0
         if spec == "B3+A3":
             # the two components: disjoint, with ranks adding up to r(M)

@@ -149,9 +149,15 @@ def covers_by_closure(closure, rows, flat):
     return groups
 
 
+def members(mask):
+    """The row indices of a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def rank_groups(state):
-    """A cover state's rank and its covers' elements outside the flat."""
-    return state.rank, state.groups
+    """A cover state's rank and its covers' elements outside the flat, each
+    group's bitmask read as a sorted index list."""
+    return state.rank, [members(group) for group in state.groups]
 
 
 class TestCoversKernel:
@@ -222,10 +228,11 @@ class TestCoverStep:
             if not state.groups:
                 break
             for g, group in enumerate(state.groups):
-                scratch = covers(rows, sorted(flat + group))
+                scratch = covers(rows, sorted(flat + members(group)))
                 assert rank_groups(cover_step(state, g)) == rank_groups(scratch)
             g = data.draw(st.integers(0, len(state.groups) - 1), label="g")
-            flat, state, rank = sorted(flat + state.groups[g]), cover_step(state, g), rank + 1
+            flat = sorted(flat + members(state.groups[g]))
+            state, rank = cover_step(state, g), rank + 1
         assert flat == list(range(len(rows)))
 
     @given(same_width, st.data())
@@ -256,7 +263,9 @@ class TestCoverStep:
         rows = [primitive_quad_vector(v) for v in vectors]
         state = covers_quad(rows, [])
         for g, group in enumerate(state.groups):
-            assert rank_groups(cover_step_quad(state, g)) == rank_groups(covers_quad(rows, group))
+            assert rank_groups(cover_step_quad(state, g)) == rank_groups(
+                covers_quad(rows, members(group))
+            )
 
     def _check_mod(self, rows, p, data):
         self._check(rows, lambda rows, sub: closure_mod(rows, p, sub),

@@ -210,7 +210,33 @@ COVERS_CASES = {
 }
 
 
+# the walk on each backend (lines, circuits, a minor, vectors over F_3),
+# and on a ground set wider than a 64-bit word, to rank 2
+MASK_CASES = {
+    "fano lines": fano,
+    "K5 circuits": lambda: Matroid(
+        CircuitBackend(10, complete_graph_matroid(5).circuits(), checked=True)
+    ),
+    "D4/0": lambda: coxeter_matroid("D4").contract(0),
+    "B3/Fp:3": lambda: _over("B3", "Fp:3"),
+    "E8": lambda: coxeter_matroid("E8"),
+}
+
+
 class TestLatticeWalk:
+    @pytest.mark.parametrize("name", list(MASK_CASES))
+    def test_mask_levels_are_the_closure_census(self, name):
+        M, reference = MASK_CASES[name](), MASK_CASES[name]()
+        depth = 2 if M.size > 64 else M.full_rank()
+        M.flats_of_rank(depth)
+        for k in range(depth + 1):
+            want = naive_flats(reference, k)
+            level = M._flats_cache[k]
+            # keyed by bitmask, in the canonical order of the element sets
+            assert list(level) == [sum(1 << e for e in S) for S in want]
+            assert [F.elements for F in level.values()] == want
+            assert all(F.mask == S and F.rank == k for S, F in level.items())
+
     @pytest.mark.parametrize("name", sorted(WALK_CASES))
     def test_flats_of_rank_matches_naive_walk(self, name):
         M, reference = WALK_CASES[name](), WALK_CASES[name]()
@@ -545,7 +571,7 @@ class TestSteppedCovers:
         last = {}
         for F in pushed:
             if F.rank:
-                assert d5._found_from[F.elements] is last[F.rank - 1]
+                assert d5._found_from[F.mask] is last[F.rank - 1]
             last[F.rank] = F
         assert sorted(last) == [0, 1, 2, 3]
         assert len(pushed) == 1 + 320
@@ -807,17 +833,18 @@ class TestOneStorePerFlat:
         root = d5.flats_of_rank(0)[0]
         assert set(d5._rank_cache) == {frozenset(), frozenset(range(20))}
         assert d5._closure_cache == {frozenset(): root}
-        assert d5._closure_cache[frozenset()] is levels[0][frozenset()]
+        assert d5._closure_cache[frozenset()] is levels[0][0]
         # the walk's records point at the level's own flats, not copies
         for S, F in d5._found_from.items():
-            assert levels[F.rank][F.elements] is F
+            assert levels[F.rank][F.mask] is F
             assert S in levels[F.rank + 1]
         # a walked flat is answered off its level: no backend call, no entry
         calls = count_backend_calls(d5, monkeypatch)
         for k, level in levels.items():
             for S, F in level.items():
-                assert d5.rank(S) == k
-                assert d5.closure(S) is F
+                assert S == F.mask
+                assert d5.rank(F.elements) == k
+                assert d5.closure(F.elements) is F
         assert calls == {
             "rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0
         }
@@ -961,8 +988,8 @@ class TestFlatCensus:
         census = a3.flat_census()
         assert len(census) == a3.full_rank() + 1
         for k in range(a3.full_rank()):
-            assert census[k] == {F.elements for F in a3.flats_of_rank(k)}
-        assert census[-1] == {frozenset(range(a3.size))}
+            assert census[k] == {F.mask for F in a3.flats_of_rank(k)}
+        assert census[-1] == {(1 << a3.size) - 1}
 
     @pytest.mark.parametrize("name", list(CENSUS_CASES))
     def test_line_table_matches_closure_per_pair(self, name):
