@@ -18,7 +18,7 @@ The script writes the table to ``benchmarks/BENCH_coxeter.json``, with
 the machine, the Python version and the process's peak RSS, then
 compares the values with the frozen ones (``FROZEN``). On a
 difference it prints each one and exits 1. E8 takes most of the run:
-about 16 s and 260 MB on a 2-CPU x86-64 VM.
+about 6.5 s of 7.5 s on a 2-CPU x86-64 VM, where the run peaks at 62 MB.
 
 Usage: python benchmarks/bench_coxeter.py
 """

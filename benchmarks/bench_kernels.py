@@ -30,8 +30,9 @@ rank 1 to r - 2), the coordinates eliminated (counted in a separate
 untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
 other cover's direction in a cover step) and the seconds (E7: one run).
 After the walk it lists the entries and the bytes of each per-matroid
-store: the flats in the levels, ``_found_from``, ``_rank_cache``,
-``_closure_cache`` and ``_components_cache``.  The bytes are a deep
+store: the levels (each flat's bitmask, mapped to the bitmask of the flat
+it was found from), ``_rank_cache``, ``_closure_cache`` and
+``_components_cache``.  The bytes are a deep
 ``sys.getsizeof`` that counts each object once, in the store that reaches
 it first, in that order.  Last it prints the process's peak RSS, which the
 E7 walk sets.
@@ -304,7 +305,6 @@ def _store_sizes(M) -> str:
     # the entries each per-matroid store holds, and its bytes
     stores = {
         "levels": (sum(map(len, M._flats_cache.values())), M._flats_cache),
-        "found_from": (len(M._found_from), M._found_from),
         "rank": (len(M._rank_cache), M._rank_cache),
         "closure": (len(M._closure_cache), M._closure_cache),
         "components": (len(M._components_cache), M._components_cache),

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--check", metavar="B",
                       help="comma-separated basis, labels or 0-based indices")
     mode.add_argument("--pair", nargs=2, metavar=("B1", "B2"),
-                      help="two Cremona bases: structure report and involution")
+                      help="two Cremona bases sharing an element: structure report and involution")
     mode.add_argument("--realize", nargs=2, metavar=("B1", "B2"),
                       help="two Cremona bases sharing one element: realization")
     crem.add_argument("--field", help='field spec for --realize: Q, Fp:<p>, F<p>, Qsqrt5')

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
 from .kernels import det_int
-from .matroid import ElementBijection, Flat, Matroid, VectorBackend, census_mismatch
+from .matroid import ElementBijection, Matroid, VectorBackend, _members, census_mismatch
 
 if TYPE_CHECKING:
     from .fan import TropicalPoint
@@ -242,16 +242,16 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     return results
 
 
-def _long_lines(M: Matroid) -> list[Flat]:
+def _long_lines(M: Matroid) -> list[int]:
     """The lines of three or more points of a simple matroid of rank at least 2.
 
-    They are its connected lines, so a connected walk that has stored rank 2
-    (``fan.graph_S`` on a reflection arrangement) answers them; else they
-    are read off the full walk's lines.
+    They are its connected lines, as bitmasks, so a connected walk that has
+    stored rank 2 (``fan.graph_S`` on a reflection arrangement) answers
+    them; else they are read off the full walk's lines.
     """
     if 2 in M._connected_cache:
-        return M.connected_flats_of_rank(2)
-    return [line for line in M.flats_of_rank(2) if len(line) >= 3]
+        return list(M._connected_cache[2])
+    return [line for line in M._level(2) if line.bit_count() >= 3]
 
 
 def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, list[int]]]]]:
@@ -266,8 +266,8 @@ def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, 
     n = M.size
     rem = [[0] * n for _ in range(n)]
     through: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for line in _long_lines(M):
-        points, mask = line.sorted(), line.mask
+    for mask in _long_lines(M):
+        points = _members(mask)
         for i, a in enumerate(points):
             through[a].append((mask, [x for x in points if x != a]))
             for b in points[i + 1:]:
@@ -521,8 +521,8 @@ class TwoBasisReport:
 def two_basis_report(M: Matroid, d1: CremonaData, d2: CremonaData) -> TwoBasisReport:
     """Verify the structure of G_b(b*) for two Cremona bases of one matroid.
 
-    Checks, and raises an invariant violation with a counterexample when
-    any clause fails:
+    Bases sharing no element are refused as input. Checks, and raises an
+    invariant violation with a counterexample when any clause fails:
 
     * every component of the support graph of b* w.r.t. b contains exactly
       one vertex of b*, lies in a simple star with that vertex as center;
@@ -535,6 +535,8 @@ def two_basis_report(M: Matroid, d1: CremonaData, d2: CremonaData) -> TwoBasisRe
     b = d1.basis_set()
     bstar = d2.basis_set()
     inter = b & bstar
+    if not inter:
+        raise InputError("the two-basis structure needs Cremona bases sharing an element")
     graph = support_graph(d1, bstar)
     comps = graph.components()
     reports = []

@@ -392,17 +392,17 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
         # three or more points, the connected rank-2 flats: {e, f} is a flat
         # iff no such line holds both. So no full walk to rank 2 is needed.
         on_lines = [1 << e for e in range(M.size)]
-        for L in M.connected_flats_of_rank(2):
-            for e in L.sorted():
-                on_lines[e] |= L.mask
+        for L in M._connected_cache[2]:
+            for e in _members(L):
+                on_lines[e] |= L
         full = (1 << M.size) - 1
         neighbors = [_members(full & ~on) for on in on_lines]
     else:
         # the deepest level first: its walk stores the two below it
         for k in reversed(range(min(2, M.full_rank()) + 1)):
-            for F in M.flats_of_rank(k):
-                if len(F) == 2:
-                    e, f = F.sorted()
+            for F in M._level(k):
+                if F.bit_count() == 2:
+                    e, f = _members(F)
                     neighbors[e].append(f)
                     neighbors[f].append(e)
     _NEIGHBORS[M] = neighbors = [sorted(fs) for fs in neighbors]

@@ -20,6 +20,7 @@ from importlib import resources
 from math import comb
 from typing import Callable, Iterable, Sequence
 
+from . import kernels
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field, QuadSqrt5, primitive_int_vector, primitive_quad_vector, sign
 from .matroid import (
@@ -92,13 +93,13 @@ def sign_normalize(vec: Sequence) -> Vector:
     raise InputError("cannot sign-normalize the zero vector")
 
 
-def _canonical_key(vec: Sequence, field: Field) -> tuple:
-    """Scale-and-sign invariant key: primitive integer form, leading entry > 0."""
-    v = sign_normalize(vec)
+def _line_key(vec: Sequence, field: Field) -> tuple:
+    """The kernels' key of a vector's primitive row, shared by its nonzero multiples."""
+    v = [field.coerce(x) for x in sign_normalize(vec)]
     if field.kind == "Qsqrt5":
-        return primitive_quad_vector([field.coerce(x) for x in v])
+        return kernels._quad_key(primitive_quad_vector(v))
     if field.kind == "Q":
-        return primitive_int_vector([field.coerce(x) for x in v])
+        return kernels._primitive_key(primitive_int_vector(v))
     raise InputError("canonical vector keys need an ordered field")
 
 
@@ -326,7 +327,7 @@ def coxeter_matroid(spec: str | tuple[str, int]) -> Matroid:
         raise InvariantError(
             f"{family}_{n}: generated {len(vecs)} roots, expected {expected}"
         )
-    keys = {_canonical_key(v, field) for v in vecs}
+    keys = {_line_key(v, field) for v in vecs}
     if len(keys) != expected:
         raise InvariantError(f"{family}_{n}: parallel roots in the generated set")
     M = Matroid(VectorBackend(field, vecs), labels)
@@ -538,14 +539,14 @@ def element_permutation(M: Matroid, linear_map: Callable[[Vector], Vector]) -> E
     lookup = getattr(M, "_key_lookup", None)
     if lookup is None:
         lookup = {
-            _canonical_key(tuple(vec), field): i
+            _line_key(vec, field): i
             for i, vec in enumerate(backend.vectors)
         }
         M._key_lookup = lookup
     forward = []
     for vec in backend.vectors:
         image = linear_map(tuple(vec))
-        idx = lookup.get(_canonical_key(image, field))
+        idx = lookup.get(_line_key(image, field))
         if idx is None:
             raise InvariantError("linear map does not preserve the element set")
         forward.append(idx)

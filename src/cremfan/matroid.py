@@ -5,20 +5,20 @@ optional display labels next to the indices. Three primitive backends give
 the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
-goes depth-first from cl(empty set) to the rank asked for and then stores
-each rank as one dict, bitmask -> ``Flat``, the only store of the flats it
-found; it also records the flat each new flat was first found from. A
-flat's set is its bitmask (bit e for element e) from the kernel's cover
-groups to the stored levels and the flat census; ``Flat.elements`` makes
-the frozenset on first use. On a vector matroid each flat's cover state is
-stepped from that flat's, and only the states on the walk's path are
-alive. Rank and closure queries are memoized per matroid and answer a
-walked flat off its level. The connectivity of every flat the walk found
-is read off its records and its levels, with no rank or closure query;
-other flats go through a greedy-basis oracle. On a reflection arrangement
-the connected flats of rank 3 or more come from the connected walk, the
-same walk with a filter that keeps only the connected covers
-(``connected_flats_of_rank``), whose levels are stored apart.
+goes depth-first from cl(empty set) to the rank asked for and stores each
+rank as one dict, the only store of its flats: it maps each flat's bitmask
+(bit e for element e) to the bitmask of the flat the walk found it from. A
+flat is a bitmask from the kernel's cover groups to the levels and the flat
+census; a ``Flat`` is made only for a caller that reads one, and
+``Flat.elements`` makes the frozenset on first use. On a vector matroid each
+flat's cover state is stepped from the state of the flat it was found from,
+and only the states on the walk's path are alive. Rank and closure queries
+are memoized per matroid and answer a walked flat off its level. The
+connectivity of every flat the walk found is read off its levels, with no
+rank or closure query; other flats go through a greedy-basis oracle. On a
+reflection arrangement the connected flats of rank 3 or more come from the
+connected walk, the same walk with a filter that keeps only the connected
+covers (``connected_flats_of_rank``), whose levels are stored apart.
 """
 
 from __future__ import annotations
@@ -382,12 +382,11 @@ class Matroid:
         # the answers of the oracle's own rank and closure queries
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], Flat] = {}
-        # per rank up to the deepest walk, its flats by bitmask in canonical order
-        self._flats_cache: dict[int, dict[int, Flat]] = {}
-        # per flat the walk found, by bitmask, the flat it covers that the walk found it from
-        self._found_from: dict[int, Flat] = {}
+        # per rank up to the deepest walk, in canonical order, each flat's bitmask
+        # -> the bitmask of the flat the walk found it from (None for cl(empty set))
+        self._flats_cache: dict[int, dict[int, int | None]] = {}
         # per rank up to the deepest connected walk, its connected flats, as above
-        self._connected_cache: dict[int, dict[int, Flat]] = {}
+        self._connected_cache: dict[int, dict[int, int | None]] = {}
         # the cover state of cl(empty set), which every walk starts from
         self._root_state: kernels.CoverState | None = None
         # per walked flat's bitmask, its components' bitmasks and ranks
@@ -414,9 +413,9 @@ class Matroid:
         hit = self._rank_cache.get(S)
         if hit is not None:
             return hit
-        walked = self._walked(S)
+        walked = self._walked_rank(_mask(S))
         if walked is not None:
-            return walked.rank
+            return walked
         r = self._rank_cache[S] = self.backend.rank_subset(tuple(sorted(S)))
         return r
 
@@ -432,10 +431,11 @@ class Matroid:
     def closure(self, subset: Iterable[int]) -> Flat:
         S = self._check_subset(subset)
         hit = self._closure_cache.get(S)
-        if hit is None:
-            hit = self._walked(S)
         if hit is not None:
             return hit
+        walked = self._walked_rank(_mask(S))
+        if walked is not None:
+            return Flat(S, walked)
         fast = getattr(self.backend, "closure_fast", None)
         if fast is not None:
             r, members = fast(tuple(sorted(S)))
@@ -457,13 +457,11 @@ class Matroid:
         S = self._check_subset(subset)
         return self.closure(S).mask == _mask(S)
 
-    def _walked(self, S: frozenset[int]) -> Flat | None:
-        """The flat with elements S from the walk's stored levels, or None."""
-        mask = _mask(S)
-        for level in self._flats_cache.values():
-            flat = level.get(mask)
-            if flat is not None:
-                return flat
+    def _walked_rank(self, mask: int) -> int | None:
+        """The rank of the walked flat with this bitmask, or None."""
+        for k, level in self._flats_cache.items():
+            if mask in level:
+                return k
         return None
 
     def is_simple(self) -> bool:
@@ -476,7 +474,7 @@ class Matroid:
         if self.closure(()).elements:
             return False
         # without loops, a nonempty ground set has rank at least 1
-        return not self.size or all(len(P) == 1 for P in self.flats_of_rank(1))
+        return not self.size or all(P.bit_count() == 1 for P in self._level(1))
 
     # -- flats, level by level ----------------------------------------------
 
@@ -513,10 +511,14 @@ class Matroid:
         issues, counted from cl(empty set): past it the walk raises
         BudgetExceeded with the flats it found per rank, and stores nothing.
         """
+        return [Flat.of_mask(G, k) for G in self._level(k, max_covers)]
+
+    def _level(self, k: int, max_covers: int | None = None) -> dict[int, int | None]:
+        """The walk's stored level k, walked to as ``flats_of_rank`` walks."""
         self._check_walk(k, max_covers)
         if k not in self._flats_cache:
             self._walk(k, max_covers)
-        return list(self._flats_cache[k].values())
+        return self._flats_cache[k]
 
     def connected_flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
         """All connected rank-k flats, canonically ordered by sorted element tuple.
@@ -536,10 +538,10 @@ class Matroid:
             if k < 3 or k in self._flats_cache or not getattr(
                 self.backend, "reflection_closed", False
             ):
-                level = self.flats_of_rank(k, max_covers=max_covers)
-                return [F for F in level if len(self._components(F.mask)) == 1]
+                level = self._level(k, max_covers)
+                return [Flat.of_mask(G, k) for G in level if len(self._components(G, k)) == 1]
             self._walk(k, max_covers, connected=True)
-        return list(self._connected_cache[k].values())
+        return [Flat.of_mask(G, k) for G in self._connected_cache[k]]
 
     def _check_walk(self, k: int, max_covers: int | None) -> None:
         if not 0 <= k <= self.full_rank():
@@ -550,38 +552,36 @@ class Matroid:
     def _walk(self, k: int, max_covers: int | None, connected: bool = False) -> None:
         """Walk the lattice of flats depth-first from cl(empty set) to rank k.
 
-        The path is an explicit stack of flats, each with its cover state
-        and the bitmasks of the covers not yet issued: F | g for each group
-        g of the state, one int per cover. A cover not seen before (an int
-        lookup in its level) is recorded in its level with the flat it was
-        found from (for ``is_connected``) and, below rank k, pushed at once,
-        as a ``Flat`` made from its mask. On a vector matroid its cover
-        state is one ``cover_step`` from the state of the flat it was found
-        from: one step per flat below rank k, at most k states alive, and
-        the empty flat eliminated from scratch once per matroid. Elsewhere
-        the covers come from one closure per cover. The levels are stored,
-        in canonical order, only when the walk completes.
+        The path is an explicit stack of flats, each a bitmask with its
+        rank, its cover state and the bitmasks of the covers not yet issued:
+        F | g for each group g of the state, one int per cover. A cover G of
+        F not seen before (an int lookup in its level) is recorded as
+        ``level[G] = F``, the flat it was found from (for ``is_connected``),
+        and, below rank k, pushed at once. On a vector matroid its cover
+        state is one ``cover_step`` from the state of F: one step per flat
+        below rank k, at most k states alive, and the empty flat eliminated
+        from scratch once per matroid. Elsewhere the covers come from one
+        closure per cover. The levels are stored, in canonical order, only
+        when the walk completes.
 
         The connected walk (``connected``) records and pushes a cover G of
         a flat F of rank 1 or more only when G has two or more elements
         outside F: ``(G & ~F).bit_count() >= 2``. Run from the points of a
         simple matroid, it records connected flats alone (``fan``'s module
         docstring has the proof, and the proof that on a reflection
-        arrangement it records them all).
-        Its levels go to ``_connected_cache``, with no record of the flat
-        each was found from, and its budget counts every cover it issues.
+        arrangement it records them all). Its levels go to
+        ``_connected_cache``, and its budget counts every cover it issues.
         """
-        root = self.closure(())
+        root = self.closure(()).mask
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
-            self._root_state = self.backend.covers_fast(root.sorted())
+            self._root_state = self.backend.covers_fast(tuple(_members(root)))
         # cl(empty set) has no element, so it is not connected
-        levels = [{} if connected else {root.mask: root}] + [{} for _ in range(k)]
-        found_from: dict[int, Flat] = {}
+        levels = [{} if connected else {root: None}] + [{} for _ in range(k)]
         issued = 0
-        path = [self._on_path(root, self._root_state)] if k else []
+        path = [self._on_path(root, 0, self._root_state)] if k else []
         while path:
-            F, state, covers = path[-1]
-            level = levels[F.rank + 1]
+            F, rank, state, covers = path[-1]
+            level = levels[rank + 1]
             for g, G in covers:
                 issued += 1
                 if max_covers is not None and issued > max_covers:
@@ -592,14 +592,12 @@ class Matroid:
                         f"covers; it had found {sum(counts)} {kind}flats, by rank "
                         f"from 1 to {k}: {', '.join(map(str, counts))}"
                     )
-                if connected and F.rank and (G & ~F.mask).bit_count() < 2 or G in level:
+                if connected and rank and (G & ~F).bit_count() < 2 or G in level:
                     continue
-                flat = level[G] = Flat.of_mask(G, F.rank + 1)
-                if not connected:
-                    found_from[G] = F
-                if flat.rank < k:
+                level[G] = F
+                if rank + 1 < k:
                     step = None if state is None else self.backend.cover_step(state, g)
-                    path.append(self._on_path(flat, step))
+                    path.append(self._on_path(G, rank + 1, step))
                     break
             else:
                 path.pop()
@@ -611,17 +609,16 @@ class Matroid:
             self._connected_cache = stored
         else:
             self._flats_cache = stored
-            self._found_from = found_from
 
-    def _on_path(self, F: Flat, state: kernels.CoverState | None):
-        """F as the walk's path holds it: with its cover state (None off a
-        vector matroid) and its covers' bitmasks, numbered as ``cover_step``
-        numbers them."""
+    def _on_path(self, F: int, rank: int, state: kernels.CoverState | None):
+        """The flat F (a bitmask) of this rank as the walk's path holds it:
+        with its cover state (None off a vector matroid) and its covers'
+        bitmasks, numbered as ``cover_step`` numbers them."""
         if state is None:
-            covers = (G.mask for G in self._covers(F.elements))
+            covers = (G.mask for G in self._covers(frozenset(_members(F))))
         else:
-            covers = map(F.mask.__or__, state.groups)
-        return F, state, enumerate(covers)
+            covers = map(F.__or__, state.groups)
+        return F, rank, state, enumerate(covers)
 
     def flat_census(self) -> list[AbstractSet[int]]:
         """The flats as bitmasks, indexed by rank; rank r(M) holds E alone.
@@ -631,7 +628,7 @@ class Matroid:
         """
         r = self.full_rank()
         if r:
-            self.flats_of_rank(r - 1)
+            self._level(r - 1)
         top = frozenset(((1 << self.size) - 1,))
         return [self._flats_cache[k].keys() for k in range(r)] + [top]
 
@@ -650,22 +647,23 @@ class Matroid:
         """
         F = self._check_subset(flat)
         mask = _mask(F)
-        if mask in self._found_from:
-            return len(self._components(mask)) == 1
+        walked = self._walked_rank(mask)
+        if walked is not None:
+            return len(self._components(mask, walked)) == 1
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
         return self._connected(F)
 
-    def _components(self, G: int) -> tuple[tuple[int, int], ...]:
-        """The components of M|G as bitmasks with their ranks, for a flat G
-        (a bitmask) that the walk found.
+    def _components(self, G: int, r: int) -> tuple[tuple[int, int], ...]:
+        """The components of M|G as bitmasks with their ranks, for a walked
+        flat G of rank r, from those of the flat that level r maps G to.
 
         Memoized, and computed only when asked for.
         """
         hit = self._components_cache.get(G)
         if hit is not None:
             return hit
-        F = self._found_from.get(G)
+        F = self._flats_cache[r][G]
         if F is None:
             # the flat cl(empty set) the walk starts from: each loop alone
             comps = tuple((1 << e, 0) for e in _members(G))
@@ -682,9 +680,8 @@ class Matroid:
             # separator. That rank is below r(G), and the walk stores every
             # level up to r(G) at once, so the lookup sees every flat of it.
             # The components of F that are not separators join G \ F.
-            r = F.rank + 1
             kept = [
-                (K, rK) for K, rK in self._components(F.mask)
+                (K, rK) for K, rK in self._components(F, r - 1)
                 if rK == 0 or G & ~K in self._flats_cache[r - rK]
             ]
             if kept:

@@ -517,16 +517,30 @@ def test_c12_coxeter_theorem_table():
     Budget: 10 s."""
     with Budget(10):
         for spec, expected in COXETER_THEOREM.items():
-            M = coxeter_matroid(spec)
-            report = graph_S(M).report
-            row = (
-                len(report["corank_one_degrees"]),
-                report["min_rank_one_degree"],
-                report["max_corank_one_degree"],
-                report["verdict"],
-                len(enumerate_cremona_bases(M)),
-            )
+            row = coxeter_theorem_row(spec)
             assert row == expected, spec
             n = int(spec[1:])
             bases = {"A": n + 1, "B": 1}.get(spec[0], 0)
             assert row[3] is (bases == 0) and row[4] == bases, spec
+
+
+def coxeter_theorem_row(spec):
+    """One type's row of the Coxeter theorem table, on a fresh matroid."""
+    M = coxeter_matroid(spec)
+    report = graph_S(M).report
+    return (
+        len(report["corank_one_degrees"]),
+        report["min_rank_one_degree"],
+        report["max_corank_one_degree"],
+        report["verdict"],
+        len(enumerate_cremona_bases(M)),
+    )
+
+
+def test_c13_e8_coxeter_theorem_row():
+    """E8's row of the Coxeter theorem table (c12), the frozen row of
+    ``benchmarks/bench_coxeter.py``: 9,840 connected hyperplanes, min
+    rank-one degree 2,520 against max corank-one degree 63, so the
+    verdict is true, and no Cremona basis.  Budget: 60 s."""
+    with Budget(60):
+        assert coxeter_theorem_row("E8") == (9840, 2520, 63, True, 0)

@@ -170,6 +170,17 @@ class TestCremona:
         assert code == 2
         assert "not a Cremona basis" in err
 
+    @pytest.mark.parametrize("mode", [
+        ["--pair", "0,1", "2,3"],
+        ["--realize", "0,1", "2,3", "--field", "Fp:7"],
+    ], ids=["pair", "realize"])
+    def test_disjoint_cremona_bases_are_refused(self, u25_file, capsys, mode):
+        # {0, 1} and {2, 3} are both Cremona bases of U(2,5), sharing nothing
+        code, out, err = run(capsys, "cremona", u25_file, *mode)
+        assert code == 2
+        assert out == ""
+        assert "sharing an element" in err
+
     def test_realize_payload(self, u25_file, capsys):
         doc, _ = run_json(
             capsys, "cremona", u25_file, "--realize", "0,1", "1,2",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cremfan import generators
 from cremfan.errors import BudgetExceeded, InputError, InvariantError
 from cremfan.field import QuadSqrt5
 from cremfan.generators import (
@@ -137,6 +138,12 @@ class TestReflections:
         with pytest.raises(InputError):
             element_permutation(b3, lambda v: tuple(x * 0 for x in v))
 
+    def test_irrational_scaling_fixes_every_h3_element(self):
+        # multiplying by the golden ratio fixes every line through the origin
+        phi = QuadSqrt5(Fraction(1, 2), Fraction(1, 2))
+        perm = element_permutation(coxeter_matroid("H3"), lambda v: tuple(phi * x for x in v))
+        assert perm.is_identity
+
     def test_h3_reflections_permute_elements(self):
         h3 = coxeter_matroid("H3")
         _f, vectors, _l = positive_roots("H", 3)
@@ -168,6 +175,16 @@ class TestCoxeterMatroids:
         assert coxeter_matroid(("B", 3)).size == 9
         with pytest.raises(InputError):
             coxeter_matroid("Z9")
+
+    def test_an_irrational_multiple_is_a_parallel_root(self, monkeypatch):
+        field, vectors, labels = positive_roots("H", 3)
+        phi = QuadSqrt5(Fraction(1, 2), Fraction(1, 2))
+        # the last root becomes the golden ratio times the first: still 15
+        # roots of rank 3, but two of them span one line
+        vectors = vectors[:-1] + [tuple(phi * x for x in vectors[0])]
+        monkeypatch.setattr(generators, "positive_roots", lambda *_: (field, vectors, labels))
+        with pytest.raises(InvariantError, match="parallel roots"):
+            coxeter_matroid("H3")
 
 
 class TestNamedMatroids:

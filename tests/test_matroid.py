@@ -25,6 +25,7 @@ from cremfan.matroid import (
     Matroid,
     VectorBackend,
     _line_table,
+    _members,
     automorphisms,
     census_mismatch,
     find_isomorphism,
@@ -231,11 +232,32 @@ class TestLatticeWalk:
         M.flats_of_rank(depth)
         for k in range(depth + 1):
             want = naive_flats(reference, k)
-            level = M._flats_cache[k]
+            level, flats = M._flats_cache[k], M.flats_of_rank(k)
             # keyed by bitmask, in the canonical order of the element sets
             assert list(level) == [sum(1 << e for e in S) for S in want]
-            assert [F.elements for F in level.values()] == want
-            assert all(F.mask == S and F.rank == k for S, F in level.items())
+            assert [F.elements for F in flats] == want
+            assert all(F.mask == S and F.rank == k for S, F in zip(level, flats))
+
+    @pytest.mark.parametrize("connected", [False, True], ids=["full", "connected"])
+    @pytest.mark.parametrize("name", ["D4", "H3", "A2+B2", "fano lines", "D4/0"])
+    def test_levels_map_each_flat_to_the_flat_it_was_found_from(self, name, connected):
+        make = REFLECTION_CASES.get(name) or MASK_CASES[name]
+        M, census = make(), make().flat_census()
+        r = M.full_rank()
+        M._walk(r, None, connected=connected)
+        levels = M._connected_cache if connected else M._flats_cache
+        assert sorted(levels) == list(range(r + 1))
+        for k, level in levels.items():
+            for G, F in level.items():
+                assert type(G) is int and G in census[k]
+                if F is None:  # cl(empty set), which only the full walk stores
+                    assert k == 0 and not connected
+                    continue
+                # a flat of the level below, covered by G
+                assert type(F) is int and k and F in census[k - 1]
+                assert F & ~G == 0
+                if connected and k > 1:
+                    assert F in levels[k - 1]
 
     @pytest.mark.parametrize("name", sorted(WALK_CASES))
     def test_flats_of_rank_matches_naive_walk(self, name):
@@ -400,12 +422,12 @@ def assert_stepped_states(M):
     cover state."""
     on_path, expanded = M._on_path, []
 
-    def checked(F, stepped):
-        scratch = M.backend.covers_fast(F.sorted())
-        assert stepped.rank == scratch.rank == F.rank
+    def checked(F, rank, stepped):
+        scratch = M.backend.covers_fast(tuple(_members(F)))
+        assert stepped.rank == scratch.rank == rank
         assert stepped.groups == scratch.groups
         expanded.append(F)
-        return on_path(F, stepped)
+        return on_path(F, rank, stepped)
 
     M._on_path = checked
     r = M.full_rank()
@@ -564,15 +586,15 @@ class TestSteppedCovers:
     def test_the_path_holds_one_flat_per_rank(self):
         d5 = coxeter_matroid("D5")
         on_path, pushed = d5._on_path, []
-        d5._on_path = lambda F, state: pushed.append(F) or on_path(F, state)
+        d5._on_path = lambda F, rank, state: pushed.append((F, rank)) or on_path(F, rank, state)
         d5.flats_of_rank(4)
         # each flat is expanded from the one flat of the rank below it on
         # the path, the last one pushed there, so at most 4 states are alive
         last = {}
-        for F in pushed:
-            if F.rank:
-                assert d5._found_from[F.mask] is last[F.rank - 1]
-            last[F.rank] = F
+        for F, rank in pushed:
+            if rank:
+                assert d5._flats_cache[rank][F] == last[rank - 1]
+            last[rank] = F
         assert sorted(last) == [0, 1, 2, 3]
         assert len(pushed) == 1 + 320
 
@@ -833,18 +855,19 @@ class TestOneStorePerFlat:
         root = d5.flats_of_rank(0)[0]
         assert set(d5._rank_cache) == {frozenset(), frozenset(range(20))}
         assert d5._closure_cache == {frozenset(): root}
-        assert d5._closure_cache[frozenset()] is levels[0][0]
-        # the walk's records point at the level's own flats, not copies
-        for S, F in d5._found_from.items():
-            assert levels[F.rank][F.mask] is F
-            assert S in levels[F.rank + 1]
+        assert levels[0] == {root.mask: None}
+        # the walk's records are the masks of the levels' own flats, no Flat
+        for k, level in levels.items():
+            for S, F in level.items():
+                assert type(S) is int
+                assert F is None if k == 0 else F in levels[k - 1]
         # a walked flat is answered off its level: no backend call, no entry
         calls = count_backend_calls(d5, monkeypatch)
         for k, level in levels.items():
-            for S, F in level.items():
-                assert S == F.mask
+            for S in level:
+                F = Flat.of_mask(S, k)
                 assert d5.rank(F.elements) == k
-                assert d5.closure(F.elements) is F
+                assert d5.closure(F.elements) == F
         assert calls == {
             "rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0
         }
