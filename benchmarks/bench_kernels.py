@@ -31,8 +31,8 @@ untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
 other cover's direction in a cover step) and the seconds (E7: one run).
 After the walk it lists the entries and the bytes of each per-matroid
 store: the levels (each flat's bitmask, mapped to the bitmask of the flat
-it was found from), ``_rank_cache``, ``_closure_cache`` and
-``_components_cache``.  The bytes are a deep
+it was found from), ``_rank_cache``, ``_closure_cache`` and the
+connected levels (``_connected_cache``).  The bytes are a deep
 ``sys.getsizeof`` that counts each object once, in the store that reaches
 it first, in that order.  Last it prints the process's peak RSS, which the
 E7 walk sets.
@@ -240,7 +240,7 @@ def _bench_search(spec: str, repeat: int, census: bool = False) -> None:
 
 def _bench_connectivity(spec: str, repeat: int) -> None:
     # each repetition on a fresh matroid with its whole lattice walked, so
-    # neither the components nor the oracle's closures are cached
+    # neither the connected levels nor the oracle's closures are stored
     runs = {}
     for method in ("walk", "oracle"):
         best = float("inf")
@@ -307,7 +307,7 @@ def _store_sizes(M) -> str:
         "levels": (sum(map(len, M._flats_cache.values())), M._flats_cache),
         "rank": (len(M._rank_cache), M._rank_cache),
         "closure": (len(M._closure_cache), M._closure_cache),
-        "components": (len(M._components_cache), M._components_cache),
+        "connected": (sum(map(len, M._connected_cache.values())), M._connected_cache),
     }
     seen: set = set()
     return "   ".join(

@@ -7,6 +7,7 @@ job that loads no circuit list does not compile it.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, InputError
+from .matroid import _members
 
 # Work allowed to check a circuit list: the pairs of circuits compared plus
 # the containment tests of circuit elimination. U:2,9 (84 circuits) needs
@@ -69,7 +70,3 @@ def check_circuit_axioms(size: int, circuits: list[frozenset[int]]) -> None:
                         "elimination"
                     )
                 holds_circuit.add(W)
-
-
-def _members(mask: int) -> list[int]:
-    return [e for e in range(mask.bit_length()) if mask >> e & 1]

@@ -245,9 +245,9 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
 def _long_lines(M: Matroid) -> list[int]:
     """The lines of three or more points of a simple matroid of rank at least 2.
 
-    They are its connected lines, as bitmasks, so a connected walk that has
-    stored rank 2 (``fan.graph_S`` on a reflection arrangement) answers
-    them; else they are read off the full walk's lines.
+    They are its connected lines, as bitmasks, so stored connected lines
+    (after ``fan.graph_S``) answer them; else they are read off the full
+    walk's lines by point count, which costs no connectivity filter.
     """
     if 2 in M._connected_cache:
         return list(M._connected_cache[2])

@@ -60,6 +60,9 @@ from typing import AbstractSet, Iterable, Sequence
 from .errors import BudgetExceeded, InputError, InvariantError
 from .matroid import Flat, Matroid, _members
 
+# the covers a walk of this module issues unless told otherwise (E7's full walk: 883,281)
+MAX_COVERS = 3_000_000
+
 
 # ---------------------------------------------------------------------------
 # tropical points
@@ -161,7 +164,8 @@ def _point_weights(M: Matroid, point) -> tuple:
 def nested_rays(M: Matroid) -> list[Flat]:
     """All proper nonempty connected flats, ordered by (rank, elements)."""
     # the deepest level first: its walk stores every level below it
-    levels = [M.connected_flats_of_rank(k) for k in reversed(range(1, M.full_rank()))]
+    ranks = reversed(range(1, M.full_rank()))
+    levels = [M.connected_flats_of_rank(k, max_covers=MAX_COVERS) for k in ranks]
     return [F for level in reversed(levels) for F in level]
 
 
@@ -330,6 +334,7 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
         raise InputError("ray adjacency graph needs a connected matroid")
     # the full walk first: the rays are then read off its levels, with no
     # second walk, and the pair test needs its disconnected flats A | B
+    M._level(max(M.full_rank() - 1, 0), MAX_COVERS)
     census = M.flat_census()
     rays = nested_rays(M)
     edges = tuple(
@@ -387,10 +392,10 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
     # f != e with |cl{e,f}| = 2 exactly when {e, f} is a flat, and a flat
     # spanned by two elements has rank at most 2
     neighbors: list[list[int]] = [[] for _ in range(M.size)]
-    if 2 in M._connected_cache:
-        # the connected walk ran, so M is simple, and it stored the lines of
-        # three or more points, the connected rank-2 flats: {e, f} is a flat
-        # iff no such line holds both. So no full walk to rank 2 is needed.
+    if 2 in M._connected_cache and M.is_simple():
+        # M is simple, so its connected lines are its lines of three or more
+        # points: {e, f} is a flat iff no such line holds both. So no full
+        # walk to rank 2 is needed after the connected walk.
         on_lines = [1 << e for e in range(M.size)]
         for L in M._connected_cache[2]:
             for e in _members(L):
@@ -410,7 +415,7 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
 
 
 def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
-                               max_subsets: int = 3_000_000) -> list[Flat]:
+                               max_subsets: int = MAX_COVERS) -> list[Flat]:
     """All connected corank-one flats, optionally only those through one element.
 
     The hyperplanes come from ``Matroid.connected_flats_of_rank``;
@@ -441,7 +446,7 @@ class SGraphReport:
 
 
 def graph_S(M: Matroid, *, rank_one_only: bool = False,
-            max_subsets: int = 3_000_000) -> SGraphReport:
+            max_subsets: int = MAX_COVERS) -> SGraphReport:
     """The subgraph of the fan 1-skeleton on rank-one and corank-one rays.
 
     Neighbors of a rank-one ray {e}: the singletons f with cl{e,f}

@@ -14,11 +14,11 @@ census; a ``Flat`` is made only for a caller that reads one, and
 flat's cover state is stepped from the state of the flat it was found from,
 and only the states on the walk's path are alive. Rank and closure queries
 are memoized per matroid and answer a walked flat off its level. The
-connectivity of every flat the walk found is read off its levels, with no
-rank or closure query; other flats go through a greedy-basis oracle. On a
-reflection arrangement the connected flats of rank 3 or more come from the
-connected walk, the same walk with a filter that keeps only the connected
-covers (``connected_flats_of_rank``), whose levels are stored apart.
+connected flats are stored as connected levels (``connected_flats_of_rank``):
+on a reflection arrangement, from rank 3 up, the connected walk's, which
+expands only the connected covers; else the full walk's levels, filtered one
+level at a time with no rank or closure query. A walked flat's connectivity
+is read off them; other flats go through a greedy-basis oracle.
 """
 
 from __future__ import annotations
@@ -385,12 +385,10 @@ class Matroid:
         # per rank up to the deepest walk, in canonical order, each flat's bitmask
         # -> the bitmask of the flat the walk found it from (None for cl(empty set))
         self._flats_cache: dict[int, dict[int, int | None]] = {}
-        # per rank up to the deepest connected walk, its connected flats, as above
+        # per rank, its connected flats, as above: the connected walk's or the full walk's
         self._connected_cache: dict[int, dict[int, int | None]] = {}
         # the cover state of cl(empty set), which every walk starts from
         self._root_state: kernels.CoverState | None = None
-        # per walked flat's bitmask, its components' bitmasks and ranks
-        self._components_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -521,27 +519,30 @@ class Matroid:
         return self._flats_cache[k]
 
     def connected_flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
-        """All connected rank-k flats, canonically ordered by sorted element tuple.
+        """All connected rank-k flats, canonically ordered by sorted element tuple,
+        read off ``_connected_level``; ``max_covers`` is as in ``flats_of_rank``."""
+        return [Flat.of_mask(G, k) for G in self._connected_level(k, max_covers)]
+
+    def _connected_level(self, k: int, max_covers: int | None = None) -> dict[int, int | None]:
+        """The stored connected level k, the connected part of the walked level k.
 
         From rank 3 up, on a simple reflection arrangement
         (``VectorBackend.reflection_closed``), one connected walk to rank k
-        (``_walk``) stores the connected levels 1 to k, apart from the full
-        walk's. Elsewhere, and wherever a walk has already stored rank k,
-        the flats are read off the stored levels, the full walk's filtered
-        by ``is_connected``: up to rank 2 both walks expand the points
-        alone, so the full walk costs no more and needs no check.
-        ``max_covers`` caps the covers of the walk that runs, as in
-        ``flats_of_rank``.
+        (``_walk``) stores the connected levels 0 to k. Elsewhere, and
+        wherever the full walk has already stored rank k, the full walk's
+        levels are filtered (``_connected_levels``): up to rank 2 both walks
+        expand the points alone, so the full walk costs no more.
         """
         self._check_walk(k, max_covers)
         if k not in self._connected_cache:
             if k < 3 or k in self._flats_cache or not getattr(
                 self.backend, "reflection_closed", False
             ):
-                level = self._level(k, max_covers)
-                return [Flat.of_mask(G, k) for G in level if len(self._components(G, k)) == 1]
-            self._walk(k, max_covers, connected=True)
-        return [Flat.of_mask(G, k) for G in self._connected_cache[k]]
+                self._level(k, max_covers)
+                self._connected_cache = self._connected_levels()
+            else:
+                self._walk(k, max_covers, connected=True)
+        return self._connected_cache[k]
 
     def _check_walk(self, k: int, max_covers: int | None) -> None:
         if not 0 <= k <= self.full_rank():
@@ -556,13 +557,13 @@ class Matroid:
         rank, its cover state and the bitmasks of the covers not yet issued:
         F | g for each group g of the state, one int per cover. A cover G of
         F not seen before (an int lookup in its level) is recorded as
-        ``level[G] = F``, the flat it was found from (for ``is_connected``),
-        and, below rank k, pushed at once. On a vector matroid its cover
-        state is one ``cover_step`` from the state of F: one step per flat
-        below rank k, at most k states alive, and the empty flat eliminated
-        from scratch once per matroid. Elsewhere the covers come from one
-        closure per cover. The levels are stored, in canonical order, only
-        when the walk completes.
+        ``level[G] = F``, the flat it was found from (read by
+        ``_connected_levels``), and, below rank k, pushed at once. On a
+        vector matroid its cover state is one ``cover_step`` from the state
+        of F: one step per flat below rank k, at most k states alive, and
+        the empty flat eliminated from scratch once per matroid. Elsewhere
+        the covers come from one closure per cover. The levels are stored,
+        in canonical order, only when the walk completes.
 
         The connected walk (``connected``) records and pushes a cover G of
         a flat F of rank 1 or more only when G has two or more elements
@@ -637,62 +638,62 @@ class Matroid:
     def is_connected(self, flat: Iterable[int]) -> bool:
         """Connectivity of the restriction to a flat.
 
-        A flat the lattice walk found has its components read off the
-        walk (``_components``), with no flatness, rank or closure query.
-        Any other flat, such as E before the walk reaches it or the join of
-        two rays, uses the fundamental-circuit graph of a greedy basis B of F
-        (Krogdahl 1977): x in B is joined to the elements of its
-        fundamental cocircuit, the elements of F outside cl(B - x); the
-        restriction is connected iff that graph is.
+        A flat the lattice walk found is connected iff it is in its rank's
+        connected level (``_connected_level``), with no flatness, rank or
+        closure query. Any other flat, such as E before the walk reaches it
+        or the join of two rays, uses the fundamental-circuit graph of a
+        greedy basis B of F (Krogdahl 1977): x in B is joined to the
+        elements of its fundamental cocircuit, the elements of F outside
+        cl(B - x); the restriction is connected iff that graph is.
         """
         F = self._check_subset(flat)
         mask = _mask(F)
         walked = self._walked_rank(mask)
         if walked is not None:
-            return len(self._components(mask, walked)) == 1
+            return mask in self._connected_level(walked)
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
         return self._connected(F)
 
-    def _components(self, G: int, r: int) -> tuple[tuple[int, int], ...]:
-        """The components of M|G as bitmasks with their ranks, for a walked
-        flat G of rank r, from those of the flat that level r maps G to.
+    def _connected_levels(self) -> dict[int, dict[int, int | None]]:
+        """The full walk's stored levels, each kept to its connected flats.
 
-        Memoized, and computed only when asked for.
+        The components of M|G, as bitmasks with their ranks, come level by
+        level from those of the flat F that level r(G) maps G to, with no
+        rank or closure query; only the level below's components are kept.
         """
-        hit = self._components_cache.get(G)
-        if hit is not None:
-            return hit
-        F = self._flats_cache[r][G]
-        if F is None:
-            # the flat cl(empty set) the walk starts from: each loop alone
-            comps = tuple((1 << e, 0) for e in _members(G))
-        else:
-            # G covers F. If M|G has the components C_i, then F is the union
-            # of the flats F & C_i of the C_i, and 1 = r(G) - r(F) is the sum
-            # of the r(C_i) - r(F & C_i); so all of G \ F lies in one
-            # component C, and every other component lies in F, where it is a
-            # connected separator of M|F: a component of F. A component K of
-            # F is a separator of M|G iff r(K) + r(G \ K) = r(G). A loop
-            # always is. Otherwise K holds no loop, so G \ K is then a flat
-            # (cl(G \ K) & K is the closure of the empty set in M|K), and
-            # conversely a flat G \ K of rank r(G) - r(K) makes K a
-            # separator. That rank is below r(G), and the walk stores every
-            # level up to r(G) at once, so the lookup sees every flat of it.
-            # The components of F that are not separators join G \ F.
-            kept = [
-                (K, rK) for K, rK in self._components(F, r - 1)
-                if rK == 0 or G & ~K in self._flats_cache[r - rK]
-            ]
-            if kept:
-                rest = G
-                for K, _ in kept:
-                    rest &= ~K
-                comps = (*kept, (rest, r - sum(rK for _, rK in kept)))
-            else:
-                comps = ((G, r),)
-        self._components_cache[G] = comps
-        return comps
+        connected: dict[int, dict[int, int | None]] = {}
+        below: dict[int, tuple[tuple[int, int], ...]] = {}
+        for r, level in self._flats_cache.items():
+            components: dict[int, tuple[tuple[int, int], ...]] = {}
+            for G, F in level.items():
+                if F is None:
+                    # the flat cl(empty set) the walk starts from: each loop alone
+                    comps = tuple((1 << e, 0) for e in _members(G))
+                else:
+                    # G covers F. If M|G has the components C_i, then F is the
+                    # union of the flats F & C_i of the C_i, and 1 = r(G) - r(F)
+                    # is the sum of the r(C_i) - r(F & C_i); so all of G \ F
+                    # lies in one component C, and every other component lies
+                    # in F, where it is a connected separator of M|F: a
+                    # component of F. A component K of F is a separator of M|G
+                    # iff r(K) + r(G \ K) = r(G). A loop always is. Otherwise K
+                    # holds no loop, so G \ K is then a flat (cl(G \ K) & K is
+                    # the closure of the empty set in M|K), and conversely a
+                    # flat G \ K of rank r(G) - r(K) makes K a separator. That
+                    # rank is below r(G), and the walk stores every level up to
+                    # r(G) at once, so the lookup sees every flat of it. The
+                    # components of F that are not separators join G \ F.
+                    kept = [
+                        (K, rK) for K, rK in below[F]
+                        if rK == 0 or G & ~K in self._flats_cache[r - rK]
+                    ]
+                    rest = G & ~sum(K for K, _ in kept)  # disjoint masks: + is |
+                    comps = (*kept, (rest, r - sum(rK for _, rK in kept)))
+                components[G] = comps
+            connected[r] = {G: F for G, F in level.items() if len(components[G]) == 1}
+            below = components
+        return connected
 
     def _connected(self, F: frozenset[int]) -> bool:
         n = len(F)
@@ -759,9 +760,7 @@ class Matroid:
     def restrict(self, subset: Iterable[int]) -> "Matroid":
         S = sorted(self._check_subset(subset))
         ground = GroundSet(len(S), [self.ground.label(e) for e in S])
-        sub = Matroid(MinorBackend(self, S, ()), ground=ground)
-        sub.parent_elements = tuple(S)
-        return sub
+        return Matroid(MinorBackend(self, S, ()), ground=ground)
 
     def contract(self, subset: Iterable[int] | int) -> "Matroid":
         if isinstance(subset, int):
@@ -769,9 +768,7 @@ class Matroid:
         C = self._check_subset(subset)
         kept = [e for e in range(self.size) if e not in C]
         ground = GroundSet(len(kept), [self.ground.label(e) for e in kept])
-        minor = Matroid(MinorBackend(self, kept, C), ground=ground)
-        minor.parent_elements = tuple(kept)
-        return minor
+        return Matroid(MinorBackend(self, kept, C), ground=ground)
 
     def simplify(self) -> tuple["Matroid", list[int | None]]:
         """Merge parallel classes and drop loops.

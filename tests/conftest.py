@@ -99,6 +99,19 @@ def count_backend_calls(M, monkeypatch):
     return counts
 
 
+def record_walks(M, monkeypatch):
+    """The lattice walks M runs from now on, as (rank, connected) per ``_walk`` call."""
+    walks = []
+    walk = M._walk
+
+    def recorded(k, max_covers, connected=False):
+        walks.append((k, connected))
+        return walk(k, max_covers, connected)
+
+    monkeypatch.setattr(M, "_walk", recorded)
+    return walks
+
+
 def closure_per_cover(M, F):
     """The covers of flat F by one closure of F + e per cover (reference)."""
     seen, covers = set(F), []

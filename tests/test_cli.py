@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from cremfan import cli
+from cremfan import cli, fan
 from cremfan.cli import main
 from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
 from cremfan.matroid import Matroid
@@ -378,6 +378,18 @@ class TestFan:
         assert code == 2
         assert out == ""
         assert "ray adjacency graph needs a simple matroid" in err
+
+    def test_graph_walk_has_a_budget(self, tmp_path, capsys, monkeypatch):
+        # the full walk of --graph issues at most fan.MAX_COVERS covers, so a
+        # lattice too large for it (E8's) exits 3 and does not run on
+        path = str(tmp_path / "d5.json")
+        assert main(["gen", "D5", "--out", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(fan, "MAX_COVERS", 100)
+        code, out, err = run(capsys, "fan", path, "--graph")
+        assert code == 3
+        assert out == ""
+        assert "the flat-lattice walk to rank 4 needs more than 100 covers" in err
 
     def test_s_graph_payload(self, tmp_path, capsys):
         path = str(tmp_path / "d4.json")

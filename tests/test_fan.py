@@ -38,6 +38,7 @@ from conftest import (
     exhaustive_connected,
     f3_matroid,
     f3_vector_rows,
+    record_walks,
 )
 
 
@@ -307,14 +308,16 @@ class TestRayGraph:
         assert calls["covers_fast"] == 1
 
 
-def test_ray_graph_runs_the_full_walk_alone():
+def test_ray_graph_runs_the_full_walk_alone(monkeypatch):
     # the pair test reads disjoint unions A | B, disconnected flats, off the
     # full census, and the rays are then read off the same levels
     d5, reference = coxeter_matroid("D5"), coxeter_matroid("D5")
+    walks, reference_walks = record_walks(d5, monkeypatch), record_walks(reference, monkeypatch)
     graph = ray_adjacency_graph(d5)
-    assert d5._connected_cache == {}
+    # the simplicity check's walk to the points, then the census's
+    assert walks == [(1, False), (4, False)]
     assert list(graph.vertices) == nested_rays(reference)
-    assert reference._connected_cache != {}  # nested_rays alone walks connected
+    assert reference_walks == [(4, True)]  # nested_rays alone walks connected
 
 
 class TestGraphS:
@@ -335,6 +338,16 @@ class TestGraphS:
                 if f != e and len(M.closure({e, f}).elements) == 2
             )
             assert rank_one_neighbor_count(M, e) == expected
+
+    @pytest.mark.parametrize("minor", ["D4/0", "A3/0"])
+    def test_rank_one_neighbor_count_after_nested_rays(self, minor):
+        # nested_rays stores the connected flats of a non-simple minor, whose
+        # connected lines are not its lines of three or more points
+        spec, contracted = minor.split("/")
+        M, reference = (coxeter_matroid(spec).contract(int(contracted)) for _ in range(2))
+        nested_rays(M)
+        counts = [rank_one_neighbor_count(M, e) for e in range(M.size)]
+        assert counts == rank_one_counts_by_definition(reference)
 
     @pytest.mark.parametrize("name", list(CENSUS_CASES))
     def test_rank_one_neighbor_count_matches_its_definition(self, name):

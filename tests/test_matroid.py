@@ -43,6 +43,7 @@ from conftest import (
     exhaustive_connected,
     f3_matroid,
     f3_vector_rows,
+    record_walks,
 )
 
 
@@ -446,9 +447,10 @@ REFLECTION_CASES["A2+B2"] = lambda: direct_sum(coxeter_matroid("A2"), coxeter_ma
 
 
 def connected_levels(M, k):
-    """The full walk's levels 1 to k, filtered by is_connected (reference)."""
+    """The full walk's levels 1 to k, filtered by the greedy-basis oracle
+    (reference: ``is_connected`` of a walked flat reads the levels under test)."""
     return [
-        [F for F in M.flats_of_rank(j) if M.is_connected(F.elements)]
+        [F for F in M.flats_of_rank(j) if M._connected(F.elements)]
         for j in range(1, k + 1)
     ]
 
@@ -521,27 +523,31 @@ class TestConnectedWalk:
         assert calls["rank_subset"] == 0 and calls["closure_fast"] == 1
         assert hyperplanes == connected_levels(reference, r - 1)[-1]
 
-    def test_ranks_1_and_2_read_the_full_walk(self):
+    def test_ranks_1_and_2_read_the_full_walk(self, monkeypatch):
         d5 = coxeter_matroid("D5")
+        walks = record_walks(d5, monkeypatch)
         lines = d5.connected_flats_of_rank(2)
-        assert d5._connected_cache == {} and sorted(d5._flats_cache) == [0, 1, 2]
+        assert walks == [(2, False)] and sorted(d5._flats_cache) == [0, 1, 2]
         assert [len(L) for L in lines] == [3] * 40
 
-    def test_a_full_walk_already_stored_is_read(self):
+    def test_a_full_walk_already_stored_is_read(self, monkeypatch):
         d5 = coxeter_matroid("D5")
         d5.flats_of_rank(4)
+        walks = record_walks(d5, monkeypatch)
         assert len(d5.connected_flats_of_rank(4)) == 21
-        assert d5._connected_cache == {}
+        assert walks == []
 
     @pytest.mark.parametrize("name", list(FULL_WALK_CASES))
-    def test_the_full_walk_runs_when_the_precondition_fails(self, name):
+    def test_the_full_walk_runs_when_the_precondition_fails(self, name, monkeypatch):
         M, reference = FULL_WALK_CASES[name](), FULL_WALK_CASES[name]()
         assert not getattr(M.backend, "reflection_closed", False)
         r = M.full_rank()
+        walks = record_walks(M, monkeypatch)
         assert [M.connected_flats_of_rank(k) for k in range(1, r + 1)] == (
             connected_levels(reference, r)
         )
-        assert M._connected_cache == {}
+        # one full walk per level, each deeper than the last
+        assert walks == [(k, False) for k in range(1, r + 1)]
 
     def test_u34_shows_why_the_precondition_is_needed(self):
         # E is connected, but every flat it covers is a disconnected pair, so
