@@ -29,10 +29,11 @@ the cover steps, asserted equal to the flats the walk expands (those of
 rank 1 to r - 2), the coordinates eliminated (counted in a separate
 untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
 other cover's direction in a cover step) and the seconds (E7: one run).
-After the walk it lists the entries and the bytes of each per-matroid
-store: the levels (each flat's bitmask, mapped to the bitmask of the flat
-it was found from), ``_rank_cache``, ``_closure_cache`` and the
-connected levels (``_connected_cache``).  The bytes are a deep
+After the walk, and after the connected levels are read off it, it lists
+the entries and the bytes of each per-matroid store: the levels (each
+flat's bitmask, mapped to the bitmask of the flat it was found from),
+``_rank_cache``, ``_closure_cache`` and the connected levels
+(``_connected_cache``).  The bytes are a deep
 ``sys.getsizeof`` that counts each object once, in the store that reaches
 it first, in that order.  Last it prints the process's peak RSS, which the
 E7 walk sets.
@@ -318,15 +319,18 @@ def _store_sizes(M) -> str:
 
 def _counted_walk(spec: str):
     # cover steps and coordinates eliminated in one walk, with the steps
-    # and the Z and F_p reductions wrapped
+    # and the Z and F_p reductions wrapped. VectorBackend binds the step of
+    # its domain when it is built, so the matroid is made after the patch
     counts = [0, 0]
-    originals = {name: getattr(kernels, name)
-                 for name in ("_cover_step", "_reduce_int", "_reduce_mod")}
+    steps = ("cover_step_int", "cover_step_quad", "cover_step_mod")
+    originals = {name: getattr(kernels, name) for name in (*steps, "_reduce_int", "_reduce_mod")}
 
-    def step(state, g, quotient):
-        counts[0] += 1
-        counts[1] += len(state.reps) - 1
-        return originals["_cover_step"](state, g, quotient)
+    def stepper(name):
+        def step(state, *args):
+            counts[0] += 1
+            counts[1] += len(state.reps) - 1
+            return originals[name](state, *args)
+        return step
 
     def reducer(name):
         def reduce(vec, pivots, **p):
@@ -334,7 +338,8 @@ def _counted_walk(spec: str):
             return originals[name](vec, pivots, **p)
         return reduce
 
-    kernels._cover_step = step
+    for name in steps:
+        setattr(kernels, name, stepper(name))
     kernels._reduce_int, kernels._reduce_mod = reducer("_reduce_int"), reducer("_reduce_mod")
     try:
         _seconds, M = _walk_levels(spec)
@@ -351,6 +356,7 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
     levels = [len(M.flats_of_rank(k)) for k in range(r)]
     expanded = sum(levels[1:r - 1])
     assert steps == expanded, f"{steps} cover steps for {expanded} flats expanded"
+    M.connected_flats_of_rank(r - 1)  # the connected levels, filtered from the walk's
     print(
         f"{spec} walk to rank {r - 1} ({sum(levels)} flats)".ljust(38)
         + f" {steps:5d} steps = flats expanded   {coordinates:6d} coordinates"

@@ -198,7 +198,7 @@ def _require_cremona(cr, M: Matroid, csv: str):
 
 def _pair_payload(cr, M: Matroid, d1, d2) -> dict:
     report = cr.two_basis_report(M, d1, d2)
-    phi = cr.build_involution(M, d1, d2)
+    phi = cr._involution(M, report, cr.two_basis_report(M, d2, d1))
     return {
         **_basis_report(d1),
         "other": _labels(M, d2.basis),

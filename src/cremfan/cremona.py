@@ -558,10 +558,6 @@ def two_basis_report(M: Matroid, d1: CremonaData, d2: CremonaData) -> TwoBasisRe
             raise InvariantError(
                 f"component {sorted(vs)} is not a star centered at {center}: {es}"
             )
-        if center not in inter:
-            raise InvariantError(
-                f"component center {center} is not in the basis intersection"
-            )
         reports.append(ComponentReport(tuple(sorted(vs)), es, center, simple, star))
     if len(comps) != len(inter):
         raise InvariantError(
@@ -595,10 +591,15 @@ def build_involution(M: Matroid, d1: CremonaData, d2: CremonaData) -> ElementBij
     onto b* and (for ground sets of at most 15 elements) a matroid
     automorphism by the full flat census.
     """
+    return _involution(M, two_basis_report(M, d1, d2), two_basis_report(M, d2, d1))
+
+
+def _involution(M: Matroid, report: TwoBasisReport, back: TwoBasisReport) -> ElementBijection:
+    """``build_involution`` from the two-basis reports of (d1, d2) and (d2, d1)."""
     forward = list(range(M.size))
-    for report in (two_basis_report(M, d1, d2), two_basis_report(M, d2, d1)):
+    for two_basis in (report, back):
         # each star edge joins the center to one leaf, which swaps with its label
-        for comp in report.components:
+        for comp in two_basis.components:
             for a, bb, label in comp.edges:
                 forward[bb if a == comp.center else a] = label
     if sorted(forward) != list(range(M.size)):
@@ -607,7 +608,7 @@ def build_involution(M: Matroid, d1: CremonaData, d2: CremonaData) -> ElementBij
     for e in range(M.size):
         if phi(phi(e)) != e:
             raise InvariantError(f"constructed map is not an involution at {e}")
-    if phi.image(d1.basis) != d2.basis_set():
+    if phi.image(report.basis) != set(report.other):
         raise InvariantError("constructed map does not carry b onto b*")
     if M.size <= 15:
         census = M.flat_census()

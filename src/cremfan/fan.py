@@ -50,12 +50,13 @@ disconnected pair.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from functools import reduce
+from operator import and_
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
 from .matroid import Flat, Matroid, _members
@@ -214,31 +215,6 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
     return antichains(0, [])
 
 
-def _pair_nested(A: Flat, B: Flat, census: Sequence[AbstractSet[int]]) -> bool:
-    """Whether two rays form a nested pair, read off the flat census (bitmasks)."""
-    a, b = A.mask, B.mask
-    meet = a & b
-    if meet == a or meet == b:
-        return True
-    # Incomparable rays that meet are never nested. Two connected sets with a
-    # common element have a connected union, and in a loopless matroid every
-    # e in cl(X) \ X lies on a circuit with elements of X, so the closure of
-    # a connected set is connected: the join cl(A | B) is connected.
-    if meet:
-        return False
-    # Disjoint rays are nested iff A | B is a flat of rank r(A) + r(B). If
-    # it is, M|(A | B) is the direct sum M|A + M|B, so the join A | B is
-    # disconnected. Conversely let the join J be disconnected. Each e in
-    # J \ (A | B) lies on a circuit inside A | B | {e}, and that circuit sits
-    # in one component of M|J. If A and B shared a component, every other
-    # component would consist of such elements, each then a loop; so they
-    # lie in different components, the circuit of e stays inside A + e or
-    # B + e, and e lies in the flat A or B. So J = A | B has the components
-    # A and B, and r(J) = r(A) + r(B).
-    k = A.rank + B.rank
-    return k < len(census) and a | b in census[k]
-
-
 # ---------------------------------------------------------------------------
 # ray graphs
 
@@ -296,6 +272,8 @@ class RayGraph:
                                 best = cycle
                 frontier = nxt
                 depth += 1
+            if best == 3:  # no simple graph has a shorter cycle
+                break
         return best
 
     def vertex_name(self, i: int) -> str:
@@ -327,21 +305,51 @@ class RayGraph:
 
 
 def ray_adjacency_graph(M: Matroid) -> RayGraph:
-    """The 1-skeleton of the minimal nested-set structure."""
+    """The 1-skeleton of the minimal nested-set structure: two rays are
+    adjacent iff they are nested, that is comparable, or disjoint with a
+    union that is a flat of two components (then exactly these two rays)."""
+    # Incomparable rays that meet are never nested. Two connected sets with a
+    # common element have a connected union, and in a loopless matroid every
+    # e in cl(X) \ X lies on a circuit with elements of X, so the closure of
+    # a connected set is connected: the join cl(A | B) is connected.
+    # Disjoint rays are nested iff A | B is a flat of rank r(A) + r(B). If
+    # it is, M|(A | B) is the direct sum M|A + M|B, so the join A | B is
+    # disconnected. Conversely let the join J be disconnected. Each e in
+    # J \ (A | B) lies on a circuit inside A | B | {e}, and that circuit sits
+    # in one component of M|J. If A and B shared a component, every other
+    # component would consist of such elements, each then a loop; so they
+    # lie in different components, the circuit of e stays inside A + e or
+    # B + e, and e lies in the flat A or B. So J = A | B has the components
+    # A and B, and r(J) = r(A) + r(B). Conversely, the two components of a
+    # flat with exactly two, both of positive rank, are disjoint rays.
     if not M.is_simple():
         raise InputError("ray adjacency graph needs a simple matroid")
     if M.size and not M.is_connected(M.closure(range(M.size)).elements):
         raise InputError("ray adjacency graph needs a connected matroid")
-    # the full walk first: the rays are then read off its levels, with no
-    # second walk, and the pair test needs its disconnected flats A | B
-    M._level(max(M.full_rank() - 1, 0), MAX_COVERS)
-    census = M.flat_census()
-    rays = nested_rays(M)
-    edges = tuple(
-        (i, j)
-        for i, j in itertools.combinations(range(len(rays)), 2)
-        if _pair_nested(rays[i], rays[j], census)
-    )
+    # the full walk, then one filter of its levels: its connected flats are
+    # the rays, and its flats of two components give the disjoint pairs
+    r = M.full_rank()
+    M._level(max(r - 1, 0), MAX_COVERS)
+    connected, pairs = M._connected_levels()
+    rays = [Flat.of_mask(A, k) for k in range(1, r) for A in connected[k]]
+    index = {A.mask: i for i, A in enumerate(rays)}
+    disjoint = [0] * len(rays)  # per ray i, the bits of the disjoint rays j > i
+    for (a, _), (b, _) in pairs:
+        i, j = sorted((index[a], index[b]))
+        disjoint[i] |= 1 << j
+    del connected, pairs, index  # E7 has 33,600 pairs: free them before the edges
+    through = [0] * M.size  # per element, the bits of the rays through it
+    for i, A in enumerate(rays):
+        for e in A.sorted():
+            through[e] |= 1 << i
+
+    def adjacent(i: int) -> list[int]:
+        # the rays holding ray i, other than itself, have higher rank: all j > i
+        above = reduce(and_, [through[e] for e in rays[i].sorted()]) ^ 1 << i
+        return _members(disjoint[i] | above)
+
+    ids = list(range(len(rays)))  # one int object per ray, shared by its edges
+    edges = tuple((ids[i], ids[j]) for i in ids for j in adjacent(i))
     return RayGraph(M, tuple(rays), edges)
 
 

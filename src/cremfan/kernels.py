@@ -26,14 +26,17 @@ Conventions:
   also the key that groups rows): primitive over Z with a positive lead,
   ``_quad_key`` over Z[sqrt5], monic over F_p;
 * ``cover_step_*(state, g)`` is the cover state of F's ``g``-th cover G, by
-  one pass over the quotient coordinates: with u the rep of G and c its
-  first nonzero coordinate, every other rep w becomes u[c]*w - w[c]*u
-  without coordinate c (w without c when w[c] = 0), in canonical form, and
-  covers whose reps agree merge into the union of their masks. The map is
-  linear, kills u and is onto, so it writes V/span(G) in n - k - 1
-  coordinates. One rep per cover is
-  enough: a cover C of F other than G meets G in F, and for e in C - F the
-  closure of G + e contains C, so all of C - F lies in one cover of G;
+  one loop per domain over F's other covers, with the quotient and its
+  canonical form written inline (over Z[sqrt5], one ``_quad_key`` call per
+  cover): with u the rep of G and c its first nonzero coordinate, every
+  other rep w becomes u[c]*w - w[c]*u without coordinate c (w without c
+  when w[c] = 0; the product w[c]*u is taken on u's nonzero coordinates
+  alone), in the canonical form of ``covers_*``, and covers whose
+  reps agree merge into the union of their masks. The map is linear, kills
+  u and is onto, so it writes V/span(G) in n - k - 1 coordinates. One rep
+  per cover is enough: a cover C of F other than G meets G in F, and for e
+  in C - F the closure of G + e contains C, so all of C - F lies in one
+  cover of G;
 * ``reflection_closed_*`` says whether the rows are nonzero, pairwise
   non-proportional and closed up to sign and scale under the reflections
   s_r(v) = v - 2 <r, v> / <r, r> r in their own hyperplanes (standard
@@ -108,17 +111,6 @@ def _covers(rows, flat, reduce, key, step: int = 1) -> CoverState:
     return CoverState(len(pivots), list(covers.values()), list(covers))
 
 
-def _cover_step(state: CoverState, g: int, quotient) -> CoverState:
-    groups, reps = state.groups, state.reps
-    u = reps[g]
-    c = u.index(next(filter(None, u)))
-    covers: dict[tuple, int] = {}
-    for group, w in zip(groups[:g] + groups[g + 1:], reps[:g] + reps[g + 1:]):
-        k = quotient(u, c, w)
-        covers[k] = covers.get(k, 0) | group
-    return CoverState(state.rank + 1, list(covers.values()), list(covers))
-
-
 def _width(rows, step: int = 1) -> int:
     return len(rows[0]) // step if rows else 0
 
@@ -164,22 +156,36 @@ def closure_int(rows, subset) -> tuple[int, list[int]]:
     return _closure(list(rows), subset, _reduce_int)
 
 
-def _quotient_int(u, c, w) -> tuple[int, ...]:
-    b = w[c]
-    if not b:
-        return w[:c] + w[c + 1:]
-    a = u[c]
-    v = [a * x - b * y for x, y in zip(w, u)]
-    del v[c]
-    return _primitive_key(v)
-
-
 def covers_int(rows, flat) -> CoverState:
     return _covers(list(rows), flat, _reduce_int, _primitive_key)
 
 
 def cover_step_int(state: CoverState, g: int) -> CoverState:
-    return _cover_step(state, g, _quotient_int)
+    groups, reps = state.groups, state.reps
+    u = reps[g]
+    c = u.index(next(filter(None, u)))
+    a = u[c]
+    support = [(j, y) for j, y in enumerate(u) if y]  # where u[c]*w - w[c]*u is not u[c]*w
+    covers: dict[tuple, int] = {}
+    get = covers.get
+    for group, w in zip(groups, reps):
+        if w is u:  # the reps are distinct dict keys, so this is cover g alone
+            continue
+        b = w[c]
+        if b:
+            # _primitive_key of u[c]*w - w[c]*u without coordinate c
+            v = list(w) if a == 1 else [a * x for x in w]
+            for j, y in support:
+                v[j] -= b * y
+            del v[c]
+            d = gcd(*v)
+            if next(filter(None, v)) < 0:
+                d = -d
+            k = tuple(v) if d == 1 else tuple([x // d for x in v])
+        else:
+            k = w[:c] + w[c + 1:]
+        covers[k] = get(k, 0) | group
+    return CoverState(state.rank + 1, list(covers.values()), list(covers))
 
 
 def _reflections_int(r, rows):
@@ -262,25 +268,36 @@ def closure_quad(rows, subset) -> tuple[int, list[int]]:
     return _closure(list(rows), subset, _reduce_quad, 2)
 
 
-def _quotient_quad(u, c, w) -> tuple[int, ...]:
-    # u's coordinate c is a rational a (the _quad_key form), w's is p + q*sqrt5
-    p, q = w[c], w[c + 1]
-    if not (p or q):
-        return w[:c] + w[c + 2:]
-    a, v = u[c], []
-    for j in range(0, len(w), 2):
-        ya, yb = u[j], u[j + 1]
-        v += (a * w[j] - p * ya - 5 * q * yb, a * w[j + 1] - p * yb - q * ya)
-    del v[c:c + 2]
-    return _quad_key(v)
-
-
 def covers_quad(rows, flat) -> CoverState:
     return _covers(list(rows), flat, _reduce_quad, _quad_key, 2)
 
 
 def cover_step_quad(state: CoverState, g: int) -> CoverState:
-    return _cover_step(state, g, _quotient_quad)
+    groups, reps = state.groups, state.reps
+    u = reps[g]
+    # u's first nonzero coordinate, at even position c, is a rational a (the
+    # _quad_key form); w's coordinate there is p + q*sqrt5
+    c = u.index(next(filter(None, u)))
+    a = u[c]
+    # the coordinates where a*w - (p + q*sqrt5)*u is not a*w
+    support = [(j, u[j], u[j + 1]) for j in range(0, len(u), 2) if u[j] or u[j + 1]]
+    covers: dict[tuple, int] = {}
+    get = covers.get
+    for group, w in zip(groups, reps):
+        if w is u:  # the reps are distinct dict keys, so this is cover g alone
+            continue
+        p, q = w[c], w[c + 1]
+        if p or q:
+            v = list(w) if a == 1 else [a * x for x in w]
+            for j, ya, yb in support:
+                v[j] -= p * ya + 5 * q * yb
+                v[j + 1] -= p * yb + q * ya
+            del v[c:c + 2]
+            k = _quad_key(v)
+        else:
+            k = w[:c] + w[c + 2:]
+        covers[k] = get(k, 0) | group
+    return CoverState(state.rank + 1, list(covers.values()), list(covers))
 
 
 def _dot_quad(u, v) -> tuple[int, int]:
@@ -332,15 +349,6 @@ def _reduce_mod(vec, pivots, *, p: int) -> list[int]:
     return _monic(v, p)
 
 
-def _quotient_mod(u, c, w, *, p: int) -> tuple[int, ...]:
-    b = w[c]
-    if not b:
-        return w[:c] + w[c + 1:]
-    v = [(x - b * y) % p for x, y in zip(w, u)]  # u[c] is 1
-    del v[c]
-    return tuple(_monic(v, p))
-
-
 def rank_mod(rows, p: int) -> int:
     return len(_pivots(list(rows), partial(_reduce_mod, p=p)))
 
@@ -354,4 +362,29 @@ def covers_mod(rows, p: int, flat) -> CoverState:
 
 
 def cover_step_mod(state: CoverState, p: int, g: int) -> CoverState:
-    return _cover_step(state, g, partial(_quotient_mod, p=p))
+    groups, reps = state.groups, state.reps
+    u = reps[g]
+    c = u.index(next(filter(None, u)))  # u is monic: u[c] is 1
+    support = [(j, y) for j, y in enumerate(u) if y]  # where w - w[c]*u is not w
+    covers: dict[tuple, int] = {}
+    get = covers.get
+    for group, w in zip(groups, reps):
+        if w is u:  # the reps are distinct dict keys, so this is cover g alone
+            continue
+        b = w[c]
+        if b:
+            # _monic of w - w[c]*u without coordinate c; w's entries are residues
+            v = list(w)
+            for j, y in support:
+                v[j] = (v[j] - b * y) % p
+            del v[c]
+            lead = next(filter(None, v))
+            if lead == 1:
+                k = tuple(v)
+            else:
+                inv = pow(lead, -1, p)
+                k = tuple([x * inv % p for x in v])
+        else:
+            k = w[:c] + w[c + 1:]
+        covers[k] = get(k, 0) | group
+    return CoverState(state.rank + 1, list(covers.values()), list(covers))

@@ -539,7 +539,7 @@ class Matroid:
                 self.backend, "reflection_closed", False
             ):
                 self._level(k, max_covers)
-                self._connected_cache = self._connected_levels()
+                self._connected_cache = self._connected_levels()[0]
             else:
                 self._walk(k, max_covers, connected=True)
         return self._connected_cache[k]
@@ -655,14 +655,17 @@ class Matroid:
             raise InputError("connectivity is defined here only for flats")
         return self._connected(F)
 
-    def _connected_levels(self) -> dict[int, dict[int, int | None]]:
-        """The full walk's stored levels, each kept to its connected flats.
+    def _connected_levels(self) -> tuple[dict[int, dict[int, int | None]], list]:
+        """The full walk's stored levels, each kept to its connected flats, and
+        the components of each flat with exactly two, both of positive rank:
+        ((A, r(A)), (B, r(B))), with A and B as bitmasks.
 
         The components of M|G, as bitmasks with their ranks, come level by
         level from those of the flat F that level r(G) maps G to, with no
         rank or closure query; only the level below's components are kept.
         """
         connected: dict[int, dict[int, int | None]] = {}
+        pairs: list[tuple[tuple[int, int], ...]] = []
         below: dict[int, tuple[tuple[int, int], ...]] = {}
         for r, level in self._flats_cache.items():
             components: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -690,10 +693,12 @@ class Matroid:
                     ]
                     rest = G & ~sum(K for K, _ in kept)  # disjoint masks: + is |
                     comps = (*kept, (rest, r - sum(rK for _, rK in kept)))
+                    if len(comps) == 2 and comps[0][1] and comps[1][1]:
+                        pairs.append(comps)
                 components[G] = comps
             connected[r] = {G: F for G, F in level.items() if len(components[G]) == 1}
             below = components
-        return connected
+        return connected, pairs
 
     def _connected(self, F: frozenset[int]) -> bool:
         n = len(F)

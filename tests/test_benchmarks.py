@@ -35,6 +35,8 @@ def test_walk_table_on_d4(capsys):
     assert row.startswith("D4 walk to rank 3 (71 flats)")
     assert "   46 steps = flats expanded" in row
     assert "levels 71 (" in stores
+    # the 40 rays: the store line comes after the connected levels are read
+    assert "connected 40 (" in stores
 
 
 def test_coxeter_row_of_d5():

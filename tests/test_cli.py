@@ -165,6 +165,21 @@ class TestCremona:
         assert sorted(comp["vertices"]) == ["1", "2", "6"]
         assert payload["involution"] == [4, 1, 5, 3, 0, 2]
 
+    def test_pair_builds_each_two_basis_report_once(self, a3_file, capsys, monkeypatch):
+        from cremfan import cremona
+
+        calls = []
+        report = cremona.two_basis_report
+
+        def recorded(M, d1, d2):
+            calls.append((d1.basis, d2.basis))
+            return report(M, d1, d2)
+
+        monkeypatch.setattr(cremona, "two_basis_report", recorded)
+        run_json(capsys, "cremona", a3_file, "--pair", "1,2,6", "2,3,5")
+        # the payload's report of (b, b*) is the involution's, so (b, b*) and (b*, b)
+        assert len(calls) == 2 and calls[0] == calls[1][::-1]
+
     def test_pair_rejects_non_cremona_basis(self, a3_file, capsys):
         code, _, err = run(capsys, "cremona", a3_file, "--pair", "1,2,3", "2,3,5")
         assert code == 2

@@ -11,7 +11,6 @@ from cremfan.errors import BudgetExceeded, InputError
 from cremfan.fan import (
     RayGraph,
     TropicalPoint,
-    _pair_nested,
     corank_one_connected_flats,
     graph_S,
     in_bergman_fan,
@@ -26,6 +25,7 @@ from cremfan.generators import (
     complete_graph_matroid,
     coxeter_matroid,
     fano_selfduality,
+    from_spec_string,
     uniform,
 )
 from cremfan.matroid import Flat, LineBackend, Matroid
@@ -70,6 +70,52 @@ def per_edge_girth(graph):
         if b in dist and (best is None or dist[b] + 1 < best):
             best = dist[b] + 1
     return best
+
+
+def _pair_nested(A, B, census):
+    """Whether two rays form a nested pair, read off the flat census (bitmasks):
+    comparable, or disjoint with A | B a flat of rank r(A) + r(B) (the proof
+    is in ``ray_adjacency_graph``'s docstring). Reference routine."""
+    a, b = A.mask, B.mask
+    meet = a & b
+    if meet == a or meet == b:
+        return True
+    if meet:
+        return False
+    k = A.rank + B.rank
+    return k < len(census) and a | b in census[k]
+
+
+def pair_loop_edges(M):
+    """The ray graph's edges by one ``_pair_nested`` test per pair of rays
+    (reference routine)."""
+    rays, census = nested_rays(M), M.flat_census()
+    return tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(len(rays)), 2)
+        if _pair_nested(rays[i], rays[j], census)
+    )
+
+
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+class ReadRecordingGraph(RayGraph):
+    """A RayGraph whose neighbour lists record the vertices a search reads."""
+
+    def neighbors(self):
+        adj = _Reads(super().neighbors())
+        object.__setattr__(self, "reads", adj.read)
+        return adj
 
 
 def random_graph(rng):
@@ -262,6 +308,39 @@ class TestRayGraph:
         g = ray_adjacency_graph(coxeter_matroid(spec))
         assert g.girth() == per_edge_girth(g)
 
+    def test_girth_stops_at_a_triangle(self):
+        # a triangle 0-1-2 with a path 2-3-...-11 hanging off it: the search
+        # stops after the first root, which lies on the triangle, and reads
+        # no vertex of the path past 2
+        edges = ((0, 1), (0, 2), (1, 2)) + tuple((i, i + 1) for i in range(2, 11))
+        vertices = tuple(Flat(frozenset({i}), 1) for i in range(12))
+        g = ReadRecordingGraph(None, vertices, edges)
+        assert g.girth() == 3
+        assert g.reads == {0, 1, 2}
+
+    def test_girth_of_petersen_and_a_forest(self, a3):
+        assert ray_adjacency_graph(a3).girth() == 5  # the Petersen graph
+        vertices = tuple(Flat(frozenset({i}), 1) for i in range(7))
+        forest = RayGraph(None, vertices, ((0, 1), (0, 2), (2, 3), (4, 5)))
+        assert forest.girth() is None
+
+    @pytest.mark.parametrize("spec", [
+        "D4", "D5", "B4", "B5", "F4", "E6", "H3", "H4", "A5", "B3", "K5", "K6",
+        "fano", "dowling:Z3", "U:3,6",
+    ])
+    def test_edges_match_the_pair_loop(self, spec):
+        M, reference = from_spec_string(spec), from_spec_string(spec)
+        assert ray_adjacency_graph(M).edges == pair_loop_edges(reference)
+
+    @pytest.mark.parametrize("spec", ["D5", "F4"])
+    def test_edges_after_the_connected_walk(self, spec):
+        # the connected walk fills the connected levels first; the disjoint
+        # pairs still come from the full walk's levels
+        M, reference = coxeter_matroid(spec), coxeter_matroid(spec)
+        nested_rays(M)
+        assert M._connected_cache and not M._flats_cache.get(M.full_rank() - 1)
+        assert ray_adjacency_graph(M).edges == pair_loop_edges(reference)
+
     @pytest.mark.parametrize("spec", ["D4", "B4", "F4", "H3", "K5", "B3+A3"])
     def test_pair_nested_matches_join_connectivity(self, spec):
         def build():
@@ -296,7 +375,7 @@ class TestRayGraph:
         ray_adjacency_graph(d5)
         # the 2-partition connectivity test made 27,927 rank queries and
         # 10,206 closures here, and one closure per disjoint ray pair made
-        # 3,715; the pair test now reads the flat census. A greedy-basis
+        # 3,715; the edges now come off the full walk's levels. A greedy-basis
         # test per ray made 172 closures; the rays' connectivity now comes
         # off the walk, and the closures are those of the empty flat, of E,
         # and of the greedy-basis test of E itself. That test runs after the
@@ -309,12 +388,12 @@ class TestRayGraph:
 
 
 def test_ray_graph_runs_the_full_walk_alone(monkeypatch):
-    # the pair test reads disjoint unions A | B, disconnected flats, off the
-    # full census, and the rays are then read off the same levels
+    # the disjoint nested pairs are the components of the full walk's flats
+    # of two components, and the rays are read off the same levels
     d5, reference = coxeter_matroid("D5"), coxeter_matroid("D5")
     walks, reference_walks = record_walks(d5, monkeypatch), record_walks(reference, monkeypatch)
     graph = ray_adjacency_graph(d5)
-    # the simplicity check's walk to the points, then the census's
+    # the simplicity check's walk to the points, then the full walk
     assert walks == [(1, False), (4, False)]
     assert list(graph.vertices) == nested_rays(reference)
     assert reference_walks == [(4, True)]  # nested_rays alone walks connected

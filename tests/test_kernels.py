@@ -1,6 +1,7 @@
 """Elimination kernels: worked examples and correctness oracles."""
 
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,10 @@ from cremfan.field import (
 )
 from cremfan.generators import positive_roots
 from cremfan.kernels import (
+    CoverState,
+    _monic,
+    _primitive_key,
+    _quad_key,
     closure_int,
     closure_mod,
     closure_quad,
@@ -212,14 +217,63 @@ class TestCoversKernel:
         )
 
 
+# The reference cover step: one generic loop, with one quotient call and one
+# key call per cover. Each cover_step_* fuses both into one loop per domain
+# and must return the same CoverState, reps and group order included.
+
+
+def _cover_step(state, g, quotient):
+    groups, reps = state.groups, state.reps
+    u = reps[g]
+    c = u.index(next(filter(None, u)))
+    covers = {}
+    for group, w in zip(groups[:g] + groups[g + 1:], reps[:g] + reps[g + 1:]):
+        k = quotient(u, c, w)
+        covers[k] = covers.get(k, 0) | group
+    return CoverState(state.rank + 1, list(covers.values()), list(covers))
+
+
+def _quotient_int(u, c, w):
+    b = w[c]
+    if not b:
+        return w[:c] + w[c + 1:]
+    a = u[c]
+    v = [a * x - b * y for x, y in zip(w, u)]
+    del v[c]
+    return _primitive_key(v)
+
+
+def _quotient_quad(u, c, w):
+    # u's coordinate c is a rational a (the _quad_key form), w's is p + q*sqrt5
+    p, q = w[c], w[c + 1]
+    if not (p or q):
+        return w[:c] + w[c + 2:]
+    a, v = u[c], []
+    for j in range(0, len(w), 2):
+        ya, yb = u[j], u[j + 1]
+        v += (a * w[j] - p * ya - 5 * q * yb, a * w[j + 1] - p * yb - q * ya)
+    del v[c:c + 2]
+    return _quad_key(v)
+
+
+def _quotient_mod(u, c, w, *, p):
+    b = w[c]
+    if not b:
+        return w[:c] + w[c + 1:]
+    v = [(x - b * y) % p for x, y in zip(w, u)]  # u[c] is 1
+    del v[c]
+    return tuple(_monic(v, p))
+
+
 class TestCoverStep:
     """Along a random chain of flats from the least one up to full rank,
     each flat's cover state stepped to its g-th cover G has the covers that
-    eliminating G from scratch finds, for every g; a rank-k state's reps
+    eliminating G from scratch finds, for every g, and equals the reference
+    step's state (reps and group order included); a rank-k state's reps
     have width - k coordinates."""
 
     @staticmethod
-    def _check(rows, closure, covers, cover_step, step, data):
+    def _check(rows, closure, covers, cover_step, step, data, quotient):
         rank, flat = closure(rows, [])
         state = covers(rows, flat)
         while True:
@@ -228,8 +282,10 @@ class TestCoverStep:
             if not state.groups:
                 break
             for g, group in enumerate(state.groups):
+                stepped = cover_step(state, g)
+                assert stepped == _cover_step(state, g, quotient)
                 scratch = covers(rows, sorted(flat + members(group)))
-                assert rank_groups(cover_step(state, g)) == rank_groups(scratch)
+                assert rank_groups(stepped) == rank_groups(scratch)
             g = data.draw(st.integers(0, len(state.groups) - 1), label="g")
             flat = sorted(flat + members(state.groups[g]))
             state, rank = cover_step(state, g), rank + 1
@@ -238,13 +294,14 @@ class TestCoverStep:
     @given(same_width, st.data())
     @settings(max_examples=150, deadline=None)
     def test_int(self, rows, data):
-        self._check([tuple(r) for r in rows], closure_int, covers_int, cover_step_int, 1, data)
+        self._check([tuple(r) for r in rows], closure_int, covers_int, cover_step_int, 1, data,
+                    _quotient_int)
 
     @given(quad_lines(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_quad(self, rows, data):
         self._check([tuple(r) for r in rows], closure_quad, covers_quad, cover_step_quad, 2,
-                    data)
+                    data, _quotient_quad)
 
     @given(same_width, st.sampled_from([2, 3, 5, 7]), st.data())
     @settings(max_examples=150, deadline=None)
@@ -263,14 +320,15 @@ class TestCoverStep:
         rows = [primitive_quad_vector(v) for v in vectors]
         state = covers_quad(rows, [])
         for g, group in enumerate(state.groups):
-            assert rank_groups(cover_step_quad(state, g)) == rank_groups(
-                covers_quad(rows, members(group))
-            )
+            stepped = cover_step_quad(state, g)
+            assert stepped == _cover_step(state, g, _quotient_quad)
+            assert rank_groups(stepped) == rank_groups(covers_quad(rows, members(group)))
 
     def _check_mod(self, rows, p, data):
         self._check(rows, lambda rows, sub: closure_mod(rows, p, sub),
                     lambda rows, flat: covers_mod(rows, p, flat),
-                    lambda state, g: cover_step_mod(state, p, g), 1, data)
+                    lambda state, g: cover_step_mod(state, p, g), 1, data,
+                    partial(_quotient_mod, p=p))
 
 
 def _int_roots(family, n):
