@@ -19,8 +19,9 @@ already built), and on E8, which the counting bound refutes at the root
 The next table checks the connectivity of every flat of D5, B5 and E6
 twice, after the lattice walk (untimed): read off the walk
 (``Matroid.is_connected``) and by the greedy-basis oracle
-(``Matroid._connected``), with the seconds and the backend closures of
-each, and asserts that the two agree.
+(``Matroid._connected``), with the seconds and the fundamental-circuit
+eliminations (``fundamental_fast`` backend calls) of each, and asserts
+that the two agree.
 
 The last table walks the flat lattice of D5, E6, K7 over F_101 and E7 to
 rank r - 1, depth-first with each flat's cover state stepped from the
@@ -241,7 +242,7 @@ def _bench_search(spec: str, repeat: int, census: bool = False) -> None:
 
 def _bench_connectivity(spec: str, repeat: int) -> None:
     # each repetition on a fresh matroid with its whole lattice walked, so
-    # neither the connected levels nor the oracle's closures are stored
+    # the connected levels are not stored yet
     runs = {}
     for method in ("walk", "oracle"):
         best = float("inf")
@@ -249,25 +250,26 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
             M = coxeter_matroid(spec)
             flats = [F.elements for k in range(M.full_rank() + 1)
                      for F in M.flats_of_rank(k)]
-            closures = [0]
-            closure_fast = M.backend.closure_fast
+            eliminations = [0]
+            fundamental_fast = M.backend.fundamental_fast
 
-            def counted(subset, closure_fast=closure_fast, closures=closures):
-                closures[0] += 1
-                return closure_fast(subset)
+            def counted(subset, asked, fundamental_fast=fundamental_fast,
+                        eliminations=eliminations):
+                eliminations[0] += 1
+                return fundamental_fast(subset, asked)
 
-            M.backend.closure_fast = counted
+            M.backend.fundamental_fast = counted
             test = M.is_connected if method == "walk" else M._connected
             t0 = time.perf_counter()
             verdicts = [test(F) for F in flats]
             best = min(best, time.perf_counter() - t0)
-        runs[method] = (best, closures[0], verdicts)
+        runs[method] = (best, eliminations[0], verdicts)
     assert runs["walk"][2] == runs["oracle"][2]
     (t_walk, c_walk, verdicts), (t_oracle, c_oracle, _) = runs["walk"], runs["oracle"]
     print(
         f"{spec} connectivity of {len(verdicts)} flats".ljust(38)
-        + f" walk {t_walk * 1e3:8.2f} ms {c_walk:5d} closures   oracle "
-        f"{t_oracle * 1e3:8.2f} ms {c_oracle:5d} closures   x{t_oracle / t_walk:5.1f}"
+        + f" walk {t_walk * 1e3:8.2f} ms {c_walk:5d} fundamental   oracle "
+        f"{t_oracle * 1e3:8.2f} ms {c_oracle:5d} fundamental   x{t_oracle / t_walk:5.1f}"
         f"   {sum(verdicts)} connected"
     )
 

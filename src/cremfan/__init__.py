@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* :mod:`cremfan.field` — exact scalars (Q, Q(sqrt5), F_p) and matrix helpers
+* :mod:`cremfan.field` — exact scalars (Q, Q(sqrt5), F_p) and their kernel rows
 * :mod:`cremfan.kernels` — exact Bareiss and mod-p elimination kernels
 * :mod:`cremfan.matroid` — rank oracles, flats, minors, isomorphism search
 * :mod:`cremfan.circuits` — the check that a circuit list is a matroid's

@@ -80,9 +80,18 @@ class IntegerLinearMap:
         )
 
     def quotient_determinant(self) -> int:
+        """The determinant of ``quotient_matrix``. When A*1 = c*1 with c
+        nonzero, det A = c * det Q, and det A = det A[K, K] with K the columns
+        that are not the unit vector at their own index: for a Cremona map,
+        an r x r determinant in place of an (m - 1) x (m - 1) one."""
         det = getattr(self, "_qdet_cache", None)
         if det is None:
-            det = det_int(self.quotient_matrix())
+            A, c, m = self.matrix, self.one_multiple(), self.size
+            if c:
+                K = [k for k, col in enumerate(zip(*A)) if col[k] != 1 or col.count(0) < m - 1]
+                det = det_int([[A[i][j] for j in K] for i in K]) // c
+            else:
+                det = det_int(self.quotient_matrix())
             object.__setattr__(self, "_qdet_cache", det)
         return det
 
@@ -158,18 +167,6 @@ def _require_simple(M: Matroid) -> None:
         )
 
 
-def _check_basis(M: Matroid, b: Iterable[int]) -> tuple[int, ...]:
-    basis = tuple(sorted(M._check_subset(b)))
-    r = M.full_rank()
-    if len(basis) != r:
-        raise InputError(
-            f"basis must have exactly rank(M) = {r} elements, got {len(basis)}"
-        )
-    if M.rank(basis) != r:
-        raise InputError(f"{list(basis)} is dependent, not a basis")
-    return basis
-
-
 def cremona_check(M: Matroid, b: Iterable[int]) -> CremonaData | None:
     """The CremonaData of b, or None when b is not a Cremona basis."""
     data, _reason = cremona_check_detail(M, b)
@@ -179,38 +176,38 @@ def cremona_check(M: Matroid, b: Iterable[int]) -> CremonaData | None:
 def cremona_check_detail(M: Matroid, b: Iterable[int]) -> tuple[CremonaData | None, str | None]:
     """Cremona check with a human-readable failure reason.
 
-    Fails fast: the first overlapping pair of F-sets or the final coverage
-    gap is reported without computing the rest.  A non-simple M is an
-    InputError: its bases can pass the test with maps that move the
-    all-ones line.
+    One elimination of b (``Matroid._fundamental``) gives each element's
+    support supp(e) in b, the members of b on its fundamental circuit, and
+    cl(T) = {e : supp(e) within T} for T within b. So F_ij holds the e
+    outside b with supp(e) = {b_i, b_j}, and the corank-one flat B_j the e
+    with b_j outside supp(e). A non-simple M is an InputError: its bases
+    can pass the test with maps that move the all-ones line.
     """
     _require_simple(M)
-    basis = _check_basis(M, b)
-    bset = frozenset(basis)
-    partition: dict[tuple[int, int], frozenset[int]] = {}
-    covered: set[int] = set()
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        F = M.closure({basis[i], basis[j]}).elements - {basis[i], basis[j]}
-        hit_basis = F & bset
-        if hit_basis:
-            return None, (
-                f"cl{{{basis[i]},{basis[j]}}} contains the basis element(s) "
-                f"{sorted(hit_basis)}"
-            )
-        overlap = F & covered
-        if overlap:
-            return None, (
-                f"F-set of ({basis[i]},{basis[j]}) overlaps an earlier F-set "
-                f"in {sorted(overlap)}"
-            )
-        covered |= F
-        partition[(i, j)] = F
-    missing = set(range(M.size)) - bset - covered
+    basis = tuple(sorted(M._check_subset(b)))
+    r = M.full_rank()
+    if len(basis) != r:
+        raise InputError(
+            f"basis must have exactly rank(M) = {r} elements, got {len(basis)}"
+        )
+    greedy, supports = M._fundamental(basis, range(M.size))
+    if len(greedy) != r:
+        raise InputError(f"{list(basis)} is dependent, not a basis")
+    pairs = list(itertools.combinations(range(r), 2))
+    fsets: dict[int, list[int]] = {1 << i | 1 << j: [] for i, j in pairs}
+    # An F-set never meets b, since each b_k has the support {b_k}, and no
+    # two F-sets meet, since each e outside b has one support. (An e outside
+    # b with a support of one member would be parallel to it, and one with
+    # none a loop: M is simple.) So the one way to fail is an element whose
+    # fundamental circuit has more than 3 elements: it lies in no F-set.
+    missing = []
+    for e, support in supports.items():
+        if support.bit_count() > 1:
+            fsets.get(support, missing).append(e)
     if missing:
-        return None, f"elements {sorted(missing)} lie in no F-set"
-    corank = {
-        j: M.closure(bset - {basis[j]}).elements for j in range(len(basis))
-    }
+        return None, f"elements {missing} lie in no F-set"
+    partition = {(i, j): frozenset(fsets[1 << i | 1 << j]) for i, j in pairs}
+    corank = {j: frozenset(e for e, s in supports.items() if not s >> j & 1) for j in range(r)}
     return CremonaData(M, basis, partition, corank), None
 
 

@@ -324,7 +324,7 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     # flat with exactly two, both of positive rank, are disjoint rays.
     if not M.is_simple():
         raise InputError("ray adjacency graph needs a simple matroid")
-    if M.size and not M.is_connected(M.closure(range(M.size)).elements):
+    if M.size and not M.is_connected(range(M.size)):
         raise InputError("ray adjacency graph needs a connected matroid")
     # the full walk, then one filter of its levels: its connected flats are
     # the rays, and its flats of two components give the disjoint pairs

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class FieldFormatError(ValueError):
@@ -442,68 +442,6 @@ def sign(x) -> int:
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     raise TypeError(f"no sign for {x!r}")
-
-
-# ---------------------------------------------------------------------------
-# generic exact matrix routines (field-level; the kernels are the fast path)
-
-
-def matrix_rank(rows: Sequence[Sequence], field: Field | None = None) -> int:
-    """Rank by Gaussian elimination with exact field division."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        inv = pr[c]
-        for i in range(rank + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def determinant(rows: Sequence[Sequence]):
-    """Exact determinant of a square matrix over any of the three fields."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in rows]
-    det_sign = 1
-    det = None
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            zero = m[0][0] - m[0][0]
-            return zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det_sign = -det_sign
-        pr = m[c]
-        det = pr[c] if det is None else det * pr[c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pr[c]
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
-    return det if det_sign > 0 else -det
-
-
-def in_span(vector: Sequence, rows: Sequence[Sequence]) -> bool:
-    """Whether ``vector`` lies in the row span, by a rank comparison."""
-    base = [list(r) for r in rows]
-    r0 = matrix_rank(base)
-    return matrix_rank(base + [list(vector)]) == r0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exact elimination kernels: rank, closure, covers and determinant.
+"""Exact elimination kernels: rank, closure, fundamental circuits, covers and
+determinant.
 
 Plain Python on unbounded integers, so no input can overflow. Each domain
 (Z, Z[sqrt5], F_p) has one elimination step, ``_reduce_*``: it reduces a
@@ -16,6 +17,14 @@ Conventions:
 * ``closure_*`` spans the rows named by ``subset`` (index list) and
   returns ``(rank, members)`` with ``members`` the sorted indices of *all*
   rows lying in the subset's span;
+* ``fundamental_*`` walks the rows named by ``subset`` in order to a
+  greedy basis B, spans B's rows with |B| tag coordinates appended (unit
+  vector j on row B[j]; over Z[sqrt5] one pair per tag) and reduces each
+  row named by ``asked``, with zero tags, once. It returns B and each
+  asked row of span(B) mapped to its support in B, the bitmask of its
+  nonzero tags (bit j for B[j]): the reduction is
+  lambda*row - sum_j mu_j*(B[j], unit j) with lambda nonzero, 0 off the
+  tags exactly when lambda*row is the combination of B with the mu_j;
 * ``covers_*`` spans the rows of a flat F of rank k once and reduces every
   other row modulo their span. A reduced row is 0 on the pivot coordinates;
   the other n - k coordinates are the row's direction in the quotient
@@ -65,18 +74,21 @@ from operator import mul
 ACTIVE_BACKEND = "pure"
 
 
-def _pivots(rows, reduce, step: int = 1) -> list[tuple[int, list[int]]]:
+def _pivots(rows, reduce, step: int = 1, kept=None) -> list[tuple[int, list[int]]]:
     """Pivots spanning the rows, as (leading position, reduced row) pairs.
 
     Stops at one pivot per coordinate (of ``step`` positions), where the
-    span is the whole space.
+    span is the whole space. ``kept`` gets the index of each row that gave
+    a pivot: a greedy basis of the rows.
     """
     pivots, width = [], _width(rows, step)
-    for row in rows:
+    for i, row in enumerate(rows):
         v = reduce(row, pivots)
         lead = next(filter(None, v), 0)
         if lead:
             pivots.append((v.index(lead), v))
+            if kept is not None:
+                kept.append(i)
             if len(pivots) == width:
                 break
     return pivots
@@ -88,6 +100,28 @@ def _closure(rows, subset, reduce, step: int = 1) -> tuple[int, list[int]]:
     return len(pivots), [
         i for i, row in enumerate(rows) if i in inside or not any(reduce(row, pivots))
     ]
+
+
+def _fundamental(rows, subset, asked, reduce, step: int = 1) -> tuple[list[int], dict[int, int]]:
+    kept: list[int] = []
+    _pivots([rows[i] for i in subset], reduce, step, kept)
+    basis = [subset[k] for k in kept]
+    n, tags = _width(rows), [0] * (len(basis) * step)
+    # basis row j carries the unit tag j, a 1 at its first tag position
+    pivots = _pivots([
+        [*rows[b], *(int(k == j * step) for k in range(len(tags)))] for j, b in enumerate(basis)
+    ], reduce, step)
+    position = {b: j for j, b in enumerate(basis)}
+    supports = {}
+    for i in asked:
+        if i in position:
+            supports[i] = 1 << position[i]
+            continue
+        v = reduce([*rows[i], *tags], pivots)
+        if not any(v[:n]):
+            # the sum of distinct bits is their union
+            supports[i] = sum({1 << k // step for k, x in enumerate(v[n:]) if x})
+    return basis, supports
 
 
 # a flat's rank and, per cover, the bitmask of its rows outside the flat and
@@ -154,6 +188,10 @@ def rank_int(rows) -> int:
 
 def closure_int(rows, subset) -> tuple[int, list[int]]:
     return _closure(list(rows), subset, _reduce_int)
+
+
+def fundamental_int(rows, subset, asked) -> tuple[list[int], dict[int, int]]:
+    return _fundamental(list(rows), subset, asked, _reduce_int)
 
 
 def covers_int(rows, flat) -> CoverState:
@@ -268,6 +306,10 @@ def closure_quad(rows, subset) -> tuple[int, list[int]]:
     return _closure(list(rows), subset, _reduce_quad, 2)
 
 
+def fundamental_quad(rows, subset, asked) -> tuple[list[int], dict[int, int]]:
+    return _fundamental(list(rows), subset, asked, _reduce_quad, 2)
+
+
 def covers_quad(rows, flat) -> CoverState:
     return _covers(list(rows), flat, _reduce_quad, _quad_key, 2)
 
@@ -355,6 +397,10 @@ def rank_mod(rows, p: int) -> int:
 
 def closure_mod(rows, p: int, subset) -> tuple[int, list[int]]:
     return _closure(list(rows), subset, partial(_reduce_mod, p=p))
+
+
+def fundamental_mod(rows, p: int, subset, asked) -> tuple[list[int], dict[int, int]]:
+    return _fundamental(list(rows), subset, asked, partial(_reduce_mod, p=p))
 
 
 def covers_mod(rows, p: int, flat) -> CoverState:

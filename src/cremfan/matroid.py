@@ -202,12 +202,14 @@ class VectorBackend:
             self._rows = [primitive_int_vector(v) for v in self.vectors]
             self._rank = kernels.rank_int
             self._closure = kernels.closure_int
+            self._fundamental = kernels.fundamental_int
             self._covers = kernels.covers_int
             self._step = kernels.cover_step_int
         elif field.kind == "Qsqrt5":
             self._rows = [primitive_quad_vector(v) for v in self.vectors]
             self._rank = kernels.rank_quad
             self._closure = kernels.closure_quad
+            self._fundamental = kernels.fundamental_quad
             self._covers = kernels.covers_quad
             self._step = kernels.cover_step_quad
         else:
@@ -215,6 +217,7 @@ class VectorBackend:
             self._rows = [residue_vector(v) for v in self.vectors]
             self._rank = lambda rows: kernels.rank_mod(rows, p)
             self._closure = lambda rows, sub: kernels.closure_mod(rows, p, sub)
+            self._fundamental = lambda rows, sub, ask: kernels.fundamental_mod(rows, p, sub, ask)
             self._covers = lambda rows, flat: kernels.covers_mod(rows, p, flat)
             self._step = lambda state, g: kernels.cover_step_mod(state, p, g)
 
@@ -227,6 +230,9 @@ class VectorBackend:
 
     def closure_fast(self, subset: tuple[int, ...]):
         return self._closure(self._rows, list(subset))
+
+    def fundamental_fast(self, subset: tuple[int, ...], asked: tuple[int, ...]):
+        return self._fundamental(self._rows, list(subset), asked)
 
     def covers_fast(self, flat: tuple[int, ...]) -> kernels.CoverState:
         """The flat's cover state, from scratch: per cover, its elements outside it."""
@@ -379,6 +385,7 @@ class Matroid:
         self.ground = ground
         self.backend = backend
         self._full_rank: int | None = None
+        self._full_connected: bool | None = None
         # the answers of the oracle's own rank and closure queries
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], Flat] = {}
@@ -642,15 +649,17 @@ class Matroid:
         connected level (``_connected_level``), with no flatness, rank or
         closure query. Any other flat, such as E before the walk reaches it
         or the join of two rays, uses the fundamental-circuit graph of a
-        greedy basis B of F (Krogdahl 1977): x in B is joined to the
-        elements of its fundamental cocircuit, the elements of F outside
-        cl(B - x); the restriction is connected iff that graph is.
+        greedy basis (``_connected``); E's verdict is kept, as its rank is.
         """
         F = self._check_subset(flat)
         mask = _mask(F)
         walked = self._walked_rank(mask)
         if walked is not None:
             return mask in self._connected_level(walked)
+        if len(F) == self.size:
+            if self._full_connected is None:
+                self._full_connected = self._connected(F)
+            return self._full_connected
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
         return self._connected(F)
@@ -701,38 +710,47 @@ class Matroid:
         return connected, pairs
 
     def _connected(self, F: frozenset[int]) -> bool:
-        n = len(F)
-        if n == 0:
+        """Whether M|F is connected, for a flat F, by the fundamental-circuit
+        graph of a greedy basis B of F (Krogdahl 1977): each element is
+        joined to its support in B (``_fundamental``)."""
+        if len(F) < 2:
+            return len(F) == 1
+        basis, supports = self._fundamental(F, F)
+        edges = [supports[e] for e in F]
+        if not all(edges):  # a loop, alone in its component
             return False
-        if n == 1:
-            return True
-        rF = self.rank(F)
+        reached = 1
+        for _ in basis:  # each pass reaches a new member of B, or no pass will
+            for s in edges:
+                if s & reached:
+                    reached |= s
+        return reached == (1 << len(basis)) - 1
+
+    def _fundamental(self, subset: Iterable[int],
+                     asked: Iterable[int]) -> tuple[list[int], dict[int, int]]:
+        """A greedy basis B of the subset in ascending order, and each asked
+        element e of the subset's closure, ascending, mapped to its support in
+        B, the members of B on its fundamental circuit, as a bitmask (bit j
+        for B[j]). For T within B, cl(T) = {e : supp(e) within T} (Oxley 2011,
+        §1.2). A vector matroid reads both off one elimination
+        (``kernels.fundamental_*``); others take 2|B| closures, for
+        supp(e) = {b_j : e not in cl(B - b_j)}.
+        """
+        S, asked = tuple(sorted(subset)), tuple(sorted(asked))
+        fast = getattr(self.backend, "fundamental_fast", None)
+        if fast is not None:
+            return fast(S, asked)
         basis: list[int] = []
         span = self.closure(())
-        for e in sorted(F):
+        for e in S:
             if e not in span.elements:
                 basis.append(e)
-                if len(basis) == rF:
-                    break
                 span = self.closure(basis)
-        parent = {e: e for e in F}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for x in basis:
-            for e in F - self.closure(set(basis) - {x}).elements:
-                union(e, x)
-        root = find(next(iter(F)))
-        return all(find(e) == root for e in F)
+        rests = [self.closure(basis[:j] + basis[j + 1:]).mask for j in range(len(basis))]
+        return basis, {
+            e: sum(1 << j for j, rest in enumerate(rests) if not rest >> e & 1)
+            for e in asked if e in span
+        }
 
     # -- circuits -------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Shared fixtures: small named matroids used across the test modules."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -82,10 +83,76 @@ def exhaustive_connected(M, F):
     return True
 
 
+# Exact matrix routines over the field elements of cremfan.field (Fraction,
+# QuadSqrt5, FpElement), by Gaussian elimination with exact division: the
+# oracles the kernels are checked against.
+
+
+def matrix_rank(rows):
+    """Rank by Gaussian elimination with exact field division (test oracle)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pr = m[rank]
+        inv = pr[c]
+        for i in range(rank + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] / inv
+                m[i] = [x - f * y for x, y in zip(m[i], pr)]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def determinant(rows):
+    """Exact determinant of a square matrix over any of the three fields (test oracle)."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    m = [list(r) for r in rows]
+    det_sign = 1
+    det = None
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            zero = m[0][0] - m[0][0]
+            return zero
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det_sign = -det_sign
+        pr = m[c]
+        det = pr[c] if det is None else det * pr[c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / pr[c]
+                m[i] = [x - f * y for x, y in zip(m[i], pr)]
+    return det if det_sign > 0 else -det
+
+
+def in_span(vector, rows) -> bool:
+    """Whether ``vector`` lies in the row span, by a rank comparison (test oracle)."""
+    base = [list(r) for r in rows]
+    r0 = matrix_rank(base)
+    return matrix_rank(base + [list(vector)]) == r0
+
+
 def count_backend_calls(M, monkeypatch):
-    """Live counts of the backend rank, closure, covers and cover-step calls
-    M makes from now on."""
-    counts = {"rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0}
+    """Live counts of the backend rank, closure, fundamental-circuit, covers
+    and cover-step calls M makes from now on."""
+    counts = {
+        "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 0, "covers_fast": 0,
+        "cover_step": 0,
+    }
     for name in counts:
         method = getattr(M.backend, name, None)
         if method is None:

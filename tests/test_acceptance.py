@@ -33,7 +33,6 @@ from cremfan.fan import (
     ray_adjacency_graph,
     ray_permutation,
 )
-from cremfan.field import in_span
 from cremfan.generators import (
     a3_arrangement,
     complete_graph_matroid,
@@ -50,6 +49,8 @@ from cremfan.generators import (
     uniform,
 )
 from cremfan.matroid import automorphisms, parallel_connection
+
+from conftest import in_span
 
 
 class Budget:

@@ -492,6 +492,24 @@ class TestFan:
         # the one rank query is r(E), for the matroid summary
         assert calls["rank_subset"] == 1
 
+    def test_graph_tests_e_once(self, tmp_path, capsys, monkeypatch):
+        # the ray graph's precondition and the matroid summary both ask for
+        # E's connectivity; the verdict is kept, so E is tested once
+        path = str(tmp_path / "d5.json")
+        assert main(["gen", "D5", "--out", path]) == 0
+        capsys.readouterr()
+        tested = {}
+        connected = Matroid._connected
+
+        def counted(M, F):
+            tested[len(F)] = tested.get(len(F), 0) + 1
+            return connected(M, F)
+
+        monkeypatch.setattr(Matroid, "_connected", counted)
+        doc, _ = run_json(capsys, "fan", path, "--graph")
+        assert doc["matroid"]["connected"] is True
+        assert tested == {20: 1}
+
     def test_rays_of_non_simple_vectors_come_from_the_full_walk(self, tmp_path, capsys):
         # B4 and a second vector on the line of its first root
         b4 = matroid_to_dict(coxeter_matroid("B4"))

@@ -25,7 +25,7 @@ from cremfan.cremona import (
 )
 from cremfan.errors import BudgetExceeded, InputError, InvariantError
 from cremfan.fan import TropicalPoint, in_bergman_fan, nested_rays
-from cremfan.field import Field, determinant
+from cremfan.field import Field
 from cremfan.generators import (
     complete_graph_matroid,
     coxeter_matroid,
@@ -33,10 +33,11 @@ from cremfan.generators import (
     fano,
     uniform,
 )
+from cremfan.kernels import det_int
 from cremfan.matroid import Matroid, VectorBackend, parallel_connection
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
-from conftest import by_label, count_backend_calls
+from conftest import by_label, count_backend_calls, determinant
 
 # The running example: the rank-3 arrangement fixture with basis {1, 2, 6}
 # (0-based (0, 1, 5)) and its partner {2, 3, 5} (0-based (1, 2, 4)).
@@ -105,6 +106,44 @@ class TestIntegerLinearMap:
         assert lm.quotient_determinant() == expected
         if singular and len(rows) > 1:
             assert expected == 0
+
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda m: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                    min_size=m, max_size=m,
+                ),
+                st.lists(st.booleans(), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(-3, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_determinant_from_the_non_unit_columns(self, drawn, c, broken):
+        # columns marked as units are the unit vector at their own index, and
+        # the last other column makes every row sum c (c = 0 included);
+        # ``broken`` then moves one row sum off c, so no one-multiple exists
+        rows, units = drawn
+        m = len(rows)
+        for k in range(m):
+            if units[k]:
+                for i in range(m):
+                    rows[i][k] = int(i == k)
+        others = [k for k in range(m) if not units[k]]
+        if others:
+            last = others[-1]
+            for row in rows:
+                row[last] += c - sum(row)
+            if broken:
+                rows[0][last] += 1
+        lm = IntegerLinearMap(tuple(tuple(row) for row in rows))
+        full = det_int(lm.quotient_matrix())
+        assert lm.quotient_determinant() == full
+        Q = lm.quotient_matrix()
+        assert full == (determinant([[Fraction(x) for x in row] for row in Q]) if Q else 1)
 
 
 class TestIndicatorMap:
@@ -189,6 +228,81 @@ class TestCremonaCheck:
         for b in bases:
             with pytest.raises(InputError, match="defined for simple matroids"):
                 cremona_check_detail(contracted, b)
+
+
+def pair_closure_check(M, basis):
+    """The Cremona check of a basis by one closure per pair and per corank-one
+    flat (reference): the partition, the corank-one flats and the reason."""
+    bset = frozenset(basis)
+    partition, covered = {}, set()
+    for i, j in combinations(range(len(basis)), 2):
+        F = M.closure({basis[i], basis[j]}).elements - {basis[i], basis[j]}
+        hit_basis = F & bset
+        if hit_basis:
+            return None, None, (
+                f"cl{{{basis[i]},{basis[j]}}} contains the basis element(s) "
+                f"{sorted(hit_basis)}"
+            )
+        overlap = F & covered
+        if overlap:
+            return None, None, (
+                f"F-set of ({basis[i]},{basis[j]}) overlaps an earlier F-set "
+                f"in {sorted(overlap)}"
+            )
+        covered |= F
+        partition[(i, j)] = F
+    missing = set(range(M.size)) - bset - covered
+    if missing:
+        return None, None, f"elements {sorted(missing)} lie in no F-set"
+    corank = {j: M.closure(bset - {basis[j]}).elements for j in range(len(basis))}
+    return partition, corank, None
+
+
+def _over_f2(M):
+    return matroid_from_dict({**matroid_to_dict(M), "field": "Fp:2"})
+
+
+# A_(n-1) and K_n share their rows here, so K_n runs over F_2, where a
+# graphic matroid is the same matroid; H3 runs over Q(sqrt5)
+PAIR_CLOSURE_CASES = {
+    **{spec: (lambda spec=spec: coxeter_matroid(spec))
+       for spec in ("A3", "A4", "A5", "A6", "B4", "B5", "H3")},
+    **{f"K{n}/Fp:2": (lambda n=n: _over_f2(complete_graph_matroid(n))) for n in (5, 6, 7)},
+    "fano": fano,
+    "U:3,6": lambda: uniform(3, 6),
+}
+
+
+class TestCheckAgainstPairClosures:
+    @pytest.mark.parametrize("name", list(PAIR_CLOSURE_CASES))
+    def test_every_basis(self, name):
+        M, reference = PAIR_CLOSURE_CASES[name](), PAIR_CLOSURE_CASES[name]()
+        r = M.full_rank()
+        cremona = 0
+        for b in combinations(range(M.size), r):
+            if reference.backend.rank_subset(b) < r:
+                continue
+            data, reason = cremona_check_detail(M, b)
+            partition, corank, expected = pair_closure_check(reference, b)
+            assert reason == expected, b
+            if data is not None:
+                cremona += 1
+                assert list(data.partition.items()) == list(partition.items())
+                assert data.corank_flats == corank
+        assert cremona == len(enumerate_cremona_bases(M))
+
+    def test_star_basis_is_one_elimination(self, monkeypatch):
+        # past the simplicity and rank checks, the F-sets and the corank-one
+        # flats of K7's star basis at vertex 0 come off one elimination; the
+        # pair closures made 15 + 6
+        M = complete_graph_matroid(7)
+        M.is_simple() and M.full_rank()
+        calls = count_backend_calls(M, monkeypatch)
+        assert cremona_check(M, range(6)) is not None
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 1, "covers_fast": 0,
+            "cover_step": 0,
+        }
 
 
 class TestEnumerate:
@@ -375,10 +489,11 @@ class TestEnumerateAgainstBruteForce:
         # the pair table, the simplicity check, and each found basis's six
         # corank-one flats in the leaf self-check
         assert calls["closure_fast"] <= comb(21, 2) + 21 + 7 * 6
-        # with the table read off the line census: the empty flat, then per
-        # found basis the leaf self-check's 15 pair closures and six
-        # corank-one flats
-        assert calls["closure_fast"] <= 1 + 7 * (comb(6, 2) + 6)
+        # with the table read off the line census and each found basis
+        # re-checked by one fundamental-circuit elimination: the empty flat
+        # alone (the re-check's 15 pair closures and six corank-one flats
+        # made 1 + 7 * 21)
+        assert calls["closure_fast"] == 1
 
     @pytest.mark.parametrize("spec", ["K7", "B5"])
     def test_remainder_table_from_line_census(self, spec, monkeypatch):

@@ -377,12 +377,12 @@ class TestRayGraph:
         # 10,206 closures here, and one closure per disjoint ray pair made
         # 3,715; the edges now come off the full walk's levels. A greedy-basis
         # test per ray made 172 closures; the rays' connectivity now comes
-        # off the walk, and the closures are those of the empty flat, of E,
-        # and of the greedy-basis test of E itself. That test runs after the
-        # simplicity check's walk to the points, so its first point is
-        # answered off the walk's rank-1 level
+        # off the walk, and the one closure is that of the empty flat (E, a
+        # flat, needs none). The greedy-basis test of E made 7 more; it is
+        # now one fundamental-circuit elimination
         assert calls["rank_subset"] == 0
-        assert calls["closure_fast"] == 9
+        assert calls["closure_fast"] == 1
+        assert calls["fundamental_fast"] == 1
         # the simplicity check's state of the empty flat is the walk's
         assert calls["covers_fast"] == 1
 

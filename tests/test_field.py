@@ -10,15 +10,14 @@ from cremfan.field import (
     FieldFormatError,
     FpElement,
     QuadSqrt5,
-    determinant,
-    in_span,
-    matrix_rank,
     parse_rational,
     primitive_int_vector,
     primitive_quad_vector,
     residue_vector,
     sign,
 )
+
+from conftest import determinant, in_span, matrix_rank
 
 
 class TestFieldSpec:

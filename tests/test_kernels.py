@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from cremfan.field import (
     Field,
     QuadSqrt5,
-    determinant,
-    matrix_rank,
     primitive_int_vector,
     primitive_quad_vector,
 )
@@ -29,6 +27,9 @@ from cremfan.kernels import (
     covers_mod,
     covers_quad,
     det_int,
+    fundamental_int,
+    fundamental_mod,
+    fundamental_quad,
     rank_int,
     rank_mod,
     rank_quad,
@@ -36,7 +37,7 @@ from cremfan.kernels import (
     reflection_closed_quad,
 )
 
-from conftest import f3_vector_rows
+from conftest import determinant, f3_vector_rows, matrix_rank
 
 
 class TestIntKernel:
@@ -215,6 +216,78 @@ class TestCoversKernel:
         assert rank_groups(covers_quad(rows, flat)) == (
             rank, covers_by_closure(closure_quad, rows, flat)
         )
+
+
+def check_fundamental(fundamental, closure, rows, subset):
+    """The kernel's basis is the subset's greedy basis B, and for every T
+    within B, cl(T) (by ``closure_*``) holds the rows whose support lies in T.
+    Asked for every other row, it gives the same supports for those rows."""
+    basis, supports = fundamental(rows, subset, range(len(rows)))
+    greedy = []
+    for i in subset:
+        if i not in closure(rows, greedy)[1]:
+            greedy.append(i)
+    assert basis == greedy
+    for T in range(1 << len(basis)):
+        spanned = [b for j, b in enumerate(basis) if T >> j & 1]
+        assert closure(rows, spanned)[1] == [e for e, s in supports.items() if not s & ~T]
+    odd = range(1, len(rows), 2)
+    odd_supports = {i: supports[i] for i in odd if i in supports}
+    assert fundamental(rows, subset, odd) == (basis, odd_supports)
+
+
+def drawn_subset(data, rows):
+    """Distinct row indices in drawn order, so the greedy walk's order is tested too."""
+    return data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
+
+
+class TestFundamentalKernel:
+    def test_known_supports(self):
+        # rows 2 = row 0 + row 1 and 3 = 2 * row 0 lie in the span of the
+        # greedy basis [0, 1]; row 4 does not
+        rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0), (0, 0, 1)]
+        everything = range(len(rows))
+        assert fundamental_int(rows, [0, 1, 2, 3], everything) == (
+            [0, 1], {0: 1, 1: 2, 2: 3, 3: 1}
+        )
+        # in the order [2, 0, 1, 3], row 1 = row 2 - row 0 is dependent
+        assert fundamental_int(rows, [2, 0, 1, 3], [3, 1, 4]) == ([2, 0], {3: 2, 1: 3})
+        # over F_3 row 4 = (1, 3, 0) is row 0; the zero row is a loop
+        mod_rows = [(1, 0, 0), (0, 1, 0), (1, 2, 0), (0, 0, 0), (1, 3, 0)]
+        assert fundamental_mod(mod_rows, 3, [0, 1], everything) == (
+            [0, 1], {0: 1, 1: 2, 2: 3, 3: 0, 4: 1}
+        )
+        # over Z[sqrt5]: (1 + w, 0) is on row 0's line, (1 + w, w) is not
+        quad_rows = [(1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (1, 1, 0, 1)]
+        assert fundamental_quad(quad_rows, [0, 1], range(4)) == (
+            [0, 1], {0: 1, 1: 2, 2: 1, 3: 3}
+        )
+
+    @given(same_width, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_int_matches_closures(self, rows, data):
+        rows = [tuple(r) for r in rows]
+        check_fundamental(fundamental_int, closure_int, rows, drawn_subset(data, rows))
+
+    @given(same_width, st.sampled_from([2, 3, 5, 7, 101]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mod_matches_closures(self, rows, p, data):
+        rows = [tuple(x % p for x in r) for r in rows]
+        check_fundamental(
+            lambda rows, sub, asked: fundamental_mod(rows, p, sub, asked),
+            lambda rows, sub: closure_mod(rows, p, sub),
+            rows, drawn_subset(data, rows),
+        )
+
+    @given(st.one_of(even_width, quad_lines()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quad_matches_closures(self, rows, data):
+        rows = [tuple(r) for r in rows]
+        check_fundamental(fundamental_quad, closure_quad, rows, drawn_subset(data, rows))
+
+    def test_h4_points(self):
+        rows = [primitive_quad_vector(v) for v in positive_roots("H", 4)[1]]
+        check_fundamental(fundamental_quad, closure_quad, rows, list(range(0, 60, 7)))
 
 
 # The reference cover step: one generic loop, with one quotient call and one

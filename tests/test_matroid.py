@@ -1,6 +1,7 @@
 """Rank oracles, flats, connectivity, minors, and isomorphism search."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -325,7 +326,8 @@ class TestLatticeWalk:
         # the empty flat is eliminated from scratch, and no rank query
         assert sum(len(M.flats_of_rank(j)) for j in range(1, r - 1)) == expanded
         assert calls == {
-            "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": expanded
+            "rank_subset": 0, "closure_fast": 1, "fundamental_fast": 0, "covers_fast": 1,
+            "cover_step": expanded,
         }
 
     def test_one_backend_closure_per_cover(self, monkeypatch):
@@ -792,7 +794,8 @@ class TestConnectivityFromTheWalk:
         verdicts = {M.is_connected(F.elements) for F in flats}
         assert verdicts == {True, False}
         assert calls == {
-            "rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0
+            "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 0, "covers_fast": 0,
+            "cover_step": 0,
         }
 
     @given(f3_vector_rows())
@@ -815,6 +818,88 @@ class TestConnectivityFromTheWalk:
         # then the walks start over from the empty flat
         list(all_flats(M))
         assert_walk_connectivity(M, reference)
+
+
+# line, circuit and minor matroids, whose supports come from closures
+FUNDAMENTAL_FALLBACK_CASES = {
+    name: WALK_CASES[name] for name in ("fano", "dowling:Z3", "U:3,6", "glued", "D4/0", "B4|10")
+}
+
+
+def assert_fundamental(M, reference, subset):
+    """M's greedy basis B of the subset and its supports against the rank and
+    closure queries of a fresh copy: for every T within B, cl(T) holds the
+    elements whose support lies in T. Asked for the subset alone, M gives
+    the subset's supports."""
+    basis, supports = M._fundamental(subset, range(M.size))
+    assert M._fundamental(subset, subset) == (basis, {e: supports[e] for e in sorted(subset)})
+    greedy = []
+    for e in sorted(subset):
+        if reference.rank(greedy + [e]) > len(greedy):
+            greedy.append(e)
+    assert basis == greedy
+    for T in range(1 << len(basis)):
+        spanned = [b for j, b in enumerate(basis) if T >> j & 1]
+        inside = tuple(e for e, s in supports.items() if not s & ~T)
+        assert reference.closure(spanned).sorted() == inside, (subset, spanned)
+
+
+class TestFundamental:
+    @pytest.mark.parametrize("name", sorted(FUNDAMENTAL_FALLBACK_CASES))
+    def test_closure_fallback(self, name):
+        M, reference = WALK_CASES[name](), WALK_CASES[name]()
+        assert not hasattr(M.backend, "fundamental_fast")
+        rng = random.Random(name)
+        for k in range(M.size + 1):
+            assert_fundamental(M, reference, rng.sample(range(M.size), k))
+
+    @pytest.mark.parametrize("name", sorted(COVERS_CASES))
+    def test_kernel(self, name):
+        M, reference = COVERS_CASES[name](), COVERS_CASES[name]()
+        rng = random.Random(name)
+        for k in range(M.size + 1):
+            assert_fundamental(M, reference, rng.sample(range(M.size), k))
+
+    def test_fallback_matches_the_kernel(self):
+        # D4's circuit list against its vectors: the same basis and supports
+        vectors = coxeter_matroid("D4")
+        circuits = Matroid(CircuitBackend(vectors.size, vectors.circuits(), checked=True))
+        rng = random.Random(4)
+        for k in range(vectors.size + 1):
+            subset = rng.sample(range(vectors.size), k)
+            everything = range(vectors.size)
+            assert circuits._fundamental(subset, everything) == vectors._fundamental(
+                subset, everything
+            )
+
+    def test_connected_e_is_one_elimination(self, monkeypatch):
+        d5 = coxeter_matroid("D5")
+        calls = count_backend_calls(d5, monkeypatch)
+        assert d5._connected(frozenset(range(d5.size)))
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 1, "covers_fast": 0,
+            "cover_step": 0,
+        }
+
+    def test_connected_through_a_later_member(self):
+        # e2 + e3 joins b1 and b2 before e1 + e2 joins b0 to b1: a search
+        # that took the supports once, in element order, would stop at b0, b1
+        M = Matroid(VectorBackend(Field.from_spec("Q"), [
+            (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0),
+        ]))
+        assert M._fundamental(range(5), range(5)) == (
+            [0, 1, 2], {0: 1, 1: 2, 2: 4, 3: 6, 4: 3}
+        )
+        assert M.is_connected(range(5))
+
+    def test_e_is_tested_once(self, monkeypatch):
+        M = _direct_sum_large()
+        tested = []
+        connected = M._connected
+        monkeypatch.setattr(M, "_connected", lambda F: tested.append(len(F)) or connected(F))
+        assert [M.is_connected(range(M.size)) for _ in range(3)] == [False] * 3
+        assert M.is_connected(range(9))
+        assert tested == [15, 9]
 
 
 def assert_walk_matches_a_fresh_twin(M, twin):
@@ -875,7 +960,8 @@ class TestOneStorePerFlat:
                 assert d5.rank(F.elements) == k
                 assert d5.closure(F.elements) == F
         assert calls == {
-            "rank_subset": 0, "closure_fast": 0, "covers_fast": 0, "cover_step": 0
+            "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 0, "covers_fast": 0,
+            "cover_step": 0,
         }
         assert len(d5._rank_cache) == 2 and len(d5._closure_cache) == 1
 
@@ -923,7 +1009,8 @@ class TestMinors:
         calls = count_backend_calls(d5, monkeypatch)
         assert d5.is_simple()
         assert calls == {
-            "rank_subset": 0, "closure_fast": 1, "covers_fast": 1, "cover_step": 0
+            "rank_subset": 0, "closure_fast": 1, "fundamental_fast": 0, "covers_fast": 1,
+            "cover_step": 0,
         }
         assert list(d5._flats_cache) == [0, 1]  # the check's walk to the points
         # from the state of the empty flat that the check eliminated
