@@ -1,4 +1,4 @@
-"""Time the cold start of one CLI job per subcommand mode.
+"""Time the cold start of one CLI job per subcommand mode, and its per-call cost.
 
 Each job runs as ``python -m cremfan.cli ...`` in a fresh interpreter, so
 its wall time is start-up, imports, load, compute and emit: the CLI run
@@ -8,6 +8,11 @@ member, rays, graph) the script prints the median wall over N runs and the
 ``-X importtime``, which is not timed).  The first row, ``python -c pass``,
 is the bare interpreter's start-up for reference.  The jobs run
 round-robin, one run of each per round.
+
+A second table gives, per mode, the median of N ``cremfan.cli.main`` calls
+in this process after one warm call: the per-call fixed cost of L3
+(parse the arguments, load and hash the file, emit the report) on these
+small inputs, apart from interpreter start-up and imports.
 
 Inputs are small (the A3 arrangement, labeled 1..6, and the Fano plane),
 so the wall is almost all start-up.  The child processes inherit the
@@ -21,6 +26,8 @@ Usage: python benchmarks/bench_startup.py [--repeat N]
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import statistics
 import subprocess
@@ -66,6 +73,25 @@ def _submodules(stderr: str) -> list[str]:
     return names
 
 
+def _per_call(argv: list[str], repeat: int) -> float:
+    """Median seconds of one ``cremfan.cli.main(argv)`` call in this process,
+    after a first call that warms the imports and the parser."""
+    from cremfan import cli
+
+    def call() -> float:
+        sink = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}:\n{sink.getvalue()}")
+        return elapsed
+
+    call()
+    return statistics.median(call() for _ in range(repeat))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=15, help="timed runs per job (default 15)")
@@ -88,8 +114,13 @@ def main() -> None:
         for _ in range(args.repeat):
             for k, (_mode, job, _modules) in enumerate(rows):
                 walls[k].append(_run(job, env)[0])
+        sys.path.insert(0, SRC)
+        per_call = [_per_call([t.format(dir=tmp) for t in job], args.repeat) for _, job in JOBS]
     for (mode, _job, modules), times in zip(rows, walls):
         print(f"{mode:<8} {statistics.median(times) * 1000:9.1f}  {', '.join(modules)}")
+    print(f"{'mode':<8} {'median ms':>9}  per main() call in one process, after a warm call")
+    for (mode, _job), seconds in zip(JOBS, per_call):
+        print(f"{mode:<8} {seconds * 1000:9.2f}")
 
 
 if __name__ == "__main__":

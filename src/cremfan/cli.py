@@ -15,6 +15,7 @@ times go to stderr so reports stay byte-identical across runs.  Exit codes: 0 su
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -315,7 +316,9 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every ``main`` call: do not change it."""
     parser = argparse.ArgumentParser(
         prog="cremfan",
         description=(
@@ -369,8 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built once per process and reused by every call: it keeps
+    no per-call state, and each ``cmd_*`` looks up its helpers through the
+    module's globals when it runs.
+    """
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code = args.func(args)

@@ -61,10 +61,10 @@ class IntegerLinearMap:
 
     def one_multiple(self) -> int | None:
         """c when the all-ones vector maps to c*(all-ones), else None."""
-        sums = {sum(row) for row in self.matrix}
-        if len(sums) == 1:
-            return sums.pop()
-        return None
+        if "_one_cache" not in self.__dict__:
+            sums = {sum(row) for row in self.matrix}
+            object.__setattr__(self, "_one_cache", sums.pop() if len(sums) == 1 else None)
+        return self._one_cache
 
     def quotient_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The induced matrix on Z^E / Z*1 in the basis v_0..v_{m-2}.
@@ -109,14 +109,14 @@ def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLi
     bad_keys = [e for e in assignment if not (isinstance(e, int) and 0 <= e < m)]
     if bad_keys:
         raise InputError(f"assignment keys out of range: {sorted(bad_keys)}")
-    columns = []
+    rows = [[0] * m for _ in range(m)]
     for e in range(m):
         target = frozenset(assignment.get(e, {e}))
         if not all(isinstance(x, int) and 0 <= x < m for x in target):
             raise InputError(f"assignment for element {e} is out of range")
-        columns.append([1 if i in target else 0 for i in range(m)])
-    matrix = tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
-    return IntegerLinearMap(matrix)
+        for i in target:
+            rows[i][e] = 1
+    return IntegerLinearMap(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -331,13 +331,14 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     r = M.full_rank()
     M._level(max(r - 1, 0), MAX_COVERS)
     connected, pairs = M._connected_levels()
+    M._connected_cache = connected  # kept for a later nested_rays or is_connected
     rays = [Flat.of_mask(A, k) for k in range(1, r) for A in connected[k]]
     index = {A.mask: i for i, A in enumerate(rays)}
     disjoint = [0] * len(rays)  # per ray i, the bits of the disjoint rays j > i
     for (a, _), (b, _) in pairs:
         i, j = sorted((index[a], index[b]))
         disjoint[i] |= 1 << j
-    del connected, pairs, index  # E7 has 33,600 pairs: free them before the edges
+    del pairs, index  # E7 has 33,600 pairs: free them before the edges
     through = [0] * M.size  # per element, the bits of the rays through it
     for i, A in enumerate(rays):
         for e in A.sorted():

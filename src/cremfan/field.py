@@ -386,6 +386,12 @@ class Field:
 
 
 def parse_rational(s: str) -> Fraction:
+    # int() accepts a strict subset of Fraction()'s strings, with the same
+    # values, at a tenth of the cost; the generators write integers
+    try:
+        return Fraction(int(s))
+    except ValueError:
+        pass
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -458,7 +464,7 @@ def primitive_int_vector(vec: Iterable[Fraction]) -> tuple[int, ...]:
     den = 1
     for x in vec:
         den = _lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
+    ints = [x.numerator * (den // x.denominator) for x in vec]
     g = 0
     for v in ints:
         g = math.gcd(g, v)
@@ -478,8 +484,8 @@ def primitive_quad_vector(vec: Iterable[QuadSqrt5]) -> tuple[int, ...]:
         den = _lcm(den, _lcm(x.a.denominator, x.b.denominator))
     flat = []
     for a, b in pairs:
-        flat.append(int(a * den))
-        flat.append(int(b * den))
+        flat.append(a.numerator * (den // a.denominator))
+        flat.append(b.numerator * (den // b.denominator))
     g = 0
     for v in flat:
         g = math.gcd(g, v)

@@ -16,7 +16,11 @@ Schema (version 1)::
 For the vectors backend, ``data`` holds one array of field-element strings
 per element ("3/2", "1+2w" with w = sqrt5); for lines and circuits it holds
 arrays of 0-based element indices.  Loading is strict: unknown backends,
-malformed entries, or out-of-range indices raise InputError.
+malformed entries, or out-of-range indices raise InputError.  Integer
+entries and integer parts of "a+bw", all that the generators write, are
+read by ``int()`` and reach the kernels' integer rows with no Fraction
+multiply; other rationals go through ``Fraction``'s parser.  Either way the
+loaded vectors hold field elements, never bare ints.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ pytest) so the whole matrix stays fast; one subprocess check at the end
 proves the installed console script works.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -597,6 +598,15 @@ class TestBadInput:
         assert out == ""
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("field", ["Q", "Qsqrt5"])
+    @pytest.mark.parametrize("entry", ["", "1/0", "abc", "1__0"])
+    def test_bad_vector_entry_is_exit_2(self, tmp_path, capsys, field, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(_doc("vectors", [["1", "0"], [entry, "1"], ["1", "1"]], field=field))
+        code, out, err = run(capsys, "cremona", str(path), "--enumerate")
+        assert (code, out) == (2, "")
+        assert "error: bad vector entry: " in err
+
     def test_circuit_list_past_the_check_budget_is_exit_3(self, tmp_path, capsys):
         # U:3,20 has 4,845 circuits: 11.7 million pairs to compare
         path = tmp_path / "u320.json"
@@ -682,6 +692,56 @@ class TestDeterminism:
         code, _, err = run(capsys, "fan", a3_file, "--member", "0,0,0,0,0,0")
         assert code == 4
         assert "invariant" in err
+
+
+class TestRepeatedCalls:
+    """Many ``main`` calls in one process share one parser; no call sees
+    another's arguments, errors or output."""
+
+    @pytest.fixture()
+    def jobs(self, a3_file, u25_file, tmp_path):
+        return [
+            ["gen", "B3", "--out", str(tmp_path / "b3.json")],
+            ["cremona", a3_file, "--enumerate"],
+            ["cremona", a3_file, "--check", "1,2,6"],
+            ["cremona", a3_file, "--pair", "1,2,6", "2,3,5"],
+            ["cremona", u25_file, "--realize", "0,1", "0,2", "--field", "Fp:7"],
+            ["fan", a3_file, "--rays"],
+            ["fan", a3_file, "--graph"],
+            ["fan", a3_file, "--member", "0,1,2,3,4,5"],
+            ["fan", a3_file, "--s-graph"],
+            ["fan", a3_file, "--s-graph", "--rank-one-only"],
+        ]
+
+    def test_every_mode_twice_gives_the_same_stdout(self, jobs, capsys):
+        for argv in jobs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert run(capsys, *argv)[:2] == (code, out)
+
+    def test_errors_between_calls_leave_the_next_call_alone(self, jobs, a3_file, capsys):
+        for argv in jobs:
+            code, good, _ = run(capsys, *argv)
+            assert code == 0
+            with pytest.raises(SystemExit) as usage:  # an argparse usage error
+                main([argv[0], a3_file, "--max-nodes", "-1", "--max-subsets", "-1"])
+            assert usage.value.code == 2
+            assert run(capsys, "cremona", a3_file, "--check", "1,2,99")[:2] == (2, "")
+            assert run(capsys, *argv)[:2] == (0, good)
+
+    def test_the_parser_is_built_once(self, jobs, capsys, monkeypatch):
+        run(capsys, *jobs[1])  # the process's parser exists after any call
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in jobs * 3:
+            assert run(capsys, *argv)[0] == 0
+        assert built == []
 
 
 class TestConsoleScript:

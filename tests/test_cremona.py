@@ -74,6 +74,19 @@ class TestIntegerLinearMap:
         uneven = IntegerLinearMap(((1, 0), (0, 0)))
         assert uneven.one_multiple() is None
 
+    @pytest.mark.parametrize("matrix, c", [
+        (((1, 0), (0, 1)), 1),
+        (((1, -1), (-1, 1)), 0),
+        (((1, 0), (0, 0)), None),
+    ])
+    def test_one_multiple_is_kept(self, matrix, c):
+        # computed once per map: a second call reads no row, for c = 0 and
+        # for no one-multiple (None) alike
+        lm = IntegerLinearMap(matrix)
+        assert lm.one_multiple() == c
+        object.__setattr__(lm, "matrix", None)
+        assert lm.one_multiple() == c
+
     def test_quotient_and_lattice_iso(self):
         ident = IntegerLinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert ident.quotient_determinant() == 1
@@ -146,7 +159,55 @@ class TestIntegerLinearMap:
         assert full == (determinant([[Fraction(x) for x in row] for row in Q]) if Q else 1)
 
 
+def column_indicator_map(M, assignment):
+    """The column-by-column construction ``indicator_map`` replaced, kept as
+    its reference: one membership test per matrix entry."""
+    m = M.size
+    bad_keys = [e for e in assignment if not (isinstance(e, int) and 0 <= e < m)]
+    if bad_keys:
+        raise InputError(f"assignment keys out of range: {sorted(bad_keys)}")
+    columns = []
+    for e in range(m):
+        target = frozenset(assignment.get(e, {e}))
+        if not all(isinstance(x, int) and 0 <= x < m for x in target):
+            raise InputError(f"assignment for element {e} is out of range")
+        columns.append([1 if i in target else 0 for i in range(m)])
+    matrix = tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
+    return IntegerLinearMap(matrix)
+
+
 class TestIndicatorMap:
+    @given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.one_of(st.none(), st.just("empty"), st.just("full"),
+                           st.frozensets(st.integers(0, m - 1))),
+                 min_size=m, max_size=m),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_column_construction(self, drawn):
+        # per element: left fixed (None), an empty target, the full ground
+        # set, or any subset
+        m, targets = drawn
+        assignment = {
+            e: {"empty": (), "full": range(m)}.get(t, t)
+            for e, t in enumerate(targets) if t is not None
+        }
+        M = uniform(1, m)
+        lm = indicator_map(M, assignment)
+        assert lm == column_indicator_map(M, assignment)
+        assert lm.one_multiple() == column_indicator_map(M, assignment).one_multiple()
+
+    @pytest.mark.parametrize("assignment", [
+        {0: {6}}, {0: {1}, 3: {-1}}, {2: {0, 1, 2, 3, 4, 5, 7}},
+        {9: {0}}, {-1: {0}, 6: {1}}, {0: {1}, 6: set()},
+    ])
+    def test_out_of_range_messages_match_the_column_construction(self, a3, assignment):
+        with pytest.raises(InputError) as ours:
+            indicator_map(a3, assignment)
+        with pytest.raises(InputError) as reference:
+            column_indicator_map(a3, assignment)
+        assert str(ours.value) == str(reference.value)
+
     def test_unassigned_elements_stay_fixed(self, a3):
         lm = indicator_map(a3, {0: {1, 2}})
         assert lm.column(0) == (0, 1, 1, 0, 0, 0)

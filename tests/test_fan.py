@@ -341,6 +341,24 @@ class TestRayGraph:
         assert M._connected_cache and not M._flats_cache.get(M.full_rank() - 1)
         assert ray_adjacency_graph(M).edges == pair_loop_edges(reference)
 
+    def test_keeps_the_connected_levels_it_filters(self, monkeypatch):
+        # the rays and the connectivity verdicts after the graph read the
+        # levels the graph filtered: no second filter of the full walk
+        M, reference = coxeter_matroid("D5"), coxeter_matroid("D5")
+        ray_adjacency_graph(M)
+        filtered = []
+        levels = Matroid._connected_levels
+
+        def counted(self):
+            filtered.append(self)
+            return levels(self)
+
+        monkeypatch.setattr(Matroid, "_connected_levels", counted)
+        rays = nested_rays(M)
+        assert all(M.is_connected(F.elements) for F in rays)
+        assert filtered == []
+        assert rays == nested_rays(reference)  # by the connected walk
+
     @pytest.mark.parametrize("spec", ["D4", "B4", "F4", "H3", "K5", "B3+A3"])
     def test_pair_nested_matches_join_connectivity(self, spec):
         def build():

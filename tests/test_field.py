@@ -1,9 +1,11 @@
 """Exact scalar arithmetic: Q, F_p, Q(sqrt5), and the matrix helpers."""
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cremfan.field import (
     Field,
@@ -109,6 +111,120 @@ class TestRationals:
         q = Field.from_spec("Q")
         with pytest.raises(TypeError):
             q.coerce(0.5)
+
+
+# ASCII, Arabic-Indic and Devanagari digits: int() and Fraction() read all three
+DIGITS = ("0123456789\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
+          "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f")
+# digit groups joined by single underscores, with leading zeros
+unsigned = st.lists(
+    st.text(st.sampled_from(DIGITS), min_size=1, max_size=4), min_size=1, max_size=3
+).map("_".join)
+signed = st.builds(str.__add__, st.sampled_from(["", "+", "-"]), unsigned)
+
+
+def non_integers(head):
+    """Fractions, decimals and small exponents whose leading part is drawn
+    from ``head``; a zero denominator is an error."""
+    return st.one_of(
+        st.builds("{}/{}".format, head, unsigned),
+        st.builds("{}.{}".format, head, unsigned),
+        st.builds("{}e{}{}".format, head, st.sampled_from(["", "+", "-"]),
+                  st.text(st.sampled_from(DIGITS), min_size=1, max_size=2)),
+    )
+
+
+numeral = st.one_of(signed, non_integers(signed))
+
+
+def with_spaces(data, s: str) -> str:
+    """s with spaces drawn into it: Field.parse drops every space."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(s)), max_size=3)))
+    pieces = [s[i:j] for i, j in zip([0, *cuts], [*cuts, len(s)])]
+    return " ".join(pieces)
+
+
+def fraction_reference(s: str) -> Fraction | None:
+    """What Field("Q").parse(s) must return: Fraction's own reading of the
+    entry without its spaces, or None where it must raise FieldFormatError."""
+    t = s.strip().replace(" ", "")
+    try:
+        return Fraction(t) if t else None
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def reference_int_vector(vec):
+    """The Fraction-multiply scaling that ``primitive_int_vector`` replaced."""
+    vec = [Fraction(x) for x in vec]
+    den = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def reference_quad_vector(vec):
+    """The Fraction-multiply scaling that ``primitive_quad_vector`` replaced."""
+    den = math.lcm(*(d for x in vec for d in (x.a.denominator, x.b.denominator)))
+    flat = [int(part * den) for x in vec for part in (x.a, x.b)]
+    g = math.gcd(*flat)
+    return tuple(v // g for v in flat) if g > 1 else tuple(flat)
+
+
+class TestIntegerFastPath:
+    @given(st.data(), numeral)
+    @settings(max_examples=400, deadline=None)
+    def test_q_entries_read_as_fraction_reads_them(self, data, s):
+        s = with_spaces(data, s)
+        expected = fraction_reference(s)
+        if expected is None:
+            with pytest.raises(FieldFormatError):
+                Field.from_spec("Q").parse(s)
+        else:
+            x = Field.from_spec("Q").parse(s)
+            assert x == expected and type(x) is Fraction
+
+    @given(st.text(st.sampled_from(DIGITS[:12] + "+-_/. e\t\u00b2x"), max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_any_entry_fails_or_reads_as_fraction_does(self, s):
+        expected = fraction_reference(s)
+        if expected is None:
+            with pytest.raises(FieldFormatError):
+                Field.from_spec("Q").parse(s)
+        else:
+            x = Field.from_spec("Q").parse(s)
+            assert x == expected and type(x) is Fraction
+
+    @given(st.data(), numeral, unsigned | non_integers(unsigned), st.sampled_from("+-"))
+    @settings(max_examples=400, deadline=None)
+    def test_qsqrt5_parts_read_as_fraction_reads_them(self, data, a, b, sep):
+        a_value, b_value = fraction_reference(a), fraction_reference(sep + b)
+        if a_value is None or b_value is None:
+            return  # a zero denominator: the error cases are tested below
+        x = Field.from_spec("Qsqrt5").parse(with_spaces(data, f"{a}{sep}{b}w"))
+        assert (x.a, x.b) == (a_value, b_value)
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+        y = Field.from_spec("Qsqrt5").parse(with_spaces(data, a))
+        assert (y.a, y.b) == (a_value, 0) and type(y.a) is Fraction
+
+    @pytest.mark.parametrize("kind", ["Q", "Qsqrt5"])
+    @pytest.mark.parametrize("bad", ["", "  ", "1/0", "abc", "1__0", "_1", "1_", "+-1"])
+    def test_malformed_entries_still_raise(self, kind, bad):
+        with pytest.raises(FieldFormatError):
+            Field.from_spec(kind).parse(bad)
+        if kind == "Qsqrt5" and bad.strip():
+            with pytest.raises(FieldFormatError):
+                Field.from_spec(kind).parse(f"1+{bad}w")
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+           st.lists(st.integers(1, 12), min_size=8, max_size=8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_primitive_vectors_match_the_fraction_multiply(self, nums, dens, integral):
+        # integer entries (the loader's fast path) and general rationals
+        vec = [Fraction(n, 1 if integral else d) for n, d in zip(nums, dens)]
+        assert primitive_int_vector(vec) == reference_int_vector(vec)
+        quads = [QuadSqrt5(x, y) for x, y in zip(vec, reversed(vec))]
+        assert primitive_quad_vector(quads) == reference_quad_vector(quads)
 
 
 class TestFp:

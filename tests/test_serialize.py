@@ -1,10 +1,12 @@
 """The JSON matroid interchange format: round trips and validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from cremfan.errors import InputError
+from cremfan.field import QuadSqrt5
 from cremfan.matroid import find_isomorphism
 from cremfan.serialize import (
     dumps,
@@ -39,6 +41,23 @@ class TestRoundTrips:
         loaded = load_matroid(path)
         assert loaded.size == 15
         assert census(loaded) == census(h3)
+
+    def test_loaded_entries_are_field_elements(self, tmp_path):
+        # integer entries load through int(), but the vectors hold field
+        # elements, never bare ints (int / int is a float)
+        from cremfan.generators import coxeter_matroid
+        for spec, kind in (("B4", Fraction), ("H3", QuadSqrt5)):
+            path = tmp_path / f"{spec}.json"
+            save_matroid(coxeter_matroid(spec), path)
+            vectors = load_matroid(path).backend.vectors
+            assert all(type(x) is kind for vec in vectors for x in vec)
+            if kind is QuadSqrt5:
+                assert all(type(x.a) is type(x.b) is Fraction for vec in vectors for x in vec)
+        M = matroid_from_dict({"schema": 1, "kind": "matroid", "elements": ["a", "b"],
+                               "backend": "vectors", "field": "Q",
+                               "data": [["1", "-0_2"], [" 3/6", "1.5"]]})
+        assert M.backend.vectors == [[1, -2], [Fraction(1, 2), Fraction(3, 2)]]
+        assert all(type(x) is Fraction for vec in M.backend.vectors for x in vec)
 
     def test_vectors_fp(self, tmp_path):
         from cremfan.field import Field
