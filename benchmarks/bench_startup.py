@@ -3,11 +3,12 @@
 Each job runs as ``python -m cremfan.cli ...`` in a fresh interpreter, so
 its wall time is start-up, imports, load, compute and emit: the CLI run
 (L3) as a shell user sees it.  For each mode (gen, check, pair, realize,
-member, rays, graph) the script prints the median wall over N runs and the
-``cremfan`` submodules the job imports (read from one extra run under
-``-X importtime``, which is not timed).  The first row, ``python -c pass``,
-is the bare interpreter's start-up for reference.  The jobs run
-round-robin, one run of each per round.
+member, rays, graph) the script prints the median wall over N runs and,
+read from one extra run under ``-X importtime`` that is not timed, the
+number of other modules the job imports that a bare ``python -c pass``
+does not, their summed self ms, and the ``cremfan`` submodules it imports.
+The first row, ``python -c pass``, is the bare interpreter's start-up for
+reference.  The jobs run round-robin, one run of each per round.
 
 A second table gives, per mode, the median of N ``cremfan.cli.main`` calls
 in this process after one warm call: the per-call fixed cost of L3
@@ -62,15 +63,27 @@ def _run(args: list[str], env: dict) -> tuple[float, str]:
     return elapsed, proc.stderr
 
 
-def _submodules(stderr: str) -> list[str]:
-    """The cremfan submodules named in ``-X importtime`` output, import order."""
-    names = []
+def _imports(stderr: str) -> dict[str, int]:
+    """Each module named in ``-X importtime`` output, in import order, with
+    its self time in microseconds; the header and other lines are skipped."""
+    modules = {}
     for line in stderr.splitlines():
         if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name.startswith("cremfan."):
-                names.append(name.removeprefix("cremfan."))
-    return names
+            self_us, _cumulative, name = line.removeprefix("import time:").split("|")
+            if self_us.strip().isdigit():
+                modules[name.strip()] = int(self_us)
+    return modules
+
+
+def _footprint(stderr: str, bare: dict[str, int]) -> tuple[int, float, list[str]]:
+    """From one job's ``-X importtime`` output: the number of modules outside
+    ``cremfan`` that it imports and ``bare`` does not, their summed self ms,
+    and the ``cremfan`` submodules it imports, in import order."""
+    modules = _imports(stderr)
+    other = [us for name, us in modules.items()
+             if name not in bare and name.partition(".")[0] != "cremfan"]
+    ours = [name.removeprefix("cremfan.") for name in modules if name.startswith("cremfan.")]
+    return len(other), sum(other) / 1000, ours
 
 
 def _per_call(argv: list[str], repeat: int) -> float:
@@ -101,14 +114,16 @@ def main() -> None:
     env = {**os.environ, "PYTHONPATH": SRC}
     bytecode = "not written" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "cached"
     print(f"python {sys.version.split()[0]}, bytecode {bytecode}, median of {args.repeat} runs")
-    print(f"{'mode':<8} {'median ms':>9}  cremfan modules imported")
+    print(f"{'mode':<8} {'median ms':>9} {'other':>5} {'self ms':>7}  cremfan modules imported")
     with tempfile.TemporaryDirectory() as tmp:
         for spec, name in (("a3-arrangement", "a3"), ("fano", "fano")):
             _run(["-m", "cremfan.cli", "gen", spec, "--out", f"{tmp}/{name}.json"], env)
-        rows = [("python", ["-c", "pass"], [])]
+        bare = ["-c", "pass"]
+        bare_modules = _imports(_run(["-X", "importtime", *bare], env)[1])
+        rows = [("python", bare, (0, 0.0, []))]
         for mode, template in JOBS:
             cmd = ["-m", "cremfan.cli", *(token.format(dir=tmp) for token in template)]
-            rows.append((mode, cmd, _submodules(_run(["-X", "importtime", *cmd], env)[1])))
+            rows.append((mode, cmd, _footprint(_run(["-X", "importtime", *cmd], env)[1], bare_modules)))
         # round-robin, so that a drift in machine speed reaches every row alike
         walls: list[list[float]] = [[] for _ in rows]
         for _ in range(args.repeat):
@@ -116,8 +131,9 @@ def main() -> None:
                 walls[k].append(_run(job, env)[0])
         sys.path.insert(0, SRC)
         per_call = [_per_call([t.format(dir=tmp) for t in job], args.repeat) for _, job in JOBS]
-    for (mode, _job, modules), times in zip(rows, walls):
-        print(f"{mode:<8} {statistics.median(times) * 1000:9.1f}  {', '.join(modules)}")
+    for (mode, _job, (count, self_ms, ours)), times in zip(rows, walls):
+        print(f"{mode:<8} {statistics.median(times) * 1000:9.1f} {count:5d} {self_ms:7.1f}  "
+              f"{', '.join(ours)}")
     print(f"{'mode':<8} {'median ms':>9}  per main() call in one process, after a warm call")
     for (mode, _job), seconds in zip(JOBS, per_call):
         print(f"{mode:<8} {seconds * 1000:9.2f}")

@@ -25,7 +25,7 @@ from . import __version__
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import FieldFormatError
 from .matroid import Matroid
-from .serialize import dumps, load_matroid, matroid_to_dict, save_matroid
+from .serialize import dumps, load_matroid, save_matroid
 
 
 def _sha256(path: str) -> str:

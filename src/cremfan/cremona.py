@@ -12,13 +12,14 @@ induced involutive automorphism, and realizes the matroid over a field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
 from .kernels import det_int
-from .matroid import ElementBijection, Matroid, VectorBackend, _members, census_mismatch
+from .matroid import (
+    ElementBijection, Matroid, VectorBackend, _members, _SetOnce, census_mismatch,
+)
 
 if TYPE_CHECKING:
     from .fan import TropicalPoint
@@ -28,16 +29,24 @@ if TYPE_CHECKING:
 # integer linear maps on Z^E
 
 
-@dataclass(frozen=True)
-class IntegerLinearMap:
+class IntegerLinearMap(_SetOnce):
     """An integer matrix acting on Z^E; column k is the image of v_k."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("matrix", "_one_cache", "_qdet_cache")
 
-    def __post_init__(self):
-        m = len(self.matrix)
-        if any(len(row) != m for row in self.matrix):
+    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
+        m = len(matrix)
+        if any(len(row) != m for row in matrix):
             raise InputError("integer linear map must be square")
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerLinearMap):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     @property
     def size(self) -> int:
@@ -61,9 +70,9 @@ class IntegerLinearMap:
 
     def one_multiple(self) -> int | None:
         """c when the all-ones vector maps to c*(all-ones), else None."""
-        if "_one_cache" not in self.__dict__:
+        if not hasattr(self, "_one_cache"):
             sums = {sum(row) for row in self.matrix}
-            object.__setattr__(self, "_one_cache", sums.pop() if len(sums) == 1 else None)
+            self._one_cache = sums.pop() if len(sums) == 1 else None
         return self._one_cache
 
     def quotient_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -84,16 +93,14 @@ class IntegerLinearMap:
         nonzero, det A = c * det Q, and det A = det A[K, K] with K the columns
         that are not the unit vector at their own index: for a Cremona map,
         an r x r determinant in place of an (m - 1) x (m - 1) one."""
-        det = getattr(self, "_qdet_cache", None)
-        if det is None:
+        if not hasattr(self, "_qdet_cache"):
             A, c, m = self.matrix, self.one_multiple(), self.size
             if c:
                 K = [k for k, col in enumerate(zip(*A)) if col[k] != 1 or col.count(0) < m - 1]
-                det = det_int([[A[i][j] for j in K] for i in K]) // c
+                self._qdet_cache = det_int([[A[i][j] for j in K] for i in K]) // c
             else:
-                det = det_int(self.quotient_matrix())
-            object.__setattr__(self, "_qdet_cache", det)
-        return det
+                self._qdet_cache = det_int(self.quotient_matrix())
+        return self._qdet_cache
 
     @property
     def is_lattice_isomorphism(self) -> bool:
@@ -123,14 +130,18 @@ def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLi
 # Cremona bases
 
 
-@dataclass(frozen=True)
-class CremonaData:
+class CremonaData(_SetOnce):
     """A verified Cremona basis with its partition and corank-one flats."""
 
-    matroid: Matroid
-    basis: tuple[int, ...]
-    partition: dict[tuple[int, int], frozenset[int]]
-    corank_flats: dict[int, frozenset[int]]
+    __slots__ = ("matroid", "basis", "partition", "corank_flats", "_pairs_cache")
+
+    def __init__(self, matroid: Matroid, basis: tuple[int, ...],
+                 partition: dict[tuple[int, int], frozenset[int]],
+                 corank_flats: dict[int, frozenset[int]]):
+        self.matroid = matroid
+        self.basis = basis
+        self.partition = partition
+        self.corank_flats = corank_flats
 
     def pair_flat(self, i: int, j: int) -> frozenset[int]:
         return self.partition[(i, j) if i < j else (j, i)]
@@ -143,14 +154,9 @@ class CremonaData:
         return pair
 
     def element_pairs(self) -> dict[int, tuple[int, int]]:
-        cache = getattr(self, "_pairs_cache", None)
-        if cache is None:
-            cache = {}
-            for (i, j), F in self.partition.items():
-                for e in F:
-                    cache[e] = (i, j)
-            object.__setattr__(self, "_pairs_cache", cache)
-        return cache
+        if not hasattr(self, "_pairs_cache"):
+            self._pairs_cache = {e: pair for pair, F in self.partition.items() for e in F}
+        return self._pairs_cache
 
     def basis_set(self) -> frozenset[int]:
         return frozenset(self.basis)
@@ -397,8 +403,7 @@ def crem_map(data: CremonaData) -> IntegerLinearMap:
 # support graphs
 
 
-@dataclass(frozen=True)
-class SupportGraph:
+class SupportGraph(NamedTuple):
     """The b-support multigraph of a subset S.
 
     Vertices are the basis elements touched by S; every element of S
@@ -494,8 +499,7 @@ def flat_support_kind(data: CremonaData, F: Iterable[int]) -> str:
 # two-basis structure
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
     center: int | None
@@ -503,8 +507,7 @@ class ComponentReport:
     star: bool
 
 
-@dataclass(frozen=True)
-class TwoBasisReport:
+class TwoBasisReport(NamedTuple):
     basis: tuple[int, ...]
     other: tuple[int, ...]
     intersection: tuple[int, ...]
@@ -621,8 +624,7 @@ def _involution(M: Matroid, report: TwoBasisReport, back: TwoBasisReport) -> Ele
 # realization
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """A field realization produced from two Cremona bases sharing one element."""
 
     field: Field

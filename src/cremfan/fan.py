@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantError
-from .matroid import Flat, Matroid, _members
+from .matroid import Flat, Matroid, _members, _SetOnce
 
 # the covers a walk of this module issues unless told otherwise (E7's full walk: 883,281)
 MAX_COVERS = 3_000_000
@@ -69,11 +68,13 @@ MAX_COVERS = 3_000_000
 # tropical points
 
 
-@dataclass(frozen=True)
-class TropicalPoint:
+class TropicalPoint(_SetOnce):
     """A point of R^E / R·1, stored with minimum weight zero."""
 
-    weights: tuple
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple):
+        self.weights = weights
 
     @classmethod
     def of(cls, weights: Iterable) -> "TropicalPoint":
@@ -99,6 +100,14 @@ class TropicalPoint:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    def __eq__(self, other):
+        if not isinstance(other, TropicalPoint):
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash(self.weights)
 
     def scaled_primitive(self) -> "TropicalPoint":
         """The primitive integer point on the same ray (zero stays zero)."""
@@ -219,8 +228,7 @@ def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
 # ray graphs
 
 
-@dataclass(frozen=True)
-class RayGraph:
+class RayGraph(NamedTuple):
     """Graph on fan rays; vertices are connected flats, edges nested pairs."""
 
     matroid: Matroid
@@ -441,8 +449,7 @@ def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
     ]
 
 
-@dataclass(frozen=True)
-class SGraphReport:
+class SGraphReport(NamedTuple):
     """The graph S (rank-one and corank-one rays) with its degree analysis."""
 
     graph: RayGraph

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from importlib import resources
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError, InvariantError

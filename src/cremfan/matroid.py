@@ -24,16 +24,13 @@ is read off them; other flats go through a greedy-basis oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError
 from .field import (
     Field,
-    FpElement,
-    QuadSqrt5,
     primitive_int_vector,
     primitive_quad_vector,
     residue_vector,
@@ -156,8 +153,20 @@ class Flat:
         return tuple(_members(self.mask))
 
 
-@dataclass(frozen=True)
-class ElementBijection:
+class _SetOnce:
+    """A record whose attributes are set once: its fields in ``__init__``,
+    a cache on first use. Setting one again raises AttributeError, so an
+    instance can be shared and, where its class says so, hashed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+
+class ElementBijection(NamedTuple):
     """A bijection between ground sets, stored as the forward image tuple."""
 
     forward: tuple[int, ...]

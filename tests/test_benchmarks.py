@@ -48,3 +48,27 @@ def test_coxeter_row_of_d5():
     # bound refutes D5 at the root
     assert row["cover_steps"] == 110
     assert row["search_nodes"] == 1
+
+
+def test_startup_footprint_parses_importtime():
+    # canned ``-X importtime`` output of a job: the header, nested imports,
+    # the job's own [time] line; "bare" is what ``python -c pass`` imports
+    stderr = "\n".join([
+        "import time: self [us] | cumulative | imported package",
+        "import time:       197 |        197 |   _io",
+        "import time:       120 |        120 |   cremfan",
+        "import time:        50 |         50 |       _hashlib",
+        "import time:      1500 |       1550 |     hashlib",
+        "import time:      9000 |      10550 |   cremfan.matroid",
+        "import time:       900 |        900 | fractions",
+        "import time:      4000 |       4000 | cremfan.fan",
+        "[time] fan 0.002s",
+    ])
+    bench = _load("bench_startup.py")
+    assert bench._imports(stderr) == {
+        "_io": 197, "cremfan": 120, "_hashlib": 50, "hashlib": 1500,
+        "cremfan.matroid": 9000, "fractions": 900, "cremfan.fan": 4000,
+    }
+    count, self_ms, ours = bench._footprint(stderr, {"_io": 200})
+    assert (count, ours) == (3, ["matroid", "fan"])
+    assert self_ms == pytest.approx(2.45)

@@ -51,33 +51,47 @@ class TestNamespace:
             assert module is sys.modules[module.__name__]
 
 
-def _submodules_loaded(*argv: str) -> set[str]:
-    """The cremfan submodules one ``python -m cremfan.cli`` job imports.
+def _modules_loaded(*argv: str, time_lines: int = 1) -> set[str]:
+    """Every module one ``python -X importtime *argv`` run imports.
 
     ``-X importtime`` writes one stderr line per imported module; every
-    other stderr line must be the job's own ``[time]`` line, which also
-    rules out runpy's "found in sys.modules" warning.
+    other stderr line must be a CLI job's own ``[time]`` line (``time_lines``
+    of them), which also rules out runpy's "found in sys.modules" warning.
     """
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "cremfan.cli", *argv],
+        [sys.executable, "-X", "importtime", *argv],
         capture_output=True, text=True, timeout=120, env=ENV,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     others = [line for line in lines if not line.startswith("import time:")]
-    assert len(others) == 1 and others[0].startswith("[time] "), others
-    names = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
-    return {name for name in names if name.startswith("cremfan.")}
+    assert len(others) == time_lines and all(x.startswith("[time] ") for x in others), others
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def jobs(tmp_path_factory) -> dict[str, set[str]]:
+    """The modules each of three ``python -m cremfan.cli`` jobs imports."""
     root = tmp_path_factory.mktemp("footprint")
     paths = {}
     for spec in ("A3", "fano"):
         paths[spec] = str(root / f"{spec}.json")
         assert main(["gen", spec, "--out", paths[spec]]) == 0
-    return paths
+    argvs = {
+        "fan --graph": ("fan", paths["fano"], "--graph"),
+        "cremona --check": ("cremona", paths["A3"], "--check", "0,1,5"),
+        "gen": ("gen", "D4", "--out", str(root / "d4.json")),
+    }
+    return {job: _modules_loaded("-m", "cremfan.cli", *argv) for job, argv in argvs.items()}
+
+
+def _submodules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.startswith("cremfan.")}
+
+
+# ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and
+# ``tokenize``): milliseconds of start-up that no output needs
+HEAVY = {"dataclasses", "inspect"}
 
 
 class TestImportFootprint:
@@ -90,17 +104,30 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['cremfan']\n"
 
-    def test_fan_graph_skips_cremona_and_generators(self, inputs):
-        loaded = _submodules_loaded("fan", inputs["fano"], "--graph")
+    def test_fan_graph_skips_cremona_and_generators(self, jobs):
+        loaded = _submodules(jobs["fan --graph"])
         assert "cremfan.fan" in loaded
         assert not loaded & {"cremfan.cremona", "cremfan.generators", "cremfan.circuits"}
 
-    def test_cremona_check_skips_fan_and_generators(self, inputs):
-        loaded = _submodules_loaded("cremona", inputs["A3"], "--check", "0,1,5")
+    def test_cremona_check_skips_fan_and_generators(self, jobs):
+        loaded = _submodules(jobs["cremona --check"])
         assert "cremfan.cremona" in loaded
         assert not loaded & {"cremfan.fan", "cremfan.generators", "cremfan.circuits"}
 
-    def test_gen_skips_fan_and_cremona(self, tmp_path):
-        loaded = _submodules_loaded("gen", "D4", "--out", str(tmp_path / "d4.json"))
+    def test_gen_skips_fan_and_cremona(self, jobs):
+        loaded = _submodules(jobs["gen"])
         assert "cremfan.generators" in loaded
         assert not loaded & {"cremfan.fan", "cremfan.cremona"}
+
+    @pytest.mark.parametrize("job", ["fan --graph", "cremona --check", "gen"])
+    def test_job_loads_no_dataclasses(self, jobs, job):
+        assert not jobs[job] & HEAVY
+
+    def test_modules_load_no_dataclasses(self):
+        loaded = _modules_loaded(
+            "-c", "import cremfan.cli, cremfan.cremona, cremfan.fan, cremfan.generators, "
+                  "cremfan.circuits",
+            time_lines=0,
+        )
+        assert {"cremfan.cremona", "cremfan.fan", "cremfan.circuits"} <= loaded
+        assert not loaded & HEAVY
