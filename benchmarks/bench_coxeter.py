@@ -74,9 +74,9 @@ def coxeter_row(spec: str) -> dict:
     M = coxeter_matroid(spec)
     step, steps = M.backend.cover_step, [0]
 
-    def counted(state, g):
+    def counted(state, g, skip=0):
         steps[0] += 1
-        return step(state, g)
+        return step(state, g, skip)
 
     M.backend.cover_step = counted
     t0 = time.perf_counter()

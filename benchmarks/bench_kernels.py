@@ -11,7 +11,9 @@ F + e per cover, as the flat-lattice walk would issue them.
 
 Two more tables time the Cremona enumeration: the pair-remainder table
 cl{a, b} \\ {a, b} built by one closure per pair against reading it off
-the line census (B5, E6, H4, E7), and the nodes and seconds of the
+the line census (B5, E6, H4, E7), with the groups of the point states the
+census's walk steps next to its lines (one each, as the walk keys each
+line from the first point on it), and the nodes and seconds of the
 exact-cover search on K7, A7, B6 and B8, which still branch (line census
 already built), and on E8, which the counting bound refutes at the root
 (on a fresh matroid, line census included).
@@ -210,15 +212,33 @@ def _best_fresh(spec: str, fn, repeat: int) -> tuple[float, object]:
     return best, result
 
 
+def _line_census_groups(spec: str) -> tuple[int, int]:
+    # the summed groups of the point states a fresh walk to the lines
+    # steps, and the lines it finds
+    M, groups = coxeter_matroid(spec), [0]
+    on_path = M._on_path
+
+    def counted(F, rank, state):
+        if rank == 1:
+            groups[0] += len(state.groups)
+        return on_path(F, rank, state)
+
+    M._on_path = counted
+    lines = len(M.flats_of_rank(2))
+    return groups[0], lines
+
+
 def _bench_remainders(spec: str, repeat: int) -> None:
     t_cl, by_closures = _best_fresh(spec, _remainders_by_closures, repeat)
     t_lines, (by_lines, _through) = _best_fresh(spec, _line_remainders, repeat)
     assert by_lines == by_closures
     n = len(by_lines)
+    groups, lines = _line_census_groups(spec)
     print(
         f"{spec} remainder table ({n} elements)".ljust(38)
         + f" closure per pair {t_cl * 1e3:8.2f} ms   line census "
         f"{t_lines * 1e3:8.2f} ms   x{t_cl / t_lines:5.1f}"
+        f"   {groups} point-state groups, {lines} lines"
     )
 
 
@@ -329,8 +349,11 @@ def _counted_walk(spec: str):
 
     def stepper(name):
         def step(state, *args):
+            # (g, skip) or, over F_p, (p, g, skip); skip is optional
+            g, *skip = args[1:] if name == "cover_step_mod" else args
+            dropped = state.groups[g] | (skip[0] if skip else 0)
             counts[0] += 1
-            counts[1] += len(state.reps) - 1
+            counts[1] += sum(1 for group in state.groups if group & ~dropped)
             return originals[name](state, *args)
         return step
 

@@ -7,6 +7,9 @@ member, rays, graph) the script prints the median wall over N runs and,
 read from one extra run under ``-X importtime`` that is not timed, the
 number of other modules the job imports that a bare ``python -c pass``
 does not, their summed self ms, and the ``cremfan`` submodules it imports.
+That run is ``python -m cremfan ...``, whose ``__main__`` imports
+``cremfan.cli`` as a module, so cli's import and compile get a line of
+their own; run as ``__main__``, cli would have none.
 The first row, ``python -c pass``, is the bare interpreter's start-up for
 reference.  The jobs run round-robin, one run of each per round.
 
@@ -61,6 +64,11 @@ def _run(args: list[str], env: dict) -> tuple[float, str]:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
     return elapsed, proc.stderr
+
+
+def _importtime_argv(cli_args: list[str]) -> list[str]:
+    """The untimed ``-X importtime`` run of the job with these CLI arguments."""
+    return ["-X", "importtime", "-m", "cremfan", *cli_args]
 
 
 def _imports(stderr: str) -> dict[str, int]:
@@ -122,8 +130,9 @@ def main() -> None:
         bare_modules = _imports(_run(["-X", "importtime", *bare], env)[1])
         rows = [("python", bare, (0, 0.0, []))]
         for mode, template in JOBS:
-            cmd = ["-m", "cremfan.cli", *(token.format(dir=tmp) for token in template)]
-            rows.append((mode, cmd, _footprint(_run(["-X", "importtime", *cmd], env)[1], bare_modules)))
+            cli_args = [token.format(dir=tmp) for token in template]
+            imports = _run(_importtime_argv(cli_args), env)[1]
+            rows.append((mode, ["-m", "cremfan.cli", *cli_args], _footprint(imports, bare_modules)))
         # round-robin, so that a drift in machine speed reaches every row alike
         walls: list[list[float]] = [[] for _ in rows]
         for _ in range(args.repeat):

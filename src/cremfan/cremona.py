@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from . import matroid
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import Field
 from .kernels import det_int
 from .matroid import (
-    ElementBijection, Matroid, VectorBackend, _members, _SetOnce, census_mismatch,
+    ElementBijection, Flat, Matroid, VectorBackend, _members, _SetOnce, census_mismatch,
 )
 
 if TYPE_CHECKING:
@@ -647,6 +648,19 @@ def _nonzero_field_element(field: Field, t: int):
     return field.coerce(t + 1)
 
 
+def _hyperplane_mismatch(M: Matroid, N: Matroid) -> int | None:
+    """The first hyperplane H of M that is not a flat of N of rank r(M) - 1,
+    as a bitmask, or None: one walk of M under the budget
+    ``matroid.MAX_COVERS`` and one closure in N per hyperplane. For N on
+    M's ground set with r(N) = r(M) >= 1, None exactly when N = M (proof in
+    ``realize``)."""
+    r = M.full_rank()
+    for H in M._level(r - 1, matroid.MAX_COVERS):
+        if N.closure(_members(H)) != Flat.of_mask(H, r - 1):
+            return H
+    return None
+
+
 def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
             field_spec: str | Field) -> Realization:
     """Vector realization of M from two Cremona bases meeting in one element.
@@ -659,9 +673,25 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
 
         b_i ↦ v_i,  e ∈ F_0i ↦ v_0 − κ(e) v_i,  e ∈ F_ij ↦ v_i − v_j
 
-    realizes M over every field with at least N + 1 elements.  The
-    isomorphism is verified against the full flats-of-rank census before
-    returning; a failure there is an invariant violation.
+    realizes M over every field with at least N + 1 elements.
+
+    Before returning, the realized matroid N is checked to be M itself (a
+    failure is an invariant violation): r(N) = r(M) = r, and cl_N(H) = H
+    with r_N(H) = r - 1 for every hyperplane H of M
+    (``_hyperplane_mismatch``). That is exact (a matroid is fixed by its
+    hyperplanes; Oxley 2011, §1.4 and §2.1):
+
+    1. every flat of M is an intersection of hyperplanes of M (E the empty
+       one), and so an intersection of flats of N: it is closed in N;
+    2. so for I independent in M and e in I, e lies outside the M-flat
+       cl_M(I - e), which holds cl_N(I - e): I is independent in N, and
+       r_N >= r_M;
+    3. a maximal chain of M-flats from a flat F other than E to a
+       hyperplane H has r - 1 - r_M(F) steps, and is a strictly increasing
+       chain of N-flats, so r_N(F) <= r_N(H) - (r - 1 - r_M(F)) = r_M(F).
+
+    So r_N and r_M agree on the flats of M (on E by the rank check), and
+    then on every set X, as r_M(X) <= r_N(X) <= r_N(cl_M X) = r_M(X).
     """
     field = field_spec if isinstance(field_spec, Field) else Field.from_spec(field_spec)
     shared = sorted(d1.basis_set() & d2.basis_set())
@@ -738,10 +768,11 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
     realized = Matroid(VectorBackend(field, vectors), list(M.ground.labels))
     if realized.full_rank() != M.full_rank():
         raise InvariantError("realization has the wrong rank")
-    k = census_mismatch(M.flat_census(), realized.flat_census())
-    if k is not None:
+    H = _hyperplane_mismatch(M, realized)
+    if H is not None:
         raise InvariantError(
-            f"realization disagrees with the matroid on rank-{k} flats"
+            f"realization disagrees with the matroid on the hyperplane "
+            f"{{{', '.join(map(M.ground.label, _members(H)))}}}"
         )
     return Realization(
         field=field,

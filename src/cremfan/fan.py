@@ -57,11 +57,9 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
+from . import matroid
 from .errors import BudgetExceeded, InputError, InvariantError
 from .matroid import Flat, Matroid, _members, _SetOnce
-
-# the covers a walk of this module issues unless told otherwise (E7's full walk: 883,281)
-MAX_COVERS = 3_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ def nested_rays(M: Matroid) -> list[Flat]:
     """All proper nonempty connected flats, ordered by (rank, elements)."""
     # the deepest level first: its walk stores every level below it
     ranks = reversed(range(1, M.full_rank()))
-    levels = [M.connected_flats_of_rank(k, max_covers=MAX_COVERS) for k in ranks]
+    levels = [M.connected_flats_of_rank(k, max_covers=matroid.MAX_COVERS) for k in ranks]
     return [F for level in reversed(levels) for F in level]
 
 
@@ -337,7 +335,7 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     # the full walk, then one filter of its levels: its connected flats are
     # the rays, and its flats of two components give the disjoint pairs
     r = M.full_rank()
-    M._level(max(r - 1, 0), MAX_COVERS)
+    M._level(max(r - 1, 0), matroid.MAX_COVERS)
     connected, pairs = M._connected_levels()
     M._connected_cache = connected  # kept for a later nested_rays or is_connected
     rays = [Flat.of_mask(A, k) for k in range(1, r) for A in connected[k]]
@@ -432,7 +430,7 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
 
 
 def corank_one_connected_flats(M: Matroid, *, through: int | None = None,
-                               max_subsets: int = MAX_COVERS) -> list[Flat]:
+                               max_subsets: int = matroid.MAX_COVERS) -> list[Flat]:
     """All connected corank-one flats, optionally only those through one element.
 
     The hyperplanes come from ``Matroid.connected_flats_of_rank``;
@@ -462,7 +460,7 @@ class SGraphReport(NamedTuple):
 
 
 def graph_S(M: Matroid, *, rank_one_only: bool = False,
-            max_subsets: int = MAX_COVERS) -> SGraphReport:
+            max_subsets: int = matroid.MAX_COVERS) -> SGraphReport:
     """The subgraph of the fan 1-skeleton on rank-one and corank-one rays.
 
     Neighbors of a rank-one ray {e}: the singletons f with cl{e,f}

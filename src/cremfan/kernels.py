@@ -46,6 +46,11 @@ Conventions:
   per cover is enough: a cover C of F other than G meets G in F, and for e
   in C - F the closure of G + e contains C, so all of C - F lies in one
   cover of G;
+* ``cover_step_*(state, g, skip)`` first drops F's covers whose groups lie
+  inside the bitmask ``skip`` (``skip = 0``, the default, drops none). A
+  walk passes the union of the covers of G it has already recorded: all of
+  C - F lies in one cover of G, so a dropped cover C gives one of those
+  again, and the state keeps G's other covers alone;
 * ``reflection_closed_*`` says whether the rows are nonzero, pairwise
   non-proportional and closed up to sign and scale under the reflections
   s_r(v) = v - 2 <r, v> / <r, r> r in their own hyperplanes (standard
@@ -145,6 +150,12 @@ def _covers(rows, flat, reduce, key, step: int = 1) -> CoverState:
     return CoverState(len(pivots), list(covers.values()), list(covers))
 
 
+def _kept(state: CoverState, skip: int):
+    """The (group, rep) pairs of a cover state whose groups leave ``skip``."""
+    pairs = zip(state.groups, state.reps)
+    return [pair for pair in pairs if pair[0] & ~skip] if skip else pairs
+
+
 def _width(rows, step: int = 1) -> int:
     return len(rows[0]) // step if rows else 0
 
@@ -198,15 +209,14 @@ def covers_int(rows, flat) -> CoverState:
     return _covers(list(rows), flat, _reduce_int, _primitive_key)
 
 
-def cover_step_int(state: CoverState, g: int) -> CoverState:
-    groups, reps = state.groups, state.reps
-    u = reps[g]
+def cover_step_int(state: CoverState, g: int, skip: int = 0) -> CoverState:
+    u = state.reps[g]
     c = u.index(next(filter(None, u)))
     a = u[c]
     support = [(j, y) for j, y in enumerate(u) if y]  # where u[c]*w - w[c]*u is not u[c]*w
     covers: dict[tuple, int] = {}
     get = covers.get
-    for group, w in zip(groups, reps):
+    for group, w in _kept(state, skip):
         if w is u:  # the reps are distinct dict keys, so this is cover g alone
             continue
         b = w[c]
@@ -314,9 +324,8 @@ def covers_quad(rows, flat) -> CoverState:
     return _covers(list(rows), flat, _reduce_quad, _quad_key, 2)
 
 
-def cover_step_quad(state: CoverState, g: int) -> CoverState:
-    groups, reps = state.groups, state.reps
-    u = reps[g]
+def cover_step_quad(state: CoverState, g: int, skip: int = 0) -> CoverState:
+    u = state.reps[g]
     # u's first nonzero coordinate, at even position c, is a rational a (the
     # _quad_key form); w's coordinate there is p + q*sqrt5
     c = u.index(next(filter(None, u)))
@@ -325,7 +334,7 @@ def cover_step_quad(state: CoverState, g: int) -> CoverState:
     support = [(j, u[j], u[j + 1]) for j in range(0, len(u), 2) if u[j] or u[j + 1]]
     covers: dict[tuple, int] = {}
     get = covers.get
-    for group, w in zip(groups, reps):
+    for group, w in _kept(state, skip):
         if w is u:  # the reps are distinct dict keys, so this is cover g alone
             continue
         p, q = w[c], w[c + 1]
@@ -407,14 +416,13 @@ def covers_mod(rows, p: int, flat) -> CoverState:
     return _covers(list(rows), flat, partial(_reduce_mod, p=p), tuple)
 
 
-def cover_step_mod(state: CoverState, p: int, g: int) -> CoverState:
-    groups, reps = state.groups, state.reps
-    u = reps[g]
+def cover_step_mod(state: CoverState, p: int, g: int, skip: int = 0) -> CoverState:
+    u = state.reps[g]
     c = u.index(next(filter(None, u)))  # u is monic: u[c] is 1
     support = [(j, y) for j, y in enumerate(u) if y]  # where w - w[c]*u is not w
     covers: dict[tuple, int] = {}
     get = covers.get
-    for group, w in zip(groups, reps):
+    for group, w in _kept(state, skip):
         if w is u:  # the reps are distinct dict keys, so this is cover g alone
             continue
         b = w[c]

@@ -36,6 +36,9 @@ from .field import (
     residue_vector,
 )
 
+# the covers a budgeted walk issues unless told otherwise (E7's full walk: 883,281)
+MAX_COVERS = 3_000_000
+
 
 class GroundSet:
     """A finite ground set 0..size-1 with display labels."""
@@ -228,7 +231,7 @@ class VectorBackend:
             self._closure = lambda rows, sub: kernels.closure_mod(rows, p, sub)
             self._fundamental = lambda rows, sub, ask: kernels.fundamental_mod(rows, p, sub, ask)
             self._covers = lambda rows, flat: kernels.covers_mod(rows, p, flat)
-            self._step = lambda state, g: kernels.cover_step_mod(state, p, g)
+            self._step = lambda state, g, skip=0: kernels.cover_step_mod(state, p, g, skip)
 
     @property
     def size(self) -> int:
@@ -247,9 +250,10 @@ class VectorBackend:
         """The flat's cover state, from scratch: per cover, its elements outside it."""
         return self._covers(self._rows, list(flat))
 
-    def cover_step(self, state: kernels.CoverState, g: int) -> kernels.CoverState:
-        """The cover state of the g-th cover, by one step from the flat's."""
-        return self._step(state, g)
+    def cover_step(self, state: kernels.CoverState, g: int, skip: int = 0) -> kernels.CoverState:
+        """The cover state of the g-th cover, by one step from the flat's,
+        without the covers inside ``skip`` (``kernels.cover_step_*``)."""
+        return self._step(state, g, skip)
 
     @cached_property
     def reflection_closed(self) -> bool:
@@ -588,6 +592,13 @@ class Matroid:
         docstring has the proof, and the proof that on a reflection
         arrangement it records them all). Its levels go to
         ``_connected_cache``, and its budget counts every cover it issues.
+
+        The full walk to rank 2 keys each line once, from the first point it
+        visits on the line: it steps each point P with the lines already
+        recorded through P as ``skip`` (``_point_state``). Those are the
+        lines through any non-loop element e of P, as cl{e} = P. Only there:
+        a deeper walk steps on from the points' states, so they must hold
+        every cover.
         """
         root = self.closure(()).mask
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
@@ -595,6 +606,7 @@ class Matroid:
         # cl(empty set) has no element, so it is not connected
         levels = [{} if connected else {root: None}] + [{} for _ in range(k)]
         issued = 0
+        lines = [0] * self.size if k == 2 and not connected else None
         path = [self._on_path(root, 0, self._root_state)] if k else []
         while path:
             F, rank, state, covers = path[-1]
@@ -613,7 +625,12 @@ class Matroid:
                     continue
                 level[G] = F
                 if rank + 1 < k:
-                    step = None if state is None else self.backend.cover_step(state, g)
+                    if state is None:
+                        step = None
+                    elif lines is None:
+                        step = self.backend.cover_step(state, g)
+                    else:
+                        step = self._point_state(state, g, G, G & ~F, lines)
                     path.append(self._on_path(G, rank + 1, step))
                     break
             else:
@@ -626,6 +643,19 @@ class Matroid:
             self._connected_cache = stored
         else:
             self._flats_cache = stored
+
+    def _point_state(self, state: kernels.CoverState, g: int, P: int, group: int,
+                     lines: list[int]) -> kernels.CoverState:
+        """The cover state of the point P, the g-th cover of cl(empty set)
+        (``group`` is P without the loops), in a walk to the lines. ``lines``
+        holds per element the union of the recorded lines through it: P's
+        step skips those through its least non-loop element, and each line
+        it adds then joins ``lines`` at its elements outside P."""
+        step = self.backend.cover_step(state, g, lines[(group & -group).bit_length() - 1])
+        for rest in step.groups:
+            for e in _members(rest):
+                lines[e] |= P | rest
+        return step
 
     def _on_path(self, F: int, rank: int, state: kernels.CoverState | None):
         """The flat F (a bitmask) of this rank as the walk's path holds it:

@@ -217,6 +217,43 @@ CENSUS_CASES = {
 }
 
 
+# up to four Z[sqrt5] coordinates (as many as H4 has), half of them 0: a
+# row's first nonzero coordinate then often lies before another row's,
+# where that row's coordinate need not be rational
+_quad_coordinate = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+)
+sparse_quad_rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(_quad_coordinate, min_size=n, max_size=n).map(
+            lambda row: [x for pair in row for x in pair]
+        ),
+        min_size=1, max_size=7,
+    )
+)
+
+
+def quad_scale(x, row):
+    """x * row, for x = (a, b) meaning a + b*sqrt5 and a row flattened pairwise."""
+    a, b = x
+    return [t for j in range(0, len(row), 2)
+            for t in (a * row[j] + 5 * b * row[j + 1], a * row[j + 1] + b * row[j])]
+
+
+@st.composite
+def quad_lines(draw):
+    """Rows over Z[sqrt5] and one to three combinations x*r + y*s of two of
+    them with x, y in Z[sqrt5], so lines of three or more points appear
+    whose coefficients are not rational."""
+    rows = draw(sparse_quad_rows)
+    unit = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        r, s = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+        x, y = draw(unit), draw(unit)
+        rows.append([p + q for p, q in zip(quad_scale(x, r), quad_scale(y, s))])
+    return rows
+
+
 @st.composite
 def f3_vector_rows(draw):
     """Rows over F_3 with a zero row and a repeated row among them."""

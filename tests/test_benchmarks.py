@@ -50,6 +50,22 @@ def test_coxeter_row_of_d5():
     assert row["search_nodes"] == 1
 
 
+def test_coxeter_row_of_a3():
+    # a rank-3 type's hyperplanes are its lines: the full walk to rank 2,
+    # one step per point, each passed the lines to skip
+    bench = _load("bench_coxeter.py")
+    row = bench.coxeter_row("A3")
+    assert bench.mismatches("A3", row) == []
+    assert row["cover_steps"] == 6
+    assert row["search_nodes"] == 16
+
+
+def test_line_census_groups():
+    # one point-state group per line of D5 (without the skip, one per
+    # point on each line: 260)
+    assert _load("bench_kernels.py")._line_census_groups("D5") == (110, 110)
+
+
 def test_startup_footprint_parses_importtime():
     # canned ``-X importtime`` output of a job: the header, nested imports,
     # the job's own [time] line; "bare" is what ``python -c pass`` imports
@@ -60,6 +76,7 @@ def test_startup_footprint_parses_importtime():
         "import time:        50 |         50 |       _hashlib",
         "import time:      1500 |       1550 |     hashlib",
         "import time:      9000 |      10550 |   cremfan.matroid",
+        "import time:      4100 |      14650 | cremfan.cli",
         "import time:       900 |        900 | fractions",
         "import time:      4000 |       4000 | cremfan.fan",
         "[time] fan 0.002s",
@@ -67,8 +84,19 @@ def test_startup_footprint_parses_importtime():
     bench = _load("bench_startup.py")
     assert bench._imports(stderr) == {
         "_io": 197, "cremfan": 120, "_hashlib": 50, "hashlib": 1500,
-        "cremfan.matroid": 9000, "fractions": 900, "cremfan.fan": 4000,
+        "cremfan.matroid": 9000, "cremfan.cli": 4100, "fractions": 900, "cremfan.fan": 4000,
     }
     count, self_ms, ours = bench._footprint(stderr, {"_io": 200})
-    assert (count, ours) == (3, ["matroid", "fan"])
+    assert (count, ours) == (3, ["matroid", "cli", "fan"])
     assert self_ms == pytest.approx(2.45)
+
+
+def test_startup_footprint_lists_cli(tmp_path):
+    # the untimed -X importtime run imports cremfan.cli as a module (a job
+    # run as -m cremfan.cli runs it as __main__, with no line of its own)
+    bench = _load("bench_startup.py")
+    argv = bench._importtime_argv(["gen", "A3", "--out", str(tmp_path / "a3.json")])
+    assert argv[:4] == ["-X", "importtime", "-m", "cremfan"]
+    stderr = bench._run(argv, {**os.environ, "PYTHONPATH": bench.SRC})[1]
+    _count, _self_ms, ours = bench._footprint(stderr, {})
+    assert "cli" in ours and "generators" in ours

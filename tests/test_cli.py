@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from cremfan import cli, fan
+from cremfan import cli, matroid
 from cremfan.cli import main
 from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
 from cremfan.matroid import Matroid
@@ -48,6 +48,14 @@ def a3_file(tmp_path, capsys):
 def u25_file(tmp_path, capsys):
     path = str(tmp_path / "u25.json")
     assert main(["gen", "U:2,5", "--out", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.fixture()
+def k7_file(tmp_path, capsys):
+    path = str(tmp_path / "k7.json")
+    assert main(["gen", "K7", "--out", path]) == 0
     capsys.readouterr()
     return path
 
@@ -302,6 +310,40 @@ class TestCremona:
         assert doc["payload"]["count"] == 0
         assert walks == [2]
 
+    K7_STARS = ["0-1,0-2,0-3,0-4,0-5,0-6", "0-1,1-2,1-3,1-4,1-5,1-6"]
+
+    def test_realize_walk_has_a_budget(self, k7_file, capsys, monkeypatch):
+        # the realization is checked on M's hyperplanes, from one walk of M
+        # under matroid.MAX_COVERS, so a lattice too large for it (A10's)
+        # exits 3 and does not run on
+        monkeypatch.setattr(matroid, "MAX_COVERS", 100)
+        code, out, err = run(
+            capsys, "cremona", k7_file, "--realize", *self.K7_STARS, "--field", "Fp:101"
+        )
+        assert code == 3
+        assert out == ""
+        assert "the flat-lattice walk to rank 5 needs more than 100 covers" in err
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:101"])
+    def test_realize_with_a_wrong_vector_is_exit_4(self, k7_file, capsys, monkeypatch, field):
+        from cremfan import cremona
+
+        backend = cremona.VectorBackend
+
+        def replaced(f, vectors):
+            # element 20 (edge 5-6) gets twice the vector of element 0
+            vectors = list(vectors)
+            vectors[20] = tuple(x + x for x in vectors[0])
+            return backend(f, vectors)
+
+        monkeypatch.setattr(cremona, "VectorBackend", replaced)
+        code, out, err = run(
+            capsys, "cremona", k7_file, "--realize", *self.K7_STARS, "--field", field
+        )
+        assert code == 4
+        assert out == ""
+        assert "invariant violation: realization disagrees with the matroid on the hyperplane" in err
+
     def test_enumerate_leaf_mismatch_is_exit_4(self, a3_file, capsys, monkeypatch):
         import cremfan.cremona as cremona_mod
 
@@ -396,12 +438,12 @@ class TestFan:
         assert "ray adjacency graph needs a simple matroid" in err
 
     def test_graph_walk_has_a_budget(self, tmp_path, capsys, monkeypatch):
-        # the full walk of --graph issues at most fan.MAX_COVERS covers, so a
-        # lattice too large for it (E8's) exits 3 and does not run on
+        # the full walk of --graph issues at most matroid.MAX_COVERS covers, so
+        # a lattice too large for it (E8's) exits 3 and does not run on
         path = str(tmp_path / "d5.json")
         assert main(["gen", "D5", "--out", path]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(fan, "MAX_COVERS", 100)
+        monkeypatch.setattr(matroid, "MAX_COVERS", 100)
         code, out, err = run(capsys, "fan", path, "--graph")
         assert code == 3
         assert out == ""

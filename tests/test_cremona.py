@@ -1,16 +1,18 @@
 """Cremona bases: detection, lattice maps, support graphs, involutions, realizations."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cremfan import cremona
 from cremfan.cremona import (
     CremonaData,
     IntegerLinearMap,
     _exact_cover_bases,
+    _hyperplane_mismatch,
     _line_remainders,
     build_involution,
     crem_map,
@@ -34,10 +36,10 @@ from cremfan.generators import (
     uniform,
 )
 from cremfan.kernels import det_int
-from cremfan.matroid import Matroid, VectorBackend, parallel_connection
+from cremfan.matroid import Matroid, VectorBackend, census_mismatch, parallel_connection
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
-from conftest import by_label, count_backend_calls, determinant
+from conftest import by_label, count_backend_calls, determinant, f3_matroid
 
 # The running example: the rank-3 arrangement fixture with basis {1, 2, 6}
 # (0-based (0, 1, 5)) and its partner {2, 3, 5} (0-based (1, 2, 4)).
@@ -843,3 +845,81 @@ class TestRealize:
         d1, d2 = self._pair(a3)
         r = realize(a3, d1, d2, Field.from_spec("Fp:2"))
         assert r.field.spec == "Fp:2"
+
+
+@st.composite
+def f3_row_pairs(draw):
+    """Rows of two F_3 vector matroids on one ground set: M's, and N's, which
+    scale some of M's rows by 2 (the same matroid) and replace up to two."""
+    d = draw(st.integers(1, 3))
+    vectors = list(product(range(3), repeat=d))
+    rows = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=7))
+    other = [tuple(2 * x % 3 for x in row) if draw(st.booleans()) else row for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        other[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(vectors))
+    return rows, other
+
+
+class TestRealizationCertificate:
+    """``realize`` checks N = M on M's hyperplanes alone (proof in its docstring)."""
+
+    @given(f3_row_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_census_comparison(self, pair):
+        M, N = (f3_matroid(rows) for rows in pair)
+        assume(M.full_rank() == N.full_rank() >= 1)
+        # the reference: every rank's flats compared, on fresh twins
+        census = [f3_matroid(rows).flat_census() for rows in pair]
+        assert (_hyperplane_mismatch(M, N) is None) == (census_mismatch(*census) is None)
+
+    def test_k7_walks_m_once_and_closes_each_hyperplane_in_n(self, monkeypatch):
+        k7 = complete_graph_matroid(7)
+        d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
+        walks, closures = [], []
+        walk, closure = Matroid._walk, Matroid.closure
+
+        def walked(M, *args, **kwargs):
+            walks.append(M is k7)
+            return walk(M, *args, **kwargs)
+
+        def closed(M, subset):
+            closures.append(M is k7)
+            return closure(M, subset)
+
+        monkeypatch.setattr(Matroid, "_walk", walked)
+        monkeypatch.setattr(Matroid, "closure", closed)
+        realize(k7, d1, d2, "Fp:101")
+        # one walk, of M to its 63 hyperplanes, and none of N
+        assert walks == [True]
+        assert len(k7._flats_cache[5]) == 63 == closures.count(False)
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:101"])
+    def test_a_wrong_vector_is_an_invariant_violation(self, monkeypatch, field):
+        a4 = coxeter_matroid("A4")
+        d1, d2, *_ = enumerate_cremona_bases(a4)
+        backend = cremona.VectorBackend
+
+        def replaced(f, vectors):
+            # element 9 gets twice the vector of element 0
+            vectors = list(vectors)
+            vectors[9] = tuple(x + x for x in vectors[0])
+            return backend(f, vectors)
+
+        monkeypatch.setattr(cremona, "VectorBackend", replaced)
+        with pytest.raises(InvariantError, match="disagrees with the matroid on the hyperplane"):
+            realize(a4, d1, d2, field)
+
+    def test_a_realization_of_another_rank_is_refused(self, monkeypatch):
+        # U(2,5)'s hyperplanes are its points, which stay flats of rank 1 in
+        # any simple realization, so here the rank check alone fails
+        u25 = uniform(2, 5)
+        d1, d2 = cremona_check(u25, (0, 1)), cremona_check(u25, (1, 2))
+        backend = cremona.VectorBackend
+
+        def lifted(f, vectors):
+            # one more coordinate, 1 on element 0's vector alone
+            return backend(f, [(*v, f.coerce(int(e == 0))) for e, v in enumerate(vectors)])
+
+        monkeypatch.setattr(cremona, "VectorBackend", lifted)
+        with pytest.raises(InvariantError, match="wrong rank"):
+            realize(u25, d1, d2, "Fp:7")

@@ -5,11 +5,11 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cremfan import circuits as circuits_module
 from cremfan.errors import BudgetExceeded, InputError
-from cremfan.field import Field
+from cremfan.field import Field, QuadSqrt5
 from cremfan.generators import (
     a3_arrangement,
     complete_graph_matroid,
@@ -44,6 +44,8 @@ from conftest import (
     exhaustive_connected,
     f3_matroid,
     f3_vector_rows,
+    quad_lines,
+    quad_scale,
     record_walks,
 )
 
@@ -422,18 +424,23 @@ STEPPED_CASES = {
 
 def assert_stepped_states(M):
     """Every flat the walk expands has the from-scratch covers as its stepped
-    cover state."""
-    on_path, expanded = M._on_path, []
+    cover state; in a walk to the lines (rank 2), each point's holds only the
+    lines no earlier point holds."""
+    on_path, expanded, lines = M._on_path, [], set()
+    r = M.full_rank()
 
     def checked(F, rank, stepped):
         scratch = M.backend.covers_fast(tuple(_members(F)))
         assert stepped.rank == scratch.rank == rank
-        assert stepped.groups == scratch.groups
+        groups = scratch.groups
+        if r == 2 and rank == 1:
+            groups = [g for g in groups if F | g not in lines]
+            lines.update(F | g for g in groups)
+        assert stepped.groups == groups
         expanded.append(F)
         return on_path(F, rank, stepped)
 
     M._on_path = checked
-    r = M.full_rank()
     M.flats_of_rank(r)
     # a walk to rank r expands every flat of lower rank
     assert len(expanded) == sum(len(M.flats_of_rank(k)) for k in range(r))
@@ -605,6 +612,105 @@ class TestSteppedCovers:
             last[rank] = F
         assert sorted(last) == [0, 1, 2, 3]
         assert len(pushed) == 1 + 320
+
+
+def assert_line_census(M, twin):
+    """M's walk to the lines, against the same walk of its twin with cover
+    steps that skip nothing (reference): the same keys, the same values and
+    the same order at ranks 0 to 2. Returns the summed groups of the point
+    states the walk steps, None off a vector matroid."""
+    step = getattr(twin.backend, "cover_step", None)
+    if step is not None:
+        twin.backend.cover_step = lambda state, g, skip=0: step(state, g)
+    on_path, groups = M._on_path, []
+
+    def counted(F, rank, state):
+        if rank == 1 and state is not None:
+            groups.append(len(state.groups))
+        return on_path(F, rank, state)
+
+    M._on_path = counted
+    M.flats_of_rank(2)
+    twin.flats_of_rank(2)
+    assert sorted(M._flats_cache) == [0, 1, 2]
+    for k, level in M._flats_cache.items():
+        assert list(level.items()) == list(twin._flats_cache[k].items())
+    return sum(groups) if step is not None else None
+
+
+@st.composite
+def int_vector_rows(draw):
+    """Integer rows with a zero row and a multiple of the first among them."""
+    width = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=2, max_size=8))
+    return rows + [[0] * width, [-2 * x for x in rows[0]]]
+
+
+def _over_quad(rows):
+    # rows flattened pairwise, (a, b) for a + b*sqrt5
+    f = Field.from_spec("Qsqrt5")
+    return Matroid(VectorBackend(f, [
+        [QuadSqrt5(r[j], r[j + 1]) for j in range(0, len(r), 2)] for r in rows
+    ]))
+
+
+# named inputs with their lines: vector matroids over Z, and the line and
+# circuit backends, whose walk takes one closure per cover
+LINE_CENSUS_CASES = {
+    "K7": (lambda: complete_graph_matroid(7), 140),
+    "H4": (lambda: coxeter_matroid("H4"), 722),
+    "D5": (lambda: coxeter_matroid("D5"), 110),
+    "fano": (fano, 7),
+    "dowling:Z3": (lambda: dowling_rank3("Z3"), 21),
+    "U:3,6": (lambda: uniform(3, 6), 15),
+}
+
+
+class TestLineCensus:
+    """The walk to rank 2 keys each line once, from the first point on it,
+    and stores what a walk that keys every line from every point stores."""
+
+    @given(int_vector_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_over_z(self, rows):
+        M, twin = (Matroid(VectorBackend(Field.from_spec("Q"), rows)) for _ in range(2))
+        assume(M.full_rank() >= 2)
+        assert assert_line_census(M, twin) == len(M._flats_cache[2])
+
+    @given(quad_lines())
+    @settings(max_examples=80, deadline=None)
+    def test_over_z_sqrt5(self, rows):
+        rows = rows + [[0] * len(rows[0]), quad_scale((1, 1), rows[0])]
+        M, twin = _over_quad(rows), _over_quad(rows)
+        assume(M.full_rank() >= 2)
+        assert assert_line_census(M, twin) == len(M._flats_cache[2])
+
+    @given(int_vector_rows(), st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=80, deadline=None)
+    def test_over_f_p(self, rows, p):
+        rows = [[x % p for x in r] for r in rows]
+        M, twin = (Matroid(VectorBackend(Field.from_spec(f"Fp:{p}"), rows)) for _ in range(2))
+        assume(M.full_rank() >= 2)
+        assert assert_line_census(M, twin) == len(M._flats_cache[2])
+
+    @pytest.mark.parametrize("name", list(LINE_CENSUS_CASES))
+    def test_named_inputs(self, name):
+        make, lines = LINE_CENSUS_CASES[name]
+        M, twin, reference = make(), make(), make()
+        groups = assert_line_census(M, twin)
+        level = M._flats_cache[2]
+        assert [_members(L) for L in level] == [sorted(L) for L in naive_flats(reference, 2)]
+        assert len(level) == lines
+        # each line is found from its first point, the closure of its least element
+        for L, P in level.items():
+            assert P == reference.closure(_members(L)[:1]).mask
+        # one point-state group per line (was one per point on each line:
+        # 315 on K7, 1,860 on H4, 260 on D5)
+        if isinstance(M.backend, VectorBackend):
+            assert groups == lines
+        else:
+            assert groups is None
 
 
 class TestBackends:
