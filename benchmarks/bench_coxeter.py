@@ -2,15 +2,16 @@
 
 For each of 23 Coxeter types (A3-A8, B3-B8, D4-D8, F4, H3, H4, E6, E7
 and E8) the script builds the arrangement matroid afresh and runs
-``graph_S`` and ``enumerate_cremona_bases`` on it, timed together. Per
-type it records:
+``graph_S`` and ``enumerate_cremona_bases`` on it, timed together, three
+times (``REPEATS``), each on a fresh matroid. Per type it records:
 
 * the S-graph values: the connected hyperplanes, the min rank-one degree,
   the max corank-one degree and the verdict;
 * the Cremona bases found;
-* the wall seconds, the cover steps of the lattice walks (``cover_step``
-  calls, counted through the backend) and the nodes of the Cremona search
-  (read from a second, untimed search).
+* the median wall seconds of the three runs, the cover steps of the
+  lattice walks (``cover_step`` calls, counted through the backend, the
+  same in every run) and the nodes of the Cremona search (read from a
+  second, untimed search).
 
 The paper's theorem predicts the split the table shows: the verdict is
 false exactly where a Cremona basis exists (A_n has n + 1, B_n one).
@@ -30,6 +31,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import sys
 import time
 
@@ -38,6 +40,9 @@ from cremfan.fan import graph_S
 from cremfan.generators import coxeter_matroid
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_coxeter.json")
+# timed runs per type: a single run of a row under 0.2 s moves by up to
+# +-50% between runs on a shared 2-CPU VM
+REPEATS = 3
 VALUES = ("hyperplanes", "min_rank_one_degree", "max_corank_one_degree", "verdict",
           "cremona_bases")
 
@@ -69,8 +74,11 @@ FROZEN = {
 }
 
 
-def coxeter_row(spec: str) -> dict:
-    """The values and the cost of one type, on a fresh matroid."""
+def _timed_run(spec: str) -> tuple[float, tuple, int, int]:
+    """One run on a fresh matroid: the wall seconds of ``graph_S`` and the
+    Cremona enumeration, the values in ``VALUES`` order, the cover steps and
+    the search nodes. The matroid is freed on return, so runs never overlap
+    in memory."""
     M = coxeter_matroid(spec)
     step, steps = M.backend.cover_step, [0]
 
@@ -90,11 +98,19 @@ def coxeter_row(spec: str) -> dict:
         report["verdict"],
         len(bases),
     )
+    return wall, values, steps[0], _exact_cover_bases(M, 200_000)[1]
+
+
+def coxeter_row(spec: str) -> dict:
+    """The values and the cost of one type, from ``REPEATS`` runs: the
+    median wall, and the values and counts of the last run."""
+    runs = [_timed_run(spec) for _ in range(REPEATS)]
+    _wall, values, steps, nodes = runs[-1]
     return {
         **dict(zip(VALUES, values)),
-        "wall_s": round(wall, 4),
-        "cover_steps": steps[0],
-        "search_nodes": _exact_cover_bases(M, 200_000)[1],
+        "wall_s": round(statistics.median(run[0] for run in runs), 4),
+        "cover_steps": steps,
+        "search_nodes": nodes,
     }
 
 

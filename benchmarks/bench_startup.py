@@ -2,8 +2,8 @@
 
 Each job runs as ``python -m cremfan.cli ...`` in a fresh interpreter, so
 its wall time is start-up, imports, load, compute and emit: the CLI run
-(L3) as a shell user sees it.  For each mode (gen, check, pair, realize,
-member, rays, graph) the script prints the median wall over N runs and,
+(L3) as a shell user sees it.  For each mode (gen, check, enumerate, pair,
+realize, member, rays, graph) the script prints the median wall over N runs and,
 read from one extra run under ``-X importtime`` that is not timed, the
 number of other modules the job imports that a bare ``python -c pass``
 does not, their summed self ms, and the ``cremfan`` submodules it imports.
@@ -16,7 +16,10 @@ reference.  The jobs run round-robin, one run of each per round.
 A second table gives, per mode, the median of N ``cremfan.cli.main`` calls
 in this process after one warm call: the per-call fixed cost of L3
 (parse the arguments, load and hash the file, emit the report) on these
-small inputs, apart from interpreter start-up and imports.
+small inputs, apart from interpreter start-up and imports.  Its
+``enumerate`` row, on A3's four Cremona bases, shows what the matroid
+summary, the Cremona maps and the emit of four basis reports add to the
+``check`` row's one basis.
 
 Inputs are small (the A3 arrangement, labeled 1..6, and the Fano plane),
 so the wall is almost all start-up.  The child processes inherit the
@@ -45,6 +48,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 JOBS = [
     ("gen", ["gen", "A3", "--out", "{dir}/gen.json"]),
     ("check", ["cremona", "{dir}/a3.json", "--check", "1,2,6"]),
+    ("enumerate", ["cremona", "{dir}/a3.json", "--enumerate"]),
     ("pair", ["cremona", "{dir}/a3.json", "--pair", "1,2,6", "2,3,5"]),
     ("realize", ["cremona", "{dir}/a3.json", "--realize", "1,2,6", "2,3,5", "--field", "Fp:3"]),
     ("member", ["fan", "{dir}/fano.json", "--member", "0,1,2,3,4,5,6"]),
@@ -122,7 +126,7 @@ def main() -> None:
     env = {**os.environ, "PYTHONPATH": SRC}
     bytecode = "not written" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "cached"
     print(f"python {sys.version.split()[0]}, bytecode {bytecode}, median of {args.repeat} runs")
-    print(f"{'mode':<8} {'median ms':>9} {'other':>5} {'self ms':>7}  cremfan modules imported")
+    print(f"{'mode':<9} {'median ms':>9} {'other':>5} {'self ms':>7}  cremfan modules imported")
     with tempfile.TemporaryDirectory() as tmp:
         for spec, name in (("a3-arrangement", "a3"), ("fano", "fano")):
             _run(["-m", "cremfan.cli", "gen", spec, "--out", f"{tmp}/{name}.json"], env)
@@ -141,11 +145,11 @@ def main() -> None:
         sys.path.insert(0, SRC)
         per_call = [_per_call([t.format(dir=tmp) for t in job], args.repeat) for _, job in JOBS]
     for (mode, _job, (count, self_ms, ours)), times in zip(rows, walls):
-        print(f"{mode:<8} {statistics.median(times) * 1000:9.1f} {count:5d} {self_ms:7.1f}  "
+        print(f"{mode:<9} {statistics.median(times) * 1000:9.1f} {count:5d} {self_ms:7.1f}  "
               f"{', '.join(ours)}")
-    print(f"{'mode':<8} {'median ms':>9}  per main() call in one process, after a warm call")
+    print(f"{'mode':<9} {'median ms':>9}  per main() call in one process, after a warm call")
     for (mode, _job), seconds in zip(JOBS, per_call):
-        print(f"{mode:<8} {seconds * 1000:9.2f}")
+        print(f"{mode:<9} {seconds * 1000:9.2f}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Subpackage map:
 
 * :mod:`cremfan.field` — exact scalars (Q, Q(sqrt5), F_p) and their kernel rows
 * :mod:`cremfan.kernels` — exact Bareiss and mod-p elimination kernels
-* :mod:`cremfan.matroid` — rank oracles, flats, minors, isomorphism search
+* :mod:`cremfan.matroid` — rank oracles, flats, connectivity, minors
+* :mod:`cremfan.isomorphism` — isomorphism and automorphism search
 * :mod:`cremfan.circuits` — the check that a circuit list is a matroid's
 * :mod:`cremfan.generators` — Coxeter arrangements and named small matroids
 * :mod:`cremfan.fan` — Bergman fan membership, nested rays, the graph S
@@ -27,12 +28,13 @@ _HOME = {
         "field": ("Field", "FieldFormatError"),
         "matroid": (
             "Matroid", "VectorBackend", "LineBackend", "CircuitBackend", "MinorBackend",
-            "Flat", "ElementBijection", "parallel_connection",
+            "Flat", "ElementBijection",
         ),
+        "isomorphism": ("automorphisms", "find_isomorphism"),
         "generators": (
             "a3_arrangement", "complete_graph_matroid", "coxeter_matroid",
             "dowling_rank3", "fano", "fano_selfduality", "from_spec_string",
-            "graphic_matroid", "positive_roots", "uniform",
+            "graphic_matroid", "parallel_connection", "positive_roots", "uniform",
         ),
         "fan": (
             "TropicalPoint", "graph_S", "in_bergman_fan", "in_bergman_fan_circuits",

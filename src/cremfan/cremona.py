@@ -31,15 +31,20 @@ if TYPE_CHECKING:
 
 
 class IntegerLinearMap(_SetOnce):
-    """An integer matrix acting on Z^E; column k is the image of v_k."""
+    """An integer matrix acting on Z^E; column k is the image of v_k.
 
-    __slots__ = ("matrix", "_one_cache", "_qdet_cache")
+    ``moved``, when given, holds every column that is not the unit vector at
+    its own index (``indicator_map`` passes its assigned elements)."""
 
-    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
+    __slots__ = ("matrix", "moved", "_one_cache", "_qdet_cache")
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], *,
+                 moved: Sequence[int] | None = None):
         m = len(matrix)
         if any(len(row) != m for row in matrix):
             raise InputError("integer linear map must be square")
         self.matrix = matrix
+        self.moved = moved
 
     def __eq__(self, other):
         if not isinstance(other, IntegerLinearMap):
@@ -91,13 +96,17 @@ class IntegerLinearMap(_SetOnce):
 
     def quotient_determinant(self) -> int:
         """The determinant of ``quotient_matrix``. When A*1 = c*1 with c
-        nonzero, det A = c * det Q, and det A = det A[K, K] with K the columns
-        that are not the unit vector at their own index: for a Cremona map,
-        an r x r determinant in place of an (m - 1) x (m - 1) one."""
+        nonzero, det A = c * det Q, and det A = det A[K, K] for any K that
+        holds the columns that are not the unit vector at their own index:
+        ``moved``, or else the columns found by a scan. For a Cremona map K
+        is the basis: an r x r determinant in place of an (m - 1) x (m - 1)
+        one, with no m x m transpose."""
         if not hasattr(self, "_qdet_cache"):
             A, c, m = self.matrix, self.one_multiple(), self.size
             if c:
-                K = [k for k, col in enumerate(zip(*A)) if col[k] != 1 or col.count(0) < m - 1]
+                K = self.moved if self.moved is not None else [
+                    k for k, col in enumerate(zip(*A)) if col[k] != 1 or col.count(0) < m - 1
+                ]
                 self._qdet_cache = det_int([[A[i][j] for j in K] for i in K]) // c
             else:
                 self._qdet_cache = det_int(self.quotient_matrix())
@@ -119,12 +128,16 @@ def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLi
         raise InputError(f"assignment keys out of range: {sorted(bad_keys)}")
     rows = [[0] * m for _ in range(m)]
     for e in range(m):
-        target = frozenset(assignment.get(e, {e}))
+        if e not in assignment:
+            rows[e][e] = 1
+    moved = sorted(assignment)
+    for e in moved:
+        target = frozenset(assignment[e])
         if not all(isinstance(x, int) and 0 <= x < m for x in target):
             raise InputError(f"assignment for element {e} is out of range")
         for i in target:
             rows[i][e] = 1
-    return IntegerLinearMap(tuple(map(tuple, rows)))
+    return IntegerLinearMap(tuple(map(tuple, rows)), moved=moved)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +392,9 @@ def crem_map(data: CremonaData) -> IntegerLinearMap:
     Validates independently that the all-ones line is preserved (the image
     of 1 must be a positive multiple of 1) and that the quotient matrix is
     unimodular; a failure of either means a non-Cremona input slipped
-    through and is an invariant violation.
+    through and is an invariant violation. ``indicator_map`` fixes every
+    element outside the basis, so the determinant reads the basis columns
+    alone.
     """
     M = data.matroid
     assignment = {

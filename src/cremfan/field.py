@@ -461,13 +461,9 @@ def _lcm(a: int, b: int) -> int:
 def primitive_int_vector(vec: Iterable[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same line)."""
     vec = [_as_fraction(x) for x in vec]
-    den = 1
-    for x in vec:
-        den = _lcm(den, x.denominator)
+    den = math.lcm(*[x.denominator for x in vec])
     ints = [x.numerator * (den // x.denominator) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)

@@ -2,8 +2,9 @@
 
 Covers the finite irreducible reflection-arrangement matroids (types A, B,
 D, E, F, H) from explicit positive-root coordinates, graphic matroids,
-uniform matroids, the Fano plane, rank-3 Dowling matroids, and the bundled
-rank-3 braid-arrangement fixture with its documented element labeling.
+uniform matroids, the Fano plane, rank-3 Dowling matroids, the bundled
+rank-3 braid-arrangement fixture with its documented element labeling, and
+the parallel connection of two matroids.
 
 Element orders are part of the public contract (serialization and CLI
 element references depend on them) and are documented per family in
@@ -519,6 +520,52 @@ def a3_arrangement() -> Matroid:
 
     text = resources.files("cremfan").joinpath("data/a3_arrangement.json").read_text()
     return serialize.matroid_from_dict(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# parallel connection
+
+
+def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
+    """Parallel connection of two matroids across identified basepoints.
+
+    Ground set layout: elements of M1 except e1, then the joint (keeping
+    M1's basepoint label), then elements of M2 except e2. Circuits are the
+    inherited ones of both summands plus the mixed unions through the joint.
+    """
+    for M, e in ((m1, e1), (m2, e2)):
+        M._check_subset({e})
+        if M.rank({e}) == 0:
+            raise InputError("basepoint is a loop")
+        if M.rank(set(range(M.size)) - {e}) < M.full_rank():
+            raise InputError("basepoint is a coloop")
+    left = [e for e in range(m1.size) if e != e1]
+    right = [e for e in range(m2.size) if e != e2]
+    joint = len(left)
+    map1 = {e: i for i, e in enumerate(left)}
+    map1[e1] = joint
+    map2 = {e: joint + 1 + i for i, e in enumerate(right)}
+    map2[e2] = joint
+    labels = [m1.ground.label(e) for e in left] + [m1.ground.label(e1)]
+    seen = set(labels)
+    for e in right:
+        lab = m2.ground.label(e)
+        while lab in seen:
+            lab += "'"
+        seen.add(lab)
+        labels.append(lab)
+    c1 = [frozenset(map1[x] for x in C) for C in m1.circuits()]
+    c2 = [frozenset(map2[x] for x in C) for C in m2.circuits()]
+    mixed = [
+        (C1 - {joint}) | (C2 - {joint})
+        for C1 in c1
+        if joint in C1
+        for C2 in c2
+        if joint in C2
+    ]
+    size = len(left) + 1 + len(right)
+    # the circuits of a parallel connection, so the list needs no check
+    return Matroid(CircuitBackend(size, c1 + c2 + mixed, checked=True), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ connected flats are stored as connected levels (``connected_flats_of_rank``):
 on a reflection arrangement, from rank 3 up, the connected walk's, which
 expands only the connected covers; else the full walk's levels, filtered one
 level at a time with no rank or closure query. A walked flat's connectivity
-is read off them; other flats go through a greedy-basis oracle.
+is read off them, and a simple matroid's off its stored lines when they join
+all of E; other flats go through a greedy-basis oracle.
 """
 
 from __future__ import annotations
@@ -686,9 +687,11 @@ class Matroid:
 
         A flat the lattice walk found is connected iff it is in its rank's
         connected level (``_connected_level``), with no flatness, rank or
-        closure query. Any other flat, such as E before the walk reaches it
-        or the join of two rays, uses the fundamental-circuit graph of a
-        greedy basis (``_connected``); E's verdict is kept, as its rank is.
+        closure query. E, before the walk reaches it, is connected when the
+        stored lines join it (``_lines_join``); any other flat, such as the
+        join of two rays, and E where the lines do not decide, uses the
+        fundamental-circuit graph of a greedy basis (``_connected``). E's
+        verdict is kept, as its rank is.
         """
         F = self._check_subset(flat)
         mask = _mask(F)
@@ -697,7 +700,7 @@ class Matroid:
             return mask in self._connected_level(walked)
         if len(F) == self.size:
             if self._full_connected is None:
-                self._full_connected = self._connected(F)
+                self._full_connected = self._lines_join() or self._connected(F)
             return self._full_connected
         if not self.is_flat(F):
             raise InputError("connectivity is defined here only for flats")
@@ -747,6 +750,33 @@ class Matroid:
             connected[r] = {G: F for G, F in level.items() if len(components[G]) == 1}
             below = components
         return connected, pairs
+
+    def _lines_join(self) -> bool:
+        """Whether M is simple and its stored lines of three or more points
+        join all of E, read off the stored levels with no backend call.
+
+        Any 3 points of a line of a simple matroid form a circuit, and
+        elements that share a circuit lie in one component (Oxley 2011,
+        §4.1), so then M is connected. False, leaving the verdict to
+        ``_connected``, when the stored levels 0 and 1 do not show M simple,
+        when no lines are stored, or when they leave E apart. On a simple
+        matroid the connected lines are exactly these lines.
+        """
+        if 1 not in self._flats_cache or not self.is_simple():
+            return False
+        lines = self._connected_cache.get(2)
+        if lines is None:
+            if 2 not in self._flats_cache:
+                return False
+            lines = [L for L in self._flats_cache[2] if L.bit_count() >= 3]
+        full, reached, grown = (1 << self.size) - 1, 1, True
+        while grown and reached != full:
+            grown = False
+            for L in lines:
+                if L & reached and L & ~reached:
+                    reached |= L
+                    grown = True
+        return reached == full
 
     def _connected(self, F: frozenset[int]) -> bool:
         """Whether M|F is connected, for a flat F, by the fundamental-circuit
@@ -855,53 +885,7 @@ class Matroid:
 
 
 # ---------------------------------------------------------------------------
-# parallel connection
-
-
-def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
-    """Parallel connection of two matroids across identified basepoints.
-
-    Ground set layout: elements of M1 except e1, then the joint (keeping
-    M1's basepoint label), then elements of M2 except e2. Circuits are the
-    inherited ones of both summands plus the mixed unions through the joint.
-    """
-    for M, e in ((m1, e1), (m2, e2)):
-        M._check_subset({e})
-        if M.rank({e}) == 0:
-            raise InputError("basepoint is a loop")
-        if M.rank(set(range(M.size)) - {e}) < M.full_rank():
-            raise InputError("basepoint is a coloop")
-    left = [e for e in range(m1.size) if e != e1]
-    right = [e for e in range(m2.size) if e != e2]
-    joint = len(left)
-    map1 = {e: i for i, e in enumerate(left)}
-    map1[e1] = joint
-    map2 = {e: joint + 1 + i for i, e in enumerate(right)}
-    map2[e2] = joint
-    labels = [m1.ground.label(e) for e in left] + [m1.ground.label(e1)]
-    seen = set(labels)
-    for e in right:
-        lab = m2.ground.label(e)
-        while lab in seen:
-            lab += "'"
-        seen.add(lab)
-        labels.append(lab)
-    c1 = [frozenset(map1[x] for x in C) for C in m1.circuits()]
-    c2 = [frozenset(map2[x] for x in C) for C in m2.circuits()]
-    mixed = [
-        (C1 - {joint}) | (C2 - {joint})
-        for C1 in c1
-        if joint in C1
-        for C2 in c2
-        if joint in C2
-    ]
-    size = len(left) + 1 + len(right)
-    # the circuits of a parallel connection, so the list needs no check
-    return Matroid(CircuitBackend(size, c1 + c2 + mixed, checked=True), labels)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism and automorphism search
+# flat censuses
 
 
 def census_mismatch(census: Sequence[AbstractSet[int]],
@@ -922,129 +906,3 @@ def census_mismatch(census: Sequence[AbstractSet[int]],
         if mapped != other[k]:
             return k
     return None if len(census) == len(other) else common
-
-
-def _line_table(census: Sequence[AbstractSet[int]], n: int):
-    """The closures of all pairs, read off a flat census of an n-element matroid.
-
-    cl{a, b} is the first flat of rank at most 2 that holds a and b.
-    Returns the pair -> line id table, the size of each line, and per
-    element the sorted sizes of the lines through it (its line profile).
-    """
-    pair_line: dict[tuple[int, int], int] = {}
-    sizes: list[int] = []
-    through: list[list[int]] = [[] for _ in range(n)]
-    for level in census[:3]:
-        for F in level:
-            points = _members(F)
-            spanned = [
-                pair for pair in itertools.combinations(points, 2)
-                if pair not in pair_line
-            ]
-            if not spanned:
-                continue
-            for pair in spanned:
-                pair_line[pair] = len(sizes)
-            sizes.append(len(points))
-            for e in points:
-                through[e].append(len(points))
-    return pair_line, sizes, [tuple(sorted(th)) for th in through]
-
-
-def _search(m1: Matroid, m2: Matroid, *, find_all: bool, max_elements: int):
-    n = m1.size
-    if n != m2.size or m1.full_rank() != m2.full_rank():
-        return []
-    if n > max_elements:
-        raise BudgetExceeded(
-            f"isomorphism search over {n} elements exceeds the budget of "
-            f"{max_elements}; raise max_elements to override"
-        )
-    if n == 0:
-        return [ElementBijection(())]
-    census1, census2 = m1.flat_census(), m2.flat_census()
-    pair1, sizes1, prof1 = _line_table(census1, n)
-    pair2, sizes2, prof2 = _line_table(census2, n)
-    if sorted(prof1) != sorted(prof2):
-        return []
-    if [len(level) for level in census1] != [len(level) for level in census2]:
-        return []
-
-    # static order: scarce line profiles first, high incidence degree first
-    freq: dict[tuple, int] = {}
-    for p in prof1:
-        freq[p] = freq.get(p, 0) + 1
-    order = sorted(range(n), key=lambda e: (freq[prof1[e]], -len(prof1[e]), e))
-    candidates = [
-        [x for x in range(n) if prof2[x] == prof1[e]] for e in order
-    ]
-
-    assigned: dict[int, int] = {}
-    used = [False] * n
-    line_map: dict[int, int] = {}
-    line_map_rev: dict[int, int] = {}
-    results: list[ElementBijection] = []
-
-    def extend(depth: int) -> bool:
-        if depth == len(order):
-            forward = [0] * n
-            for a, x in assigned.items():
-                forward[a] = x
-            if census_mismatch(census1, census2, forward) is not None:
-                return False
-            results.append(ElementBijection(tuple(forward)))
-            return not find_all
-        a = order[depth]
-        for x in candidates[depth]:
-            if used[x]:
-                continue
-            trail = []
-            ok = True
-            for b, y in assigned.items():
-                l1 = pair1[(a, b) if a < b else (b, a)]
-                l2 = pair2[(x, y) if x < y else (y, x)]
-                if sizes1[l1] != sizes2[l2]:
-                    ok = False
-                    break
-                bound = line_map.get(l1)
-                if bound is None:
-                    if line_map_rev.get(l2) is not None:
-                        ok = False
-                        break
-                    line_map[l1] = l2
-                    line_map_rev[l2] = l1
-                    trail.append((l1, l2))
-                elif bound != l2:
-                    ok = False
-                    break
-            if ok:
-                assigned[a] = x
-                used[x] = True
-                if extend(depth + 1):
-                    return True
-                del assigned[a]
-                used[x] = False
-            for l1, l2 in trail:
-                del line_map[l1]
-                del line_map_rev[l2]
-        return False
-
-    extend(0)
-    return results
-
-
-def find_isomorphism(
-    m1: Matroid, m2: Matroid, *, max_elements: int = 24
-) -> ElementBijection | None:
-    """A rank-preserving element bijection between two matroids, or None.
-
-    The returned map carries flats to flats of equal rank in both
-    directions (verified against the full flat censuses before returning).
-    """
-    found = _search(m1, m2, find_all=False, max_elements=max_elements)
-    return found[0] if found else None
-
-
-def automorphisms(M: Matroid, *, max_elements: int = 24) -> list[ElementBijection]:
-    """The full automorphism group as a list of element bijections."""
-    return _search(M, M, find_all=True, max_elements=max_elements)

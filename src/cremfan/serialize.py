@@ -21,11 +21,19 @@ entries and integer parts of "a+bw", all that the generators write, are
 read by ``int()`` and reach the kernels' integer rows with no Fraction
 multiply; other rationals go through ``Fraction``'s parser.  Either way the
 loaded vectors hold field elements, never bare ints.
+
+Every document this package writes, matroid files and CLI reports, is
+``dumps`` text: the text of ``json.dumps(doc, indent=2, sort_keys=True)``
+and a newline.  ``json.dumps`` runs its pure-Python encoder whenever
+``indent`` is set, so ``dumps`` encodes the tree itself: each string goes
+through json's C ``encode_basestring_ascii``, and each list or object is
+one ``join`` of its encoded items.  Loading uses ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import InputError
@@ -134,9 +142,62 @@ def load_matroid(path: str | Path) -> Matroid:
     return matroid_from_dict(doc)
 
 
-def dumps(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, stable separators, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def dumps(doc) -> str:
+    """Canonical JSON text: sorted keys, stable separators, trailing newline.
+
+    The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, and
+    the same TypeError where that raises one; a document must be a tree,
+    as no reference cycle is looked for.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """One value as ``json.dumps(..., indent=2, sort_keys=True)`` writes it,
+    with ``newline`` the line break and indent it starts after."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+_INF = float("inf")
+
+
+def _key(key) -> str:
+    """An object key as json writes it, before quoting: a scalar key as
+    that scalar's own text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _expect_str(doc: dict, key: str) -> str:

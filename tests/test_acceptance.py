@@ -46,9 +46,10 @@ from cremfan.generators import (
     fano_selfduality,
     inner,
     orbit,
+    parallel_connection,
     uniform,
 )
-from cremfan.matroid import automorphisms, parallel_connection
+from cremfan.isomorphism import automorphisms
 
 from conftest import in_span
 

@@ -310,6 +310,23 @@ class TestCremona:
         assert doc["payload"]["count"] == 0
         assert walks == [2]
 
+    @pytest.mark.parametrize("spec, bases", [("K7", 7), ("D5", 0)])
+    def test_enumerate_eliminates_once_per_basis(self, spec, bases, tmp_path, capsys,
+                                                 monkeypatch):
+        # one fundamental-circuit elimination per basis, its re-check; the
+        # summary's "connected" reads the walked lines, which join E, where
+        # an elimination of E made one more
+        path = str(tmp_path / f"{spec}.json")
+        assert main(["gen", spec, "--out", path]) == 0
+        capsys.readouterr()
+        M = load_matroid(path)
+        calls = count_backend_calls(M, monkeypatch)
+        monkeypatch.setattr(cli, "load_matroid", lambda _path: M)
+        doc, _ = run_json(capsys, "cremona", path, "--enumerate")
+        assert doc["payload"]["count"] == bases
+        assert doc["matroid"]["connected"] is True
+        assert calls["fundamental_fast"] == bases
+
     K7_STARS = ["0-1,0-2,0-3,0-4,0-5,0-6", "0-1,1-2,1-3,1-4,1-5,1-6"]
 
     def test_realize_walk_has_a_budget(self, k7_file, capsys, monkeypatch):

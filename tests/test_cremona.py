@@ -33,10 +33,11 @@ from cremfan.generators import (
     coxeter_matroid,
     dowling_rank3,
     fano,
+    parallel_connection,
     uniform,
 )
 from cremfan.kernels import det_int
-from cremfan.matroid import Matroid, VectorBackend, census_mismatch, parallel_connection
+from cremfan.matroid import Matroid, VectorBackend, census_mismatch
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 from conftest import by_label, count_backend_calls, determinant, f3_matroid

@@ -540,7 +540,7 @@ class TestGraphS:
         with pytest.raises(InputError):
             graph_S(u23)  # rank 2 < 3
         broken = uniform(2, 3).contract([])  # fine; now force non-simple
-        from cremfan.matroid import parallel_connection
+        from cremfan.generators import parallel_connection
         # a matroid with a parallel pair: duplicate line elements via minors
         d4 = coxeter_matroid("D4")
         C = d4.contract(0)

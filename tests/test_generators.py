@@ -167,7 +167,7 @@ class TestCoxeterMatroids:
             assert M.is_simple()
 
     def test_a3_is_k4(self, k4):
-        from cremfan.matroid import find_isomorphism
+        from cremfan.isomorphism import find_isomorphism
         assert find_isomorphism(coxeter_matroid("A3"), k4) is not None
 
     def test_spec_parsing(self):
@@ -224,7 +224,7 @@ class TestNamedMatroids:
     def test_a3_arrangement_fixture(self, a3):
         assert a3.ground.labels == ["1", "2", "3", "4", "5", "6"]
         assert a3.full_rank() == 3
-        from cremfan.matroid import find_isomorphism
+        from cremfan.isomorphism import find_isomorphism
         assert find_isomorphism(a3, complete_graph_matroid(4)) is not None
 
 
@@ -253,19 +253,19 @@ class TestDowling:
         assert M.is_simple()
 
     def test_z4_vs_klein_not_isomorphic(self):
-        from cremfan.matroid import find_isomorphism
+        from cremfan.isomorphism import find_isomorphism
         assert find_isomorphism(dowling_rank3("z4"), dowling_rank3("z2xz2")) is None
 
 
 class TestOrbitAndSpecStrings:
     def test_orbit_of_frozensets(self, u23):
-        from cremfan.matroid import automorphisms
+        from cremfan.isomorphism import automorphisms
         gens = automorphisms(u23)
         assert orbit(gens, frozenset({0, 1})) == {
             frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})}
 
     def test_orbit_budget(self, u23):
-        from cremfan.matroid import automorphisms
+        from cremfan.isomorphism import automorphisms
         with pytest.raises(InputError):
             orbit(automorphisms(u23), frozenset({0, 1}), max_size=2)
 

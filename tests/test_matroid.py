@@ -16,8 +16,10 @@ from cremfan.generators import (
     coxeter_matroid,
     dowling_rank3,
     fano,
+    parallel_connection,
     uniform,
 )
+from cremfan.isomorphism import _line_table, automorphisms, find_isomorphism
 from cremfan.matroid import (
     CircuitBackend,
     ElementBijection,
@@ -25,12 +27,8 @@ from cremfan.matroid import (
     LineBackend,
     Matroid,
     VectorBackend,
-    _line_table,
     _members,
-    automorphisms,
     census_mismatch,
-    find_isomorphism,
-    parallel_connection,
 )
 
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
@@ -876,6 +874,30 @@ CONNECTIVITY_CASES = {
 }
 
 
+@st.composite
+def vector_blocks(draw):
+    """(field spec, rows): one or two diagonal blocks over Q or F_3, each a
+    set of distinct points with entries in {-1, 0, 1}, then maybe a zero row
+    and a multiple of the first row; so simple and non-simple, connected
+    and disconnected matroids all occur."""
+    spec = draw(st.sampled_from(["Q", "Fp:3"]))
+    blocks = []
+    for _ in range(draw(st.sampled_from([1, 1, 2]))):
+        width = draw(st.sampled_from([2, 3, 3, 4]))
+        points = [v for v in itertools.product((-1, 0, 1), repeat=width)
+                  if next((x for x in v if x), 0) == 1]
+        blocks.append(draw(st.lists(st.sampled_from(points), min_size=width, max_size=9,
+                                    unique=True)))
+    widths = [len(block[0]) for block in blocks]
+    rows = [[0] * sum(widths[:i]) + list(row) + [0] * sum(widths[i + 1:])
+            for i, block in enumerate(blocks) for row in block]
+    if not draw(st.integers(0, 3)):
+        rows.append([0] * len(rows[0]))
+    if not draw(st.integers(0, 3)):
+        rows.append([2 * x for x in rows[0]])
+    return spec, rows
+
+
 def assert_walk_connectivity(M, reference, *, exhaustive_up_to=9):
     """M.is_connected on every flat against the greedy-basis oracle of a fresh copy."""
     for F in all_flats(reference):
@@ -910,6 +932,19 @@ class TestConnectivityFromTheWalk:
         M = f3_matroid(rows)
         list(all_flats(M))
         assert_walk_connectivity(M, f3_matroid(rows))
+
+    @given(vector_blocks(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_e_after_the_lines_as_the_elimination(self, case, filtered):
+        # with the lines stored, E's verdict may come from them with no
+        # backend call (the full walk's lines, or the connected lines the
+        # filter keeps); it must be the elimination's
+        spec, rows = case
+        M = Matroid(VectorBackend(Field.from_spec(spec), rows))
+        assume(M.full_rank() >= 2)
+        M.connected_flats_of_rank(2) if filtered else M._level(2)
+        E = frozenset(range(M.size))
+        assert M.is_connected(E) == M._connected(E)
 
     @pytest.mark.parametrize("name, budget", [
         ("D4/0", 20), ("loop+parallel", 3), ("direct-sum-15", 30), ("H3", 40),

@@ -4,10 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cremfan.errors import InputError
 from cremfan.field import QuadSqrt5
-from cremfan.matroid import find_isomorphism
+from cremfan.isomorphism import find_isomorphism
 from cremfan.serialize import (
     dumps,
     load_matroid,
@@ -95,6 +96,57 @@ class TestRoundTrips:
         doc = matroid_to_dict(a3)
         assert dumps(doc) == dumps(json.loads(dumps(doc)))
         assert dumps(doc).endswith("\n")
+
+
+# strings with non-ASCII, control and lone surrogate characters
+_text = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from('\ud800\udfff\x00\x1f\x7f"\\\u2028')),
+    max_size=6,
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2 ** 200), 2 ** 200), _text,
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+# every key type json accepts; keys of mixed types make json's sort raise TypeError
+_keys = st.one_of(_text, st.integers(), st.floats(), st.booleans(), st.none())
+# values json cannot encode, and keys it refuses
+_unencodable = st.sampled_from([Fraction(1, 2), {1, 2}, b"x", {(1, 2): 0}])
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+        st.dictionaries(_keys, children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class TestDumps:
+    """``dumps`` against the ``json.dumps`` call it replaces (reference)."""
+
+    @staticmethod
+    def assert_as_json(doc):
+        try:
+            want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        except TypeError as exc:
+            with pytest.raises(TypeError) as info:
+                dumps(doc)
+            assert str(info.value) == str(exc)
+        else:
+            assert dumps(doc) == want
+
+    @given(_documents)
+    @settings(max_examples=300, deadline=None)
+    def test_text_of_json_dumps(self, doc):
+        self.assert_as_json(doc)
+
+    @given(_documents, _unencodable)
+    @settings(max_examples=100, deadline=None)
+    def test_same_type_error(self, doc, bad):
+        self.assert_as_json([doc, bad])
+        self.assert_as_json({"a": doc, "b": {"c": [bad]}})
 
 
 class TestValidation:
