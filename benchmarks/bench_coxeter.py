@@ -35,7 +35,8 @@ import statistics
 import sys
 import time
 
-from cremfan.cremona import _exact_cover_bases, enumerate_cremona_bases
+from cremfan.cremona import enumerate_cremona_bases
+from cremfan.exact_cover import _exact_cover_bases
 from cremfan.fan import graph_S
 from cremfan.generators import coxeter_matroid
 

@@ -53,11 +53,13 @@ import resource
 import sys
 import time
 
-from cremfan import kernels
-from cremfan.cremona import _exact_cover_bases, _line_remainders
-from cremfan.field import primitive_int_vector, primitive_quad_vector, residue_vector
+from cremfan import fp, kernels, quad
+from cremfan.exact_cover import _exact_cover_bases, _line_remainders
+from cremfan.field import Field, primitive_int_vector
+from cremfan.fp import residue_vector
 from cremfan.generators import coxeter_matroid, from_spec_string, positive_roots
 from cremfan.matroid import _members
+from cremfan.quad import primitive_quad_vector
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 
@@ -72,7 +74,6 @@ def _quad_rows() -> list[tuple[int, ...]]:
 
 
 def _mod_rows(p: int) -> list[tuple[int, ...]]:
-    from cremfan.field import Field
     field = Field.from_spec(f"Fp:{p}")
     _f, vectors, _labels = positive_roots("B", 6)
     coerced = [[field.coerce(int(x)) for x in v] for v in vectors]
@@ -341,11 +342,15 @@ def _store_sizes(M) -> str:
 
 def _counted_walk(spec: str):
     # cover steps and coordinates eliminated in one walk, with the steps
-    # and the Z and F_p reductions wrapped. VectorBackend binds the step of
-    # its domain when it is built, so the matroid is made after the patch
+    # and the reductions wrapped. VectorBackend binds the step of its domain
+    # when it is built, so the matroid is made after the patch. The steps
+    # are read through kernels, as the backends read them; each reduction is
+    # patched in its home module, whose kernels read it there
     counts = [0, 0]
     steps = ("cover_step_int", "cover_step_quad", "cover_step_mod")
-    originals = {name: getattr(kernels, name) for name in (*steps, "_reduce_int", "_reduce_mod")}
+    homes = {"_reduce_int": kernels, "_reduce_quad": quad, "_reduce_mod": fp}
+    originals = {name: getattr(kernels, name) for name in steps}
+    originals.update((name, getattr(home, name)) for name, home in homes.items())
 
     def stepper(name):
         def step(state, *args):
@@ -365,12 +370,13 @@ def _counted_walk(spec: str):
 
     for name in steps:
         setattr(kernels, name, stepper(name))
-    kernels._reduce_int, kernels._reduce_mod = reducer("_reduce_int"), reducer("_reduce_mod")
+    for name, home in homes.items():
+        setattr(home, name, reducer(name))
     try:
         _seconds, M = _walk_levels(spec)
     finally:
         for name, original in originals.items():
-            setattr(kernels, name, original)
+            setattr(homes.get(name, kernels), name, original)
     return counts[0], counts[1], M
 
 

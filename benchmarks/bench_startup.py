@@ -6,7 +6,10 @@ its wall time is start-up, imports, load, compute and emit: the CLI run
 realize, member, rays, graph) the script prints the median wall over N runs and,
 read from one extra run under ``-X importtime`` that is not timed, the
 number of other modules the job imports that a bare ``python -c pass``
-does not, their summed self ms, and the ``cremfan`` submodules it imports.
+does not, their summed self ms, the source lines of the ``cremfan``
+modules it imports (the line counts of their files, the package's
+``__init__.py`` included: what the job compiles of the package when no
+bytecode is cached, the same on any machine), and those submodules.
 That run is ``python -m cremfan ...``, whose ``__main__`` imports
 ``cremfan.cli`` as a module, so cli's import and compile get a line of
 their own; run as ``__main__``, cli would have none.
@@ -98,6 +101,19 @@ def _footprint(stderr: str, bare: dict[str, int]) -> tuple[int, float, list[str]
     return len(other), sum(other) / 1000, ours
 
 
+def _source_lines(modules) -> int:
+    """The summed line counts of the source files of the ``cremfan`` modules
+    among ``modules`` (``cremfan`` itself is its ``__init__.py``)."""
+    total = 0
+    for name in modules:
+        package, _, submodule = name.partition(".")
+        if package == "cremfan":
+            path = os.path.join(SRC, "cremfan", (submodule or "__init__") + ".py")
+            with open(path, encoding="utf-8") as handle:
+                total += sum(1 for _line in handle)
+    return total
+
+
 def _per_call(argv: list[str], repeat: int) -> float:
     """Median seconds of one ``cremfan.cli.main(argv)`` call in this process,
     after a first call that warms the imports and the parser."""
@@ -126,27 +142,29 @@ def main() -> None:
     env = {**os.environ, "PYTHONPATH": SRC}
     bytecode = "not written" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "cached"
     print(f"python {sys.version.split()[0]}, bytecode {bytecode}, median of {args.repeat} runs")
-    print(f"{'mode':<9} {'median ms':>9} {'other':>5} {'self ms':>7}  cremfan modules imported")
+    print(f"{'mode':<9} {'median ms':>9} {'other':>5} {'self ms':>7} {'lines':>5}  "
+          "cremfan modules imported")
     with tempfile.TemporaryDirectory() as tmp:
         for spec, name in (("a3-arrangement", "a3"), ("fano", "fano")):
             _run(["-m", "cremfan.cli", "gen", spec, "--out", f"{tmp}/{name}.json"], env)
         bare = ["-c", "pass"]
         bare_modules = _imports(_run(["-X", "importtime", *bare], env)[1])
-        rows = [("python", bare, (0, 0.0, []))]
+        rows = [("python", bare, (0, 0.0, []), 0)]
         for mode, template in JOBS:
             cli_args = [token.format(dir=tmp) for token in template]
             imports = _run(_importtime_argv(cli_args), env)[1]
-            rows.append((mode, ["-m", "cremfan.cli", *cli_args], _footprint(imports, bare_modules)))
+            rows.append((mode, ["-m", "cremfan.cli", *cli_args], _footprint(imports, bare_modules),
+                         _source_lines(_imports(imports))))
         # round-robin, so that a drift in machine speed reaches every row alike
         walls: list[list[float]] = [[] for _ in rows]
         for _ in range(args.repeat):
-            for k, (_mode, job, _modules) in enumerate(rows):
+            for k, (_mode, job, _modules, _lines) in enumerate(rows):
                 walls[k].append(_run(job, env)[0])
         sys.path.insert(0, SRC)
         per_call = [_per_call([t.format(dir=tmp) for t in job], args.repeat) for _, job in JOBS]
-    for (mode, _job, (count, self_ms, ours)), times in zip(rows, walls):
-        print(f"{mode:<9} {statistics.median(times) * 1000:9.1f} {count:5d} {self_ms:7.1f}  "
-              f"{', '.join(ours)}")
+    for (mode, _job, (count, self_ms, ours), lines), times in zip(rows, walls):
+        print(f"{mode:<9} {statistics.median(times) * 1000:9.1f} {count:5d} {self_ms:7.1f} "
+              f"{lines:5d}  {', '.join(ours)}")
     print(f"{'mode':<9} {'median ms':>9}  per main() call in one process, after a warm call")
     for (mode, _job), seconds in zip(JOBS, per_call):
         print(f"{mode:<9} {seconds * 1000:9.2f}")

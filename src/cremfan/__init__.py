@@ -2,20 +2,25 @@
 
 Subpackage map:
 
-* :mod:`cremfan.field` — exact scalars (Q, Q(sqrt5), F_p) and their kernel rows
-* :mod:`cremfan.kernels` — exact Bareiss and mod-p elimination kernels
+* :mod:`cremfan.field` — field specs, rationals and primality
+* :mod:`cremfan.kernels` — the shared elimination skeleton and the Z kernels
+* :mod:`cremfan.quad` — Q(sqrt5) scalars and the Z[sqrt5] kernels
+* :mod:`cremfan.fp` — F_p scalars and the mod-p kernels
 * :mod:`cremfan.matroid` — rank oracles, flats, connectivity, minors
-* :mod:`cremfan.isomorphism` — isomorphism and automorphism search
+* :mod:`cremfan.isomorphism` — library-only: isomorphism and automorphism
+  search, nested collections, ray permutations
 * :mod:`cremfan.circuits` — the check that a circuit list is a matroid's
 * :mod:`cremfan.generators` — Coxeter arrangements and named small matroids
 * :mod:`cremfan.fan` — Bergman fan membership, nested rays, the graph S
 * :mod:`cremfan.cremona` — Cremona bases, lattice maps, realizability
+* :mod:`cremfan.exact_cover` — the exact-cover search for Cremona bases
 * :mod:`cremfan.serialize` — the JSON matroid interchange format
 * :mod:`cremfan.cli` — the ``cremfan`` command line tool
 
 ``import cremfan`` is lazy: it loads no submodule.  Each public name is
 imported from its home module on first use (PEP 562), so a CLI job loads
-only the modules its subcommand runs.
+only the modules its subcommand runs, and within them, the domain of its
+input: a job over Q imports neither ``quad`` nor ``fp``.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +35,7 @@ _HOME = {
             "Matroid", "VectorBackend", "LineBackend", "CircuitBackend", "MinorBackend",
             "Flat", "ElementBijection",
         ),
-        "isomorphism": ("automorphisms", "find_isomorphism"),
+        "isomorphism": ("automorphisms", "find_isomorphism", "is_nested"),
         "generators": (
             "a3_arrangement", "complete_graph_matroid", "coxeter_matroid",
             "dowling_rank3", "fano", "fano_selfduality", "from_spec_string",
@@ -38,7 +43,7 @@ _HOME = {
         ),
         "fan": (
             "TropicalPoint", "graph_S", "in_bergman_fan", "in_bergman_fan_circuits",
-            "is_nested", "nested_rays", "ray_adjacency_graph",
+            "nested_rays", "ray_adjacency_graph",
         ),
         "cremona": (
             "CremonaData", "IntegerLinearMap", "build_involution", "crem_map",

@@ -1,9 +1,11 @@
 """Projective Bergman fan analytics.
 
 Membership testing (level-set criterion with a circuit-criterion
-cross-oracle), nested-set rays and collections, the ray-adjacency graph of
-the minimal nested-set structure, and the rank-one/corank-one subgraph S
-with its degree report.
+cross-oracle), nested-set rays, the ray-adjacency graph of the minimal
+nested-set structure, and the rank-one/corank-one subgraph S with its
+degree report. The nested-collection test (``is_nested``) and the ray
+permutation of a lattice map (``ray_permutation``), which no CLI job runs,
+are in :mod:`cremfan.isomorphism`.
 
 Points live in R^E modulo the all-ones vector; every point is
 canonicalized so its minimum weight is zero.
@@ -58,7 +60,7 @@ from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import matroid
-from .errors import BudgetExceeded, InputError, InvariantError
+from .errors import InputError
 from .matroid import Flat, Matroid, _members, _SetOnce
 
 
@@ -175,51 +177,6 @@ def nested_rays(M: Matroid) -> list[Flat]:
     ranks = reversed(range(1, M.full_rank()))
     levels = [M.connected_flats_of_rank(k, max_covers=matroid.MAX_COVERS) for k in ranks]
     return [F for level in reversed(levels) for F in level]
-
-
-def _validate_ray(M: Matroid, flat) -> frozenset[int]:
-    elems = frozenset(flat.elements if isinstance(flat, Flat) else flat)
-    if not elems or len(elems) == M.size:
-        raise InputError("nested-set members must be proper nonempty flats")
-    if not M.is_flat(elems):
-        raise InputError(f"{sorted(elems)} is not a flat")
-    if not M.is_connected(elems):
-        raise InputError(f"flat {sorted(elems)} is not connected")
-    return elems
-
-
-def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
-    """Whether a family of connected proper flats is a nested collection.
-
-    True iff the join of every subfamily of two or more pairwise
-    incomparable members is disconnected.
-    """
-    sets = [_validate_ray(M, F) for F in flats]
-    if len(set(sets)) != len(sets):
-        raise InputError("nested-set members must be pairwise distinct")
-    if len(sets) > max_family:
-        raise BudgetExceeded(
-            f"nested check over {len(sets)} flats exceeds the budget of {max_family}"
-        )
-    n = len(sets)
-    incomparable = [
-        [not (sets[i] <= sets[j] or sets[j] <= sets[i]) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def antichains(start: int, chosen: list[int]):
-        if len(chosen) >= 2:
-            union = frozenset().union(*(sets[i] for i in chosen))
-            join = M.closure(union)
-            if M.is_connected(join.elements):
-                return False
-        for k in range(start, n):
-            if all(incomparable[k][i] for i in chosen):
-                if not antichains(k + 1, chosen + [k]):
-                    return False
-        return True
-
-    return antichains(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +315,6 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     ids = list(range(len(rays)))  # one int object per ray, shared by its edges
     edges = tuple((ids[i], ids[j]) for i in ids for j in adjacent(i))
     return RayGraph(M, tuple(rays), edges)
-
-
-def ray_permutation(graph: RayGraph, linear_map) -> list[int]:
-    """How a lattice map permutes the rays of a graph; errors if it does not.
-
-    The map must send each ray's indicator point to another ray's indicator
-    point (projectively) and preserve the edge set.
-    """
-    M = graph.matroid
-    index: dict[TropicalPoint, int] = {}
-    for i, F in enumerate(graph.vertices):
-        index[TropicalPoint.indicator(F.elements, M.size).scaled_primitive()] = i
-    perm = []
-    for F in graph.vertices:
-        image = linear_map.apply(TropicalPoint.indicator(F.elements, M.size))
-        j = index.get(image.scaled_primitive())
-        if j is None:
-            raise InvariantError("map does not permute the fan rays")
-        perm.append(j)
-    if sorted(perm) != list(range(len(graph.vertices))):
-        raise InvariantError("map is not injective on the fan rays")
-    edge_set = {frozenset(e) for e in graph.edges}
-    mapped = {frozenset((perm[a], perm[b])) for a, b in graph.edges}
-    if mapped != edge_set:
-        raise InvariantError("map does not preserve ray adjacency")
-    return perm
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from fractions import Fraction
-from importlib import resources
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError, InvariantError
-from .field import Field, QuadSqrt5, primitive_int_vector, primitive_quad_vector, sign
-from .matroid import (
-    CircuitBackend,
-    ElementBijection,
-    LineBackend,
-    Matroid,
-    VectorBackend,
-)
+from .field import Field, primitive_int_vector, sign
+from .matroid import CircuitBackend, LineBackend, Matroid, VectorBackend
 
 Vector = tuple
 
@@ -62,27 +54,6 @@ def inner(u: Sequence, v: Sequence):
     return 0 if total is None else total
 
 
-def reflect(root: Sequence, v: Sequence) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to root.
-
-    reflect(r, v) = v - 2 (<r, v> / <r, r>) r, exactly.
-    """
-    rr = inner(root, root)
-    if sign(rr) == 0:
-        raise InputError("cannot reflect in a zero root")
-    rv = inner(root, v)
-    coef = _exact_div(2 * rv, rr)
-    return tuple(x - coef * r for x, r in zip(v, root))
-
-
-def _exact_div(num, den):
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    if isinstance(den, int):
-        den = Fraction(den)
-    return num / den
-
-
 def sign_normalize(vec: Sequence) -> Vector:
     """The vector or its negative, whichever has a positive leading entry."""
     for x in vec:
@@ -94,14 +65,16 @@ def sign_normalize(vec: Sequence) -> Vector:
     raise InputError("cannot sign-normalize the zero vector")
 
 
-def _line_key(vec: Sequence, field: Field) -> tuple:
-    """The kernels' key of a vector's primitive row, shared by its nonzero multiples."""
-    v = [field.coerce(x) for x in sign_normalize(vec)]
+def _line_keys(vecs: Sequence[Sequence], field: Field) -> list[tuple]:
+    """The kernels' key of each vector's primitive row, shared by its nonzero
+    multiples."""
     if field.kind == "Qsqrt5":
-        return kernels._quad_key(primitive_quad_vector(v))
-    if field.kind == "Q":
-        return kernels._primitive_key(primitive_int_vector(v))
-    raise InputError("canonical vector keys need an ordered field")
+        from .quad import _quad_key as key, primitive_quad_vector as primitive
+    elif field.kind == "Q":
+        key, primitive = kernels._primitive_key, primitive_int_vector
+    else:
+        raise InputError("canonical vector keys need an ordered field")
+    return [key(primitive([field.coerce(x) for x in sign_normalize(v)])) for v in vecs]
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +217,9 @@ def _roots_e(n: int):
     return Field.from_spec("Q"), keep_v, keep_l
 
 
-def _quad(a: int, b: int = 0) -> QuadSqrt5:
-    return QuadSqrt5(a, b)
-
-
 def _roots_h(n: int):
+    from .quad import QuadSqrt5 as _quad
+
     field = Field.from_spec("Qsqrt5")
     zero, two, four = _quad(0), _quad(2), _quad(4)
     one_plus = _quad(1, 1)    # 1 + w
@@ -328,7 +299,7 @@ def coxeter_matroid(spec: str | tuple[str, int]) -> Matroid:
         raise InvariantError(
             f"{family}_{n}: generated {len(vecs)} roots, expected {expected}"
         )
-    keys = {_line_key(v, field) for v in vecs}
+    keys = set(_line_keys(vecs, field))
     if len(keys) != expected:
         raise InvariantError(f"{family}_{n}: parallel roots in the generated set")
     M = Matroid(VectorBackend(field, vecs), labels)
@@ -516,6 +487,8 @@ def dowling_rank3(table: dict[tuple[str, str], str] | str) -> Matroid:
 
 def a3_arrangement() -> Matroid:
     """The bundled rank-3 braid arrangement with the documented labeling 1..6."""
+    from importlib import resources
+
     from . import serialize
 
     text = resources.files("cremfan").joinpath("data/a3_arrangement.json").read_text()
@@ -566,106 +539,6 @@ def parallel_connection(m1: Matroid, e1: int, m2: Matroid, e2: int) -> Matroid:
     size = len(left) + 1 + len(right)
     # the circuits of a parallel connection, so the list needs no check
     return Matroid(CircuitBackend(size, c1 + c2 + mixed, checked=True), labels)
-
-
-# ---------------------------------------------------------------------------
-# linear actions on generated matroids
-
-
-def element_permutation(M: Matroid, linear_map: Callable[[Vector], Vector]) -> ElementBijection:
-    """The element bijection induced by a linear map on coordinates.
-
-    The map must permute the element set up to nonzero scalings, as
-    reflections of an arrangement do; anything else is an invariant
-    violation.
-    """
-    backend = M.backend
-    if not isinstance(backend, VectorBackend):
-        raise InputError("element_permutation needs a vector-backed matroid")
-    field = backend.field
-    lookup = getattr(M, "_key_lookup", None)
-    if lookup is None:
-        lookup = {
-            _line_key(vec, field): i
-            for i, vec in enumerate(backend.vectors)
-        }
-        M._key_lookup = lookup
-    forward = []
-    for vec in backend.vectors:
-        image = linear_map(tuple(vec))
-        idx = lookup.get(_line_key(image, field))
-        if idx is None:
-            raise InvariantError("linear map does not preserve the element set")
-        forward.append(idx)
-    if len(set(forward)) != len(forward):
-        raise InvariantError("linear map is not injective on the element set")
-    return ElementBijection(tuple(forward))
-
-
-def reflection_permutation(M: Matroid, root: Sequence) -> ElementBijection:
-    """Element permutation induced by the reflection in a root."""
-    return element_permutation(M, lambda v: reflect(root, v))
-
-
-def coordinate_swap(i: int, j: int) -> Callable[[Vector], Vector]:
-    def fn(v: Vector) -> Vector:
-        w = list(v)
-        w[i], w[j] = w[j], w[i]
-        return tuple(w)
-
-    return fn
-
-
-def coordinate_sign_flip(i: int) -> Callable[[Vector], Vector]:
-    def fn(v: Vector) -> Vector:
-        w = list(v)
-        w[i] = -w[i]
-        return tuple(w)
-
-    return fn
-
-
-def compose_linear(*maps: Callable[[Vector], Vector]) -> Callable[[Vector], Vector]:
-    """Composition, applied right to left like function composition."""
-
-    def fn(v: Vector) -> Vector:
-        for g in reversed(maps):
-            v = g(v)
-        return v
-
-    return fn
-
-
-def orbit(generators: Sequence, seed, *, max_size: int = 1_000_000) -> set:
-    """Closure of {seed} under the given generators.
-
-    Generators may be ElementBijections (seed: element index or frozenset
-    of indices, acted on elementwise) or callables on coordinate vectors
-    (seed: tuple).
-    """
-    def act(g, x):
-        if isinstance(g, ElementBijection):
-            if isinstance(x, frozenset):
-                return frozenset(g(e) for e in x)
-            return g(x)
-        return g(x)
-
-    if isinstance(seed, (set, frozenset)):
-        seed = frozenset(seed)
-    found = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = act(g, x)
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
-                    if len(found) > max_size:
-                        raise InputError("orbit exceeded max_size")
-        frontier = nxt
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Isomorphism and automorphism search between matroids.
+"""Library-only symmetry code: isomorphisms, automorphisms, nested
+collections and ray permutations. No CLI job imports this module.
 
-The search assigns elements one at a time, in order of scarce line
-profiles first, and keeps the lines it has mapped consistent: the line
-through two assigned elements must go to the line through their images,
-of the same size. Each complete assignment is checked against the full
-flat censuses (``census_mismatch``). No CLI job imports this module.
+The isomorphism search assigns elements one at a time, in order of
+scarce line profiles first, and keeps the lines it has mapped consistent:
+the line through two assigned elements must go to the line through their
+images, of the same size. Each complete assignment is checked against the
+full flat censuses (``census_mismatch``).
+
+``is_nested`` tests a family of connected flats for a nested collection
+of the Bergman fan, and ``ray_permutation`` checks that a lattice map
+permutes the rays of a ray graph and keeps its edges.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet, Sequence
 
-from .errors import BudgetExceeded
-from .matroid import ElementBijection, Matroid, _members, census_mismatch
+from .errors import BudgetExceeded, InputError, InvariantError
+from .fan import RayGraph, TropicalPoint
+from .matroid import ElementBijection, Flat, Matroid, _members, census_mismatch
 
 
 def _line_table(census: Sequence[AbstractSet[int]], n: int):
@@ -140,3 +146,78 @@ def find_isomorphism(
 def automorphisms(M: Matroid, *, max_elements: int = 24) -> list[ElementBijection]:
     """The full automorphism group as a list of element bijections."""
     return _search(M, M, find_all=True, max_elements=max_elements)
+
+
+# ---------------------------------------------------------------------------
+# nested collections and ray permutations
+
+
+def _validate_ray(M: Matroid, flat) -> frozenset[int]:
+    elems = frozenset(flat.elements if isinstance(flat, Flat) else flat)
+    if not elems or len(elems) == M.size:
+        raise InputError("nested-set members must be proper nonempty flats")
+    if not M.is_flat(elems):
+        raise InputError(f"{sorted(elems)} is not a flat")
+    if not M.is_connected(elems):
+        raise InputError(f"flat {sorted(elems)} is not connected")
+    return elems
+
+
+def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
+    """Whether a family of connected proper flats is a nested collection.
+
+    True iff the join of every subfamily of two or more pairwise
+    incomparable members is disconnected.
+    """
+    sets = [_validate_ray(M, F) for F in flats]
+    if len(set(sets)) != len(sets):
+        raise InputError("nested-set members must be pairwise distinct")
+    if len(sets) > max_family:
+        raise BudgetExceeded(
+            f"nested check over {len(sets)} flats exceeds the budget of {max_family}"
+        )
+    n = len(sets)
+    incomparable = [
+        [not (sets[i] <= sets[j] or sets[j] <= sets[i]) for j in range(n)]
+        for i in range(n)
+    ]
+
+    def antichains(start: int, chosen: list[int]):
+        if len(chosen) >= 2:
+            union = frozenset().union(*(sets[i] for i in chosen))
+            join = M.closure(union)
+            if M.is_connected(join.elements):
+                return False
+        for k in range(start, n):
+            if all(incomparable[k][i] for i in chosen):
+                if not antichains(k + 1, chosen + [k]):
+                    return False
+        return True
+
+    return antichains(0, [])
+
+
+def ray_permutation(graph: RayGraph, linear_map) -> list[int]:
+    """How a lattice map permutes the rays of a graph; errors if it does not.
+
+    The map must send each ray's indicator point to another ray's indicator
+    point (projectively) and preserve the edge set.
+    """
+    M = graph.matroid
+    index: dict[TropicalPoint, int] = {}
+    for i, F in enumerate(graph.vertices):
+        index[TropicalPoint.indicator(F.elements, M.size).scaled_primitive()] = i
+    perm = []
+    for F in graph.vertices:
+        image = linear_map.apply(TropicalPoint.indicator(F.elements, M.size))
+        j = index.get(image.scaled_primitive())
+        if j is None:
+            raise InvariantError("map does not permute the fan rays")
+        perm.append(j)
+    if sorted(perm) != list(range(len(graph.vertices))):
+        raise InvariantError("map is not injective on the fan rays")
+    edge_set = {frozenset(e) for e in graph.edges}
+    mapped = {frozenset((perm[a], perm[b])) for a, b in graph.edges}
+    if mapped != edge_set:
+        raise InvariantError("map does not preserve ray adjacency")
+    return perm

@@ -8,6 +8,19 @@ shared loop ``_pivots``, which reduces the rows in order, each against the
 pivots found so far, and keeps every nonzero result as a new pivot, led
 by its first nonzero coordinate.
 
+This module holds that shared skeleton (``_pivots``, ``_closure``,
+``_fundamental``, ``_covers``, ``_kept``, :class:`CoverState`) and the Z
+kernels. The Z[sqrt5] kernels live in :mod:`cremfan.quad` and the F_p
+kernels in :mod:`cremfan.fp`, so a job over Q compiles neither. Their
+public names still resolve here (PEP 562 ``__getattr__``), because the
+vector backends read every kernel through this module, and perfbench's
+tracer and ``benchmarks/bench_kernels.py`` wrap them here: a replacement
+set on this module before a matroid is built is the function its backend
+calls. The first lookup of ``kernels.rank_quad``, say, imports its home
+module and stores the function in this module's globals, so later
+lookups are plain dict hits. The private steps (``_reduce_quad``,
+``_reduce_mod``, ``_quad_key``, ``_monic``) are read in their homes.
+
 Conventions:
 
 * integer matrices are sequences of equal-length int tuples (row vectors);
@@ -71,7 +84,6 @@ the same cover.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from math import gcd
 from operator import mul
 
@@ -271,174 +283,20 @@ def det_int(rows) -> int:
     return -last[c] if inversions % 2 else last[c]
 
 
-# -- Z[sqrt5]: coordinates are (a, b) pairs at flat positions 2j, 2j+1 -------
+# the public Z[sqrt5] and F_p kernels, resolved from their homes on first use
+_QUAD = frozenset({
+    "rank_quad", "closure_quad", "fundamental_quad", "covers_quad", "cover_step_quad",
+    "reflection_closed_quad",
+})
+_FP = frozenset({"rank_mod", "closure_mod", "fundamental_mod", "covers_mod", "cover_step_mod"})
 
 
-def _reduce_quad(vec, pivots) -> list[int]:
-    v = list(vec)
-    pa, pb = 1, 0  # previous pivot, starts at 1
-    for c, row in pivots:
-        ca = c - c % 2  # the pivot coordinate's a position
-        va, vb = row[ca], row[ca + 1]
-        ua, ub = v[ca], v[ca + 1]
-        pn = pa * pa - 5 * pb * pb  # norm of the previous pivot (divisor)
-        for ja in range(0, len(v), 2):
-            xa, xb = v[ja], v[ja + 1]
-            ya, yb = row[ja], row[ja + 1]
-            # pivot*x - u*y, then exact division by prev = (pa, pb):
-            # multiply by its conjugate and divide by its norm
-            ta = va * xa + 5 * vb * xb - (ua * ya + 5 * ub * yb)
-            tb = va * xb + vb * xa - (ua * yb + ub * ya)
-            v[ja] = (ta * pa - 5 * tb * pb) // pn
-            v[ja + 1] = (tb * pa - ta * pb) // pn
-        pa, pb = va, vb
-    return v
-
-
-def _quad_key(v) -> tuple[int, ...]:
-    # times the conjugate a - b*sqrt5 of the first nonzero coordinate, that
-    # coordinate becomes the rational a^2 - 5b^2; proportional vectors then
-    # differ by a rational factor, which the primitive form removes
-    k = next(j for j in range(0, len(v), 2) if v[j] or v[j + 1])
-    a, b = v[k], -v[k + 1]
-    scaled = []
-    for j in range(0, len(v), 2):
-        x, y = v[j], v[j + 1]
-        scaled += (a * x + 5 * b * y, a * y + b * x)
-    return _primitive_key(scaled)
-
-
-def rank_quad(rows) -> int:
-    return len(_pivots(list(rows), _reduce_quad, 2))
-
-
-def closure_quad(rows, subset) -> tuple[int, list[int]]:
-    return _closure(list(rows), subset, _reduce_quad, 2)
-
-
-def fundamental_quad(rows, subset, asked) -> tuple[list[int], dict[int, int]]:
-    return _fundamental(list(rows), subset, asked, _reduce_quad, 2)
-
-
-def covers_quad(rows, flat) -> CoverState:
-    return _covers(list(rows), flat, _reduce_quad, _quad_key, 2)
-
-
-def cover_step_quad(state: CoverState, g: int, skip: int = 0) -> CoverState:
-    u = state.reps[g]
-    # u's first nonzero coordinate, at even position c, is a rational a (the
-    # _quad_key form); w's coordinate there is p + q*sqrt5
-    c = u.index(next(filter(None, u)))
-    a = u[c]
-    # the coordinates where a*w - (p + q*sqrt5)*u is not a*w
-    support = [(j, u[j], u[j + 1]) for j in range(0, len(u), 2) if u[j] or u[j + 1]]
-    covers: dict[tuple, int] = {}
-    get = covers.get
-    for group, w in _kept(state, skip):
-        if w is u:  # the reps are distinct dict keys, so this is cover g alone
-            continue
-        p, q = w[c], w[c + 1]
-        if p or q:
-            v = list(w) if a == 1 else [a * x for x in w]
-            for j, ya, yb in support:
-                v[j] -= p * ya + 5 * q * yb
-                v[j + 1] -= p * yb + q * ya
-            del v[c:c + 2]
-            k = _quad_key(v)
-        else:
-            k = w[:c] + w[c + 2:]
-        covers[k] = get(k, 0) | group
-    return CoverState(state.rank + 1, list(covers.values()), list(covers))
-
-
-def _dot_quad(u, v) -> tuple[int, int]:
-    a = b = 0
-    for j in range(0, len(u), 2):
-        ua, ub, va, vb = u[j], u[j + 1], v[j], v[j + 1]
-        a += ua * va + 5 * ub * vb
-        b += ua * vb + ub * va
-    return a, b
-
-
-def _reflections_quad(r, rows):
-    # as _reflections_int, with the products taken in Z[sqrt5]
-    p, q = _dot_quad(r, r)
-    for v in rows:
-        s, t = _dot_quad(r, v)
-        if s or t:
-            w = []
-            for j in range(0, len(v), 2):
-                xa, xb, ya, yb = v[j], v[j + 1], r[j], r[j + 1]
-                w += (p * xa + 5 * q * xb - 2 * (s * ya + 5 * t * yb),
-                      p * xb + q * xa - 2 * (s * yb + t * ya))
-            yield w
-
-
-def reflection_closed_quad(rows) -> bool:
-    """``reflection_closed_int`` over Z[sqrt5], embedded in the reals."""
-    return _reflection_closed(list(rows), _quad_key, _reflections_quad)
-
-
-# -- F_p ---------------------------------------------------------------------
-
-
-def _monic(v, p: int) -> list[int]:
-    lead = next(filter(None, v), 1)
-    if lead != 1:
-        inv = pow(lead, -1, p)
-        v = [x * inv % p for x in v]
-    return v
-
-
-def _reduce_mod(vec, pivots, *, p: int) -> list[int]:
-    """The reduced row, scaled to a leading 1 (so pivots are monic)."""
-    v = [x % p for x in vec]
-    for c, row in pivots:
-        f = v[c]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return _monic(v, p)
-
-
-def rank_mod(rows, p: int) -> int:
-    return len(_pivots(list(rows), partial(_reduce_mod, p=p)))
-
-
-def closure_mod(rows, p: int, subset) -> tuple[int, list[int]]:
-    return _closure(list(rows), subset, partial(_reduce_mod, p=p))
-
-
-def fundamental_mod(rows, p: int, subset, asked) -> tuple[list[int], dict[int, int]]:
-    return _fundamental(list(rows), subset, asked, partial(_reduce_mod, p=p))
-
-
-def covers_mod(rows, p: int, flat) -> CoverState:
-    return _covers(list(rows), flat, partial(_reduce_mod, p=p), tuple)
-
-
-def cover_step_mod(state: CoverState, p: int, g: int, skip: int = 0) -> CoverState:
-    u = state.reps[g]
-    c = u.index(next(filter(None, u)))  # u is monic: u[c] is 1
-    support = [(j, y) for j, y in enumerate(u) if y]  # where w - w[c]*u is not w
-    covers: dict[tuple, int] = {}
-    get = covers.get
-    for group, w in _kept(state, skip):
-        if w is u:  # the reps are distinct dict keys, so this is cover g alone
-            continue
-        b = w[c]
-        if b:
-            # _monic of w - w[c]*u without coordinate c; w's entries are residues
-            v = list(w)
-            for j, y in support:
-                v[j] = (v[j] - b * y) % p
-            del v[c]
-            lead = next(filter(None, v))
-            if lead == 1:
-                k = tuple(v)
-            else:
-                inv = pow(lead, -1, p)
-                k = tuple([x * inv % p for x in v])
-        else:
-            k = w[:c] + w[c + 1:]
-        covers[k] = get(k, 0) | group
-    return CoverState(state.rank + 1, list(covers.values()), list(covers))
+def __getattr__(name: str):
+    if name in _QUAD:
+        from . import quad as home
+    elif name in _FP:
+        from . import fp as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
+    return value

@@ -30,12 +30,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError
-from .field import (
-    Field,
-    primitive_int_vector,
-    primitive_quad_vector,
-    residue_vector,
-)
+from .field import Field, primitive_int_vector
 
 # the covers a budgeted walk issues unless told otherwise (E7's full walk: 883,281)
 MAX_COVERS = 3_000_000
@@ -219,6 +214,8 @@ class VectorBackend:
             self._covers = kernels.covers_int
             self._step = kernels.cover_step_int
         elif field.kind == "Qsqrt5":
+            from .quad import primitive_quad_vector
+
             self._rows = [primitive_quad_vector(v) for v in self.vectors]
             self._rank = kernels.rank_quad
             self._closure = kernels.closure_quad
@@ -226,6 +223,8 @@ class VectorBackend:
             self._covers = kernels.covers_quad
             self._step = kernels.cover_step_quad
         else:
+            from .fp import residue_vector
+
             p = field.p
             self._rows = [residue_vector(v) for v in self.vectors]
             self._rank = lambda rows: kernels.rank_mod(rows, p)
@@ -497,14 +496,8 @@ class Matroid:
 
     # -- flats, level by level ----------------------------------------------
 
-    def covers(self, flat: Flat | Iterable[int]) -> list[Flat]:
-        """The flats covering a flat F, ordered by their least element outside F."""
-        F = self._check_subset(flat)
-        if not self.is_flat(F):
-            raise InputError(f"{sorted(F)} is not a flat")
-        return list(self._covers(F))
-
     def _covers(self, F: frozenset[int]):
+        """The flats covering a flat F, ordered by their least element outside F."""
         fast = getattr(self.backend, "covers_fast", None)
         if fast is not None:
             state, mask = fast(tuple(sorted(F))), _mask(F)

@@ -33,8 +33,8 @@ one ``join`` of its encoded items.  Loading uses ``json.loads``.
 from __future__ import annotations
 
 import json
+import os
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 from .errors import InputError
 from .field import Field, FieldFormatError
@@ -121,18 +121,20 @@ def matroid_from_dict(doc: dict) -> Matroid:
     return M
 
 
-def save_matroid(M: Matroid, path: str | Path, *, name: str | None = None,
+def save_matroid(M: Matroid, path: str | os.PathLike, *, name: str | None = None,
                  description: str | None = None) -> None:
     text = dumps(matroid_to_dict(M, name=name, description=description))
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as handle:
+            handle.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def load_matroid(path: str | Path) -> Matroid:
+def load_matroid(path: str | os.PathLike) -> Matroid:
     try:
-        text = Path(path).read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:

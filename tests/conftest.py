@@ -2,20 +2,24 @@
 
 import itertools
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from cremfan.field import Field
+from cremfan.errors import InputError, InvariantError
+from cremfan.field import Field, sign
 from cremfan.generators import (
+    _line_keys,
     a3_arrangement,
     complete_graph_matroid,
     coxeter_matroid,
     dowling_rank3,
     fano,
+    inner,
     uniform,
 )
-from cremfan.matroid import Matroid, VectorBackend
+from cremfan.matroid import ElementBijection, Matroid, VectorBackend
 
 
 @pytest.fixture(scope="session")
@@ -265,3 +269,129 @@ def f3_vector_rows(draw):
 
 def f3_matroid(rows):
     return Matroid(VectorBackend(Field.from_spec("Fp:3"), rows))
+
+
+def covers(M, flat):
+    """The flats covering a flat F of M, ordered by their least element outside F."""
+    F = M._check_subset(flat)
+    if not M.is_flat(F):
+        raise InputError(f"{sorted(F)} is not a flat")
+    return list(M._covers(F))
+
+
+# Linear actions on generated matroids: reflections and coordinate maps as
+# element bijections, and the orbits of a set under them.
+
+
+def reflect(root: Sequence, v: Sequence) -> tuple:
+    """Reflection of v in the hyperplane orthogonal to root.
+
+    reflect(r, v) = v - 2 (<r, v> / <r, r>) r, exactly.
+    """
+    rr = inner(root, root)
+    if sign(rr) == 0:
+        raise InputError("cannot reflect in a zero root")
+    rv = inner(root, v)
+    coef = _exact_div(2 * rv, rr)
+    return tuple(x - coef * r for x, r in zip(v, root))
+
+
+def _exact_div(num, den):
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    if isinstance(den, int):
+        den = Fraction(den)
+    return num / den
+
+
+def element_permutation(M: Matroid, linear_map: Callable[[tuple], tuple]) -> ElementBijection:
+    """The element bijection induced by a linear map on coordinates.
+
+    The map must permute the element set up to nonzero scalings, as
+    reflections of an arrangement do; anything else is an invariant
+    violation.
+    """
+    backend = M.backend
+    if not isinstance(backend, VectorBackend):
+        raise InputError("element_permutation needs a vector-backed matroid")
+    field = backend.field
+    lookup = getattr(M, "_key_lookup", None)
+    if lookup is None:
+        lookup = {key: i for i, key in enumerate(_line_keys(backend.vectors, field))}
+        M._key_lookup = lookup
+    forward = []
+    for vec in backend.vectors:
+        image = linear_map(tuple(vec))
+        idx = lookup.get(_line_keys([image], field)[0])
+        if idx is None:
+            raise InvariantError("linear map does not preserve the element set")
+        forward.append(idx)
+    if len(set(forward)) != len(forward):
+        raise InvariantError("linear map is not injective on the element set")
+    return ElementBijection(tuple(forward))
+
+
+def reflection_permutation(M: Matroid, root: Sequence) -> ElementBijection:
+    """Element permutation induced by the reflection in a root."""
+    return element_permutation(M, lambda v: reflect(root, v))
+
+
+def coordinate_swap(i: int, j: int) -> Callable[[tuple], tuple]:
+    def fn(v: tuple) -> tuple:
+        w = list(v)
+        w[i], w[j] = w[j], w[i]
+        return tuple(w)
+
+    return fn
+
+
+def coordinate_sign_flip(i: int) -> Callable[[tuple], tuple]:
+    def fn(v: tuple) -> tuple:
+        w = list(v)
+        w[i] = -w[i]
+        return tuple(w)
+
+    return fn
+
+
+def compose_linear(*maps: Callable[[tuple], tuple]) -> Callable[[tuple], tuple]:
+    """Composition, applied right to left like function composition."""
+
+    def fn(v: tuple) -> tuple:
+        for g in reversed(maps):
+            v = g(v)
+        return v
+
+    return fn
+
+
+def orbit(generators: Sequence, seed, *, max_size: int = 1_000_000) -> set:
+    """Closure of {seed} under the given generators.
+
+    Generators may be ElementBijections (seed: element index or frozenset
+    of indices, acted on elementwise) or callables on coordinate vectors
+    (seed: tuple).
+    """
+    def act(g, x):
+        if isinstance(g, ElementBijection):
+            if isinstance(x, frozenset):
+                return frozenset(g(e) for e in x)
+            return g(x)
+        return g(x)
+
+    if isinstance(seed, (set, frozenset)):
+        seed = frozenset(seed)
+    found = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = act(g, x)
+                if y not in found:
+                    found.add(y)
+                    nxt.append(y)
+                    if len(found) > max_size:
+                        raise InputError("orbit exceeded max_size")
+        frontier = nxt
+    return found

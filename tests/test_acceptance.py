@@ -31,27 +31,28 @@ from cremfan.fan import (
     nested_rays,
     rank_one_neighbor_count,
     ray_adjacency_graph,
-    ray_permutation,
 )
 from cremfan.generators import (
     a3_arrangement,
     complete_graph_matroid,
-    compose_linear,
-    coordinate_sign_flip,
-    coordinate_swap,
     coxeter_matroid,
     dowling_rank3,
-    element_permutation,
     fano,
     fano_selfduality,
     inner,
-    orbit,
     parallel_connection,
     uniform,
 )
-from cremfan.isomorphism import automorphisms
+from cremfan.isomorphism import automorphisms, ray_permutation
 
-from conftest import in_span
+from conftest import (
+    compose_linear,
+    coordinate_sign_flip,
+    coordinate_swap,
+    element_permutation,
+    in_span,
+    orbit,
+)
 
 
 class Budget:

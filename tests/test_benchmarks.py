@@ -100,3 +100,23 @@ def test_startup_footprint_lists_cli(tmp_path):
     stderr = bench._run(argv, {**os.environ, "PYTHONPATH": bench.SRC})[1]
     _count, _self_ms, ours = bench._footprint(stderr, {})
     assert "cli" in ours and "generators" in ours
+    # the lines column: the package's __init__ and each submodule, and no
+    # other domain than Q's
+    assert not {"quad", "fp"} & set(ours)
+    files = ["__init__", *ours]
+    expected = sum(len(_read(os.path.join(bench.SRC, "cremfan", f + ".py")).splitlines())
+                   for f in files)
+    assert bench._source_lines(bench._imports(stderr)) == expected
+
+
+def test_startup_source_lines_count_only_the_package():
+    bench = _load("bench_startup.py")
+    init = len(_read(os.path.join(bench.SRC, "cremfan", "__init__.py")).splitlines())
+    errors = len(_read(os.path.join(bench.SRC, "cremfan", "errors.py")).splitlines())
+    assert bench._source_lines(["json", "cremfan", "cremfan.errors", "hashlib"]) == init + errors
+    assert bench._source_lines(["json"]) == 0
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()

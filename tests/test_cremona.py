@@ -11,9 +11,7 @@ from cremfan import cremona
 from cremfan.cremona import (
     CremonaData,
     IntegerLinearMap,
-    _exact_cover_bases,
     _hyperplane_mismatch,
-    _line_remainders,
     build_involution,
     crem_map,
     cremona_check,
@@ -26,6 +24,7 @@ from cremfan.cremona import (
     two_basis_report,
 )
 from cremfan.errors import BudgetExceeded, InputError, InvariantError
+from cremfan.exact_cover import _exact_cover_bases, _line_remainders
 from cremfan.fan import TropicalPoint, in_bergman_fan, nested_rays
 from cremfan.field import Field
 from cremfan.generators import (

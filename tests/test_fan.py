@@ -15,11 +15,9 @@ from cremfan.fan import (
     graph_S,
     in_bergman_fan,
     in_bergman_fan_circuits,
-    is_nested,
     nested_rays,
     rank_one_neighbor_count,
     ray_adjacency_graph,
-    ray_permutation,
 )
 from cremfan.generators import (
     complete_graph_matroid,
@@ -28,6 +26,7 @@ from cremfan.generators import (
     from_spec_string,
     uniform,
 )
+from cremfan.isomorphism import is_nested, ray_permutation
 from cremfan.matroid import Flat, LineBackend, Matroid
 
 from conftest import (

@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cremfan.field import (
     Field,
     FieldFormatError,
-    FpElement,
-    QuadSqrt5,
     parse_rational,
     primitive_int_vector,
-    primitive_quad_vector,
-    residue_vector,
     sign,
 )
+from cremfan.fp import FpElement, residue_vector
+from cremfan.quad import QuadSqrt5, primitive_quad_vector
 
 from conftest import determinant, in_span, matrix_rank
 

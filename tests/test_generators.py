@@ -7,28 +7,31 @@ import pytest
 
 from cremfan import generators
 from cremfan.errors import BudgetExceeded, InputError, InvariantError
-from cremfan.field import QuadSqrt5
 from cremfan.generators import (
     a3_arrangement,
     complete_graph_matroid,
-    compose_linear,
-    coordinate_sign_flip,
-    coordinate_swap,
     coxeter_matroid,
     dowling_rank3,
-    element_permutation,
     fano,
     fano_selfduality,
     from_spec_string,
     graphic_matroid,
     group_table,
     inner,
-    orbit,
     positive_roots,
-    reflect,
-    reflection_permutation,
     sign_normalize,
     uniform,
+)
+from cremfan.quad import QuadSqrt5
+
+from conftest import (
+    compose_linear,
+    coordinate_sign_flip,
+    coordinate_swap,
+    element_permutation,
+    orbit,
+    reflect,
+    reflection_permutation,
 )
 
 EXPECTED_COUNTS = {

@@ -3,37 +3,41 @@
 from fractions import Fraction
 from functools import partial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremfan.field import (
-    Field,
-    QuadSqrt5,
-    primitive_int_vector,
-    primitive_quad_vector,
+from cremfan import fp, kernels, quad
+from cremfan.field import Field, primitive_int_vector
+from cremfan.fp import (
+    _monic,
+    closure_mod,
+    cover_step_mod,
+    covers_mod,
+    fundamental_mod,
+    rank_mod,
 )
-from cremfan.generators import positive_roots
+from cremfan.generators import coxeter_matroid, positive_roots
+from cremfan.matroid import VectorBackend
 from cremfan.kernels import (
     CoverState,
-    _monic,
     _primitive_key,
-    _quad_key,
     closure_int,
-    closure_mod,
-    closure_quad,
     cover_step_int,
-    cover_step_mod,
-    cover_step_quad,
     covers_int,
-    covers_mod,
-    covers_quad,
     det_int,
     fundamental_int,
-    fundamental_mod,
-    fundamental_quad,
     rank_int,
-    rank_mod,
-    rank_quad,
     reflection_closed_int,
+)
+from cremfan.quad import (
+    QuadSqrt5,
+    _quad_key,
+    closure_quad,
+    cover_step_quad,
+    covers_quad,
+    fundamental_quad,
+    primitive_quad_vector,
+    rank_quad,
     reflection_closed_quad,
 )
 
@@ -497,3 +501,62 @@ class TestDeterminant:
         assert det_int([tuple(r) for r in rows]) == expected
         if singular:
             assert expected == 0
+
+
+# the public kernels of the other domains, by home module
+MOVED = [
+    *((name, quad) for name in ("rank_quad", "closure_quad", "fundamental_quad", "covers_quad",
+                                "cover_step_quad", "reflection_closed_quad")),
+    *((name, fp) for name in ("rank_mod", "closure_mod", "fundamental_mod", "covers_mod",
+                              "cover_step_mod")),
+]
+
+
+class TestKernelNames:
+    """The Z[sqrt5] and F_p kernels live in their own modules, and every
+    name still resolves through ``cremfan.kernels``, where the backends and
+    the tracer read and replace them."""
+
+    @pytest.mark.parametrize("name,home", MOVED, ids=[name for name, _ in MOVED])
+    def test_name_resolves_to_its_home(self, name, home, monkeypatch):
+        # unresolved, as in a fresh process: the first lookup imports the home
+        monkeypatch.delitem(vars(kernels), name, raising=False)
+        assert getattr(kernels, name) is getattr(home, name)
+        assert vars(kernels)[name] is getattr(home, name)  # stored: a dict hit next
+        monkeypatch.delitem(vars(kernels), name)
+        namespace: dict = {}
+        exec(f"from cremfan.kernels import {name}", namespace)
+        assert namespace[name] is getattr(home, name)
+
+    def test_unknown_name_names_the_module(self):
+        with pytest.raises(AttributeError, match="module 'cremfan.kernels' has no attribute 'nope'"):
+            kernels.nope
+        # the private steps are read in their homes alone
+        assert not hasattr(kernels, "_reduce_mod") and not hasattr(kernels, "_quad_key")
+
+    def test_replaced_quad_kernel_is_the_one_the_backend_calls(self, monkeypatch):
+        calls = []
+        closure = quad.closure_quad
+
+        def spy(rows, subset):
+            calls.append(list(subset))
+            return closure(rows, subset)
+
+        monkeypatch.setattr(kernels, "closure_quad", spy)
+        backend = coxeter_matroid("H3").backend
+        assert backend.closure_fast((0, 1)) == closure(backend._rows, [0, 1])
+        assert calls == [[0, 1]]
+
+    def test_replaced_mod_kernel_is_the_one_the_backend_calls(self, monkeypatch):
+        calls = []
+        rank = fp.rank_mod
+
+        def spy(rows, p):
+            calls.append(p)
+            return rank(rows, p)
+
+        monkeypatch.setattr(kernels, "rank_mod", spy)
+        backend = VectorBackend(Field.from_spec("Fp:5"), [(1, 0), (0, 1), (1, 1)])
+        assert backend.rank_subset((0, 1, 2)) == 2
+        assert calls == [5]
+

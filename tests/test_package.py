@@ -7,6 +7,7 @@ on what a subcommand compiles at start-up.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -131,3 +132,80 @@ class TestImportFootprint:
         )
         assert {"cremfan.cremona", "cremfan.fan", "cremfan.circuits"} <= loaded
         assert not loaded & HEAVY
+
+
+# Runs cremfan.cli.main on each argv of a JSON list, in order, in one
+# process; after each job it reports the job's exit code, the cremfan
+# modules loaded so far and, per module, the names it defines that only
+# another domain's job, the Cremona search or library and test code use.
+_PROBE = r"""
+import contextlib, io, json, re, sys
+
+import cremfan.cli
+
+OFF_PATH = {"QuadSqrt5", "FpElement", "_exact_cover_bases", "is_nested",
+            "ray_permutation", "orbit"}
+KERNEL = re.compile(r"\w+_(quad|mod)")
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cremfan.cli.main(argv)
+    loaded = {name: module for name, module in sys.modules.items()
+              if name.startswith("cremfan.")}
+    found = {
+        name: sorted(k for k, v in vars(module).items()
+                     if k in OFF_PATH or (callable(v) and KERNEL.fullmatch(k)))
+        for name, module in loaded.items()
+    }
+    report.append({"code": code, "loaded": sorted(loaded),
+                   "off_path": {k: v for k, v in found.items() if v}})
+print(json.dumps(report))
+"""
+
+
+class TestDomainImportPath:
+    """What each job's import path holds of the other domains' code."""
+
+    @pytest.fixture(scope="class")
+    def probes(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("domains")
+        paths = {}
+        for spec in ("a3-arrangement", "fano", "H3"):
+            paths[spec] = str(root / f"{spec}.json")
+            assert main(["gen", spec, "--out", paths[spec]]) == 0
+        q_jobs = [
+            ["cremona", paths["a3-arrangement"], "--check", "1,2,6"],
+            ["fan", paths["fano"], "--graph"],
+            ["gen", "A3", "--out", str(root / "a3.json")],
+        ]
+        other = {
+            "quad": ["cremona", paths["H3"], "--enumerate"],
+            "fp": ["cremona", paths["a3-arrangement"], "--realize", "1,2,6", "2,3,5",
+                   "--field", "Fp:7"],
+        }
+
+        def run(argvs):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+                capture_output=True, text=True, timeout=120, env=ENV,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        return {"q": run(q_jobs), **{home: run([argv])[0] for home, argv in other.items()}}
+
+    def test_q_jobs_define_no_other_domain_or_library_code(self, probes):
+        # after each of the three jobs, in one process
+        for step in probes["q"]:
+            assert step["code"] == 0
+            assert step["off_path"] == {}
+            assert not {"cremfan.quad", "cremfan.fp", "cremfan.exact_cover",
+                        "cremfan.isomorphism"} & set(step["loaded"])
+
+    @pytest.mark.parametrize("home", ["quad", "fp"])
+    def test_its_own_domain_loads(self, probes, home):
+        step = probes[home]
+        assert step["code"] == 0
+        assert f"cremfan.{home}" in step["loaded"]
+        assert ({"quad": "cremfan.fp", "fp": "cremfan.quad"}[home]) not in step["loaded"]
+

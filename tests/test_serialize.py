@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cremfan.errors import InputError
-from cremfan.field import QuadSqrt5
 from cremfan.isomorphism import find_isomorphism
+from cremfan.quad import QuadSqrt5
 from cremfan.serialize import (
     dumps,
     load_matroid,
