@@ -18,6 +18,15 @@ exact-cover search on K7, A7, B6 and B8, which still branch (line census
 already built), and on E8, which the counting bound refutes at the root
 (on a fresh matroid, line census included).
 
+A per-basis table times the work a ``cremona --enumerate`` job does
+around the search on its inputs K5, K6, K7, B4 and B5: the re-check of
+every basis found (``cremona_check``, one fundamental-circuit elimination
+each, with the pivots handed to ``_reduce_int`` and those it skips, for
+the row being 0 at their lead, counted in a separate untimed run), the
+invariants of the bases' Cremona maps read off their r basis columns
+(``crem_invariants``, what the CLI reports), and, for comparison, the same
+two read off the full m x m map (``crem_map``).
+
 The next table checks the connectivity of every flat of D5, B5 and E6
 twice, after the lattice walk (untimed): read off the walk
 (``Matroid.is_connected``) and by the greedy-basis oracle
@@ -54,6 +63,7 @@ import sys
 import time
 
 from cremfan import fp, kernels, quad
+from cremfan.cremona import crem_invariants, crem_map, cremona_check, enumerate_cremona_bases
 from cremfan.exact_cover import _exact_cover_bases, _line_remainders
 from cremfan.field import Field, primitive_int_vector
 from cremfan.fp import residue_vector
@@ -150,6 +160,9 @@ def main() -> None:
     for spec in ("K7", "A7", "B6", "B8"):
         _bench_search(spec, args.repeat)
     _bench_search("E8", args.repeat, census=True)
+    print()
+    for spec in ("K5", "K6", "K7", "B4", "B5"):
+        _bench_basis_work(spec, args.repeat)
     print()
     for spec in ("D5", "B5", "E6"):
         _bench_connectivity(spec, args.repeat)
@@ -258,6 +271,42 @@ def _bench_search(spec: str, repeat: int, census: bool = False) -> None:
     print(
         label.ljust(38)
         + f" {nodes:7d} nodes   {len(bases)} bases   {t * 1e3:9.2f} ms"
+    )
+
+
+def _counted_recheck(M, datas) -> tuple[int, int]:
+    # the pivots handed to _reduce_int by the re-checks, and those skipped
+    # for the row being 0 at their lead
+    reduce = kernels._reduce_int
+    counts = [0, 0]
+
+    def counted(vec, pivots):
+        counts[0] += len(pivots)
+        counts[1] += sum(1 for k, (c, _) in enumerate(pivots) if not reduce(vec, pivots[:k])[c])
+        return reduce(vec, pivots)
+
+    kernels._reduce_int = counted
+    try:
+        for data in datas:
+            cremona_check(M, data.basis)
+    finally:
+        kernels._reduce_int = reduce
+    return counts[0], counts[1]
+
+
+def _bench_basis_work(spec: str, repeat: int) -> None:
+    M = from_spec_string(spec)
+    datas = enumerate_cremona_bases(M)
+    t_check = _best(lambda: [cremona_check(M, d.basis) for d in datas], repeat)
+    t_columns = _best(lambda: [crem_invariants(d) for d in datas], repeat)
+    t_full = _best(lambda: [
+        (lm.one_multiple(), lm.quotient_determinant()) for lm in map(crem_map, datas)
+    ], repeat)
+    pivots, skipped = _counted_recheck(M, datas)
+    print(
+        f"{spec} per-basis work ({len(datas)} bases)".ljust(38)
+        + f" re-check {t_check * 1e3:7.3f} ms {pivots:5d} pivots {skipped:5d} skipped"
+        f"   invariants: r columns {t_columns * 1e3:7.3f} ms   m x m map {t_full * 1e3:7.3f} ms"
     )
 
 

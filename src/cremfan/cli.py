@@ -119,10 +119,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _basis_report(data) -> dict:
+    """The basis, its F-sets and the invariants of its Cremona map, read
+    off the map's r basis columns (``crem_invariants``), which raises
+    InvariantError where ``crem_map`` does."""
     M = data.matroid
-    from .cremona import crem_map
+    from .cremona import crem_invariants
 
-    linmap = crem_map(data)
+    one_multiple, quotient_det = crem_invariants(data)
     F = {
         f"{i},{j}": _labels(M, flat)
         for (i, j), flat in sorted(data.partition.items())
@@ -130,8 +133,8 @@ def _basis_report(data) -> dict:
     return {
         "basis": _labels(M, data.basis),
         "F": F,
-        "quotient_det": linmap.quotient_determinant(),
-        "one_multiple": linmap.one_multiple(),
+        "quotient_det": quotient_det,
+        "one_multiple": one_multiple,
     }
 
 

@@ -227,7 +227,16 @@ def cremona_check_detail(M: Matroid, b: Iterable[int]) -> tuple[CremonaData | No
     if missing:
         return None, f"elements {missing} lie in no F-set"
     partition = {(i, j): frozenset(fsets[1 << i | 1 << j]) for i, j in pairs}
-    corank = {j: frozenset(e for e, s in supports.items() if not s >> j & 1) for j in range(r)}
+    # B_j is every element but those whose supports hold b_j, listed in one
+    # pass over the set bits of the supports
+    holding: list[list[int]] = [[] for _ in range(r)]
+    for e, support in supports.items():
+        while support:
+            low = support & -support
+            holding[low.bit_length() - 1].append(e)
+            support ^= low
+    everything = frozenset(supports)
+    corank = {j: everything.difference(held) for j, held in enumerate(holding)}
     return CremonaData(M, basis, partition, corank), None
 
 
@@ -267,33 +276,52 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
 # the Cremona map
 
 
-def crem_map(data: CremonaData) -> IntegerLinearMap:
-    """The lattice map of a Cremona basis: v_{b_j} to v_{B_j}, others fixed.
+def crem_invariants(data: CremonaData) -> tuple[int, int]:
+    """The all-ones multiple c and the quotient determinant of Crem_b, read
+    off its r basis columns, with no m x m matrix.
 
-    Validates independently that the all-ones line is preserved (the image
-    of 1 must be a positive multiple of 1) and that the quotient matrix is
-    unimodular; a failure of either means a non-Cremona input slipped
-    through and is an invariant violation. ``indicator_map`` fixes every
-    element outside the basis, so the determinant reads the basis columns
-    alone.
+    Column b_j of Crem_b is the indicator of B_j and every other column the
+    unit vector at its own index, so row i sums to [i not in b] +
+    #{j : i in B_j}. When these sums are all c, det Crem_b = c * det Q for
+    the quotient matrix Q, and det Crem_b is the determinant of the r x r
+    block on b, with entry (i, j) = [b_i in B_j] (see
+    ``IntegerLinearMap.quotient_determinant``). Validates independently
+    that the all-ones line is preserved (c must be a positive integer) and
+    that Q is unimodular; a failure of either means a non-Cremona input
+    slipped through and is an invariant violation.
     """
-    M = data.matroid
-    assignment = {
-        data.basis[j]: data.corank_flats[j] for j in range(len(data.basis))
-    }
-    linmap = indicator_map(M, assignment)
-    c = linmap.one_multiple()
-    if c is None or c < 1:
+    flats = [data.corank_flats[j] for j in range(len(data.basis))]
+    sums = [1] * data.matroid.size
+    for b in data.basis:
+        sums[b] = 0
+    for flat in flats:
+        for e in flat:
+            sums[e] += 1
+    c = sums[0]
+    if sums.count(c) != len(sums) or c < 1:
         raise InvariantError(
             "Cremona map does not preserve the all-ones line; the basis "
             "does not induce a Cremona automorphism"
         )
-    det = linmap.quotient_determinant()
+    det = det_int([[int(b in flat) for flat in flats] for b in data.basis]) // c
     if abs(det) != 1:
         raise InvariantError(
             f"Cremona map quotient determinant is {det}, not a lattice isomorphism"
         )
-    return linmap
+    return c, det
+
+
+def crem_map(data: CremonaData) -> IntegerLinearMap:
+    """The lattice map of a Cremona basis: v_{b_j} to v_{B_j}, others fixed.
+
+    Raises InvariantError where ``crem_invariants`` does, before the m x m
+    matrix is built; its ``one_multiple`` and ``quotient_determinant`` are
+    the c and the determinant found there. The CLI reports those two and
+    calls ``crem_invariants`` alone.
+    """
+    crem_invariants(data)
+    assignment = {b: data.corank_flats[j] for j, b in enumerate(data.basis)}
+    return indicator_map(data.matroid, assignment)
 
 
 # ---------------------------------------------------------------------------

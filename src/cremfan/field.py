@@ -202,12 +202,16 @@ def sign(x) -> int:
 # integerization helpers feeding the kernels
 
 
-def primitive_int_vector(vec: Iterable[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same line)."""
-    vec = [_as_fraction(x) for x in vec]
-    den = math.lcm(*[x.denominator for x in vec])
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+def primitive_int_vector(vec: Iterable[Fraction | int]) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector (same line).
+
+    A vector of ints takes one gcd and makes no Fraction."""
+    ints = tuple(vec)
+    try:
+        g = math.gcd(*ints)  # a TypeError unless every entry is an int
+    except TypeError:
+        fractions = [_as_fraction(x) for x in ints]
+        den = math.lcm(*[x.denominator for x in fractions])
+        ints = [x.numerator * (den // x.denominator) for x in fractions]
+        g = math.gcd(*ints)
+    return tuple([v // g for v in ints]) if g > 1 else tuple(ints)

@@ -69,16 +69,28 @@ Conventions:
   s_r(v) = v - 2 <r, v> / <r, r> r in their own hyperplanes (standard
   inner product, Z[sqrt5] taken in the reals): each <r, r> s_r(v) must have
   the canonical projective form of a row;
-* ``det_int`` is the determinant of a square integer matrix.
+* ``det_int`` is the determinant of a square integer matrix (Bareiss).
 
-Over Z and Z[sqrt5] the step is Bareiss fraction-free elimination: every
-entry of a reduced row is a minor of the input (the pivot rows and the row,
-on the pivot columns and one more), so the division by the previous pivot
-is exact over any integral domain, in any order of pivot columns. Over F_p
-pivots are scaled to a leading 1. Reducing a row multiplies it by one
-nonzero scalar and subtracts a vector of the span, so it is 0 exactly on
-the span and two reduced rows are proportional exactly when the rows span
-the same cover.
+Over Z a step against a pivot (c, row) is skipped when the row is 0 at c;
+otherwise it is v = row[c]*v - v[c]*row, divided by its content (the gcd of
+its entries), so the pivots of primitive rows are primitive. Over Z[sqrt5]
+the step is Bareiss fraction-free elimination: every entry of a reduced
+row is a minor of the input (the pivot rows and the row, on the pivot
+columns and one more), so the division by the previous pivot is exact over
+any integral domain, in any order of pivot columns. Over F_p a pivot the
+row is 0 at is skipped too, and pivots are scaled to a leading 1.
+
+Each pivot is 0 at the leads of the pivots before it, so reducing a row
+against them in order multiplies it by one nonzero scalar and subtracts a
+vector of the span, leaving it 0 at every lead. Up to that scalar the
+result is unique, as the span meets the vectors that are 0 at every lead
+in 0 alone. So it is 0 exactly on the span, two reduced rows are
+proportional exactly when the rows span the same cover, and the Z
+reduction has the zeros and the line of the Bareiss row (it is that row
+divided by its content, up to sign, once a step has run). Its sign is read
+nowhere: covers take the canonical form, closures and supports the zeros.
+``det_int`` alone needs the values of Bareiss's minors, and runs its own
+Bareiss loop.
 """
 
 from __future__ import annotations
@@ -194,14 +206,18 @@ def _primitive_key(v) -> tuple[int, ...]:
 
 
 def _reduce_int(vec, pivots) -> list[int]:
+    """The reduced row, divided by its content after each step; a pivot
+    whose lead the row is 0 at is skipped, and a row no step changes is
+    returned as given."""
     v = list(vec)
-    n = len(v)
-    prev = 1
     for c, row in pivots:
-        pivot, vc = row[c], v[c]
-        for j in range(n):
-            v[j] = (pivot * v[j] - vc * row[j]) // prev
-        prev = pivot
+        b = v[c]
+        if b:
+            a = row[c]
+            v = [a * x - b * y for x, y in zip(v, row)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
     return v
 
 
@@ -265,16 +281,28 @@ def reflection_closed_int(rows) -> bool:
 
 
 def det_int(rows) -> int:
-    """Determinant of a square integer matrix.
+    """Determinant of a square integer matrix, by Bareiss fraction-free
+    elimination.
 
-    The last pivot is the minor on the pivot columns in the order they were
-    found, so the determinant is that pivot signed by the parity of the
-    column permutation; it is 0 when some row reduces to zero.
+    Each row is reduced against the pivots found so far, and every entry of
+    a reduced row is a minor of the input (the pivot rows and the row, on
+    the pivot columns and one more), so the division by the previous pivot
+    is exact, in any order of pivot columns. The last pivot is the minor on
+    the pivot columns in the order they were found, so the determinant is
+    that pivot signed by the parity of the column permutation; it is 0 when
+    some row reduces to zero.
     """
-    rows = list(rows)
-    pivots = _pivots(rows, _reduce_int)
-    if len(pivots) < len(rows):
-        return 0
+    pivots = []
+    for row in rows:
+        v, prev = list(row), 1
+        for c, pivot in pivots:
+            a, b = pivot[c], v[c]
+            v = [(a * x - b * y) // prev for x, y in zip(v, pivot)]
+            prev = a
+        lead = next(filter(None, v), 0)
+        if not lead:
+            return 0
+        pivots.append((v.index(lead), v))
     if not pivots:
         return 1
     cols = [c for c, _ in pivots]

@@ -196,18 +196,17 @@ class ElementBijection(NamedTuple):
 
 
 class VectorBackend:
-    """Columns of an exact matrix; rank queries go through the kernels."""
+    """Columns of an exact matrix; rank queries go through the kernels.
+    Over Q their rows are made from the given entries (ints make no
+    Fraction), and ``vectors`` is built on first read."""
 
     name = "vectors"
 
     def __init__(self, field: Field, vectors: Sequence[Sequence]):
         self.field = field
-        self.vectors = [[field.coerce(x) for x in v] for v in vectors]
-        widths = {len(v) for v in self.vectors}
-        if len(widths) > 1:
-            raise InputError("vectors of mixed dimension")
+        self._entries = [tuple(v) for v in vectors]
         if field.kind == "Q":
-            self._rows = [primitive_int_vector(v) for v in self.vectors]
+            self._rows = [primitive_int_vector(v) for v in self._entries]
             self._rank = kernels.rank_int
             self._closure = kernels.closure_int
             self._fundamental = kernels.fundamental_int
@@ -232,6 +231,14 @@ class VectorBackend:
             self._fundamental = lambda rows, sub, ask: kernels.fundamental_mod(rows, p, sub, ask)
             self._covers = lambda rows, flat: kernels.covers_mod(rows, p, flat)
             self._step = lambda state, g, skip=0: kernels.cover_step_mod(state, p, g, skip)
+        if len({len(v) for v in self._entries}) > 1:
+            raise InputError("vectors of mixed dimension")
+
+    @cached_property
+    def vectors(self) -> list[list]:
+        """The vectors, as field elements."""
+        coerce = self.field.coerce
+        return [[coerce(x) for x in v] for v in self._entries]
 
     @property
     def size(self) -> int:

@@ -16,11 +16,12 @@ Schema (version 1)::
 For the vectors backend, ``data`` holds one array of field-element strings
 per element ("3/2", "1+2w" with w = sqrt5); for lines and circuits it holds
 arrays of 0-based element indices.  Loading is strict: unknown backends,
-malformed entries, or out-of-range indices raise InputError.  Integer
-entries and integer parts of "a+bw", all that the generators write, are
-read by ``int()`` and reach the kernels' integer rows with no Fraction
-multiply; other rationals go through ``Fraction``'s parser.  Either way the
-loaded vectors hold field elements, never bare ints.
+malformed entries, or out-of-range indices raise InputError.  A row of
+integers over Q, what the generators write, is read by ``int()`` straight
+into the kernels' integer row, with one gcd and no Fraction; the integer
+parts of "a+bw" are read by ``int()`` too, and other rationals go through
+``Fraction``'s parser.  Either way the backend's vectors, built on first
+read, hold field elements, never bare ints.
 
 Every document this package writes, matroid files and CLI reports, is
 ``dumps`` text: the text of ``json.dumps(doc, indent=2, sort_keys=True)``
@@ -100,10 +101,18 @@ def matroid_from_dict(doc: dict) -> Matroid:
         raw = _expect_list(doc, "data")
         if len(raw) != size:
             raise InputError("vector count does not match element count")
-        vectors = []
+        rational, vectors = field.kind == "Q", []
         for vec in raw:
             if not isinstance(vec, list) or not all(isinstance(x, str) for x in vec):
                 raise InputError("each vector must be a list of entry strings")
+            if rational:
+                # int() takes a subset of Field.parse's strings, with the
+                # same values
+                try:
+                    vectors.append([int(x) for x in vec])
+                    continue
+                except ValueError:
+                    pass
             try:
                 vectors.append([field.parse(x) for x in vec])
             except FieldFormatError as exc:

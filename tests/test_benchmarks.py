@@ -2,7 +2,8 @@
 
 They are run by hand, so nothing else imports them; ``bench_kernels.py``
 reaches into private names that a refactor can delete, so its walk table
-also runs here, on D4, and so does ``bench_coxeter.py``'s row of D5.
+also runs here, on D4, its per-basis table on K5, and so does
+``bench_coxeter.py``'s row of D5.
 """
 
 import importlib.util
@@ -37,6 +38,18 @@ def test_walk_table_on_d4(capsys):
     assert "levels 71 (" in stores
     # the 40 rays: the store line comes after the connected levels are read
     assert "connected 40 (" in stores
+
+
+def test_basis_work_table_on_k5(capsys):
+    # K5's 5 star bases: each re-check hands 36 pivots to the Z reduction
+    # (0 + 1 + 2 + 3 to find the greedy basis of 4, as many to span it with
+    # its tags, then 4 to each of the 6 elements outside it), 20 of them
+    # to a row that is 0 at their lead
+    _load("bench_kernels.py")._bench_basis_work("K5", 1)
+    (row,) = capsys.readouterr().out.splitlines()
+    assert row.startswith("K5 per-basis work (5 bases)")
+    assert "  180 pivots   100 skipped" in row
+    assert "invariants: r columns" in row and "m x m map" in row
 
 
 def test_coxeter_row_of_d5():

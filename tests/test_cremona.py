@@ -7,12 +7,13 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cremfan import cremona
+from cremfan import cli, cremona
 from cremfan.cremona import (
     CremonaData,
     IntegerLinearMap,
     _hyperplane_mismatch,
     build_involution,
+    crem_invariants,
     crem_map,
     cremona_check,
     cremona_check_detail,
@@ -32,6 +33,7 @@ from cremfan.generators import (
     coxeter_matroid,
     dowling_rank3,
     fano,
+    from_spec_string,
     parallel_connection,
     uniform,
 )
@@ -625,6 +627,52 @@ class TestCremMap:
         broken = CremonaData(free2, (0, 1), {}, {0: frozenset(), 1: frozenset()})
         with pytest.raises(InvariantError, match="all-ones"):
             crem_map(broken)
+
+
+class TestBasisReportInvariants:
+    """The CLI reads c and the quotient determinant off the r basis
+    columns (``crem_invariants``); they are what the full m x m map gives."""
+
+    @pytest.mark.parametrize("spec", ["A3", "A4", "A5", "A6", "K5", "K6", "K7", "B4", "B5"])
+    def test_report_matches_the_full_map(self, spec):
+        datas = enumerate_cremona_bases(from_spec_string(spec))
+        assert datas
+        for data in datas:
+            report = cli._basis_report(data)
+            # no ``moved``: the determinant reads the columns a scan finds
+            full = IntegerLinearMap(crem_map(data).matrix)
+            c = full.one_multiple()
+            assert (report["one_multiple"], report["quotient_det"]) == crem_invariants(data)
+            assert report["one_multiple"] == c == len(data.basis) - 1
+            assert report["quotient_det"] == full.quotient_determinant()
+            if c != 1:  # det Q = det A / c: the (m - 1) x (m - 1) determinant itself
+                assert report["quotient_det"] == det_int(full.quotient_matrix())
+
+    @pytest.mark.parametrize("mode", ["--check", "--enumerate"])
+    def test_wrong_corank_flat_is_exit_4(self, mode, tmp_path, capsys, monkeypatch):
+        # B_0 given b_0 as well: row b_0 sums to r, every other row to r - 1
+        M = from_spec_string("K5")
+        path = str(tmp_path / "k5.json")
+        assert cli.main(["gen", "K5", "--out", path]) == 0
+        check = cremona.cremona_check_detail
+
+        def wrong(M, b):
+            data, reason = check(M, b)
+            flats = {**data.corank_flats, 0: data.corank_flats[0] | {data.basis[0]}}
+            return CremonaData(M, data.basis, data.partition, flats), reason
+
+        data = wrong(M, enumerate_cremona_bases(M)[0].basis)[0]
+        with pytest.raises(InvariantError, match="all-ones"):
+            crem_invariants(data)
+        with pytest.raises(InvariantError, match="all-ones"):
+            crem_map(data)
+        monkeypatch.setattr(cremona, "cremona_check_detail", wrong)
+        capsys.readouterr()
+        args = ["--check", ",".join(M.ground.label(e) for e in data.basis)]
+        code = cli.main(["cremona", path, *(args if mode == "--check" else [mode])])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert "error: invariant violation: Cremona map does not preserve the all-ones line" in err
 
 
 class TestSupportGraph:

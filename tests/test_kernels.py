@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,9 @@ from cremfan.generators import coxeter_matroid, positive_roots
 from cremfan.matroid import VectorBackend
 from cremfan.kernels import (
     CoverState,
+    _pivots,
     _primitive_key,
+    _reduce_int,
     closure_int,
     cover_step_int,
     covers_int,
@@ -41,7 +44,9 @@ from cremfan.quad import (
     reflection_closed_quad,
 )
 
-from conftest import determinant, f3_vector_rows, matrix_rank, quad_lines, quad_scale
+from conftest import (
+    determinant, f3_vector_rows, in_span, matrix_rank, quad_lines, quad_scale,
+)
 
 
 class TestIntKernel:
@@ -501,6 +506,107 @@ class TestDeterminant:
         assert det_int([tuple(r) for r in rows]) == expected
         if singular:
             assert expected == 0
+
+
+# Sparse rows of large entries: most coordinates are 0, so a reduction skips
+# most pivots, and each row is a multiple (up to 10^15) of a row of entries
+# up to 10^15, so the content division runs.
+_sparse_entry = st.one_of(st.just(0), st.just(0), st.integers(-10 ** 15, 10 ** 15))
+
+
+def _sparse_rows(width, min_size=1, max_size=7):
+    scaled = st.tuples(
+        st.integers(1, 10 ** 15), st.lists(_sparse_entry, min_size=width, max_size=width),
+    ).map(lambda drawn: tuple(drawn[0] * x for x in drawn[1]))
+    return st.lists(scaled, min_size=min_size, max_size=max_size)
+
+
+sparse_rows = st.integers(min_value=1, max_value=5).flatmap(_sparse_rows)
+sparse_square = st.integers(min_value=0, max_value=6).flatmap(lambda n: _sparse_rows(n, n, n))
+
+
+def _rational(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _bareiss(vec, pivots):
+    """A row reduced by Bareiss fraction-free elimination (reference)."""
+    v, prev = list(vec), 1
+    for c, row in pivots:
+        a, b = row[c], v[c]
+        v = [(a * x - b * y) // prev for x, y in zip(v, row)]
+        prev = a
+    return v
+
+
+class TestSparseLargeIntKernel:
+    """The Z kernels on sparse rows of entries up to 10^30, against the
+    Fraction oracles: the reduction skips the pivots a row is 0 at and
+    divides out its content, and every answer read off it stays exact."""
+
+    @given(sparse_rows, st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=5, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_reduction_is_the_primitive_bareiss_row(self, rows, vec):
+        # up to sign: the same zeros and the same line, primitive. The rows
+        # are made primitive, as the backends make theirs: a row that no
+        # step changes comes back as given
+        rows = [primitive_int_vector(row) for row in rows]
+        vec = primitive_int_vector(vec[:len(rows[0])])
+        bareiss = _bareiss(vec, _pivots(rows, _bareiss))
+        pivots = _pivots(rows, _reduce_int)
+        v = _reduce_int(vec, pivots)
+        assert gcd(*v) == (1 if any(v) else 0)
+        assert all(gcd(*row) == 1 for _, row in pivots)
+        assert all(v[c] == 0 for c, _ in pivots)
+        content = gcd(*bareiss) or 1
+        assert v in ([x // content for x in bareiss], [-x // content for x in bareiss])
+
+    @given(sparse_rows, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_and_closure(self, rows, data):
+        subset, q = drawn_subset(data, rows), _rational(rows)
+        span = [q[i] for i in subset]
+        assert rank_int(rows) == matrix_rank(q)
+        assert closure_int(rows, subset) == (matrix_rank(span), [
+            i for i, row in enumerate(q) if i in subset or in_span(row, span)
+        ])
+
+    @given(sparse_rows, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fundamental_supports(self, rows, data):
+        # b_j is on the fundamental circuit of e exactly when e leaves the
+        # span of the other basis rows
+        subset, q = drawn_subset(data, rows), _rational(rows)
+        basis = []
+        for i in subset:
+            if matrix_rank([q[b] for b in basis + [i]]) > len(basis):
+                basis.append(i)
+        expected = {
+            e: sum(1 << j for j in range(len(basis))
+                   if not in_span(row, [q[b] for b in basis if b != basis[j]]))
+            for e, row in enumerate(q) if in_span(row, [q[b] for b in basis])
+        }
+        assert fundamental_int(rows, subset, range(len(rows))) == (basis, expected)
+
+    @given(sparse_rows, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_covers_groups(self, rows, data):
+        # the covers of a flat F: e and f outside F share one when f lies
+        # in the span of F + e
+        q = _rational(rows)
+        span = [q[i] for i in drawn_subset(data, rows)]
+        flat = [i for i, row in enumerate(q) if in_span(row, span)]
+        rest = [e for e in range(len(rows)) if e not in flat]
+        groups: list[list[int]] = []
+        for e in rest:
+            if not any(e in group for group in groups):
+                groups.append([f for f in rest if in_span(q[f], span + [q[e]])])
+        assert rank_groups(covers_int(rows, flat)) == (matrix_rank(span), groups)
+
+    @given(sparse_square)
+    @settings(max_examples=150, deadline=None)
+    def test_determinant(self, rows):
+        assert det_int(rows) == determinant(_rational(rows))
 
 
 # the public kernels of the other domains, by home module

@@ -1,13 +1,17 @@
 """The JSON matroid interchange format: round trips and validation."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cremfan.cli import main
 from cremfan.errors import InputError
+from cremfan.field import Field, primitive_int_vector
 from cremfan.isomorphism import find_isomorphism
+from cremfan.matroid import VectorBackend
 from cremfan.quad import QuadSqrt5
 from cremfan.serialize import (
     dumps,
@@ -96,6 +100,61 @@ class TestRoundTrips:
         doc = matroid_to_dict(a3)
         assert dumps(doc) == dumps(json.loads(dumps(doc)))
         assert dumps(doc).endswith("\n")
+
+
+def q_vectors_doc(data):
+    return {"schema": 1, "kind": "matroid", "elements": [str(i) for i in range(len(data))],
+            "backend": "vectors", "field": "Q", "data": data}
+
+
+class TestIntegerEntries:
+    """A row of integers over Q goes through int() straight into the
+    kernels' row, with one gcd; the backend's vectors, the entries as
+    Fractions, are built on first read. Other rows take Field.parse."""
+
+    def test_integer_rows_load_with_no_fraction(self):
+        data = [["2", "-4", "0"], ["0", "0", "0"], ["-6", " 9 ", "+3"], ["1_0", "0", "5"]]
+        backend = matroid_from_dict(q_vectors_doc(data)).backend
+        assert backend._rows == [(1, -2, 0), (0, 0, 0), (-2, 3, 1), (2, 0, 1)]
+        assert "vectors" not in vars(backend)
+        assert backend.vectors == [[Fraction(int(x)) for x in row] for row in data]
+        assert all(type(x) is Fraction for vec in backend.vectors for x in vec)
+        assert backend._rows == [primitive_int_vector(vec) for vec in backend.vectors]
+
+    def test_integer_and_rational_rows_load_as_before(self):
+        data = [["1", "1/2", "0"], ["3", "0", "-9"], ["0.5", "2", " 3/6"]]
+        backend = matroid_from_dict(q_vectors_doc(data)).backend
+        fractions = [[Fraction(x.strip()) for x in row] for row in data]
+        assert backend.vectors == fractions
+        assert backend._rows == [(2, 1, 0), (1, 0, -3), (1, 4, 1)]
+        assert backend._rows == VectorBackend(Field.from_spec("Q"), fractions)._rows
+
+    @pytest.mark.parametrize("data,message", [
+        ([["1", 2], ["0", "1"]], "each vector must be a list of entry strings"),
+        ([["1", "0"], ["1/0", "1"]], "bad vector entry: bad rational '1/0'"),
+        ([["1", "0"], ["1"]], "vectors of mixed dimension"),
+        ([["1", "0"], ["1/2"]], "vectors of mixed dimension"),
+    ])
+    def test_bad_files_exit_2(self, data, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(q_vectors_doc(data)))
+        code = main(["cremona", str(path), "--enumerate"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"error: {message}"
+
+    def test_gen_a3_file_is_unchanged(self, tmp_path, capsys):
+        # the sha256 of the file `gen A3` writes, which its report echoes;
+        # saving the loaded file again writes the same bytes
+        path = tmp_path / "a3.json"
+        assert main(["gen", "A3", "--out", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        digest = "b9de14d42225dafd2a4ca845d6bf0b56c77a01ba33d9ede4d702b66abae85942"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert report["input"]["sha256"] == digest
+        again = tmp_path / "again.json"
+        save_matroid(load_matroid(path), again, name="A3")
+        assert again.read_bytes() == path.read_bytes()
 
 
 # strings with non-ASCII, control and lone surrogate characters
