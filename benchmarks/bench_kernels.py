@@ -41,8 +41,12 @@ the cover steps, asserted equal to the flats the walk expands (those of
 rank 1 to r - 2), the coordinates eliminated (counted in a separate
 untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
 other cover's direction in a cover step) and the seconds (E7: one run).
-After the walk, and after the connected levels are read off it, it lists
-the entries and the bytes of each per-matroid store: the levels (each
+A second line gives, per rank of the flat expanded, the covers its state
+kept, asserted equal to the flats found one rank up, and the covers
+already recorded that it skipped; together they are what the walk's
+budget counts.  After the walk, and after the connected levels are read
+off it, it lists the entries and the bytes of each per-matroid store: the
+levels (each
 flat's bitmask, mapped to the bitmask of the flat it was found from),
 ``_rank_cache``, ``_closure_cache`` and the connected levels
 (``_connected_cache``).  The bytes are a deep
@@ -62,7 +66,7 @@ import resource
 import sys
 import time
 
-from cremfan import fp, kernels, quad
+from cremfan import fp, kernels, matroid, quad
 from cremfan.cremona import crem_invariants, crem_map, cremona_check, enumerate_cremona_bases
 from cremfan.exact_cover import _exact_cover_bases, _line_remainders
 from cremfan.field import Field, primitive_int_vector
@@ -391,15 +395,21 @@ def _store_sizes(M) -> str:
 
 def _counted_walk(spec: str):
     # cover steps and coordinates eliminated in one walk, with the steps
-    # and the reductions wrapped. VectorBackend binds the step of its domain
-    # when it is built, so the matroid is made after the patch. The steps
-    # are read through kernels, as the backends read them; each reduction is
-    # patched in its home module, whose kernels read it there
+    # and the reductions wrapped, and per rank of the flat expanded the
+    # covers its state kept and the recorded ones it skipped (read off the
+    # walk's index of recorded flats: a basis of j elements asks for the
+    # covers of a flat of rank j). VectorBackend binds the step of its
+    # domain when it is built, so the matroid is made after the patch. The
+    # steps are read through kernels, as the backends read them; each
+    # reduction is patched in its home module, whose kernels read it there
     counts = [0, 0]
+    kept: dict[int, int] = {}
+    skipped: dict[int, int] = {}
     steps = ("cover_step_int", "cover_step_quad", "cover_step_mod")
     homes = {"_reduce_int": kernels, "_reduce_quad": quad, "_reduce_mod": fp}
     originals = {name: getattr(kernels, name) for name in steps}
     originals.update((name, getattr(home, name)) for name, home in homes.items())
+    above = matroid._Recorded.above
 
     def stepper(name):
         def step(state, *args):
@@ -408,7 +418,9 @@ def _counted_walk(spec: str):
             dropped = state.groups[g] | (skip[0] if skip else 0)
             counts[0] += 1
             counts[1] += sum(1 for group in state.groups if group & ~dropped)
-            return originals[name](state, *args)
+            stepped = originals[name](state, *args)
+            kept[stepped.rank] = kept.get(stepped.rank, 0) + len(stepped.groups)
+            return stepped
         return step
 
     def reducer(name):
@@ -417,30 +429,46 @@ def _counted_walk(spec: str):
             return originals[name](vec, pivots, **p)
         return reduce
 
+    def recorded_above(index, basis):
+        count, union = above(index, basis)
+        skipped[len(basis)] = skipped.get(len(basis), 0) + count
+        return count, union
+
     for name in steps:
         setattr(kernels, name, stepper(name))
     for name, home in homes.items():
         setattr(home, name, reducer(name))
+    matroid._Recorded.above = recorded_above
     try:
         _seconds, M = _walk_levels(spec)
     finally:
         for name, original in originals.items():
             setattr(homes.get(name, kernels), name, original)
-    return counts[0], counts[1], M
+        matroid._Recorded.above = above
+    # the empty flat's covers, eliminated from scratch: every point, none skipped
+    kept[0] = len(M.flats_of_rank(1))
+    by_rank = [(kept[k], skipped.get(k, 0)) for k in sorted(kept)]
+    return counts[0], counts[1], M, by_rank
 
 
 def _bench_stepped_walk(spec: str, repeat: int) -> None:
     best = min(_walk_levels(spec)[0] for _ in range(repeat))
-    steps, coordinates, M = _counted_walk(spec)
+    steps, coordinates, M, by_rank = _counted_walk(spec)
     r = M.full_rank()
     levels = [len(M.flats_of_rank(k)) for k in range(r)]
     expanded = sum(levels[1:r - 1])
     assert steps == expanded, f"{steps} cover steps for {expanded} flats expanded"
+    # one cover kept per flat found: each state holds the covers not yet recorded
+    assert [covers for covers, _ in by_rank] == levels[1:], by_rank
     M.connected_flats_of_rank(r - 1)  # the connected levels, filtered from the walk's
     print(
         f"{spec} walk to rank {r - 1} ({sum(levels)} flats)".ljust(38)
         + f" {steps:5d} steps = flats expanded   {coordinates:6d} coordinates"
         f"   {best * 1e3:8.2f} ms"
+    )
+    print(
+        f"{'':38} covers kept/skipped, by rank expanded: "
+        + "  ".join(f"{k}: {kept}/{skipped}" for k, (kept, skipped) in enumerate(by_rank))
     )
     print(f"{'':38} stores after the walk: {_store_sizes(M)}")
 

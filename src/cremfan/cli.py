@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from fractions import Fraction
@@ -319,6 +320,23 @@ def _budget(text: str) -> int:
     return value
 
 
+# a weight list that argparse would take for an option: -1,0,1 or -.5,1
+_NEGATIVE_WEIGHT = re.compile(r"-\.?\d")
+
+
+def _joined_weights(argv: Sequence[str]) -> list[str]:
+    """argv with ``--member W`` joined into ``--member=W`` when W starts with a
+    minus sign and a digit, or a minus sign, a point and a digit. argparse
+    takes such a W, say -1,0,1, for an option (only a lone number like -1
+    passes as a value), and then stops at "expected one argument"."""
+    argv = list(argv)
+    for i in range(len(argv) - 1):
+        if argv[i] == "--member" and _NEGATIVE_WEIGHT.match(argv[i + 1]):
+            argv[i:i + 2] = [f"--member={argv[i + 1]}"]
+            break
+    return argv
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, shared by every ``main`` call: do not change it."""
@@ -360,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--graph", action="store_true",
                       help="ray adjacency graph statistics")
     mode.add_argument("--member", metavar="W",
-                      help="comma-separated weights: fan membership test")
+                      help="comma-separated weights: fan membership test "
+                           "(the first may be negative: --member -1,0,1 or --member=-1,0,1)")
     mode.add_argument("--s-graph", action="store_true",
                       help="rank-one/corank-one degree report and verdict")
     fan.add_argument("--rank-one-only", action="store_true",
@@ -381,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     no per-call state, and each ``cmd_*`` looks up its helpers through the
     module's globals when it runs.
     """
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_weights(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:
         code = args.func(args)

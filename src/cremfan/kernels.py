@@ -60,10 +60,13 @@ Conventions:
   in C - F the closure of G + e contains C, so all of C - F lies in one
   cover of G;
 * ``cover_step_*(state, g, skip)`` first drops F's covers whose groups lie
-  inside the bitmask ``skip`` (``skip = 0``, the default, drops none). A
-  walk passes the union of the covers of G it has already recorded: all of
-  C - F lies in one cover of G, so a dropped cover C gives one of those
-  again, and the state keeps G's other covers alone;
+  inside the bitmask ``skip`` (``skip = 0``, the default, drops none). The
+  lattice walk passes the union of the covers of G it has already
+  recorded, at every rank: all of C - F lies in one cover of G, so a
+  dropped cover C is part of one of those, and the state keeps G's other
+  covers alone. Each of them is whole when every cover of F inside it is
+  in F's state, as the walk keeps it (``Matroid._walk`` has the proof), so
+  the arithmetic runs on the directions of covers not yet recorded;
 * ``reflection_closed_*`` says whether the rows are nonzero, pairwise
   non-proportional and closed up to sign and scale under the reflections
   s_r(v) = v - 2 <r, v> / <r, r> r in their own hyperplanes (standard
@@ -138,7 +141,7 @@ def _fundamental(rows, subset, asked, reduce, step: int = 1) -> tuple[list[int],
     n, tags = _width(rows), [0] * (len(basis) * step)
     # basis row j carries the unit tag j, a 1 at its first tag position
     pivots = _pivots([
-        [*rows[b], *(int(k == j * step) for k in range(len(tags)))] for j, b in enumerate(basis)
+        [*rows[b], *tags[:j * step], 1, *tags[j * step + 1:]] for j, b in enumerate(basis)
     ], reduce, step)
     position = {b: j for j, b in enumerate(basis)}
     supports = {}
@@ -148,8 +151,12 @@ def _fundamental(rows, subset, asked, reduce, step: int = 1) -> tuple[list[int],
             continue
         v = reduce([*rows[i], *tags], pivots)
         if not any(v[:n]):
-            # the sum of distinct bits is their union
-            supports[i] = sum({1 << k // step for k, x in enumerate(v[n:]) if x})
+            if step == 1:
+                # one position per tag: the sum of distinct bits is their union
+                supports[i] = sum(1 << k for k, x in enumerate(v[n:]) if x)
+            else:
+                # tag k // step at each of its positions, merged by the set
+                supports[i] = sum({1 << k // step for k, x in enumerate(v[n:]) if x})
     return basis, supports
 
 

@@ -12,14 +12,15 @@ flat is a bitmask from the kernel's cover groups to the levels and the flat
 census; a ``Flat`` is made only for a caller that reads one, and
 ``Flat.elements`` makes the frozenset on first use. On a vector matroid each
 flat's cover state is stepped from the state of the flat it was found from,
-and only the states on the walk's path are alive. Rank and closure queries
-are memoized per matroid and answer a walked flat off its level. The
-connected flats are stored as connected levels (``connected_flats_of_rank``):
-on a reflection arrangement, from rank 3 up, the connected walk's, which
-expands only the connected covers; else the full walk's levels, filtered one
-level at a time with no rank or closure query. A walked flat's connectivity
-is read off them, and a simple matroid's off its stored lines when they join
-all of E; other flats go through a greedy-basis oracle.
+without the covers already recorded, and only the states on the walk's path
+are alive. Rank and closure queries are memoized per matroid and answer a
+walked flat off its level. The connected flats are stored as connected
+levels (``connected_flats_of_rank``): on a reflection arrangement, from rank
+3 up, the connected walk's, which expands only the connected covers; else
+the full walk's levels, filtered one level at a time with no rank or closure
+query. A walked flat's connectivity is read off them, and a simple matroid's
+off its stored lines when they join all of E; other flats go through a
+greedy-basis oracle.
 """
 
 from __future__ import annotations
@@ -101,6 +102,52 @@ def _canonical_key(mask: int) -> str:
     member: at the least element two sets differ in, the set holding it comes
     first, unless the other set ends before it, as its tuple does."""
     return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
+
+
+# the flats per block of a level's index of recorded flats (``_Recorded``)
+_BLOCK = 4096
+
+
+class _Recorded:
+    """The flats of one level a walk has recorded, indexed by element: per
+    block of ``_BLOCK`` flats, in recording order, each element's bitset of
+    the block's flats that hold it (bit i for the block's i-th flat). The
+    blocks keep the bitsets short, so reading the few flats above a basis
+    does not cost operations on ints as long as the level (E7's level 5
+    holds 36,435 flats)."""
+
+    __slots__ = ("_size", "_blocks")
+
+    def __init__(self, size: int):
+        self._size = size
+        self._blocks: list[tuple[list[int], list[int]]] = [([], [0] * size)]
+
+    def add(self, G: int, elements: Iterable[int]) -> None:
+        """Record the flat G, holding the given elements."""
+        flats, holders = self._blocks[-1]
+        if len(flats) == _BLOCK:
+            flats, holders = [], [0] * self._size
+            self._blocks.append((flats, holders))
+        bit = 1 << len(flats)
+        flats.append(G)
+        for e in elements:
+            holders[e] |= bit
+
+    def above(self, basis: Sequence[int]) -> tuple[int, int]:
+        """How many recorded flats hold every element of ``basis``, and
+        their union."""
+        first, rest = basis[0], basis[1:]
+        count = union = 0
+        for flats, holders in self._blocks:
+            hit = holders[first]
+            for e in rest:
+                hit &= holders[e]
+            count += hit.bit_count()
+            while hit:  # from the top bit down, so each step shortens the int
+                top = hit.bit_length() - 1
+                union |= flats[top]
+                hit ^= 1 << top
+        return count, union
 
 
 class Flat:
@@ -592,14 +639,40 @@ class Matroid:
         simple matroid, it records connected flats alone (``fan``'s module
         docstring has the proof, and the proof that on a reflection
         arrangement it records them all). Its levels go to
-        ``_connected_cache``, and its budget counts every cover it issues.
+        ``_connected_cache``.
 
-        The full walk to rank 2 keys each line once, from the first point it
-        visits on the line: it steps each point P with the lines already
-        recorded through P as ``skip`` (``_point_state``). Those are the
-        lines through any non-loop element e of P, as cl{e} = P. Only there:
-        a deeper walk steps on from the points' states, so they must hold
-        every cover.
+        Each pushed flat G is stepped with ``skip`` set to the union of its
+        covers already recorded, so its state holds only the covers not yet
+        recorded: in the full walk at every rank, in the connected walk at
+        rank k - 1. With x_i the least element the path's i-th flat adds,
+        G = cl(x_1, ..., x_j), so its covers are the flats of rank j + 1 that
+        hold every x_i, read off an index of the recorded flats per rank
+        (``_Recorded``). The walk to the lines reads a point's recorded lines
+        off ``lines`` instead: per element, the union of the recorded lines
+        through it. The full walk then issues one cover per flat, and its
+        levels, their values and their order are those of a walk that skips
+        nothing. Proof, for G the g-th cover of F:
+
+        * for a cover C of F other than G, all of C - F lies in one cover of
+          G (for e in C - F, cl(G + e) holds C); so a group of F's state
+          inside the skip lies inside one recorded cover of G, and no cover
+          of G left unrecorded loses a group to the skip;
+        * F's state lacks only covers C of F recorded when F was pushed. A
+          recorded flat below rank k is pushed at once and fully expanded
+          before the walk moves on, and C is not on the path, whose top is
+          F; so every cover of C is recorded, and a cover of G can lose a
+          group only when it is itself recorded and skipped;
+        * hence, by induction from the empty flat, whose state is made from
+          scratch, each state holds exactly the covers not yet recorded when
+          it was made, each with its whole group. (In the connected walk the
+          states below rank k - 1 hold every cover, and the first point
+          suffices.)
+
+        The budget counts every cover of every expanded flat, skipped ones
+        included: those a flat issues and, when its state is made, the
+        recorded ones it skips; so it stops the walks a walk that skips
+        nothing stops. The walk to the lines does not count the lines a
+        point skips.
         """
         root = self.closure(()).mask
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
@@ -607,31 +680,63 @@ class Matroid:
         # cl(empty set) has no element, so it is not connected
         levels = [{} if connected else {root: None}] + [{} for _ in range(k)]
         issued = 0
-        lines = [0] * self.size if k == 2 and not connected else None
+
+        def over_budget() -> BudgetExceeded:
+            counts = [len(found) for found in levels[1:]]
+            walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
+            return BudgetExceeded(
+                f"the {walk} walk to rank {k} needs more than {max_covers} "
+                f"covers; it had found {sum(counts)} {kind}flats, by rank "
+                f"from 1 to {k}: {', '.join(map(str, counts))}"
+            )
+
+        lines = index = None
+        if self._root_state is not None:
+            if k == 2 and not connected:
+                lines = [0] * self.size
+            else:
+                # per rank, the recorded flats the walk skips; per path rank,
+                # the path flat's basis x_1, ..., x_j and its elements (no loop)
+                index = [None] * (k + 1)
+                for j in range(k if connected else 2, k + 1):
+                    index[j] = _Recorded(self.size)
+                bases, held = [()] * k, [[]] * k
         path = [self._on_path(root, 0, self._root_state)] if k else []
         while path:
             F, rank, state, covers = path[-1]
             level = levels[rank + 1]
+            recorded = index[rank + 1] if index is not None else None
             for g, G in covers:
                 issued += 1
                 if max_covers is not None and issued > max_covers:
-                    counts = [len(found) for found in levels[1:]]
-                    walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
-                    raise BudgetExceeded(
-                        f"the {walk} walk to rank {k} needs more than {max_covers} "
-                        f"covers; it had found {sum(counts)} {kind}flats, by rank "
-                        f"from 1 to {k}: {', '.join(map(str, counts))}"
-                    )
+                    raise over_budget()
                 if connected and rank and (G & ~F).bit_count() < 2 or G in level:
                     continue
                 level[G] = F
+                if index is not None:
+                    elements = held[rank] + _members(G & ~F)
+                    if recorded is not None:
+                        recorded.add(G, elements)
                 if rank + 1 < k:
-                    if state is None:
-                        step = None
-                    elif lines is None:
-                        step = self.backend.cover_step(state, g)
-                    else:
-                        step = self._point_state(state, g, G, G & ~F, lines)
+                    step = None
+                    if state is not None:
+                        group = G & ~F
+                        x = (group & -group).bit_length() - 1
+                        if lines is not None:
+                            # each line the point G adds joins lines at its elements outside G
+                            step = self.backend.cover_step(state, g, lines[x])
+                            for rest in step.groups:
+                                for e in _members(rest):
+                                    lines[e] |= G | rest
+                        else:
+                            held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
+                            skip = 0
+                            if index[rank + 2] is not None:
+                                skipped, skip = index[rank + 2].above(bases[rank + 1])
+                                issued += skipped
+                                if max_covers is not None and issued > max_covers:
+                                    raise over_budget()
+                            step = self.backend.cover_step(state, g, skip)
                     path.append(self._on_path(G, rank + 1, step))
                     break
             else:
@@ -644,19 +749,6 @@ class Matroid:
             self._connected_cache = stored
         else:
             self._flats_cache = stored
-
-    def _point_state(self, state: kernels.CoverState, g: int, P: int, group: int,
-                     lines: list[int]) -> kernels.CoverState:
-        """The cover state of the point P, the g-th cover of cl(empty set)
-        (``group`` is P without the loops), in a walk to the lines. ``lines``
-        holds per element the union of the recorded lines through it: P's
-        step skips those through its least non-loop element, and each line
-        it adds then joins ``lines`` at its elements outside P."""
-        step = self.backend.cover_step(state, g, lines[(group & -group).bit_length() - 1])
-        for rest in step.groups:
-            for e in _members(rest):
-                lines[e] |= P | rest
-        return step
 
     def _on_path(self, F: int, rank: int, state: kernels.CoverState | None):
         """The flat F (a bitmask) of this rank as the walk's path holds it:

@@ -32,12 +32,28 @@ def test_walk_table_on_d4(capsys):
     # the table asserts one cover step per flat the walk expands: the 12
     # points and the 34 lines of D4 on the way to its 24 planes
     _load("bench_kernels.py")._bench_stepped_walk("D4", 1)
-    row, stores = capsys.readouterr().out.splitlines()
+    row, covers, stores = capsys.readouterr().out.splitlines()
     assert row.startswith("D4 walk to rank 3 (71 flats)")
     assert "   46 steps = flats expanded" in row
+    # one cover kept per flat found, and the recorded ones skipped: 12 + 84
+    # + 120 = 216 covers in all, as the walk's budget counts them
+    assert covers.endswith("covers kept/skipped, by rank expanded: 0: 12/0  1: 34/50  2: 24/96")
     assert "levels 71 (" in stores
     # the 40 rays: the store line comes after the connected levels are read
     assert "connected 40 (" in stores
+
+
+@pytest.mark.parametrize("spec, steps, coordinates, covers", [
+    ("D5", 320, 570, 1850),
+    ("K7/Fp:101", 812, 1311, 4739),
+])
+def test_counted_walk(spec, steps, coordinates, covers):
+    # one step per flat expanded, and the coordinates they eliminate with
+    # each state skipping the covers already recorded; kept and skipped
+    # covers add up to the walk's budget total
+    counted = _load("bench_kernels.py")._counted_walk(spec)
+    assert counted[:2] == (steps, coordinates)
+    assert sum(kept + skipped for kept, skipped in counted[3]) == covers
 
 
 def test_basis_work_table_on_k5(capsys):

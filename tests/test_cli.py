@@ -420,6 +420,18 @@ class TestFan:
         doc, _ = run_json(capsys, "fan", a3_file, "--member", "1/2,1/2,0,0,0,0")
         assert doc["payload"]["point"][0] == "1/2"
 
+    @pytest.mark.parametrize("weights", ["-1,0,1,2,-1,0", "-1/2,0,0,0,0,1", "-.5,1,0,0,0,0"])
+    def test_member_negative_first_weight(self, a3_file, capsys, monkeypatch, weights):
+        # argparse takes a value such as -1,0,1 for an option; --member W
+        # reads it as --member=W does, also from the process's own argv
+        joined = run(capsys, "fan", a3_file, f"--member={weights}")
+        spaced = run(capsys, "fan", a3_file, "--member", weights)
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1]
+        monkeypatch.setattr(sys, "argv", ["cremfan", "fan", a3_file, "--member", weights])
+        assert main() == 0
+        assert capsys.readouterr().out == joined[1]
+
     def test_member_bad_weight(self, a3_file, capsys):
         code, _, err = run(capsys, "fan", a3_file, "--member", "1,x,0,0,0,0")
         assert code == 2

@@ -380,6 +380,22 @@ class TestLatticeWalk:
         assert len(d4.flats_of_rank(3, max_covers=216)) == 24
         assert sorted(d4._flats_cache) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("make, total", [
+        (lambda: coxeter_matroid("D5"), 1850),
+        (lambda: coxeter_matroid("B5"), 3275),
+        (lambda: _k7_over_f101(), 4739),
+    ], ids=["D5", "B5", "K7/Fp:101"])
+    def test_budget_totals_of_the_walks_to_corank_one(self, make, total):
+        # every cover of every flat the walk to rank r - 1 expands, the
+        # recorded ones its states skip included: as many as a walk that
+        # skips nothing issues, so the budget stops the same walks
+        M = make()
+        r = M.full_rank()
+        with pytest.raises(BudgetExceeded, match=f"more than {total - 1} covers"):
+            M.flats_of_rank(r - 1, max_covers=total - 1)
+        assert M._flats_cache == {}
+        assert len(M.flats_of_rank(r - 1, max_covers=total)) == len(make().flats_of_rank(r - 1))
+
     def test_deep_input_ends_in_the_budget_not_the_stack(self):
         # the Boolean lattice of 40 unit vectors: the walk's path reaches
         # rank 38 long before its budget, with the stack a few frames deep
@@ -408,6 +424,15 @@ def _k7_over_f101():
     return matroid_from_dict(doc)
 
 
+@st.composite
+def int_vector_rows(draw):
+    """Integer rows with a zero row and a multiple of the first among them."""
+    width = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=2, max_size=8))
+    return rows + [[0] * width, [-2 * x for x in rows[0]]]
+
+
 # Vector matroids over each domain for the stepped cover states: loops and a
 # parallel pair, reduced rows with a common factor (Z), D4, H3 (Z[sqrt5]),
 # B3 over F_3, K7 over F_101 and a direct sum.
@@ -422,28 +447,62 @@ STEPPED_CASES = {
 }
 
 
-def assert_stepped_states(M):
-    """Every flat the walk expands has the from-scratch covers as its stepped
-    cover state; in a walk to the lines (rank 2), each point's holds only the
-    lines no earlier point holds."""
-    on_path, expanded, lines = M._on_path, [], set()
-    r = M.full_rank()
+def assert_stepped_states(M, k=None, connected=False):
+    """Every flat the walk to rank k (default r(M)) expands has as its
+    stepped cover state its from-scratch covers minus those recorded when
+    it was stepped: at every rank in the full walk, at rank k - 1 in the
+    connected walk, whose states below it hold every cover. When a flat of
+    rank j is stepped, every other flat of rank j the walk expanded has been
+    popped, so the covers recorded at rank j + 1 are the new covers those
+    flats issued: all their covers (the connected walk: from rank 1, those
+    with two or more elements outside the flat). Returns the summed groups
+    of the states and the flats expanded."""
+    k = M.full_rank() if k is None else k
+    on_path, recorded, groups, expanded = M._on_path, {}, [], []
 
     def checked(F, rank, stepped):
         scratch = M.backend.covers_fast(tuple(_members(F)))
         assert stepped.rank == scratch.rank == rank
-        groups = scratch.groups
-        if r == 2 and rank == 1:
-            groups = [g for g in groups if F | g not in lines]
-            lines.update(F | g for g in groups)
-        assert stepped.groups == groups
+        found = recorded.setdefault(rank + 1, set())
+        skipped = found if not connected or rank == k - 1 else set()
+        assert stepped.groups == [g for g in scratch.groups if F | g not in skipped]
+        found.update(
+            F | g for g in scratch.groups if not connected or not rank or g.bit_count() >= 2
+        )
+        groups.append(len(stepped.groups))
         expanded.append(F)
         return on_path(F, rank, stepped)
 
     M._on_path = checked
-    M.flats_of_rank(r)
-    # a walk to rank r expands every flat of lower rank
+    M._walk(k, None, connected)
+    return sum(groups), expanded
+
+
+def assert_one_cover_per_flat(M):
+    """The full walk to rank r(M) expands every flat of lower rank, and its
+    stepped states hold one cover per flat it finds."""
+    r = M.full_rank()
+    covers, expanded = assert_stepped_states(M)
     assert len(expanded) == sum(len(M.flats_of_rank(k)) for k in range(r))
+    assert covers == sum(len(M.flats_of_rank(k)) for k in range(1, r + 1))
+
+
+def assert_walks_match_their_twin(M, twin, connected=False):
+    """M's walks to every rank, against the same walks of its twin with
+    cover steps that ignore ``skip`` (reference): the same keys, the same
+    values and the same order at every rank."""
+    step = getattr(twin.backend, "cover_step", None)
+    if step is not None:
+        twin.backend.cover_step = lambda state, g, skip=0: step(state, g)
+    for k in range(M.full_rank() + 1):
+        M._walk(k, None, connected)
+        twin._walk(k, None, connected)
+        stored, reference = (
+            (N._connected_cache if connected else N._flats_cache) for N in (M, twin)
+        )
+        assert sorted(stored) == list(range(k + 1))
+        for j, level in stored.items():
+            assert list(level.items()) == list(reference[j].items())
 
 
 # Every Coxeter type of rank at most 6, and a reducible root system
@@ -571,10 +630,13 @@ class TestConnectedWalk:
         with pytest.raises(BudgetExceeded) as info:
             d4.connected_flats_of_rank(3, max_covers=12)
         # depth first: the point 0 and the connected flats found below it
-        # before the 13th cover; the pairs it skips count as covers too
+        # before the 13th cover; the pairs it skips count as covers too, and
+        # so do the planes already recorded through a line, counted when the
+        # line's state is made: so the budget runs out one plane earlier
+        # than when they were counted as the line issued them (1, 3, 6)
         assert str(info.value) == (
             "the connected-flat walk to rank 3 needs more than 12 covers; it "
-            "had found 10 connected flats, by rank from 1 to 3: 1, 3, 6"
+            "had found 9 connected flats, by rank from 1 to 3: 1, 3, 5"
         )
         assert d4._connected_cache == {}
         with pytest.raises(InputError):
@@ -591,12 +653,25 @@ class TestConnectedWalk:
 class TestSteppedCovers:
     @pytest.mark.parametrize("name", sorted(STEPPED_CASES))
     def test_stepped_states_match_from_scratch(self, name):
-        assert_stepped_states(STEPPED_CASES[name]())
+        assert_one_cover_per_flat(STEPPED_CASES[name]())
 
     @given(f3_vector_rows())
     @settings(max_examples=60, deadline=None)
     def test_stepped_states_of_f3_vectors(self, rows):
-        assert_stepped_states(f3_matroid(rows))
+        assert_one_cover_per_flat(f3_matroid(rows))
+
+    @given(int_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_stepped_states_of_z_vectors(self, rows):
+        assert_one_cover_per_flat(Matroid(VectorBackend(Field.from_spec("Q"), rows)))
+
+    @pytest.mark.parametrize("spec", ["D4", "H3", "B4", "F4", "A2+B2"])
+    def test_connected_walk_skips_at_its_last_rank(self, spec):
+        for k in range(1, REFLECTION_CASES[spec]().full_rank() + 1):
+            M = REFLECTION_CASES[spec]()
+            _, expanded = assert_stepped_states(M, k, connected=True)
+            # the root and the connected flats below rank k are expanded
+            assert len(expanded) == 1 + sum(len(M._connected_cache[j]) for j in range(1, k))
 
     def test_the_path_holds_one_flat_per_rank(self):
         d5 = coxeter_matroid("D5")
@@ -636,15 +711,6 @@ def assert_line_census(M, twin):
     for k, level in M._flats_cache.items():
         assert list(level.items()) == list(twin._flats_cache[k].items())
     return sum(groups) if step is not None else None
-
-
-@st.composite
-def int_vector_rows(draw):
-    """Integer rows with a zero row and a multiple of the first among them."""
-    width = draw(st.integers(2, 4))
-    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
-    rows = draw(st.lists(row, min_size=2, max_size=8))
-    return rows + [[0] * width, [-2 * x for x in rows[0]]]
 
 
 def _over_quad(rows):
@@ -711,6 +777,37 @@ class TestLineCensus:
             assert groups == lines
         else:
             assert groups is None
+
+
+class TestWalkTwins:
+    """Every walk, to every rank, stores what a walk whose cover steps skip
+    nothing stores."""
+
+    @pytest.mark.parametrize("name", sorted(STEPPED_CASES))
+    def test_stepped_cases(self, name):
+        assert_walks_match_their_twin(STEPPED_CASES[name](), STEPPED_CASES[name]())
+
+    @pytest.mark.parametrize("name", list(CENSUS_CASES))
+    def test_census_cases(self, name):
+        assert_walks_match_their_twin(CENSUS_CASES[name](), CENSUS_CASES[name]())
+
+    @pytest.mark.parametrize("spec", list(REFLECTION_CASES))
+    def test_coxeter_types(self, spec):
+        assert_walks_match_their_twin(REFLECTION_CASES[spec](), REFLECTION_CASES[spec]())
+        assert_walks_match_their_twin(
+            REFLECTION_CASES[spec](), REFLECTION_CASES[spec](), connected=True
+        )
+
+    @given(int_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_over_z(self, rows):
+        M, twin = (Matroid(VectorBackend(Field.from_spec("Q"), rows)) for _ in range(2))
+        assert_walks_match_their_twin(M, twin)
+
+    @given(f3_vector_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_over_f3(self, rows):
+        assert_walks_match_their_twin(f3_matroid(rows), f3_matroid(rows))
 
 
 class TestBackends:
