@@ -8,14 +8,16 @@ Three subcommands tie the library into reproducible JSON reports:
 
 Every report is a schema-versioned JSON document on stdout with the
 command echo, the sha256 of the input file, and a matroid summary; wall
-times go to stderr so reports stay byte-identical across runs.  Exit codes: 0 success, 2 invalid input, 3 budget exceeded,
-4 internal invariant violation.
+times go to stderr so reports stay byte-identical across runs.  Exit codes:
+0 success, 1 stdout closed before the report was written, 2 invalid input,
+3 budget exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 import time
@@ -83,7 +85,9 @@ def _given(**options) -> dict:
 
 
 def _emit(report: dict) -> None:
+    # flushed here, so a closed stdout raises in ``main``, not at exit
     sys.stdout.write(dumps(report))
+    sys.stdout.flush()
 
 
 def _envelope(command: str, args_echo: dict, path: str, M: Matroid, payload: dict) -> dict:
@@ -413,6 +417,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: invariant violation: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # stdout to devnull, so the flush at exit cannot fail (``signal`` docs, SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         elapsed = time.perf_counter() - start
         print(f"[time] {args.subcommand}: {elapsed:.3f}s", file=sys.stderr)

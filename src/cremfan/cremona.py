@@ -18,9 +18,7 @@ from . import matroid
 from .errors import InputError, InvariantError
 from .field import Field
 from .kernels import det_int
-from .matroid import (
-    ElementBijection, Flat, Matroid, VectorBackend, _members, _SetOnce, census_mismatch,
-)
+from .matroid import ElementBijection, Flat, Matroid, VectorBackend, _mask, _members, _SetOnce
 
 if TYPE_CHECKING:
     from .fan import TropicalPoint
@@ -514,7 +512,7 @@ def build_involution(M: Matroid, d1: CremonaData, d2: CremonaData) -> ElementBij
     with its star edge label in G_b(b*), and each c in b* \\ b with its
     star edge label in G_{b*}(b).  Verified to be an involution mapping b
     onto b* and (for ground sets of at most 15 elements) a matroid
-    automorphism by the full flat census.
+    automorphism on M's hyperplanes (``_hyperplane_mismatch``).
     """
     return _involution(M, two_basis_report(M, d1, d2), two_basis_report(M, d2, d1))
 
@@ -536,11 +534,11 @@ def _involution(M: Matroid, report: TwoBasisReport, back: TwoBasisReport) -> Ele
     if phi.image(report.basis) != set(report.other):
         raise InvariantError("constructed map does not carry b onto b*")
     if M.size <= 15:
-        census = M.flat_census()
-        k = census_mismatch(census, census, phi.forward)
-        if k is not None:
+        H = _hyperplane_mismatch(M, M, phi.forward)
+        if H is not None:
             raise InvariantError(
-                f"constructed map does not preserve rank-{k} flats"
+                f"constructed map does not carry the hyperplane "
+                f"{{{', '.join(map(M.ground.label, _members(H)))}}} onto a hyperplane"
             )
     return phi
 
@@ -572,15 +570,21 @@ def _nonzero_field_element(field: Field, t: int):
     return field.coerce(t + 1)
 
 
-def _hyperplane_mismatch(M: Matroid, N: Matroid) -> int | None:
-    """The first hyperplane H of M that is not a flat of N of rank r(M) - 1,
-    as a bitmask, or None: one walk of M under the budget
-    ``matroid.MAX_COVERS`` and one closure in N per hyperplane. For N on
-    M's ground set with r(N) = r(M) >= 1, None exactly when N = M (proof in
-    ``realize``)."""
+def _hyperplane_mismatch(M: Matroid, N: Matroid,
+                         forward: Sequence[int] | None = None) -> int | None:
+    """The first hyperplane H of M whose image under ``forward`` (an element
+    bijection onto N's ground set as its image sequence, the identity when
+    None) is not a flat of N of rank r(M) - 1, as a bitmask, or None: one
+    walk of M under the budget ``matroid.MAX_COVERS`` and, per hyperplane,
+    a lookup in N's walked levels or else one closure in N. For r(N) = r(M),
+    None exactly when ``forward`` is an isomorphism from M onto N (proof in
+    ``realize``); a matroid of rank 0 has no hyperplane."""
     r = M.full_rank()
-    for H in M._level(r - 1, matroid.MAX_COVERS):
-        if N.closure(_members(H)) != Flat.of_mask(H, r - 1):
+    for H in M._level(r - 1, matroid.MAX_COVERS) if r else ():
+        image = H if forward is None else _mask(forward[e] for e in _members(H))
+        if N._walked_rank(image) != r - 1 and (
+            N.closure(_members(image)) != Flat.of_mask(image, r - 1)
+        ):
             return H
     return None
 
@@ -616,6 +620,9 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
 
     So r_N and r_M agree on the flats of M (on E by the rank check), and
     then on every set X, as r_M(X) <= r_N(X) <= r_N(cl_M X) = r_M(X).
+    For an element bijection φ, the same argument applied to the relabelled
+    matroid N∘φ, of rank r_N(φ(X)), shows φ to be an isomorphism from M onto
+    N when it carries every hyperplane of M onto one of N.
     """
     field = field_spec if isinstance(field_spec, Field) else Field.from_spec(field_spec)
     shared = sorted(d1.basis_set() & d2.basis_set())

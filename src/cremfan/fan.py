@@ -327,7 +327,7 @@ def rank_one_neighbor_count(M: Matroid, e: int) -> int:
     return len(_rank_one_neighbors(M)[e])
 
 
-# the neighbour lists of each matroid, built once from its census
+# the neighbour lists of each matroid, built once from its walked levels
 _NEIGHBORS: "weakref.WeakKeyDictionary[Matroid, list[list[int]]]" = weakref.WeakKeyDictionary()
 
 

@@ -4,8 +4,8 @@ collections and ray permutations. No CLI job imports this module.
 The isomorphism search assigns elements one at a time, in order of
 scarce line profiles first, and keeps the lines it has mapped consistent:
 the line through two assigned elements must go to the line through their
-images, of the same size. Each complete assignment is checked against the
-full flat censuses (``census_mismatch``).
+images, of the same size. Each complete assignment is checked on the
+first matroid's hyperplanes (``cremona._hyperplane_mismatch``).
 
 ``is_nested`` tests a family of connected flats for a nested collection
 of the Bergman fan, and ``ray_permutation`` checks that a lattice map
@@ -15,24 +15,31 @@ permutes the rays of a ray graph and keeps its edges.
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
+from . import matroid
+from .cremona import _hyperplane_mismatch
 from .errors import BudgetExceeded, InputError, InvariantError
 from .fan import RayGraph, TropicalPoint
-from .matroid import ElementBijection, Flat, Matroid, _members, census_mismatch
+from .matroid import ElementBijection, Flat, Matroid, _members
 
 
-def _line_table(census: Sequence[AbstractSet[int]], n: int):
-    """The closures of all pairs, read off a flat census of an n-element matroid.
+def _line_table(M: Matroid):
+    """The closures of all pairs, read off the walked levels of M.
 
-    cl{a, b} is the first flat of rank at most 2 that holds a and b.
+    cl{a, b} is the first flat of rank at most 2 that holds a and b: one
+    of levels 0 to 2, or E when r(M) <= 2.
     Returns the pair -> line id table, the size of each line, and per
     element the sorted sizes of the lines through it (its line profile).
     """
+    r = M.full_rank()
     pair_line: dict[tuple[int, int], int] = {}
     sizes: list[int] = []
-    through: list[list[int]] = [[] for _ in range(n)]
-    for level in census[:3]:
+    through: list[list[int]] = [[] for _ in range(M.size)]
+    levels = [M._level(k) for k in range(min(r, 3))]
+    if r <= 2:
+        levels.append(((1 << M.size) - 1,))
+    for level in levels:
         for F in level:
             points = _members(F)
             spanned = [
@@ -60,12 +67,15 @@ def _search(m1: Matroid, m2: Matroid, *, find_all: bool, max_elements: int):
         )
     if n == 0:
         return [ElementBijection(())]
-    census1, census2 = m1.flat_census(), m2.flat_census()
-    pair1, sizes1, prof1 = _line_table(census1, n)
-    pair2, sizes2, prof2 = _line_table(census2, n)
+    r = m1.full_rank()
+    if r:
+        m1._level(r - 1, matroid.MAX_COVERS)
+        m2._level(r - 1, matroid.MAX_COVERS)
+    pair1, sizes1, prof1 = _line_table(m1)
+    pair2, sizes2, prof2 = _line_table(m2)
     if sorted(prof1) != sorted(prof2):
         return []
-    if [len(level) for level in census1] != [len(level) for level in census2]:
+    if any(len(m1._level(k)) != len(m2._level(k)) for k in range(r)):
         return []
 
     # static order: scarce line profiles first, high incidence degree first
@@ -88,7 +98,7 @@ def _search(m1: Matroid, m2: Matroid, *, find_all: bool, max_elements: int):
             forward = [0] * n
             for a, x in assigned.items():
                 forward[a] = x
-            if census_mismatch(census1, census2, forward) is not None:
+            if _hyperplane_mismatch(m1, m2, forward) is not None:
                 return False
             results.append(ElementBijection(tuple(forward)))
             return not find_all
@@ -136,15 +146,18 @@ def find_isomorphism(
 ) -> ElementBijection | None:
     """A rank-preserving element bijection between two matroids, or None.
 
-    The returned map carries flats to flats of equal rank in both
-    directions (verified against the full flat censuses before returning).
+    The returned map is checked to carry every hyperplane of m1 onto one of
+    m2 (``cremona._hyperplane_mismatch``). Both matroids are walked to their
+    hyperplanes under ``matroid.MAX_COVERS``: past it the search raises
+    BudgetExceeded with the flats found per rank, and stores nothing.
     """
     found = _search(m1, m2, find_all=False, max_elements=max_elements)
     return found[0] if found else None
 
 
 def automorphisms(M: Matroid, *, max_elements: int = 24) -> list[ElementBijection]:
-    """The full automorphism group as a list of element bijections."""
+    """The full automorphism group as a list of element bijections, found
+    and checked as ``find_isomorphism`` finds and checks its map."""
     return _search(M, M, find_all=True, max_elements=max_elements)
 
 

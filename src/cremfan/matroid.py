@@ -8,9 +8,9 @@ against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
 goes depth-first from cl(empty set) to the rank asked for and stores each
 rank as one dict, the only store of its flats: it maps each flat's bitmask
 (bit e for element e) to the bitmask of the flat the walk found it from. A
-flat is a bitmask from the kernel's cover groups to the levels and the flat
-census; a ``Flat`` is made only for a caller that reads one, and
-``Flat.elements`` makes the frozenset on first use. On a vector matroid each
+flat is a bitmask from the kernel's cover groups to the levels; a ``Flat``
+is made only for a caller that reads one, and ``Flat.elements`` makes the
+frozenset on first use. On a vector matroid each
 flat's cover state is stepped from the state of the flat it was found from,
 without the covers already recorded, and only the states on the walk's path
 are alive. Rank and closure queries are memoized per matroid and answer a
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError
@@ -760,18 +760,6 @@ class Matroid:
             covers = map(F.__or__, state.groups)
         return F, rank, state, enumerate(covers)
 
-    def flat_census(self) -> list[AbstractSet[int]]:
-        """The flats as bitmasks, indexed by rank; rank r(M) holds E alone.
-
-        Each level below rank r(M) is the read-only key view of the walk's
-        level, not a copy.
-        """
-        r = self.full_rank()
-        if r:
-            self._level(r - 1)
-        top = frozenset(((1 << self.size) - 1,))
-        return [self._flats_cache[k].keys() for k in range(r)] + [top]
-
     # -- connectivity --------------------------------------------------------
 
     def is_connected(self, flat: Iterable[int]) -> bool:
@@ -975,26 +963,3 @@ class Matroid:
     def __repr__(self):
         return f"Matroid(size={self.size}, backend={self.backend.name})"
 
-
-# ---------------------------------------------------------------------------
-# flat censuses
-
-
-def census_mismatch(census: Sequence[AbstractSet[int]],
-                    other: Sequence[AbstractSet[int]],
-                    forward: Sequence[int] | None = None) -> int | None:
-    """The least rank whose flats ``forward`` does not carry onto ``other``'s, or None.
-
-    Both censuses are lists of flat bitmasks by rank (``Matroid.flat_census``),
-    and ``forward`` is an element bijection as its image sequence, the
-    identity when None. Censuses of different length first disagree at the
-    least rank that only one of them has.
-    """
-    common = min(len(census), len(other))
-    for k in range(common):
-        mapped = census[k] if forward is None else {
-            _mask(forward[e] for e in _members(F)) for F in census[k]
-        }
-        if mapped != other[k]:
-            return k
-    return None if len(census) == len(other) else common

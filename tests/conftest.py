@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -19,7 +19,7 @@ from cremfan.generators import (
     inner,
     uniform,
 )
-from cremfan.matroid import ElementBijection, Matroid, VectorBackend
+from cremfan.matroid import ElementBijection, Matroid, VectorBackend, _mask, _members
 
 
 @pytest.fixture(scope="session")
@@ -194,6 +194,20 @@ def closure_per_cover(M, F):
     return covers
 
 
+def swap_star_labels(report):
+    """A two-basis report with the labels of its first two star edges swapped.
+
+    On a pair of reports the involution stays an involution that carries b
+    onto b*: on K5's bases (0, 1, 2, 3) and (0, 4, 5, 6) it swaps the edges
+    0-2 and 0-3 and the edges 1-2 and 1-3 but not 2-4 and 3-4, so it is no
+    automorphism.
+    """
+    comp = report.components[0]
+    (a, b, x), (c, d, y), *rest = comp.edges
+    edges = ((a, b, y), (c, d, x), *rest)
+    return report._replace(components=(comp._replace(edges=edges), *report.components[1:]))
+
+
 def direct_sum(*matroids):
     """The direct sum of vector matroids over Q, on block-diagonal rows."""
     q = Field.from_spec("Q")
@@ -277,6 +291,43 @@ def covers(M, flat):
     if not M.is_flat(F):
         raise InputError(f"{sorted(F)} is not a flat")
     return list(M._covers(F))
+
+
+# Flat censuses: the reference that the hyperplane check and the line
+# table are compared against.
+
+
+def flat_census(M) -> list[AbstractSet[int]]:
+    """The flats as bitmasks, indexed by rank; rank r(M) holds E alone.
+
+    Each level below rank r(M) is the read-only key view of the walk's
+    level, not a copy.
+    """
+    r = M.full_rank()
+    if r:
+        M._level(r - 1)
+    top = frozenset(((1 << M.size) - 1,))
+    return [M._flats_cache[k].keys() for k in range(r)] + [top]
+
+
+def census_mismatch(census: Sequence[AbstractSet[int]],
+                    other: Sequence[AbstractSet[int]],
+                    forward: Sequence[int] | None = None) -> int | None:
+    """The least rank whose flats ``forward`` does not carry onto ``other``'s, or None.
+
+    Both censuses are lists of flat bitmasks by rank (``flat_census``),
+    and ``forward`` is an element bijection as its image sequence, the
+    identity when None. Censuses of different length first disagree at the
+    least rank that only one of them has.
+    """
+    common = min(len(census), len(other))
+    for k in range(common):
+        mapped = census[k] if forward is None else {
+            _mask(forward[e] for e in _members(F)) for F in census[k]
+        }
+        if mapped != other[k]:
+            return k
+    return None if len(census) == len(other) else common
 
 
 # Linear actions on generated matroids: reflections and coordinate maps as

@@ -8,6 +8,7 @@ proves the installed console script works.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
 from cremfan.matroid import Matroid
 from cremfan.serialize import load_matroid, matroid_to_dict
 
-from conftest import count_backend_calls
+from conftest import count_backend_calls, swap_star_labels
 
 
 def run(capsys, *argv):
@@ -188,6 +189,19 @@ class TestCremona:
         run_json(capsys, "cremona", a3_file, "--pair", "1,2,6", "2,3,5")
         # the payload's report of (b, b*) is the involution's, so (b, b*) and (b*, b)
         assert len(calls) == 2 and calls[0] == calls[1][::-1]
+
+    def test_pair_with_a_map_that_is_no_automorphism_exits_4(self, tmp_path, capsys, monkeypatch):
+        from cremfan import cremona
+
+        path = str(tmp_path / "k5.json")
+        assert main(["gen", "K5", "--out", path]) == 0
+        capsys.readouterr()
+        report = cremona.two_basis_report
+        monkeypatch.setattr(cremona, "two_basis_report",
+                            lambda *args: swap_star_labels(report(*args)))
+        code, out, err = run(capsys, "cremona", path, "--pair", "0,1,2,3", "0,4,5,6")
+        assert (code, out) == (4, "")
+        assert "invariant violation: constructed map does not carry the hyperplane" in err
 
     def test_pair_rejects_non_cremona_basis(self, a3_file, capsys):
         code, _, err = run(capsys, "cremona", a3_file, "--pair", "1,2,3", "2,3,5")
@@ -829,6 +843,24 @@ class TestConsoleScript:
         assert doc["matroid"]["rank"] == 3
         assert out_path.exists()
         assert proc.stderr.startswith("[time]")
+
+    def test_a_closed_stdout_exits_1_with_no_traceback(self, tmp_path, capsys):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        path = str(tmp_path / "k5.json")
+        assert main(["gen", "K5", "--out", path]) == 0
+        capsys.readouterr()
+        read, write = os.pipe()
+        os.close(read)  # a reader that reads no stdout: the report's write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cremfan", "cremona", path, "--enumerate"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"\[time\] cremona: \d+\.\d{3}s\n", proc.stderr), proc.stderr
 
     def test_installed_entry_point(self, tmp_path):
         out_path = tmp_path / "k4.json"

@@ -12,6 +12,7 @@ from cremfan.cremona import (
     CremonaData,
     IntegerLinearMap,
     _hyperplane_mismatch,
+    _involution,
     build_involution,
     crem_invariants,
     crem_map,
@@ -38,10 +39,13 @@ from cremfan.generators import (
     uniform,
 )
 from cremfan.kernels import det_int
-from cremfan.matroid import Matroid, VectorBackend, census_mismatch
+from cremfan.matroid import Matroid, VectorBackend
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
-from conftest import by_label, count_backend_calls, determinant, f3_matroid
+from conftest import (
+    by_label, census_mismatch, count_backend_calls, determinant, f3_matroid, flat_census,
+    swap_star_labels,
+)
 
 # The running example: the rank-3 arrangement fixture with basis {1, 2, 6}
 # (0-based (0, 1, 5)) and its partner {2, 3, 5} (0-based (1, 2, 4)).
@@ -819,6 +823,21 @@ class TestInvolution:
             for r, flats in census.items():
                 assert {phi.image(F) for F in flats} == flats
 
+    def test_a_map_that_is_no_automorphism_is_an_invariant_violation(self, k5, monkeypatch):
+        d1, d2 = cremona_check(k5, (0, 1, 2, 3)), cremona_check(k5, (0, 4, 5, 6))
+        report, back = (
+            swap_star_labels(two_basis_report(k5, *pair)) for pair in ((d1, d2), (d2, d1))
+        )
+        with monkeypatch.context() as patch:
+            # with no hyperplane check, the map passes every other check
+            patch.setattr(cremona, "_hyperplane_mismatch", lambda *args: None)
+            phi = _involution(k5, report, back)
+        assert phi.compose(phi).is_identity and phi.image(d1.basis) == d2.basis_set()
+        with pytest.raises(InvariantError, match=(
+            r"does not carry the hyperplane \{0-1, 0-2, 0-4, 1-2, 1-4, 2-4\} onto a hyperplane"
+        )):
+            _involution(k5, report, back)
+
     def test_rejects_foreign_data(self, a3, b3):
         d_a3 = cremona_check(a3, (0, 1, 5))
         (d_b3,) = enumerate_cremona_bases(b3)
@@ -911,14 +930,18 @@ def f3_row_pairs(draw):
 class TestRealizationCertificate:
     """``realize`` checks N = M on M's hyperplanes alone (proof in its docstring)."""
 
-    @given(f3_row_pairs())
+    @given(f3_row_pairs(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_the_census_comparison(self, pair):
+    def test_agrees_with_the_census_comparison(self, pair, data):
         M, N = (f3_matroid(rows) for rows in pair)
         assume(M.full_rank() == N.full_rank() >= 1)
+        # None is the identity; a permutation checks an isomorphism of M onto N
+        forward = data.draw(st.none() | st.permutations(range(M.size)))
         # the reference: every rank's flats compared, on fresh twins
-        census = [f3_matroid(rows).flat_census() for rows in pair]
-        assert (_hyperplane_mismatch(M, N) is None) == (census_mismatch(*census) is None)
+        census = [flat_census(f3_matroid(rows)) for rows in pair]
+        assert (_hyperplane_mismatch(M, N, forward) is None) == (
+            census_mismatch(*census, forward) is None
+        )
 
     def test_k7_walks_m_once_and_closes_each_hyperplane_in_n(self, monkeypatch):
         k7 = complete_graph_matroid(7)

@@ -37,6 +37,7 @@ from conftest import (
     exhaustive_connected,
     f3_matroid,
     f3_vector_rows,
+    flat_census,
     record_walks,
 )
 
@@ -88,7 +89,7 @@ def _pair_nested(A, B, census):
 def pair_loop_edges(M):
     """The ray graph's edges by one ``_pair_nested`` test per pair of rays
     (reference routine)."""
-    rays, census = nested_rays(M), M.flat_census()
+    rays, census = nested_rays(M), flat_census(M)
     return tuple(
         (i, j)
         for i, j in itertools.combinations(range(len(rays)), 2)
@@ -369,7 +370,7 @@ class TestRayGraph:
 
         M, reference = build(), build()
         rays = nested_rays(M)
-        census = M.flat_census()
+        census = flat_census(M)
         meeting = top = 0
         for A, B in itertools.combinations(rays, 2):
             a, b = A.elements, B.elements

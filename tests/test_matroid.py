@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cremfan import circuits as circuits_module
+from cremfan import circuits as circuits_module, matroid as matroid_module
 from cremfan.errors import BudgetExceeded, InputError
 from cremfan.field import Field
 from cremfan.generators import (
@@ -28,7 +28,6 @@ from cremfan.matroid import (
     Matroid,
     VectorBackend,
     _members,
-    census_mismatch,
 )
 
 from cremfan.quad import QuadSqrt5
@@ -37,6 +36,7 @@ from cremfan.serialize import matroid_from_dict, matroid_to_dict
 from conftest import (
     CENSUS_CASES,
     by_label,
+    census_mismatch,
     closure_per_cover,
     count_backend_calls,
     covers,
@@ -44,6 +44,7 @@ from conftest import (
     exhaustive_connected,
     f3_matroid,
     f3_vector_rows,
+    flat_census,
     quad_lines,
     quad_scale,
     record_walks,
@@ -246,7 +247,7 @@ class TestLatticeWalk:
     @pytest.mark.parametrize("name", ["D4", "H3", "A2+B2", "fano lines", "D4/0"])
     def test_levels_map_each_flat_to_the_flat_it_was_found_from(self, name, connected):
         make = REFLECTION_CASES.get(name) or MASK_CASES[name]
-        M, census = make(), make().flat_census()
+        M, census = make(), flat_census(make())
         r = M.full_rank()
         M._walk(r, None, connected=connected)
         levels = M._connected_cache if connected else M._flats_cache
@@ -1168,7 +1169,7 @@ class TestOneStorePerFlat:
 
     @pytest.mark.parametrize("name", list(CENSUS_CASES))
     def test_census_levels_are_read_only(self, name):
-        census = CENSUS_CASES[name]().flat_census()
+        census = flat_census(CENSUS_CASES[name]())
         for level in census:
             with pytest.raises(AttributeError):
                 level.add(frozenset())
@@ -1307,6 +1308,17 @@ class TestIsomorphism:
         assert len(automorphisms(b3)) == 24
         assert len(automorphisms(fano_m)) == 168
 
+    def test_the_hyperplane_check_sees_what_the_lines_do_not(self):
+        # rank 4, every line of two points and one plane of four: all 720
+        # permutations keep the lines, and the 4! * 2! that keep the plane
+        # are the automorphisms
+        rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1),
+                (1, 2, 3, 1)]
+        M = Matroid(VectorBackend(Field.from_spec("Q"), rows))
+        auts = automorphisms(M)
+        assert len(auts) == 48
+        assert all(phi.image(range(4)) == set(range(4)) for phi in auts)
+
     def test_automorphisms_form_a_group(self, u23):
         auts = {a.forward for a in automorphisms(u23)}
         for a in automorphisms(u23):
@@ -1318,6 +1330,19 @@ class TestIsomorphism:
         e6 = coxeter_matroid("E6")
         with pytest.raises(BudgetExceeded):
             automorphisms(e6)
+
+    @pytest.mark.parametrize("search", [
+        automorphisms, lambda M: find_isomorphism(M, coxeter_matroid("A4")),
+    ], ids=["automorphisms", "find_isomorphism"])
+    def test_walk_budget(self, monkeypatch, search):
+        a4 = coxeter_matroid("A4")
+        monkeypatch.setattr(matroid_module, "MAX_COVERS", 10)
+        with pytest.raises(BudgetExceeded, match=(
+            "walk to rank 3 needs more than 10 covers; it had found 9 flats, "
+            "by rank from 1 to 3: 1, 3, 5"
+        )):
+            search(a4)
+        assert a4._flats_cache == {}
 
 
 def closure_per_pair_lines(M):
@@ -1331,7 +1356,7 @@ def closure_per_pair_lines(M):
 
 
 def census_lines(M):
-    pair_line, sizes, profiles = _line_table(M.flat_census(), M.size)
+    pair_line, sizes, profiles = _line_table(M)
     pairs_of: dict[int, set] = {}
     for pair, lid in pair_line.items():
         pairs_of.setdefault(lid, set()).add(pair)
@@ -1341,7 +1366,7 @@ def census_lines(M):
 
 class TestFlatCensus:
     def test_levels_are_the_flats_by_rank(self, a3):
-        census = a3.flat_census()
+        census = flat_census(a3)
         assert len(census) == a3.full_rank() + 1
         for k in range(a3.full_rank()):
             assert census[k] == {F.mask for F in a3.flats_of_rank(k)}
@@ -1358,7 +1383,7 @@ class TestFlatCensus:
         assert census_lines(f3_matroid(rows)) == closure_per_pair_lines(f3_matroid(rows))
 
     def test_mismatch_of_the_identity_and_an_automorphism(self, a3):
-        census = a3.flat_census()
+        census = flat_census(a3)
         assert census_mismatch(census, census) is None
         for phi in automorphisms(a3):
             assert census_mismatch(census, census, phi.forward) is None
@@ -1366,16 +1391,16 @@ class TestFlatCensus:
     def test_mismatch_names_the_least_bad_rank(self, a3):
         # swapping two elements of A3 (two edges of K4) fixes every point but
         # carries some line onto a set that is not a flat
-        census = a3.flat_census()
+        census = flat_census(a3)
         swap = (1, 0) + tuple(range(2, a3.size))
         assert ElementBijection(swap) not in automorphisms(a3)
         assert census_mismatch(census, census, swap) == 2
 
     def test_mismatch_of_censuses_of_different_length(self, u23):
-        census = u23.flat_census()
+        census = flat_census(u23)
         assert census_mismatch(census, census[:-1]) == len(census) - 1
         assert census_mismatch(census[:-1], census) == len(census) - 1
-        assert census_mismatch(census, uniform(3, 3).flat_census()) == 2
+        assert census_mismatch(census, flat_census(uniform(3, 3))) == 2
 
     def test_automorphisms_read_the_census(self, monkeypatch):
         a4 = coxeter_matroid("A4")
