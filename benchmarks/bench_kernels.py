@@ -48,8 +48,8 @@ budget counts.  After the walk, and after the connected levels are read
 off it, it lists the entries and the bytes of each per-matroid store: the
 levels (each
 flat's bitmask, mapped to the bitmask of the flat it was found from),
-``_rank_cache``, ``_closure_cache`` and the connected levels
-(``_connected_cache``).  The bytes are a deep
+``_rank_cache`` and ``_closure_cache``, keyed by bitmask, and the
+connected levels (``_connected_cache``, bitmasks with no values).  The bytes are a deep
 ``sys.getsizeof`` that counts each object once, in the store that reaches
 it first, in that order.  Last it prints the process's peak RSS, which the
 E7 walk sets.
@@ -322,8 +322,7 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
         best = float("inf")
         for _ in range(repeat):
             M = coxeter_matroid(spec)
-            flats = [F.elements for k in range(M.full_rank() + 1)
-                     for F in M.flats_of_rank(k)]
+            flats = [F for k in range(M.full_rank() + 1) for F in M.flats_of_rank(k)]
             eliminations = [0]
             fundamental_fast = M.backend.fundamental_fast
 
@@ -333,9 +332,13 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
                 return fundamental_fast(subset, asked)
 
             M.backend.fundamental_fast = counted
-            test = M.is_connected if method == "walk" else M._connected
+            # the public query takes elements, the oracle a bitmask
+            if method == "walk":
+                test, args = M.is_connected, [F.elements for F in flats]
+            else:
+                test, args = M._connected, [F.mask for F in flats]
             t0 = time.perf_counter()
-            verdicts = [test(F) for F in flats]
+            verdicts = [test(F) for F in args]
             best = min(best, time.perf_counter() - t0)
         runs[method] = (best, eliminations[0], verdicts)
     assert runs["walk"][2] == runs["oracle"][2]

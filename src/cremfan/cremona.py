@@ -18,7 +18,7 @@ from . import matroid
 from .errors import InputError, InvariantError
 from .field import Field
 from .kernels import det_int
-from .matroid import ElementBijection, Flat, Matroid, VectorBackend, _mask, _members, _SetOnce
+from .matroid import ElementBijection, Matroid, VectorBackend, _mask, _members, _SetOnce
 
 if TYPE_CHECKING:
     from .fan import TropicalPoint
@@ -202,7 +202,7 @@ def cremona_check_detail(M: Matroid, b: Iterable[int]) -> tuple[CremonaData | No
     can pass the test with maps that move the all-ones line.
     """
     _require_simple(M)
-    basis = tuple(sorted(M._check_subset(b)))
+    basis = tuple(_members(M._check_subset(b)))
     r = M.full_rank()
     if len(basis) != r:
         raise InputError(
@@ -385,19 +385,19 @@ class SupportGraph(NamedTuple):
 
 def support_graph(data: CremonaData, S: Iterable[int]) -> SupportGraph:
     M = data.matroid
-    subset = M._check_subset(S)
-    bset = data.basis_set()
+    subset, bmask = M._check_subset(S), _mask(data.basis)
     pairs = data.element_pairs()
-    vertices: set[int] = set(subset & bset)
+    on_basis = _members(subset & bmask)
+    vertices: set[int] = set(on_basis)
     edges = []
-    for e in sorted(subset - bset):
+    for e in _members(subset & ~bmask):
         i, j = pairs[e]
         bi, bj = data.basis[i], data.basis[j]
         vertices.add(bi)
         vertices.add(bj)
         edges.append((min(bi, bj), max(bi, bj), e))
     touched = {a for a, b, _e in edges} | {b for a, b, _e in edges}
-    isolated = tuple(sorted((subset & bset) - touched))
+    isolated = tuple(e for e in on_basis if e not in touched)
     return SupportGraph(data.basis, tuple(sorted(vertices)), tuple(edges), isolated)
 
 
@@ -409,11 +409,11 @@ def flat_support_kind(data: CremonaData, F: Iterable[int]) -> str:
     """
     M = data.matroid
     subset = M._check_subset(F)
-    graph = support_graph(data, subset)
-    inter = subset & data.basis_set()
+    graph = support_graph(data, _members(subset))
+    inter = subset & _mask(data.basis)
     if not inter:
         return "non-basis"
-    if inter == set(graph.vertices):
+    if inter == _mask(graph.vertices):
         return "basis"
     return "mixed"
 
@@ -576,15 +576,15 @@ def _hyperplane_mismatch(M: Matroid, N: Matroid,
     bijection onto N's ground set as its image sequence, the identity when
     None) is not a flat of N of rank r(M) - 1, as a bitmask, or None: one
     walk of M under the budget ``matroid.MAX_COVERS`` and, per hyperplane,
-    a lookup in N's walked levels or else one closure in N. For r(N) = r(M),
-    None exactly when ``forward`` is an isomorphism from M onto N (proof in
-    ``realize``); a matroid of rank 0 has no hyperplane."""
+    one closure and one rank of the image's bitmask in N's oracle, which
+    answers an image that N's walk has found off its levels, with no backend
+    call and no ``Flat``. For r(N) = r(M), None exactly when ``forward`` is
+    an isomorphism from M onto N (proof in ``realize``); a matroid of rank 0
+    has no hyperplane."""
     r = M.full_rank()
     for H in M._level(r - 1, matroid.MAX_COVERS) if r else ():
         image = H if forward is None else _mask(forward[e] for e in _members(H))
-        if N._walked_rank(image) != r - 1 and (
-            N.closure(_members(image)) != Flat.of_mask(image, r - 1)
-        ):
+        if N._closure_of(image) != image or N._rank_of(image) != r - 1:
             return H
     return None
 
@@ -658,12 +658,10 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
             e_plus.add(e)
             pair_at[e] = (i, j)
 
-    class_key: dict[int, frozenset[int]] = {}
+    plus = _mask(e_plus)
+    grouped: dict[int, list[int]] = {}
     for e in sorted(e_zero):
-        class_key[e] = M.closure(e_plus | {e}).elements
-    grouped: dict[frozenset[int], list[int]] = {}
-    for e in sorted(e_zero):
-        grouped.setdefault(class_key[e], []).append(e)
+        grouped.setdefault(M._closure_of(plus | 1 << e), []).append(e)
     classes = tuple(sorted((tuple(v) for v in grouped.values()), key=lambda c: c[0]))
     N = len(classes)
     if field.size is not None and field.size < N + 1:

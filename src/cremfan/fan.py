@@ -289,13 +289,13 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
         raise InputError("ray adjacency graph needs a simple matroid")
     if M.size and not M.is_connected(range(M.size)):
         raise InputError("ray adjacency graph needs a connected matroid")
-    # the full walk, then one filter of its levels: its connected flats are
-    # the rays, and its flats of two components give the disjoint pairs
+    # the full walk, then one filter of its levels: it stores their connected
+    # flats, the rays, and returns the disjoint pairs, read off the flats of
+    # two components
     r = M.full_rank()
     M._level(max(r - 1, 0), matroid.MAX_COVERS)
-    connected, pairs = M._connected_levels()
-    M._connected_cache = connected  # kept for a later nested_rays or is_connected
-    rays = [Flat.of_mask(A, k) for k in range(1, r) for A in connected[k]]
+    pairs = M._connected_levels()
+    rays = [Flat.of_mask(A, k) for k in range(1, r) for A in M._connected_cache[k]]
     index = {A.mask: i for i, A in enumerate(rays)}
     disjoint = [0] * len(rays)  # per ray i, the bits of the disjoint rays j > i
     for (a, _), (b, _) in pairs:

@@ -13,14 +13,16 @@ is made only for a caller that reads one, and ``Flat.elements`` makes the
 frozenset on first use. On a vector matroid each
 flat's cover state is stepped from the state of the flat it was found from,
 without the covers already recorded, and only the states on the walk's path
-are alive. Rank and closure queries are memoized per matroid and answer a
-walked flat off its level. The connected flats are stored as connected
-levels (``connected_flats_of_rank``): on a reflection arrangement, from rank
-3 up, the connected walk's, which expands only the connected covers; else
-the full walk's levels, filtered one level at a time with no rank or closure
-query. A walked flat's connectivity is read off them, and a simple matroid's
-off its stored lines when they join all of E; other flats go through a
-greedy-basis oracle.
+are alive. The rank and closure oracle (``_rank_of``, ``_closure_of``) takes
+bitmasks, answers a walked flat off its level and caches the rest by bitmask;
+the public queries check their elements once (``_check_subset``). The
+connected flats are stored as connected levels (``connected_flats_of_rank``,
+bitmasks with no values): on a reflection arrangement, from rank 3 up, the
+connected walk's, which expands only the connected covers; else the full
+walk's levels, filtered one level at a time with no rank or closure query. A
+walked flat's connectivity is read off them, and a simple matroid's off its
+stored lines when they join all of E; other flats go through a greedy-basis
+oracle.
 """
 
 from __future__ import annotations
@@ -423,16 +425,16 @@ class MinorBackend:
     def __init__(self, parent: "Matroid", kept: Sequence[int], contracted: Iterable[int]):
         self.parent = parent
         self.kept = tuple(kept)
-        self.contracted = frozenset(contracted)
-        self._base = parent.rank(self.contracted)
+        self.contracted = _mask(contracted)  # a bitmask of the parent's elements
+        self._base = parent._rank_of(self.contracted)
 
     @property
     def size(self) -> int:
         return len(self.kept)
 
     def rank_subset(self, subset: tuple[int, ...]) -> int:
-        mapped = {self.kept[i] for i in subset}
-        return self.parent.rank(mapped | self.contracted) - self._base
+        mapped = _mask(self.kept[i] for i in subset)
+        return self.parent._rank_of(mapped | self.contracted) - self._base
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +455,14 @@ class Matroid:
         self.backend = backend
         self._full_rank: int | None = None
         self._full_connected: bool | None = None
-        # the answers of the oracle's own rank and closure queries
-        self._rank_cache: dict[frozenset[int], int] = {}
-        self._closure_cache: dict[frozenset[int], Flat] = {}
+        # the answers of the oracle's own rank and closure queries, by bitmask
+        self._rank_cache: dict[int, int] = {}
+        self._closure_cache: dict[int, int] = {}
         # per rank up to the deepest walk, in canonical order, each flat's bitmask
         # -> the bitmask of the flat the walk found it from (None for cl(empty set))
         self._flats_cache: dict[int, dict[int, int | None]] = {}
-        # per rank, its connected flats, as above: the connected walk's or the full walk's
-        self._connected_cache: dict[int, dict[int, int | None]] = {}
+        # per rank, its connected flats' bitmasks, with no values, as above
+        self._connected_cache: dict[int, dict[int, None]] = {}
         # the cover state of cl(empty set), which every walk starts from
         self._root_state: kernels.CoverState | None = None
 
@@ -473,61 +475,67 @@ class Matroid:
     def elements(self) -> range:
         return range(self.size)
 
-    def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        S = frozenset(subset)
-        for e in S:
+    def _check_subset(self, subset: Iterable[int]) -> int:
+        """The bitmask of a subset of E; InputError for an element outside E."""
+        mask = 0
+        for e in subset:
             if not isinstance(e, int) or not 0 <= e < self.size:
                 raise InputError(f"element {e!r} outside ground set")
-        return S
+            mask |= 1 << e
+        return mask
 
     def rank(self, subset: Iterable[int]) -> int:
-        S = self._check_subset(subset)
+        return self._rank_of(self._check_subset(subset))
+
+    def _rank_of(self, S: int) -> int:
+        """The rank of the subset with bitmask S."""
         hit = self._rank_cache.get(S)
         if hit is not None:
             return hit
-        walked = self._walked_rank(_mask(S))
+        walked = self._walked_rank(S)
         if walked is not None:
             return walked
-        r = self._rank_cache[S] = self.backend.rank_subset(tuple(sorted(S)))
+        r = self._rank_cache[S] = self.backend.rank_subset(tuple(_members(S)))
         return r
 
     def full_rank(self) -> int:
         if self._full_rank is None:
-            self._full_rank = self.rank(range(self.size))
+            self._full_rank = self._rank_of((1 << self.size) - 1)
         return self._full_rank
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         S = self._check_subset(subset)
-        return self.rank(S) == len(S)
+        return self._rank_of(S) == S.bit_count()
 
     def closure(self, subset: Iterable[int]) -> Flat:
-        S = self._check_subset(subset)
+        C = self._closure_of(self._check_subset(subset))
+        return Flat.of_mask(C, self._rank_of(C))
+
+    def _closure_of(self, S: int) -> int:
+        """The bitmask of the closure of the subset with bitmask S."""
         hit = self._closure_cache.get(S)
         if hit is not None:
             return hit
-        walked = self._walked_rank(_mask(S))
-        if walked is not None:
-            return Flat(S, walked)
+        if self._walked_rank(S) is not None:
+            return S
         fast = getattr(self.backend, "closure_fast", None)
         if fast is not None:
-            r, members = fast(tuple(sorted(S)))
-            flat = Flat(frozenset(members), r)
+            r, members = fast(tuple(_members(S)))
+            C = _mask(members)
         else:
-            r = self.rank(S)
-            members = set(S)
+            r, C = self._rank_of(S), S
             for e in range(self.size):
-                if e not in S and self.rank(S | {e}) == r:
-                    members.add(e)
-            flat = Flat(frozenset(members), r)
-        self._closure_cache[S] = flat
-        self._closure_cache.setdefault(flat.elements, flat)
-        self._rank_cache.setdefault(S, flat.rank)
-        self._rank_cache.setdefault(flat.elements, flat.rank)
-        return flat
+                if not S >> e & 1 and self._rank_of(S | 1 << e) == r:
+                    C |= 1 << e
+        self._closure_cache[S] = C
+        self._closure_cache.setdefault(C, C)
+        self._rank_cache.setdefault(S, r)
+        self._rank_cache.setdefault(C, r)
+        return C
 
     def is_flat(self, subset: Iterable[int]) -> bool:
         S = self._check_subset(subset)
-        return self.closure(S).mask == _mask(S)
+        return self._closure_of(S) == S
 
     def _walked_rank(self, mask: int) -> int | None:
         """The rank of the walked flat with this bitmask, or None."""
@@ -543,28 +551,22 @@ class Matroid:
         the one covers elimination of the empty flat, whose state deeper
         walks start from.
         """
-        if self.closure(()).elements:
+        if self._closure_of(0):
             return False
         # without loops, a nonempty ground set has rank at least 1
         return not self.size or all(P.bit_count() == 1 for P in self._level(1))
 
     # -- flats, level by level ----------------------------------------------
 
-    def _covers(self, F: frozenset[int]):
-        """The flats covering a flat F, ordered by their least element outside F."""
-        fast = getattr(self.backend, "covers_fast", None)
-        if fast is not None:
-            state, mask = fast(tuple(sorted(F))), _mask(F)
-            for group in state.groups:
-                yield Flat.of_mask(mask | group, state.rank + 1)
-            return
-        # One closure per cover: for every e in G \ F, cl(F + e) is a flat of
-        # rank r(F) + 1 inside G = cl(F + e0), so it is G itself.
-        seen = set(F)
+    def _covers(self, F: int):
+        """The bitmasks of the flats covering a flat F, ordered by their least
+        element outside F, one closure per cover: for every e in G - F,
+        cl(F + e) is a flat of rank r(F) + 1 inside G = cl(F + e0), so G."""
+        seen = F
         for e in range(self.size):
-            if e not in seen:
-                G = self.closure(F | {e})
-                seen.update(G.elements)
+            if not seen >> e & 1:
+                G = self._closure_of(F | 1 << e)
+                seen |= G
                 yield G
 
     def flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
@@ -607,7 +609,7 @@ class Matroid:
                 self.backend, "reflection_closed", False
             ):
                 self._level(k, max_covers)
-                self._connected_cache = self._connected_levels()[0]
+                self._connected_levels()
             else:
                 self._walk(k, max_covers, connected=True)
         return self._connected_cache[k]
@@ -649,9 +651,9 @@ class Matroid:
         hold every x_i, read off an index of the recorded flats per rank
         (``_Recorded``). The walk to the lines reads a point's recorded lines
         off ``lines`` instead: per element, the union of the recorded lines
-        through it. The full walk then issues one cover per flat, and its
-        levels, their values and their order are those of a walk that skips
-        nothing. Proof, for G the g-th cover of F:
+        through it, and their number (``through``). The full walk then issues
+        one cover per flat, and its levels, their values and their order are
+        those of a walk that skips nothing. Proof, for G the g-th cover of F:
 
         * for a cover C of F other than G, all of C - F lies in one cover of
           G (for e in C - F, cl(G + e) holds C); so a group of F's state
@@ -671,10 +673,9 @@ class Matroid:
         The budget counts every cover of every expanded flat, skipped ones
         included: those a flat issues and, when its state is made, the
         recorded ones it skips; so it stops the walks a walk that skips
-        nothing stops. The walk to the lines does not count the lines a
-        point skips.
+        nothing stops.
         """
-        root = self.closure(()).mask
+        root = self._closure_of(0)
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
             self._root_state = self.backend.covers_fast(tuple(_members(root)))
         # cl(empty set) has no element, so it is not connected
@@ -693,7 +694,7 @@ class Matroid:
         lines = index = None
         if self._root_state is not None:
             if k == 2 and not connected:
-                lines = [0] * self.size
+                lines, through = [0] * self.size, [0] * self.size
             else:
                 # per rank, the recorded flats the walk skips; per path rank,
                 # the path flat's basis x_1, ..., x_j and its elements (no loop)
@@ -722,42 +723,38 @@ class Matroid:
                     if state is not None:
                         group = G & ~F
                         x = (group & -group).bit_length() - 1
+                        skipped = skip = 0
+                        if lines is not None:
+                            skipped, skip = through[x], lines[x]
+                        else:
+                            held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
+                            if index[rank + 2] is not None:
+                                skipped, skip = index[rank + 2].above(bases[rank + 1])
+                        issued += skipped
+                        if max_covers is not None and issued > max_covers:
+                            raise over_budget()
+                        step = self.backend.cover_step(state, g, skip)
                         if lines is not None:
                             # each line the point G adds joins lines at its elements outside G
-                            step = self.backend.cover_step(state, g, lines[x])
                             for rest in step.groups:
                                 for e in _members(rest):
                                     lines[e] |= G | rest
-                        else:
-                            held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
-                            skip = 0
-                            if index[rank + 2] is not None:
-                                skipped, skip = index[rank + 2].above(bases[rank + 1])
-                                issued += skipped
-                                if max_covers is not None and issued > max_covers:
-                                    raise over_budget()
-                            step = self.backend.cover_step(state, g, skip)
+                                    through[e] += 1
                     path.append(self._on_path(G, rank + 1, step))
                     break
             else:
                 path.pop()
-        stored = {
-            j: {G: level[G] for G in sorted(level, key=_canonical_key)}
-            for j, level in enumerate(levels)
-        }
+        stored = {j: sorted(level, key=_canonical_key) for j, level in enumerate(levels)}
         if connected:
-            self._connected_cache = stored
+            self._connected_cache = {j: dict.fromkeys(Gs) for j, Gs in stored.items()}
         else:
-            self._flats_cache = stored
+            self._flats_cache = {j: {G: levels[j][G] for G in Gs} for j, Gs in stored.items()}
 
     def _on_path(self, F: int, rank: int, state: kernels.CoverState | None):
         """The flat F (a bitmask) of this rank as the walk's path holds it:
         with its cover state (None off a vector matroid) and its covers'
         bitmasks, numbered as ``cover_step`` numbers them."""
-        if state is None:
-            covers = (G.mask for G in self._covers(frozenset(_members(F))))
-        else:
-            covers = map(F.__or__, state.groups)
+        covers = self._covers(F) if state is None else map(F.__or__, state.groups)
         return F, rank, state, enumerate(covers)
 
     # -- connectivity --------------------------------------------------------
@@ -774,28 +771,27 @@ class Matroid:
         verdict is kept, as its rank is.
         """
         F = self._check_subset(flat)
-        mask = _mask(F)
-        walked = self._walked_rank(mask)
+        walked = self._walked_rank(F)
         if walked is not None:
-            return mask in self._connected_level(walked)
-        if len(F) == self.size:
+            return F in self._connected_level(walked)
+        if F == (1 << self.size) - 1:
             if self._full_connected is None:
                 self._full_connected = self._lines_join() or self._connected(F)
             return self._full_connected
-        if not self.is_flat(F):
+        if self._closure_of(F) != F:
             raise InputError("connectivity is defined here only for flats")
         return self._connected(F)
 
-    def _connected_levels(self) -> tuple[dict[int, dict[int, int | None]], list]:
-        """The full walk's stored levels, each kept to its connected flats, and
-        the components of each flat with exactly two, both of positive rank:
-        ((A, r(A)), (B, r(B))), with A and B as bitmasks.
+    def _connected_levels(self) -> list[tuple[tuple[int, int], ...]]:
+        """Store the full walk's levels, kept to their connected flats, as the
+        connected levels; return the components of each flat with exactly two,
+        both of positive rank: ((A, r(A)), (B, r(B))), with A and B bitmasks.
 
         The components of M|G, as bitmasks with their ranks, come level by
         level from those of the flat F that level r(G) maps G to, with no
         rank or closure query; only the level below's components are kept.
         """
-        connected: dict[int, dict[int, int | None]] = {}
+        connected: dict[int, dict[int, None]] = {}
         pairs: list[tuple[tuple[int, int], ...]] = []
         below: dict[int, tuple[tuple[int, int], ...]] = {}
         for r, level in self._flats_cache.items():
@@ -827,9 +823,10 @@ class Matroid:
                     if len(comps) == 2 and comps[0][1] and comps[1][1]:
                         pairs.append(comps)
                 components[G] = comps
-            connected[r] = {G: F for G, F in level.items() if len(components[G]) == 1}
+            connected[r] = dict.fromkeys(G for G in level if len(components[G]) == 1)
             below = components
-        return connected, pairs
+        self._connected_cache = connected
+        return pairs
 
     def _lines_join(self) -> bool:
         """Whether M is simple and its stored lines of three or more points
@@ -858,14 +855,15 @@ class Matroid:
                     grown = True
         return reached == full
 
-    def _connected(self, F: frozenset[int]) -> bool:
-        """Whether M|F is connected, for a flat F, by the fundamental-circuit
-        graph of a greedy basis B of F (Krogdahl 1977): each element is
-        joined to its support in B (``_fundamental``)."""
-        if len(F) < 2:
-            return len(F) == 1
-        basis, supports = self._fundamental(F, F)
-        edges = [supports[e] for e in F]
+    def _connected(self, F: int) -> bool:
+        """Whether M|F is connected, for a flat F (a bitmask), by the
+        fundamental-circuit graph of a greedy basis B of F (Krogdahl 1977):
+        each element is joined to its support in B (``_fundamental``)."""
+        if F.bit_count() < 2:
+            return F.bit_count() == 1
+        members = _members(F)
+        basis, supports = self._fundamental(members, members)
+        edges = [supports[e] for e in members]
         if not all(edges):  # a loop, alone in its component
             return False
         reached = 1
@@ -890,15 +888,16 @@ class Matroid:
         if fast is not None:
             return fast(S, asked)
         basis: list[int] = []
-        span = self.closure(())
+        B, span = 0, self._closure_of(0)
         for e in S:
-            if e not in span.elements:
+            if not span >> e & 1:
                 basis.append(e)
-                span = self.closure(basis)
-        rests = [self.closure(basis[:j] + basis[j + 1:]).mask for j in range(len(basis))]
+                B |= 1 << e
+                span = self._closure_of(B)
+        rests = [self._closure_of(B & ~(1 << b)) for b in basis]
         return basis, {
             e: sum(1 << j for j, rest in enumerate(rests) if not rest >> e & 1)
-            for e in asked if e in span
+            for e in asked if span >> e & 1
         }
 
     # -- circuits -------------------------------------------------------------
@@ -916,21 +915,22 @@ class Matroid:
                 f"circuit enumeration over {self.size} elements exceeds the "
                 f"budget of {max_elements}; raise max_elements to override"
             )
-        found: list[frozenset[int]] = []
+        # by size, then in the order of the sorted tuples: smallest first
+        found: list[int] = []
         r = self.full_rank()
         for k in range(1, min(self.size, r + 1) + 1):
             for S in itertools.combinations(range(self.size), k):
-                fs = frozenset(S)
-                if any(C <= fs for C in found):
+                mask = _mask(S)
+                if any(C & mask == C for C in found):
                     continue
-                if self.rank(fs) < k:
-                    found.append(fs)
-        return sorted(found, key=lambda C: (len(C), sorted(C)))
+                if self._rank_of(mask) < k:
+                    found.append(mask)
+        return [frozenset(_members(C)) for C in found]
 
     # -- minors ----------------------------------------------------------------
 
     def restrict(self, subset: Iterable[int]) -> "Matroid":
-        S = sorted(self._check_subset(subset))
+        S = _members(self._check_subset(subset))
         ground = GroundSet(len(S), [self.ground.label(e) for e in S])
         return Matroid(MinorBackend(self, S, ()), ground=ground)
 
@@ -938,9 +938,9 @@ class Matroid:
         if isinstance(subset, int):
             subset = {subset}
         C = self._check_subset(subset)
-        kept = [e for e in range(self.size) if e not in C]
+        kept = [e for e in range(self.size) if not C >> e & 1]
         ground = GroundSet(len(kept), [self.ground.label(e) for e in kept])
-        return Matroid(MinorBackend(self, kept, C), ground=ground)
+        return Matroid(MinorBackend(self, kept, _members(C)), ground=ground)
 
     def simplify(self) -> tuple["Matroid", list[int | None]]:
         """Merge parallel classes and drop loops.
@@ -949,10 +949,9 @@ class Matroid:
         old index -> new index, or None for deleted loops.
         """
         # every rank-1 flat is one parallel class together with the loops
-        loops = self.closure(()).elements
+        loops = self._closure_of(0)
         classes = sorted(
-            sorted(F.elements - loops)
-            for F in (self.flats_of_rank(1) if self.full_rank() else ())
+            _members(P & ~loops) for P in (self._level(1) if self.full_rank() else ())
         )
         quotient: list[int | None] = [None] * self.size
         for i, cls in enumerate(classes):

@@ -19,7 +19,7 @@ from cremfan.generators import (
     inner,
     uniform,
 )
-from cremfan.matroid import ElementBijection, Matroid, VectorBackend, _mask, _members
+from cremfan.matroid import ElementBijection, Flat, Matroid, VectorBackend, _mask, _members
 
 
 @pytest.fixture(scope="session")
@@ -286,11 +286,16 @@ def f3_matroid(rows):
 
 
 def covers(M, flat):
-    """The flats covering a flat F of M, ordered by their least element outside F."""
+    """The flats covering a flat F of M, ordered by their least element outside F:
+    from the kernel's cover state where the backend has ``covers_fast``, else
+    from ``Matroid._covers``, one closure per cover."""
     F = M._check_subset(flat)
-    if not M.is_flat(F):
-        raise InputError(f"{sorted(F)} is not a flat")
-    return list(M._covers(F))
+    if M._closure_of(F) != F:
+        raise InputError(f"{_members(F)} is not a flat")
+    fast = getattr(M.backend, "covers_fast", None)
+    above = [F | g for g in fast(tuple(_members(F))).groups] if fast else M._covers(F)
+    rank = M._rank_of(F) + 1
+    return [Flat.of_mask(G, rank) for G in above]
 
 
 # Flat censuses: the reference that the hyperplane check and the line

@@ -39,12 +39,12 @@ from cremfan.generators import (
     uniform,
 )
 from cremfan.kernels import det_int
-from cremfan.matroid import Matroid, VectorBackend
+from cremfan.matroid import Flat, Matroid, VectorBackend
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 from conftest import (
     by_label, census_mismatch, count_backend_calls, determinant, f3_matroid, flat_census,
-    swap_star_labels,
+    reflection_permutation, swap_star_labels,
 )
 
 # The running example: the rank-3 arrangement fixture with basis {1, 2, 6}
@@ -943,22 +943,39 @@ class TestRealizationCertificate:
             census_mismatch(*census, forward) is None
         )
 
+    def test_an_automorphism_of_a_walked_matroid_is_read_off_its_levels(self, monkeypatch):
+        a6 = coxeter_matroid("A6")
+        phi = reflection_permutation(a6, a6.backend.vectors[0])
+        assert not phi.is_identity
+        a6.flats_of_rank(a6.full_rank() - 1)
+        calls = count_backend_calls(a6, monkeypatch)
+        built = []  # the Flats made, from their elements or from a mask
+        init, of_mask = Flat.__init__, Flat.of_mask
+        monkeypatch.setattr(Flat, "__init__", lambda F, *args: built.append(args) or init(F, *args))
+        monkeypatch.setattr(Flat, "of_mask", lambda *args: built.append(args) or of_mask(*args))
+        assert _hyperplane_mismatch(a6, a6, phi.forward) is None
+        assert built == []
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 0, "covers_fast": 0,
+            "cover_step": 0,
+        }
+
     def test_k7_walks_m_once_and_closes_each_hyperplane_in_n(self, monkeypatch):
         k7 = complete_graph_matroid(7)
         d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
         walks, closures = [], []
-        walk, closure = Matroid._walk, Matroid.closure
+        walk, closure = Matroid._walk, Matroid._closure_of
 
         def walked(M, *args, **kwargs):
             walks.append(M is k7)
             return walk(M, *args, **kwargs)
 
-        def closed(M, subset):
+        def closed(M, S):
             closures.append(M is k7)
-            return closure(M, subset)
+            return closure(M, S)
 
         monkeypatch.setattr(Matroid, "_walk", walked)
-        monkeypatch.setattr(Matroid, "closure", closed)
+        monkeypatch.setattr(Matroid, "_closure_of", closed)
         realize(k7, d1, d2, "Fp:101")
         # one walk, of M to its 63 hyperplanes, and none of N
         assert walks == [True]

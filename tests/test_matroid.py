@@ -243,26 +243,25 @@ class TestLatticeWalk:
             assert [F.elements for F in flats] == want
             assert all(F.mask == S and F.rank == k for S, F in zip(level, flats))
 
-    @pytest.mark.parametrize("connected", [False, True], ids=["full", "connected"])
-    @pytest.mark.parametrize("name", ["D4", "H3", "A2+B2", "fano lines", "D4/0"])
-    def test_levels_map_each_flat_to_the_flat_it_was_found_from(self, name, connected):
+    # the full walk's levels; the connected levels keep no values
+    @pytest.mark.parametrize("name", ["D4", "H3", "A2+B2", "fano lines", "D4/0"],
+                             ids=lambda name: f"{name}-full")
+    def test_levels_map_each_flat_to_the_flat_it_was_found_from(self, name):
         make = REFLECTION_CASES.get(name) or MASK_CASES[name]
         M, census = make(), flat_census(make())
         r = M.full_rank()
-        M._walk(r, None, connected=connected)
-        levels = M._connected_cache if connected else M._flats_cache
+        M._walk(r, None)
+        levels = M._flats_cache
         assert sorted(levels) == list(range(r + 1))
         for k, level in levels.items():
             for G, F in level.items():
                 assert type(G) is int and G in census[k]
-                if F is None:  # cl(empty set), which only the full walk stores
-                    assert k == 0 and not connected
+                if F is None:  # cl(empty set)
+                    assert k == 0
                     continue
                 # a flat of the level below, covered by G
                 assert type(F) is int and k and F in census[k - 1]
                 assert F & ~G == 0
-                if connected and k > 1:
-                    assert F in levels[k - 1]
 
     @pytest.mark.parametrize("name", sorted(WALK_CASES))
     def test_flats_of_rank_matches_naive_walk(self, name):
@@ -380,6 +379,15 @@ class TestLatticeWalk:
         assert d4._flats_cache == stored
         assert len(d4.flats_of_rank(3, max_covers=216)) == 24
         assert sorted(d4._flats_cache) == [0, 1, 2, 3]
+
+    def test_budget_of_the_walk_to_the_lines_counts_the_lines_a_point_skips(self):
+        # 12 covers of the empty flat and 84 of the points: each point's
+        # lines recorded through an earlier point count too
+        d4 = coxeter_matroid("D4")
+        with pytest.raises(BudgetExceeded, match="more than 95 covers"):
+            d4.flats_of_rank(2, max_covers=95)
+        assert d4._flats_cache == {}
+        assert len(d4.flats_of_rank(2, max_covers=96)) == len(coxeter_matroid("D4").flats_of_rank(2))
 
     @pytest.mark.parametrize("make, total", [
         (lambda: coxeter_matroid("D5"), 1850),
@@ -519,7 +527,7 @@ def connected_levels(M, k):
     """The full walk's levels 1 to k, filtered by the greedy-basis oracle
     (reference: ``is_connected`` of a walked flat reads the levels under test)."""
     return [
-        [F for F in M.flats_of_rank(j) if M._connected(F.elements)]
+        [F for F in M.flats_of_rank(j) if M._connected(F.mask)]
         for j in range(1, k + 1)
     ]
 
@@ -574,6 +582,24 @@ class TestConnectedWalk:
         assert walked == connected_levels(reference, r)
         # E is connected exactly when the root system is irreducible
         assert len(walked[-1]) == (0 if name == "A2+B2" else 1)
+
+    @pytest.mark.parametrize("walk", ["connected", "filtered"])
+    @pytest.mark.parametrize("name", ["D4", "H3", "A2+B2", "fano lines", "D4/0"])
+    def test_connected_levels_keep_no_parent(self, name, walk):
+        make = REFLECTION_CASES.get(name) or MASK_CASES[name]
+        M, reference = make(), make()
+        r = M.full_rank()
+        if walk == "connected":
+            M._walk(r, None, connected=True)
+        else:
+            M._level(r)
+            M._connected_levels()
+        levels = M._connected_cache
+        assert sorted(levels) == list(range(r + 1))
+        assert [[Flat.of_mask(G, k) for G in levels[k]] for k in range(1, r + 1)] == (
+            connected_levels(reference, r)
+        )
+        assert all(F is None for level in levels.values() for F in level.values())
 
     @pytest.mark.parametrize("spec", ["D4", "D5", "B4", "F4", "H4", "E6"])
     def test_runs_from_rank_3_on_a_reflection_arrangement(self, spec, monkeypatch):
@@ -1001,7 +1027,7 @@ def vector_blocks(draw):
 def assert_walk_connectivity(M, reference, *, exhaustive_up_to=9):
     """M.is_connected on every flat against the greedy-basis oracle of a fresh copy."""
     for F in all_flats(reference):
-        expected = reference._connected(F.elements)
+        expected = reference._connected(F.mask)
         assert M.is_connected(F.elements) == expected, F.sorted()
         if len(F) <= exhaustive_up_to:
             assert exhaustive_connected(reference, F.elements) == expected
@@ -1043,8 +1069,7 @@ class TestConnectivityFromTheWalk:
         M = Matroid(VectorBackend(Field.from_spec(spec), rows))
         assume(M.full_rank() >= 2)
         M.connected_flats_of_rank(2) if filtered else M._level(2)
-        E = frozenset(range(M.size))
-        assert M.is_connected(E) == M._connected(E)
+        assert M.is_connected(range(M.size)) == M._connected((1 << M.size) - 1)
 
     @pytest.mark.parametrize("name, budget", [
         ("D4/0", 20), ("loop+parallel", 3), ("direct-sum-15", 30), ("H3", 40),
@@ -1116,7 +1141,7 @@ class TestFundamental:
     def test_connected_e_is_one_elimination(self, monkeypatch):
         d5 = coxeter_matroid("D5")
         calls = count_backend_calls(d5, monkeypatch)
-        assert d5._connected(frozenset(range(d5.size)))
+        assert d5._connected((1 << d5.size) - 1)
         assert calls == {
             "rank_subset": 0, "closure_fast": 0, "fundamental_fast": 1, "covers_fast": 0,
             "cover_step": 0,
@@ -1137,7 +1162,7 @@ class TestFundamental:
         M = _direct_sum_large()
         tested = []
         connected = M._connected
-        monkeypatch.setattr(M, "_connected", lambda F: tested.append(len(F)) or connected(F))
+        monkeypatch.setattr(M, "_connected", lambda F: tested.append(F.bit_count()) or connected(F))
         assert [M.is_connected(range(M.size)) for _ in range(3)] == [False] * 3
         assert M.is_connected(range(9))
         assert tested == [15, 9]
@@ -1185,8 +1210,9 @@ class TestOneStorePerFlat:
         # the oracle was asked for r(E), E of rank 5, and for cl(empty set),
         # the one flat of level 0; no other walked flat is cached
         root = d5.flats_of_rank(0)[0]
-        assert set(d5._rank_cache) == {frozenset(), frozenset(range(20))}
-        assert d5._closure_cache == {frozenset(): root}
+        assert root.mask == 0
+        assert d5._rank_cache == {0: 0, (1 << 20) - 1: 5}
+        assert d5._closure_cache == {0: 0}
         assert levels[0] == {root.mask: None}
         # the walk's records are the masks of the levels' own flats, no Flat
         for k, level in levels.items():
@@ -1205,6 +1231,66 @@ class TestOneStorePerFlat:
             "cover_step": 0,
         }
         assert len(d5._rank_cache) == 2 and len(d5._closure_cache) == 1
+
+
+@st.composite
+def small_matroids(draw):
+    """A maker of a small vector, line, circuit or minor matroid; all but the
+    line matroids come from F_3 rows with a loop and a parallel pair."""
+    kind = draw(st.sampled_from(["vectors", "lines", "circuits", "minor"]))
+    if kind == "lines":
+        n = draw(st.integers(3, 7))
+        lines = []
+        for L in draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=3), max_size=4)):
+            if all(len(L & K) <= 1 for K in lines):
+                lines.append(L)
+        return lambda: Matroid(LineBackend(n, lines))
+    rows = draw(f3_vector_rows())
+    if kind == "circuits":
+        circuits = f3_matroid(rows).circuits()
+        return lambda: Matroid(CircuitBackend(len(rows), circuits))
+    if kind == "minor":
+        chosen = draw(st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows) - 1))
+        minor = draw(st.sampled_from([Matroid.contract, Matroid.restrict]))
+        return lambda: minor(f3_matroid(rows), chosen)
+    return lambda: f3_matroid(rows)
+
+
+class TestOracle:
+    @given(small_matroids(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_matches_brute_force_before_and_after_a_walk(self, make, data):
+        # the reference: the backend's own rank of each set
+        reference = make()
+
+        def rank(S):
+            return reference.backend.rank_subset(tuple(sorted(S)))
+
+        n = reference.size
+        subsets = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=6))
+        # each closure first, so that after the walk its level answers it
+        tests = []
+        for S in subsets:
+            closure = frozenset(e for e in range(n) if rank(S | {e}) == rank(S))
+            tests += [(closure, closure), (S, closure)]
+        for walked in (False, True):
+            M = make()
+            if walked:
+                M.flats_of_rank(M.full_rank())
+            for S, closure in tests:
+                r = rank(S)
+                assert M.rank(S) == r
+                assert M.closure(S) == Flat(closure, r)
+                assert M.is_flat(S) == (S == closure)
+                assert M.is_independent(S) == (r == len(S))
+            assert all(type(S) is int for S in M._rank_cache)
+            assert all(type(S) is int for S in M._closure_cache)
+
+    def test_an_element_outside_the_ground_set_is_input_error(self, a3):
+        for query in (a3.rank, a3.closure, a3.is_flat, a3.is_independent, a3.is_connected):
+            for bad in ([0, 6], [-1], ["0"], [1.0]):
+                with pytest.raises(InputError, match="outside ground set"):
+                    query(bad)
 
 
 class TestMinors:
