@@ -19,7 +19,9 @@ The script writes the table to ``benchmarks/BENCH_coxeter.json``, with
 the machine, the Python version and the process's peak RSS, then
 compares the values with the frozen ones (``FROZEN``). On a
 difference it prints each one and exits 1. E8 takes most of the run:
-about 6.5 s of 7.5 s on a 2-CPU x86-64 VM, where the run peaks at 62 MB.
+about 0.8 s of 0.9 s on a 2-CPU x86-64 VM (6.6 s of 7.5 s when the
+connected walk eliminated once per flat, not once per orbit), where the
+run peaks at 63 MB.
 
 Usage: python benchmarks/bench_coxeter.py
 """

@@ -36,17 +36,24 @@ that the two agree.
 
 The last table walks the flat lattice of D5, E6, K7 over F_101 and E7 to
 rank r - 1, depth-first with each flat's cover state stepped from the
-state of the flat it was found from (``Matroid.flats_of_rank``).  It gives
-the cover steps, asserted equal to the flats the walk expands (those of
-rank 1 to r - 2), the coordinates eliminated (counted in a separate
+state of the flat it was found from (``Matroid._walk``, the reference that
+``flats_of_rank`` runs on every matroid but a reflection arrangement).  It
+gives the cover steps, asserted equal to the flats the walk expands (those
+of rank 1 to r - 2), the coordinates eliminated (counted in a separate
 untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
 other cover's direction in a cover step) and the seconds (E7: one run).
 A second line gives, per rank of the flat expanded, the covers its state
 kept, asserted equal to the flats found one rank up, and the covers
 already recorded that it skipped; together they are what the walk's
-budget counts.  After the walk, and after the connected levels are read
-off it, it lists the entries and the bytes of each per-matroid store: the
-levels (each
+budget counts.  On a reflection arrangement (D5, E6, E7) a third line
+walks by orbits (``Matroid.flats_of_rank``, ``orbits.walk``), asserts
+that it stores the same levels, and gives its cover steps, coordinates
+and seconds, and per rank the orbits of the level (counted afterwards
+under the walk's generators) and the eliminations the walk made there
+(the empty flat's from scratch, a cover step for every other), asserted
+equal to the orbits below rank r - 1.  After the depth-first walk, and
+after the connected levels are read off it, it lists the entries and the
+bytes of each per-matroid store: the levels (each
 flat's bitmask, mapped to the bitmask of the flat it was found from),
 ``_rank_cache`` and ``_closure_cache``, keyed by bitmask, and the
 connected levels (``_connected_cache``, bitmasks with no values).  The bytes are a deep
@@ -351,15 +358,20 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
     )
 
 
-def _walk_levels(spec: str):
-    # a fresh matroid walked to rank r - 1.  "K7/Fp:101" is K7 over F_101.
+def _walk_levels(spec: str, by_orbits: bool = False):
+    # a fresh matroid walked to rank r - 1, depth-first or as flats_of_rank
+    # walks it (by orbits on a reflection arrangement, the reflection pass
+    # included).  "K7/Fp:101" is K7 over F_101.
     name, _, field = spec.partition("/")
     M = from_spec_string(name)
     if field:
         M = matroid_from_dict({**matroid_to_dict(M), "field": field})
     r = M.full_rank()
     t0 = time.perf_counter()
-    M.flats_of_rank(r - 1)
+    if by_orbits:
+        M.flats_of_rank(r - 1)
+    else:
+        M._walk(r - 1, None)
     return time.perf_counter() - t0, M
 
 
@@ -396,16 +408,18 @@ def _store_sizes(M) -> str:
     )
 
 
-def _counted_walk(spec: str):
+def _counted_walk(spec: str, by_orbits: bool = False):
     # cover steps and coordinates eliminated in one walk, with the steps
-    # and the reductions wrapped, and per rank of the flat expanded the
-    # covers its state kept and the recorded ones it skipped (read off the
-    # walk's index of recorded flats: a basis of j elements asks for the
-    # covers of a flat of rank j). VectorBackend binds the step of its
+    # and the reductions wrapped; per rank of the flat expanded, the covers
+    # its state kept and the recorded ones it skipped (read off the
+    # depth-first walk's index of recorded flats: a basis of j elements asks
+    # for the covers of a flat of rank j); and per rank, the states the steps
+    # made. VectorBackend binds the step of its
     # domain when it is built, so the matroid is made after the patch. The
     # steps are read through kernels, as the backends read them; each
     # reduction is patched in its home module, whose kernels read it there
     counts = [0, 0]
+    made: dict[int, int] = {}
     kept: dict[int, int] = {}
     skipped: dict[int, int] = {}
     steps = ("cover_step_int", "cover_step_quad", "cover_step_mod")
@@ -422,6 +436,7 @@ def _counted_walk(spec: str):
             counts[0] += 1
             counts[1] += sum(1 for group in state.groups if group & ~dropped)
             stepped = originals[name](state, *args)
+            made[stepped.rank] = made.get(stepped.rank, 0) + 1
             kept[stepped.rank] = kept.get(stepped.rank, 0) + len(stepped.groups)
             return stepped
         return step
@@ -443,7 +458,7 @@ def _counted_walk(spec: str):
         setattr(home, name, reducer(name))
     matroid._Recorded.above = recorded_above
     try:
-        _seconds, M = _walk_levels(spec)
+        _seconds, M = _walk_levels(spec, by_orbits)
     finally:
         for name, original in originals.items():
             setattr(homes.get(name, kernels), name, original)
@@ -451,12 +466,35 @@ def _counted_walk(spec: str):
     # the empty flat's covers, eliminated from scratch: every point, none skipped
     kept[0] = len(M.flats_of_rank(1))
     by_rank = [(kept[k], skipped.get(k, 0)) for k in sorted(kept)]
-    return counts[0], counts[1], M, by_rank
+    return counts[0], counts[1], M, by_rank, made
+
+
+def _orbit_counts(M, k: int) -> list[int]:
+    # per rank 0 to k, the orbits of the stored level under the generators
+    # the walk filled it with
+    perms, counts = M.backend.reflection_generators, []
+    for j in range(k + 1):
+        seen: set[int] = set()
+        count = 0
+        for G in M._flats_cache[j]:
+            if G in seen:
+                continue
+            count += 1
+            orbit = [G]
+            seen.add(G)
+            for X in orbit:
+                for perm in perms:
+                    Y = sum(1 << perm[e] for e in _members(X))
+                    if Y not in seen:
+                        seen.add(Y)
+                        orbit.append(Y)
+        counts.append(count)
+    return counts
 
 
 def _bench_stepped_walk(spec: str, repeat: int) -> None:
     best = min(_walk_levels(spec)[0] for _ in range(repeat))
-    steps, coordinates, M, by_rank = _counted_walk(spec)
+    steps, coordinates, M, by_rank, _made = _counted_walk(spec)
     r = M.full_rank()
     levels = [len(M.flats_of_rank(k)) for k in range(r)]
     expanded = sum(levels[1:r - 1])
@@ -473,7 +511,27 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
         f"{'':38} covers kept/skipped, by rank expanded: "
         + "  ".join(f"{k}: {kept}/{skipped}" for k, (kept, skipped) in enumerate(by_rank))
     )
+    if M.backend.reflection_closed:
+        _bench_orbit_walk(spec, repeat, M)
     print(f"{'':38} stores after the walk: {_store_sizes(M)}")
+
+
+def _bench_orbit_walk(spec: str, repeat: int, reference) -> None:
+    best = min(_walk_levels(spec, by_orbits=True)[0] for _ in range(repeat))
+    steps, coordinates, M, _by_rank, made = _counted_walk(spec, by_orbits=True)
+    k = M.full_rank() - 1
+    assert all(list(M._flats_cache[j].keys()) == list(reference._flats_cache[j].keys())
+               for j in range(k + 1)), "the orbit walk's levels differ"
+    orbits = _orbit_counts(M, k)
+    # the empty flat's elimination from scratch (the matroid is fresh), then
+    # the cover steps that made a state of each rank: one per orbit below k
+    eliminations = [1] + [made.get(j, 0) for j in range(1, k + 1)]
+    assert eliminations[1:] == orbits[1:k] + [0], (eliminations, orbits)
+    print(
+        f"{'':38} by orbits {steps:5d} steps   {coordinates:6d} coordinates   "
+        f"{best * 1e3:8.2f} ms   orbits/eliminations by rank: "
+        + "  ".join(f"{j}: {n}/{e}" for j, (n, e) in enumerate(zip(orbits, eliminations)))
+    )
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ The rays are the connected flats, and on a reflection arrangement from
 rank 3 up they come from the connected walk
 (``Matroid.connected_flats_of_rank``): from the points, it records and
 expands a cover G of a flat F only when |G - F| >= 2. Two facts make it
-exact.
+exact; a third lets it expand one flat per orbit of automorphisms.
 
 Lemma (no connectivity query). Let M be simple, F a connected flat and G
 a flat covering F. Then M|G is connected iff |G - F| >= 2. If G - F is one
@@ -48,6 +48,15 @@ By induction from the points, the walk records X', expands it and finds
 X, with |X - X'| >= 2 by the lemma. Without the precondition the walk
 can miss flats: in U(3,4), E is connected, but every flat it covers is a
 disconnected pair.
+
+Orbits (:mod:`cremfan.orbits`). Let H be any subgroup of W. Each of its
+maps sends every vector onto a multiple of a vector, so it maps flats, and
+connected flats, to flats of the same rank: each level is a union of
+H-orbits. A connected X of rank k >= 2 covers a connected X' = h R with R
+the representative of its orbit, so h^-1 X is a connected cover of R and X
+lies in its orbit. Expanding one flat per orbit and filling the orbits of
+its covers is exact. W has one orbit per class of parabolic subgroups
+(Orlik-Terao 1992, ch. 6): E8's connected walk makes 10 eliminations.
 """
 
 from __future__ import annotations

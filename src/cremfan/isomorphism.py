@@ -21,7 +21,7 @@ from . import matroid
 from .cremona import _hyperplane_mismatch
 from .errors import BudgetExceeded, InputError, InvariantError
 from .fan import RayGraph, TropicalPoint
-from .matroid import ElementBijection, Flat, Matroid, _members
+from .matroid import ElementBijection, Matroid, _members
 
 
 def _line_table(M: Matroid):
@@ -165,49 +165,46 @@ def automorphisms(M: Matroid, *, max_elements: int = 24) -> list[ElementBijectio
 # nested collections and ray permutations
 
 
-def _validate_ray(M: Matroid, flat) -> frozenset[int]:
-    elems = frozenset(flat.elements if isinstance(flat, Flat) else flat)
-    if not elems or len(elems) == M.size:
+def _validate_ray(M: Matroid, flat) -> int:
+    """The bitmask of a nested-set member, each element checked once."""
+    F = M._check_subset(flat)
+    if not F or F == (1 << M.size) - 1:
         raise InputError("nested-set members must be proper nonempty flats")
-    if not M.is_flat(elems):
-        raise InputError(f"{sorted(elems)} is not a flat")
-    if not M.is_connected(elems):
-        raise InputError(f"flat {sorted(elems)} is not connected")
-    return elems
+    if M._closure_of(F) != F:
+        raise InputError(f"{_members(F)} is not a flat")
+    if not M._is_connected(F):
+        raise InputError(f"flat {_members(F)} is not connected")
+    return F
 
 
 def is_nested(M: Matroid, flats: Sequence, *, max_family: int = 18) -> bool:
     """Whether a family of connected proper flats is a nested collection.
 
     True iff the join of every subfamily of two or more pairwise
-    incomparable members is disconnected.
+    incomparable members is disconnected. The members and their joins are
+    held as bitmasks, and each join's closure and connectivity are asked
+    of the mask oracle (``Matroid._closure_of``, ``Matroid._is_connected``).
     """
-    sets = [_validate_ray(M, F) for F in flats]
-    if len(set(sets)) != len(sets):
+    masks = [_validate_ray(M, F) for F in flats]
+    if len(set(masks)) != len(masks):
         raise InputError("nested-set members must be pairwise distinct")
-    if len(sets) > max_family:
+    if len(masks) > max_family:
         raise BudgetExceeded(
-            f"nested check over {len(sets)} flats exceeds the budget of {max_family}"
+            f"nested check over {len(masks)} flats exceeds the budget of {max_family}"
         )
-    n = len(sets)
-    incomparable = [
-        [not (sets[i] <= sets[j] or sets[j] <= sets[i]) for j in range(n)]
-        for i in range(n)
-    ]
+    n = len(masks)
+    incomparable = [[A & B not in (A, B) for B in masks] for A in masks]
 
-    def antichains(start: int, chosen: list[int]):
-        if len(chosen) >= 2:
-            union = frozenset().union(*(sets[i] for i in chosen))
-            join = M.closure(union)
-            if M.is_connected(join.elements):
-                return False
+    def antichains(start: int, chosen: list[int], union: int):
+        if len(chosen) >= 2 and M._is_connected(M._closure_of(union)):
+            return False
         for k in range(start, n):
             if all(incomparable[k][i] for i in chosen):
-                if not antichains(k + 1, chosen + [k]):
+                if not antichains(k + 1, chosen + [k], union | masks[k]):
                     return False
         return True
 
-    return antichains(0, [])
+    return antichains(0, [], 0)
 
 
 def ray_permutation(graph: RayGraph, linear_map) -> list[int]:

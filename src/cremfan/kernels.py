@@ -67,12 +67,9 @@ Conventions:
   covers alone. Each of them is whole when every cover of F inside it is
   in F's state, as the walk keeps it (``Matroid._walk`` has the proof), so
   the arithmetic runs on the directions of covers not yet recorded;
-* ``reflection_closed_*`` says whether the rows are nonzero, pairwise
-  non-proportional and closed up to sign and scale under the reflections
-  s_r(v) = v - 2 <r, v> / <r, r> r in their own hyperplanes (standard
-  inner product, Z[sqrt5] taken in the reals): each <r, r> s_r(v) must have
-  the canonical projective form of a row;
 * ``det_int`` is the determinant of a square integer matrix (Bareiss).
+
+The rows' reflections in their own hyperplanes are :mod:`cremfan.orbits`'s.
 
 Over Z a step against a pivot (c, row) is skipped when the row is 0 at c;
 otherwise it is v = row[c]*v - v[c]*row, divided by its content (the gcd of
@@ -100,7 +97,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from operator import mul
 
 # the kernel implementation's name, recorded in every perfbench result
 ACTIVE_BACKEND = "pure"
@@ -191,16 +187,6 @@ def _width(rows, step: int = 1) -> int:
     return len(rows[0]) // step if rows else 0
 
 
-def _reflection_closed(rows, key, images) -> bool:
-    # simple: no zero row, and no two rows on one line
-    if not all(map(any, rows)):
-        return False
-    keys = set(map(key, rows))
-    return len(keys) == len(rows) and all(
-        key(w) in keys for r in rows for w in images(r, rows)
-    )
-
-
 def _primitive_key(v) -> tuple[int, ...]:
     # divide by the gcd and make the first nonzero entry positive
     g = gcd(*v)
@@ -271,22 +257,6 @@ def cover_step_int(state: CoverState, g: int, skip: int = 0) -> CoverState:
     return CoverState(state.rank + 1, list(covers.values()), list(covers))
 
 
-def _reflections_int(r, rows):
-    # <r, r> s_r(v) = <r, r> v - 2 <r, v> r for each v not orthogonal to r
-    rr = sum(map(mul, r, r))
-    for v in rows:
-        rv = sum(map(mul, r, v))
-        if rv:
-            yield [rr * x - 2 * rv * y for x, y in zip(v, r)]
-
-
-def reflection_closed_int(rows) -> bool:
-    """Whether the rows are nonzero, pairwise non-proportional and closed,
-    up to sign and scale, under the reflections in their own hyperplanes
-    (standard inner product)."""
-    return _reflection_closed(list(rows), _primitive_key, _reflections_int)
-
-
 def det_int(rows) -> int:
     """Determinant of a square integer matrix, by Bareiss fraction-free
     elimination.
@@ -321,7 +291,6 @@ def det_int(rows) -> int:
 # the public Z[sqrt5] and F_p kernels, resolved from their homes on first use
 _QUAD = frozenset({
     "rank_quad", "closure_quad", "fundamental_quad", "covers_quad", "cover_step_quad",
-    "reflection_closed_quad",
 })
 _FP = frozenset({"rank_mod", "closure_mod", "fundamental_mod", "covers_mod", "cover_step_mod"})
 

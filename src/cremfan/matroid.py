@@ -5,24 +5,25 @@ optional display labels next to the indices. Three primitive backends give
 the rank function (column vectors over an exact field, a rank-3 line
 presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
-goes depth-first from cl(empty set) to the rank asked for and stores each
-rank as one dict, the only store of its flats: it maps each flat's bitmask
-(bit e for element e) to the bitmask of the flat the walk found it from. A
+goes from cl(empty set) to the rank asked for and stores each rank as one
+dict, the only store of its flats: it maps each flat's bitmask (bit e for
+element e) to the bitmask of a flat of the rank below that it covers. A
 flat is a bitmask from the kernel's cover groups to the levels; a ``Flat``
 is made only for a caller that reads one, and ``Flat.elements`` makes the
-frozenset on first use. On a vector matroid each
-flat's cover state is stepped from the state of the flat it was found from,
-without the covers already recorded, and only the states on the walk's path
-are alive. The rank and closure oracle (``_rank_of``, ``_closure_of``) takes
+frozenset on first use. The walk is depth-first (``_walk``), but level by
+level on a reflection arrangement from rank 3 up (``_orbit_walk``): one
+flat per orbit of automorphisms is eliminated, its images fill the rest.
+On a vector matroid each cover state is stepped from the state of a flat it
+covers. The rank and closure oracle (``_rank_of``, ``_closure_of``) takes
 bitmasks, answers a walked flat off its level and caches the rest by bitmask;
 the public queries check their elements once (``_check_subset``). The
 connected flats are stored as connected levels (``connected_flats_of_rank``,
 bitmasks with no values): on a reflection arrangement, from rank 3 up, the
-connected walk's, which expands only the connected covers; else the full
-walk's levels, filtered one level at a time with no rank or closure query. A
-walked flat's connectivity is read off them, and a simple matroid's off its
-stored lines when they join all of E; other flats go through a greedy-basis
-oracle.
+connected orbit walk's, which expands only the connected covers; else the
+full walk's levels, filtered one level at a time with no rank or closure
+query. A walked flat's connectivity is read off them, and a simple
+matroid's off its stored lines when they join all of E; other flats go
+through a greedy-basis oracle.
 """
 
 from __future__ import annotations
@@ -240,6 +241,17 @@ class ElementBijection(NamedTuple):
         return all(i == j for i, j in enumerate(self.forward))
 
 
+def _budget_exceeded(k: int, max_covers: int, counts: list[int], connected=False):
+    """The error of a walk to rank k stopped past ``max_covers`` covers,
+    with the flats it had found per rank from 1 to k."""
+    walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
+    return BudgetExceeded(
+        f"the {walk} walk to rank {k} needs more than {max_covers} "
+        f"covers; it had found {sum(counts)} {kind}flats, by rank "
+        f"from 1 to {k}: {', '.join(map(str, counts))}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # backends
 
@@ -312,14 +324,20 @@ class VectorBackend:
         return self._step(state, g, skip)
 
     @cached_property
+    def reflection_generators(self) -> list[list[int]] | None:
+        """None unless the vectors are nonzero, pairwise non-proportional and
+        closed up to sign and scale under their own reflections (none over
+        F_p, which has no inner product); else two automorphisms as element
+        permutations, which the orbit walk fills levels with (``orbits``)."""
+        if self.field.kind not in ("Q", "Qsqrt5"):
+            return None
+        from .orbits import generators
+
+        return generators(self._rows, self.field.kind)
+
+    @property
     def reflection_closed(self) -> bool:
-        """Whether the vectors are a simple reflection arrangement: nonzero,
-        pairwise non-proportional, and closed up to sign and scale under
-        their own reflections. False over F_p, which has no inner product
-        to reflect in."""
-        if self.field.kind == "Q":
-            return kernels.reflection_closed_int(self._rows)
-        return self.field.kind == "Qsqrt5" and kernels.reflection_closed_quad(self._rows)
+        return self.reflection_generators is not None
 
 
 class LineBackend:
@@ -459,7 +477,7 @@ class Matroid:
         self._rank_cache: dict[int, int] = {}
         self._closure_cache: dict[int, int] = {}
         # per rank up to the deepest walk, in canonical order, each flat's bitmask
-        # -> the bitmask of the flat the walk found it from (None for cl(empty set))
+        # -> the bitmask of a flat it covers (None for cl(empty set))
         self._flats_cache: dict[int, dict[int, int | None]] = {}
         # per rank, its connected flats' bitmasks, with no values, as above
         self._connected_cache: dict[int, dict[int, None]] = {}
@@ -573,11 +591,13 @@ class Matroid:
         """All rank-k flats, canonically ordered by sorted element tuple.
 
         Read off the stored levels when a walk has reached rank k; else one
-        depth-first walk from cl(empty set) to rank k (``_walk``) replaces
-        them with levels 0 to k. So a caller that reads several levels asks
-        for the deepest first. ``max_covers`` caps the covers that walk
-        issues, counted from cl(empty set): past it the walk raises
-        BudgetExceeded with the flats it found per rank, and stores nothing.
+        walk from cl(empty set) to rank k replaces them with levels 0 to k:
+        by orbits on a reflection arrangement from rank 3 up
+        (``_orbit_walk``), depth-first elsewhere (``_walk``). So a caller
+        that reads several levels asks for the deepest first. ``max_covers``
+        caps the covers that walk issues, counted from cl(empty set): past
+        it the walk raises BudgetExceeded with the flats it found per rank,
+        and stores nothing.
         """
         return [Flat.of_mask(G, k) for G in self._level(k, max_covers)]
 
@@ -585,7 +605,10 @@ class Matroid:
         """The walk's stored level k, walked to as ``flats_of_rank`` walks."""
         self._check_walk(k, max_covers)
         if k not in self._flats_cache:
-            self._walk(k, max_covers)
+            if k >= 3 and getattr(self.backend, "reflection_closed", False):
+                self._orbit_walk(k, max_covers)
+            else:
+                self._walk(k, max_covers)
         return self._flats_cache[k]
 
     def connected_flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
@@ -597,11 +620,11 @@ class Matroid:
         """The stored connected level k, the connected part of the walked level k.
 
         From rank 3 up, on a simple reflection arrangement
-        (``VectorBackend.reflection_closed``), one connected walk to rank k
-        (``_walk``) stores the connected levels 0 to k. Elsewhere, and
-        wherever the full walk has already stored rank k, the full walk's
-        levels are filtered (``_connected_levels``): up to rank 2 both walks
-        expand the points alone, so the full walk costs no more.
+        (``VectorBackend.reflection_closed``), one connected orbit walk to
+        rank k (``_orbit_walk``) stores the connected levels 0 to k.
+        Elsewhere, and wherever the full walk has already stored rank k, the
+        full walk's levels are filtered (``_connected_levels``): up to rank
+        2 both walks expand the points alone, so the full walk costs no more.
         """
         self._check_walk(k, max_covers)
         if k not in self._connected_cache:
@@ -611,8 +634,17 @@ class Matroid:
                 self._level(k, max_covers)
                 self._connected_levels()
             else:
-                self._walk(k, max_covers, connected=True)
+                self._orbit_walk(k, max_covers, connected=True)
         return self._connected_cache[k]
+
+    def _orbit_walk(self, k: int, max_covers: int | None, connected: bool = False) -> None:
+        """Walk the levels 0 to k of a reflection arrangement one at a time,
+        with one cover elimination per orbit of flats (``orbits.walk``).
+        Run from rank 3 up: below it the depth-first walk makes at most
+        n + 1 eliminations, which cost less than the n^2 reflection images."""
+        from . import orbits
+
+        orbits.walk(self, k, max_covers, self.backend.reflection_generators, connected)
 
     def _check_walk(self, k: int, max_covers: int | None) -> None:
         if not 0 <= k <= self.full_rank():
@@ -620,7 +652,7 @@ class Matroid:
         if max_covers is not None and max_covers < 0:
             raise InputError(f"max_covers must be non-negative, got {max_covers}")
 
-    def _walk(self, k: int, max_covers: int | None, connected: bool = False) -> None:
+    def _walk(self, k: int, max_covers: int | None) -> None:
         """Walk the lattice of flats depth-first from cl(empty set) to rank k.
 
         The path is an explicit stack of flats, each a bitmask with its
@@ -633,25 +665,17 @@ class Matroid:
         of F: one step per flat below rank k, at most k states alive, and
         the empty flat eliminated from scratch once per matroid. Elsewhere
         the covers come from one closure per cover. The levels are stored,
-        in canonical order, only when the walk completes.
-
-        The connected walk (``connected``) records and pushes a cover G of
-        a flat F of rank 1 or more only when G has two or more elements
-        outside F: ``(G & ~F).bit_count() >= 2``. Run from the points of a
-        simple matroid, it records connected flats alone (``fan``'s module
-        docstring has the proof, and the proof that on a reflection
-        arrangement it records them all). Its levels go to
-        ``_connected_cache``.
+        in canonical order, only when the walk completes. A reflection
+        arrangement walks from rank 3 up by orbits instead (``_orbit_walk``).
 
         Each pushed flat G is stepped with ``skip`` set to the union of its
         covers already recorded, so its state holds only the covers not yet
-        recorded: in the full walk at every rank, in the connected walk at
-        rank k - 1. With x_i the least element the path's i-th flat adds,
+        recorded. With x_i the least element the path's i-th flat adds,
         G = cl(x_1, ..., x_j), so its covers are the flats of rank j + 1 that
         hold every x_i, read off an index of the recorded flats per rank
         (``_Recorded``). The walk to the lines reads a point's recorded lines
         off ``lines`` instead: per element, the union of the recorded lines
-        through it, and their number (``through``). The full walk then issues
+        through it, and their number (``through``). The walk then issues
         one cover per flat, and its levels, their values and their order are
         those of a walk that skips nothing. Proof, for G the g-th cover of F:
 
@@ -666,9 +690,7 @@ class Matroid:
           group only when it is itself recorded and skipped;
         * hence, by induction from the empty flat, whose state is made from
           scratch, each state holds exactly the covers not yet recorded when
-          it was made, each with its whole group. (In the connected walk the
-          states below rank k - 1 hold every cover, and the first point
-          suffices.)
+          it was made, each with its whole group.
 
         The budget counts every cover of every expanded flat, skipped ones
         included: those a flat issues and, when its state is made, the
@@ -678,29 +700,20 @@ class Matroid:
         root = self._closure_of(0)
         if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
             self._root_state = self.backend.covers_fast(tuple(_members(root)))
-        # cl(empty set) has no element, so it is not connected
-        levels = [{} if connected else {root: None}] + [{} for _ in range(k)]
+        levels = [{root: None}] + [{} for _ in range(k)]
         issued = 0
 
         def over_budget() -> BudgetExceeded:
-            counts = [len(found) for found in levels[1:]]
-            walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
-            return BudgetExceeded(
-                f"the {walk} walk to rank {k} needs more than {max_covers} "
-                f"covers; it had found {sum(counts)} {kind}flats, by rank "
-                f"from 1 to {k}: {', '.join(map(str, counts))}"
-            )
+            return _budget_exceeded(k, max_covers, [len(found) for found in levels[1:]])
 
         lines = index = None
         if self._root_state is not None:
-            if k == 2 and not connected:
+            if k == 2:
                 lines, through = [0] * self.size, [0] * self.size
             else:
                 # per rank, the recorded flats the walk skips; per path rank,
                 # the path flat's basis x_1, ..., x_j and its elements (no loop)
-                index = [None] * (k + 1)
-                for j in range(k if connected else 2, k + 1):
-                    index[j] = _Recorded(self.size)
+                index = [None, None] + [_Recorded(self.size) for _ in range(2, k + 1)]
                 bases, held = [()] * k, [[]] * k
         path = [self._on_path(root, 0, self._root_state)] if k else []
         while path:
@@ -711,7 +724,7 @@ class Matroid:
                 issued += 1
                 if max_covers is not None and issued > max_covers:
                     raise over_budget()
-                if connected and rank and (G & ~F).bit_count() < 2 or G in level:
+                if G in level:
                     continue
                 level[G] = F
                 if index is not None:
@@ -723,13 +736,11 @@ class Matroid:
                     if state is not None:
                         group = G & ~F
                         x = (group & -group).bit_length() - 1
-                        skipped = skip = 0
                         if lines is not None:
                             skipped, skip = through[x], lines[x]
                         else:
                             held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
-                            if index[rank + 2] is not None:
-                                skipped, skip = index[rank + 2].above(bases[rank + 1])
+                            skipped, skip = index[rank + 2].above(bases[rank + 1])
                         issued += skipped
                         if max_covers is not None and issued > max_covers:
                             raise over_budget()
@@ -744,11 +755,10 @@ class Matroid:
                     break
             else:
                 path.pop()
-        stored = {j: sorted(level, key=_canonical_key) for j, level in enumerate(levels)}
-        if connected:
-            self._connected_cache = {j: dict.fromkeys(Gs) for j, Gs in stored.items()}
-        else:
-            self._flats_cache = {j: {G: levels[j][G] for G in Gs} for j, Gs in stored.items()}
+        self._flats_cache = {
+            j: {G: level[G] for G in sorted(level, key=_canonical_key)}
+            for j, level in enumerate(levels)
+        }
 
     def _on_path(self, F: int, rank: int, state: kernels.CoverState | None):
         """The flat F (a bitmask) of this rank as the walk's path holds it:
@@ -770,7 +780,10 @@ class Matroid:
         fundamental-circuit graph of a greedy basis (``_connected``). E's
         verdict is kept, as its rank is.
         """
-        F = self._check_subset(flat)
+        return self._is_connected(self._check_subset(flat))
+
+    def _is_connected(self, F: int) -> bool:
+        """``is_connected`` of the flat with bitmask F."""
         walked = self._walked_rank(F)
         if walked is not None:
             return F in self._connected_level(walked)

@@ -24,7 +24,6 @@ from .kernels import (
     _kept,
     _pivots,
     _primitive_key,
-    _reflection_closed,
 )
 
 
@@ -322,31 +321,3 @@ def cover_step_quad(state: CoverState, g: int, skip: int = 0) -> CoverState:
             k = w[:c] + w[c + 2:]
         covers[k] = get(k, 0) | group
     return CoverState(state.rank + 1, list(covers.values()), list(covers))
-
-
-def _dot_quad(u, v) -> tuple[int, int]:
-    a = b = 0
-    for j in range(0, len(u), 2):
-        ua, ub, va, vb = u[j], u[j + 1], v[j], v[j + 1]
-        a += ua * va + 5 * ub * vb
-        b += ua * vb + ub * va
-    return a, b
-
-
-def _reflections_quad(r, rows):
-    # as kernels._reflections_int, with the products taken in Z[sqrt5]
-    p, q = _dot_quad(r, r)
-    for v in rows:
-        s, t = _dot_quad(r, v)
-        if s or t:
-            w = []
-            for j in range(0, len(v), 2):
-                xa, xb, ya, yb = v[j], v[j + 1], r[j], r[j + 1]
-                w += (p * xa + 5 * q * xb - 2 * (s * ya + 5 * t * yb),
-                      p * xb + q * xa - 2 * (s * yb + t * ya))
-            yield w
-
-
-def reflection_closed_quad(rows) -> bool:
-    """``reflection_closed_int`` over Z[sqrt5], embedded in the reals."""
-    return _reflection_closed(list(rows), _quad_key, _reflections_quad)

@@ -171,15 +171,22 @@ def count_backend_calls(M, monkeypatch):
 
 
 def record_walks(M, monkeypatch):
-    """The lattice walks M runs from now on, as (rank, connected) per ``_walk`` call."""
+    """The lattice walks M runs from now on, as (rank, kind) per walk: kind
+    "depth-first" for ``_walk``, "orbits" or "connected orbits" for
+    ``_orbit_walk``."""
     walks = []
-    walk = M._walk
+    walk, orbit_walk = M._walk, M._orbit_walk
 
-    def recorded(k, max_covers, connected=False):
-        walks.append((k, connected))
-        return walk(k, max_covers, connected)
+    def depth_first(k, max_covers):
+        walks.append((k, "depth-first"))
+        return walk(k, max_covers)
 
-    monkeypatch.setattr(M, "_walk", recorded)
+    def by_orbits(k, max_covers, connected=False):
+        walks.append((k, "connected orbits" if connected else "orbits"))
+        return orbit_walk(k, max_covers, connected)
+
+    monkeypatch.setattr(M, "_walk", depth_first)
+    monkeypatch.setattr(M, "_orbit_walk", by_orbits)
     return walks
 
 

@@ -29,15 +29,20 @@ def test_script_imports_without_running(script):
 
 
 def test_walk_table_on_d4(capsys):
-    # the table asserts one cover step per flat the walk expands: the 12
-    # points and the 34 lines of D4 on the way to its 24 planes
+    # the table asserts one cover step per flat the depth-first walk
+    # expands: the 12 points and the 34 lines of D4 on the way to its 24
+    # planes
     _load("bench_kernels.py")._bench_stepped_walk("D4", 1)
-    row, covers, stores = capsys.readouterr().out.splitlines()
+    row, covers, orbits, stores = capsys.readouterr().out.splitlines()
     assert row.startswith("D4 walk to rank 3 (71 flats)")
     assert "   46 steps = flats expanded" in row
     # one cover kept per flat found, and the recorded ones skipped: 12 + 84
     # + 120 = 216 covers in all, as the walk's budget counts them
     assert covers.endswith("covers kept/skipped, by rank expanded: 0: 12/0  1: 34/50  2: 24/96")
+    # by orbits: the same levels, with one elimination per orbit below rank
+    # 3 (its generators split the points into 2 orbits)
+    assert "by orbits     8 steps" in orbits
+    assert orbits.endswith("orbits/eliminations by rank: 0: 1/1  1: 2/2  2: 6/6  3: 6/0")
     assert "levels 71 (" in stores
     # the 40 rays: the store line comes after the connected levels are read
     assert "connected 40 (" in stores
@@ -48,12 +53,26 @@ def test_walk_table_on_d4(capsys):
     ("K7/Fp:101", 812, 1311, 4739),
 ])
 def test_counted_walk(spec, steps, coordinates, covers):
-    # one step per flat expanded, and the coordinates they eliminate with
-    # each state skipping the covers already recorded; kept and skipped
-    # covers add up to the walk's budget total
+    # the depth-first walk: one step per flat expanded, and the coordinates
+    # they eliminate with each state skipping the covers already recorded;
+    # kept and skipped covers add up to the walk's budget total
     counted = _load("bench_kernels.py")._counted_walk(spec)
     assert counted[:2] == (steps, coordinates)
     assert sum(kept + skipped for kept, skipped in counted[3]) == covers
+
+
+@pytest.mark.parametrize("spec, steps, coordinates", [
+    ("D5", 17, 190),
+    ("E6", 48, 844),
+    ("K7", 10, 200),
+])
+def test_counted_orbit_walk(spec, steps, coordinates):
+    # the walk flats_of_rank runs on a reflection arrangement: one step per
+    # orbit below rank r - 1 (depth first, D5 made 320 steps and 570
+    # coordinates, E6 3,957 and 6,031, K7 812 and 1,311)
+    assert _load("bench_kernels.py")._counted_walk(spec, by_orbits=True)[:2] == (
+        steps, coordinates
+    )
 
 
 def test_basis_work_table_on_k5(capsys):
@@ -72,10 +91,10 @@ def test_coxeter_row_of_d5():
     bench = _load("bench_coxeter.py")
     row = bench.coxeter_row("D5")
     assert bench.mismatches("D5", row) == []
-    # the connected walk's 110 steps and no more: the Cremona search reads
-    # the lines of three or more points off its rank-2 level; the counting
-    # bound refutes D5 at the root
-    assert row["cover_steps"] == 110
+    # the connected orbit walk's 8 steps (depth first: 110) and no more: the
+    # Cremona search reads the lines of three or more points off its rank-2
+    # level; the counting bound refutes D5 at the root
+    assert row["cover_steps"] == 8
     assert row["search_nodes"] == 1
 
 

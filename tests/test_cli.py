@@ -534,11 +534,13 @@ class TestFan:
         assert code == 3
         assert out == ""
         # D4 is a reflection arrangement: its hyperplanes come from the
-        # connected walk, whose first cover is the point 0
+        # connected orbit walk, which counts the 12 covers of the empty flat
+        # before it expands it, so it completes no level (depth first it had
+        # found the point 0)
         assert (
             "error: budget exceeded: the connected-flat walk to rank 3 needs "
-            "more than 1 covers; it had found 1 connected flats, by rank from "
-            "1 to 3: 1, 0, 0\n"
+            "more than 1 covers; it had found 0 connected flats, by rank from "
+            "1 to 3: 0, 0, 0\n"
         ) in err
 
     @pytest.mark.parametrize("value", ["-1", "-7"])

@@ -964,21 +964,27 @@ class TestRealizationCertificate:
         k7 = complete_graph_matroid(7)
         d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
         walks, closures = [], []
-        walk, closure = Matroid._walk, Matroid._closure_of
+        closure = Matroid._closure_of
 
-        def walked(M, *args, **kwargs):
-            walks.append(M is k7)
-            return walk(M, *args, **kwargs)
+        def recorded(name):
+            walk = getattr(Matroid, name)
+
+            def walked(M, *args, **kwargs):
+                walks.append((M is k7, name))
+                return walk(M, *args, **kwargs)
+            return walked
 
         def closed(M, S):
             closures.append(M is k7)
             return closure(M, S)
 
-        monkeypatch.setattr(Matroid, "_walk", walked)
+        for name in ("_walk", "_orbit_walk"):
+            monkeypatch.setattr(Matroid, name, recorded(name))
         monkeypatch.setattr(Matroid, "_closure_of", closed)
         realize(k7, d1, d2, "Fp:101")
-        # one walk, of M to its 63 hyperplanes, and none of N
-        assert walks == [True]
+        # one walk, of M to its 63 hyperplanes (K7 is the A6 arrangement, so
+        # by orbits), and none of N
+        assert walks == [(True, "_orbit_walk")]
         assert len(k7._flats_cache[5]) == 63 == closures.count(False)
 
     @pytest.mark.parametrize("field", ["Q", "Fp:101"])

@@ -242,6 +242,32 @@ class TestNestedRays:
             is_nested(a3, [frozenset({0}), frozenset({0})])  # repeats
 
 
+    @pytest.mark.parametrize("spec", ["D4", "A4"])
+    def test_is_nested_on_ray_families(self, spec):
+        # every pair and triple of rays (D4: 300 triples drawn at random),
+        # against the same test on element sets through the public queries
+        M, reference = coxeter_matroid(spec), coxeter_matroid(spec)
+        rays = [F.elements for F in nested_rays(reference)]
+        triples = list(itertools.combinations(rays, 3))
+        if spec == "D4":
+            triples = random.Random(4).sample(triples, 300)
+        families = [*itertools.combinations(rays, 2), *triples]
+        answers = [is_nested(M, family) for family in families]
+        assert answers == [nested_by_elements(reference, family) for family in families]
+        assert 0 < sum(answers) < len(answers)
+
+
+def nested_by_elements(M, sets):
+    """``is_nested`` on element sets: the join of every subfamily of two or
+    more pairwise incomparable members is disconnected (reference)."""
+    for k in range(2, len(sets) + 1):
+        for chosen in itertools.combinations(sets, k):
+            if all(not (A <= B or B <= A) for A, B in itertools.combinations(chosen, 2)):
+                if M.is_connected(M.closure(frozenset().union(*chosen)).elements):
+                    return False
+    return True
+
+
 class TestRayGraph:
     def test_petersen_statistics(self, a3):
         g = ray_adjacency_graph(a3)
@@ -411,10 +437,10 @@ def test_ray_graph_runs_the_full_walk_alone(monkeypatch):
     d5, reference = coxeter_matroid("D5"), coxeter_matroid("D5")
     walks, reference_walks = record_walks(d5, monkeypatch), record_walks(reference, monkeypatch)
     graph = ray_adjacency_graph(d5)
-    # the simplicity check's walk to the points, then the full walk
-    assert walks == [(1, False), (4, False)]
+    # the simplicity check's walk to the points, then the full walk, by orbits
+    assert walks == [(1, "depth-first"), (4, "orbits")]
     assert list(graph.vertices) == nested_rays(reference)
-    assert reference_walks == [(4, True)]  # nested_rays alone walks connected
+    assert reference_walks == [(4, "connected orbits")]  # nested_rays alone walks connected
 
 
 class TestGraphS:
@@ -479,13 +505,15 @@ class TestGraphS:
         calls = count_backend_calls(d5, monkeypatch)
         graph_S(d5)
         # D5 is a reflection arrangement, so the hyperplanes come from the
-        # connected walk, and the rank-one edges from its lines, with no
-        # covers elimination per point: the walk starts from the state of
+        # connected orbit walk, and the rank-one edges from its lines, with
+        # no covers elimination per point: the walk starts from the state of
         # the empty flat that the simplicity check eliminated, and steps
-        # once to each of the 20 + 40 + 50 connected flats of rank 1 to 3
-        # (the full walk stepped to all 20 + 110 + 190 flats: 320 steps)
+        # once to each orbit of connected flats of rank 1 to 3, 8 in all
+        # (the depth-first connected walk stepped to each of the 20 + 40 +
+        # 50 connected flats, 110 steps; the full walk to all 20 + 110 +
+        # 190 flats, 320 steps)
         assert calls["covers_fast"] == 1
-        assert calls["cover_step"] == 110
+        assert calls["cover_step"] == 8
         assert [len(d5.connected_flats_of_rank(k)) for k in (1, 2, 3)] == [20, 40, 50]
         # the empty flat the walk starts from; the hyperplanes' connectivity
         # comes off the walk (a greedy-basis test per hyperplane made 149)

@@ -30,7 +30,6 @@ from cremfan.kernels import (
     det_int,
     fundamental_int,
     rank_int,
-    reflection_closed_int,
 )
 from cremfan.quad import (
     QuadSqrt5,
@@ -41,8 +40,8 @@ from cremfan.quad import (
     fundamental_quad,
     primitive_quad_vector,
     rank_quad,
-    reflection_closed_quad,
 )
+from cremfan.orbits import generators
 
 from conftest import (
     determinant, f3_vector_rows, in_span, matrix_rank, quad_lines, quad_scale,
@@ -382,7 +381,18 @@ def _int_roots(family, n):
     return [primitive_int_vector(v) for v in positive_roots(family, n)[1]]
 
 
+def reflection_closed_int(rows):
+    return generators(rows, "Q") is not None
+
+
+def reflection_closed_quad(rows):
+    return generators(rows, "Qsqrt5") is not None
+
+
 class TestReflectionClosed:
+    """The reflection pass (``orbits.generators``) returns None exactly when
+    the rows are not a simple reflection arrangement."""
+
     def test_root_systems_over_z(self):
         for family, n in (("A", 1), ("A", 4), ("B", 3), ("D", 5), ("F", 4), ("E", 6)):
             rows = _int_roots(family, n)
@@ -612,7 +622,7 @@ class TestSparseLargeIntKernel:
 # the public kernels of the other domains, by home module
 MOVED = [
     *((name, quad) for name in ("rank_quad", "closure_quad", "fundamental_quad", "covers_quad",
-                                "cover_step_quad", "reflection_closed_quad")),
+                                "cover_step_quad")),
     *((name, fp) for name in ("rank_mod", "closure_mod", "fundamental_mod", "covers_mod",
                               "cover_step_mod")),
 ]
