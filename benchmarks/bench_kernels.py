@@ -51,7 +51,10 @@ that it stores the same levels, and gives its cover steps, coordinates
 and seconds, and per rank the orbits of the level (counted afterwards
 under the walk's generators) and the eliminations the walk made there
 (the empty flat's from scratch, a cover step for every other), asserted
-equal to the orbits below rank r - 1.  After the depth-first walk, and
+equal to the orbits below rank r - 1. A fourth line gives the reflection
+pass that found the generators: the reflections it certified by their
+images, of n (the others it reached by conjugation), and its seconds;
+H4 and E8, too large to walk here, get that line alone.  After the depth-first walk, and
 after the connected levels are read off it, it lists the entries and the
 bytes of each per-matroid store: the levels (each
 flat's bitmask, mapped to the bitmask of the flat it was found from),
@@ -73,12 +76,13 @@ import resource
 import sys
 import time
 
-from cremfan import fp, kernels, matroid, quad
-from cremfan.cremona import crem_invariants, crem_map, cremona_check, enumerate_cremona_bases
+from cremfan import fp, kernels, matroid, orbits, quad
+from cremfan.cremona import crem_invariants, cremona_check, enumerate_cremona_bases
 from cremfan.exact_cover import _exact_cover_bases, _line_remainders
 from cremfan.field import Field, primitive_int_vector
 from cremfan.fp import residue_vector
 from cremfan.generators import coxeter_matroid, from_spec_string, positive_roots
+from cremfan.isomorphism import crem_map
 from cremfan.matroid import _members
 from cremfan.quad import primitive_quad_vector
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
@@ -181,6 +185,8 @@ def main() -> None:
     for spec in ("D5", "E6", "K7/Fp:101"):
         _bench_stepped_walk(spec, args.repeat)
     _bench_stepped_walk("E7", 1)
+    for spec in ("H4", "E8"):
+        _bench_reflection_pass(spec, args.repeat, f"{spec} (no walk)")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{'':38} peak RSS of the process {peak:.1f} MB")
 
@@ -472,24 +478,8 @@ def _counted_walk(spec: str, by_orbits: bool = False):
 def _orbit_counts(M, k: int) -> list[int]:
     # per rank 0 to k, the orbits of the stored level under the generators
     # the walk filled it with
-    perms, counts = M.backend.reflection_generators, []
-    for j in range(k + 1):
-        seen: set[int] = set()
-        count = 0
-        for G in M._flats_cache[j]:
-            if G in seen:
-                continue
-            count += 1
-            orbit = [G]
-            seen.add(G)
-            for X in orbit:
-                for perm in perms:
-                    Y = sum(1 << perm[e] for e in _members(X))
-                    if Y not in seen:
-                        seen.add(Y)
-                        orbit.append(Y)
-        counts.append(count)
-    return counts
+    perms = M.backend.reflection_generators
+    return [len(orbits.representatives(M._flats_cache[j], perms, M.size)) for j in range(k + 1)]
 
 
 def _bench_stepped_walk(spec: str, repeat: int) -> None:
@@ -532,6 +522,30 @@ def _bench_orbit_walk(spec: str, repeat: int, reference) -> None:
         f"{best * 1e3:8.2f} ms   orbits/eliminations by rank: "
         + "  ".join(f"{j}: {n}/{e}" for j, (n, e) in enumerate(zip(orbits, eliminations)))
     )
+    _bench_reflection_pass(spec, repeat)
+
+
+def _reflection_pass(spec: str, repeat: int) -> tuple[int, int, float]:
+    # the reflections the pass over a fresh type's rows certifies by their
+    # images (counted in a separate untimed run), its rows, and its best
+    # seconds (``orbits.generators``, which keeps nothing between calls)
+    backend = from_spec_string(spec).backend
+    rows, kind = backend._rows, backend.field.kind
+    certified, conjugates = [], orbits._conjugates
+    orbits._conjugates = lambda n, reflection: conjugates(
+        n, lambda u: certified.append(u) or reflection(u)
+    )
+    try:
+        orbits.generators(rows, kind)
+    finally:
+        orbits._conjugates = conjugates
+    return len(certified), len(rows), _best(lambda: orbits.generators(rows, kind), repeat)
+
+
+def _bench_reflection_pass(spec: str, repeat: int, label: str = "") -> None:
+    certified, n, best = _reflection_pass(spec, repeat)
+    print(f"{label:38} reflection pass: {certified} of {n} reflections certified"
+          f"   {best * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

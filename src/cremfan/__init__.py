@@ -7,12 +7,13 @@ Subpackage map:
 * :mod:`cremfan.quad` — Q(sqrt5) scalars and the Z[sqrt5] kernels
 * :mod:`cremfan.fp` — F_p scalars and the mod-p kernels
 * :mod:`cremfan.matroid` — rank oracles, flats, connectivity, minors
+* :mod:`cremfan.orbits` — the reflection pass, orbit walks, linear certificates
 * :mod:`cremfan.isomorphism` — library-only: isomorphism and automorphism
-  search, nested collections, ray permutations
+  search, nested collections, ray permutations, Cremona maps as matrices
 * :mod:`cremfan.circuits` — the check that a circuit list is a matroid's
 * :mod:`cremfan.generators` — Coxeter arrangements and named small matroids
 * :mod:`cremfan.fan` — Bergman fan membership, nested rays, the graph S
-* :mod:`cremfan.cremona` — Cremona bases, lattice maps, realizability
+* :mod:`cremfan.cremona` — Cremona bases, their invariants, realizability
 * :mod:`cremfan.exact_cover` — the exact-cover search for Cremona bases
 * :mod:`cremfan.serialize` — the JSON matroid interchange format
 * :mod:`cremfan.cli` — the ``cremfan`` command line tool
@@ -35,7 +36,8 @@ _HOME = {
             "Matroid", "VectorBackend", "LineBackend", "CircuitBackend", "MinorBackend",
             "Flat", "ElementBijection",
         ),
-        "isomorphism": ("automorphisms", "find_isomorphism", "is_nested"),
+        "isomorphism": ("IntegerLinearMap", "automorphisms", "crem_map", "find_isomorphism",
+                        "indicator_map", "is_nested"),
         "generators": (
             "a3_arrangement", "complete_graph_matroid", "coxeter_matroid",
             "dowling_rank3", "fano", "fano_selfduality", "from_spec_string",
@@ -45,11 +47,8 @@ _HOME = {
             "TropicalPoint", "graph_S", "in_bergman_fan", "in_bergman_fan_circuits",
             "nested_rays", "ray_adjacency_graph",
         ),
-        "cremona": (
-            "CremonaData", "IntegerLinearMap", "build_involution", "crem_map",
-            "cremona_check", "enumerate_cremona_bases", "indicator_map", "realize",
-            "support_graph", "two_basis_report",
-        ),
+        "cremona": ("CremonaData", "build_involution", "cremona_check", "enumerate_cremona_bases",
+                    "realize", "support_graph", "two_basis_report"),
         "serialize": ("load_matroid", "matroid_from_dict", "matroid_to_dict", "save_matroid"),
     }.items()
     for name in names

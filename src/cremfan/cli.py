@@ -75,7 +75,11 @@ def _resolve_set(M: Matroid, csv: str) -> tuple[int, ...]:
     tokens = [t for t in (s.strip() for s in csv.split(",")) if t]
     if not tokens:
         raise InputError("empty element list")
-    return tuple(_resolve_element(M, t) for t in tokens)
+    elements = tuple(_resolve_element(M, t) for t in tokens)
+    for k, e in enumerate(elements):
+        if e in elements[:k]:
+            raise InputError(f"element {M.ground.label(e)!r} is listed twice")
+    return elements
 
 
 def _given(**options) -> dict:

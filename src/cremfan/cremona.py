@@ -4,138 +4,23 @@ A Cremona basis of a simple connected matroid is a basis b = b_0..b_d whose
 pairwise closure remainders F_ij = cl{b_i, b_j} \\ {b_i, b_j} partition
 E \\ b.  Such a basis induces the lattice map Crem_b sending each basis
 indicator vector to the indicator of the opposite corank-one flat.  This
-module detects and enumerates Cremona bases, builds the map, analyses
-support graphs, verifies the two-basis structure statement, constructs the
-induced involutive automorphism, and realizes the matroid over a field.
+module detects and enumerates Cremona bases, checks the map's invariants,
+analyses support graphs, verifies the two-basis structure statement,
+constructs the induced involutive automorphism, and realizes the matroid
+over a field. The map as an m x m matrix (``crem_map``) is in
+:mod:`cremfan.isomorphism`, which no CLI job imports.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import matroid
 from .errors import InputError, InvariantError
 from .field import Field
 from .kernels import det_int
 from .matroid import ElementBijection, Matroid, VectorBackend, _mask, _members, _SetOnce
-
-if TYPE_CHECKING:
-    from .fan import TropicalPoint
-
-
-# ---------------------------------------------------------------------------
-# integer linear maps on Z^E
-
-
-class IntegerLinearMap(_SetOnce):
-    """An integer matrix acting on Z^E; column k is the image of v_k.
-
-    ``moved``, when given, holds every column that is not the unit vector at
-    its own index (``indicator_map`` passes its assigned elements)."""
-
-    __slots__ = ("matrix", "moved", "_one_cache", "_qdet_cache")
-
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], *,
-                 moved: Sequence[int] | None = None):
-        m = len(matrix)
-        if any(len(row) != m for row in matrix):
-            raise InputError("integer linear map must be square")
-        self.matrix = matrix
-        self.moved = moved
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerLinearMap):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
-    def column(self, k: int) -> tuple[int, ...]:
-        return tuple(row[k] for row in self.matrix)
-
-    def apply_vector(self, w: Sequence) -> tuple:
-        m = self.size
-        if len(w) != m:
-            raise InputError("vector length does not match the map size")
-        return tuple(sum(self.matrix[i][j] * w[j] for j in range(m)) for i in range(m))
-
-    def apply(self, point: TropicalPoint | Sequence) -> TropicalPoint:
-        from .fan import TropicalPoint
-
-        if not isinstance(point, TropicalPoint):
-            point = TropicalPoint.of(point)
-        return TropicalPoint.of(self.apply_vector(point.weights))
-
-    def one_multiple(self) -> int | None:
-        """c when the all-ones vector maps to c*(all-ones), else None."""
-        if not hasattr(self, "_one_cache"):
-            sums = {sum(row) for row in self.matrix}
-            self._one_cache = sums.pop() if len(sums) == 1 else None
-        return self._one_cache
-
-    def quotient_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The induced matrix on Z^E / Z*1 in the basis v_0..v_{m-2}.
-
-        Modulo the all-ones vector, v_{m-1} = -(v_0 + ... + v_{m-2}), so
-        the induced matrix subtracts the last row from every other row and
-        drops the last row and column.
-        """
-        m = self.size
-        A = self.matrix
-        return tuple(
-            tuple(A[i][j] - A[m - 1][j] for j in range(m - 1)) for i in range(m - 1)
-        )
-
-    def quotient_determinant(self) -> int:
-        """The determinant of ``quotient_matrix``. When A*1 = c*1 with c
-        nonzero, det A = c * det Q, and det A = det A[K, K] for any K that
-        holds the columns that are not the unit vector at their own index:
-        ``moved``, or else the columns found by a scan. For a Cremona map K
-        is the basis: an r x r determinant in place of an (m - 1) x (m - 1)
-        one, with no m x m transpose."""
-        if not hasattr(self, "_qdet_cache"):
-            A, c, m = self.matrix, self.one_multiple(), self.size
-            if c:
-                K = self.moved if self.moved is not None else [
-                    k for k, col in enumerate(zip(*A)) if col[k] != 1 or col.count(0) < m - 1
-                ]
-                self._qdet_cache = det_int([[A[i][j] for j in K] for i in K]) // c
-            else:
-                self._qdet_cache = det_int(self.quotient_matrix())
-        return self._qdet_cache
-
-    @property
-    def is_lattice_isomorphism(self) -> bool:
-        return abs(self.quotient_determinant()) == 1
-
-
-def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLinearMap:
-    """The map sending v_e to the indicator vector of assignment[e].
-
-    Elements missing from the assignment are fixed (v_e maps to v_e).
-    """
-    m = M.size
-    bad_keys = [e for e in assignment if not (isinstance(e, int) and 0 <= e < m)]
-    if bad_keys:
-        raise InputError(f"assignment keys out of range: {sorted(bad_keys)}")
-    rows = [[0] * m for _ in range(m)]
-    for e in range(m):
-        if e not in assignment:
-            rows[e][e] = 1
-    moved = sorted(assignment)
-    for e in moved:
-        target = frozenset(assignment[e])
-        if not all(isinstance(x, int) and 0 <= x < m for x in target):
-            raise InputError(f"assignment for element {e} is out of range")
-        for i in target:
-            rows[i][e] = 1
-    return IntegerLinearMap(tuple(map(tuple, rows)), moved=moved)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +168,7 @@ def crem_invariants(data: CremonaData) -> tuple[int, int]:
     #{j : i in B_j}. When these sums are all c, det Crem_b = c * det Q for
     the quotient matrix Q, and det Crem_b is the determinant of the r x r
     block on b, with entry (i, j) = [b_i in B_j] (see
-    ``IntegerLinearMap.quotient_determinant``). Validates independently
+    ``isomorphism.IntegerLinearMap.quotient_determinant``). Validates independently
     that the all-ones line is preserved (c must be a positive integer) and
     that Q is unimodular; a failure of either means a non-Cremona input
     slipped through and is an invariant violation.
@@ -307,19 +192,6 @@ def crem_invariants(data: CremonaData) -> tuple[int, int]:
             f"Cremona map quotient determinant is {det}, not a lattice isomorphism"
         )
     return c, det
-
-
-def crem_map(data: CremonaData) -> IntegerLinearMap:
-    """The lattice map of a Cremona basis: v_{b_j} to v_{B_j}, others fixed.
-
-    Raises InvariantError where ``crem_invariants`` does, before the m x m
-    matrix is built; its ``one_multiple`` and ``quotient_determinant`` are
-    the c and the determinant found there. The CLI reports those two and
-    calls ``crem_invariants`` alone.
-    """
-    crem_invariants(data)
-    assignment = {b: data.corank_flats[j] for j, b in enumerate(data.basis)}
-    return indicator_map(data.matroid, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +447,32 @@ def _hyperplane_mismatch(M: Matroid, N: Matroid,
     """The first hyperplane H of M whose image under ``forward`` (an element
     bijection onto N's ground set as its image sequence, the identity when
     None) is not a flat of N of rank r(M) - 1, as a bitmask, or None: one
-    walk of M under the budget ``matroid.MAX_COVERS`` and, per hyperplane,
-    one closure and one rank of the image's bitmask in N's oracle, which
-    answers an image that N's walk has found off its levels, with no backend
-    call and no ``Flat``. For r(N) = r(M), None exactly when ``forward`` is
-    an isomorphism from M onto N (proof in ``realize``); a matroid of rank 0
-    has no hyperplane."""
+    walk of M under the budget ``matroid.MAX_COVERS`` and, per hyperplane
+    checked, one closure and one rank of the image's bitmask in N's oracle,
+    which answers an image that N's walk has found off its levels, with no
+    backend call and no ``Flat``. For r(N) = r(M), None exactly when
+    ``forward`` is an isomorphism from M onto N (proof in ``realize``); a
+    matroid of rank 0 has no hyperplane.
+
+    With ``forward`` None, M's hyperplanes walked by orbits (rank r(M) - 1
+    of 3 or more on a reflection arrangement, as ``Matroid._level``
+    dispatches) and N on vectors, it checks one hyperplane per orbit under
+    M's reflection generators that the linear certificate accepts as
+    automorphisms of N (``orbits.linear_automorphisms``): the first of each
+    orbit in M's canonical order, so the hyperplane it returns is still the
+    first one that fails (proof in ``realize``)."""
     r = M.full_rank()
-    for H in M._level(r - 1, matroid.MAX_COVERS) if r else ():
+    if not r:
+        return None
+    hyperplanes = M._level(r - 1, matroid.MAX_COVERS)
+    if (forward is None and r - 1 >= 3 and getattr(M.backend, "reflection_closed", False)
+            and N.backend.name == "vectors"):
+        from . import orbits
+
+        accepted = orbits.linear_automorphisms(N.backend, M.backend.reflection_generators)
+        if accepted:
+            hyperplanes = orbits.representatives(hyperplanes, accepted, M.size)
+    for H in hyperplanes:
         image = H if forward is None else _mask(forward[e] for e in _members(H))
         if N._closure_of(image) != image or N._rank_of(image) != r - 1:
             return H
@@ -623,6 +513,17 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
     For an element bijection φ, the same argument applied to the relabelled
     matroid N∘φ, of rank r_N(φ(X)), shows φ to be an isomorphism from M onto
     N when it carries every hyperplane of M onto one of N.
+
+    On a reflection arrangement of rank 4 or more the check closes one
+    hyperplane per orbit (``_hyperplane_mismatch``). Each generator φ it
+    uses is an automorphism of M (a product of reflections of M's vectors,
+    each certified by the reflection pass) and of N (a linear map carries
+    each vector of N onto a multiple of its image,
+    ``orbits.linear_automorphisms``). So for a hyperplane H of M, φH is one
+    too, cl_N(φH) = φ cl_N(H) and r_N(φH) = r_N(H): H passes exactly when
+    φH does (φ^-1 is a power of φ), so a hyperplane passes exactly when the
+    first of its orbit does, and the first one to fail is the first of its
+    orbit. With no generator accepted every hyperplane is closed, as above.
     """
     field = field_spec if isinstance(field_spec, Field) else Field.from_spec(field_spec)
     shared = sorted(d1.basis_set() & d2.basis_set())

@@ -380,7 +380,7 @@ def fano_selfduality() -> tuple[Matroid, "IntegerLinearMap"]:
     quotient modulo the all-ones vector.  Its quotient determinant is -8,
     so it is a fan symmetry that is not a lattice isomorphism.
     """
-    from .cremona import indicator_map
+    from .isomorphism import indicator_map
 
     M = fano()
     assignment = {

@@ -1,5 +1,6 @@
 """Library-only symmetry code: isomorphisms, automorphisms, nested
-collections and ray permutations. No CLI job imports this module.
+collections, ray permutations and the Cremona map as a matrix. No CLI job
+imports this module.
 
 The isomorphism search assigns elements one at a time, in order of
 scarce line profiles first, and keeps the lines it has mapped consistent:
@@ -9,19 +10,23 @@ first matroid's hyperplanes (``cremona._hyperplane_mismatch``).
 
 ``is_nested`` tests a family of connected flats for a nested collection
 of the Bergman fan, and ``ray_permutation`` checks that a lattice map
-permutes the rays of a ray graph and keeps its edges.
+permutes the rays of a ray graph and keeps its edges. ``crem_map`` writes
+a Cremona basis's lattice map as an :class:`IntegerLinearMap` on Z^E
+(``indicator_map``); the CLI reads its invariants off the basis columns
+(``cremona.crem_invariants``) and builds no matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import matroid
-from .cremona import _hyperplane_mismatch
+from .cremona import CremonaData, _hyperplane_mismatch, crem_invariants
 from .errors import BudgetExceeded, InputError, InvariantError
 from .fan import RayGraph, TropicalPoint
-from .matroid import ElementBijection, Matroid, _members
+from .kernels import det_int
+from .matroid import ElementBijection, Matroid, _members, _SetOnce
 
 
 def _line_table(M: Matroid):
@@ -231,3 +236,128 @@ def ray_permutation(graph: RayGraph, linear_map) -> list[int]:
     if mapped != edge_set:
         raise InvariantError("map does not preserve ray adjacency")
     return perm
+
+
+# ---------------------------------------------------------------------------
+# integer linear maps on Z^E
+
+
+class IntegerLinearMap(_SetOnce):
+    """An integer matrix acting on Z^E; column k is the image of v_k.
+
+    ``moved``, when given, holds every column that is not the unit vector at
+    its own index (``indicator_map`` passes its assigned elements)."""
+
+    __slots__ = ("matrix", "moved", "_one_cache", "_qdet_cache")
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], *,
+                 moved: Sequence[int] | None = None):
+        m = len(matrix)
+        if any(len(row) != m for row in matrix):
+            raise InputError("integer linear map must be square")
+        self.matrix = matrix
+        self.moved = moved
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerLinearMap):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
+
+    @property
+    def size(self) -> int:
+        return len(self.matrix)
+
+    def column(self, k: int) -> tuple[int, ...]:
+        return tuple(row[k] for row in self.matrix)
+
+    def apply_vector(self, w: Sequence) -> tuple:
+        m = self.size
+        if len(w) != m:
+            raise InputError("vector length does not match the map size")
+        return tuple(sum(self.matrix[i][j] * w[j] for j in range(m)) for i in range(m))
+
+    def apply(self, point: TropicalPoint | Sequence) -> TropicalPoint:
+        if not isinstance(point, TropicalPoint):
+            point = TropicalPoint.of(point)
+        return TropicalPoint.of(self.apply_vector(point.weights))
+
+    def one_multiple(self) -> int | None:
+        """c when the all-ones vector maps to c*(all-ones), else None."""
+        if not hasattr(self, "_one_cache"):
+            sums = {sum(row) for row in self.matrix}
+            self._one_cache = sums.pop() if len(sums) == 1 else None
+        return self._one_cache
+
+    def quotient_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The induced matrix on Z^E / Z*1 in the basis v_0..v_{m-2}.
+
+        Modulo the all-ones vector, v_{m-1} = -(v_0 + ... + v_{m-2}), so
+        the induced matrix subtracts the last row from every other row and
+        drops the last row and column.
+        """
+        m = self.size
+        A = self.matrix
+        return tuple(
+            tuple(A[i][j] - A[m - 1][j] for j in range(m - 1)) for i in range(m - 1)
+        )
+
+    def quotient_determinant(self) -> int:
+        """The determinant of ``quotient_matrix``. When A*1 = c*1 with c
+        nonzero, det A = c * det Q, and det A = det A[K, K] for any K that
+        holds the columns that are not the unit vector at their own index:
+        ``moved``, or else the columns found by a scan. For a Cremona map K
+        is the basis: an r x r determinant in place of an (m - 1) x (m - 1)
+        one, with no m x m transpose."""
+        if not hasattr(self, "_qdet_cache"):
+            A, c, m = self.matrix, self.one_multiple(), self.size
+            if c:
+                K = self.moved if self.moved is not None else [
+                    k for k, col in enumerate(zip(*A)) if col[k] != 1 or col.count(0) < m - 1
+                ]
+                self._qdet_cache = det_int([[A[i][j] for j in K] for i in K]) // c
+            else:
+                self._qdet_cache = det_int(self.quotient_matrix())
+        return self._qdet_cache
+
+    @property
+    def is_lattice_isomorphism(self) -> bool:
+        return abs(self.quotient_determinant()) == 1
+
+
+def indicator_map(M: Matroid, assignment: dict[int, Iterable[int]]) -> IntegerLinearMap:
+    """The map sending v_e to the indicator vector of assignment[e].
+
+    Elements missing from the assignment are fixed (v_e maps to v_e).
+    """
+    m = M.size
+    bad_keys = [e for e in assignment if not (isinstance(e, int) and 0 <= e < m)]
+    if bad_keys:
+        raise InputError(f"assignment keys out of range: {sorted(bad_keys)}")
+    rows = [[0] * m for _ in range(m)]
+    for e in range(m):
+        if e not in assignment:
+            rows[e][e] = 1
+    moved = sorted(assignment)
+    for e in moved:
+        target = frozenset(assignment[e])
+        if not all(isinstance(x, int) and 0 <= x < m for x in target):
+            raise InputError(f"assignment for element {e} is out of range")
+        for i in target:
+            rows[i][e] = 1
+    return IntegerLinearMap(tuple(map(tuple, rows)), moved=moved)
+
+
+def crem_map(data: CremonaData) -> IntegerLinearMap:
+    """The lattice map of a Cremona basis: v_{b_j} to v_{B_j}, others fixed.
+
+    Raises InvariantError where ``crem_invariants`` does, before the m x m
+    matrix is built; its ``one_multiple`` and ``quotient_determinant`` are
+    the c and the determinant found there. The CLI reports those two and
+    calls ``crem_invariants`` alone.
+    """
+    crem_invariants(data)
+    assignment = {b: data.corank_flats[j] for j, b in enumerate(data.basis)}
+    return indicator_map(data.matroid, assignment)

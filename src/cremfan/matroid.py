@@ -641,7 +641,7 @@ class Matroid:
         """Walk the levels 0 to k of a reflection arrangement one at a time,
         with one cover elimination per orbit of flats (``orbits.walk``).
         Run from rank 3 up: below it the depth-first walk makes at most
-        n + 1 eliminations, which cost less than the n^2 reflection images."""
+        n + 1 eliminations, which cost less than the reflection pass."""
         from . import orbits
 
         orbits.walk(self, k, max_covers, self.backend.reflection_generators, connected)

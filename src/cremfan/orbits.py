@@ -1,22 +1,31 @@
 """The lattice walk by orbits, for vector matroids closed under their own
-reflections.
+reflections, and the linear certificate of their symmetries.
 
-``generators`` makes one pass over the n^2 reflection images of the rows
-(the reflection s_r(v) = v - 2 <r, v> / <r, r> r in the hyperplane of row
-r, standard inner product, Z[sqrt5] taken in the reals). It returns None
-unless the rows are nonzero, pairwise non-proportional and closed up to
-sign and scale under these reflections; else the element permutations of
-two automorphisms. A row's image is looked up by its canonical projective
-form, so each permutation is certified by that lookup: the reflection is
-linear and invertible and maps every row onto a multiple of a row, hence
-maps flats to flats of the same rank. The two are read off the simple
+``generators`` makes one reflection pass over the rows (the reflection
+s_r(v) = v - 2 <r, v> / <r, r> r in the hyperplane of row r, standard
+inner product, Z[sqrt5] taken in the reals). It returns None unless the
+rows are nonzero, pairwise non-proportional and closed up to sign and
+scale under these reflections; else the element permutations of two
+automorphisms. A reflection is certified by its n images: each is looked
+up by its canonical projective form, and the reflection is linear and
+invertible and maps every row onto a multiple of a row, hence maps flats
+to flats of the same rank. It is kept as a signed permutation: row j's
+root goes to k, a positive multiple of row k's root, or to ~k, a negative
+one. The pass certifies a row's reflection only when the reflections
+certified so far have not reached the row. They reach row w from a known
+s_v when a certified s_b maps row v onto +-row w: s_b is orthogonal, so
+s_w = s_{s_b(v)} = s_b s_v s_b (Humphreys, Reflection Groups and Coxeter
+Groups, 1990, 1.2 and 1.14), one lookup per row on signed indices and no
+vector arithmetic. A conjugate of maps that keep the rows keeps them, so
+the pass fails exactly when a certified reflection does, which is exactly
+when the rows are not reflection-closed; E8 certifies 9 of its 120
+reflections, H4 4 of 60. The two automorphisms are read off the simple
 reflections of the lexicographic chamber: a root (the row scaled to a
 positive leading coordinate) is positive, and a positive root is simple
 when its reflection turns no other positive root negative (a positive
-system defined by a linear order; Humphreys, Reflection Groups and Coxeter
-Groups, 1.4 and 1.6). They are c = s_1 ... s_r, a Coxeter element, and
-s_1, for s_1, ..., s_r the simple reflections in row order: two image
-tables for the fill instead of r.
+system defined by a linear order; Humphreys, 1.4 and 1.6). They are
+c = s_1 ... s_r, a Coxeter element, and s_1, for s_1, ..., s_r the simple
+reflections in row order: two image tables for the fill instead of r.
 
 ``walk`` builds levels 0 to k one at a time. Let H be any group of
 automorphisms of M, given by generators. Each level of flats is a union of
@@ -44,14 +53,29 @@ The full walk stores as each image's value the image of its preimage's
 value: an automorphism maps a flat G covering F onto a flat covering the
 image of F, so ``Matroid._connected_levels`` still reads a flat that the key
 covers.
+
+``linear_automorphisms`` certifies that an element permutation phi is an
+automorphism of a vector configuration (v_e) over Z, Z[sqrt5] or F_p: a
+linear map T with T v_e = c_e v_phi(e), c_e nonzero, for every e (Oxley,
+Matroid Theory, 2nd ed., 2011, ch. 6). One elimination with tag columns
+(``_coordinates``) writes each v_e in a basis B as x_e, another writes
+each v_f in phi(B), in B's order, as y_f, both up to a nonzero factor per
+row. T exists exactly when phi(B) is a basis, x_e and y_phi(e) have one
+support, and y_phi(e)[b] = lam_b nu_e x_e[b] on it (then T v_b = lam_b
+v_phi(b), up to the row factors): O(n r^2) field operations and no walk.
+It is sound, not complete: an automorphism that no linear map makes is
+refused. ``representatives`` picks one bitmask per orbit of a level under
+accepted permutations, which ``cremona._hyperplane_mismatch`` closes
+alone.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from operator import getitem, mul
 
-from .kernels import _primitive_key
+from .kernels import _pivots, _primitive_key, _reduce_int, _width
 from .matroid import _budget_exceeded, _canonical_key, _members
 
 
@@ -77,20 +101,21 @@ def generators(rows, kind: str) -> list[list[int]] | None:
 
 def _images_int(rows):
     """Per row r, the element permutation of s_r and the number of positive
-    roots it turns negative; None when two rows are proportional or some
-    image is a multiple of no row. The roots are the rows with a positive
-    lead, and a root's image is looked up with its sign: -p maps to ~j for
-    the root p of row j."""
+    roots it turns negative (``_conjugates``); None when two rows are
+    proportional or a certified reflection maps a row onto a multiple of no
+    row. The roots are the rows with a positive lead, and a root's image is
+    looked up with its sign: -p maps to ~j for the root p of row j."""
     roots = [_primitive_key(v) for v in rows]
     index: dict[tuple[int, ...], int] = {}
     for j, p in enumerate(roots):
         index[p], index[tuple([-x for x in p])] = j, ~j
     if len(index) < 2 * len(roots):
         return None
-    images = []
-    for r in roots:
+
+    def reflection(u):
+        r = roots[u]
         rr = sum(map(mul, r, r))
-        perm, turned = list(range(len(roots))), 0
+        signed = list(range(len(roots)))
         for j, v in enumerate(roots):
             rv = sum(map(mul, r, v))
             if rv:
@@ -104,11 +129,10 @@ def _images_int(rows):
                 k = index.get(tuple(w) if g == 1 else tuple([x // g for x in w]))
                 if k is None:
                     return None
-                if k < 0:
-                    k, turned = ~k, turned + 1
-                perm[j] = k
-        images.append((perm, turned))
-    return images
+                signed[j] = k
+        return signed
+
+    return _conjugates(len(roots), reflection)
 
 
 def _images_quad(rows):
@@ -120,10 +144,11 @@ def _images_quad(rows):
     if len(index) < len(rows):
         return None
     signs = [_sign_quad(v) for v in rows]
-    images = []
-    for r in rows:
+
+    def reflection(u):
+        r = rows[u]
         p, q = _dot_quad(r, r)  # positive
-        perm, turned = list(range(len(rows))), 0
+        signed = list(range(len(rows)))
         for j, v in enumerate(rows):
             s, t = _dot_quad(r, v)
             if s or t:
@@ -136,9 +161,66 @@ def _images_quad(rows):
                 k = index.get(_quad_key(w))
                 if k is None:
                     return None
-                perm[j] = k
-                turned += _sign_quad(w) != signs[j]
-        images.append((perm, turned))
+                # row j's root is turned negative when w's sign is not row j's
+                signed[j] = k if _sign_quad(w) == signs[j] else ~k
+        return signed
+
+    return _conjugates(len(rows), reflection)
+
+
+def _conjugates(n: int, reflection):
+    """Per row u, the element permutation of s_u and the number of positive
+    roots it turns negative, from its signed permutation: ``reflection(u)``,
+    the image of each row's root as k, a positive multiple of row k's root,
+    or ~k, a negative one, or None when some image is a multiple of no row.
+
+    ``reflection`` runs only for a row not yet reached, which it certifies.
+    The reached rows are closed under the certified reflections by
+    conjugation: when s_b maps row v onto +-row w, s_w = s_b s_v s_b, one
+    lookup per row (module docstring). None when a certified reflection
+    fails, which happens exactly when the rows are not reflection-closed."""
+    # per row, its reflection's signed permutation, extended by s[~j] = ~s[j]
+    # so that it takes signed indices too (a list reads ~j = -1 - j from its end)
+    signed: list[list[int] | None] = [None] * n
+    reached: list[int] = []
+    certified: list[list[int]] = []
+
+    def reach(b, v):
+        # s_w = s_b s_v s_b, for the row w that s_b maps row v onto
+        w = b[v]
+        if w < 0:
+            w = ~w
+        if signed[w] is None:
+            t = signed[v]
+            s = list(map(b.__getitem__, map(t.__getitem__, b[:n])))
+            signed[w] = s + [~x for x in reversed(s)]
+            reached.append(w)
+
+    for u in range(n):
+        if signed[u] is not None:
+            continue
+        s = reflection(u)
+        if s is None:
+            return None
+        b = signed[u] = s + [~x for x in reversed(s)]
+        certified.append(b)
+        old = len(reached)
+        reached.append(u)
+        # the rows reached before: only the new reflection is new to them
+        for v in reached[:old]:
+            reach(b, v)
+        k = old
+        while k < len(reached):  # the list grows as the rows are reached
+            v = reached[k]
+            for g in certified:
+                reach(g, v)
+            k += 1
+    unsign = [*range(n), *reversed(range(n))]  # unsign[~j] = j
+    images = []
+    for s in signed:
+        head = s[:n]
+        # 0 > x: the rows whose root s turns negative
+        images.append((list(map(unsign.__getitem__, head)), sum(map((0).__gt__, head))))
     return images
 
 
@@ -241,3 +323,126 @@ def walk(M, k: int, max_covers: int | None, perms: list[list[int]],
         M._connected_cache = stored
     else:
         M._flats_cache = stored
+
+
+def linear_automorphisms(backend, perms: list[list[int]]) -> list[list[int]]:
+    """The element permutations of ``perms`` that the linear certificate
+    (module docstring) accepts as automorphisms of the vectors of
+    ``backend``, a VectorBackend: one elimination for a basis B, and one
+    per permutation phi for phi(B)."""
+    eliminate, split, mul, zero, one = _domain(backend.field)
+    rows = backend._rows
+    basis, xs = eliminate(rows, range(len(rows)))
+    xs = list(map(split, xs))
+    accepted = []
+    for phi in perms:
+        image, ys = eliminate(rows, [phi[b] for b in basis])
+        if len(image) == len(basis) and _factors(xs, [split(ys[f]) for f in phi], mul, zero, one):
+            accepted.append(phi)
+    return accepted
+
+
+def _coordinates(rows, subset, reduce, step: int = 1) -> tuple[list[int], list[list[int]]]:
+    """A greedy basis B of the rows named by ``subset``, in its order, and
+    per row its coordinates in B times a nonzero scalar, when B spans every
+    row: ``kernels._fundamental``'s elimination, B's rows spanned with a
+    unit tag each (over Z[sqrt5] one pair per tag) and each other row
+    reduced once, to lambda*row - sum_j mu_j*(B[j], unit j), lambda nonzero,
+    which is 0 off the tags. So its tags are the -mu_j, the row's
+    coordinates times -lambda; a row of B has its unit tag."""
+    kept: list[int] = []
+    _pivots([rows[i] for i in subset], reduce, step, kept)
+    basis = [subset[k] for k in kept]
+    n, tags = _width(rows), [0] * (len(basis) * step)
+    units = {b: [*tags[:j * step], 1, *tags[j * step + 1:]] for j, b in enumerate(basis)}
+    pivots = _pivots([[*rows[b], *unit] for b, unit in units.items()], reduce, step)
+    return basis, [
+        units[i] if i in units else reduce([*row, *tags], pivots)[n:] for i, row in enumerate(rows)
+    ]
+
+
+def _domain(field):
+    # the tagged elimination of the field's rows (``_coordinates``), a row
+    # of its tags as scalars, their product, 0 and 1: over Z[sqrt5]
+    # pairs (a, b) for a + b sqrt5, over F_p residues
+    if field.kind == "Qsqrt5":
+        from .quad import _reduce_quad
+
+        return (
+            partial(_coordinates, reduce=_reduce_quad, step=2),
+            lambda tags: list(zip(tags[::2], tags[1::2])),
+            lambda u, v: (u[0] * v[0] + 5 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]),
+            (0, 0), (1, 0),
+        )
+    if field.kind == "Fp":
+        from .fp import _reduce_mod
+
+        p = field.p
+        eliminate = partial(_coordinates, reduce=partial(_reduce_mod, p=p))
+        return eliminate, list, lambda u, v: u * v % p, 0, 1
+    return partial(_coordinates, reduce=_reduce_int), list, mul, 0, 1
+
+
+def _factors(xs, ys, mul, zero, one) -> bool:
+    """Whether, for each row e, ys[e] and xs[e] have one support and
+    ys[e][b] = lam_b nu_e xs[e][b] on it, for some nonzero lam and nu.
+
+    The support graph joins each row e to the coordinates b of its support.
+    Along a spanning forest, grown from each coordinate not yet reached
+    with lam_b = 1, each new lam_b or nu_e is the fraction that makes its
+    tree edge hold: a pair (num, den) of nonzero domain elements, so no
+    division is made. Then every edge is checked, by cross-multiplying."""
+    supports = []
+    through: list[list[int]] = [[] for _ in xs[0]] if xs else []
+    for e, (x, y) in enumerate(zip(xs, ys)):
+        support = [b for b, t in enumerate(x) if t != zero]
+        if support != [b for b, t in enumerate(y) if t != zero]:
+            return False
+        supports.append(support)
+        for b in support:
+            through[b].append(e)
+    lam: list[tuple | None] = [None] * len(through)
+    nu: list[tuple | None] = [None] * len(xs)
+    for root in range(len(through)):
+        if lam[root] is not None:
+            continue
+        lam[root] = (one, one)
+        tree = [root]
+        for b in tree:  # the list grows as the forest does
+            ln, ld = lam[b]
+            for e in through[b]:
+                if nu[e] is None:
+                    # y = lam_b nu_e x: nu_e = y ld / (ln x)
+                    nn, nd = nu[e] = (mul(ys[e][b], ld), mul(ln, xs[e][b]))
+                    for c in supports[e]:
+                        if lam[c] is None:
+                            lam[c] = (mul(ys[e][c], nd), mul(nn, xs[e][c]))
+                            tree.append(c)
+    return all(
+        mul(mul(ys[e][b], lam[b][1]), nu[e][1]) == mul(mul(lam[b][0], nu[e][0]), xs[e][b])
+        for e, support in enumerate(supports) for b in support
+    )
+
+
+def representatives(level, perms: list[list[int]], size: int) -> list[int]:
+    """One bitmask per orbit of the bitmasks of ``level`` under the element
+    permutations ``perms`` of a ground set of ``size`` elements, the first
+    of each in the level's order, its orbit filled as ``walk`` fills one."""
+    tables = [_tables(perm) for perm in perms]
+    width = (size + 7) // 8
+    seen: set[int] = set()
+    found = []
+    for H in level:
+        if H in seen:
+            continue
+        found.append(H)
+        seen.add(H)
+        orbit = [H]
+        for X in orbit:  # the list grows as the orbit fills
+            xs = X.to_bytes(width, "little")
+            for table in tables:
+                Y = sum(map(getitem, table, xs))
+                if Y not in seen:
+                    seen.add(Y)
+                    orbit.append(Y)
+    return found

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import AbstractSet, Callable, Sequence
 
 import pytest
@@ -19,7 +20,10 @@ from cremfan.generators import (
     inner,
     uniform,
 )
+from cremfan.kernels import _primitive_key
 from cremfan.matroid import ElementBijection, Flat, Matroid, VectorBackend, _mask, _members
+from cremfan.orbits import _dot_quad, _sign_quad
+from cremfan.quad import _quad_key
 
 
 @pytest.fixture(scope="session")
@@ -340,6 +344,49 @@ def census_mismatch(census: Sequence[AbstractSet[int]],
         if mapped != other[k]:
             return k
     return None if len(census) == len(other) else common
+
+
+def reference_images(rows, kind: str):
+    """The reflection pass by n^2 images (reference for ``orbits._images_*``):
+    per row r, the element permutation of s_r, every image computed and
+    looked up, and the number of positive roots s_r turns negative; None
+    when two rows are proportional or some image is a multiple of no row.
+    ``kind`` is "Q" (rows over Z) or "Qsqrt5" (flattened Z[sqrt5] rows)."""
+    if kind == "Q":
+        # a root is its row's primitive form with a positive lead
+        roots = [_primitive_key(v) for v in rows]
+        key, dot = _primitive_key, lambda u, v: (sum(map(mul, u, v)), 0)
+        positive = [True] * len(roots)
+    else:
+        roots, key, dot = rows, _quad_key, _dot_quad
+        positive = [_sign_quad(v) for v in rows]
+    index = {key(v): j for j, v in enumerate(roots)}
+    if len(index) < len(roots):
+        return None
+    images = []
+    for r in roots:
+        p, q = dot(r, r)
+        perm, turned = list(range(len(roots))), 0
+        for j, v in enumerate(roots):
+            s, t = dot(r, v)
+            if s or t:
+                # <r, r> s_r(v) = <r, r> v - 2 <r, v> r, a positive multiple of s_r(v)
+                if kind == "Q":
+                    w = [p * x - 2 * s * y for x, y in zip(v, r)]
+                else:
+                    w = []
+                    for i in range(0, len(v), 2):
+                        xa, xb, ya, yb = v[i], v[i + 1], r[i], r[i + 1]
+                        w += (p * xa + 5 * q * xb - 2 * (s * ya + 5 * t * yb),
+                              p * xb + q * xa - 2 * (s * yb + t * ya))
+                k = index.get(key(w))
+                if k is None:
+                    return None
+                perm[j] = k
+                negative = next(filter(None, w)) < 0 if kind == "Q" else not _sign_quad(w)
+                turned += negative == positive[j]
+        images.append((perm, turned))
+    return images
 
 
 # Linear actions on generated matroids: reflections and coordinate maps as

@@ -13,7 +13,6 @@ import networkx as nx
 import pytest
 
 from cremfan.cremona import (
-    crem_map,
     cremona_check,
     enumerate_cremona_bases,
     realize,
@@ -43,7 +42,7 @@ from cremfan.generators import (
     parallel_connection,
     uniform,
 )
-from cremfan.isomorphism import automorphisms, ray_permutation
+from cremfan.isomorphism import automorphisms, crem_map, ray_permutation
 
 from conftest import (
     compose_linear,

@@ -33,7 +33,7 @@ def test_walk_table_on_d4(capsys):
     # expands: the 12 points and the 34 lines of D4 on the way to its 24
     # planes
     _load("bench_kernels.py")._bench_stepped_walk("D4", 1)
-    row, covers, orbits, stores = capsys.readouterr().out.splitlines()
+    row, covers, orbits, reflections, stores = capsys.readouterr().out.splitlines()
     assert row.startswith("D4 walk to rank 3 (71 flats)")
     assert "   46 steps = flats expanded" in row
     # one cover kept per flat found, and the recorded ones skipped: 12 + 84
@@ -43,6 +43,9 @@ def test_walk_table_on_d4(capsys):
     # 3 (its generators split the points into 2 orbits)
     assert "by orbits     8 steps" in orbits
     assert orbits.endswith("orbits/eliminations by rank: 0: 1/1  1: 2/2  2: 6/6  3: 6/0")
+    # the pass certifies the reflections of D4's first rows 0, 1, 2 and 4
+    # and reaches the other 8 as their conjugates
+    assert "reflection pass: 4 of 12 reflections certified" in reflections
     assert "levels 71 (" in stores
     # the 40 rays: the store line comes after the connected levels are read
     assert "connected 40 (" in stores

@@ -164,6 +164,19 @@ class TestCremona:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("mode, repeated", [
+        (["--check", "1,2,6,1"], "1"),
+        (["--check", "1,1,2"], "1"),
+        (["--pair", "1,2,6", "2,3,5,3"], "3"),
+        (["--realize", "1,2,6", "2,5,3,5", "--field", "Fp:7"], "5"),
+    ], ids=["check", "check-short", "pair", "realize"])
+    def test_a_repeated_element_is_refused(self, a3_file, capsys, mode, repeated):
+        # a basis list names each element once; a repeat is no basis of
+        # the listed size, so it is refused rather than dropped
+        code, out, err = run(capsys, "cremona", a3_file, *mode)
+        assert (code, out) == (2, "")
+        assert f"element {repeated!r} is listed twice" in err
+
     def test_pair_payload(self, a3_file, capsys):
         doc, _ = run_json(capsys, "cremona", a3_file, "--pair", "1,2,6", "2,3,5")
         payload = doc["payload"]

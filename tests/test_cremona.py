@@ -7,20 +7,17 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cremfan import cli, cremona
+from cremfan import cli, cremona, orbits
 from cremfan.cremona import (
     CremonaData,
-    IntegerLinearMap,
     _hyperplane_mismatch,
     _involution,
     build_involution,
     crem_invariants,
-    crem_map,
     cremona_check,
     cremona_check_detail,
     enumerate_cremona_bases,
     flat_support_kind,
-    indicator_map,
     realize,
     support_graph,
     two_basis_report,
@@ -38,6 +35,7 @@ from cremfan.generators import (
     parallel_connection,
     uniform,
 )
+from cremfan.isomorphism import IntegerLinearMap, crem_map, indicator_map
 from cremfan.kernels import det_int
 from cremfan.matroid import Flat, Matroid, VectorBackend
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
@@ -960,7 +958,7 @@ class TestRealizationCertificate:
             "cover_step": 0,
         }
 
-    def test_k7_walks_m_once_and_closes_each_hyperplane_in_n(self, monkeypatch):
+    def test_k7_walks_m_once_and_closes_one_hyperplane_per_orbit_in_n(self, monkeypatch):
         k7 = complete_graph_matroid(7)
         d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
         walks, closures = [], []
@@ -983,9 +981,72 @@ class TestRealizationCertificate:
         monkeypatch.setattr(Matroid, "_closure_of", closed)
         realize(k7, d1, d2, "Fp:101")
         # one walk, of M to its 63 hyperplanes (K7 is the A6 arrangement, so
-        # by orbits), and none of N
+        # by orbits), and none of N; the 63 fall into 3 orbits under M's
+        # two reflection generators, which both certify as automorphisms
+        # of N, so N closes one hyperplane per orbit
         assert walks == [(True, "_orbit_walk")]
-        assert len(k7._flats_cache[5]) == 63 == closures.count(False)
+        assert len(k7._flats_cache[5]) == 63
+        assert closures.count(False) == 3
+
+    @pytest.mark.parametrize("field", ["Fp:101", "Q", "Qsqrt5"])
+    def test_k7_check_makes_three_eliminations_and_three_closures_in_n(self, monkeypatch, field):
+        k7 = complete_graph_matroid(7)
+        d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
+        N = Matroid(VectorBackend(Field.from_spec(field), realize(k7, d1, d2, field).vectors))
+        calls = count_backend_calls(N, monkeypatch)
+        coordinates, eliminated = orbits._coordinates, []
+
+        def counted(*args, **domain):
+            eliminated.append(args)
+            return coordinates(*args, **domain)
+
+        monkeypatch.setattr(orbits, "_coordinates", counted)
+        assert _hyperplane_mismatch(k7, N) is None
+        # the certificate: one elimination for a basis B and one for its
+        # image under each generator; then one closure per orbit
+        assert len(eliminated) == 3
+        assert calls == {
+            "rank_subset": 0, "closure_fast": 3, "fundamental_fast": 0, "covers_fast": 0,
+            "cover_step": 0,
+        }
+
+    @pytest.mark.parametrize("spec, p", [("F4", 3), ("E6", 3), ("B4", 2), ("D5", 3)])
+    def test_one_hyperplane_per_orbit_finds_the_first_failing_one(self, spec, p):
+        # M's integer rows read over F_p: M's reflection generators are
+        # still linear automorphisms of N, which is M again (D5 over F_3)
+        # or another matroid of the same rank
+        M = coxeter_matroid(spec)
+        field = Field.from_spec(f"Fp:{p}")
+        N = Matroid(VectorBackend(field, M.backend._rows))
+        generators = M.backend.reflection_generators
+        assert orbits.linear_automorphisms(N.backend, generators) == generators
+        r = M.full_rank()
+        assert N.full_rank() == r
+        # reference: every hyperplane closed in N, in M's canonical order
+        first = next((
+            H for H in M._level(r - 1) if N._closure_of(H) != H or N._rank_of(H) != r - 1
+        ), None)
+        assert (first is None) == (spec == "D5")
+        assert _hyperplane_mismatch(M, Matroid(VectorBackend(field, M.backend._rows))) == first
+
+    def test_a_wrong_k7_vector_exits_4(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "k7.json")
+        assert cli.main(["gen", "K7", "--out", path]) == 0
+        backend = cremona.VectorBackend
+
+        def replaced(f, vectors):
+            # element 20 gets the sum of the vectors of elements 0 and 1
+            vectors = list(vectors)
+            vectors[20] = tuple(x + y for x, y in zip(vectors[0], vectors[1]))
+            return backend(f, vectors)
+
+        monkeypatch.setattr(cremona, "VectorBackend", replaced)
+        capsys.readouterr()
+        code = cli.main(["cremona", path, "--realize", "0-1,0-2,0-3,0-4,0-5,0-6",
+                         "0-1,1-2,1-3,1-4,1-5,1-6", "--field", "Fp:101"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert "disagrees with the matroid on the hyperplane" in err
 
     @pytest.mark.parametrize("field", ["Q", "Fp:101"])
     def test_a_wrong_vector_is_an_invariant_violation(self, monkeypatch, field):

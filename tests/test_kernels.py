@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremfan import fp, kernels, quad
+from cremfan import fp, kernels, orbits, quad
 from cremfan.field import Field, primitive_int_vector
 from cremfan.fp import (
     _monic,
@@ -212,6 +212,55 @@ def check_fundamental(fundamental, closure, rows, subset):
 def drawn_subset(data, rows):
     """Distinct row indices in drawn order, so the greedy walk's order is tested too."""
     return data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
+
+
+def check_coordinates(reduce, step, fundamental, rows, subset, scalars):
+    """``orbits._coordinates`` has ``fundamental_*``'s basis B, and for each
+    row of span(B) its tags, read as scalars c, are nonzero on that row's
+    support in B and make sum_j c_j B[j] a nonzero multiple of the row (0
+    for a zero row)."""
+    basis, coordinates = orbits._coordinates(rows, subset, reduce, step)
+    reference, supports = fundamental(rows, subset, range(len(rows)))
+    assert basis == reference
+    spanning = [scalars(rows[b]) for b in basis]
+    for i, support in supports.items():
+        row, c = scalars(rows[i]), scalars(coordinates[i])
+        assert support == sum(1 << j for j, x in enumerate(c) if x != 0)
+        combination = [sum((cj * v[k] for cj, v in zip(c, spanning)), 0 * row[k])
+                       for k in range(len(row))]
+        assert matrix_rank([combination, row]) == matrix_rank([row]) == matrix_rank([combination])
+
+
+class TestCoordinates:
+    """The certificate's elimination (``orbits._coordinates``) over each
+    domain, against ``fundamental_*``."""
+
+    @given(same_width, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_int(self, rows, data):
+        rows = [tuple(r) for r in rows]
+        check_coordinates(_reduce_int, 1, fundamental_int, rows, drawn_subset(data, rows),
+                          lambda v: [Fraction(x) for x in v])
+
+    @given(same_width, st.sampled_from([2, 3, 5, 7, 101]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mod(self, rows, p, data):
+        rows = [tuple(x % p for x in r) for r in rows]
+        f = Field.from_spec(f"Fp:{p}")
+        check_coordinates(
+            partial(fp._reduce_mod, p=p), 1,
+            lambda rows, sub, asked: fundamental_mod(rows, p, sub, asked),
+            rows, drawn_subset(data, rows), lambda v: [f.coerce(x) for x in v],
+        )
+
+    @given(st.one_of(even_width, quad_lines()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quad(self, rows, data):
+        rows = [tuple(r) for r in rows]
+        check_coordinates(
+            quad._reduce_quad, 2, fundamental_quad, rows, drawn_subset(data, rows),
+            lambda v: [QuadSqrt5(v[j], v[j + 1]) for j in range(0, len(v), 2)],
+        )
 
 
 class TestFundamentalKernel:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,6 +43,7 @@ from conftest import (
     closure_per_cover,
     count_backend_calls,
     covers,
+    determinant,
     direct_sum,
     exhaustive_connected,
     f3_matroid,
@@ -50,6 +52,7 @@ from conftest import (
     quad_lines,
     quad_scale,
     record_walks,
+    reference_images,
 )
 
 
@@ -865,6 +868,170 @@ class TestOrbitWalk:
         r = M.full_rank()
         M._orbit_walk(r, None, connected)
         assert steps
+
+
+def _pass(rows, kind):
+    """The reflection pass's per-row (perm, turned) list, over Z or Z[sqrt5]."""
+    return orbits._images_int(rows) if kind == "Q" else orbits._images_quad(rows)
+
+
+def _certified_rows(M, monkeypatch):
+    """The rows whose reflection the pass over M's vectors certifies by its
+    image lookups, and the pass's images."""
+    certified, conjugates = [], orbits._conjugates
+
+    def counted(n, reflection):
+        return conjugates(n, lambda u: certified.append(u) or reflection(u))
+
+    monkeypatch.setattr(orbits, "_conjugates", counted)
+    images = _pass(M.backend._rows, M.backend.field.kind)
+    return certified, images
+
+
+class TestReflectionPass:
+    """The reflection pass (``orbits._images_*``) certifies a reflection
+    only for a row not yet reached and reaches the others by conjugation;
+    it returns what the pass over all n^2 images returns
+    (``conftest.reference_images``)."""
+
+    @pytest.mark.parametrize("spec", COXETER_TYPES)
+    def test_every_coxeter_type_matches_the_reference(self, spec):
+        backend = coxeter_matroid(spec).backend
+        rows, kind = backend._rows, backend.field.kind
+        assert _pass(rows, kind) == reference_images(rows, kind)
+
+    @given(shuffled_types())
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_and_negated_rows_match_the_reference(self, case):
+        backend = _shuffled(*case).backend
+        rows, kind = backend._rows, backend.field.kind
+        images = _pass(rows, kind)
+        assert images is not None and images == reference_images(rows, kind)
+
+    @pytest.mark.parametrize("name", ["B3 minus a root", "D4 minus a root",
+                                      "B4 with a parallel pair"])
+    def test_rows_not_reflection_closed_give_none(self, name):
+        rows = FULL_WALK_CASES[name]().backend._rows
+        assert _pass(rows, "Q") is None and reference_images(rows, "Q") is None
+
+    def test_h3_less_a_root_gives_none(self):
+        rows = coxeter_matroid("H3").backend._rows
+        assert _pass(rows[1:], "Qsqrt5") is None
+        assert reference_images(rows[1:], "Qsqrt5") is None
+
+    @pytest.mark.parametrize("spec, certified", [
+        ("D5", 5), ("B5", 9), ("F4", 8), ("K7", 6), ("E7", 8), ("E8", 9), ("B8", 15),
+        ("H3", 3), ("H4", 4),
+    ])
+    def test_few_reflections_are_certified_by_arithmetic(self, spec, certified, monkeypatch):
+        # a row is certified when no certified reflection has reached it:
+        # the first rows, up to the rank, and a few more where an orbit of
+        # roots is not yet reached (root lengths, or a reducible start)
+        M = complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec)
+        rows, images = _certified_rows(M, monkeypatch)
+        assert len(rows) == certified and rows == sorted(rows)
+        assert images == reference_images(M.backend._rows, M.backend.field.kind)
+
+    def test_a_failing_certified_reflection_gives_none_at_once(self, monkeypatch):
+        # B3 less its first root: the reflections of the new rows 0 and 1
+        # keep the rows, that of row 2 maps one onto the missing root, and
+        # the pass certifies nothing after it
+        rows, images = _certified_rows(_drop_one_root("B3"), monkeypatch)
+        assert images is None and rows == [0, 1, 2]
+
+
+@st.composite
+def permuted_vector_matroids(draw):
+    """A small vector matroid over F_3, Q or Q(sqrt5), zero and repeated
+    rows allowed, and a permutation of its elements."""
+    field = draw(st.sampled_from(["Fp:3", "Q", "Qsqrt5"]))
+    if field == "Fp:3":
+        rows = draw(f3_vector_rows())
+    elif field == "Q":
+        d = draw(st.integers(1, 3))
+        entry = st.integers(-2, 2)
+        rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=6))
+        rows += [[2 * x for x in rows[0]]]
+    else:
+        rows = [[QuadSqrt5(v[j], v[j + 1]) for j in range(0, len(v), 2)]
+                for v in draw(quad_lines())]
+    M = Matroid(VectorBackend(Field.from_spec(field), rows))
+    if draw(st.booleans()):
+        return M, draw(st.permutations(range(M.size)))
+    # a transposition, which keeps the supports of the other rows' coordinates
+    i, j = draw(st.integers(0, M.size - 1)), draw(st.integers(0, M.size - 1))
+    forward = list(range(M.size))
+    forward[i], forward[j] = j, i
+    return M, forward
+
+
+@st.composite
+def linear_orbits(draw):
+    """Rows over F_p (p = 3 or 5) closed, up to scale, under an invertible
+    matrix A, each row scaled by a random unit, and the permutation A makes
+    of them."""
+    p = draw(st.sampled_from([3, 5]))
+    d = draw(st.integers(2, 3))
+    entry = st.integers(0, p - 1)
+    A = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(determinant([[Fraction(x) for x in row] for row in A]) % p)
+
+    def key(v):  # the row's line: scaled to a leading 1
+        lead = next(x for x in v if x)
+        inverse = pow(lead, p - 2, p)
+        return tuple(x * inverse % p for x in v)
+
+    seeds = draw(st.lists(st.lists(entry, min_size=d, max_size=d).filter(any),
+                          min_size=1, max_size=3))
+    lines: dict[tuple, int] = {}
+    for v in seeds:
+        while key(v) not in lines:  # A has finite order on the lines
+            lines[key(v)] = len(lines)
+            v = [sum(a * x for a, x in zip(row, v)) % p for row in A]
+    scales = draw(st.lists(st.integers(1, p - 1), min_size=len(lines), max_size=len(lines)))
+    rows = [[c * x % p for x in v] for c, v in zip(scales, lines)]
+    forward = [lines[key([sum(a * x for a, x in zip(row, v)) % p for row in A])] for v in lines]
+    return Matroid(VectorBackend(Field.from_spec(f"Fp:{p}"), rows)), forward
+
+
+class TestLinearCertificate:
+    """The linear certificate (``orbits.linear_automorphisms``) accepts an
+    element permutation only when it is an automorphism, and accepts one
+    that a linear map makes."""
+
+    @given(permuted_vector_matroids())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_only_when_the_census_agrees(self, case):
+        M, forward = case
+        if orbits.linear_automorphisms(M.backend, [forward]):
+            census = flat_census(M)
+            assert census_mismatch(census, census, forward) is None
+
+    def test_one_support_is_not_enough(self):
+        # d = a + c and d' have the coordinates of one support in the basis
+        # e1, e2, e3, but only {a, c, d} is dependent: swapping d and d'
+        # keeps the supports and is no automorphism
+        rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (2, 2, 1), (2, 3, 1)]
+        M = Matroid(VectorBackend(Field.from_spec("Q"), rows))
+        swap = [0, 1, 2, 3, 4, 6, 5]
+        assert orbits.linear_automorphisms(M.backend, [swap]) == []
+        census = flat_census(M)
+        assert census_mismatch(census, census, swap) is not None
+
+    @given(linear_orbits())
+    @settings(max_examples=200, deadline=None)
+    def test_a_linear_map_is_accepted(self, case):
+        M, forward = case
+        assert orbits.linear_automorphisms(M.backend, [forward]) == [forward]
+        census = flat_census(M)
+        assert census_mismatch(census, census, forward) is None
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "F4", "H3", "H4", "E6", "K7"])
+    def test_reflection_generators_are_accepted_and_a_transposition_is_not(self, spec):
+        M = complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec)
+        generators = M.backend.reflection_generators
+        swap = [1, 0, *range(2, M.size)]
+        assert orbits.linear_automorphisms(M.backend, [*generators, swap]) == generators
 
 
 class TestSteppedCovers:

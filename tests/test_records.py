@@ -11,15 +11,14 @@ import pytest
 
 from cremfan.cremona import (
     CremonaData,
-    IntegerLinearMap,
     cremona_check,
-    crem_map,
     realize,
     support_graph,
     two_basis_report,
 )
 from cremfan.fan import TropicalPoint, graph_S
 from cremfan.generators import a3_arrangement
+from cremfan.isomorphism import IntegerLinearMap, crem_map
 from cremfan.matroid import ElementBijection
 
 
