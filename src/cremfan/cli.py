@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import BudgetExceeded, InputError, InvariantError
-from .field import FieldFormatError
+from .field import FieldFormatError, parse_rational
 from .matroid import Matroid
 from .serialize import dumps, load_matroid, save_matroid
 
@@ -241,8 +241,8 @@ def _parse_weights(csv: str) -> list[Fraction]:
     for token in csv.split(","):
         token = token.strip()
         try:
-            out.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
+            out.append(parse_rational(token))
+        except FieldFormatError:
             raise InputError(f"bad weight {token!r}") from None
     return out
 

@@ -533,7 +533,6 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
         )
     b0 = shared[0]
     ordered = [b0] + [e for e in d1.basis if e != b0]
-    pos = {e: i for i, e in enumerate(ordered)}
     orig_pos = {e: i for i, e in enumerate(d1.basis)}
 
     def fset(e1: int, e2: int) -> frozenset[int]:

@@ -19,6 +19,7 @@ element class when it is made. So a job over Q compiles neither.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -181,7 +182,11 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(int(s))
     except ValueError:
         pass
+    mantissa, e, exponent = s.lower().partition("e")
     try:
+        # Fraction builds 10**|exponent|: refused past the digits an int may print
+        if e and len(mantissa) + abs(int(exponent)) > (sys.get_int_max_str_digits() or 4300):
+            raise ValueError
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise FieldFormatError(f"bad rational {s!r}") from None

@@ -157,7 +157,7 @@ def _fundamental(rows, subset, asked, reduce, step: int = 1) -> tuple[list[int],
 
 
 # a flat's rank and, per cover, the bitmask of its rows outside the flat and
-# its quotient direction
+# its quotient direction; reps=None marks a state made by closures
 CoverState = namedtuple("CoverState", "rank groups reps")
 
 

@@ -7,23 +7,17 @@ presentation, an explicit circuit list), and minors are represented lazily
 against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
 goes from cl(empty set) to the rank asked for and stores each rank as one
 dict, the only store of its flats: it maps each flat's bitmask (bit e for
-element e) to the bitmask of a flat of the rank below that it covers. A
-flat is a bitmask from the kernel's cover groups to the levels; a ``Flat``
-is made only for a caller that reads one, and ``Flat.elements`` makes the
-frozenset on first use. The walk is depth-first (``_walk``), but level by
-level on a reflection arrangement from rank 3 up (``_orbit_walk``): one
-flat per orbit of automorphisms is eliminated, its images fill the rest.
-On a vector matroid each cover state is stepped from the state of a flat it
-covers. The rank and closure oracle (``_rank_of``, ``_closure_of``) takes
-bitmasks, answers a walked flat off its level and caches the rest by bitmask;
-the public queries check their elements once (``_check_subset``). The
-connected flats are stored as connected levels (``connected_flats_of_rank``,
-bitmasks with no values): on a reflection arrangement, from rank 3 up, the
-connected orbit walk's, which expands only the connected covers; else the
-full walk's levels, filtered one level at a time with no rank or closure
-query. A walked flat's connectivity is read off them, and a simple
-matroid's off its stored lines when they join all of E; other flats go
-through a greedy-basis oracle.
+element e) to the bitmask of a flat of the rank below that it covers; a
+``Flat`` is made only for a caller that reads one. The walk is depth-first
+(``_walk``), or by orbits of automorphisms on a reflection arrangement
+(``_orbit_walk``). Either reads its covers off cover states, each stepped
+from the state of a flat it covers: by the kernels on a vector matroid, by
+closures elsewhere. The rank and closure oracle (``_rank_of``,
+``_closure_of``) takes bitmasks, answers a walked flat off its level and
+caches the rest by bitmask; the public queries check their elements once
+(``_check_subset``). The connected flats are stored as connected levels
+(``connected_flats_of_rank``), which a walked flat's connectivity is read
+off.
 """
 
 from __future__ import annotations
@@ -563,12 +557,8 @@ class Matroid:
         return None
 
     def is_simple(self) -> bool:
-        """No loops, and every rank-1 flat is one element.
-
-        Reads the points off the walk's rank-1 level: a walk to rank 1 is
-        the one covers elimination of the empty flat, whose state deeper
-        walks start from.
-        """
+        """No loops, and every rank-1 flat is one element: read off the walk's
+        rank-1 level, the empty flat's state, which deeper walks start from."""
         if self._closure_of(0):
             return False
         # without loops, a nonempty ground set has rank at least 1
@@ -576,16 +566,41 @@ class Matroid:
 
     # -- flats, level by level ----------------------------------------------
 
-    def _covers(self, F: int):
-        """The bitmasks of the flats covering a flat F, ordered by their least
-        element outside F, one closure per cover: for every e in G - F,
-        cl(F + e) is a flat of rank r(F) + 1 inside G = cl(F + e0), so G."""
-        seen = F
-        for e in range(self.size):
-            if not seen >> e & 1:
-                G = self._closure_of(F | 1 << e)
-                seen |= G
-                yield G
+    def _closure_state(self, F: int, rank: int, skip: int = 0) -> kernels.CoverState:
+        """The cover state of a flat F of this rank by closures, ``reps`` None:
+        one closure per cover not inside ``skip``, by least element."""
+        groups, rest = [], (1 << self.size) - 1 & ~(F | skip)
+        while rest:
+            group = self._closure_of(F | rest & -rest) & ~F  # cl(F + e) for the least e left
+            groups.append(group)
+            rest &= ~group
+        return kernels.CoverState(rank, groups, None)
+
+    def _root(self) -> tuple[int, kernels.CoverState]:
+        """cl(empty set) and its cover state, made once per matroid."""
+        root = self._closure_of(0)
+        if self._root_state is None:
+            fast = getattr(self.backend, "covers_fast", None)
+            self._root_state = fast(tuple(_members(root))) if fast else self._closure_state(root, 0)
+        return root, self._root_state
+
+    def _step(self, state: kernels.CoverState, g: int, G: int, skip: int = 0) -> kernels.CoverState:
+        """The state of G, the g-th cover of ``state``'s flat, less G's covers in ``skip``."""
+        if state.reps is None:
+            return self._closure_state(G, state.rank + 1, skip)
+        return self.backend.cover_step(state, g, skip)
+
+    def _store(self, levels: list[dict[int, int | None]], connected: bool = False) -> None:
+        """Store walked levels in canonical order, as the full or, ``connected``,
+        the connected levels, freeing each once it is sorted."""
+        stored = {}
+        for j, level in enumerate(levels):
+            stored[j] = {G: level[G] for G in sorted(level, key=_canonical_key)}
+            levels[j] = None
+        if connected:
+            self._connected_cache = stored
+        else:
+            self._flats_cache = stored
 
     def flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
         """All rank-k flats, canonically ordered by sorted element tuple.
@@ -617,15 +632,12 @@ class Matroid:
         return [Flat.of_mask(G, k) for G in self._connected_level(k, max_covers)]
 
     def _connected_level(self, k: int, max_covers: int | None = None) -> dict[int, int | None]:
-        """The stored connected level k, the connected part of the walked level k.
-
-        From rank 3 up, on a simple reflection arrangement
-        (``VectorBackend.reflection_closed``), one connected orbit walk to
-        rank k (``_orbit_walk``) stores the connected levels 0 to k.
-        Elsewhere, and wherever the full walk has already stored rank k, the
-        full walk's levels are filtered (``_connected_levels``): up to rank
-        2 both walks expand the points alone, so the full walk costs no more.
-        """
+        """The stored connected level k, the connected part of the walked level
+        k: from rank 3 up on a reflection arrangement, one connected orbit
+        walk (``_orbit_walk``) stores the connected levels 0 to k; elsewhere,
+        or once the full walk has stored rank k, the full walk's levels are
+        filtered (``_connected_levels``). Up to rank 2 both walks expand the
+        points alone, so the full walk costs no more."""
         self._check_walk(k, max_covers)
         if k not in self._connected_cache:
             if k < 3 or k in self._flats_cache or not getattr(
@@ -638,10 +650,9 @@ class Matroid:
         return self._connected_cache[k]
 
     def _orbit_walk(self, k: int, max_covers: int | None, connected: bool = False) -> None:
-        """Walk the levels 0 to k of a reflection arrangement one at a time,
-        with one cover elimination per orbit of flats (``orbits.walk``).
-        Run from rank 3 up: below it the depth-first walk makes at most
-        n + 1 eliminations, which cost less than the reflection pass."""
+        """Walk levels 0 to k of a reflection arrangement by orbits (``orbits.walk``),
+        from rank 3 up: below it the depth-first walk makes at most n + 1
+        eliminations, which cost less than the reflection pass."""
         from . import orbits
 
         orbits.walk(self, k, max_covers, self.backend.reflection_generators, connected)
@@ -656,28 +667,25 @@ class Matroid:
         """Walk the lattice of flats depth-first from cl(empty set) to rank k.
 
         The path is an explicit stack of flats, each a bitmask with its
-        rank, its cover state and the bitmasks of the covers not yet issued:
-        F | g for each group g of the state, one int per cover. A cover G of
-        F not seen before (an int lookup in its level) is recorded as
-        ``level[G] = F``, the flat it was found from (read by
-        ``_connected_levels``), and, below rank k, pushed at once. On a
-        vector matroid its cover state is one ``cover_step`` from the state
-        of F: one step per flat below rank k, at most k states alive, and
-        the empty flat eliminated from scratch once per matroid. Elsewhere
-        the covers come from one closure per cover. The levels are stored,
-        in canonical order, only when the walk completes. A reflection
-        arrangement walks from rank 3 up by orbits instead (``_orbit_walk``).
+        rank, its cover state and its covers not yet issued, F | g per group
+        g of the state. A cover G of F not seen before (an int lookup in its
+        level) is recorded as ``level[G] = F``, the flat it was found from
+        (read by ``_connected_levels``), and, below rank k, pushed at once
+        with its state one ``_step`` from F's: one step per flat below rank
+        k and at most k states alive. The levels are stored (``_store``)
+        only when the walk completes.
 
-        Each pushed flat G is stepped with ``skip`` set to the union of its
-        covers already recorded, so its state holds only the covers not yet
-        recorded. With x_i the least element the path's i-th flat adds,
-        G = cl(x_1, ..., x_j), so its covers are the flats of rank j + 1 that
-        hold every x_i, read off an index of the recorded flats per rank
-        (``_Recorded``). The walk to the lines reads a point's recorded lines
-        off ``lines`` instead: per element, the union of the recorded lines
-        through it, and their number (``through``). The walk then issues
-        one cover per flat, and its levels, their values and their order are
-        those of a walk that skips nothing. Proof, for G the g-th cover of F:
+        G is stepped with ``skip`` the union of its covers already recorded:
+        with x_i the least element the path's i-th flat adds,
+        G = cl(x_1, ..., x_j), so they are the recorded flats of rank j + 1
+        holding every x_i, read off a per-rank index (``_Recorded``), or, in
+        the walk to the lines, off the union of the recorded lines through
+        x_1 and their number (``lines``, ``through``). On every backend the
+        walk then issues one cover per flat, with the levels, values and
+        order of a walk that skips nothing. Proof, for G the g-th cover of F:
+        a state by closures holds G's covers outside the skip, each whole,
+        as they partition E - G and the skip is G and some of them. A kernel
+        step makes G's state from F's:
 
         * for a cover C of F other than G, all of C - F lies in one cover of
           G (for e in C - F, cl(G + e) holds C); so a group of F's state
@@ -688,34 +696,30 @@ class Matroid:
           before the walk moves on, and C is not on the path, whose top is
           F; so every cover of C is recorded, and a cover of G can lose a
           group only when it is itself recorded and skipped;
-        * hence, by induction from the empty flat, whose state is made from
-          scratch, each state holds exactly the covers not yet recorded when
-          it was made, each with its whole group.
+        * hence, by induction from the empty flat's state, made from scratch,
+          each state holds exactly the covers not yet recorded when it was
+          made, each with its whole group.
 
-        The budget counts every cover of every expanded flat, skipped ones
-        included: those a flat issues and, when its state is made, the
-        recorded ones it skips; so it stops the walks a walk that skips
+        The budget counts every cover of every expanded flat, the recorded
+        ones a state skips included, so it stops the walks a walk that skips
         nothing stops.
         """
-        root = self._closure_of(0)
-        if k and self._root_state is None and getattr(self.backend, "covers_fast", None):
-            self._root_state = self.backend.covers_fast(tuple(_members(root)))
+        root, state = self._root()
         levels = [{root: None}] + [{} for _ in range(k)]
         issued = 0
 
         def over_budget() -> BudgetExceeded:
             return _budget_exceeded(k, max_covers, [len(found) for found in levels[1:]])
 
-        lines = index = None
-        if self._root_state is not None:
-            if k == 2:
-                lines, through = [0] * self.size, [0] * self.size
-            else:
-                # per rank, the recorded flats the walk skips; per path rank,
-                # the path flat's basis x_1, ..., x_j and its elements (no loop)
-                index = [None, None] + [_Recorded(self.size) for _ in range(2, k + 1)]
-                bases, held = [()] * k, [[]] * k
-        path = [self._on_path(root, 0, self._root_state)] if k else []
+        index = None
+        if k == 2:
+            lines, through = [0] * self.size, [0] * self.size
+        else:
+            # per rank, the recorded flats the walk skips; per path rank,
+            # the path flat's basis x_1, ..., x_j and its elements (no loop)
+            index = [None, None] + [_Recorded(self.size) for _ in range(2, k + 1)]
+            bases, held = [()] * k, [[]] * k
+        path = [self._on_path(root, 0, state)] if k else []
         while path:
             F, rank, state, covers = path[-1]
             level = levels[rank + 1]
@@ -732,40 +736,33 @@ class Matroid:
                     if recorded is not None:
                         recorded.add(G, elements)
                 if rank + 1 < k:
-                    step = None
-                    if state is not None:
-                        group = G & ~F
-                        x = (group & -group).bit_length() - 1
-                        if lines is not None:
-                            skipped, skip = through[x], lines[x]
-                        else:
-                            held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
-                            skipped, skip = index[rank + 2].above(bases[rank + 1])
-                        issued += skipped
-                        if max_covers is not None and issued > max_covers:
-                            raise over_budget()
-                        step = self.backend.cover_step(state, g, skip)
-                        if lines is not None:
-                            # each line the point G adds joins lines at its elements outside G
-                            for rest in step.groups:
-                                for e in _members(rest):
-                                    lines[e] |= G | rest
-                                    through[e] += 1
+                    group = G & ~F
+                    x = (group & -group).bit_length() - 1
+                    if index is None:
+                        skipped, skip = through[x], lines[x]
+                    else:
+                        held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
+                        skipped, skip = index[rank + 2].above(bases[rank + 1])
+                    issued += skipped
+                    if max_covers is not None and issued > max_covers:
+                        raise over_budget()
+                    step = self._step(state, g, G, skip)
+                    if index is None:
+                        # each line the point G adds joins lines at its elements outside G
+                        for rest in step.groups:
+                            for e in _members(rest):
+                                lines[e] |= G | rest
+                                through[e] += 1
                     path.append(self._on_path(G, rank + 1, step))
                     break
             else:
                 path.pop()
-        self._flats_cache = {
-            j: {G: level[G] for G in sorted(level, key=_canonical_key)}
-            for j, level in enumerate(levels)
-        }
+        self._store(levels)
 
-    def _on_path(self, F: int, rank: int, state: kernels.CoverState | None):
-        """The flat F (a bitmask) of this rank as the walk's path holds it:
-        with its cover state (None off a vector matroid) and its covers'
-        bitmasks, numbered as ``cover_step`` numbers them."""
-        covers = self._covers(F) if state is None else map(F.__or__, state.groups)
-        return F, rank, state, enumerate(covers)
+    def _on_path(self, F: int, rank: int, state: kernels.CoverState):
+        """The flat F (a bitmask) of this rank as the walk's path holds it: with
+        its cover state and its covers' bitmasks, numbered as ``_step`` numbers them."""
+        return F, rank, state, enumerate(map(F.__or__, state.groups))
 
     # -- connectivity --------------------------------------------------------
 
@@ -843,15 +840,13 @@ class Matroid:
 
     def _lines_join(self) -> bool:
         """Whether M is simple and its stored lines of three or more points
-        join all of E, read off the stored levels with no backend call.
-
-        Any 3 points of a line of a simple matroid form a circuit, and
-        elements that share a circuit lie in one component (Oxley 2011,
-        §4.1), so then M is connected. False, leaving the verdict to
-        ``_connected``, when the stored levels 0 and 1 do not show M simple,
-        when no lines are stored, or when they leave E apart. On a simple
-        matroid the connected lines are exactly these lines.
-        """
+        join all of E, read off the stored levels with no backend call. Any
+        3 points of a line of a simple matroid form a circuit, and elements
+        that share a circuit lie in one component (Oxley 2011, §4.1), so M is
+        then connected. False, leaving the verdict to ``_connected``, when the
+        stored levels 0 and 1 do not show M simple, when no lines are stored,
+        or when they leave E apart. On a simple matroid the connected lines
+        are exactly these lines."""
         if 1 not in self._flats_cache or not self.is_simple():
             return False
         lines = self._connected_cache.get(2)

@@ -37,12 +37,10 @@ level j, with their orbits, are all of level j + 1: only a representative
 needs its covers, and every other flat of a level is reached as the image
 of a bitmask under the generators. That holds for any generators, the
 trivial group included, and does not need them to generate the reflection
-group; the orbits of a smaller group are only more numerous. On a vector
-matroid the root's cover state is eliminated once (``covers_fast``) and
-each new representative's state is one ``cover_step`` from the state of
-the representative it covers; elsewhere each representative's covers take
-one closure per cover. The levels are stored, in canonical order, only
-when the walk completes.
+group; the orbits of a smaller group are only more numerous. Each new
+representative's cover state is one ``Matroid._step`` from the state of
+the representative it covers, from cl(empty set)'s (``Matroid._root``),
+and ``Matroid._store`` stores the levels only when the walk completes.
 
 An image is read off 8-bit tables: per generator and per byte of a
 bitmask, the image of each of its 256 values, so the image of a flat is
@@ -76,7 +74,7 @@ from math import gcd
 from operator import getitem, mul
 
 from .kernels import _pivots, _primitive_key, _reduce_int, _width
-from .matroid import _budget_exceeded, _canonical_key, _members
+from .matroid import _budget_exceeded
 
 
 def generators(rows, kind: str) -> list[list[int]] | None:
@@ -259,8 +257,7 @@ def _tables(perm: list[int]) -> list[list[int]]:
 def walk(M, k: int, max_covers: int | None, perms: list[list[int]],
          connected: bool = False) -> None:
     """Store levels 0 to k of M, walked by the orbits of the automorphisms
-    ``perms`` (module docstring), in ``M._flats_cache``, or, ``connected``,
-    its connected levels in ``M._connected_cache``.
+    ``perms`` (module docstring), or, ``connected``, its connected levels.
 
     The connected walk records a cover G of a flat F of rank 1 or more
     only when |G - F| >= 2, as in :mod:`cremfan.fan`. Before it expands
@@ -272,21 +269,14 @@ def walk(M, k: int, max_covers: int | None, perms: list[list[int]],
     """
     tables = [_tables(perm) for perm in perms]
     width = (M.size + 7) // 8
-
-    root = M._closure_of(0)
-    if k and M._root_state is None and getattr(M.backend, "covers_fast", None):
-        M._root_state = M.backend.covers_fast(tuple(_members(root)))
+    root, state = M._root()
     # cl(empty set) has no element, so it is not connected
     levels = [{} if connected else {root: None}]
     # per representative of the level: its bitmask, orbit size and cover state
-    reps = [(root, 1, M._root_state)]
+    reps = [(root, 1, state)]
     issued = 0
     for j in range(k):
-        covers = [
-            list(M._covers(R)) if state is None else [R | g for g in state.groups]
-            for R, _, state in reps
-        ]
-        issued += sum(size * len(Gs) for (_, size, _), Gs in zip(reps, covers))
+        issued += sum(size * len(state.groups) for _, size, state in reps)
         if max_covers is not None and issued > max_covers:
             counts = [len(level) for level in levels[1:]]
             raise _budget_exceeded(k, max_covers, counts + [0] * (k - j), connected)
@@ -294,9 +284,10 @@ def walk(M, k: int, max_covers: int | None, perms: list[list[int]],
         # the full walk's values are the very key objects of the level below
         below = None if connected else dict(zip(levels[j], levels[j]))
         found = []
-        for (R, _, state), Gs in zip(reps, covers):
-            for g, G in enumerate(Gs):
-                if G in level or connected and j and (G & ~R).bit_count() < 2:
+        for R, _, state in reps:
+            for g, group in enumerate(state.groups):
+                G = R | group
+                if G in level or connected and j and group.bit_count() < 2:
                     continue
                 level[G] = None if connected else R
                 orbit = [G]
@@ -310,19 +301,10 @@ def walk(M, k: int, max_covers: int | None, perms: list[list[int]],
                             level[Y] = None if fs is None else below[sum(map(getitem, table, fs))]
                             orbit.append(Y)
                 if j + 1 < k:
-                    step = None if state is None else M.backend.cover_step(state, g)
-                    found.append((G, len(orbit), step))
+                    found.append((G, len(orbit), M._step(state, g, G)))
         levels.append(level)
         reps = found
-    stored = {}
-    for j, level in enumerate(levels):
-        Gs = sorted(level, key=_canonical_key)
-        stored[j] = dict.fromkeys(Gs) if connected else {G: level[G] for G in Gs}
-        levels[j] = None  # freed level by level
-    if connected:
-        M._connected_cache = stored
-    else:
-        M._flats_cache = stored
+    M._store(levels, connected)
 
 
 def linear_automorphisms(backend, perms: list[list[int]]) -> list[list[int]]:

@@ -217,29 +217,16 @@ def format_rational_pair(a: Fraction, b: Fraction) -> str:
 # integerization feeding the kernels
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def primitive_quad_vector(vec: Iterable[QuadSqrt5]) -> tuple[int, ...]:
     """Scale a Q(sqrt5) vector into Z[sqrt5], flattened as (a0,b0,a1,b1,...)."""
-    pairs = []
-    den = 1
-    for x in vec:
-        if not isinstance(x, QuadSqrt5):
-            x = QuadSqrt5(_as_fraction(x), 0)
-        pairs.append((x.a, x.b))
-        den = _lcm(den, _lcm(x.a.denominator, x.b.denominator))
-    flat = []
-    for a, b in pairs:
-        flat.append(a.numerator * (den // a.denominator))
-        flat.append(b.numerator * (den // b.denominator))
-    g = 0
-    for v in flat:
-        g = math.gcd(g, v)
-    if g > 1:
-        flat = [v // g for v in flat]
-    return tuple(flat)
+    parts = [
+        q for x in vec
+        for q in ((x.a, x.b) if isinstance(x, QuadSqrt5) else (_as_fraction(x), 0))
+    ]
+    den = math.lcm(*[q.denominator for q in parts])
+    flat = [q.numerator * (den // q.denominator) for q in parts]
+    g = math.gcd(*flat)
+    return tuple([v // g for v in flat]) if g > 1 else tuple(flat)
 
 
 # ---------------------------------------------------------------------------

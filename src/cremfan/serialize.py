@@ -148,7 +148,7 @@ def load_matroid(path: str | os.PathLike) -> Matroid:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     return matroid_from_dict(doc)
 

@@ -299,14 +299,14 @@ def f3_matroid(rows):
 def covers(M, flat):
     """The flats covering a flat F of M, ordered by their least element outside F:
     from the kernel's cover state where the backend has ``covers_fast``, else
-    from ``Matroid._covers``, one closure per cover."""
+    from ``Matroid._closure_state``, one closure per cover."""
     F = M._check_subset(flat)
     if M._closure_of(F) != F:
         raise InputError(f"{_members(F)} is not a flat")
+    rank = M._rank_of(F)
     fast = getattr(M.backend, "covers_fast", None)
-    above = [F | g for g in fast(tuple(_members(F))).groups] if fast else M._covers(F)
-    rank = M._rank_of(F) + 1
-    return [Flat.of_mask(G, rank) for G in above]
+    state = fast(tuple(_members(F))) if fast else M._closure_state(F, rank)
+    return [Flat.of_mask(F | g, rank + 1) for g in state.groups]
 
 
 # Flat censuses: the reference that the hyperplane check and the line

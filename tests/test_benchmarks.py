@@ -51,6 +51,14 @@ def test_walk_table_on_d4(capsys):
     assert "connected 40 (" in stores
 
 
+def test_closure_walk_line_on_d5(capsys):
+    # one backend closure per flat of rank 1 to 4, plus cl(empty set)
+    _load("bench_kernels.py")._bench_closure_walk("D5", 1)
+    (row,) = capsys.readouterr().out.splitlines()
+    assert row.startswith("D5 walk by closures to rank 4")
+    assert "  402 backend closures = flats found + 1" in row
+
+
 @pytest.mark.parametrize("spec, steps, coordinates, covers", [
     ("D5", 320, 570, 1850),
     ("K7/Fp:101", 812, 1311, 4739),

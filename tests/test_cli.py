@@ -464,6 +464,14 @@ class TestFan:
         assert code == 2
         assert "bad weight" in err
 
+    @pytest.mark.parametrize("weight", ["1e5000", "1e4300", "1e10000000", "-2.5E-9999"])
+    def test_member_huge_exponent(self, a3_file, capsys, weight):
+        # Fraction would build 10**exponent, and past the digits an int may
+        # print the weight could not be written
+        code, out, err = run(capsys, "fan", a3_file, "--member", f"{weight},0,0,0,0,0")
+        assert (code, out) == (2, "")
+        assert f"bad weight {weight!r}" in err
+
     def test_member_wrong_length(self, a3_file, capsys):
         code, _, err = run(capsys, "fan", a3_file, "--member", "0,0")
         assert code == 2
@@ -687,9 +695,12 @@ class TestBadInput:
          "their union without it: the list breaks circuit elimination"),
         (_doc("circuits", 5), "field 'data' must be a list"),
         ("[1, 2, 3]", "matroid document must be a JSON object"),
+        (_doc("vectors", [["1e10000000"], ["1"], ["2"]], field="Q"),
+         "bad vector entry: bad rational '1e10000000'"),
+        (_doc("circuits", [[0, 1]]).replace("1]]", "1" * 4301 + "]]"), "invalid JSON in"),
     ], ids=["vector-count", "vector-not-list", "mixed-dimension", "two-point-line",
             "empty-circuit", "not-antichain", "no-elimination", "data-not-list",
-            "not-an-object"])
+            "not-an-object", "huge-exponent", "integer-past-the-digit-limit"])
     def test_bad_matroid_file_is_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -105,6 +105,20 @@ class TestRationals:
         with pytest.raises(FieldFormatError):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize("text", [
+        "1e5000", "1E-5000", "1e4300", "2.5e+4299", "1e10000000", "1e" + "9" * 5000,
+    ])
+    def test_an_exponent_past_the_printable_digits_is_refused(self, text):
+        # Fraction builds 10**exponent: refused where the digits written and
+        # the exponent pass those an int may print (sys.get_int_max_str_digits)
+        with pytest.raises(FieldFormatError, match="bad rational"):
+            parse_rational(text)
+
+    def test_an_exponent_within_the_printable_digits_parses(self):
+        assert parse_rational("9e4299") == 9 * 10 ** 4299
+        assert parse_rational("-1.5E-4296") == Fraction(-3, 2 * 10 ** 4296)
+        assert parse_rational("1_0e1_0") == 10 ** 11
+
     def test_coerce_rejects_floats(self):
         q = Field.from_spec("Q")
         with pytest.raises(TypeError):

@@ -340,7 +340,7 @@ class TestLatticeWalk:
         }
 
     def test_one_backend_closure_per_cover(self, monkeypatch):
-        # the closure-per-cover path of backends without covers_fast
+        # the closure states of backends without covers_fast
         d5 = coxeter_matroid("D5")
         monkeypatch.setattr(d5.backend, "covers_fast", None)
         calls = count_backend_calls(d5, monkeypatch)
@@ -354,12 +354,28 @@ class TestLatticeWalk:
             for F in levels[k - 1]
             if F < G
         ]
-        # at most one closure per cover relation, plus that of the empty
-        # set; the closure cache answers the rest, e.g. the seed {0} + 1 of
-        # a line through 0 is the seed {1} + 0 of the same line through 1
+        # one closure per flat of rank 1 to 4, plus that of the empty set:
+        # each state closes only the covers not yet recorded (closing every
+        # cover relation's seed, with the cache's hits, took 1,400)
         assert len(covers) == 1850
-        assert counted <= len(covers) + 1
-        assert counted == 1400
+        assert counted == 1 + sum(map(len, levels[1:])) == 402
+
+    def test_a_walk_by_closures_is_the_kernel_walk(self, monkeypatch):
+        d5, by_kernels = coxeter_matroid("D5"), coxeter_matroid("D5")
+        monkeypatch.setattr(d5.backend, "covers_fast", None)
+        # the budget total is that of the kernel walk, and so is the message
+        messages = []
+        for M in (d5, by_kernels):
+            with pytest.raises(BudgetExceeded) as info:
+                M._walk(4, 1849)
+            messages.append(str(info.value))
+            assert M._flats_cache == {}
+            M._walk(4, 1850)
+        assert messages[0] == messages[1]
+        assert d5._root_state.reps is None and by_kernels._root_state.reps is not None
+        assert sorted(d5._flats_cache) == list(range(5))
+        for k, level in d5._flats_cache.items():
+            assert list(level.items()) == list(by_kernels._flats_cache[k].items())
 
     def test_budget_names_the_flats_found_per_rank(self):
         d4 = coxeter_matroid("D4")
@@ -497,13 +513,17 @@ def assert_one_cover_per_flat(M):
     assert covers == sum(len(M.flats_of_rank(k)) for k in range(1, r + 1))
 
 
+def skip_nothing(M):
+    """Make M's walk steps ignore ``skip``, on every backend (reference)."""
+    step = M._step
+    M._step = lambda state, g, G, skip=0: step(state, g, G)
+
+
 def assert_walks_match_their_twin(M, twin):
     """M's depth-first walks to every rank, against the same walks of its
     twin with cover steps that ignore ``skip`` (reference): the same keys,
     the same values and the same order at every rank."""
-    step = getattr(twin.backend, "cover_step", None)
-    if step is not None:
-        twin.backend.cover_step = lambda state, g, skip=0: step(state, g)
+    skip_nothing(twin)
     for k in range(M.full_rank() + 1):
         M._walk(k, None)
         twin._walk(k, None)
@@ -655,6 +675,19 @@ class TestConnectedWalk:
         assert M.connected_flats_of_rank(3) == [Flat(frozenset(range(4)), 3)]
         orbits.walk(M, 3, None, [], connected=True)  # the trivial group
         assert M._connected_cache[2] == {} and M._connected_cache[3] == {}
+
+    @pytest.mark.parametrize("make", [_u34_over_q, lambda: uniform(3, 4)],
+                             ids=["vectors", "circuits"])
+    def test_no_generators_still_walk_u34(self, make):
+        # the trivial group: each flat its own orbit, so the full walk by
+        # orbits stores the depth-first walk's levels (here with its values
+        # too), on kernel and closure states alike
+        M, reference = make(), make()
+        orbits.walk(M, 3, None, [])
+        reference._walk(3, None)
+        assert [len(M._flats_cache[k]) for k in range(4)] == [1, 4, 6, 1]
+        for k, level in M._flats_cache.items():
+            assert list(level.items()) == list(reference._flats_cache[k].items())
 
     def test_budget_names_the_connected_flats_found(self):
         d4 = coxeter_matroid("D4")
@@ -1069,14 +1102,12 @@ def assert_line_census(M, twin):
     """M's walk to the lines, against the same walk of its twin with cover
     steps that skip nothing (reference): the same keys, the same values and
     the same order at ranks 0 to 2. Returns the summed groups of the point
-    states the walk steps, None off a vector matroid."""
-    step = getattr(twin.backend, "cover_step", None)
-    if step is not None:
-        twin.backend.cover_step = lambda state, g, skip=0: step(state, g)
+    states the walk steps."""
+    skip_nothing(twin)
     on_path, groups = M._on_path, []
 
     def counted(F, rank, state):
-        if rank == 1 and state is not None:
+        if rank == 1:
             groups.append(len(state.groups))
         return on_path(F, rank, state)
 
@@ -1086,7 +1117,7 @@ def assert_line_census(M, twin):
     assert sorted(M._flats_cache) == [0, 1, 2]
     for k, level in M._flats_cache.items():
         assert list(level.items()) == list(twin._flats_cache[k].items())
-    return sum(groups) if step is not None else None
+    return sum(groups)
 
 
 def _over_quad(rows):
@@ -1098,7 +1129,7 @@ def _over_quad(rows):
 
 
 # named inputs with their lines: vector matroids over Z, and the line and
-# circuit backends, whose walk takes one closure per cover
+# circuit backends, whose states take one closure per cover not yet recorded
 LINE_CENSUS_CASES = {
     "K7": (lambda: complete_graph_matroid(7), 140),
     "H4": (lambda: coxeter_matroid("H4"), 722),
@@ -1147,12 +1178,20 @@ class TestLineCensus:
         # each line is found from its first point, the closure of its least element
         for L, P in level.items():
             assert P == reference.closure(_members(L)[:1]).mask
-        # one point-state group per line (was one per point on each line:
-        # 315 on K7, 1,860 on H4, 260 on D5)
-        if isinstance(M.backend, VectorBackend):
-            assert groups == lines
-        else:
-            assert groups is None
+        # one point-state group per line, on every backend (was one per
+        # point on each line: 315 on K7, 1,860 on H4, 260 on D5)
+        assert groups == lines
+
+    @pytest.mark.parametrize("name, closures", [("fano", 15), ("dowling:Z3", 34)])
+    def test_one_closure_per_cover_not_yet_recorded(self, name, closures, monkeypatch):
+        # the line backend's states: cl(empty set), one closure per point for
+        # the empty flat's, then one per line a point's state keeps (a walk
+        # that closed every seed took 22 and 52)
+        make, lines = LINE_CENSUS_CASES[name]
+        M = make()
+        calls = count_backend_calls(M, monkeypatch)
+        assert len(M.flats_of_rank(2)) == lines
+        assert calls["closure_fast"] == 1 + M.size + lines == closures
 
 
 class TestWalkTwins:

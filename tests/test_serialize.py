@@ -274,3 +274,15 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(InputError):
             load_matroid(path)
+
+    def test_json_integer_past_the_digit_limit(self, tmp_path):
+        # json.loads raises a plain ValueError for it, not a JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.make_doc()).replace("2]]", "2" * 4301 + "]]"))
+        with pytest.raises(InputError, match="invalid JSON"):
+            load_matroid(path)
+
+    def test_huge_exponent_in_a_vector_entry(self):
+        doc = self.make_doc(backend="vectors", field="Q", data=[["1e10000000"], ["1"], ["2"]])
+        with pytest.raises(InputError, match="bad rational '1e10000000'"):
+            matroid_from_dict(doc)
