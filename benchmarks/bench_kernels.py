@@ -36,19 +36,21 @@ that the two agree.
 
 The last table walks the flat lattice of D5, E6, K7 over F_101 and E7 to
 rank r - 1, depth-first with each flat's cover state stepped from the
-state of the flat it was found from (``Matroid._walk``, the reference that
-``flats_of_rank`` runs on every matroid but a reflection arrangement).  It
-gives the cover steps, asserted equal to the flats the walk expands (those
-of rank 1 to r - 2), the coordinates eliminated (counted in a separate
-untimed run: one per pivot a row is reduced by in ``_reduce_*``, one per
-other cover's direction in a cover step) and the seconds (E7: one run).
+state of the flat it was found from (``Matroid._walk`` with no
+generators, as ``flats_of_rank`` runs it on every matroid but a
+reflection arrangement).  It gives the cover steps, asserted equal to
+the flats the walk expands (those of rank 1 to r - 2), the coordinates
+eliminated (counted in a separate untimed run: one per pivot a row is
+reduced by in ``_reduce_*``, one per other cover's direction in a cover
+step) and the seconds (E7: one run).
 A second line gives, per rank of the flat expanded, the covers its state
 kept, asserted equal to the flats found one rank up, and the covers
 already recorded that it skipped; together they are what the walk's
 budget counts.  On a reflection arrangement (D5, E6, E7) a third line
-walks by orbits (``Matroid.flats_of_rank``, ``orbits.walk``), asserts
-that it stores the same levels, and gives its cover steps, coordinates
-and seconds, and per rank the orbits of the level (counted afterwards
+runs the same walk given the reflection generators, which fills orbits
+(``Matroid._walk``, as ``flats_of_rank`` runs it), asserts that it
+stores the same levels, and gives its cover steps, coordinates and
+seconds, and per rank the orbits of the level (counted afterwards
 under the walk's generators) and the eliminations the walk made there
 (the empty flat's from scratch, a cover step for every other), asserted
 equal to the orbits below rank r - 1. A fourth line gives the reflection
@@ -374,19 +376,16 @@ def _bench_connectivity(spec: str, repeat: int) -> None:
 
 
 def _walk_levels(spec: str, by_orbits: bool = False):
-    # a fresh matroid walked to rank r - 1, depth-first or as flats_of_rank
-    # walks it (by orbits on a reflection arrangement, the reflection pass
-    # included).  "K7/Fp:101" is K7 over F_101.
+    # a fresh matroid walked to rank r - 1 by Matroid._walk, with no
+    # generators or, by_orbits, with its reflection generators (the
+    # reflection pass included).  "K7/Fp:101" is K7 over F_101.
     name, _, field = spec.partition("/")
     M = from_spec_string(name)
     if field:
         M = matroid_from_dict({**matroid_to_dict(M), "field": field})
     r = M.full_rank()
     t0 = time.perf_counter()
-    if by_orbits:
-        M.flats_of_rank(r - 1)
-    else:
-        M._walk(r - 1, None)
+    M._walk(r - 1, None, M.backend.reflection_generators if by_orbits else ())
     return time.perf_counter() - t0, M
 
 
@@ -510,7 +509,7 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
         f"{'':38} covers kept/skipped, by rank expanded: "
         + "  ".join(f"{k}: {kept}/{skipped}" for k, (kept, skipped) in enumerate(by_rank))
     )
-    if M.backend.reflection_closed:
+    if M.backend.reflection_generators:
         _bench_orbit_walk(spec, repeat, M)
     print(f"{'':38} stores after the walk: {_store_sizes(M)}")
 

@@ -7,7 +7,7 @@ Subpackage map:
 * :mod:`cremfan.quad` — Q(sqrt5) scalars and the Z[sqrt5] kernels
 * :mod:`cremfan.fp` — F_p scalars and the mod-p kernels
 * :mod:`cremfan.matroid` — rank oracles, flats, connectivity, minors
-* :mod:`cremfan.orbits` — the reflection pass, orbit walks, linear certificates
+* :mod:`cremfan.orbits` — the reflection pass, the orbit fill, linear certificates
 * :mod:`cremfan.isomorphism` — library-only: isomorphism and automorphism
   search, nested collections, ray permutations, Cremona maps as matrices
 * :mod:`cremfan.circuits` — the check that a circuit list is a matroid's

@@ -455,8 +455,8 @@ def _hyperplane_mismatch(M: Matroid, N: Matroid,
     matroid of rank 0 has no hyperplane.
 
     With ``forward`` None, M's hyperplanes walked by orbits (rank r(M) - 1
-    of 3 or more on a reflection arrangement, as ``Matroid._level``
-    dispatches) and N on vectors, it checks one hyperplane per orbit under
+    of 3 or more on a reflection arrangement, ``Matroid._generators``) and
+    N on vectors, it checks one hyperplane per orbit under
     M's reflection generators that the linear certificate accepts as
     automorphisms of N (``orbits.linear_automorphisms``): the first of each
     orbit in M's canonical order, so the hyperplane it returns is still the
@@ -465,11 +465,11 @@ def _hyperplane_mismatch(M: Matroid, N: Matroid,
     if not r:
         return None
     hyperplanes = M._level(r - 1, matroid.MAX_COVERS)
-    if (forward is None and r - 1 >= 3 and getattr(M.backend, "reflection_closed", False)
-            and N.backend.name == "vectors"):
+    perms = forward is None and M._generators(r - 1)
+    if perms and N.backend.name == "vectors":
         from . import orbits
 
-        accepted = orbits.linear_automorphisms(N.backend, M.backend.reflection_generators)
+        accepted = orbits.linear_automorphisms(N.backend, perms)
         if accepted:
             hyperplanes = orbits.representatives(hyperplanes, accepted, M.size)
     for H in hyperplanes:

@@ -8,14 +8,14 @@ against their parent oracle. The lattice walk (``Matroid.flats_of_rank``)
 goes from cl(empty set) to the rank asked for and stores each rank as one
 dict, the only store of its flats: it maps each flat's bitmask (bit e for
 element e) to the bitmask of a flat of the rank below that it covers; a
-``Flat`` is made only for a caller that reads one. The walk is depth-first
-(``_walk``), or by orbits of automorphisms on a reflection arrangement
-(``_orbit_walk``). Either reads its covers off cover states, each stepped
-from the state of a flat it covers: by the kernels on a vector matroid, by
-closures elsewhere. The rank and closure oracle (``_rank_of``,
-``_closure_of``) takes bitmasks, answers a walked flat off its level and
-caches the rest by bitmask; the public queries check their elements once
-(``_check_subset``). The connected flats are stored as connected levels
+``Flat`` is made only for a caller that reads one. The walk (``_walk``)
+is depth-first, fills orbits of automorphisms on a reflection arrangement
+and reads covers off cover states, each stepped from the state of a flat
+it covers: by the kernels on a vector matroid, by closures elsewhere. The
+rank and closure oracle (``_rank_of``, ``_closure_of``) takes bitmasks,
+answers a walked flat off its level and caches the rest by bitmask; the
+public queries check their elements once (``_check_subset``). The
+connected flats are stored as connected levels
 (``connected_flats_of_rank``), which a walked flat's connectivity is read
 off.
 """
@@ -235,17 +235,6 @@ class ElementBijection(NamedTuple):
         return all(i == j for i, j in enumerate(self.forward))
 
 
-def _budget_exceeded(k: int, max_covers: int, counts: list[int], connected=False):
-    """The error of a walk to rank k stopped past ``max_covers`` covers,
-    with the flats it had found per rank from 1 to k."""
-    walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
-    return BudgetExceeded(
-        f"the {walk} walk to rank {k} needs more than {max_covers} "
-        f"covers; it had found {sum(counts)} {kind}flats, by rank "
-        f"from 1 to {k}: {', '.join(map(str, counts))}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # backends
 
@@ -322,16 +311,12 @@ class VectorBackend:
         """None unless the vectors are nonzero, pairwise non-proportional and
         closed up to sign and scale under their own reflections (none over
         F_p, which has no inner product); else two automorphisms as element
-        permutations, which the orbit walk fills levels with (``orbits``)."""
+        permutations, which ``Matroid._walk`` fills orbits with (``orbits``)."""
         if self.field.kind not in ("Q", "Qsqrt5"):
             return None
         from .orbits import generators
 
         return generators(self._rows, self.field.kind)
-
-    @property
-    def reflection_closed(self) -> bool:
-        return self.reflection_generators is not None
 
 
 class LineBackend:
@@ -606,24 +591,17 @@ class Matroid:
         """All rank-k flats, canonically ordered by sorted element tuple.
 
         Read off the stored levels when a walk has reached rank k; else one
-        walk from cl(empty set) to rank k replaces them with levels 0 to k:
-        by orbits on a reflection arrangement from rank 3 up
-        (``_orbit_walk``), depth-first elsewhere (``_walk``). So a caller
-        that reads several levels asks for the deepest first. ``max_covers``
-        caps the covers that walk issues, counted from cl(empty set): past
-        it the walk raises BudgetExceeded with the flats it found per rank,
-        and stores nothing.
-        """
+        walk (``_walk``) from cl(empty set) to rank k replaces them with
+        levels 0 to k, so a caller that reads several levels asks for the
+        deepest first. Past ``max_covers`` covers, counted from cl(empty
+        set), the walk raises BudgetExceeded and stores nothing."""
         return [Flat.of_mask(G, k) for G in self._level(k, max_covers)]
 
     def _level(self, k: int, max_covers: int | None = None) -> dict[int, int | None]:
         """The walk's stored level k, walked to as ``flats_of_rank`` walks."""
         self._check_walk(k, max_covers)
         if k not in self._flats_cache:
-            if k >= 3 and getattr(self.backend, "reflection_closed", False):
-                self._orbit_walk(k, max_covers)
-            else:
-                self._walk(k, max_covers)
+            self._walk(k, max_covers, self._generators(k))
         return self._flats_cache[k]
 
     def connected_flats_of_rank(self, k: int, *, max_covers: int | None = None) -> list[Flat]:
@@ -632,30 +610,26 @@ class Matroid:
         return [Flat.of_mask(G, k) for G in self._connected_level(k, max_covers)]
 
     def _connected_level(self, k: int, max_covers: int | None = None) -> dict[int, int | None]:
-        """The stored connected level k, the connected part of the walked level
-        k: from rank 3 up on a reflection arrangement, one connected orbit
-        walk (``_orbit_walk``) stores the connected levels 0 to k; elsewhere,
-        or once the full walk has stored rank k, the full walk's levels are
-        filtered (``_connected_levels``). Up to rank 2 both walks expand the
-        points alone, so the full walk costs no more."""
+        """The stored connected level k: from rank 3 up on a reflection
+        arrangement, one connected walk stores the connected levels 0 to k;
+        elsewhere, or once the full walk has stored rank k, the full walk's
+        levels are filtered (``_connected_levels``). Up to rank 2 both walks
+        expand the points alone, so the full walk costs no more."""
         self._check_walk(k, max_covers)
         if k not in self._connected_cache:
-            if k < 3 or k in self._flats_cache or not getattr(
-                self.backend, "reflection_closed", False
-            ):
+            perms = () if k in self._flats_cache else self._generators(k)
+            if perms:
+                self._walk(k, max_covers, perms, connected=True)
+            else:
                 self._level(k, max_covers)
                 self._connected_levels()
-            else:
-                self._orbit_walk(k, max_covers, connected=True)
         return self._connected_cache[k]
 
-    def _orbit_walk(self, k: int, max_covers: int | None, connected: bool = False) -> None:
-        """Walk levels 0 to k of a reflection arrangement by orbits (``orbits.walk``),
-        from rank 3 up: below it the depth-first walk makes at most n + 1
-        eliminations, which cost less than the reflection pass."""
-        from . import orbits
-
-        orbits.walk(self, k, max_covers, self.backend.reflection_generators, connected)
+    def _generators(self, k: int) -> Sequence[list[int]]:
+        """The automorphisms a walk to rank k fills orbits with: a reflection
+        arrangement's generators from rank 3 up, else none (below rank 3 the
+        walk's n + 1 eliminations or fewer cost less than the reflection pass)."""
+        return k >= 3 and getattr(self.backend, "reflection_generators", None) or ()
 
     def _check_walk(self, k: int, max_covers: int | None) -> None:
         if not 0 <= k <= self.full_rank():
@@ -663,29 +637,35 @@ class Matroid:
         if max_covers is not None and max_covers < 0:
             raise InputError(f"max_covers must be non-negative, got {max_covers}")
 
-    def _walk(self, k: int, max_covers: int | None) -> None:
-        """Walk the lattice of flats depth-first from cl(empty set) to rank k.
+    def _walk(self, k: int, max_covers: int | None, perms: Sequence[list[int]] = (),
+              connected: bool = False) -> None:
+        """Walk the lattice of flats depth-first from cl(empty set) to rank k
+        (``connected``: its connected flats), filling orbits under the
+        automorphisms ``perms`` (element permutations), if any.
 
         The path is an explicit stack of flats, each a bitmask with its
         rank, its cover state and its covers not yet issued, F | g per group
         g of the state. A cover G of F not seen before (an int lookup in its
         level) is recorded as ``level[G] = F``, the flat it was found from
-        (read by ``_connected_levels``), and, below rank k, pushed at once
-        with its state one ``_step`` from F's: one step per flat below rank
-        k and at most k states alive. The levels are stored (``_store``)
-        only when the walk completes.
+        (read by ``_connected_levels``; None in the connected walk, which
+        past the points records G only when |G - F| >= 2: :mod:`cremfan.fan`),
+        and, below rank k, pushed at once with its state one ``_step`` from
+        F's (at most k states alive); the levels are stored (``_store``) when
+        it completes. With ``perms``, recording G fills its orbit (argued in
+        :mod:`cremfan.orbits` and :mod:`cremfan.fan`) and pushes G alone; an
+        image Y = h(X) is recorded with h(level[X]) as the key object of F's
+        orbit.
 
-        G is stepped with ``skip`` the union of its covers already recorded:
-        with x_i the least element the path's i-th flat adds,
-        G = cl(x_1, ..., x_j), so they are the recorded flats of rank j + 1
-        holding every x_i, read off a per-rank index (``_Recorded``), or, in
-        the walk to the lines, off the union of the recorded lines through
-        x_1 and their number (``lines``, ``through``). On every backend the
-        walk then issues one cover per flat, with the levels, values and
-        order of a walk that skips nothing. Proof, for G the g-th cover of F:
-        a state by closures holds G's covers outside the skip, each whole,
-        as they partition E - G and the skip is G and some of them. A kernel
-        step makes G's state from F's:
+        With neither, G is stepped with ``skip`` the union of its covers
+        already recorded: with x_i the least element the path's i-th flat
+        adds, G = cl(x_1, ..., x_j), so they are the recorded flats of rank
+        j + 1 holding every x_i, read off a per-rank index (``_Recorded``)
+        or, in the walk to the lines, the recorded lines through x_1
+        (``lines``, ``through``). The walk then issues one cover per flat,
+        with the levels, values and order of a walk that skips nothing.
+        Proof, for G the g-th cover of F: a state by closures holds G's
+        covers outside the skip, each whole, as they partition E - G and the
+        skip is G and some of them. A kernel step makes G's state from F's:
 
         * for a cover C of F other than G, all of C - F lies in one cover of
           G (for e in C - F, cl(G + e) holds C); so a group of F's state
@@ -700,64 +680,84 @@ class Matroid:
           each state holds exactly the covers not yet recorded when it was
           made, each with its whole group.
 
-        The budget counts every cover of every expanded flat, the recorded
-        ones a state skips included, so it stops the walks a walk that skips
-        nothing stops.
-        """
+        The budget counts a flat's covers when its state is made, cl(empty
+        set)'s first: |orbit| * (covers in the state + recorded covers
+        skipped). That is every cover of every flat below rank k, as a walk
+        that skips nothing and fills no orbit counts them, so both stop alike."""
         root, state = self._root()
-        levels = [{root: None}] + [{} for _ in range(k)]
+        # cl(empty set) has no element, so it is not connected
+        levels = [{} if connected else {root: None}] + [{} for _ in range(k)]
         issued = 0
 
-        def over_budget() -> BudgetExceeded:
-            return _budget_exceeded(k, max_covers, [len(found) for found in levels[1:]])
+        def count(state: kernels.CoverState, size: int = 1, skipped: int = 0) -> None:
+            nonlocal issued
+            issued += size * (len(state.groups) + skipped)
+            if max_covers is not None and issued > max_covers:
+                walk, kind = ("connected-flat", "connected ") if connected else ("flat-lattice", "")
+                counts = [len(found) for found in levels[1:]]
+                raise BudgetExceeded(
+                    f"the {walk} walk to rank {k} needs more than {max_covers} "
+                    f"covers; it had found {sum(counts)} {kind}flats, by rank "
+                    f"from 1 to {k}: {', '.join(map(str, counts))}"
+                )
 
-        index = None
-        if k == 2:
+        lines = index = keys = None
+        if perms:
+            from .orbits import _tables, fill_orbit
+
+            tables, width = [_tables(perm) for perm in perms], (self.size + 7) // 8
+            # per path rank, the key objects of the path flat's orbit
+            keys = None if connected else [{root: root}] + [None] * k
+        elif not connected and k == 2:
             lines, through = [0] * self.size, [0] * self.size
-        else:
+        elif not connected:
             # per rank, the recorded flats the walk skips; per path rank,
             # the path flat's basis x_1, ..., x_j and its elements (no loop)
             index = [None, None] + [_Recorded(self.size) for _ in range(2, k + 1)]
             bases, held = [()] * k, [[]] * k
         path = [self._on_path(root, 0, state)] if k else []
+        if k:
+            count(state)
         while path:
             F, rank, state, covers = path[-1]
             level = levels[rank + 1]
             recorded = index[rank + 1] if index is not None else None
             for g, G in covers:
-                issued += 1
-                if max_covers is not None and issued > max_covers:
-                    raise over_budget()
-                if G in level:
+                if G in level or connected and rank and (G ^ F).bit_count() < 2:
                     continue
-                level[G] = F
+                level[G] = None if connected else F
+                orbit = fill_orbit(level, G, tables, width, keys and keys[rank]) if perms else [G]
                 if index is not None:
                     elements = held[rank] + _members(G & ~F)
                     if recorded is not None:
                         recorded.add(G, elements)
                 if rank + 1 < k:
-                    group = G & ~F
-                    x = (group & -group).bit_length() - 1
-                    if index is None:
-                        skipped, skip = through[x], lines[x]
-                    else:
-                        held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
-                        skipped, skip = index[rank + 2].above(bases[rank + 1])
-                    issued += skipped
-                    if max_covers is not None and issued > max_covers:
-                        raise over_budget()
+                    skipped = skip = 0
+                    if lines is not None or index is not None:
+                        group = G & ~F
+                        x = (group & -group).bit_length() - 1
+                        if index is None:
+                            skipped, skip = through[x], lines[x]
+                        else:
+                            held[rank + 1], bases[rank + 1] = elements, bases[rank] + (x,)
+                            skipped, skip = index[rank + 2].above(bases[rank + 1])
                     step = self._step(state, g, G, skip)
-                    if index is None:
+                    count(step, len(orbit), skipped)
+                    if lines is not None:
                         # each line the point G adds joins lines at its elements outside G
                         for rest in step.groups:
                             for e in _members(rest):
                                 lines[e] |= G | rest
                                 through[e] += 1
+                    if keys is not None:
+                        keys[rank + 1] = dict(zip(orbit, orbit))
+                    # freed before the descent; held, it raised E8 --s-graph's peak RSS 6.5 MB
+                    del orbit
                     path.append(self._on_path(G, rank + 1, step))
                     break
             else:
                 path.pop()
-        self._store(levels)
+        self._store(levels, connected)
 
     def _on_path(self, F: int, rank: int, state: kernels.CoverState):
         """The flat F (a bitmask) of this rank as the walk's path holds it: with

@@ -1,5 +1,6 @@
-"""The lattice walk by orbits, for vector matroids closed under their own
-reflections, and the linear certificate of their symmetries.
+"""The automorphisms the lattice walk fills orbits with, for vector
+matroids closed under their own reflections, and the linear certificate of
+their symmetries.
 
 ``generators`` makes one reflection pass over the rows (the reflection
 s_r(v) = v - 2 <r, v> / <r, r> r in the hyperplane of row r, standard
@@ -27,30 +28,26 @@ system defined by a linear order; Humphreys, 1.4 and 1.6). They are
 c = s_1 ... s_r, a Coxeter element, and s_1, for s_1, ..., s_r the simple
 reflections in row order: two image tables for the fill instead of r.
 
-``walk`` builds levels 0 to k one at a time. Let H be any group of
+``Matroid._walk`` fills orbits with them. Let H be any group of
 automorphisms of M, given by generators. Each level of flats is a union of
 H-orbits, and so is each level of connected flats. A flat G of rank j + 1
 covers a flat F of rank j (in the connected walk: a connected F, the walk's
-own argument in :mod:`cremfan.fan`), F = h R for the representative R of
-its orbit, and h^-1 G covers R. So the covers of the representatives of
-level j, with their orbits, are all of level j + 1: only a representative
-needs its covers, and every other flat of a level is reached as the image
-of a bitmask under the generators. That holds for any generators, the
-trivial group included, and does not need them to generate the reflection
-group; the orbits of a smaller group are only more numerous. Each new
-representative's cover state is one ``Matroid._step`` from the state of
-the representative it covers, from cl(empty set)'s (``Matroid._root``),
-and ``Matroid._store`` stores the levels only when the walk completes.
+own argument in :mod:`cremfan.fan`), F = h R for the flat R of its orbit
+that the walk expanded, and h^-1 G covers R. So the covers of the expanded
+flats of level j, with their orbits, are all of level j + 1: one flat per
+orbit needs its covers, and every other flat of a level is reached as the
+image of a bitmask under the generators. That holds for any generators,
+the trivial group included, and does not need them to generate the
+reflection group; the orbits of a smaller group are only more numerous.
 
-An image is read off 8-bit tables: per generator and per byte of a
-bitmask, the image of each of its 256 values, so the image of a flat is
-the sum of one lookup per byte (the images of disjoint bits are disjoint).
-An orbit is filled with images under the generators alone: each has
-finite order, so its inverse is one of its powers.
-The full walk stores as each image's value the image of its preimage's
-value: an automorphism maps a flat G covering F onto a flat covering the
-image of F, so ``Matroid._connected_levels`` still reads a flat that the key
-covers.
+An image is read off 8-bit tables (``_tables``): per generator and per
+byte of a bitmask, the image of each of its 256 values, so the image of a
+flat is the sum of one lookup per byte (the images of disjoint bits are
+disjoint). An orbit is filled with images under the generators alone:
+each has finite order, so its inverse is one of its powers. The full walk
+stores as each image's value the image of its preimage's value: an
+automorphism maps a flat G covering F onto a flat covering the image of
+F, so ``Matroid._connected_levels`` still reads a flat that the key covers.
 
 ``linear_automorphisms`` certifies that an element permutation phi is an
 automorphism of a vector configuration (v_e) over Z, Z[sqrt5] or F_p: a
@@ -74,7 +71,6 @@ from math import gcd
 from operator import getitem, mul
 
 from .kernels import _pivots, _primitive_key, _reduce_int, _width
-from .matroid import _budget_exceeded
 
 
 def generators(rows, kind: str) -> list[list[int]] | None:
@@ -254,57 +250,22 @@ def _tables(perm: list[int]) -> list[list[int]]:
     return tables
 
 
-def walk(M, k: int, max_covers: int | None, perms: list[list[int]],
-         connected: bool = False) -> None:
-    """Store levels 0 to k of M, walked by the orbits of the automorphisms
-    ``perms`` (module docstring), or, ``connected``, its connected levels.
-
-    The connected walk records a cover G of a flat F of rank 1 or more
-    only when |G - F| >= 2, as in :mod:`cremfan.fan`. Before it expands
-    level j, the walk counts every cover of every flat of the level, as
-    the sum over its representatives R of |orbit(R)| * |covers(R)|, so the
-    budget ``max_covers`` stops the walks the depth-first walk
-    (``Matroid._walk``) stops; past it the walk raises BudgetExceeded with
-    the flats of the levels it completed, and stores nothing.
-    """
-    tables = [_tables(perm) for perm in perms]
-    width = (M.size + 7) // 8
-    root, state = M._root()
-    # cl(empty set) has no element, so it is not connected
-    levels = [{} if connected else {root: None}]
-    # per representative of the level: its bitmask, orbit size and cover state
-    reps = [(root, 1, state)]
-    issued = 0
-    for j in range(k):
-        issued += sum(size * len(state.groups) for _, size, state in reps)
-        if max_covers is not None and issued > max_covers:
-            counts = [len(level) for level in levels[1:]]
-            raise _budget_exceeded(k, max_covers, counts + [0] * (k - j), connected)
-        level: dict[int, int | None] = {}
-        # the full walk's values are the very key objects of the level below
-        below = None if connected else dict(zip(levels[j], levels[j]))
-        found = []
-        for R, _, state in reps:
-            for g, group in enumerate(state.groups):
-                G = R | group
-                if G in level or connected and j and group.bit_count() < 2:
-                    continue
-                level[G] = None if connected else R
-                orbit = [G]
-                for X in orbit:  # the list grows as the orbit fills
-                    F = level[X]
-                    xs = X.to_bytes(width, "little")
-                    fs = None if F is None else F.to_bytes(width, "little")
-                    for table in tables:
-                        Y = sum(map(getitem, table, xs))
-                        if Y not in level:
-                            level[Y] = None if fs is None else below[sum(map(getitem, table, fs))]
-                            orbit.append(Y)
-                if j + 1 < k:
-                    found.append((G, len(orbit), M._step(state, g, G)))
-        levels.append(level)
-        reps = found
-    M._store(levels, connected)
+def fill_orbit(level: dict, G: int, tables, width: int, keys: dict | None = None) -> list[int]:
+    """Record in ``level`` the orbit of its key G under the permutations
+    with these ``_tables``, on bitmasks of ``width`` bytes, and return it, G
+    first. With ``keys``, the orbit of level[G] with each bitmask mapped to
+    itself, an image Y = h(X) is recorded with h(level[X]) as its key
+    object there (module docstring); else with None."""
+    orbit = [G]
+    for X in orbit:  # the list grows as the orbit fills
+        xs = X.to_bytes(width, "little")
+        fs = None if keys is None else level[X].to_bytes(width, "little")
+        for table in tables:
+            Y = sum(map(getitem, table, xs))
+            if Y not in level:
+                level[Y] = None if keys is None else keys[sum(map(getitem, table, fs))]
+                orbit.append(Y)
+    return orbit
 
 
 def linear_automorphisms(backend, perms: list[list[int]]) -> list[list[int]]:
@@ -409,22 +370,13 @@ def _factors(xs, ys, mul, zero, one) -> bool:
 def representatives(level, perms: list[list[int]], size: int) -> list[int]:
     """One bitmask per orbit of the bitmasks of ``level`` under the element
     permutations ``perms`` of a ground set of ``size`` elements, the first
-    of each in the level's order, its orbit filled as ``walk`` fills one."""
-    tables = [_tables(perm) for perm in perms]
-    width = (size + 7) // 8
-    seen: set[int] = set()
+    of each in the level's order, its orbit filled as ``Matroid._walk`` fills one."""
+    tables, width = [_tables(perm) for perm in perms], (size + 7) // 8
+    seen: dict[int, None] = {}
     found = []
     for H in level:
-        if H in seen:
-            continue
-        found.append(H)
-        seen.add(H)
-        orbit = [H]
-        for X in orbit:  # the list grows as the orbit fills
-            xs = X.to_bytes(width, "little")
-            for table in tables:
-                Y = sum(map(getitem, table, xs))
-                if Y not in seen:
-                    seen.add(Y)
-                    orbit.append(Y)
+        if H not in seen:
+            found.append(H)
+            seen[H] = None
+            fill_orbit(seen, H, tables, width)
     return found

@@ -176,21 +176,17 @@ def count_backend_calls(M, monkeypatch):
 
 def record_walks(M, monkeypatch):
     """The lattice walks M runs from now on, as (rank, kind) per walk: kind
-    "depth-first" for ``_walk``, "orbits" or "connected orbits" for
-    ``_orbit_walk``."""
+    "orbits" for ``_walk`` given generators, else "depth-first", each
+    prefixed "connected " for the connected walk."""
     walks = []
-    walk, orbit_walk = M._walk, M._orbit_walk
+    walk = M._walk
 
-    def depth_first(k, max_covers):
-        walks.append((k, "depth-first"))
-        return walk(k, max_covers)
+    def recorded(k, max_covers, perms=(), connected=False):
+        kind = "orbits" if perms else "depth-first"
+        walks.append((k, "connected " + kind if connected else kind))
+        return walk(k, max_covers, perms, connected)
 
-    def by_orbits(k, max_covers, connected=False):
-        walks.append((k, "connected orbits" if connected else "orbits"))
-        return orbit_walk(k, max_covers, connected)
-
-    monkeypatch.setattr(M, "_walk", depth_first)
-    monkeypatch.setattr(M, "_orbit_walk", by_orbits)
+    monkeypatch.setattr(M, "_walk", recorded)
     return walks
 
 

@@ -962,29 +962,24 @@ class TestRealizationCertificate:
         k7 = complete_graph_matroid(7)
         d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
         walks, closures = [], []
-        closure = Matroid._closure_of
+        closure, walk = Matroid._closure_of, Matroid._walk
 
-        def recorded(name):
-            walk = getattr(Matroid, name)
-
-            def walked(M, *args, **kwargs):
-                walks.append((M is k7, name))
-                return walk(M, *args, **kwargs)
-            return walked
+        def walked(M, k, max_covers, perms=(), connected=False):
+            walks.append((M is k7, bool(perms)))
+            return walk(M, k, max_covers, perms, connected)
 
         def closed(M, S):
             closures.append(M is k7)
             return closure(M, S)
 
-        for name in ("_walk", "_orbit_walk"):
-            monkeypatch.setattr(Matroid, name, recorded(name))
+        monkeypatch.setattr(Matroid, "_walk", walked)
         monkeypatch.setattr(Matroid, "_closure_of", closed)
         realize(k7, d1, d2, "Fp:101")
         # one walk, of M to its 63 hyperplanes (K7 is the A6 arrangement, so
-        # by orbits), and none of N; the 63 fall into 3 orbits under M's
-        # two reflection generators, which both certify as automorphisms
-        # of N, so N closes one hyperplane per orbit
-        assert walks == [(True, "_orbit_walk")]
+        # given its generators), and none of N; the 63 fall into 3 orbits
+        # under M's two reflection generators, which both certify as
+        # automorphisms of N, so N closes one hyperplane per orbit
+        assert walks == [(True, True)]
         assert len(k7._flats_cache[5]) == 63
         assert closures.count(False) == 3
 

@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: Q, F_p, Q(sqrt5), and the matrix helpers."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cremfan.field import (
     Field,
@@ -158,12 +159,19 @@ def with_spaces(data, s: str) -> str:
 
 def fraction_reference(s: str) -> Fraction | None:
     """What Field("Q").parse(s) must return: Fraction's own reading of the
-    entry without its spaces, or None where it must raise FieldFormatError."""
+    entry without its spaces, or None where it must raise FieldFormatError:
+    where Fraction refuses it, and where its written mantissa plus its
+    |exponent| pass the digits an int may print (``parse_rational``'s bound,
+    so Fraction never builds 10**|exponent| for a huge exponent)."""
     t = s.strip().replace(" ", "")
     try:
-        return Fraction(t) if t else None
+        value = Fraction(t) if t else None
     except (ValueError, ZeroDivisionError):
         return None
+    mantissa, e, exponent = t.lower().partition("e")
+    if e and len(mantissa) + abs(int(exponent)) > (sys.get_int_max_str_digits() or 4300):
+        return None
+    return value
 
 
 def reference_int_vector(vec):
@@ -198,6 +206,8 @@ class TestIntegerFastPath:
 
     @given(st.text(st.sampled_from(DIGITS[:12] + "+-_/. e\t\u00b2x"), max_size=6))
     @settings(max_examples=400, deadline=None)
+    @example("0e5000")
+    @example("1e9999")
     def test_any_entry_fails_or_reads_as_fraction_does(self, s):
         expected = fraction_reference(s)
         if expected is None:

@@ -381,12 +381,13 @@ class TestLatticeWalk:
         d4 = coxeter_matroid("D4")
         with pytest.raises(BudgetExceeded) as info:
             d4.flats_of_rank(3, max_covers=20)
-        # by orbits, level by level: the 12 covers of the empty flat fit, so
-        # the walk completes the points; their 84 covers do not, so it stops
-        # before it expands them (depth first it had found 1, 5, 8)
+        # by orbits: the 12 covers of the empty flat fit; the first point
+        # fills its orbit, 6 of the 12 points, and the 6 * 7 covers of their
+        # states do not, so the walk stops when it makes the first (level by
+        # level it had found 12, 0, 0; depth first without orbits 1, 5, 8)
         assert str(info.value) == (
             "the flat-lattice walk to rank 3 needs more than 20 covers; it "
-            "had found 12 flats, by rank from 1 to 3: 12, 0, 0"
+            "had found 6 flats, by rank from 1 to 3: 6, 0, 0"
         )
         assert d4._flats_cache == {}  # a stopped walk stores nothing
 
@@ -428,6 +429,26 @@ class TestLatticeWalk:
             M.flats_of_rank(r - 1, max_covers=total - 1)
         assert M._flats_cache == {}
         assert len(M.flats_of_rank(r - 1, max_covers=total)) == len(make().flats_of_rank(r - 1))
+
+    @pytest.mark.parametrize("spec, total", [("D5", 1850), ("B5", 3275), ("K7", 4739)])
+    @pytest.mark.parametrize("by_orbits", [True, False], ids=["orbits", "depth-first"])
+    def test_budget_totals_with_and_without_generators(self, spec, total, by_orbits):
+        # filling orbits counts |orbit| * covers per state made, skipping
+        # counts the recorded covers it skips: the same total either way
+        M, reference = (
+            complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec) for _ in range(2)
+        )
+        r = M.full_rank()
+        perms = M.backend.reflection_generators if by_orbits else ()
+        assert bool(perms) == by_orbits
+        with pytest.raises(BudgetExceeded, match=f"more than {total - 1} covers"):
+            M._walk(r - 1, total - 1, perms)
+        assert M._flats_cache == {}
+        M._walk(r - 1, total, perms)
+        reference._walk(r - 1, None)
+        assert M._flats_cache.keys() == reference._flats_cache.keys()
+        for k, level in M._flats_cache.items():
+            assert list(level) == list(reference._flats_cache[k])
 
     def test_deep_input_ends_in_the_budget_not_the_stack(self):
         # the Boolean lattice of 40 unit vectors: the walk's path reaches
@@ -590,11 +611,12 @@ class TestConnectedWalk:
     @pytest.mark.parametrize("name", list(REFLECTION_CASES))
     def test_levels_are_the_connected_flats(self, name):
         M, reference = REFLECTION_CASES[name](), REFLECTION_CASES[name]()
-        assert M.backend.reflection_closed
+        perms = M.backend.reflection_generators
+        assert perms
         r = M.full_rank()
         # the connected orbit walk to full rank, also on the types of rank 1
         # and 2, which connected_flats_of_rank leaves to the full walk
-        M._orbit_walk(r, None, connected=True)
+        M._walk(r, None, perms, connected=True)
         assert sorted(M._connected_cache) == list(range(r + 1))
         assert M._flats_cache == {}
         walked = [M.connected_flats_of_rank(k) for k in range(1, r + 1)]
@@ -612,7 +634,7 @@ class TestConnectedWalk:
             # the connected orbit walk; with no generators (the trivial group)
             # on the inputs that are not reflection arrangements
             perms = getattr(M.backend, "reflection_generators", None) or []
-            orbits.walk(M, r, None, perms, connected=True)
+            M._walk(r, None, perms, connected=True)
         else:
             M._level(r)
             M._connected_levels()
@@ -658,7 +680,7 @@ class TestConnectedWalk:
     @pytest.mark.parametrize("name", list(FULL_WALK_CASES))
     def test_the_full_walk_runs_when_the_precondition_fails(self, name, monkeypatch):
         M, reference = FULL_WALK_CASES[name](), FULL_WALK_CASES[name]()
-        assert not getattr(M.backend, "reflection_closed", False)
+        assert not getattr(M.backend, "reflection_generators", None)
         r = M.full_rank()
         walks = record_walks(M, monkeypatch)
         assert [M.connected_flats_of_rank(k) for k in range(1, r + 1)] == (
@@ -673,17 +695,18 @@ class TestConnectedWalk:
         # a connected walk forced onto U(3,4) never reaches it
         M = _u34_over_q()
         assert M.connected_flats_of_rank(3) == [Flat(frozenset(range(4)), 3)]
-        orbits.walk(M, 3, None, [], connected=True)  # the trivial group
+        M._walk(3, None, (), connected=True)  # the trivial group
         assert M._connected_cache[2] == {} and M._connected_cache[3] == {}
 
     @pytest.mark.parametrize("make", [_u34_over_q, lambda: uniform(3, 4)],
                              ids=["vectors", "circuits"])
     def test_no_generators_still_walk_u34(self, make):
-        # the trivial group: each flat its own orbit, so the full walk by
-        # orbits stores the depth-first walk's levels (here with its values
-        # too), on kernel and closure states alike
+        # the trivial group, given by the identity: each flat its own orbit,
+        # so the walk that fills orbits, and so skips no recorded cover,
+        # stores the skipping walk's levels with its values, on kernel and
+        # closure states alike
         M, reference = make(), make()
-        orbits.walk(M, 3, None, [])
+        M._walk(3, None, [list(range(M.size))])
         reference._walk(3, None)
         assert [len(M._flats_cache[k]) for k in range(4)] == [1, 4, 6, 1]
         for k, level in M._flats_cache.items():
@@ -693,12 +716,13 @@ class TestConnectedWalk:
         d4 = coxeter_matroid("D4")
         with pytest.raises(BudgetExceeded) as info:
             d4.connected_flats_of_rank(3, max_covers=12)
-        # by orbits, level by level: the 12 covers of the empty flat fit, the
-        # 84 covers of the points, disconnected pairs included, do not (depth
-        # first it had found 1, 3, 5)
+        # by orbits: the 12 covers of the empty flat fit; the first point
+        # fills its orbit, 6 of the 12 points, and the 6 * 7 covers of their
+        # states, disconnected pairs included, do not (level by level it had
+        # found 12, 0, 0; depth first without orbits 1, 3, 5)
         assert str(info.value) == (
             "the connected-flat walk to rank 3 needs more than 12 covers; it "
-            "had found 12 connected flats, by rank from 1 to 3: 12, 0, 0"
+            "had found 6 connected flats, by rank from 1 to 3: 6, 0, 0"
         )
         assert d4._connected_cache == {}
         with pytest.raises(InputError):
@@ -785,8 +809,8 @@ def _row_of(rows, w):
 
 
 class TestOrbitWalk:
-    """The walk by orbits of a reflection arrangement (``orbits.walk``)
-    stores what the depth-first walk stores."""
+    """The walk by orbits of a reflection arrangement (``Matroid._walk``
+    given its generators) stores what the depth-first walk stores."""
 
     @pytest.mark.parametrize("spec", [t for t in COXETER_TYPES if t not in LARGE_CONNECTED])
     def test_full_levels_are_the_depth_first_levels(self, spec):
@@ -834,7 +858,7 @@ class TestOrbitWalk:
         spec, order, flips = case
         M, connected, reference = (_shuffled(spec, order, flips) for _ in range(3))
         k = max(M.full_rank() - 1, 3)  # H3 to its full rank: both walks by orbits
-        assert M.backend.reflection_closed
+        assert M.backend.reflection_generators
         M.flats_of_rank(k)
         connected.connected_flats_of_rank(k)
         reference._walk(k, None)
@@ -899,7 +923,7 @@ class TestOrbitWalk:
 
         M.backend.cover_step = checked
         r = M.full_rank()
-        M._orbit_walk(r, None, connected)
+        M._walk(r, None, M.backend.reflection_generators, connected)
         assert steps
 
 
@@ -1616,6 +1640,22 @@ class TestOneStorePerFlat:
             "cover_step": 0,
         }
         assert len(d5._rank_cache) == 2 and len(d5._closure_cache) == 1
+
+    @pytest.mark.parametrize("make, kind", [
+        (lambda: coxeter_matroid("D5"), "orbits"), (_k7_over_f101, "depth-first"),
+    ], ids=["D5", "K7/Fp:101"])
+    def test_values_are_key_objects_of_the_level_below(self, make, kind, monkeypatch):
+        # a flat's value is the very int object that keys the flat it covers,
+        # also when an orbit's image gives it, so the levels share their ints
+        M = make()
+        walks = record_walks(M, monkeypatch)
+        r = M.full_rank()
+        M.flats_of_rank(r - 1)
+        assert walks == [(r - 1, kind)]
+        levels = M._flats_cache
+        for k in range(1, r):
+            below = {F: F for F in levels[k - 1]}
+            assert all(below[F] is F for F in levels[k].values())
 
 
 @st.composite

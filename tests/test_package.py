@@ -180,7 +180,7 @@ class TestDomainImportPath:
     def probes(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("domains")
         paths = {}
-        for spec in ("a3-arrangement", "fano", "H3"):
+        for spec in ("a3-arrangement", "fano", "H3", "D5"):
             paths[spec] = str(root / f"{spec}.json")
             assert main(["gen", spec, "--out", paths[spec]]) == 0
         q_jobs = [
@@ -192,6 +192,8 @@ class TestDomainImportPath:
             "quad": ["cremona", paths["H3"], "--enumerate"],
             "fp": ["cremona", paths["a3-arrangement"], "--realize", "1,2,6", "2,3,5",
                    "--field", "Fp:7"],
+            # a reflection arrangement walked to rank 2 alone
+            "enumerate": ["cremona", paths["D5"], "--enumerate"],
         }
 
         def run(argvs):
@@ -210,7 +212,14 @@ class TestDomainImportPath:
             assert step["code"] == 0
             assert step["off_path"] == {}
             assert not {"cremfan.quad", "cremfan.fp", "cremfan.exact_cover",
-                        "cremfan.isomorphism"} & set(step["loaded"])
+                        "cremfan.isomorphism", "cremfan.orbits"} & set(step["loaded"])
+
+    def test_a_walk_below_rank_3_loads_no_orbits(self, probes):
+        # the walk fills orbits from rank 3 up, so a walk to the lines of a
+        # reflection arrangement runs no reflection pass
+        step = probes["enumerate"]
+        assert step["code"] == 0
+        assert "cremfan.orbits" not in step["loaded"]
 
     @pytest.mark.parametrize("home", ["quad", "fp"])
     def test_its_own_domain_loads(self, probes, home):
