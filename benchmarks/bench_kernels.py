@@ -385,7 +385,7 @@ def _walk_levels(spec: str, by_orbits: bool = False):
         M = matroid_from_dict({**matroid_to_dict(M), "field": field})
     r = M.full_rank()
     t0 = time.perf_counter()
-    M._walk(r - 1, None, M.backend.reflection_generators if by_orbits else ())
+    M._walk(r - 1, None, M.backend.reflections.generators if by_orbits else ())
     return time.perf_counter() - t0, M
 
 
@@ -485,9 +485,18 @@ def _counted_walk(spec: str, by_orbits: bool = False):
 
 def _orbit_counts(M, k: int) -> list[int]:
     # per rank 0 to k, the orbits of the stored level under the generators
-    # the walk filled it with
-    perms = M.backend.reflection_generators
-    return [len(orbits.representatives(M._flats_cache[j], perms, M.size)) for j in range(k + 1)]
+    # the walk filled it with, each filled as the walk fills one
+    tables = [orbits._tables(perm) for perm in M.backend.reflections.generators]
+    width, counts = (M.size + 7) // 8, []
+    for j in range(k + 1):
+        seen: dict[int, None] = {}
+        counts.append(0)
+        for H in M._flats_cache[j]:
+            if H not in seen:
+                seen[H] = None
+                orbits.fill_orbit(seen, H, tables, width)
+                counts[-1] += 1
+    return counts
 
 
 def _bench_stepped_walk(spec: str, repeat: int) -> None:
@@ -509,7 +518,7 @@ def _bench_stepped_walk(spec: str, repeat: int) -> None:
         f"{'':38} covers kept/skipped, by rank expanded: "
         + "  ".join(f"{k}: {kept}/{skipped}" for k, (kept, skipped) in enumerate(by_rank))
     )
-    if M.backend.reflection_generators:
+    if M.backend.reflections:
         _bench_orbit_walk(spec, repeat, M)
     print(f"{'':38} stores after the walk: {_store_sizes(M)}")
 
@@ -568,7 +577,7 @@ def _bench_closure_walk(spec: str, repeat: int) -> None:
 def _reflection_pass(spec: str, repeat: int) -> tuple[int, int, float]:
     # the reflections the pass over a fresh type's rows certifies by their
     # images (counted in a separate untimed run), its rows, and its best
-    # seconds (``orbits.generators``, which keeps nothing between calls)
+    # seconds (``orbits.reflections``, which keeps nothing between calls)
     backend = from_spec_string(spec).backend
     rows, kind = backend._rows, backend.field.kind
     certified, conjugates = [], orbits._conjugates
@@ -576,10 +585,10 @@ def _reflection_pass(spec: str, repeat: int) -> tuple[int, int, float]:
         n, lambda u: certified.append(u) or reflection(u)
     )
     try:
-        orbits.generators(rows, kind)
+        orbits.reflections(rows, kind)
     finally:
         orbits._conjugates = conjugates
-    return len(certified), len(rows), _best(lambda: orbits.generators(rows, kind), repeat)
+    return len(certified), len(rows), _best(lambda: orbits.reflections(rows, kind), repeat)
 
 
 def _bench_reflection_pass(spec: str, repeat: int, label: str = "") -> None:

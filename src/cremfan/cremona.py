@@ -383,8 +383,7 @@ def build_involution(M: Matroid, d1: CremonaData, d2: CremonaData) -> ElementBij
     Fixes b ∩ b* and everything outside b ∪ b*; swaps each c in b \\ b*
     with its star edge label in G_b(b*), and each c in b* \\ b with its
     star edge label in G_{b*}(b).  Verified to be an involution mapping b
-    onto b* and (for ground sets of at most 15 elements) a matroid
-    automorphism on M's hyperplanes (``_hyperplane_mismatch``).
+    onto b* and a matroid automorphism (``_map_mismatch``).
     """
     return _involution(M, two_basis_report(M, d1, d2), two_basis_report(M, d2, d1))
 
@@ -405,13 +404,12 @@ def _involution(M: Matroid, report: TwoBasisReport, back: TwoBasisReport) -> Ele
             raise InvariantError(f"constructed map is not an involution at {e}")
     if phi.image(report.basis) != set(report.other):
         raise InvariantError("constructed map does not carry b onto b*")
-    if M.size <= 15:
-        H = _hyperplane_mismatch(M, M, phi.forward)
-        if H is not None:
-            raise InvariantError(
-                f"constructed map does not carry the hyperplane "
-                f"{{{', '.join(map(M.ground.label, _members(H)))}}} onto a hyperplane"
-            )
+    H = _map_mismatch(M, M, phi.forward)
+    if H is not None:
+        raise InvariantError(
+            f"constructed map does not carry the hyperplane "
+            f"{{{', '.join(map(M.ground.label, _members(H)))}}} onto a hyperplane"
+        )
     return phi
 
 
@@ -444,39 +442,41 @@ def _nonzero_field_element(field: Field, t: int):
 
 def _hyperplane_mismatch(M: Matroid, N: Matroid,
                          forward: Sequence[int] | None = None) -> int | None:
-    """The first hyperplane H of M whose image under ``forward`` (an element
-    bijection onto N's ground set as its image sequence, the identity when
-    None) is not a flat of N of rank r(M) - 1, as a bitmask, or None: one
-    walk of M under the budget ``matroid.MAX_COVERS`` and, per hyperplane
-    checked, one closure and one rank of the image's bitmask in N's oracle,
-    which answers an image that N's walk has found off its levels, with no
-    backend call and no ``Flat``. For r(N) = r(M), None exactly when
-    ``forward`` is an isomorphism from M onto N (proof in ``realize``); a
-    matroid of rank 0 has no hyperplane.
-
-    With ``forward`` None, M's hyperplanes walked by orbits (rank r(M) - 1
-    of 3 or more on a reflection arrangement, ``Matroid._generators``) and
-    N on vectors, it checks one hyperplane per orbit under
-    M's reflection generators that the linear certificate accepts as
-    automorphisms of N (``orbits.linear_automorphisms``): the first of each
-    orbit in M's canonical order, so the hyperplane it returns is still the
-    first one that fails (proof in ``realize``)."""
+    """The first hyperplane H of M, as a bitmask, whose image under
+    ``forward`` (an element bijection onto N's ground set as its image
+    sequence; the identity when None) is not a flat of N of rank r(M) - 1,
+    or None: one walk of M under ``matroid.MAX_COVERS``, then per hyperplane
+    one closure and one rank in N's oracle (off N's levels where N is walked,
+    with no backend call). For r(N) = r(M), None exactly when ``forward`` is
+    an isomorphism from M onto N (proof in ``realize``); rank 0 has none."""
     r = M.full_rank()
     if not r:
         return None
-    hyperplanes = M._level(r - 1, matroid.MAX_COVERS)
-    perms = forward is None and M._generators(r - 1)
-    if perms and N.backend.name == "vectors":
-        from . import orbits
-
-        accepted = orbits.linear_automorphisms(N.backend, perms)
-        if accepted:
-            hyperplanes = orbits.representatives(hyperplanes, accepted, M.size)
-    for H in hyperplanes:
+    for H in M._level(r - 1, matroid.MAX_COVERS):
         image = H if forward is None else _mask(forward[e] for e in _members(H))
         if N._closure_of(image) != image or N._rank_of(image) != r - 1:
             return H
     return None
+
+
+def _map_mismatch(M: Matroid, N: Matroid, forward: Sequence[int] | None = None) -> int | None:
+    """``_hyperplane_mismatch(M, N, forward)`` of a realization (``forward``
+    None, N on vectors) or an automorphism of M (N is M): None with no walk
+    where M's walk would fill orbits (``Matroid._generators``) and the
+    certificate holds (``realize``), else the walk's first failing one."""
+    r = M.full_rank()
+    if M._generators(r - 1):
+        from .orbits import linear_automorphisms
+
+        simple = M.backend.reflections.simple
+        delta = _mask(simple)  # the rows of the simple roots
+        perms = list(simple.values()) if forward is None else [forward]
+        parabolic = [delta & ~(1 << root) for root in simple] if forward is None else []
+        if len(linear_automorphisms(N.backend, perms)) == len(perms) and all(
+            N._closure_of(H) == H and N._rank_of(H) == r - 1 for H in map(M._closure_of, parabolic)
+        ):
+            return None
+    return _hyperplane_mismatch(M, N, forward)
 
 
 def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
@@ -514,16 +514,16 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
     matroid N∘φ, of rank r_N(φ(X)), shows φ to be an isomorphism from M onto
     N when it carries every hyperplane of M onto one of N.
 
-    On a reflection arrangement of rank 4 or more the check closes one
-    hyperplane per orbit (``_hyperplane_mismatch``). Each generator φ it
-    uses is an automorphism of M (a product of reflections of M's vectors,
-    each certified by the reflection pass) and of N (a linear map carries
-    each vector of N onto a multiple of its image,
-    ``orbits.linear_automorphisms``). So for a hyperplane H of M, φH is one
-    too, cl_N(φH) = φ cl_N(H) and r_N(φH) = r_N(H): H passes exactly when
-    φH does (φ^-1 is a power of φ), so a hyperplane passes exactly when the
-    first of its orbit does, and the first one to fail is the first of its
-    orbit. With no generator accepted every hyperplane is closed, as above.
+    On a reflection arrangement of rank 4 or more no walk runs
+    (``_map_mismatch``). M's simple reflections (the reflection pass) are
+    automorphisms of M, and of N once the linear certificate accepts them on
+    N's vectors; they generate M's reflection group W (Humphreys, Reflection
+    Groups and Coxeter Groups, 1990, 1.5), so each w in W is one of both. A
+    hyperplane H of M holds the roots orthogonal to some x = w y, w in W, y
+    in the closed fundamental chamber; those orthogonal to y are the roots of
+    the parabolic subgroup W_I, I the simple roots orthogonal to y (1.12: W_I
+    fixes the orthogonal complement of span I). So H = w cl_M(I), |I| = r - 1,
+    and N need close only the r hyperplanes cl_M(Delta - alpha_i).
     """
     field = field_spec if isinstance(field_spec, Field) else Field.from_spec(field_spec)
     shared = sorted(d1.basis_set() & d2.basis_set())
@@ -597,7 +597,7 @@ def realize(M: Matroid, d1: CremonaData, d2: CremonaData,
     realized = Matroid(VectorBackend(field, vectors), list(M.ground.labels))
     if realized.full_rank() != M.full_rank():
         raise InvariantError("realization has the wrong rank")
-    H = _hyperplane_mismatch(M, realized)
+    H = _map_mismatch(M, realized)
     if H is not None:
         raise InvariantError(
             f"realization disagrees with the matroid on the hyperplane "

@@ -26,7 +26,7 @@ separator of rank 1: one parallel class, hence one element.
 
 Precondition (nothing missed). Let the vectors be real (over Q or
 Q(sqrt5)), nonzero, pairwise non-proportional and closed up to scale
-under their own reflections (``VectorBackend.reflection_generators``). The
+under their own reflections (``VectorBackend.reflections``). The
 reflections generate a finite orthogonal group W: it permutes the
 finitely many lines, and a map of W that fixes each line is determined by a
 sign per line of a basis (W is the identity off their span). The unit

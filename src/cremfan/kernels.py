@@ -9,10 +9,10 @@ pivots found so far, and keeps every nonzero result as a new pivot, led
 by its first nonzero coordinate.
 
 This module holds that shared skeleton (``_pivots``, ``_closure``,
-``_fundamental``, ``_covers``, ``_kept``, :class:`CoverState`) and the Z
-kernels. The Z[sqrt5] kernels live in :mod:`cremfan.quad` and the F_p
-kernels in :mod:`cremfan.fp`, so a job over Q compiles neither. Their
-public names still resolve here (PEP 562 ``__getattr__``), because the
+``_tagged``, ``_fundamental``, ``_covers``, ``_kept``, ``CoverState``)
+and the Z kernels. The Z[sqrt5] kernels live in :mod:`cremfan.quad` and
+the F_p kernels in :mod:`cremfan.fp`, so a job over Q compiles neither.
+Their public names still resolve here (PEP 562 ``__getattr__``), because the
 vector backends read every kernel through this module, and perfbench's
 tracer and ``benchmarks/bench_kernels.py`` wrap them here: a replacement
 set on this module before a matroid is built is the function its backend
@@ -33,11 +33,12 @@ Conventions:
 * ``fundamental_*`` walks the rows named by ``subset`` in order to a
   greedy basis B, spans B's rows with |B| tag coordinates appended (unit
   vector j on row B[j]; over Z[sqrt5] one pair per tag) and reduces each
-  row named by ``asked``, with zero tags, once. It returns B and each
-  asked row of span(B) mapped to its support in B, the bitmask of its
-  nonzero tags (bit j for B[j]): the reduction is
-  lambda*row - sum_j mu_j*(B[j], unit j) with lambda nonzero, 0 off the
-  tags exactly when lambda*row is the combination of B with the mu_j;
+  row named by ``asked``, with zero tags, once (``_tagged``, also the
+  linear certificate's). It returns B and each asked row of span(B)
+  mapped to its support in B, the bitmask of its nonzero tags (bit j for
+  B[j]): the reduction is lambda*row - sum_j mu_j*(B[j], unit j) with
+  lambda nonzero, 0 off the tags exactly when lambda*row is the
+  combination of B with the mu_j;
 * ``covers_*`` spans the rows of a flat F of rank k once and reduces every
   other row modulo their span. A reduced row is 0 on the pivot coordinates;
   the other n - k coordinates are the row's direction in the quotient
@@ -130,30 +131,29 @@ def _closure(rows, subset, reduce, step: int = 1) -> tuple[int, list[int]]:
     ]
 
 
-def _fundamental(rows, subset, asked, reduce, step: int = 1) -> tuple[list[int], dict[int, int]]:
+def _tagged(rows, subset, asked, reduce, step: int = 1) -> tuple[list[int], dict[int, list[int]]]:
+    """``fundamental_*``'s B, and each asked row of span(B) mapped to its
+    tags, the -mu_j: its coordinates in B times -lambda (unit j for B[j])."""
     kept: list[int] = []
     _pivots([rows[i] for i in subset], reduce, step, kept)
     basis = [subset[k] for k in kept]
     n, tags = _width(rows), [0] * (len(basis) * step)
     # basis row j carries the unit tag j, a 1 at its first tag position
-    pivots = _pivots([
-        [*rows[b], *tags[:j * step], 1, *tags[j * step + 1:]] for j, b in enumerate(basis)
-    ], reduce, step)
-    position = {b: j for j, b in enumerate(basis)}
-    supports = {}
+    units = {b: [*tags[:j * step], 1, *tags[j * step + 1:]] for j, b in enumerate(basis)}
+    pivots = _pivots([[*rows[b], *unit] for b, unit in units.items()], reduce, step)
+    spanned = {}
     for i in asked:
-        if i in position:
-            supports[i] = 1 << position[i]
-            continue
-        v = reduce([*rows[i], *tags], pivots)
-        if not any(v[:n]):
-            if step == 1:
-                # one position per tag: the sum of distinct bits is their union
-                supports[i] = sum(1 << k for k, x in enumerate(v[n:]) if x)
-            else:
-                # tag k // step at each of its positions, merged by the set
-                supports[i] = sum({1 << k // step for k, x in enumerate(v[n:]) if x})
-    return basis, supports
+        if i in units:
+            spanned[i] = units[i]
+        elif not any((v := reduce([*rows[i], *tags], pivots))[:n]):
+            spanned[i] = v[n:]
+    return basis, spanned
+
+
+def _fundamental(rows, subset, asked, reduce) -> tuple[list[int], dict[int, int]]:
+    # one position per tag: the sum of distinct bits is their union
+    basis, spanned = _tagged(rows, subset, asked, reduce)
+    return basis, {i: sum(1 << k for k, x in enumerate(t) if x) for i, t in spanned.items()}
 
 
 # a flat's rank and, per cover, the bitmask of its rows outside the flat and

@@ -307,16 +307,15 @@ class VectorBackend:
         return self._step(state, g, skip)
 
     @cached_property
-    def reflection_generators(self) -> list[list[int]] | None:
+    def reflections(self):
         """None unless the vectors are nonzero, pairwise non-proportional and
-        closed up to sign and scale under their own reflections (none over
-        F_p, which has no inner product); else two automorphisms as element
-        permutations, which ``Matroid._walk`` fills orbits with (``orbits``)."""
+        closed up to sign and scale under their own reflections (none over F_p,
+        which has no inner product); else the reflection pass's ``orbits.Reflections``."""
         if self.field.kind not in ("Q", "Qsqrt5"):
             return None
-        from .orbits import generators
+        from .orbits import reflections
 
-        return generators(self._rows, self.field.kind)
+        return reflections(self._rows, self.field.kind)
 
 
 class LineBackend:
@@ -629,7 +628,8 @@ class Matroid:
         """The automorphisms a walk to rank k fills orbits with: a reflection
         arrangement's generators from rank 3 up, else none (below rank 3 the
         walk's n + 1 eliminations or fewer cost less than the reflection pass)."""
-        return k >= 3 and getattr(self.backend, "reflection_generators", None) or ()
+        reflections = k >= 3 and getattr(self.backend, "reflections", None)
+        return reflections.generators if reflections else ()
 
     def _check_walk(self, k: int, max_covers: int | None) -> None:
         if not 0 <= k <= self.full_rank():

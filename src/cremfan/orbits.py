@@ -1,34 +1,38 @@
 """The automorphisms the lattice walk fills orbits with, for vector
-matroids closed under their own reflections, and the linear certificate of
-their symmetries.
+matroids closed under their own reflections, the simple reflections that
+certify element maps, and the linear certificate of their symmetries.
 
-``generators`` makes one reflection pass over the rows (the reflection
+``reflections`` makes one reflection pass over the rows (the reflection
 s_r(v) = v - 2 <r, v> / <r, r> r in the hyperplane of row r, standard
 inner product, Z[sqrt5] taken in the reals). It returns None unless the
 rows are nonzero, pairwise non-proportional and closed up to sign and
-scale under these reflections; else the element permutations of two
-automorphisms. A reflection is certified by its n images: each is looked
-up by its canonical projective form, and the reflection is linear and
-invertible and maps every row onto a multiple of a row, hence maps flats
-to flats of the same rank. It is kept as a signed permutation: row j's
-root goes to k, a positive multiple of row k's root, or to ~k, a negative
-one. The pass certifies a row's reflection only when the reflections
-certified so far have not reached the row. They reach row w from a known
-s_v when a certified s_b maps row v onto +-row w: s_b is orthogonal, so
+scale under these reflections; else ``Reflections``: the element
+permutations of two automorphisms and of the simple reflections. A
+reflection is certified by its n images: each is looked up by its
+canonical projective form, and the reflection is linear and invertible
+and maps every row onto a multiple of a row, hence maps flats to flats of
+the same rank. It is kept as a signed permutation: row j's root goes to
+k, a positive multiple of row k's root, or to ~k, a negative one. The
+pass certifies a row's reflection only when the reflections certified so
+far have not reached the row. They reach row w from a known s_v when a
+certified s_b maps row v onto +-row w: s_b is orthogonal, so
 s_w = s_{s_b(v)} = s_b s_v s_b (Humphreys, Reflection Groups and Coxeter
 Groups, 1990, 1.2 and 1.14), one lookup per row on signed indices and no
 vector arithmetic. A conjugate of maps that keep the rows keeps them, so
 the pass fails exactly when a certified reflection does, which is exactly
 when the rows are not reflection-closed; E8 certifies 9 of its 120
-reflections, H4 4 of 60. The two automorphisms are read off the simple
-reflections of the lexicographic chamber: a root (the row scaled to a
-positive leading coordinate) is positive, and a positive root is simple
-when its reflection turns no other positive root negative (a positive
-system defined by a linear order; Humphreys, 1.4 and 1.6). They are
-c = s_1 ... s_r, a Coxeter element, and s_1, for s_1, ..., s_r the simple
-reflections in row order: two image tables for the fill instead of r.
+reflections, H4 4 of 60. The simple reflections are those of the
+lexicographic chamber: a root (the row scaled to a positive leading
+coordinate) is positive, and a positive root is simple when its
+reflection turns no other positive root negative (a positive system
+defined by a linear order; Humphreys, 1.4 and 1.6). They are kept in row
+order, s_1, ..., s_r, each with the row of its root; these rows are a
+basis of the rows (Humphreys, 1.3), and ``cremona._map_mismatch``
+certifies element maps with them. The two automorphisms are
+c = s_1 ... s_r, a Coxeter element, and s_1: two image tables for the
+fill instead of r.
 
-``Matroid._walk`` fills orbits with them. Let H be any group of
+``Matroid._walk`` fills orbits with c and s_1. Let H be any group of
 automorphisms of M, given by generators. Each level of flats is a union of
 H-orbits, and so is each level of connected flats. A flat G of rank j + 1
 covers a flat F of rank j (in the connected walk: a connected F, the walk's
@@ -53,30 +57,33 @@ F, so ``Matroid._connected_levels`` still reads a flat that the key covers.
 automorphism of a vector configuration (v_e) over Z, Z[sqrt5] or F_p: a
 linear map T with T v_e = c_e v_phi(e), c_e nonzero, for every e (Oxley,
 Matroid Theory, 2nd ed., 2011, ch. 6). One elimination with tag columns
-(``_coordinates``) writes each v_e in a basis B as x_e, another writes
+(``kernels._tagged``) writes each v_e in a basis B as x_e, another writes
 each v_f in phi(B), in B's order, as y_f, both up to a nonzero factor per
 row. T exists exactly when phi(B) is a basis, x_e and y_phi(e) have one
 support, and y_phi(e)[b] = lam_b nu_e x_e[b] on it (then T v_b = lam_b
 v_phi(b), up to the row factors): O(n r^2) field operations and no walk.
 It is sound, not complete: an automorphism that no linear map makes is
-refused. ``representatives`` picks one bitmask per orbit of a level under
-accepted permutations, which ``cremona._hyperplane_mismatch`` closes
-alone.
+refused.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from math import gcd
 from operator import getitem, mul
 
-from .kernels import _pivots, _primitive_key, _reduce_int, _width
+from .kernels import _primitive_key, _reduce_int, _tagged
+
+# the element permutations of c and s_1, which the walk fills orbits with,
+# and each simple reflection's, in row order, keyed by the row of its root
+Reflections = namedtuple("Reflections", "generators simple")
 
 
-def generators(rows, kind: str) -> list[list[int]] | None:
-    """The element permutations of the automorphisms c and s_1 (module
-    docstring), or None unless the rows, over Z ("Q") or Z[sqrt5]
-    ("Qsqrt5"), are reflection-closed."""
+def reflections(rows, kind: str) -> Reflections | None:
+    """The reflection pass's ``Reflections`` (module docstring), or None
+    unless the rows, over Z ("Q") or Z[sqrt5] ("Qsqrt5"), are
+    reflection-closed."""
     # simple: no zero row, and no two rows on one line
     if not all(map(any, rows)):
         return None
@@ -84,13 +91,12 @@ def generators(rows, kind: str) -> list[list[int]] | None:
     if images is None:
         return None
     # s_r is simple when it turns no positive root but r itself negative
-    simple = [perm for perm, turned in images if turned == 1]
-    if not simple:  # no rows
-        return []
-    c = simple[0]
-    for s in simple[1:]:
+    simple = {u: perm for u, (perm, turned) in enumerate(images) if turned == 1}
+    perms = list(simple.values())
+    c = list(range(len(rows)))
+    for s in perms:
         c = [c[x] for x in s]
-    return [c, simple[0]]
+    return Reflections([c, perms[0]] if perms else [], simple)
 
 
 def _images_int(rows):
@@ -274,45 +280,26 @@ def linear_automorphisms(backend, perms: list[list[int]]) -> list[list[int]]:
     ``backend``, a VectorBackend: one elimination for a basis B, and one
     per permutation phi for phi(B)."""
     eliminate, split, mul, zero, one = _domain(backend.field)
-    rows = backend._rows
-    basis, xs = eliminate(rows, range(len(rows)))
-    xs = list(map(split, xs))
+    rows, every = backend._rows, range(len(backend._rows))
+    basis, xs = eliminate(rows, every, every)
+    xs = list(map(split, xs.values()))
     accepted = []
     for phi in perms:
-        image, ys = eliminate(rows, [phi[b] for b in basis])
+        image, ys = eliminate(rows, [phi[b] for b in basis], every)
         if len(image) == len(basis) and _factors(xs, [split(ys[f]) for f in phi], mul, zero, one):
             accepted.append(phi)
     return accepted
 
 
-def _coordinates(rows, subset, reduce, step: int = 1) -> tuple[list[int], list[list[int]]]:
-    """A greedy basis B of the rows named by ``subset``, in its order, and
-    per row its coordinates in B times a nonzero scalar, when B spans every
-    row: ``kernels._fundamental``'s elimination, B's rows spanned with a
-    unit tag each (over Z[sqrt5] one pair per tag) and each other row
-    reduced once, to lambda*row - sum_j mu_j*(B[j], unit j), lambda nonzero,
-    which is 0 off the tags. So its tags are the -mu_j, the row's
-    coordinates times -lambda; a row of B has its unit tag."""
-    kept: list[int] = []
-    _pivots([rows[i] for i in subset], reduce, step, kept)
-    basis = [subset[k] for k in kept]
-    n, tags = _width(rows), [0] * (len(basis) * step)
-    units = {b: [*tags[:j * step], 1, *tags[j * step + 1:]] for j, b in enumerate(basis)}
-    pivots = _pivots([[*rows[b], *unit] for b, unit in units.items()], reduce, step)
-    return basis, [
-        units[i] if i in units else reduce([*row, *tags], pivots)[n:] for i, row in enumerate(rows)
-    ]
-
-
 def _domain(field):
-    # the tagged elimination of the field's rows (``_coordinates``), a row
+    # the tagged elimination of the field's rows (``kernels._tagged``), a row
     # of its tags as scalars, their product, 0 and 1: over Z[sqrt5]
     # pairs (a, b) for a + b sqrt5, over F_p residues
     if field.kind == "Qsqrt5":
         from .quad import _reduce_quad
 
         return (
-            partial(_coordinates, reduce=_reduce_quad, step=2),
+            partial(_tagged, reduce=_reduce_quad, step=2),
             lambda tags: list(zip(tags[::2], tags[1::2])),
             lambda u, v: (u[0] * v[0] + 5 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]),
             (0, 0), (1, 0),
@@ -321,9 +308,9 @@ def _domain(field):
         from .fp import _reduce_mod
 
         p = field.p
-        eliminate = partial(_coordinates, reduce=partial(_reduce_mod, p=p))
+        eliminate = partial(_tagged, reduce=partial(_reduce_mod, p=p))
         return eliminate, list, lambda u, v: u * v % p, 0, 1
-    return partial(_coordinates, reduce=_reduce_int), list, mul, 0, 1
+    return partial(_tagged, reduce=_reduce_int), list, mul, 0, 1
 
 
 def _factors(xs, ys, mul, zero, one) -> bool:
@@ -365,18 +352,3 @@ def _factors(xs, ys, mul, zero, one) -> bool:
         mul(mul(ys[e][b], lam[b][1]), nu[e][1]) == mul(mul(lam[b][0], nu[e][0]), xs[e][b])
         for e, support in enumerate(supports) for b in support
     )
-
-
-def representatives(level, perms: list[list[int]], size: int) -> list[int]:
-    """One bitmask per orbit of the bitmasks of ``level`` under the element
-    permutations ``perms`` of a ground set of ``size`` elements, the first
-    of each in the level's order, its orbit filled as ``Matroid._walk`` fills one."""
-    tables, width = [_tables(perm) for perm in perms], (size + 7) // 8
-    seen: dict[int, None] = {}
-    found = []
-    for H in level:
-        if H not in seen:
-            found.append(H)
-            seen[H] = None
-            fill_orbit(seen, H, tables, width)
-    return found

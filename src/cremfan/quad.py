@@ -20,10 +20,10 @@ from .kernels import (
     CoverState,
     _closure,
     _covers,
-    _fundamental,
     _kept,
     _pivots,
     _primitive_key,
+    _tagged,
 )
 
 
@@ -165,11 +165,6 @@ class QuadSqrt5:
         return format_rational_pair(self.a, self.b)
 
 
-#: the golden ratio (1 + sqrt5)/2, the canonical generator used by fixtures
-PHI = QuadSqrt5(Fraction(1, 2), Fraction(1, 2))
-SQRT5 = QuadSqrt5(0, 1)
-
-
 def parse_rational_pair(s: str) -> tuple[Fraction, Fraction]:
     """Parse "a+bw" / "a-bw" / "bw" / "a" into the pair (a, b)."""
     if "w" not in s:
@@ -276,7 +271,9 @@ def closure_quad(rows, subset) -> tuple[int, list[int]]:
 
 
 def fundamental_quad(rows, subset, asked) -> tuple[list[int], dict[int, int]]:
-    return _fundamental(list(rows), subset, asked, _reduce_quad, 2)
+    basis, spanned = _tagged(list(rows), subset, asked, _reduce_quad, 2)
+    # tag j at positions 2j and 2j + 1, merged by the set
+    return basis, {i: sum({1 << k // 2 for k, x in enumerate(t) if x}) for i, t in spanned.items()}
 
 
 def covers_quad(rows, flat) -> CoverState:

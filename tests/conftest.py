@@ -215,6 +215,12 @@ def swap_star_labels(report):
     return report._replace(components=(comp._replace(edges=edges), *report.components[1:]))
 
 
+def star_labels(n: int, x: int) -> str:
+    """The labels of A_n's star at x, comma-separated: the roots x_i - x_j
+    with x in {i, j}, a Cremona basis."""
+    return ",".join(f"x{min(x, j)}-x{max(x, j)}" for j in range(1, n + 2) if j != x)
+
+
 def direct_sum(*matroids):
     """The direct sum of vector matroids over Q, on block-diagonal rows."""
     q = Field.from_spec("Q")

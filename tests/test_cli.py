@@ -21,7 +21,7 @@ from cremfan.generators import a3_arrangement, coxeter_matroid, uniform
 from cremfan.matroid import Matroid
 from cremfan.serialize import load_matroid, matroid_to_dict
 
-from conftest import count_backend_calls, swap_star_labels
+from conftest import count_backend_calls, record_walks, star_labels, swap_star_labels
 
 
 def run(capsys, *argv):
@@ -59,6 +59,17 @@ def k7_file(tmp_path, capsys):
     assert main(["gen", "K7", "--out", path]) == 0
     capsys.readouterr()
     return path
+
+
+@pytest.fixture()
+def k7_fp_file(k7_file):
+    # K7 over F_101, where no reflection pass runs, so every element map is
+    # checked by the hyperplane walk
+    with open(k7_file) as handle:
+        doc = json.load(handle)
+    with open(k7_file, "w") as handle:
+        json.dump({**doc, "field": "Fp:101"}, handle)
+    return k7_file
 
 
 class TestGen:
@@ -356,17 +367,47 @@ class TestCremona:
 
     K7_STARS = ["0-1,0-2,0-3,0-4,0-5,0-6", "0-1,1-2,1-3,1-4,1-5,1-6"]
 
-    def test_realize_walk_has_a_budget(self, k7_file, capsys, monkeypatch):
-        # the realization is checked on M's hyperplanes, from one walk of M
-        # under matroid.MAX_COVERS, so a lattice too large for it (A10's)
-        # exits 3 and does not run on
+    def test_realize_walk_has_a_budget(self, k7_fp_file, capsys, monkeypatch):
+        # off a reflection arrangement the involution and the realization
+        # are checked on M's hyperplanes, from one walk of M under
+        # matroid.MAX_COVERS, so a lattice too large for it exits 3 and does
+        # not run on
         monkeypatch.setattr(matroid, "MAX_COVERS", 100)
         code, out, err = run(
-            capsys, "cremona", k7_file, "--realize", *self.K7_STARS, "--field", "Fp:101"
+            capsys, "cremona", k7_fp_file, "--realize", *self.K7_STARS, "--field", "Fp:101"
         )
         assert code == 3
         assert out == ""
         assert "the flat-lattice walk to rank 5 needs more than 100 covers" in err
+
+    def test_pair_walk_has_a_budget(self, k7_fp_file, capsys, monkeypatch):
+        # past 15 elements (K7 has 21) the involution is checked too, by the
+        # same walk and budget
+        doc, _ = run_json(capsys, "cremona", k7_fp_file, "--pair", *self.K7_STARS)
+        assert doc["payload"]["component_count"] == 1
+        monkeypatch.setattr(matroid, "MAX_COVERS", 100)
+        code, out, err = run(capsys, "cremona", k7_fp_file, "--pair", *self.K7_STARS)
+        assert (code, out) == (3, "")
+        assert "the flat-lattice walk to rank 5 needs more than 100 covers" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--field", "Fp:101"]], ids=["pair", "realize"])
+    def test_a11_maps_are_certified_with_no_walk(self, tmp_path, capsys, monkeypatch, mode):
+        # A11 (66 elements, rank 11) is a reflection arrangement: the linear
+        # certificate accepts the involution on its vectors, and its 11
+        # simple reflections on the realization, which closes the 11
+        # parabolic hyperplanes; no walk goes past the points
+        path = str(tmp_path / "a11.json")
+        assert main(["gen", "A11", "--out", path]) == 0
+        capsys.readouterr()
+        M = load_matroid(path)
+        walks = record_walks(M, monkeypatch)
+        monkeypatch.setattr(cli, "load_matroid", lambda _path: M)
+        flag = "--realize" if mode else "--pair"
+        doc, _ = run_json(
+            capsys, "cremona", path, flag, star_labels(11, 1), star_labels(11, 2), *mode
+        )
+        assert doc["payload"]["intersection"] == ["x1-x2"]
+        assert all(k <= 1 for k, _kind in walks), walks
 
     @pytest.mark.parametrize("field", ["Q", "Fp:101"])
     def test_realize_with_a_wrong_vector_is_exit_4(self, k7_file, capsys, monkeypatch, field):

@@ -1,5 +1,6 @@
 """Cremona bases: detection, lattice maps, support graphs, involutions, realizations."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -12,6 +13,7 @@ from cremfan.cremona import (
     CremonaData,
     _hyperplane_mismatch,
     _involution,
+    _map_mismatch,
     build_involution,
     crem_invariants,
     cremona_check,
@@ -37,12 +39,12 @@ from cremfan.generators import (
 )
 from cremfan.isomorphism import IntegerLinearMap, crem_map, indicator_map
 from cremfan.kernels import det_int
-from cremfan.matroid import Flat, Matroid, VectorBackend
+from cremfan.matroid import Flat, Matroid, VectorBackend, _mask, _members
 from cremfan.serialize import matroid_from_dict, matroid_to_dict
 
 from conftest import (
     by_label, census_mismatch, count_backend_calls, determinant, f3_matroid, flat_census,
-    reflection_permutation, swap_star_labels,
+    reflection_permutation, star_labels, swap_star_labels,
 )
 
 # The running example: the rank-3 arrangement fixture with basis {1, 2, 6}
@@ -836,6 +838,29 @@ class TestInvolution:
         )):
             _involution(k5, report, back)
 
+    def test_a_map_of_a8_that_is_no_automorphism_is_an_invariant_violation(self, monkeypatch):
+        # past 15 elements (A8 has 36): the linear certificate refuses the
+        # map, and the hyperplane walk names the first hyperplane of M, in
+        # its canonical order, that the map does not carry onto one
+        a8 = coxeter_matroid("A8")
+        d1, d2 = (cremona_check(a8, by_label(a8, *star_labels(8, x).split(","))) for x in (1, 2))
+        report, back = (
+            swap_star_labels(two_basis_report(a8, *pair)) for pair in ((d1, d2), (d2, d1))
+        )
+        with monkeypatch.context() as patch:
+            # with no hyperplane check, the map passes every other check
+            patch.setattr(cremona, "_hyperplane_mismatch", lambda *args: None)
+            phi = _involution(a8, report, back)
+        assert phi.compose(phi).is_identity and phi.image(d1.basis) == d2.basis_set()
+        assert orbits.linear_automorphisms(a8.backend, [phi.forward]) == []
+        hyperplanes = a8._level(a8.full_rank() - 1)
+        first = next(
+            H for H in hyperplanes if _mask(phi.forward[e] for e in _members(H)) not in hyperplanes
+        )
+        labels = ", ".join(map(a8.ground.label, _members(first)))
+        with pytest.raises(InvariantError, match=re.escape(f"the hyperplane {{{labels}}} onto")):
+            _involution(a8, report, back)
+
     def test_rejects_foreign_data(self, a3, b3):
         d_a3 = cremona_check(a3, (0, 1, 5))
         (d_b3,) = enumerate_cremona_bases(b3)
@@ -975,13 +1000,12 @@ class TestRealizationCertificate:
         monkeypatch.setattr(Matroid, "_walk", walked)
         monkeypatch.setattr(Matroid, "_closure_of", closed)
         realize(k7, d1, d2, "Fp:101")
-        # one walk, of M to its 63 hyperplanes (K7 is the A6 arrangement, so
-        # given its generators), and none of N; the 63 fall into 3 orbits
-        # under M's two reflection generators, which both certify as
-        # automorphisms of N, so N closes one hyperplane per orbit
-        assert walks == [(True, True)]
-        assert len(k7._flats_cache[5]) == 63
-        assert closures.count(False) == 3
+        # K7 is the A6 arrangement: its 6 simple reflections certify as
+        # automorphisms of N, so N closes the 6 parabolic hyperplanes, and
+        # neither M nor N is walked to its hyperplanes
+        assert walks == []
+        assert 5 not in k7._flats_cache
+        assert closures.count(False) == 6
 
     @pytest.mark.parametrize("field", ["Fp:101", "Q", "Qsqrt5"])
     def test_k7_check_makes_three_eliminations_and_three_closures_in_n(self, monkeypatch, field):
@@ -989,32 +1013,34 @@ class TestRealizationCertificate:
         d1, d2 = cremona_check(k7, range(6)), cremona_check(k7, (0, *range(6, 11)))
         N = Matroid(VectorBackend(Field.from_spec(field), realize(k7, d1, d2, field).vectors))
         calls = count_backend_calls(N, monkeypatch)
-        coordinates, eliminated = orbits._coordinates, []
+        tagged, eliminated = orbits._tagged, []
 
         def counted(*args, **domain):
             eliminated.append(args)
-            return coordinates(*args, **domain)
+            return tagged(*args, **domain)
 
-        monkeypatch.setattr(orbits, "_coordinates", counted)
-        assert _hyperplane_mismatch(k7, N) is None
+        monkeypatch.setattr(orbits, "_tagged", counted)
+        assert _map_mismatch(k7, N) is None
         # the certificate: one elimination for a basis B and one for its
-        # image under each generator; then one closure per orbit
-        assert len(eliminated) == 3
+        # image under each of the 6 simple reflections; then one closure per
+        # parabolic hyperplane
+        assert len(eliminated) == 1 + 6
         assert calls == {
-            "rank_subset": 0, "closure_fast": 3, "fundamental_fast": 0, "covers_fast": 0,
+            "rank_subset": 0, "closure_fast": 6, "fundamental_fast": 0, "covers_fast": 0,
             "cover_step": 0,
         }
 
     @pytest.mark.parametrize("spec, p", [("F4", 3), ("E6", 3), ("B4", 2), ("D5", 3)])
     def test_one_hyperplane_per_orbit_finds_the_first_failing_one(self, spec, p):
-        # M's integer rows read over F_p: M's reflection generators are
-        # still linear automorphisms of N, which is M again (D5 over F_3)
-        # or another matroid of the same rank
+        # M's integer rows read over F_p: M's simple reflections are still
+        # linear automorphisms of N, which is M again (D5 over F_3) or
+        # another matroid of the same rank, where a parabolic hyperplane
+        # fails and the hyperplane walk names the first failing one
         M = coxeter_matroid(spec)
         field = Field.from_spec(f"Fp:{p}")
         N = Matroid(VectorBackend(field, M.backend._rows))
-        generators = M.backend.reflection_generators
-        assert orbits.linear_automorphisms(N.backend, generators) == generators
+        simple = list(M.backend.reflections.simple.values())
+        assert orbits.linear_automorphisms(N.backend, simple) == simple
         r = M.full_rank()
         assert N.full_rank() == r
         # reference: every hyperplane closed in N, in M's canonical order
@@ -1022,7 +1048,7 @@ class TestRealizationCertificate:
             H for H in M._level(r - 1) if N._closure_of(H) != H or N._rank_of(H) != r - 1
         ), None)
         assert (first is None) == (spec == "D5")
-        assert _hyperplane_mismatch(M, Matroid(VectorBackend(field, M.backend._rows))) == first
+        assert _map_mismatch(M, Matroid(VectorBackend(field, M.backend._rows))) == first
 
     def test_a_wrong_k7_vector_exits_4(self, tmp_path, monkeypatch, capsys):
         path = str(tmp_path / "k7.json")

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremfan import fp, kernels, orbits, quad
+from cremfan import fp, kernels, quad
 from cremfan.field import Field, primitive_int_vector
 from cremfan.fp import (
     _monic,
@@ -41,7 +41,7 @@ from cremfan.quad import (
     primitive_quad_vector,
     rank_quad,
 )
-from cremfan.orbits import generators
+from cremfan.orbits import reflections
 
 from conftest import (
     determinant, f3_vector_rows, in_span, matrix_rank, quad_lines, quad_scale,
@@ -215,13 +215,15 @@ def drawn_subset(data, rows):
 
 
 def check_coordinates(reduce, step, fundamental, rows, subset, scalars):
-    """``orbits._coordinates`` has ``fundamental_*``'s basis B, and for each
-    row of span(B) its tags, read as scalars c, are nonzero on that row's
-    support in B and make sum_j c_j B[j] a nonzero multiple of the row (0
-    for a zero row)."""
-    basis, coordinates = orbits._coordinates(rows, subset, reduce, step)
-    reference, supports = fundamental(rows, subset, range(len(rows)))
+    """``kernels._tagged`` has ``fundamental_*``'s basis B and asked rows of
+    span(B), and for each such row its tags, read as scalars c, are nonzero
+    on that row's support in B and make sum_j c_j B[j] a nonzero multiple of
+    the row (0 for a zero row)."""
+    every = range(len(rows))
+    basis, coordinates = kernels._tagged(rows, subset, every, reduce, step)
+    reference, supports = fundamental(rows, subset, every)
     assert basis == reference
+    assert list(coordinates) == list(supports)
     spanning = [scalars(rows[b]) for b in basis]
     for i, support in supports.items():
         row, c = scalars(rows[i]), scalars(coordinates[i])
@@ -232,8 +234,8 @@ def check_coordinates(reduce, step, fundamental, rows, subset, scalars):
 
 
 class TestCoordinates:
-    """The certificate's elimination (``orbits._coordinates``) over each
-    domain, against ``fundamental_*``."""
+    """The tagged elimination (``kernels._tagged``) over each domain,
+    against ``fundamental_*``."""
 
     @given(same_width, st.data())
     @settings(max_examples=150, deadline=None)
@@ -431,15 +433,15 @@ def _int_roots(family, n):
 
 
 def reflection_closed_int(rows):
-    return generators(rows, "Q") is not None
+    return reflections(rows, "Q") is not None
 
 
 def reflection_closed_quad(rows):
-    return generators(rows, "Qsqrt5") is not None
+    return reflections(rows, "Qsqrt5") is not None
 
 
 class TestReflectionClosed:
-    """The reflection pass (``orbits.generators``) returns None exactly when
+    """The reflection pass (``orbits.reflections``) returns None exactly when
     the rows are not a simple reflection arrangement."""
 
     def test_root_systems_over_z(self):

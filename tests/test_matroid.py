@@ -439,7 +439,7 @@ class TestLatticeWalk:
             complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec) for _ in range(2)
         )
         r = M.full_rank()
-        perms = M.backend.reflection_generators if by_orbits else ()
+        perms = M.backend.reflections.generators if by_orbits else ()
         assert bool(perms) == by_orbits
         with pytest.raises(BudgetExceeded, match=f"more than {total - 1} covers"):
             M._walk(r - 1, total - 1, perms)
@@ -611,7 +611,7 @@ class TestConnectedWalk:
     @pytest.mark.parametrize("name", list(REFLECTION_CASES))
     def test_levels_are_the_connected_flats(self, name):
         M, reference = REFLECTION_CASES[name](), REFLECTION_CASES[name]()
-        perms = M.backend.reflection_generators
+        perms = M.backend.reflections.generators
         assert perms
         r = M.full_rank()
         # the connected orbit walk to full rank, also on the types of rank 1
@@ -633,7 +633,8 @@ class TestConnectedWalk:
         if walk == "connected":
             # the connected orbit walk; with no generators (the trivial group)
             # on the inputs that are not reflection arrangements
-            perms = getattr(M.backend, "reflection_generators", None) or []
+            reflections = getattr(M.backend, "reflections", None)
+            perms = reflections.generators if reflections else []
             M._walk(r, None, perms, connected=True)
         else:
             M._level(r)
@@ -680,7 +681,7 @@ class TestConnectedWalk:
     @pytest.mark.parametrize("name", list(FULL_WALK_CASES))
     def test_the_full_walk_runs_when_the_precondition_fails(self, name, monkeypatch):
         M, reference = FULL_WALK_CASES[name](), FULL_WALK_CASES[name]()
-        assert not getattr(M.backend, "reflection_generators", None)
+        assert not getattr(M.backend, "reflections", None)
         r = M.full_rank()
         walks = record_walks(M, monkeypatch)
         assert [M.connected_flats_of_rank(k) for k in range(1, r + 1)] == (
@@ -858,7 +859,7 @@ class TestOrbitWalk:
         spec, order, flips = case
         M, connected, reference = (_shuffled(spec, order, flips) for _ in range(3))
         k = max(M.full_rank() - 1, 3)  # H3 to its full rank: both walks by orbits
-        assert M.backend.reflection_generators
+        assert M.backend.reflections.generators
         M.flats_of_rank(k)
         connected.connected_flats_of_rank(k)
         reference._walk(k, None)
@@ -889,14 +890,18 @@ class TestOrbitWalk:
                 v = _reflect(r, v)
             return v
 
-        c, s1 = M.backend.reflection_generators
+        (c, s1), by_root = M.backend.reflections
         for perm, g in ((c, coxeter), (s1, lambda v: _reflect(simple[0], v))):
             assert [_row_of(rows, g(v)) for v in rows] == perm
+        # the simple reflections, in row order, keyed by their roots' rows
+        assert [rows[u] for u in by_root] == simple
+        for u, perm in by_root.items():
+            assert [_row_of(rows, _reflect(rows[u], v)) for v in rows] == perm
 
     @pytest.mark.parametrize("name", ["B3 minus a root", "B4 with a parallel pair"])
     def test_rows_not_reflection_closed_walk_depth_first(self, name, monkeypatch):
         M = FULL_WALK_CASES[name]()
-        assert M.backend.reflection_generators is None
+        assert M.backend.reflections is None
         walks = record_walks(M, monkeypatch)
         r = M.full_rank()
         M.flats_of_rank(r)
@@ -923,7 +928,7 @@ class TestOrbitWalk:
 
         M.backend.cover_step = checked
         r = M.full_rank()
-        M._walk(r, None, M.backend.reflection_generators, connected)
+        M._walk(r, None, M.backend.reflections.generators, connected)
         assert steps
 
 
@@ -1086,9 +1091,11 @@ class TestLinearCertificate:
     @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "F4", "H3", "H4", "E6", "K7"])
     def test_reflection_generators_are_accepted_and_a_transposition_is_not(self, spec):
         M = complete_graph_matroid(7) if spec == "K7" else coxeter_matroid(spec)
-        generators = M.backend.reflection_generators
+        generators, simple = M.backend.reflections
+        perms = [*generators, *simple.values()]
+        assert len(simple) == M.full_rank()
         swap = [1, 0, *range(2, M.size)]
-        assert orbits.linear_automorphisms(M.backend, [*generators, swap]) == generators
+        assert orbits.linear_automorphisms(M.backend, [*perms, swap]) == perms
 
 
 class TestSteppedCovers:
