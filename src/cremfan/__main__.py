@@ -1,8 +1,7 @@
-"""``python -m cremfan``: the same entry point as the ``cremfan`` script."""
+"""``python -m cremfan``: the ``cremfan`` script's entry point, ``cli.run``,
+which ends the process by ``os._exit`` after the flushed report."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,6 +11,10 @@ command echo, the sha256 of the input file, and a matroid summary; wall
 times go to stderr so reports stay byte-identical across runs.  Exit codes:
 0 success, 1 stdout closed before the report was written, 2 invalid input,
 3 budget exceeded, 4 internal invariant violation.
+
+``main`` is the library call.  A process enters through ``run``, which ends
+it by ``os._exit`` once the report is flushed, skipping the interpreter's
+teardown; a usage error or an unexpected exception exits the usual way.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from . import __version__
 from .errors import BudgetExceeded, InputError, InvariantError
 from .field import FieldFormatError, parse_rational
 from .matroid import Matroid
-from .serialize import dumps, load_matroid, save_matroid
+from .serialize import dumps, load_matroid, save_matroid, write_text
 
 
 def _sha256(path: str) -> str:
@@ -304,11 +308,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         raise InputError("fan needs one of --rays, --graph, --member, --s-graph")
     if args.dot:
         echo["dot"] = args.dot
-        try:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot_text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.dot}: {exc}") from exc
+        write_text(args.dot, dot_text)
     _emit(_envelope("fan", echo, args.matroid, M, payload))
     return 0
 
@@ -433,5 +433,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry point: ``main()``, flush, then ``os._exit``."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

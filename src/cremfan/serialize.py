@@ -132,10 +132,19 @@ def matroid_from_dict(doc: dict) -> Matroid:
 
 def save_matroid(M: Matroid, path: str | os.PathLike, *, name: str | None = None,
                  description: str | None = None) -> None:
-    text = dumps(matroid_to_dict(M, name=name, description=description))
+    write_text(path, dumps(matroid_to_dict(M, name=name, description=description)))
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8 without truncating it to zero first
+    (on ext4 a close after that waits tens of ms for the disk): only a longer
+    old file's tail is cut, so /dev/null and FIFOs are never truncated."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w") as handle:
-            handle.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(data)
+            if os.fstat(handle.fileno()).st_size > len(data):
+                handle.truncate()
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 

@@ -1,8 +1,10 @@
 """Command-line behavior through the in-process entry point.
 
 Every test drives ``cremfan.cli.main`` directly (stdout/stderr captured by
-pytest) so the whole matrix stays fast; one subprocess check at the end
-proves the installed console script works.
+pytest) so the whole matrix stays fast; the subprocess checks at the end
+prove that ``cli.run``, behind ``python -m cremfan``, ``python -m
+cremfan.cli`` and the installed console script, prints the same bytes and
+exits with the same codes.
 """
 
 import argparse
@@ -896,15 +898,64 @@ class TestRepeatedCalls:
         assert built == []
 
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+
+# the two ``python -m`` entry points; both end in ``cli.run``
+ENTRY_MODULES = ["cremfan", "cremfan.cli"]
+
+
+def run_module(module, *argv, stdout=subprocess.PIPE, text=False):
+    """One CLI job in a fresh interpreter through ``python -m module``."""
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=text, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
 class TestConsoleScript:
+    @pytest.mark.parametrize("module", ENTRY_MODULES)
+    def test_run_prints_the_bytes_of_main(self, module, tmp_path, capsys):
+        a3, fano, dot = (str(tmp_path / name) for name in ("a3.json", "fano.json", "fano.dot"))
+        assert main(["gen", "A3", "--out", a3]) == 0
+        assert main(["gen", "fano", "--out", fano]) == 0
+        capsys.readouterr()
+        for argv in (["cremona", a3, "--enumerate"], ["fan", fano, "--graph", "--dot", dot]):
+            assert main(argv) == 0
+            expected = capsys.readouterr().out.encode()
+            dot_text = None
+            if os.path.exists(dot):
+                with open(dot, "rb") as handle:
+                    dot_text = handle.read()
+                os.remove(dot)
+            proc = run_module(module, *argv)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == expected
+            if dot_text is not None:
+                assert dot_text.endswith(b"}\n")
+                with open(dot, "rb") as handle:
+                    assert handle.read() == dot_text
+
+    @pytest.mark.parametrize("module", ENTRY_MODULES)
+    @pytest.mark.parametrize("argv,code,message", [
+        (["cremona", "{bad}", "--enumerate"], 2, "error: invalid JSON in "),
+        (["cremona", "{a3}", "--enumerate", "--max-nodes", "0"], 3, "error: budget exceeded: "),
+        ([], 2, "usage: cremfan "),
+    ])
+    def test_run_keeps_the_exit_codes(self, module, argv, code, message, tmp_path, capsys):
+        bad, a3 = str(tmp_path / "bad.json"), str(tmp_path / "a3.json")
+        with open(bad, "w") as handle:
+            handle.write("{")
+        assert main(["gen", "A3", "--out", a3]) == 0
+        capsys.readouterr()
+        proc = run_module(module, *(token.format(bad=bad, a3=a3) for token in argv), text=True)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_python_dash_m(self, tmp_path):
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         out_path = tmp_path / "k4.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "cremfan", "gen", "K4", "--out", str(out_path)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
-        )
+        proc = run_module("cremfan", "gen", "K4", "--out", str(out_path), text=True)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["matroid"]["rank"] == 3
@@ -912,22 +963,18 @@ class TestConsoleScript:
         assert proc.stderr.startswith("[time]")
 
     def test_a_closed_stdout_exits_1_with_no_traceback(self, tmp_path, capsys):
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         path = str(tmp_path / "k5.json")
         assert main(["gen", "K5", "--out", path]) == 0
         capsys.readouterr()
-        read, write = os.pipe()
-        os.close(read)  # a reader that reads no stdout: the report's write fails
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "cremfan", "cremona", path, "--enumerate"],
-                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
-            )
-        finally:
-            os.close(write)
-        assert proc.returncode == 1
-        assert re.fullmatch(r"\[time\] cremona: \d+\.\d{3}s\n", proc.stderr), proc.stderr
+        for module in ENTRY_MODULES:
+            read, write = os.pipe()
+            os.close(read)  # a reader that reads no stdout: the report's write fails
+            try:
+                proc = run_module(module, "cremona", path, "--enumerate", stdout=write, text=True)
+            finally:
+                os.close(write)
+            assert proc.returncode == 1
+            assert re.fullmatch(r"\[time\] cremona: \d+\.\d{3}s\n", proc.stderr), proc.stderr
 
     def test_installed_entry_point(self, tmp_path):
         out_path = tmp_path / "k4.json"

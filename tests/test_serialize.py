@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from cremfan.serialize import (
     matroid_from_dict,
     matroid_to_dict,
     save_matroid,
+    write_text,
 )
 
 
@@ -286,3 +289,44 @@ class TestValidation:
         doc = self.make_doc(backend="vectors", field="Q", data=[["1e10000000"], ["1"], ["2"]])
         with pytest.raises(InputError, match="bad rational '1e10000000'"):
             matroid_from_dict(doc)
+
+
+class TestWriteText:
+    """``write_text`` rewrites a file in place: no truncation to zero first."""
+
+    def test_gen_over_a_longer_file_leaves_the_bytes_of_a_fresh_gen(self, tmp_path, capsys):
+        fresh, path = tmp_path / "fresh.json", tmp_path / "a3.json"
+        assert main(["gen", "A3", "--out", str(fresh)]) == 0
+        assert main(["gen", "E8", "--out", str(path)]) == 0
+        assert path.stat().st_size > fresh.stat().st_size
+        assert main(["gen", "A3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("old_size", [0, 1, 10_000])
+    def test_any_old_length(self, tmp_path, old_size):
+        path = tmp_path / "out.txt"
+        path.write_text("x" * old_size)
+        write_text(path, "r\u00e9sum\u00e9 \u2713\n")
+        assert path.read_bytes() == "r\u00e9sum\u00e9 \u2713\n".encode("utf-8")
+
+    def test_gen_to_dev_null(self, capsys):
+        assert main(["gen", "A3", "--out", os.devnull]) == 0
+        capsys.readouterr()
+
+    def test_a_fifo_is_written_and_not_truncated(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_text(fifo, "line\n")
+        reader.join(timeout=60)
+        assert read == [b"line\n"]
+
+    def test_a_directory_out_exits_2(self, tmp_path, capsys):
+        # a path under a missing directory: test_cli's test_unwritable_out_is_input_error
+        code = main(["gen", "A3", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
