@@ -284,7 +284,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         point = fn.TropicalPoint.of(_parse_weights(args.member))
         inside = fn.in_bergman_fan(M, point)
         cross = None
-        if M.size <= 12:
+        if M.size <= fn.MAX_CIRCUIT_ELEMENTS:
             cross = fn.in_bergman_fan_circuits(M, point)
             if cross != inside:
                 raise InvariantError(

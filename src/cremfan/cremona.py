@@ -136,14 +136,14 @@ def enumerate_cremona_bases(M: Matroid, *, max_nodes: int = 200_000) -> list[Cre
     search nodes: past it, BudgetExceeded names the nodes visited and the
     bases found so far (an explicit failure, never a silent truncation).
     """
-    from .exact_cover import _exact_cover_bases, _long_lines
+    from .exact_cover import _exact_cover_bases
 
     if max_nodes < 0:
         raise InputError(f"max_nodes must be non-negative, got {max_nodes}")
     if M.full_rank() >= 2:
         # the lines first: their walk stores the points, which the
         # simplicity check then reads with no second walk
-        _long_lines(M)
+        M._long_lines()
     _require_simple(M)
     bases, _nodes = _exact_cover_bases(M, max_nodes)
     results: list[CremonaData] = []

@@ -3,8 +3,9 @@
 ``cremona.enumerate_cremona_bases`` imports this module when it runs, so
 the jobs that check, pair or realize given bases do not compile the
 search. The pair remainders cl{a, b} \\ {a, b} come from the lines of
-three or more points (``_line_remainders``), and the bases from a
-backtracking exact cover over them (``_exact_cover_bases``).
+three or more points, which the matroid answers off either walk's stored
+lines (``Matroid._long_lines``; ``_line_remainders``), and the bases from
+a backtracking exact cover over them (``_exact_cover_bases``).
 """
 
 from __future__ import annotations
@@ -13,18 +14,6 @@ import itertools
 
 from .errors import BudgetExceeded
 from .matroid import Matroid, _members
-
-
-def _long_lines(M: Matroid) -> list[int]:
-    """The lines of three or more points of a simple matroid of rank at least 2.
-
-    They are its connected lines, as bitmasks, so stored connected lines
-    (after ``fan.graph_S``) answer them; else they are read off the full
-    walk's lines by point count, which costs no connectivity filter.
-    """
-    if 2 in M._connected_cache:
-        return list(M._connected_cache[2])
-    return [line for line in M._level(2) if line.bit_count() >= 3]
 
 
 def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, list[int]]]]]:
@@ -39,7 +28,7 @@ def _line_remainders(M: Matroid) -> tuple[list[list[int]], list[list[tuple[int, 
     n = M.size
     rem = [[0] * n for _ in range(n)]
     through: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for mask in _long_lines(M):
+    for mask in M._long_lines():
         points = _members(mask)
         for i, a in enumerate(points):
             through[a].append((mask, [x for x in points if x != a]))

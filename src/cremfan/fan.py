@@ -90,9 +90,7 @@ class TropicalPoint(_SetOnce):
         vals = []
         for x in weights:
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise InputError(
-                    f"tropical weights must be integers or rationals, got {x!r}"
-                )
+                raise InputError(f"tropical weights must be integers or rationals, got {x!r}")
             vals.append(Fraction(x))
         if not vals:
             raise InputError("a tropical point needs at least one weight")
@@ -150,8 +148,12 @@ def in_bergman_fan(M: Matroid, point: TropicalPoint | Sequence) -> bool:
     return True
 
 
+# the circuit oracle's default element budget, up to which the CLI cross-checks
+MAX_CIRCUIT_ELEMENTS = 12
+
+
 def in_bergman_fan_circuits(M: Matroid, point: TropicalPoint | Sequence, *,
-                            max_elements: int = 12) -> bool:
+                            max_elements: int = MAX_CIRCUIT_ELEMENTS) -> bool:
     """Circuit-criterion membership: the minimum over every circuit is attained twice.
 
     Independent oracle used to cross-check the level-set route; guarded by
@@ -170,9 +172,7 @@ def _point_weights(M: Matroid, point) -> tuple:
     if not isinstance(point, TropicalPoint):
         point = TropicalPoint.of(point)
     if len(point) != M.size:
-        raise InputError(
-            f"point has {len(point)} weights for a {M.size}-element ground set"
-        )
+        raise InputError(f"point has {len(point)} weights for a {M.size}-element ground set")
     return point.weights
 
 
@@ -299,12 +299,11 @@ def ray_adjacency_graph(M: Matroid) -> RayGraph:
     if M.size and not M.is_connected(range(M.size)):
         raise InputError("ray adjacency graph needs a connected matroid")
     # the full walk, then one filter of its levels: it stores their connected
-    # flats, the rays, and returns the disjoint pairs, read off the flats of
-    # two components
-    r = M.full_rank()
-    M._level(max(r - 1, 0), matroid.MAX_COVERS)
+    # flats, the rays, which ``nested_rays`` reads, and returns the disjoint
+    # pairs, read off the flats of two components
+    M._level(max(M.full_rank() - 1, 0), matroid.MAX_COVERS)
     pairs = M._connected_levels()
-    rays = [Flat.of_mask(A, k) for k in range(1, r) for A in M._connected_cache[k]]
+    rays = nested_rays(M)
     index = {A.mask: i for i, A in enumerate(rays)}
     disjoint = [0] * len(rays)  # per ray i, the bits of the disjoint rays j > i
     for (a, _), (b, _) in pairs:
@@ -345,19 +344,19 @@ def _rank_one_neighbors(M: Matroid) -> list[list[int]]:
     if hit is not None:
         return hit
     # f != e with |cl{e,f}| = 2 exactly when {e, f} is a flat, and a flat
-    # spanned by two elements has rank at most 2
-    neighbors: list[list[int]] = [[] for _ in range(M.size)]
-    if 2 in M._connected_cache and M.is_simple():
-        # M is simple, so its connected lines are its lines of three or more
-        # points: {e, f} is a flat iff no such line holds both. So no full
-        # walk to rank 2 is needed after the connected walk.
+    # spanned by two elements has rank at most 2. The lines first: their
+    # walk stores the points, which the simplicity check then reads.
+    lines = M._long_lines() if M.full_rank() >= 2 else ()
+    if M.is_simple():
+        # {e, f} is a flat iff no line of three or more points holds both
         on_lines = [1 << e for e in range(M.size)]
-        for L in M._connected_cache[2]:
+        for L in lines:
             for e in _members(L):
                 on_lines[e] |= L
         full = (1 << M.size) - 1
         neighbors = [_members(full & ~on) for on in on_lines]
     else:
+        neighbors = [[] for _ in range(M.size)]
         # the deepest level first: its walk stores the two below it
         for k in reversed(range(min(2, M.full_rank()) + 1)):
             for F in M._level(k):

@@ -12,19 +12,18 @@ element e) to the bitmask of a flat of the rank below that it covers; a
 is depth-first, fills orbits of automorphisms on a reflection arrangement
 and reads covers off cover states, each stepped from the state of a flat
 it covers: by the kernels on a vector matroid, by closures elsewhere. The
-rank and closure oracle (``_rank_of``, ``_closure_of``) takes bitmasks,
-answers a walked flat off its level and caches the rest by bitmask; the
-public queries check their elements once (``_check_subset``). The
-connected flats are stored as connected levels
-(``connected_flats_of_rank``), which a walked flat's connectivity is read
-off.
+connected flats are stored as connected levels (``connected_flats_of_rank``).
+``Matroid`` alone reads both stores: the rank and closure oracle
+(``_rank_of``, ``_closure_of``) takes bitmasks, answers a flat either walk
+stored off its level, its connectivity too, and caches the rest by
+bitmask; the public queries check their elements once (``_check_subset``).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BudgetExceeded, InputError
@@ -339,9 +338,7 @@ class LineBackend:
             lid = len(self.lines)
             for a, b in itertools.combinations(sorted(L), 2):
                 if (a, b) in pair_line:
-                    raise InputError(
-                        f"elements {a},{b} lie on two listed lines"
-                    )
+                    raise InputError(f"elements {a},{b} lie on two listed lines")
                 pair_line[(a, b)] = lid
             self.lines.append(L)
         self._pair_line = pair_line
@@ -488,10 +485,9 @@ class Matroid:
         hit = self._rank_cache.get(S)
         if hit is not None:
             return hit
-        walked = self._walked_rank(S)
-        if walked is not None:
-            return walked
-        r = self._rank_cache[S] = self.backend.rank_subset(tuple(_members(S)))
+        r = self._walked_rank(S)
+        if r is None:
+            r = self._rank_cache[S] = self.backend.rank_subset(tuple(_members(S)))
         return r
 
     def full_rank(self) -> int:
@@ -534,10 +530,12 @@ class Matroid:
         return self._closure_of(S) == S
 
     def _walked_rank(self, mask: int) -> int | None:
-        """The rank of the walked flat with this bitmask, or None."""
-        for k, level in self._flats_cache.items():
-            if mask in level:
-                return k
+        """The rank of the flat with this bitmask that either walk stored, or
+        None: the full levels are read first, then the connected levels."""
+        for levels in (self._flats_cache, self._connected_cache):
+            for k, level in levels.items():
+                if mask in level:
+                    return k
         return None
 
     def is_simple(self) -> bool:
@@ -769,13 +767,13 @@ class Matroid:
     def is_connected(self, flat: Iterable[int]) -> bool:
         """Connectivity of the restriction to a flat.
 
-        A flat the lattice walk found is connected iff it is in its rank's
+        A flat that either walk stored is connected iff it is in its rank's
         connected level (``_connected_level``), with no flatness, rank or
-        closure query. E, before the walk reaches it, is connected when the
-        stored lines join it (``_lines_join``); any other flat, such as the
-        join of two rays, and E where the lines do not decide, uses the
-        fundamental-circuit graph of a greedy basis (``_connected``). E's
-        verdict is kept, as its rank is.
+        closure query. E, before a walk reaches it, is connected when the
+        lines either walk stored join it (``_lines_join``); any other flat,
+        such as the join of two rays, and E where the lines do not decide,
+        uses the fundamental-circuit graph of a greedy basis
+        (``_connected``). E's verdict is kept, as its rank is.
         """
         return self._is_connected(self._check_subset(flat))
 
@@ -838,23 +836,25 @@ class Matroid:
         self._connected_cache = connected
         return pairs
 
-    def _lines_join(self) -> bool:
-        """Whether M is simple and its stored lines of three or more points
-        join all of E, read off the stored levels with no backend call. Any
-        3 points of a line of a simple matroid form a circuit, and elements
-        that share a circuit lie in one component (Oxley 2011, §4.1), so M is
-        then connected. False, leaving the verdict to ``_connected``, when the
-        stored levels 0 and 1 do not show M simple, when no lines are stored,
-        or when they leave E apart. On a simple matroid the connected lines
-        are exactly these lines."""
-        if 1 not in self._flats_cache or not self.is_simple():
-            return False
+    def _long_lines(self) -> Collection[int]:
+        """The lines of three or more points of a simple matroid of rank at
+        least 2, as bitmasks. They are its connected lines, so stored
+        connected lines answer them; else the full walk's lines, walked to if
+        need be, are counted by points, which costs no connectivity filter."""
         lines = self._connected_cache.get(2)
-        if lines is None:
-            if 2 not in self._flats_cache:
-                return False
-            lines = [L for L in self._flats_cache[2] if L.bit_count() >= 3]
-        full, reached, grown = (1 << self.size) - 1, 1, True
+        return [L for L in self._level(2) if L.bit_count() >= 3] if lines is None else lines
+
+    def _lines_join(self) -> bool:
+        """Whether M is simple and its lines of three or more points
+        (``_long_lines``) join all of E, read off the lines either walk
+        stored with no backend call. Any 3 points of a line of a simple
+        matroid form a circuit, and elements that share a circuit lie in one
+        component (Oxley 2011, §4.1), so M is then connected. False, leaving
+        the verdict to ``_connected``, when no walk stored the lines, when M
+        is not simple, or when the lines leave E apart."""
+        if 2 not in self._connected_cache and 2 not in self._flats_cache or not self.is_simple():
+            return False
+        lines, full, reached, grown = self._long_lines(), (1 << self.size) - 1, 1, True
         while grown and reached != full:
             grown = False
             for L in lines:

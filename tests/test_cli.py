@@ -544,6 +544,16 @@ class TestFan:
         assert out == ""
         assert "ray adjacency graph needs a simple matroid" in err
 
+    def test_graph_of_a_disconnected_matroid_is_refused(self, tmp_path, capsys):
+        # e1, e2, e3 over Q: simple, and each element is its own component
+        path = tmp_path / "free3.json"
+        path.write_text(_doc("vectors", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                             field="Q"))
+        code, out, err = run(capsys, "fan", str(path), "--graph")
+        assert code == 2
+        assert out == ""
+        assert "ray adjacency graph needs a connected matroid" in err
+
     def test_graph_walk_has_a_budget(self, tmp_path, capsys, monkeypatch):
         # the full walk of --graph issues at most matroid.MAX_COVERS covers, so
         # a lattice too large for it (E8's) exits 3 and does not run on

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from cremfan.errors import BudgetExceeded, InputError
+from cremfan.errors import BudgetExceeded, InputError, InvariantError
 from cremfan.fan import (
     RayGraph,
     TropicalPoint,
@@ -26,7 +26,7 @@ from cremfan.generators import (
     from_spec_string,
     uniform,
 )
-from cremfan.isomorphism import is_nested, ray_permutation
+from cremfan.isomorphism import IntegerLinearMap, is_nested, ray_permutation
 from cremfan.matroid import Flat, LineBackend, Matroid
 
 from conftest import (
@@ -240,6 +240,24 @@ class TestNestedRays:
             is_nested(a3, [frozenset({0, 2})])  # disconnected flat
         with pytest.raises(InputError):
             is_nested(a3, [frozenset({0}), frozenset({0})])  # repeats
+
+    def test_is_nested_has_a_budget(self, a3):
+        # three points of one line: their join is connected
+        rays = [frozenset({0}), frozenset({1}), frozenset({4})]
+        assert not is_nested(a3, rays, max_family=3)
+        with pytest.raises(BudgetExceeded, match="nested check over 3 flats exceeds the budget of 2"):
+            is_nested(a3, rays, max_family=2)
+
+    def test_ray_permutation_refuses_a_map_off_the_rays(self, fano_m):
+        # a transposition of two points is no automorphism of the Fano plane
+        # (its automorphisms are even), so it sends some line to a 3-set
+        # that is no flat, and so to no ray
+        graph = ray_adjacency_graph(fano_m)
+        swap = [1, 0, *range(2, fano_m.size)]
+        matrix = tuple(tuple(int(swap[j] == i) for j in range(fano_m.size))
+                       for i in range(fano_m.size))
+        with pytest.raises(InvariantError, match="map does not permute the fan rays"):
+            ray_permutation(graph, IntegerLinearMap(matrix))
 
 
     @pytest.mark.parametrize("spec", ["D4", "A4"])
@@ -498,7 +516,9 @@ class TestGraphS:
         monkeypatch.setattr(d5, "_level", counted)
         # (n-2)(n-3)+1 = 7 orthogonal roots, none on a line of three
         assert [rank_one_neighbor_count(d5, e) for e in range(d5.size)] == [7] * 20
-        assert levels == [2, 1, 0]  # the deepest first, so one walk
+        # the lines first, then the simplicity check reads the points their
+        # walk stored: one walk
+        assert levels == [2, 1]
 
     def test_graph_s_covers_from_one_walk(self, monkeypatch):
         d5 = coxeter_matroid("D5")

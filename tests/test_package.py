@@ -228,3 +228,19 @@ class TestDomainImportPath:
         assert f"cremfan.{home}" in step["loaded"]
         assert ({"quad": "cremfan.fp", "fp": "cremfan.quad"}[home]) not in step["loaded"]
 
+
+
+class TestStoreOwnership:
+    """``Matroid`` is the one reader of the walks' stores: every other module
+    asks it through its methods."""
+
+    def test_no_module_but_matroid_names_the_stores(self):
+        package = os.path.join(SRC, "cremfan")
+        naming = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py") and name != "matroid.py":
+                with open(os.path.join(package, name), encoding="utf-8") as handle:
+                    text = handle.read()
+                naming += [(name, store) for store in ("_flats_cache", "_connected_cache")
+                           if store in text]
+        assert naming == []
